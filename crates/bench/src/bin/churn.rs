@@ -13,8 +13,8 @@
 //! resubscribes 1% of the population — subscriptions whose rectangles
 //! sit inside the hot sub-range — and then rebalances twice from the
 //! same state: once through the incremental pipeline (delta
-//! rasterization, membership interning, distance-row reuse, warm-seeded
-//! K-means) and once through the full cold rebuild, by running two
+//! rasterization, membership interning, warm-seeded K-means) and once
+//! through the full re-rasterizing rebuild, by running two
 //! [`DynamicClustering`]s with opposite dirty thresholds in lockstep.
 //! Both paths are verified bit-identical every epoch; the JSON records
 //! per-epoch latencies, the delta statistics, and the R-tree matching
@@ -50,7 +50,6 @@ struct EpochRecord {
     dirty_cells: usize,
     changed_hypercells: usize,
     unchanged_hypercells: usize,
-    reused_distances: usize,
     moves: usize,
     identical: bool,
 }
@@ -102,14 +101,13 @@ fn main() {
     let workers = parallel::num_threads();
 
     println!(
-        "{:>8} {:>6} {:>12} {:>10} {:>9} {:>7} {:>9} {:>9}   ({} hardware thread(s), {} resolved worker(s))",
+        "{:>8} {:>6} {:>12} {:>10} {:>9} {:>7} {:>9}   ({} hardware thread(s), {} resolved worker(s))",
         "n",
         "epoch",
         "inc ms",
         "full ms",
         "speedup",
         "dirty",
-        "reusedD",
         "identical",
         host_threads,
         workers
@@ -149,7 +147,7 @@ fn main() {
             full.subscribe(r.clone());
         }
         // Warm both instances: the first rebalance is a cold build on
-        // either path and also materializes the shared distance matrix.
+        // either path.
         inc.rebalance();
         full.rebalance();
         assert_eq!(snapshot(&inc), snapshot(&full), "cold builds disagree");
@@ -195,10 +193,9 @@ fn main() {
             audit.assert_clean("churn epoch audit");
 
             println!(
-                "{n:>8} {epoch:>6} {incremental_ms:>12.2} {full_ms:>10.2} {:>8.1}x {:>7} {:>9} {identical:>9}",
+                "{n:>8} {epoch:>6} {incremental_ms:>12.2} {full_ms:>10.2} {:>8.1}x {:>7} {identical:>9}",
                 full_ms / incremental_ms.max(1e-9),
                 stats.dirty_cells,
-                stats.reused_distances,
             );
             records.push(EpochRecord {
                 n,
@@ -209,7 +206,6 @@ fn main() {
                 dirty_cells: stats.dirty_cells,
                 changed_hypercells: snapshot(&inc).0.len() - stats.unchanged_hypercells,
                 unchanged_hypercells: stats.unchanged_hypercells,
-                reused_distances: stats.reused_distances,
                 moves: inc_moves,
                 identical,
             });
@@ -297,8 +293,7 @@ fn main() {
             json,
             "    {{\"n\": {}, \"epoch\": {}, \"incremental_ms\": {:.3}, \"full_ms\": {:.3}, \
              \"changed_slots\": {}, \"dirty_cells\": {}, \"changed_hypercells\": {}, \
-             \"unchanged_hypercells\": {}, \"reused_distances\": {}, \"moves\": {}, \
-             \"identical\": {}}}",
+             \"unchanged_hypercells\": {}, \"moves\": {}, \"identical\": {}}}",
             r.n,
             r.epoch,
             r.incremental_ms,
@@ -307,7 +302,6 @@ fn main() {
             r.dirty_cells,
             r.changed_hypercells,
             r.unchanged_hypercells,
-            r.reused_distances,
             r.moves,
             r.identical
         );

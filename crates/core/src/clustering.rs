@@ -350,7 +350,12 @@ mod tests {
         let mut acc = GroupAccumulator::new(fw.num_subscribers());
         acc.add(&hcs[0]);
         let d = acc.distance_to(&hcs[1]);
-        let expected = expected_waste(hcs[1].prob, &hcs[1].members, hcs[0].prob, &hcs[0].members);
-        assert!((d - expected).abs() < 1e-12, "{d} vs {expected}");
+        // Bit-for-bit, in either argument order: this is what lets the
+        // warm K-means path skip the pairwise cache without changing a
+        // decision (and the cold path read it for singleton groups).
+        let ab = expected_waste(hcs[1].prob, &hcs[1].members, hcs[0].prob, &hcs[0].members);
+        let ba = expected_waste(hcs[0].prob, &hcs[0].members, hcs[1].prob, &hcs[1].members);
+        assert_eq!(d.to_bits(), ab.to_bits(), "{d} vs {ab}");
+        assert_eq!(d.to_bits(), ba.to_bits(), "{d} vs {ba}");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every grid-based algorithm starts from the same `l × l` singleton
 //! distance structure: Pairwise Grouping's nearest-neighbour
-//! initialization, MST clustering's edge generation, K-means seeding, and
-//! outlier removal all evaluate `d(a, b)` over pairs of *hyper-cells*
+//! initialization, MST clustering's edge generation, cold K-means seeding
+//! and outlier removal all evaluate `d(a, b)` over pairs of *hyper-cells*
 //! (not yet merged groups). [`DistanceMatrix`] computes those `l(l−1)/2`
 //! values once — filled in parallel, row-chunked — and every consumer
 //! reads them back instead of re-walking two membership bit-vectors per
@@ -15,6 +15,12 @@
 //! the cache is only valid for *singleton* pairs, and algorithms fall
 //! back to direct computation for merged groups (whose membership vectors
 //! differ from any hyper-cell's).
+//!
+//! The cache belongs to the algorithms that read all pairs. The rebalance
+//! path (`KMeans::cluster_seeded` under `DynamicClustering`) costs
+//! `O(l·K)` per pass and never builds it, and
+//! [`GridFramework::apply_delta`](crate::GridFramework::apply_delta)
+//! drops a materialized cache instead of patching it.
 
 use std::sync::OnceLock;
 
@@ -26,15 +32,15 @@ use crate::waste::{expected_waste, expected_waste_compressed_weighted};
 /// Default for `PUBSUB_DM_BLOCK`.
 const DEFAULT_DM_BLOCK: usize = 32;
 
-/// Column-tile width (in hyper-cells) of the cache-blocked build and of
-/// the incremental reassembly. Each tile's membership vectors are
-/// walked by every row of an 8-row chunk while still cache-resident
-/// (32 vectors × ~12.5 KB at 100k subscribers fits in L2). Purely a
+/// Column-tile width (in hyper-cells) of the cache-blocked build. Each
+/// tile's membership vectors are walked by every row of an 8-row chunk
+/// while still cache-resident (32 vectors × ~12.5 KB at 100k
+/// subscribers fits in L2). Purely a
 /// performance knob — every entry is an independent
 /// [`expected_waste`] value placed by index, never summed, so the tile
 /// order cannot change any bit. Override with `PUBSUB_DM_BLOCK`
 /// (clamped to ≥ 1).
-pub(crate) fn dm_block() -> usize {
+fn dm_block() -> usize {
     static BLOCK: OnceLock<usize> = OnceLock::new();
     *BLOCK.get_or_init(|| {
         crate::env_knob("PUBSUB_DM_BLOCK", DEFAULT_DM_BLOCK, |s| s.parse().ok()).max(1)
@@ -168,24 +174,6 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
-    /// Assembles a matrix from already-computed lower-triangle rows
-    /// (row `i` holding `d(i, 0) .. d(i, i-1)`). Used by the
-    /// incremental pipeline, which fills rows by reusing entries of the
-    /// previous matrix where both hyper-cells are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row `i` does not have exactly `i` entries.
-    pub(crate) fn from_rows(rows: Vec<Vec<f64>>) -> Self {
-        let n = rows.len();
-        let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), i, "row {i} must hold {i} entries");
-            data.extend_from_slice(row);
-        }
-        DistanceMatrix { n, data }
-    }
-
     /// Number of hyper-cells the matrix covers.
     pub fn len(&self) -> usize {
         self.n
@@ -311,22 +299,6 @@ mod tests {
                         "({i},{j}) threads={threads}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn from_rows_round_trips_build() {
-        let h = cells();
-        let built = DistanceMatrix::build(&h);
-        let rows: Vec<Vec<f64>> = (0..h.len())
-            .map(|i| (0..i).map(|j| built.get(i, j)).collect())
-            .collect();
-        let assembled = DistanceMatrix::from_rows(rows);
-        assert_eq!(assembled.len(), built.len());
-        for i in 0..h.len() {
-            for j in 0..h.len() {
-                assert_eq!(assembled.get(i, j).to_bits(), built.get(i, j).to_bits());
             }
         }
     }

@@ -115,7 +115,11 @@ pub struct RebalanceStats {
     pub dirty_cells: usize,
     /// Hyper-cells carried over byte-identical (incremental path only).
     pub unchanged_hypercells: usize,
-    /// Distance-cache entries reused (incremental path only).
+    /// Always 0: no rebalance path builds or patches the pairwise
+    /// distance cache any more. The field stays only because
+    /// `benchmark/` reads it (`dynamic.reused_distances_per_swap`) and
+    /// compares whole `RebalanceStats` values; it goes when a benchmark
+    /// change retires that metric.
     pub reused_distances: usize,
     /// Hyper-cell moves the re-balancing pass performed.
     pub moves: usize,
@@ -298,10 +302,10 @@ impl DynamicClustering {
     /// slots (`PUBSUB_INCREMENTAL_MAX_DIRTY`, default 0.2, or
     /// [`DynamicClustering::with_max_dirty`]), the framework is updated
     /// in place via [`GridFramework::apply_delta`] — only dirty cells
-    /// are re-rasterized and unchanged hyper-cells (and their cached
-    /// distances) carry over. Larger deltas re-rasterize everything.
-    /// Both paths produce bit-identical frameworks, clusterings and
-    /// move counts at any `PUBSUB_THREADS`.
+    /// are re-rasterized and unchanged hyper-cells carry over. Larger
+    /// deltas re-rasterize everything. Both paths produce bit-identical
+    /// frameworks, clusterings and move counts at any `PUBSUB_THREADS`,
+    /// and neither builds the `O(l²)` pairwise distance cache.
     pub fn rebalance(&mut self) -> usize {
         let moves = self.rebalance_paths();
         self.debug_validate("DynamicClustering::rebalance");
@@ -309,8 +313,8 @@ impl DynamicClustering {
     }
 
     /// Path selection shared by [`rebalance`](Self::rebalance) and
-    /// [`try_rebalance`](Self::try_rebalance) — everything except the
-    /// post-condition audit.
+    /// [`rebalance_audited`](Self::rebalance_audited) — everything
+    /// except the post-condition audit.
     fn rebalance_paths(&mut self) -> usize {
         let changed = self.baseline.len();
         let threshold = self.max_dirty.unwrap_or_else(incremental_max_dirty);
@@ -329,27 +333,31 @@ impl DynamicClustering {
     /// it. On any failure — a panic in a maintenance path or an audit
     /// violation — the clustering (subscriptions, framework, pending
     /// baseline, stats) is rolled back bit-for-bit to its pre-call
-    /// state and the error is returned instead, so a long-running
-    /// service can keep serving the last good clustering. This is the
-    /// entry point the service-loop watchdog consumes; on success it is
+    /// state and the error is returned instead, so a caller can keep
+    /// serving the last good clustering. On success it is
     /// observationally identical to [`rebalance`](Self::rebalance).
     pub fn try_rebalance(&mut self) -> Result<RebalanceStats, RebalanceError> {
         let before = self.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.rebalance_paths()));
-        let rolled_back = match outcome {
-            Ok(_moves) => {
-                let mut v = Validator::new();
-                v.check_framework(&self.framework)
-                    .check_clustering(&self.framework, &self.clustering);
-                match v.finish() {
-                    Ok(()) => return Ok(self.last_stats),
-                    Err(e) => RebalanceError::Validation(e),
-                }
-            }
-            Err(payload) => RebalanceError::Panicked(panic_message(payload.as_ref())),
-        };
-        *self = before;
-        Err(rolled_back)
+        let outcome = self.rebalance_audited();
+        if outcome.is_err() {
+            *self = before;
+        }
+        outcome
+    }
+
+    /// [`try_rebalance`](Self::try_rebalance) without the rollback
+    /// snapshot: on `Err` the value is left half-updated and must be
+    /// discarded. The service-loop rebalancer ([`crate::BrokerService`])
+    /// already works on a clone it drops on any abort, so it calls this
+    /// and pays for one state copy per swap, not two.
+    pub(crate) fn rebalance_audited(&mut self) -> Result<RebalanceStats, RebalanceError> {
+        catch_unwind(AssertUnwindSafe(|| self.rebalance_paths()))
+            .map_err(|payload| RebalanceError::Panicked(panic_message(payload.as_ref())))?;
+        let mut v = Validator::new();
+        v.check_framework(&self.framework)
+            .check_clustering(&self.framework, &self.clustering);
+        v.finish().map_err(RebalanceError::Validation)?;
+        Ok(self.last_stats)
     }
 
     /// Debug-build structural audit at the rebalance boundary: the
@@ -407,7 +415,7 @@ impl DynamicClustering {
             changed_slots: changed,
             dirty_cells: report.dirty_cells,
             unchanged_hypercells: report.unchanged_hypercells,
-            reused_distances: report.reused_distances,
+            reused_distances: 0,
             moves: 0,
         };
         if l == 0 {
@@ -810,6 +818,42 @@ mod tests {
         assert!(stats.unchanged_hypercells > 0);
         // The default threshold comes from the environment knob.
         assert!((0.0..=1.0).contains(&super::incremental_max_dirty()));
+    }
+
+    #[test]
+    fn no_rebalance_path_builds_the_distance_cache() {
+        let unbuilt = |s: &DynamicClustering| s.framework.distances.get().is_none();
+        let mut s = system(4).with_max_dirty(0.2);
+        for i in 0..40 {
+            s.subscribe(rect1(
+                (i % 16) as f64,
+                (i % 16) as f64 + 1.5 + (i % 5) as f64 * 0.5,
+            ));
+        }
+        s.rebalance(); // 40/40 dirty: the cold build
+        assert!(!s.last_rebalance().incremental);
+        assert!(unbuilt(&s));
+        for i in 0..20 {
+            let lo = (i * 7 % 16) as f64 + 0.25;
+            s.resubscribe(SubscriptionId(i), rect1(lo, lo + 2.0))
+                .unwrap();
+            if i % 2 == 0 {
+                s.rebalance();
+            } else {
+                s.try_rebalance().unwrap();
+            }
+            assert!(s.last_rebalance().incremental, "swap {i}");
+            assert_eq!(s.last_rebalance().reused_distances, 0);
+            assert!(unbuilt(&s), "swap {i} built the O(l^2) cache");
+        }
+        for i in 0..20 {
+            s.unsubscribe(SubscriptionId(i + 20)).unwrap();
+        }
+        s.rebalance(); // 20/40 dirty: forced onto the full path
+        assert!(!s.last_rebalance().incremental);
+        assert!(unbuilt(&s));
+        s.rebuild();
+        assert!(unbuilt(&s));
     }
 
     #[test]

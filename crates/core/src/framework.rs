@@ -240,9 +240,6 @@ pub struct DeltaReport {
     pub changed_hypercells: usize,
     /// New hyper-cells byte-identical to an old hyper-cell.
     pub unchanged_hypercells: usize,
-    /// Distance-cache entries copied from the previous matrix instead
-    /// of recomputed (0 when no cache was materialized before).
-    pub reused_distances: usize,
     /// For each new hyper-cell index, the old hyper-cell it is
     /// byte-identical to (`None` for changed hyper-cells).
     pub old_index: Vec<Option<usize>>,
@@ -731,10 +728,10 @@ impl GridFramework {
     /// membership words and probability sums; changed ones are
     /// recomputed with the very same expressions the full build uses;
     /// and the final popularity ranking applies the same comparator.
-    /// When a distance cache was materialized before the call, it is
-    /// rebuilt eagerly with every unchanged-pair entry copied instead
-    /// of recomputed, and fresh pairs served from the interning pool's
-    /// waste-count memo.
+    /// A distance cache materialized before the call is dropped, not
+    /// patched: the warm re-balance that follows a delta never reads
+    /// it, and an algorithm that does read all pairs rebuilds it
+    /// lazily through [`GridFramework::distance_matrix`].
     ///
     /// A subscriber appearing in both slices is a *resubscribe*: its
     /// old rectangle's bits are cleared before the new one's are set.
@@ -780,8 +777,7 @@ impl GridFramework {
         }
         let mut state = self.incremental.take().expect("just initialized");
 
-        // Grow the universe in place. Growth preserves members, counts
-        // and therefore every cached distance and memoized waste count.
+        // Grow the universe in place (new indices absent everywhere).
         if num_subscribers > self.num_subscribers {
             state.pool.grow(num_subscribers);
             for hc in &mut self.hypercells {
@@ -912,7 +908,7 @@ impl GridFramework {
         // 5. Finalize. Touched groups recompute cells/prob with the
         //    full build's exact expressions; untouched groups move
         //    through byte-identical (and remember their old index, the
-        //    key to distance reuse and warm starts).
+        //    key to warm starts).
         let mut rebuilt: Vec<(HyperCell, MembershipId, Option<usize>)> =
             Vec::with_capacity(groups.len());
         // lint: allow(hash-order): per-group work is order-local; `rebuilt`
@@ -988,97 +984,15 @@ impl GridFramework {
             .flat_map(|(h, hc)| hc.cells.iter().map(move |&c| (c, h)))
             .collect();
 
-        // 8. Distance cache: when the old matrix was materialized,
-        //    rebuild the new one eagerly, copying every entry whose two
-        //    hyper-cells are unchanged and serving fresh pairs from the
-        //    pool's waste-count memo. Entries equal what a cold build
-        //    would compute, bitwise (f64 `+`/`×` are commutative, and
-        //    cached entries were themselves produced by `expected_waste`
-        //    over identical inputs).
-        // Weighted (class-universe) frameworks skip the eager rebuild:
-        // the pool's memoized counts are unweighted, so the reassembly
-        // expressions below would mix universes. The cache simply
-        // rebuilds lazily (weighted) on the next `distance_matrix` call.
-        let old_matrix = if self.weights.is_none() {
-            self.distances.get().and_then(|o| o.clone())
-        } else {
-            None
-        };
+        // 8. The pairwise distance cache describes the old hyper-cells;
+        //    whoever reads all pairs next rebuilds it lazily.
         self.distances = OnceLock::new();
-        let l = self.hypercells.len();
-        let mut reused_distances = 0usize;
-        if let Some(old_m) = old_matrix {
-            if l >= 2 && l <= distance_cache_cap() {
-                let pool = &state.pool;
-                let ids = &state.hyper_ids;
-                let hcs = &self.hypercells;
-                let oi = &old_index;
-                let block = crate::distance::dm_block();
-                type FreshPairs = Vec<((MembershipId, MembershipId), (usize, usize))>;
-                // Cache-blocked like the cold build (`DistanceMatrix::
-                // build`): 8-row chunks × `block`-column tiles, so the
-                // tile's membership vectors stay hot across the chunk's
-                // rows. Each entry is the same reuse-or-recompute value
-                // as the plain row walk, placed at its own index, and
-                // the per-row fresh-pair order (ascending j) is
-                // preserved by the ascending tile sweep — so the
-                // assembled matrix and the pool memo are bit-identical
-                // to the untiled pipeline.
-                let chunks: Vec<Vec<(Vec<f64>, FreshPairs, usize)>> =
-                    parallel::par_chunks(l, 8, |rows| {
-                        let mut out: Vec<(Vec<f64>, FreshPairs, usize)> = rows
-                            .clone()
-                            .map(|i| (vec![0.0f64; i], FreshPairs::new(), 0usize))
-                            .collect();
-                        let cols = rows.end.saturating_sub(1);
-                        let mut j0 = 0usize;
-                        while j0 < cols {
-                            let j1 = (j0 + block).min(cols);
-                            for (r, i) in rows.clone().enumerate() {
-                                let (row, fresh, reused) = &mut out[r];
-                                for j in j0..j1.min(i) {
-                                    if let (Some(a), Some(b)) = (oi[i], oi[j]) {
-                                        row[j] = old_m.get(a, b);
-                                        *reused += 1;
-                                    } else {
-                                        let (ia, ib) = (ids[i], ids[j]);
-                                        let (only_i, only_j) = match pool.cached_waste(ia, ib) {
-                                            Some(c) => c,
-                                            None => {
-                                                let c = pool.compute_waste(ia, ib);
-                                                fresh.push(((ia, ib), c));
-                                                c
-                                            }
-                                        };
-                                        row[j] = hcs[i].prob * only_j as f64
-                                            + hcs[j].prob * only_i as f64;
-                                    }
-                                }
-                            }
-                            j0 = j1;
-                        }
-                        out
-                    });
-                let mut data_rows = Vec::with_capacity(l);
-                for rows in chunks {
-                    for (row, fresh, reused) in rows {
-                        data_rows.push(row);
-                        reused_distances += reused;
-                        state.pool.memoize_waste(fresh);
-                    }
-                }
-                let _ = self
-                    .distances
-                    .set(Some(Arc::new(DistanceMatrix::from_rows(data_rows))));
-            }
-        }
 
         self.incremental = Some(state);
         DeltaReport {
             dirty_cells: dirty.len(),
             changed_hypercells: old_index.iter().filter(|o| o.is_none()).count(),
             unchanged_hypercells: old_index.iter().filter(|o| o.is_some()).count(),
-            reused_distances,
             old_index,
             old_hyper_of_cell,
         }
@@ -1310,7 +1224,7 @@ mod tests {
         let initial = vec![rect1(0.0, 5.0), rect1(2.0, 8.0), rect1(6.0, 10.0)];
         let mut fw = GridFramework::build(g.clone(), &initial, &probs, None);
         assert!(fw.supports_incremental());
-        // Materialize the cache so the delta exercises the reuse path.
+        // Arm the cache: the delta must drop it, not patch it.
         assert!(fw.distance_matrix().is_some());
         // Resubscribe #0 to (1,4], unsubscribe #1, add #3 on (3,9].
         let report = fw.apply_delta(
@@ -1327,11 +1241,13 @@ mod tests {
         ];
         let cold = GridFramework::build_from_cells(g, &post_sets, &probs, None);
         assert_bit_identical(&fw, &cold);
-        // The rebuilt cache agrees with a cold one, bitwise.
+        assert!(fw.distances.get().is_none(), "stale cache survived");
+        // The lazily rebuilt cache agrees with a cold one, bitwise.
         let (inc_m, cold_m) = (
             fw.distance_matrix().unwrap(),
             cold.distance_matrix().unwrap(),
         );
+        assert_eq!(inc_m.len(), cold_m.len());
         for i in 0..fw.hypercells().len() {
             for j in 0..i {
                 assert_eq!(inc_m.get(i, j).to_bits(), cold_m.get(i, j).to_bits());
@@ -1342,8 +1258,9 @@ mod tests {
             report.changed_hypercells + report.unchanged_hypercells,
             fw.hypercells().len()
         );
-        // A second, empty delta is a no-op with full reuse.
+        // A second, empty delta changes nothing but still resets the cache.
         let noop = fw.apply_delta(&[], &[], &probs, 4);
+        assert!(fw.distances.get().is_none());
         assert_eq!(noop.dirty_cells, 0);
         assert_eq!(noop.changed_hypercells, 0);
         assert!(noop

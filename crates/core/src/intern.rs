@@ -2,24 +2,18 @@
 //!
 //! The incremental churn pipeline re-derives per-cell membership
 //! vectors for dirty cells only, then needs to answer "which hyper-cell
-//! does this vector belong to" and "what is the waste between these two
-//! vectors" many times per update. [`MembershipPool`] interns each
-//! distinct [`BitSet`] once and hands out a small integer
-//! [`MembershipId`]; equality of vectors becomes id equality (the
-//! hyper-cell merge test), and the directed difference counts behind
-//! the expected-waste distance are memoized per *id pair*, so repeated
-//! distance evaluations against an unchanged hyper-cell cost a hash
-//! lookup instead of a word-by-word scan.
+//! does this vector belong to" many times per update.
+//! [`MembershipPool`] interns each distinct [`BitSet`] once and hands
+//! out a small integer [`MembershipId`]; equality of vectors becomes id
+//! equality (the hyper-cell merge test).
 //!
 //! Ids are content-addressed over the set's members, not its universe:
 //! growing the universe (new subscriber slots, all absent) preserves
-//! every id and every memoized count, which is what lets the pool
-//! persist across churn epochs.
+//! every id, which is what lets the pool persist across churn epochs.
 
 use std::collections::HashMap;
 
 use crate::compressed::CompressedSet;
-use crate::knob::env_knob;
 use crate::membership::BitSet;
 
 /// Interned handle of a membership vector inside a [`MembershipPool`].
@@ -36,18 +30,7 @@ impl MembershipId {
     }
 }
 
-/// Memoized waste-count entries above this size are discarded wholesale
-/// before the next batch is inserted — the safety valve that keeps
-/// million-subscriber runs from growing the per-pair memo without
-/// limit. Overridable via `PUBSUB_POOL_MEMO_CAP` (default 2^20 pairs
-/// ≈ 24 MB); the counts are pure functions of the id pair, so a smaller
-/// cap only costs recomputation, never correctness.
-fn memo_cap() -> usize {
-    env_knob("PUBSUB_POOL_MEMO_CAP", 1 << 20, |s| s.parse().ok())
-}
-
-/// A hash-consing pool of membership [`BitSet`]s with per-pair
-/// waste-count memoization.
+/// A hash-consing pool of membership [`BitSet`]s.
 ///
 /// # Examples
 ///
@@ -60,22 +43,17 @@ fn memo_cap() -> usize {
 /// let c = pool.intern(BitSet::from_members(100, [3]));
 /// assert_eq!(a, b); // same members → same id
 /// assert_ne!(a, c);
-/// assert_eq!(pool.compute_waste(a, c), (2, 1));
+/// assert_eq!(pool.get(c), &BitSet::from_members(100, [3]));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MembershipPool {
     universe: usize,
     sets: Vec<BitSet>,
     /// Compressed mirror of every interned set (array or bitmap,
-    /// whichever is smaller). When both sides of a waste computation
-    /// are in array form the galloping sparse kernel runs instead of
-    /// the word scan — same counts, far fewer touched bytes for the
-    /// sparse sets that dominate large-universe pools.
+    /// whichever is smaller), streamed by the weighted distance build.
     compressed: Vec<CompressedSet>,
     /// Content hash → pool slots with that hash.
     index: HashMap<u64, Vec<u32>>,
-    /// `(lo, hi)` id pair → `(|lo \ hi|, |hi \ lo|)`.
-    memo: HashMap<(u32, u32), (usize, usize)>,
 }
 
 /// FNV-1a over the non-zero prefix of the packed words. Trailing zero
@@ -98,7 +76,6 @@ impl MembershipPool {
             sets: Vec::new(),
             compressed: Vec::new(),
             index: HashMap::new(),
-            memo: HashMap::new(),
         }
     }
 
@@ -165,8 +142,8 @@ impl MembershipPool {
     }
 
     /// Extends every interned set's universe to `new_universe` (new
-    /// indices absent). Ids, hashes and memoized counts all remain
-    /// valid: the members are untouched.
+    /// indices absent). Ids and hashes remain valid: the members are
+    /// untouched.
     pub fn grow(&mut self, new_universe: usize) {
         if new_universe <= self.universe {
             return;
@@ -178,74 +155,6 @@ impl MembershipPool {
         for c in &mut self.compressed {
             c.grow(new_universe);
         }
-    }
-
-    /// The memoized waste counts `(|a \ b|, |b \ a|)` for the pair, if
-    /// a previous [`MembershipPool::memoize_waste`] recorded them.
-    /// Read-only, so callers can consult the memo from parallel workers.
-    pub fn cached_waste(&self, a: MembershipId, b: MembershipId) -> Option<(usize, usize)> {
-        if a == b {
-            return Some((0, 0));
-        }
-        let (lo, hi, flip) = if a.0 < b.0 {
-            (a.0, b.0, false)
-        } else {
-            (b.0, a.0, true)
-        };
-        self.memo
-            .get(&(lo, hi))
-            .map(|&(x, y)| if flip { (y, x) } else { (x, y) })
-    }
-
-    /// Computes `(|a \ b|, |b \ a|)` directly from the interned sets
-    /// (no memo read or write). When both compressed mirrors are in
-    /// array form the galloping sparse kernel runs; otherwise the
-    /// single-pass blocked kernel of [`BitSet::waste_counts`] does.
-    /// Both arms count the same members, so callers cannot observe the
-    /// choice.
-    pub fn compute_waste(&self, a: MembershipId, b: MembershipId) -> (usize, usize) {
-        let (ca, cb) = (&self.compressed[a.index()], &self.compressed[b.index()]);
-        if ca.is_array() && cb.is_array() {
-            ca.waste_counts(cb)
-        } else {
-            self.sets[a.index()].waste_counts(&self.sets[b.index()])
-        }
-    }
-
-    /// Records a batch of computed waste counts, keyed by the id pair
-    /// and oriented as passed. Entries for already-memoized pairs are
-    /// overwritten (the counts are pure functions of the pair, so the
-    /// value cannot change). When the memo exceeds its cap it is
-    /// cleared before the batch lands.
-    pub fn memoize_waste(
-        &mut self,
-        entries: impl IntoIterator<Item = ((MembershipId, MembershipId), (usize, usize))>,
-    ) {
-        if self.memo.len() > memo_cap() {
-            self.memo.clear();
-        }
-        for ((a, b), (x, y)) in entries {
-            if a == b {
-                continue;
-            }
-            let (key, val) = if a.0 < b.0 {
-                ((a.0, b.0), (x, y))
-            } else {
-                ((b.0, a.0), (y, x))
-            };
-            self.memo.insert(key, val);
-        }
-    }
-
-    /// Memoized waste counts: consults the cache, computing and
-    /// recording the pair on a miss.
-    pub fn waste_counts(&mut self, a: MembershipId, b: MembershipId) -> (usize, usize) {
-        if let Some(c) = self.cached_waste(a, b) {
-            return c;
-        }
-        let c = self.compute_waste(a, b);
-        self.memoize_waste([((a, b), c)]);
-        c
     }
 }
 
@@ -276,53 +185,6 @@ mod tests {
         let again = pool.intern(BitSet::from_members(500, [3, 69]));
         assert_eq!(a, again);
         assert_eq!(pool.get(a).universe(), 500);
-    }
-
-    #[test]
-    fn waste_counts_match_bitset_kernel_and_memoize() {
-        let mut pool = MembershipPool::new(150);
-        let a = pool.intern(BitSet::from_members(150, [1, 2, 3, 70]));
-        let b = pool.intern(BitSet::from_members(150, [2, 3, 4, 71, 140]));
-        let direct = pool.get(a).waste_counts(pool.get(b));
-        assert_eq!(pool.cached_waste(a, b), None);
-        assert_eq!(pool.waste_counts(a, b), direct);
-        // Both orientations now hit the memo, correctly flipped.
-        assert_eq!(pool.cached_waste(a, b), Some(direct));
-        assert_eq!(pool.cached_waste(b, a), Some((direct.1, direct.0)));
-        assert_eq!(pool.waste_counts(b, a), (direct.1, direct.0));
-        // Self-pairs are always (0, 0) without touching the memo.
-        assert_eq!(pool.cached_waste(a, a), Some((0, 0)));
-    }
-
-    #[test]
-    fn memoize_batch_normalizes_orientation() {
-        let mut pool = MembershipPool::new(10);
-        let a = pool.intern(BitSet::from_members(10, [1]));
-        let b = pool.intern(BitSet::from_members(10, [2, 3]));
-        pool.memoize_waste([((b, a), (2, 1)), ((a, a), (9, 9))]);
-        assert_eq!(pool.cached_waste(a, b), Some((1, 2)));
-        assert_eq!(pool.cached_waste(a, a), Some((0, 0)));
-    }
-
-    #[test]
-    fn sparse_kernel_matches_dense_counts() {
-        // Large universe: sparse sets mirror as arrays, dense as bitmaps.
-        let mut pool = MembershipPool::new(4096);
-        let sparse_a = pool.intern(BitSet::from_members(4096, (0..4096).step_by(311)));
-        let sparse_b = pool.intern(BitSet::from_members(4096, (5..4096).step_by(211)));
-        let dense = pool.intern(BitSet::from_members(4096, (0..4096).filter(|i| i % 2 == 0)));
-        for (x, y) in [
-            (sparse_a, sparse_b),
-            (sparse_a, dense),
-            (dense, sparse_b),
-            (dense, dense),
-        ] {
-            assert_eq!(
-                pool.compute_waste(x, y),
-                pool.get(x).waste_counts(pool.get(y)),
-                "pair ({x:?}, {y:?})"
-            );
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::clustering::{Clustering, ClusteringAlgorithm, GroupAccumulator};
 use crate::distance::DistanceMatrix;
-use crate::framework::GridFramework;
+use crate::framework::{GridFramework, HyperCell};
 use crate::parallel;
 
 /// Which centroid-update discipline to use.
@@ -91,6 +91,11 @@ impl KMeans {
     /// performed across all passes (a convergence diagnostic: a warm
     /// start should need far fewer moves than a cold one).
     ///
+    /// Every distance is computed directly against the group
+    /// accumulators, so the call costs `O(l·K)` per pass and never
+    /// builds the framework's `O(l²)` pairwise cache — a warm start has
+    /// next to no singleton groups for it to serve.
+    ///
     /// # Panics
     ///
     /// Panics if `initial.len()` differs from the hyper-cell count or
@@ -108,23 +113,13 @@ impl KMeans {
             return (Clustering::from_assignment(framework, Vec::new()), 0);
         }
         let k = k.max(1).min(l.max(1));
-        let matrix = framework.distance_matrix();
         let mut groups: Vec<GroupAccumulator> = (0..k)
             .map(|_| GroupAccumulator::for_framework(framework))
             .collect();
-        // `sole[g]` is the hyper-cell index of a still-singleton group, so
-        // its distance can be read from the shared cache instead of
-        // recomputed (see `closest_group`).
-        let mut sole: Vec<Option<usize>> = vec![None; k];
         let mut assignment = initial.to_vec();
         for (h, &g) in assignment.iter().enumerate() {
             assert!(g < k, "seed group {g} out of range for k = {k}");
             groups[g].add(&hcs[h]);
-            sole[g] = if groups[g].num_cells() == 1 {
-                Some(h)
-            } else {
-                None
-            };
         }
         let mut total_moves = 0usize;
         for _ in 0..self.max_iterations {
@@ -134,11 +129,10 @@ impl KMeans {
                 if groups[cur].num_cells() == 1 {
                     continue;
                 }
-                let best = closest_group(&groups, framework, matrix, &sole, h);
+                let best = closest_group(&groups, hcs, h, None);
                 if best != cur {
                     groups[cur].remove(&hcs[h]);
                     groups[best].add(&hcs[h]);
-                    sole[best] = None;
                     assignment[h] = best;
                     moved = true;
                     total_moves += 1;
@@ -189,7 +183,7 @@ impl ClusteringAlgorithm for KMeans {
         // Seed groups stay singletons until something joins them, so the
         // shared distance cache serves most of these lookups.
         for h in k..l {
-            let g = closest_group(&groups, framework, matrix, &sole, h);
+            let g = closest_group(&groups, hcs, h, matrix.map(|m| (m, &sole[..])));
             groups[g].add(&hcs[h]);
             sole[g] = None;
             assignment[h] = g;
@@ -207,7 +201,7 @@ impl ClusteringAlgorithm for KMeans {
                         if groups[cur].num_cells() == 1 {
                             continue; // never empty a group
                         }
-                        let best = closest_group(&groups, framework, matrix, &sole, h);
+                        let best = closest_group(&groups, hcs, h, matrix.map(|m| (m, &sole[..])));
                         if best != cur {
                             groups[cur].remove(&hcs[h]);
                             groups[best].add(&hcs[h]);
@@ -224,9 +218,9 @@ impl ClusteringAlgorithm for KMeans {
                     // is not mutated until the apply loop below, which
                     // makes it the frozen snapshot — no clone needed.
                     let groups_ref = &groups;
-                    let sole_ref = &sole;
+                    let cached = matrix.map(|m| (m, &sole[..]));
                     let best_of = parallel::par_map_indexed(l, 64, |h| {
-                        closest_group(groups_ref, framework, matrix, sole_ref, h)
+                        closest_group(groups_ref, hcs, h, cached)
                     });
                     let mut pending: Vec<(usize, usize)> = Vec::new();
                     let mut leaving = vec![0usize; k];
@@ -259,26 +253,26 @@ impl ClusteringAlgorithm for KMeans {
 /// Index of the group with minimal expected-waste distance to hyper-cell
 /// `h` (ties go to the lower index, deterministically).
 ///
-/// When a group is still a singleton (`sole[g]` is `Some(s)`) and the
-/// framework's distance cache is populated, the distance is read from the
-/// cache. `GroupAccumulator::distance_to` forms the same two products as
-/// [`expected_waste`](crate::expected_waste) and IEEE-754 addition is
-/// commutative, so the cached value is bit-identical to the recomputed
-/// one.
+/// `cached` is the cold path's `(distance cache, sole)` pair: while a
+/// group is still a singleton (`sole[g]` is `Some(s)`) its distance is
+/// read from the cache. `GroupAccumulator::distance_to` forms the same
+/// two products as [`expected_waste`](crate::expected_waste) and
+/// IEEE-754 addition is commutative, so the cached value is
+/// bit-identical to the recomputed one — which is why the warm path can
+/// pass `None` and change no decision.
 fn closest_group(
     groups: &[GroupAccumulator],
-    framework: &GridFramework,
-    matrix: Option<&DistanceMatrix>,
-    sole: &[Option<usize>],
+    hypercells: &[HyperCell],
     h: usize,
+    cached: Option<(&DistanceMatrix, &[Option<usize>])>,
 ) -> usize {
-    let hc = &framework.hypercells()[h];
+    let hc = &hypercells[h];
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (g, group) in groups.iter().enumerate() {
-        let d = match (matrix, sole[g]) {
-            (Some(m), Some(s)) => m.get(s, h),
-            _ => group.distance_to(hc),
+        let d = match cached.and_then(|(m, sole)| sole[g].map(|s| m.get(s, h))) {
+            Some(d) => d,
+            None => group.distance_to(hc),
         };
         if d < best_d {
             best_d = d;
@@ -392,6 +386,97 @@ mod tests {
         // Every hyper-cell is assigned somewhere.
         let total: usize = c.groups().iter().map(|g| g.hypercells.len()).sum();
         assert_eq!(total, fw.hypercells().len());
+    }
+
+    /// `cluster_seeded` re-done the slow way: every distance is a plain
+    /// [`expected_waste`] between the hyper-cell and the group's
+    /// materialized union, with the group mass accumulated in the same
+    /// add/remove order.
+    fn brute_force_seeded(fw: &GridFramework, k: usize, initial: &[usize]) -> (Vec<usize>, usize) {
+        use crate::membership::BitSet;
+        use crate::waste::expected_waste;
+        let hcs = fw.hypercells();
+        let mut assignment = initial.to_vec();
+        let mut cells: Vec<Vec<usize>> = vec![Vec::new(); k];
+        let mut prob = vec![0.0f64; k];
+        for (h, &g) in initial.iter().enumerate() {
+            cells[g].push(h);
+            prob[g] += hcs[h].prob;
+        }
+        let mut moves = 0usize;
+        loop {
+            let mut moved = false;
+            for h in 0..hcs.len() {
+                let cur = assignment[h];
+                if cells[cur].len() == 1 {
+                    continue;
+                }
+                let mut best = 0usize;
+                let mut best_d = f64::INFINITY;
+                for g in 0..k {
+                    let mut union = BitSet::new(fw.num_subscribers());
+                    for &c in &cells[g] {
+                        union.union_with(&hcs[c].members);
+                    }
+                    let d = expected_waste(hcs[h].prob, &hcs[h].members, prob[g], &union);
+                    if d < best_d {
+                        best_d = d;
+                        best = g;
+                    }
+                }
+                if best != cur {
+                    cells[cur].retain(|&c| c != h);
+                    prob[cur] -= hcs[h].prob;
+                    cells[best].push(h);
+                    prob[best] += hcs[h].prob;
+                    assignment[h] = best;
+                    moved = true;
+                    moves += 1;
+                }
+            }
+            if !moved {
+                return (assignment, moves);
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_matches_brute_force_with_singleton_seed_groups() {
+        // Staggered overlapping intervals: many distinct memberships.
+        let grid = Grid::cube(0.0, 30.0, 1, 30).unwrap();
+        let subs: Vec<Rect> = (0..14)
+            .map(|i| rect1(2.0 * i as f64, 2.0 * i as f64 + 3.0 + (i % 4) as f64))
+            .collect();
+        let probs = CellProbability::uniform(&grid);
+        let fw = GridFramework::build(grid, &subs, &probs, None);
+        let l = fw.hypercells().len();
+        assert!(l >= 12, "scenario too small: {l} hyper-cells");
+        let km = KMeans::new(KMeansVariant::MacQueen);
+        let seeds: [(usize, Vec<usize>); 2] = [
+            // Every seed group a singleton.
+            (l, (0..l).collect()),
+            // Groups 3.. singletons, groups 0..3 share the rest.
+            (
+                l / 2,
+                (0..l).map(|h| if h < l / 2 { h } else { h % 3 }).collect(),
+            ),
+        ];
+        for (k, seed) in seeds {
+            let (clustering, moves) = km.cluster_seeded(&fw, k, &seed);
+            let (want, want_moves) = brute_force_seeded(&fw, k, &seed);
+            assert_eq!(moves, want_moves, "k = {k}");
+            // No group is ever emptied, so group ids are not remapped.
+            assert_eq!(clustering.num_groups(), k);
+            let got: Vec<usize> = (0..l).map(|h| clustering.group_of_hyper(h)).collect();
+            assert_eq!(got, want, "k = {k}");
+            if k == l {
+                assert_eq!(moves, 0, "a last member never leaves its group");
+            } else {
+                assert!(moves > 0, "the mixed seed must exercise real moves");
+            }
+        }
+        // The perf contract: the warm path never touched the O(l²) cache.
+        assert!(fw.distances.get().is_none());
     }
 
     #[test]

@@ -22,9 +22,8 @@ pub(crate) const POPCOUNT_BLOCK: usize = 8;
 // lint: hot-path
 /// Both directed difference popcounts, `(|a \ b|, |b \ a|)`, over raw
 /// word slices in `POPCOUNT_BLOCK`-word unrolled blocks with a
-/// scalar tail. Shared kernel of [`BitSet::waste_counts`] (and,
-/// through it, `MembershipPool::compute_waste`) — the inner loop of
-/// the expected-waste distance.
+/// scalar tail. The kernel of [`BitSet::waste_counts`] — the inner
+/// loop of the expected-waste distance.
 pub(crate) fn waste_counts_words(a: &[u64], b: &[u64]) -> (usize, usize) {
     let mut blocks_a = a.chunks_exact(POPCOUNT_BLOCK);
     let mut blocks_b = b.chunks_exact(POPCOUNT_BLOCK);

@@ -12,8 +12,8 @@
 //!   [`SnapshotCell`](crate::SnapshotCell) snapshot — one atomic load
 //!   per event in steady state, no lock on the serve path;
 //! * a **rebalancer thread** consumes churn ops, folds them into a
-//!   *clone* of the [`DynamicClustering`], runs the incremental
-//!   pipeline ([`DynamicClustering::try_rebalance`]), compiles the
+//!   *clone* of the [`DynamicClustering`] (the one state copy a swap
+//!   makes), runs the audited incremental pipeline on it, compiles the
 //!   next plan and publishes it **only after** the structural
 //!   [`Validator`] passes. A failed, panicking, or timed-out attempt
 //!   rolls back to the last good state (the clone is simply dropped)
@@ -193,7 +193,8 @@ pub struct EventRecord {
 #[derive(Debug, Clone)]
 pub enum RebalanceAbort {
     /// The watchdog deadline passed; `stage` names the last completed
-    /// pipeline stage (`churn`, `rebalance`, `compile`, `validate`).
+    /// pipeline stage (`churn`, `rebalance`, `compile` — the last
+    /// includes the plan audit).
     TimedOut {
         /// Last pipeline stage that completed before the deadline.
         stage: &'static str,
@@ -477,7 +478,7 @@ impl Rebalancer {
         self.dynamic
     }
 
-    /// One guarded rebalance attempt: churn → rebalance → compile →
+    /// One guarded rebalance attempt: churn → rebalance → compile +
     /// validate → publish, with the watchdog deadline checked between
     /// stages. All work happens on a clone; an abort at any stage
     /// drops the clone, leaving the last good state (and plan) in
@@ -517,12 +518,12 @@ impl Rebalancer {
         }
         overdue("churn")?;
 
-        let stats = work.try_rebalance().map_err(RebalanceAbort::Rejected)?;
+        // `work` is the rollback: an error drops it half-updated.
+        let stats = work.rebalance_audited().map_err(RebalanceAbort::Rejected)?;
         overdue("rebalance")?;
 
         let plan = compile_plan(&work, self.threshold)?;
         overdue("compile")?;
-        overdue("validate")?;
 
         // Commit: the clone becomes the truth and the plan goes live.
         let version = self.shared.plan.epoch() + 1;

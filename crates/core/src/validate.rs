@@ -335,7 +335,7 @@ impl Validator {
         // recomputation is the very expression DistanceMatrix::build
         // (or build_weighted, for an aggregated class framework) uses,
         // so agreement must be bit-for-bit — this is what catches a
-        // row desynced by apply_delta's cache reuse.
+        // cache that outlived the hyper-cells it was built over.
         let weights = fw.weights.as_deref();
         let total_pairs = m.data.len();
         let stride = (total_pairs / DISTANCE_SAMPLE_PAIRS).max(1);
