@@ -1,10 +1,11 @@
 //! Churn benchmark: incremental vs full-rebuild rebalance latency.
 //!
-//! Emits `results/BENCH_churn.json` (machine-readable) and a human
-//! table on stdout.
+//! Emits `BENCH_churn.json` (machine-readable; under `target/bench/`, or
+//! over the committed `results/` copy with `--record`) and a human table
+//! on stdout.
 //!
 //! ```text
-//! cargo run --release -p pubsub-bench --bin churn [-- --scale quick|medium|paper]
+//! cargo run --release -p pubsub-bench --bin churn [-- --scale quick|medium|paper] [--record]
 //! ```
 //!
 //! The scenario models a large stable population with a regionally
@@ -309,8 +310,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_churn.json", json).expect("write BENCH_churn.json");
+    let path = pubsub_bench::write_bench_json("BENCH_churn.json", &json);
     println!();
-    println!("wrote results/BENCH_churn.json ({} records)", records.len());
+    println!("wrote {} ({} records)", path.display(), records.len());
 }

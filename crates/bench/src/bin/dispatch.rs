@@ -1,11 +1,12 @@
 //! Dispatch benchmark: compiled `DispatchPlan` vs the uncompiled
 //! per-event matching path.
 //!
-//! Emits `results/BENCH_dispatch.json` (machine-readable) and a human
-//! table on stdout.
+//! Emits `BENCH_dispatch.json` (machine-readable; under `target/bench/`, or
+//! over the committed `results/` copy with `--record`) and a human table
+//! on stdout.
 //!
 //! ```text
-//! cargo run --release -p pubsub-bench --bin dispatch [-- --scale quick|medium|paper]
+//! cargo run --release -p pubsub-bench --bin dispatch [-- --scale quick|medium|paper] [--record]
 //! ```
 //!
 //! Three grid measurements per population size:
@@ -490,11 +491,11 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_dispatch.json", json).expect("write BENCH_dispatch.json");
+    let path = pubsub_bench::write_bench_json("BENCH_dispatch.json", &json);
     println!();
     println!(
-        "wrote results/BENCH_dispatch.json ({} grid + {} no-loss records)",
+        "wrote {} ({} grid + {} no-loss records)",
+        path.display(),
         grid_records.len(),
         noloss_records.len()
     );

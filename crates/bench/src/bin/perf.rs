@@ -2,11 +2,12 @@
 //! algorithm across hyper-cell counts and worker-thread counts, with a
 //! bit-identity check of each run against its single-thread reference.
 //!
-//! Emits `results/BENCH_parallel.json` (machine-readable) and a human
-//! table on stdout.
+//! Emits `BENCH_parallel.json` (machine-readable; under `target/bench/`, or
+//! over the committed `results/` copy with `--record`) and a human table
+//! on stdout.
 //!
 //! ```text
-//! cargo run --release -p pubsub-bench --bin perf [-- --scale quick|medium|paper]
+//! cargo run --release -p pubsub-bench --bin perf [-- --scale quick|medium|paper] [--record]
 //! ```
 //!
 //! Every timed run starts from a cold shared distance cache
@@ -192,11 +193,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_parallel.json", json).expect("write BENCH_parallel.json");
+    let path = pubsub_bench::write_bench_json("BENCH_parallel.json", &json);
     println!();
-    println!(
-        "wrote results/BENCH_parallel.json ({} records)",
-        records.len()
-    );
+    println!("wrote {} ({} records)", path.display(), records.len());
 }

@@ -1,10 +1,11 @@
 //! Million-subscriber scale benchmark: subscription aggregation.
 //!
-//! Emits `results/BENCH_scale.json` (machine-readable) and a human
-//! table on stdout.
+//! Emits `BENCH_scale.json` (machine-readable; under `target/bench/`, or
+//! over the committed `results/` copy with `--record`) and a human table
+//! on stdout.
 //!
 //! ```text
-//! cargo run --release -p pubsub-bench --bin scale [-- --scale quick|medium|paper]
+//! cargo run --release -p pubsub-bench --bin scale [-- --scale quick|medium|paper] [--record]
 //! ```
 //!
 //! The population is a Zipf-head near-duplicate workload
@@ -26,9 +27,8 @@
 //! * a sharded-parallel smoke builds and churns the same population at
 //!   1 and 8 workers and requires bit-identical decisions + interested
 //!   sets, with every rebuilt shard passing a [`Validator`] audit;
-//! * a regression guard pins the expectations recorded in
-//!   `results/BENCH_scale.json`: the class-collapse ratio stays above
-//!   its floor and clustering stays the dominant build stage;
+//! * a regression guard keeps the class-collapse ratio above its
+//!   floor;
 //! * churned interested sets are spot-checked against brute force.
 
 use std::fmt::Write as _;
@@ -283,25 +283,14 @@ fn main() {
         let ratio = agg.ratio();
         let classes = agg.num_classes();
 
-        // Regression guard vs the expectations recorded in the
-        // checked-in results/BENCH_scale.json: the near-dup workload
-        // must keep collapsing classes (observed ~26x at this config)
-        // and clustering must stay the dominant build stage (observed
-        // ~50x the next stage) — an inversion is a build-path
-        // regression, not timer noise.
+        // Regression guard: the near-dup workload must keep collapsing
+        // classes (observed ~26x at this config).
         if n == 50_000 {
             assert!(
                 ratio >= 20.0,
                 "class-collapse ratio regressed: {ratio:.2}x < 20x"
             );
-            assert!(
-                cluster_ms >= aggregate_ms
-                    && cluster_ms >= framework_ms
-                    && cluster_ms >= compile_ms,
-                "stage ordering regressed: cluster {cluster_ms:.1} ms is no longer dominant \
-                 (agg {aggregate_ms:.1}, fw {framework_ms:.1}, plan {compile_ms:.1})"
-            );
-            println!("{n:>9} guard: ratio {ratio:.1}x >= 20x, cluster stage dominant");
+            println!("{n:>9} guard: ratio {ratio:.1}x >= 20x");
         }
 
         let mean_churn = churn_batch_ms.iter().sum::<f64>() / churn_batch_ms.len().max(1) as f64;
@@ -476,8 +465,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_scale.json", json).expect("write BENCH_scale.json");
+    let path = pubsub_bench::write_bench_json("BENCH_scale.json", &json);
     println!();
-    println!("wrote results/BENCH_scale.json ({} runs)", records.len());
+    println!("wrote {} ({} runs)", path.display(), records.len());
 }

@@ -2,11 +2,12 @@
 //! through [`BrokerService`](pubsub_core::BrokerService) under
 //! three plan-swap regimes.
 //!
-//! Emits `results/BENCH_service.json` (machine-readable) and a human
-//! table on stdout.
+//! Emits `BENCH_service.json` (machine-readable; under `target/bench/`, or
+//! over the committed `results/` copy with `--record`) and a human table
+//! on stdout.
 //!
 //! ```text
-//! cargo run --release -p pubsub-bench --bin service [-- --scale quick|medium|paper]
+//! cargo run --release -p pubsub-bench --bin service [-- --scale quick|medium|paper] [--record]
 //! ```
 //!
 //! Three series over the same subscription population and event
@@ -265,8 +266,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/BENCH_service.json", json).expect("write BENCH_service.json");
+    let path = pubsub_bench::write_bench_json("BENCH_service.json", &json);
     println!();
-    println!("wrote results/BENCH_service.json ({} series)", series.len());
+    println!("wrote {} ({} series)", path.display(), series.len());
 }

@@ -58,3 +58,19 @@ impl Scale {
 pub fn csv_requested() -> bool {
     std::env::args().any(|a| a == "--csv")
 }
+
+/// Writes a perf bin's JSON report and returns where it went:
+/// `target/bench/<file>` by default, the committed `results/<file>`
+/// only when `--record` was passed — so a smoke run at whatever
+/// `--scale` never overwrites the numbers the docs quote.
+pub fn write_bench_json(file: &str, json: &str) -> std::path::PathBuf {
+    let dir = if std::env::args().any(|a| a == "--record") {
+        "results"
+    } else {
+        "target/bench"
+    };
+    std::fs::create_dir_all(dir).expect("create bench output dir");
+    let path = std::path::Path::new(dir).join(file);
+    std::fs::write(&path, json).expect("write bench JSON");
+    path
+}

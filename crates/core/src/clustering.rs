@@ -350,12 +350,42 @@ mod tests {
         let mut acc = GroupAccumulator::new(fw.num_subscribers());
         acc.add(&hcs[0]);
         let d = acc.distance_to(&hcs[1]);
-        // Bit-for-bit, in either argument order: this is what lets the
-        // warm K-means path skip the pairwise cache without changing a
-        // decision (and the cold path read it for singleton groups).
+        // Bit-for-bit, in either argument order: this is what lets
+        // K-means, cold or warm, skip the pairwise cache without
+        // changing a decision.
         let ab = expected_waste(hcs[1].prob, &hcs[1].members, hcs[0].prob, &hcs[0].members);
         let ba = expected_waste(hcs[0].prob, &hcs[0].members, hcs[1].prob, &hcs[1].members);
         assert_eq!(d.to_bits(), ab.to_bits(), "{d} vs {ab}");
         assert_eq!(d.to_bits(), ba.to_bits(), "{d} vs {ba}");
+
+        // The same pin for a weighted accumulator over a class-universe
+        // framework — what aggregated cold K-means now relies on.
+        let grid = Grid::cube(0.0, 10.0, 1, 10).unwrap();
+        // Duplicated rectangles: class weights 3, 1 and 2.
+        let subs = vec![
+            rect1(0.0, 7.0),
+            rect1(0.0, 7.0),
+            rect1(0.0, 7.0),
+            rect1(0.0, 4.0),
+            rect1(7.0, 10.0),
+            rect1(7.0, 10.0),
+        ];
+        let probs = CellProbability::uniform(&grid);
+        let fw = crate::Aggregation::build(&subs).build_framework(grid, &probs, None);
+        let w = fw.weights_ref().expect("class-universe framework");
+        assert!(w.iter().any(|&x| x > 1), "weights must matter: {w:?}");
+        let hcs = fw.hypercells();
+        assert_eq!(hcs.len(), 3);
+        for (s, h) in [(0, 1), (1, 0), (0, 2), (2, 1)] {
+            let mut acc = GroupAccumulator::for_framework(&fw);
+            acc.add(&hcs[s]);
+            let d = acc.distance_to(&hcs[h]);
+            let (a, b) = (&hcs[h], &hcs[s]);
+            let ab = expected_waste_weighted(a.prob, &a.members, b.prob, &b.members, w);
+            let ba = expected_waste_weighted(b.prob, &b.members, a.prob, &a.members, w);
+            assert_eq!(d.to_bits(), ab.to_bits(), "({s},{h}): {d} vs {ab}");
+            assert_eq!(d.to_bits(), ba.to_bits(), "({s},{h}): {d} vs {ba}");
+            assert!(d > 0.0, "({s},{h}) must disagree somewhere");
+        }
     }
 }

@@ -1,13 +1,12 @@
 //! Shared lower-triangular cache of pairwise expected-waste distances.
 //!
-//! Every grid-based algorithm starts from the same `l × l` singleton
-//! distance structure: Pairwise Grouping's nearest-neighbour
-//! initialization, MST clustering's edge generation, cold K-means seeding
-//! and outlier removal all evaluate `d(a, b)` over pairs of *hyper-cells*
-//! (not yet merged groups). [`DistanceMatrix`] computes those `l(l−1)/2`
-//! values once — filled in parallel, row-chunked — and every consumer
-//! reads them back instead of re-walking two membership bit-vectors per
-//! query.
+//! The algorithms that read all pairs start from the same `l × l`
+//! singleton distance structure: Pairwise Grouping's nearest-neighbour
+//! initialization, MST clustering's edge generation and outlier removal
+//! all evaluate `d(a, b)` over pairs of *hyper-cells* (not yet merged
+//! groups). [`DistanceMatrix`] computes those `l(l−1)/2` values once —
+//! filled in parallel, row-chunked — and every consumer reads them back
+//! instead of re-walking two membership bit-vectors per query.
 //!
 //! Each stored value is produced by the very same
 //! [`expected_waste`](crate::expected_waste) call the algorithms would
@@ -16,36 +15,23 @@
 //! back to direct computation for merged groups (whose membership vectors
 //! differ from any hyper-cell's).
 //!
-//! The cache belongs to the algorithms that read all pairs. The rebalance
-//! path (`KMeans::cluster_seeded` under `DynamicClustering`) costs
-//! `O(l·K)` per pass and never builds it, and
+//! The cache belongs to the algorithms that read all pairs. K-means,
+//! cold (`KMeans::cluster`) or warm (`KMeans::cluster_seeded` under
+//! `DynamicClustering`), costs `O(l·K)` per pass and never builds it, and
 //! [`GridFramework::apply_delta`](crate::GridFramework::apply_delta)
 //! drops a materialized cache instead of patching it.
 
-use std::sync::OnceLock;
-
-use crate::compressed::CompressedSet;
+use crate::clustering::group_distance;
 use crate::framework::HyperCell;
 use crate::parallel;
-use crate::waste::{expected_waste, expected_waste_compressed_weighted};
-
-/// Default for `PUBSUB_DM_BLOCK`.
-const DEFAULT_DM_BLOCK: usize = 32;
 
 /// Column-tile width (in hyper-cells) of the cache-blocked build. Each
 /// tile's membership vectors are walked by every row of an 8-row chunk
 /// while still cache-resident (32 vectors × ~12.5 KB at 100k
-/// subscribers fits in L2). Purely a
-/// performance knob — every entry is an independent
-/// [`expected_waste`] value placed by index, never summed, so the tile
-/// order cannot change any bit. Override with `PUBSUB_DM_BLOCK`
-/// (clamped to ≥ 1).
-fn dm_block() -> usize {
-    static BLOCK: OnceLock<usize> = OnceLock::new();
-    *BLOCK.get_or_init(|| {
-        crate::env_knob("PUBSUB_DM_BLOCK", DEFAULT_DM_BLOCK, |s| s.parse().ok()).max(1)
-    })
-}
+/// subscribers fits in L2). Placement only — every entry is an
+/// independent expected-waste value stored at its own index, never
+/// summed, so the tile order cannot change any bit.
+const DM_BLOCK: usize = 32;
 
 /// Packed lower-triangular matrix of `d(i, j)` over hyper-cell indices.
 pub struct DistanceMatrix {
@@ -59,13 +45,6 @@ impl DistanceMatrix {
     /// Computes all pairwise expected-waste distances between the given
     /// hyper-cells. Each entry is exactly
     /// `expected_waste(h[i].prob, &h[i].members, h[j].prob, &h[j].members)`.
-    ///
-    /// The triangle is filled in parallel 8-row chunks, each chunk
-    /// cache-blocked into `PUBSUB_DM_BLOCK`-column tiles: the tile's column
-    /// memberships are re-walked by every row of the chunk while still
-    /// hot, instead of streaming the full row past a cold cache. Every
-    /// entry is placed at its own index (no reduction), so the traversal
-    /// order is bit-irrelevant.
     pub fn build(hypercells: &[HyperCell]) -> Self {
         Self::build_weighted(hypercells, None)
     }
@@ -77,88 +56,26 @@ impl DistanceMatrix {
     /// layer passes class weights here so class-level matrices equal
     /// the concrete matrices bit-for-bit.
     ///
-    /// The weighted arm streams adaptive compressed mirrors of the
-    /// membership vectors ([`CompressedSet`]) instead of the dense
-    /// words: class universes at scale are wide but each hyper-cell is
-    /// sparse, so the array representation walks members instead of
-    /// mostly-zero words. The mirrors count exactly the dense integers,
-    /// so the entries are bit-identical either way.
+    /// The triangle is filled in parallel 8-row chunks, each chunk
+    /// cache-blocked into [`DM_BLOCK`]-column tiles: the tile's column
+    /// memberships are re-walked by every row of the chunk while still
+    /// hot, instead of streaming the full row past a cold cache. Every
+    /// entry is placed at its own index (no reduction), so the traversal
+    /// order is bit-irrelevant.
     pub(crate) fn build_weighted(hypercells: &[HyperCell], weights: Option<&[u64]>) -> Self {
-        if let Some(w) = weights {
-            let mirrors: Vec<CompressedSet> =
-                parallel::par_map(hypercells, 8, |hc| CompressedSet::from_bitset(&hc.members));
-            let refs: Vec<&CompressedSet> = mirrors.iter().collect();
-            return Self::build_weighted_from_mirrors(hypercells, &refs, w);
-        }
         let n = hypercells.len();
-        let block = dm_block();
         let chunks = parallel::par_chunks(n, 8, |rows| {
             let mut out: Vec<Vec<f64>> = rows.clone().map(|i| vec![0.0f64; i]).collect();
             let cols = rows.end.saturating_sub(1);
             let mut j0 = 0usize;
             while j0 < cols {
-                let j1 = (j0 + block).min(cols);
+                let j1 = (j0 + DM_BLOCK).min(cols);
                 for (r, i) in rows.clone().enumerate() {
                     let a = &hypercells[i];
                     let row = &mut out[r];
                     for j in j0..j1.min(i) {
                         let b = &hypercells[j];
-                        row[j] = expected_waste(a.prob, &a.members, b.prob, &b.members);
-                    }
-                }
-                j0 = j1;
-            }
-            out
-        });
-        let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        for rows in chunks {
-            for row in rows {
-                data.extend_from_slice(&row);
-            }
-        }
-        DistanceMatrix { n, data }
-    }
-
-    /// The weighted build over caller-supplied compressed mirrors
-    /// (`mirrors[i]` holding exactly `hypercells[i].members`). The
-    /// weighted framework path hands in the membership pool's interned
-    /// mirrors so nothing is re-compressed per rebuild; the fill keeps
-    /// the same 8-row chunks × [`dm_block`]-column tiling as the dense
-    /// build, and every entry is placed by index, so the result is
-    /// bit-identical at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mirrors` and `hypercells` differ in length.
-    pub(crate) fn build_weighted_from_mirrors(
-        hypercells: &[HyperCell],
-        mirrors: &[&CompressedSet],
-        weights: &[u64],
-    ) -> Self {
-        assert_eq!(
-            hypercells.len(),
-            mirrors.len(),
-            "one compressed mirror per hyper-cell"
-        );
-        let n = hypercells.len();
-        let block = dm_block();
-        let chunks = parallel::par_chunks(n, 8, |rows| {
-            let mut out: Vec<Vec<f64>> = rows.clone().map(|i| vec![0.0f64; i]).collect();
-            let cols = rows.end.saturating_sub(1);
-            let mut j0 = 0usize;
-            while j0 < cols {
-                let j1 = (j0 + block).min(cols);
-                for (r, i) in rows.clone().enumerate() {
-                    let (pa, ma) = (hypercells[i].prob, mirrors[i]);
-                    let row = &mut out[r];
-                    for j in j0..j1.min(i) {
-                        row[j] = expected_waste_compressed_weighted(
-                            pa,
-                            ma,
-                            hypercells[j].prob,
-                            mirrors[j],
-                            weights,
-                        );
+                        row[j] = group_distance(a.prob, &a.members, b.prob, &b.members, weights);
                     }
                 }
                 j0 = j1;
@@ -218,6 +135,7 @@ impl std::fmt::Debug for DistanceMatrix {
 mod tests {
     use super::*;
     use crate::membership::BitSet;
+    use crate::waste::{expected_waste, expected_waste_weighted};
 
     fn cells() -> Vec<HyperCell> {
         let sets: [&[usize]; 5] = [&[0, 1], &[1, 2, 3], &[0, 4], &[2], &[0, 1, 2, 3, 4]];
@@ -257,11 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn weighted_build_streams_compressed_but_matches_dense_kernel() {
-        use crate::waste::expected_waste_weighted;
-        // Mix sparse (array-mirrored) and dense (bitmap-mirrored)
-        // hyper-cells over a universe large enough to exercise both
-        // representations, plus weights big enough to matter.
+    fn weighted_fill_matches_expected_waste_weighted() {
+        // Sparse and dense hyper-cells (and an empty one) over a
+        // multi-word universe, plus weights big enough to matter.
         let universe = 4096;
         let sets: Vec<BitSet> = vec![
             BitSet::from_members(universe, (0..universe).step_by(311)),

@@ -540,8 +540,9 @@ impl GridFramework {
     /// (`PUBSUB_DISTANCE_CACHE_CELLS`, default 6144 hyper-cells) or has
     /// fewer than two hyper-cells; callers then compute distances
     /// directly. Entries are exactly the values
-    /// [`expected_waste`](crate::expected_waste) would return for the
-    /// same hyper-cell pair, so using the cache never changes results.
+    /// [`expected_waste`](crate::expected_waste) (its weighted form on a
+    /// class-universe framework) would return for the same hyper-cell
+    /// pair, so using the cache never changes results.
     /// Clones of a framework share the same cache.
     pub fn distance_matrix(&self) -> Option<&DistanceMatrix> {
         self.distances
@@ -549,22 +550,6 @@ impl GridFramework {
                 let l = self.hypercells.len();
                 if l < 2 || l > distance_cache_cap() {
                     None
-                } else if let (Some(w), Some(state)) = (self.weights_ref(), &self.incremental) {
-                    // Weighted incremental framework: the pool already
-                    // holds a compressed mirror of every hyper-cell's
-                    // membership vector, so the weighted fill streams
-                    // those instead of re-compressing (or re-walking the
-                    // dense words). Same integers, same bits.
-                    let mirrors: Vec<&crate::compressed::CompressedSet> = state
-                        .hyper_ids
-                        .iter()
-                        .map(|&id| state.pool.compressed(id))
-                        .collect();
-                    Some(Arc::new(DistanceMatrix::build_weighted_from_mirrors(
-                        &self.hypercells,
-                        &mirrors,
-                        w,
-                    )))
                 } else {
                     Some(Arc::new(DistanceMatrix::build_weighted(
                         &self.hypercells,

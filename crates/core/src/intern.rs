@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 
-use crate::compressed::CompressedSet;
 use crate::membership::BitSet;
 
 /// Interned handle of a membership vector inside a [`MembershipPool`].
@@ -49,9 +48,6 @@ impl MembershipId {
 pub struct MembershipPool {
     universe: usize,
     sets: Vec<BitSet>,
-    /// Compressed mirror of every interned set (array or bitmap,
-    /// whichever is smaller), streamed by the weighted distance build.
-    compressed: Vec<CompressedSet>,
     /// Content hash → pool slots with that hash.
     index: HashMap<u64, Vec<u32>>,
 }
@@ -74,7 +70,6 @@ impl MembershipPool {
         MembershipPool {
             universe,
             sets: Vec::new(),
-            compressed: Vec::new(),
             index: HashMap::new(),
         }
     }
@@ -116,7 +111,6 @@ impl MembershipPool {
         }
         let id = u32::try_from(self.sets.len()).expect("pool overflow");
         slots.push(id);
-        self.compressed.push(CompressedSet::from_bitset(&set));
         self.sets.push(set);
         MembershipId(id)
     }
@@ -130,17 +124,6 @@ impl MembershipPool {
         &self.sets[id.index()]
     }
 
-    /// The compressed mirror behind `id` (array or bitmap, whichever
-    /// is smaller). The weighted distance rebuild streams these
-    /// directly instead of re-deriving a compressed copy per epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this pool.
-    pub(crate) fn compressed(&self, id: MembershipId) -> &CompressedSet {
-        &self.compressed[id.index()]
-    }
-
     /// Extends every interned set's universe to `new_universe` (new
     /// indices absent). Ids and hashes remain valid: the members are
     /// untouched.
@@ -151,9 +134,6 @@ impl MembershipPool {
         self.universe = new_universe;
         for s in &mut self.sets {
             s.grow(new_universe);
-        }
-        for c in &mut self.compressed {
-            c.grow(new_universe);
         }
     }
 }

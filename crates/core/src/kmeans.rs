@@ -13,9 +13,12 @@
 //! of re-assignments against a snapshot of the vectors and applies the
 //! updates only after the pass. A hyper-cell never leaves a group it is
 //! the last member of.
+//!
+//! Every distance is taken against the `K` group vectors — `l·K` per
+//! pass, as Figure 1 prices it — so neither the cold nor the warm entry
+//! builds the `O(l²)` pairwise cache of [`crate::DistanceMatrix`].
 
 use crate::clustering::{Clustering, ClusteringAlgorithm, GroupAccumulator};
-use crate::distance::DistanceMatrix;
 use crate::framework::{GridFramework, HyperCell};
 use crate::parallel;
 
@@ -91,10 +94,11 @@ impl KMeans {
     /// performed across all passes (a convergence diagnostic: a warm
     /// start should need far fewer moves than a cold one).
     ///
-    /// Every distance is computed directly against the group
-    /// accumulators, so the call costs `O(l·K)` per pass and never
-    /// builds the framework's `O(l²)` pairwise cache — a warm start has
-    /// next to no singleton groups for it to serve.
+    /// The passes are MacQueen's whichever variant `self` was built
+    /// with (each move updates the group vectors at once), and like the
+    /// cold [`cluster`](ClusteringAlgorithm::cluster) they cost `O(l·K)`
+    /// distances each and never build the framework's `O(l²)` pairwise
+    /// cache.
     ///
     /// # Panics
     ///
@@ -112,40 +116,85 @@ impl KMeans {
         if l == 0 {
             return (Clustering::from_assignment(framework, Vec::new()), 0);
         }
-        let k = k.max(1).min(l.max(1));
-        let mut groups: Vec<GroupAccumulator> = (0..k)
-            .map(|_| GroupAccumulator::for_framework(framework))
-            .collect();
+        let k = k.max(1).min(l);
+        let mut groups = empty_groups(framework, k);
         let mut assignment = initial.to_vec();
         for (h, &g) in assignment.iter().enumerate() {
             assert!(g < k, "seed group {g} out of range for k = {k}");
             groups[g].add(&hcs[h]);
         }
-        let mut total_moves = 0usize;
-        for _ in 0..self.max_iterations {
-            let mut moved = false;
-            for h in 0..l {
-                let cur = assignment[h];
-                if groups[cur].num_cells() == 1 {
-                    continue;
-                }
-                let best = closest_group(&groups, hcs, h, None);
-                if best != cur {
-                    groups[cur].remove(&hcs[h]);
-                    groups[best].add(&hcs[h]);
-                    assignment[h] = best;
-                    moved = true;
-                    total_moves += 1;
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
+        let total_moves = self.reassign(KMeansVariant::MacQueen, hcs, &mut groups, &mut assignment);
         (
             Clustering::from_assignment(framework, assignment),
             total_moves,
         )
+    }
+
+    /// Steps 1-2 of Figure 1, shared by the cold and the warm entry:
+    /// re-assignment passes under `variant` until no hyper-cell moves
+    /// or the iteration cap is reached. Returns the number of moves.
+    fn reassign(
+        &self,
+        variant: KMeansVariant,
+        hcs: &[HyperCell],
+        groups: &mut [GroupAccumulator],
+        assignment: &mut [usize],
+    ) -> usize {
+        let l = hcs.len();
+        let mut total_moves = 0usize;
+        for _ in 0..self.max_iterations {
+            let before = total_moves;
+            match variant {
+                KMeansVariant::MacQueen => {
+                    // Each move updates the vectors the next hyper-cell
+                    // sees, so this pass is inherently sequential.
+                    for h in 0..l {
+                        let cur = assignment[h];
+                        if groups[cur].num_cells() == 1 {
+                            continue; // never empty a group
+                        }
+                        let best = closest_group(groups, hcs, h);
+                        if best != cur {
+                            groups[cur].remove(&hcs[h]);
+                            groups[best].add(&hcs[h]);
+                            assignment[h] = best;
+                            total_moves += 1;
+                        }
+                    }
+                }
+                KMeansVariant::Forgy => {
+                    // All distances are evaluated against the pre-pass
+                    // vectors, so every hyper-cell's closest group is
+                    // independent and the scan runs in parallel. `groups`
+                    // is not mutated until the apply loop below, which
+                    // makes it the frozen snapshot — no clone needed.
+                    let groups_ref = &*groups;
+                    let best_of =
+                        parallel::par_map_indexed(l, 64, |h| closest_group(groups_ref, hcs, h));
+                    let mut pending: Vec<(usize, usize)> = Vec::new();
+                    let mut leaving = vec![0usize; groups.len()];
+                    for (h, &best) in best_of.iter().enumerate() {
+                        let cur = assignment[h];
+                        if best != cur && groups[cur].num_cells() > leaving[cur] + 1 {
+                            pending.push((h, best));
+                            leaving[cur] += 1;
+                        }
+                    }
+                    // ...applied only after the pass.
+                    for (h, best) in pending {
+                        let cur = assignment[h];
+                        groups[cur].remove(&hcs[h]);
+                        groups[best].add(&hcs[h]);
+                        assignment[h] = best;
+                        total_moves += 1;
+                    }
+                }
+            }
+            if total_moves == before {
+                break;
+            }
+        }
+        total_moves
     }
 }
 
@@ -167,113 +216,47 @@ impl ClusteringAlgorithm for KMeans {
 
         // Step 0: the K most popular hyper-cells seed the groups
         // (hyper-cells are already sorted by popularity).
-        let matrix = framework.distance_matrix();
-        let mut groups: Vec<GroupAccumulator> = (0..k)
-            .map(|_| GroupAccumulator::for_framework(framework))
-            .collect();
-        let mut sole: Vec<Option<usize>> = vec![None; k];
+        let mut groups = empty_groups(framework, k);
         let mut assignment: Vec<usize> = vec![usize::MAX; l];
-        for (g, group) in groups.iter_mut().enumerate().take(k) {
+        for (g, group) in groups.iter_mut().enumerate() {
             group.add(&hcs[g]);
-            sole[g] = Some(g);
             assignment[g] = g;
         }
         // Assign the rest to the closest seed group (updating vectors as
         // we go — this is the initial-partition step for both variants).
-        // Seed groups stay singletons until something joins them, so the
-        // shared distance cache serves most of these lookups.
         for h in k..l {
-            let g = closest_group(&groups, hcs, h, matrix.map(|m| (m, &sole[..])));
+            let g = closest_group(&groups, hcs, h);
             groups[g].add(&hcs[h]);
-            sole[g] = None;
             assignment[h] = g;
         }
 
-        // Steps 1-2: re-assignment passes.
-        for _ in 0..self.max_iterations {
-            let mut moved = false;
-            match self.variant {
-                KMeansVariant::MacQueen => {
-                    // Each move updates the vectors the next hyper-cell
-                    // sees, so this pass is inherently sequential.
-                    for h in 0..l {
-                        let cur = assignment[h];
-                        if groups[cur].num_cells() == 1 {
-                            continue; // never empty a group
-                        }
-                        let best = closest_group(&groups, hcs, h, matrix.map(|m| (m, &sole[..])));
-                        if best != cur {
-                            groups[cur].remove(&hcs[h]);
-                            groups[best].add(&hcs[h]);
-                            sole[best] = None;
-                            assignment[h] = best;
-                            moved = true;
-                        }
-                    }
-                }
-                KMeansVariant::Forgy => {
-                    // All distances are evaluated against the pre-pass
-                    // vectors, so every hyper-cell's closest group is
-                    // independent and the scan runs in parallel. `groups`
-                    // is not mutated until the apply loop below, which
-                    // makes it the frozen snapshot — no clone needed.
-                    let groups_ref = &groups;
-                    let cached = matrix.map(|m| (m, &sole[..]));
-                    let best_of = parallel::par_map_indexed(l, 64, |h| {
-                        closest_group(groups_ref, hcs, h, cached)
-                    });
-                    let mut pending: Vec<(usize, usize)> = Vec::new();
-                    let mut leaving = vec![0usize; k];
-                    for (h, &best) in best_of.iter().enumerate() {
-                        let cur = assignment[h];
-                        if best != cur && groups[cur].num_cells() > leaving[cur] + 1 {
-                            pending.push((h, best));
-                            leaving[cur] += 1;
-                        }
-                    }
-                    // ...applied only after the pass.
-                    for (h, best) in pending {
-                        let cur = assignment[h];
-                        groups[cur].remove(&hcs[h]);
-                        groups[best].add(&hcs[h]);
-                        sole[best] = None;
-                        assignment[h] = best;
-                        moved = true;
-                    }
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
+        self.reassign(self.variant, hcs, &mut groups, &mut assignment);
         Clustering::from_assignment(framework, assignment)
     }
+}
+
+/// `k` empty group accumulators over `framework`'s subscriber universe.
+fn empty_groups(framework: &GridFramework, k: usize) -> Vec<GroupAccumulator> {
+    (0..k)
+        .map(|_| GroupAccumulator::for_framework(framework))
+        .collect()
 }
 
 /// Index of the group with minimal expected-waste distance to hyper-cell
 /// `h` (ties go to the lower index, deterministically).
 ///
-/// `cached` is the cold path's `(distance cache, sole)` pair: while a
-/// group is still a singleton (`sole[g]` is `Some(s)`) its distance is
-/// read from the cache. `GroupAccumulator::distance_to` forms the same
-/// two products as [`expected_waste`](crate::expected_waste) and
-/// IEEE-754 addition is commutative, so the cached value is
-/// bit-identical to the recomputed one — which is why the warm path can
-/// pass `None` and change no decision.
-fn closest_group(
-    groups: &[GroupAccumulator],
-    hypercells: &[HyperCell],
-    h: usize,
-    cached: Option<(&DistanceMatrix, &[Option<usize>])>,
-) -> usize {
+/// Every distance is [`GroupAccumulator::distance_to`] against the group
+/// vectors — `K` of them per hyper-cell, the `l·K` per pass of Figure 1.
+/// No K-means entry reads (or builds) the framework's `O(l²)` pairwise
+/// cache; for a singleton group `distance_to` forms the same two
+/// products as [`expected_waste`](crate::expected_waste) and IEEE-754
+/// addition is commutative, so it is bit-identical to the cached entry.
+fn closest_group(groups: &[GroupAccumulator], hypercells: &[HyperCell], h: usize) -> usize {
     let hc = &hypercells[h];
     let mut best = 0usize;
     let mut best_d = f64::INFINITY;
     for (g, group) in groups.iter().enumerate() {
-        let d = match cached.and_then(|(m, sole)| sole[g].map(|s| m.get(s, h))) {
-            Some(d) => d,
-            None => group.distance_to(hc),
-        };
+        let d = group.distance_to(hc);
         if d < best_d {
             best_d = d;
             best = g;
@@ -388,56 +371,166 @@ mod tests {
         assert_eq!(total, fw.hypercells().len());
     }
 
-    /// `cluster_seeded` re-done the slow way: every distance is a plain
-    /// [`expected_waste`] between the hyper-cell and the group's
-    /// materialized union, with the group mass accumulated in the same
-    /// add/remove order.
-    fn brute_force_seeded(fw: &GridFramework, k: usize, initial: &[usize]) -> (Vec<usize>, usize) {
-        use crate::membership::BitSet;
-        use crate::waste::expected_waste;
-        let hcs = fw.hypercells();
-        let mut assignment = initial.to_vec();
-        let mut cells: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut prob = vec![0.0f64; k];
-        for (h, &g) in initial.iter().enumerate() {
-            cells[g].push(h);
-            prob[g] += hcs[h].prob;
+    /// Iteration cap shared by the runs under test and the brute force.
+    const PASSES: usize = 100;
+
+    /// Group state of the brute force: plain cell lists, the group mass
+    /// accumulated in the same add/remove order as the accumulators.
+    struct Brute<'a> {
+        fw: &'a GridFramework,
+        cells: Vec<Vec<usize>>,
+        prob: Vec<f64>,
+        assignment: Vec<usize>,
+    }
+
+    impl Brute<'_> {
+        /// The closest group the slow way: a plain [`expected_waste`]
+        /// (its weighted form on a class-universe framework) between the
+        /// hyper-cell and each group's materialized union.
+        fn closest(&self, h: usize) -> usize {
+            use crate::membership::BitSet;
+            use crate::waste::{expected_waste, expected_waste_weighted};
+            let hcs = self.fw.hypercells();
+            let (pa, a) = (hcs[h].prob, &hcs[h].members);
+            let mut best = 0usize;
+            let mut best_d = f64::INFINITY;
+            for (g, cells) in self.cells.iter().enumerate() {
+                let mut union = BitSet::new(self.fw.num_subscribers());
+                for &c in cells {
+                    union.union_with(&hcs[c].members);
+                }
+                let d = match self.fw.weights_ref() {
+                    None => expected_waste(pa, a, self.prob[g], &union),
+                    Some(w) => expected_waste_weighted(pa, a, self.prob[g], &union, w),
+                };
+                if d < best_d {
+                    best_d = d;
+                    best = g;
+                }
+            }
+            best
+        }
+
+        /// Puts `h` into group `g`, taking it out of its current group
+        /// first if it has one.
+        fn place(&mut self, h: usize, g: usize) {
+            let p = self.fw.hypercells()[h].prob;
+            let cur = self.assignment[h];
+            if cur != usize::MAX {
+                self.cells[cur].retain(|&c| c != h);
+                self.prob[cur] -= p;
+            }
+            self.cells[g].push(h);
+            self.prob[g] += p;
+            self.assignment[h] = g;
+        }
+    }
+
+    /// K-means re-done the slow way, returning the assignment and the
+    /// number of moves. `initial` is `cluster_seeded`'s seed partition;
+    /// `None` is the cold start of Figure 1 step 0 — the `k` most
+    /// popular hyper-cells seed the groups, the rest join their closest
+    /// group in order.
+    fn brute_force_seeded(
+        fw: &GridFramework,
+        k: usize,
+        variant: KMeansVariant,
+        initial: Option<&[usize]>,
+    ) -> (Vec<usize>, usize) {
+        let l = fw.hypercells().len();
+        let mut b = Brute {
+            fw,
+            cells: vec![Vec::new(); k],
+            prob: vec![0.0; k],
+            assignment: vec![usize::MAX; l],
+        };
+        match initial {
+            Some(initial) => {
+                for (h, &g) in initial.iter().enumerate() {
+                    b.place(h, g);
+                }
+            }
+            None => {
+                for g in 0..k {
+                    b.place(g, g);
+                }
+                for h in k..l {
+                    b.place(h, b.closest(h));
+                }
+            }
         }
         let mut moves = 0usize;
-        loop {
-            let mut moved = false;
-            for h in 0..hcs.len() {
-                let cur = assignment[h];
-                if cells[cur].len() == 1 {
-                    continue;
-                }
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                for g in 0..k {
-                    let mut union = BitSet::new(fw.num_subscribers());
-                    for &c in &cells[g] {
-                        union.union_with(&hcs[c].members);
-                    }
-                    let d = expected_waste(hcs[h].prob, &hcs[h].members, prob[g], &union);
-                    if d < best_d {
-                        best_d = d;
-                        best = g;
+        for _ in 0..PASSES {
+            let before = moves;
+            match variant {
+                KMeansVariant::MacQueen => {
+                    for h in 0..l {
+                        let cur = b.assignment[h];
+                        if b.cells[cur].len() == 1 {
+                            continue;
+                        }
+                        let best = b.closest(h);
+                        if best != cur {
+                            b.place(h, best);
+                            moves += 1;
+                        }
                     }
                 }
-                if best != cur {
-                    cells[cur].retain(|&c| c != h);
-                    prob[cur] -= hcs[h].prob;
-                    cells[best].push(h);
-                    prob[best] += hcs[h].prob;
-                    assignment[h] = best;
-                    moved = true;
-                    moves += 1;
+                KMeansVariant::Forgy => {
+                    // Decide the whole pass against the pre-pass groups
+                    // (never draining one), then apply.
+                    let mut pending = Vec::new();
+                    let mut leaving = vec![0usize; k];
+                    for h in 0..l {
+                        let cur = b.assignment[h];
+                        let best = b.closest(h);
+                        if best != cur && b.cells[cur].len() > leaving[cur] + 1 {
+                            pending.push((h, best));
+                            leaving[cur] += 1;
+                        }
+                    }
+                    for (h, best) in pending {
+                        b.place(h, best);
+                        moves += 1;
+                    }
                 }
             }
-            if !moved {
-                return (assignment, moves);
+            if moves == before {
+                break;
             }
         }
+        (b.assignment, moves)
+    }
+
+    /// Overlapping boxes scattered over a 2-D grid: many distinct
+    /// memberships, and an initial partition the passes still improve.
+    /// The weighted form repeats each box one to three times and
+    /// clusters the class universe.
+    fn scattered(weighted: bool) -> GridFramework {
+        let grid = Grid::cube(0.0, 12.0, 2, 12).unwrap();
+        let probs = CellProbability::uniform(&grid);
+        let side = |lo: usize, len: usize| Interval::new(lo as f64, (lo + len) as f64).unwrap();
+        let boxed = |i: usize| {
+            Rect::new(vec![
+                side((i * 5) % 9, 2 + i % 4),
+                side((i * 7) % 8, 2 + (i * 3) % 5),
+            ])
+        };
+        let copies = |i: usize| if weighted { 1 + i % 3 } else { 1 };
+        let subs: Vec<Rect> = (0..18)
+            .flat_map(|i| std::iter::repeat_n(boxed(i), copies(i)))
+            .collect();
+        if weighted {
+            let fw = crate::Aggregation::build(&subs).build_framework(grid, &probs, None);
+            assert!(fw.weights_ref().is_some_and(|w| w.iter().any(|&x| x > 1)));
+            fw
+        } else {
+            GridFramework::build(grid, &subs, &probs, None)
+        }
+    }
+
+    fn assignment_of(clustering: &Clustering, l: usize) -> Vec<usize> {
+        (0..l).map(|h| clustering.group_of_hyper(h)).collect()
     }
 
     #[test]
@@ -451,7 +544,7 @@ mod tests {
         let fw = GridFramework::build(grid, &subs, &probs, None);
         let l = fw.hypercells().len();
         assert!(l >= 12, "scenario too small: {l} hyper-cells");
-        let km = KMeans::new(KMeansVariant::MacQueen);
+        let km = KMeans::new(KMeansVariant::MacQueen).with_max_iterations(PASSES);
         let seeds: [(usize, Vec<usize>); 2] = [
             // Every seed group a singleton.
             (l, (0..l).collect()),
@@ -463,12 +556,12 @@ mod tests {
         ];
         for (k, seed) in seeds {
             let (clustering, moves) = km.cluster_seeded(&fw, k, &seed);
-            let (want, want_moves) = brute_force_seeded(&fw, k, &seed);
+            let (want, want_moves) =
+                brute_force_seeded(&fw, k, KMeansVariant::MacQueen, Some(&seed));
             assert_eq!(moves, want_moves, "k = {k}");
             // No group is ever emptied, so group ids are not remapped.
             assert_eq!(clustering.num_groups(), k);
-            let got: Vec<usize> = (0..l).map(|h| clustering.group_of_hyper(h)).collect();
-            assert_eq!(got, want, "k = {k}");
+            assert_eq!(assignment_of(&clustering, l), want, "k = {k}");
             if k == l {
                 assert_eq!(moves, 0, "a last member never leaves its group");
             } else {
@@ -477,6 +570,32 @@ mod tests {
         }
         // The perf contract: the warm path never touched the O(l²) cache.
         assert!(fw.distances.get().is_none());
+    }
+
+    #[test]
+    fn cold_matches_brute_force_and_never_builds_the_cache() {
+        for weighted in [false, true] {
+            let fw = scattered(weighted);
+            let l = fw.hypercells().len();
+            assert!(l >= 12, "scenario too small: {l} hyper-cells");
+            for variant in [KMeansVariant::MacQueen, KMeansVariant::Forgy] {
+                for k in [l / 4, l / 2, l] {
+                    let what = format!("{variant:?}, k = {k}, weighted = {weighted}");
+                    let clustering = KMeans::new(variant)
+                        .with_max_iterations(PASSES)
+                        .cluster(&fw, k);
+                    let (want, moves) = brute_force_seeded(&fw, k, variant, None);
+                    // Every group keeps its seed, so ids are not remapped.
+                    assert_eq!(clustering.num_groups(), k, "{what}");
+                    assert_eq!(assignment_of(&clustering, l), want, "{what}");
+                    // The passes did real work wherever they could.
+                    assert_eq!(moves > 0, k < l, "{what}");
+                }
+            }
+            // The perf contract: cold K-means costs l·K per pass and
+            // never touched the O(l²) cache.
+            assert!(fw.distances.get().is_none());
+        }
     }
 
     #[test]

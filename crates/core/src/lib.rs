@@ -59,7 +59,6 @@
 mod aggregate;
 mod batch;
 mod clustering;
-mod compressed;
 mod counting;
 mod dispatch;
 mod distance;
@@ -85,7 +84,6 @@ pub use aggregate::{
 };
 pub use batch::BatchScratch;
 pub use clustering::{Clustering, ClusteringAlgorithm, Group};
-pub use compressed::CompressedSet;
 pub use counting::CountingMatcher;
 pub use dispatch::{DispatchPlan, DispatchScratch, NoLossDispatchPlan, DENSE_TABLE_MAX_CELLS};
 pub use distance::DistanceMatrix;

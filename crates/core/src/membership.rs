@@ -17,14 +17,14 @@ const WORD_BITS: usize = 64;
 /// in flight; the scalar tail handles at most `POPCOUNT_BLOCK - 1`
 /// words. Counts are exact integers, so blocking cannot change any
 /// result — it only restructures the loop for autovectorization.
-pub(crate) const POPCOUNT_BLOCK: usize = 8;
+const POPCOUNT_BLOCK: usize = 8;
 
 // lint: hot-path
 /// Both directed difference popcounts, `(|a \ b|, |b \ a|)`, over raw
 /// word slices in `POPCOUNT_BLOCK`-word unrolled blocks with a
 /// scalar tail. The kernel of [`BitSet::waste_counts`] — the inner
 /// loop of the expected-waste distance.
-pub(crate) fn waste_counts_words(a: &[u64], b: &[u64]) -> (usize, usize) {
+fn waste_counts_words(a: &[u64], b: &[u64]) -> (usize, usize) {
     let mut blocks_a = a.chunks_exact(POPCOUNT_BLOCK);
     let mut blocks_b = b.chunks_exact(POPCOUNT_BLOCK);
     let mut only_a = 0u64;
@@ -75,7 +75,7 @@ pub(crate) fn and_popcount_words(a: &[u64], b: &[u64]) -> usize {
 /// subscribers — the weighted count then equals the concrete count as
 /// an exact integer, which is what keeps aggregated clustering
 /// bit-identical to the raw path.
-pub(crate) fn weighted_waste_counts_words(a: &[u64], b: &[u64], w: &[u64]) -> (u64, u64) {
+fn weighted_waste_counts_words(a: &[u64], b: &[u64], w: &[u64]) -> (u64, u64) {
     let mut only_a = 0u64;
     let mut only_b = 0u64;
     for (wi, (wa, wb)) in a.iter().zip(b).enumerate() {

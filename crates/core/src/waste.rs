@@ -60,23 +60,6 @@ pub(crate) fn expected_waste_weighted(
     pa * only_b as f64 + pb * only_a as f64
 }
 
-/// Weighted expected waste over compressed mirrors: identical formula
-/// and identical integer counts as [`expected_waste_weighted`] (pinned
-/// by the `CompressedSet` oracle tests), evaluated on whichever
-/// representation each side currently holds. The weighted distance
-/// matrix streams the pool's compressed layout through this instead of
-/// touching the dense words.
-pub(crate) fn expected_waste_compressed_weighted(
-    pa: f64,
-    a: &crate::compressed::CompressedSet,
-    pb: f64,
-    b: &crate::compressed::CompressedSet,
-    weights: &[u64],
-) -> f64 {
-    let (only_a, only_b) = a.weighted_waste_counts(b, weights);
-    pa * only_b as f64 + pb * only_a as f64
-}
-
 /// The popularity rating `r(a) = p_p(a) · |s(a)|` used to rank
 /// hyper-cells before truncation (Section 4.1, "Implementation Notes").
 pub fn popularity(prob: f64, members: &BitSet) -> f64 {
