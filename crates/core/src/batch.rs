@@ -38,7 +38,6 @@
 //! suite). See DESIGN.md §13.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use geometry::Point;
 
@@ -49,22 +48,12 @@ use crate::membership::BitSet;
 /// Cell-pass sentinel: the event is outside the grid on some dimension.
 const OFF_GRID: usize = usize::MAX;
 
-/// Default for `PUBSUB_BATCH_BUCKET_MIN`.
-const DEFAULT_BATCH_BUCKET_MIN: usize = 16;
-
 /// Smallest batch for which the serve path's bucketing sort pays for
 /// itself; shorter batches keep arrival order (runs of equal adjacent
-/// slots still share a bucket). Purely a performance knob — the scatter
-/// step makes the output independent of bucket order, so results are
-/// bit-identical either way. Override with `PUBSUB_BATCH_BUCKET_MIN`.
-fn batch_bucket_min() -> usize {
-    static MIN: OnceLock<usize> = OnceLock::new();
-    *MIN.get_or_init(|| {
-        crate::env_knob("PUBSUB_BATCH_BUCKET_MIN", DEFAULT_BATCH_BUCKET_MIN, |s| {
-            s.parse().ok()
-        })
-    })
-}
+/// slots still share a bucket). Purely a performance threshold — the
+/// scatter step makes the output independent of bucket order, so
+/// results are bit-identical either way.
+const BATCH_BUCKET_MIN: usize = 16;
 
 /// Reusable buffers for the batched kernels ([`DispatchPlan::serve_batch`],
 /// [`DispatchPlan::dispatch_batch`]). Buffers grow to the high-water
@@ -110,6 +99,12 @@ impl BatchScratch {
         self.interested[start as usize..end as usize]
             .iter()
             .map(|&id| id as usize)
+    }
+
+    /// `interested_of(local).count()` without walking the ids.
+    pub(crate) fn interested_count(&self, local: usize) -> u32 {
+        let (start, end) = self.ranges[local];
+        end - start
     }
 }
 
@@ -183,7 +178,7 @@ impl DispatchPlan {
         }
         scratch.order.clear();
         scratch.order.extend(0..b as u32);
-        if sort && b >= batch_bucket_min() {
+        if sort && b >= BATCH_BUCKET_MIN {
             let slots = &scratch.slots;
             scratch.order.sort_unstable_by_key(|&l| slots[l as usize]);
         }

@@ -7,10 +7,14 @@
 //! compile plan → replay events. [`BrokerService`] turns the same
 //! pipeline into a long-running loop:
 //!
-//! * **N ingest threads** pop events from a bounded queue and serve
-//!   them with [`DispatchPlan::serve`] against an epoch-cached
-//!   [`SnapshotCell`](crate::SnapshotCell) snapshot — one atomic load
-//!   per event in steady state, no lock on the serve path;
+//! * **N ingest threads** each take a *window* of up to
+//!   `INGEST_WINDOW` events from a bounded queue under one lock
+//!   acquisition, serve it with [`DispatchPlan::serve_batch`] against
+//!   an epoch-cached [`SnapshotCell`](crate::SnapshotCell) snapshot and
+//!   record the decisions in a worker-local buffer — one lock, one
+//!   atomic load and one clock read per window in steady state, none
+//!   per event, and no `futex_wake` unless a thread is actually parked
+//!   (the ingest protocol, DESIGN.md §14.3);
 //! * a **rebalancer thread** consumes churn ops, folds them into a
 //!   *clone* of the [`DynamicClustering`] (the one state copy a swap
 //!   makes), runs the audited incremental pipeline on it, compiles the
@@ -47,7 +51,8 @@ use std::time::{Duration, Instant};
 
 use geometry::{Interval, Point, Rect};
 
-use crate::dispatch::{DispatchPlan, DispatchScratch};
+use crate::batch::BatchScratch;
+use crate::dispatch::DispatchPlan;
 use crate::dynamic::{DynamicClustering, RebalanceError, RebalanceStats, SubscriptionId};
 use crate::knob::env_knob;
 use crate::matching::Delivery;
@@ -59,6 +64,12 @@ use crate::validate::Validator;
 /// arithmetic can never overflow and the rebalancer never sleeps
 /// unboundedly long.
 const BACKOFF_SHIFT_CAP: u32 = 6;
+
+/// Most events an ingest worker takes per lock acquisition. Measured
+/// throughput is flat from 16 to 1024; 64 is the smallest size on the
+/// flat part, so eight workers still share a 1024-deep queue and a
+/// window adds at most 63 kernel calls to its first event's latency.
+const INGEST_WINDOW: usize = 64;
 
 /// What [`BrokerService::offer`] does when the ingest queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,6 +196,9 @@ pub struct EventRecord {
     /// Exact interested subscribers computed by the serve path.
     pub interested: u32,
     /// offer → decision latency in nanoseconds (includes queue wait).
+    /// "Decided" is the end of the window that served the event: a
+    /// worker reads the clock once after serving a whole window, so
+    /// every event of a window shares one decision instant.
     pub latency_ns: u64,
 }
 
@@ -298,16 +312,38 @@ struct PendingEvent {
 
 struct QueueState {
     buf: VecDeque<PendingEvent>,
+    /// Events taken by a worker whose window has not been settled yet.
     in_flight: usize,
     paused: bool,
     closed: bool,
+    /// Threads parked on [`IngestQueue::space`] / `ready` / `idle`, so
+    /// that nobody pays a `futex_wake` when nobody is parked (std's
+    /// `Condvar` keeps no waiter count: every notify is a syscall).
+    ///
+    /// A thread adds itself under the queue lock immediately before
+    /// `wait`. Whoever makes the waiters' condition true does so under
+    /// the same lock, notifies only if the count is non-zero and
+    /// *retires what it wakes*: −1 with `notify_one`, 0 with
+    /// `notify_all`. A woken thread re-checks its condition and adds
+    /// itself again if it must keep waiting. The notifier retires
+    /// because a waiter that subtracted itself would leave the count up
+    /// between the wake and the moment it actually runs, and every
+    /// offer in that gap would pay the syscall again.
+    ///
+    /// A spurious wake-up adds itself a second time without having
+    /// been retired, so a count can read one too high. That costs one
+    /// needless `futex_wake` later and can never lose one: a count is
+    /// never below the number of threads actually parked.
+    space_parked: usize,
+    ready_parked: usize,
+    idle_parked: usize,
 }
 
 /// Bounded MPMC ingest queue (mutex + condvars; the serve path itself
 /// never touches it while deciding an event).
 struct IngestQueue {
     state: Mutex<QueueState>,
-    /// Signalled when a slot frees up (block-policy producers wait).
+    /// Signalled when slots free up (block-policy producers wait).
     space: Condvar,
     /// Signalled when an event arrives or the queue closes/resumes.
     ready: Condvar,
@@ -323,6 +359,9 @@ impl IngestQueue {
                 in_flight: 0,
                 paused: false,
                 closed: false,
+                space_parked: 0,
+                ready_parked: 0,
+                idle_parked: 0,
             }),
             space: Condvar::new(),
             ready: Condvar::new(),
@@ -343,7 +382,6 @@ impl IngestQueue {
 struct Shared {
     plan: SnapshotCell<VersionedPlan>,
     queue: IngestQueue,
-    records: Mutex<Vec<EventRecord>>,
     shed_events: Mutex<Vec<u64>>,
     published: Mutex<Vec<u64>>,
     offered: AtomicU64,
@@ -374,10 +412,12 @@ struct Control {
 pub struct BrokerService {
     shared: Arc<Shared>,
     control: Mutex<Control>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<Vec<EventRecord>>>,
     rebalancer: Option<JoinHandle<DynamicClustering>>,
     shed_policy: ShedPolicy,
     queue_depth: usize,
+    /// Dimension of the grid, fixed for the service's lifetime.
+    dim: usize,
 }
 
 /// Id-aligned rectangles for [`DispatchPlan::with_subscriptions`]:
@@ -549,56 +589,69 @@ impl Rebalancer {
     }
 }
 
-/// Ingest worker: pop, refresh the plan snapshot (one atomic load when
-/// unchanged), serve, record.
-fn worker_loop(shared: &Shared) {
+/// Ingest worker: take a window, refresh the plan snapshot (one atomic
+/// load when unchanged), serve the window through the batched kernel,
+/// record locally. Returns every record it made.
+fn worker_loop(shared: &Shared) -> Vec<EventRecord> {
     let (mut cached, mut epoch) = shared.plan.load_with_epoch();
-    let mut scratch = DispatchScratch::new();
+    let mut scratch = BatchScratch::new();
+    let mut window: Vec<PendingEvent> = Vec::with_capacity(INGEST_WINDOW);
+    let mut decisions: Vec<Delivery> = Vec::with_capacity(INGEST_WINDOW);
+    let mut records = Vec::new();
     loop {
-        let ev = {
-            let mut state = shared.queue.lock();
-            loop {
-                if !state.paused {
-                    if let Some(ev) = state.buf.pop_front() {
-                        state.in_flight += 1;
-                        shared.queue.space.notify_one();
-                        break ev;
-                    }
-                    if state.closed {
-                        return;
-                    }
-                }
-                state = shared
-                    .queue
-                    .ready
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
+        // Free the served window's points before locking: offerers
+        // contend for the same lock and must not wait on `free`.
+        let served = window.len();
+        window.clear();
+        {
+            let queue = &shared.queue;
+            let mut state = queue.lock();
+            state.in_flight -= served;
+            if state.idle_parked > 0 && state.in_flight == 0 && state.buf.is_empty() {
+                state.idle_parked = 0;
+                queue.idle.notify_all();
             }
-        };
+            while state.paused || state.buf.is_empty() {
+                if state.closed && !state.paused {
+                    return records;
+                }
+                state.ready_parked += 1;
+                state = queue.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+            let take = state.buf.len().min(INGEST_WINDOW);
+            window.extend(state.buf.drain(..take));
+            state.in_flight += take;
+            if state.space_parked > 0 {
+                state.space_parked = 0;
+                queue.space.notify_all();
+            }
+        }
 
+        // After the take, not before: an event offered after
+        // `rebalance()` returned was enqueued after the publish, so it
+        // is taken after it and this check sees the new epoch.
         if shared.plan.epoch() != epoch {
             let fresh = shared.plan.load_with_epoch();
             cached = fresh.0;
             epoch = fresh.1;
         }
-        let decision = cached.plan.serve(&ev.point, &mut scratch);
-        let record = EventRecord {
-            id: ev.id,
-            plan_version: cached.version,
-            decision,
-            interested: scratch.interested().len() as u32,
-            latency_ns: u64::try_from(ev.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        };
-        shared
-            .records
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(record);
-
-        let mut state = shared.queue.lock();
-        state.in_flight -= 1;
-        if state.buf.is_empty() && state.in_flight == 0 {
-            shared.queue.idle.notify_all();
+        decisions.clear();
+        cached.plan.serve_batch(
+            0..window.len(),
+            |e| &window[e].point,
+            &mut scratch,
+            &mut decisions,
+        );
+        let decided = Instant::now();
+        for (local, (ev, &decision)) in window.iter().zip(&decisions).enumerate() {
+            let waited = decided.saturating_duration_since(ev.enqueued);
+            records.push(EventRecord {
+                id: ev.id,
+                plan_version: cached.version,
+                decision,
+                interested: scratch.interested_count(local),
+                latency_ns: u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX),
+            });
         }
     }
 }
@@ -618,10 +671,10 @@ impl BrokerService {
     ) -> Result<BrokerService, RebalanceAbort> {
         let plan = compile_plan(&dynamic, config.threshold)?;
         let next_slot = dynamic.subscription_slots().len();
+        let dim = dynamic.framework().grid().dim();
         let shared = Arc::new(Shared {
             plan: SnapshotCell::new(Arc::new(VersionedPlan { version: 0, plan })),
             queue: IngestQueue::new(),
-            records: Mutex::new(Vec::new()),
             shed_events: Mutex::new(Vec::new()),
             published: Mutex::new(vec![0]),
             offered: AtomicU64::new(0),
@@ -635,9 +688,12 @@ impl BrokerService {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 // lint: allow(thread-panic): worker_loop only moves
-                // plain data under poison-recovering locks; if a panic
-                // does escape, it is re-raised by the join in
-                // shutdown() rather than wedging the other workers.
+                // plain data under a poison-recovering lock, and the
+                // kernel's two panics are excluded before it runs
+                // (`offer` checks the dimension, `compile_plan` always
+                // attaches subscriptions); if a panic does escape, it
+                // is re-raised by the join in shutdown() rather than
+                // wedging the other workers.
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
@@ -661,6 +717,7 @@ impl BrokerService {
             rebalancer: Some(rebalancer),
             shed_policy: config.shed,
             queue_depth: config.queue_depth.max(1),
+            dim,
         })
     }
 
@@ -682,22 +739,31 @@ impl BrokerService {
     /// event itself, or shed the oldest queued event; every shed is
     /// counted against the returned ids, so
     /// `delivered + shed == offered` always holds at shutdown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point`'s dimension differs from the grid's the
+    /// service was started over. The check runs in the caller's thread
+    /// before an id is allocated, so a rejected event is never part of
+    /// the offered load and cannot take an ingest worker down with it.
     pub fn offer(&self, point: Point) -> u64 {
+        assert_eq!(
+            point.dim(),
+            self.dim,
+            "offered event's dimension differs from the service's grid"
+        );
         // lint: allow(atomic-order): unique-id allocator; the RMW's
         // atomicity alone guarantees distinct ids, and the total is
         // read exactly only after shutdown() joins every worker.
         let id = self.shared.offered.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.shared.queue.lock();
+        let queue = &self.shared.queue;
+        let mut state = queue.lock();
         debug_assert!(!state.closed, "offer after shutdown");
         match self.shed_policy {
             ShedPolicy::Block => {
                 while state.buf.len() >= self.queue_depth {
-                    state = self
-                        .shared
-                        .queue
-                        .space
-                        .wait(state)
-                        .unwrap_or_else(|e| e.into_inner());
+                    state.space_parked += 1;
+                    state = queue.space.wait(state).unwrap_or_else(|e| e.into_inner());
                 }
             }
             ShedPolicy::DropNewest => {
@@ -720,7 +786,10 @@ impl BrokerService {
             point,
             enqueued: Instant::now(),
         });
-        self.shared.queue.ready.notify_one();
+        if state.ready_parked > 0 {
+            state.ready_parked -= 1;
+            queue.ready.notify_one();
+        }
         id
     }
 
@@ -778,9 +847,10 @@ impl BrokerService {
         self.send(ControlMsg::SetTimeout(timeout));
     }
 
-    /// Pauses the ingest workers after their current event (events
-    /// keep queueing / shedding per policy). Used to build controlled
-    /// overload in tests and maintenance windows.
+    /// Pauses the ingest workers after their current window (at most
+    /// `INGEST_WINDOW` events already taken from the queue are still
+    /// decided; events keep queueing / shedding per policy). Used to
+    /// build controlled overload in tests and maintenance windows.
     pub fn pause_ingest(&self) {
         self.shared.queue.lock().paused = true;
     }
@@ -789,20 +859,18 @@ impl BrokerService {
     pub fn resume_ingest(&self) {
         let mut state = self.shared.queue.lock();
         state.paused = false;
+        state.ready_parked = 0;
         self.shared.queue.ready.notify_all();
     }
 
     /// Blocks until the queue is empty and no event is in flight.
     /// Ingest must not be paused, or this never returns.
     pub fn drain(&self) {
-        let mut state = self.shared.queue.lock();
+        let queue = &self.shared.queue;
+        let mut state = queue.lock();
         while !state.buf.is_empty() || state.in_flight > 0 {
-            state = self
-                .shared
-                .queue
-                .idle
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
+            state.idle_parked += 1;
+            state = queue.idle.wait(state).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -842,14 +910,25 @@ impl BrokerService {
             let mut state = self.shared.queue.lock();
             state.paused = false;
             state.closed = true;
+            state.ready_parked = 0;
+            state.space_parked = 0;
             self.shared.queue.ready.notify_all();
             self.shared.queue.space.notify_all();
         }
+        // The first worker's buffer *becomes* the report's; only the
+        // others' are copied (a copying merge of all of them holds
+        // every record twice at the peak).
+        let mut records = Vec::new();
         for w in self.workers.drain(..) {
             // A worker panic already aborted the process in practice
             // (panic = abort is not set, but the loop body cannot
             // panic on valid plans); surface it if it ever happens.
-            w.join().expect("ingest worker exited cleanly");
+            let mut local = w.join().expect("ingest worker exited cleanly");
+            if records.is_empty() {
+                records = local;
+            } else {
+                records.append(&mut local);
+            }
         }
         self.send(ControlMsg::Shutdown);
         let dynamic = self
@@ -859,13 +938,6 @@ impl BrokerService {
             .join()
             .expect("rebalancer exited cleanly");
 
-        let mut records = std::mem::take(
-            &mut *self
-                .shared
-                .records
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
         records.sort_unstable_by_key(|r| r.id);
         let mut shed_events = std::mem::take(
             &mut *self

@@ -8,12 +8,18 @@
 //!   shed policy, with the shed id sets the policies promise;
 //! * a timed-out rebalance aborts, rolls back, keeps serving the old
 //!   plan, retains its churn, and recovers after the watchdog is
-//!   retuned live.
+//!   retuned live;
+//! * the windowed ingest protocol (parked-thread counts, one lock per
+//!   window) loses no wake-up under pause/resume/drain contention,
+//!   never serves an event offered after a swap with the plan from
+//!   before it, decides hostile coordinates exactly as scalar `serve`
+//!   does, and rejects a wrong-dimension event in the offering thread.
 //!
 //! These tests are deliberately placed outside the crate (`tests/`) so
 //! the Miri CI job, which interprets `--lib` only, runs the small
 //! snapshot unit tests but not these thread-heavy suites.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use geometry::{Grid, Interval, Point, Rect};
@@ -360,4 +366,222 @@ fn from_env_config_runs_a_service() {
     let (report, _) = service.shutdown();
     assert!(report.partitions_offered());
     assert_eq!(report.delivered, 50);
+}
+
+/// The parked-thread counts gate every notify, so a protocol slip shows
+/// up as a lost wake-up: some thread parked forever. A two-slot queue
+/// keeps offerers parking on `space`, eight workers keep parking on
+/// `ready`, and for the first half of the load a fifth thread pauses,
+/// resumes and drains throughout. `resume_ingest` broadcasts whatever
+/// the counts say and would rescue a worker the protocol had lost, so
+/// the second half runs with nobody toggling. A lost wake-up is a
+/// probability-per-run bug: CI repeats this test in the release profile.
+#[test]
+fn no_wakeup_is_lost_under_pause_resume_and_drain_contention() {
+    const OFFERERS: usize = 4;
+    const EVENTS_PER_OFFERER: usize = 5_000;
+    const TOTAL: usize = OFFERERS * EVENTS_PER_OFFERER;
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    // Detached on purpose: if a wake-up is lost this thread hangs, and
+    // the watchdog below fails the test instead of hanging with it.
+    std::thread::spawn(move || {
+        let (dynamic, _) = seed_dynamic(20, 3);
+        let service = BrokerService::start(
+            dynamic,
+            ServiceConfig {
+                ingest_threads: 8,
+                queue_depth: 2,
+                shed: ShedPolicy::Block,
+                threshold: THRESHOLD,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("service starts");
+        // Progress gauge only; it publishes no data (the joins do).
+        let offered = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..OFFERERS {
+                let (service, offered) = (&service, &offered);
+                scope.spawn(move || {
+                    for i in 0..EVENTS_PER_OFFERER {
+                        let x = ((t * EVENTS_PER_OFFERER + i) % 97) as f64 / 97.0;
+                        service.offer(Point::new(vec![x]));
+                        offered.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            scope.spawn(|| {
+                while offered.load(Ordering::Relaxed) < TOTAL / 2 {
+                    service.pause_ingest();
+                    // Long enough for the offerers to fill both slots
+                    // and park behind the paused workers.
+                    std::thread::sleep(Duration::from_micros(50));
+                    service.resume_ingest();
+                    service.drain();
+                }
+            });
+        });
+        service.drain();
+        let (report, _) = service.shutdown();
+        // The watchdog may already have given up on us.
+        let _ = done_tx.send(report);
+    });
+
+    let report = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a thread is parked forever: lost wake-up");
+    assert_eq!(report.offered, TOTAL as u64);
+    assert_eq!(report.delivered, TOTAL as u64);
+    assert_eq!(report.shed, 0);
+    assert!(report.partitions_offered());
+}
+
+/// A worker refreshes its plan snapshot once per window, after taking
+/// the window: an event offered after `rebalance()` returned is never
+/// decided by the plan from before it, even when the worker sat parked
+/// (snapshot long since checked) across the swap. Events from before
+/// the swap may share a window with later ones and get either plan.
+#[test]
+fn events_offered_after_a_swap_never_see_the_plan_before_it() {
+    const BEFORE: u64 = 200;
+    const AFTER: u64 = 200;
+    for threads in [1usize, 8] {
+        let (dynamic, _) = seed_dynamic(30, 5);
+        let service = BrokerService::start(
+            dynamic,
+            ServiceConfig {
+                ingest_threads: threads,
+                threshold: THRESHOLD,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("service starts");
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut offer = |n: u64| {
+            for _ in 0..n {
+                service.offer(Point::new(vec![rng.gen_range(0.0..1.0)]));
+            }
+        };
+        offer(BEFORE);
+        service.subscribe(Rect::new(vec![Interval::new(0.2, 0.7).expect("interval")]));
+        // No drain: the swap lands wherever the workers happen to be.
+        assert_eq!(service.rebalance().expect("swap").version, 1);
+        offer(AFTER);
+        service.drain();
+        let (report, _) = service.shutdown();
+
+        assert!(report.partitions_offered());
+        assert_eq!(report.delivered, BEFORE + AFTER);
+        assert_eq!(report.published_versions, vec![0, 1]);
+        for r in &report.records {
+            assert!(report.published_versions.contains(&r.plan_version));
+            if r.id >= BEFORE {
+                assert_eq!(
+                    r.plan_version, 1,
+                    "event {} offered after the swap, {threads} thread(s)",
+                    r.id
+                );
+            }
+        }
+    }
+}
+
+/// Hostile coordinates have a defined outcome through the service: ±∞
+/// and off-grid points are decided exactly as scalar
+/// `DispatchPlan::serve` decides them (unicast to whoever matches,
+/// usually nobody), and NaN cannot be offered at all — `Point::new`
+/// rejects it in the caller's thread before `offer` is reached.
+#[test]
+fn hostile_coordinates_are_decided_as_scalar_serve_decides_them() {
+    let (dynamic, _) = seed_dynamic(40, 11);
+    let plan = oracle_plan(&dynamic);
+    let service = BrokerService::start(
+        dynamic,
+        ServiceConfig {
+            ingest_threads: 2,
+            threshold: THRESHOLD,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service starts");
+
+    assert!(
+        std::panic::catch_unwind(|| Point::new(vec![f64::NAN])).is_err(),
+        "a NaN event is unrepresentable"
+    );
+    let hostile = [
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        -0.5,
+        1.5,
+        0.0, // the grid is open at its lower edge
+        1.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        1.0 + f64::EPSILON,
+    ];
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut points = Vec::new();
+    for &x in &hostile {
+        points.push(Point::new(vec![x]));
+        // Ordinary events beside each hostile one, so they share
+        // ingest windows.
+        for _ in 0..5 {
+            points.push(Point::new(vec![rng.gen_range(0.0..1.0)]));
+        }
+    }
+    for p in &points {
+        service.offer(p.clone());
+    }
+    service.drain();
+    let (report, _) = service.shutdown();
+
+    assert!(report.partitions_offered());
+    assert_eq!(report.delivered, points.len() as u64);
+    let mut scratch = DispatchScratch::new();
+    for (r, p) in report.records.iter().zip(&points) {
+        let decision = plan.serve(p, &mut scratch);
+        assert_eq!(
+            (r.decision, r.interested),
+            (decision, scratch.interested().len() as u32),
+            "event {} at {p}",
+            r.id
+        );
+    }
+}
+
+/// A wrong-dimension event is the caller's bug and surfaces in the
+/// caller's thread, before an id is allocated: no ingest worker sees
+/// it, nothing is left in flight, and the service keeps serving.
+#[test]
+fn wrong_dimension_offer_panics_in_the_caller_and_wedges_nothing() {
+    let (dynamic, _) = seed_dynamic(10, 2);
+    let service = BrokerService::start(
+        dynamic,
+        ServiceConfig {
+            ingest_threads: 1,
+            threshold: THRESHOLD,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service starts");
+    assert_eq!(service.offer(Point::new(vec![0.5])), 0);
+
+    let rejected = std::thread::scope(|scope| {
+        scope
+            .spawn(|| service.offer(Point::new(vec![0.5, 0.5])))
+            .join()
+    });
+    assert!(rejected.is_err(), "a 2-D event into a 1-D service panics");
+
+    // The rejected event took no id and left nothing undecided.
+    assert_eq!(service.offer(Point::new(vec![0.25])), 1);
+    service.drain();
+    let (report, _) = service.shutdown();
+    assert_eq!(report.offered, 2);
+    assert_eq!(report.delivered, 2);
+    assert!(report.partitions_offered());
 }
