@@ -1,5 +1,5 @@
 //! Shared clustering types: groups, clusterings, the algorithm trait and
-//! the incremental group accumulator the iterative algorithms use.
+//! the incremental group set the iterative algorithms use.
 
 use std::sync::Arc;
 
@@ -126,118 +126,146 @@ pub trait ClusteringAlgorithm: Sync {
     fn cluster(&self, framework: &GridFramework, k: usize) -> Clustering;
 }
 
-/// Incrementally maintained group state: per-subscriber containment
-/// counts so hyper-cells can be added *and removed* in
-/// `O(|cell members|)`, plus the group size and probability mass the
-/// expected-waste distance needs.
-#[derive(Debug, Clone)]
-pub(crate) struct GroupAccumulator {
-    /// How many of the group's hyper-cells contain each subscriber.
-    counts: Vec<u32>,
+/// Incrementally maintained state of all `K` groups of an iterative
+/// algorithm: per-(group, subscriber) containment counts, so hyper-cells
+/// can be added *and removed* in `O(|cell members|)`; the group sizes and
+/// probability masses the expected-waste distance needs; and, transposed
+/// for the scan, each subscriber's *set of groups*.
+#[derive(Debug)]
+pub(crate) struct GroupSet {
+    /// `counts[g][m]`: how many of group `g`'s hyper-cells contain
+    /// subscriber `m`.
+    counts: Vec<Vec<u32>>,
+    /// `words = ceil(K / 64)` per subscriber: bit `g % 64` of
+    /// `mask[m * words + g / 64]` is set iff `counts[g][m] > 0`, so it
+    /// flips only on a 0↔1 count transition.
+    mask: Vec<u64>,
+    words: usize,
     /// Per-slot multiplicities for class-universe frameworks; `None`
     /// (every slot counts 1) for concrete frameworks.
     weights: Option<Arc<Vec<u64>>>,
-    /// Weighted number of subscribers with `counts > 0`. Equal to the
-    /// plain count when `weights` is `None`.
-    size: u64,
-    /// Number of hyper-cells in the group.
-    num_cells: usize,
-    /// Total publication probability.
-    prob: f64,
+    /// Per group: the weighted number of subscribers with a non-zero
+    /// count (the plain number when `weights` is `None`), the number of
+    /// hyper-cells, and the total publication probability.
+    size: Vec<u64>,
+    num_cells: Vec<usize>,
+    prob: Vec<f64>,
 }
 
-impl GroupAccumulator {
-    /// An unweighted accumulator over a bare subscriber universe
-    /// (tests only; production paths go through
-    /// [`GroupAccumulator::for_framework`]).
-    #[cfg(test)]
-    pub(crate) fn new(num_subscribers: usize) -> Self {
-        GroupAccumulator {
-            counts: vec![0; num_subscribers],
-            weights: None,
-            size: 0,
-            num_cells: 0,
-            prob: 0.0,
-        }
-    }
+fn weight_of(weights: &Option<Arc<Vec<u64>>>, m: usize) -> u64 {
+    weights.as_ref().map_or(1, |w| w[m])
+}
 
-    /// An accumulator over `framework`'s subscriber universe, weighted
+impl GroupSet {
+    /// `k` empty groups over `framework`'s subscriber universe, weighted
     /// when the framework is a class-universe (aggregated) build.
-    pub(crate) fn for_framework(framework: &GridFramework) -> Self {
-        GroupAccumulator {
-            counts: vec![0; framework.num_subscribers()],
+    pub(crate) fn new(framework: &GridFramework, k: usize) -> Self {
+        let n = framework.num_subscribers();
+        let words = k.div_ceil(64);
+        GroupSet {
+            counts: vec![vec![0; n]; k],
+            mask: vec![0; n * words],
+            words,
             weights: framework.weights.clone(),
-            size: 0,
-            num_cells: 0,
-            prob: 0.0,
+            size: vec![0; k],
+            num_cells: vec![0; k],
+            prob: vec![0.0; k],
         }
     }
 
-    #[inline]
-    fn weight_of(&self, m: usize) -> u64 {
-        match &self.weights {
-            None => 1,
-            Some(w) => w[m],
-        }
-    }
-
-    pub(crate) fn add(&mut self, hc: &HyperCell) {
+    pub(crate) fn add(&mut self, g: usize, hc: &HyperCell) {
+        let counts = &mut self.counts[g];
         for m in hc.members.iter() {
-            if self.counts[m] == 0 {
-                self.size += self.weight_of(m);
+            if counts[m] == 0 {
+                self.size[g] += weight_of(&self.weights, m);
+                self.mask[m * self.words + g / 64] |= 1 << (g % 64);
             }
-            self.counts[m] += 1;
+            counts[m] += 1;
         }
-        self.num_cells += 1;
-        self.prob += hc.prob;
+        self.num_cells[g] += 1;
+        self.prob[g] += hc.prob;
     }
 
-    pub(crate) fn remove(&mut self, hc: &HyperCell) {
+    pub(crate) fn remove(&mut self, g: usize, hc: &HyperCell) {
+        let counts = &mut self.counts[g];
         for m in hc.members.iter() {
-            debug_assert!(self.counts[m] > 0, "removing a cell that was never added");
-            self.counts[m] -= 1;
-            if self.counts[m] == 0 {
-                self.size -= self.weight_of(m);
+            debug_assert!(counts[m] > 0, "removing a cell that was never added");
+            counts[m] -= 1;
+            if counts[m] == 0 {
+                self.size[g] -= weight_of(&self.weights, m);
+                self.mask[m * self.words + g / 64] &= !(1 << (g % 64));
             }
         }
-        self.num_cells -= 1;
-        self.prob -= hc.prob;
+        self.num_cells[g] -= 1;
+        self.prob[g] -= hc.prob;
     }
 
-    pub(crate) fn num_cells(&self) -> usize {
-        self.num_cells
+    pub(crate) fn num_groups(&self) -> usize {
+        self.size.len()
     }
 
-    /// Expected-waste distance between a hyper-cell and this group:
-    /// `p(hc)·|group \ hc| + p(group)·|hc \ group|`, with set sizes
-    /// weighted by the per-slot multiplicities when present. The
-    /// weighted integers equal the concrete counts, so the `f64` result
-    /// is bit-identical to the expanded computation.
-    pub(crate) fn distance_to(&self, hc: &HyperCell) -> f64 {
-        let mut in_both = 0u64;
-        let mut only_cell = 0u64;
+    pub(crate) fn num_cells(&self, g: usize) -> usize {
+        self.num_cells[g]
+    }
+
+    /// Expected-waste distance between `hc` and every group, in group
+    /// order: `p(hc)·|group \ hc| + p(group)·|hc \ group|`, with set
+    /// sizes weighted by the per-slot multiplicities when present. The
+    /// weighted integers equal the concrete counts, so each `f64` is
+    /// bit-identical to the expanded computation. One walk of
+    /// `hc.members` prices all `K` groups (each member adds its weight
+    /// to `in_both[g]` for the groups in its mask):
+    /// `O(Σ groups-per-member + K)`, not `K` walks.
+    fn distances<'a>(
+        &'a self,
+        hc: &'a HyperCell,
+        in_both: &'a mut Vec<u64>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        in_both.clear();
+        in_both.resize(self.num_groups(), 0);
+        let mut cell_size = 0u64;
         for m in hc.members.iter() {
-            if self.counts[m] > 0 {
-                in_both += self.weight_of(m);
-            } else {
-                only_cell += self.weight_of(m);
+            let w = weight_of(&self.weights, m);
+            cell_size += w;
+            let groups_of_m = &self.mask[m * self.words..(m + 1) * self.words];
+            for (i, &word) in groups_of_m.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    in_both[i * 64 + bits.trailing_zeros() as usize] += w;
+                    bits &= bits - 1;
+                }
             }
         }
-        let only_group = self.size - in_both;
-        hc.prob * only_group as f64 + self.prob * only_cell as f64
+        let groups = self.size.iter().zip(&self.prob).zip(&*in_both);
+        groups.map(move |((&size, &prob), &both)| {
+            let only_group = size - both;
+            let only_cell = cell_size - both;
+            hc.prob * only_group as f64 + prob * only_cell as f64
+        })
     }
 
-    /// The materialized membership vector (union over the group's cells).
-    #[cfg(test)]
-    pub(crate) fn members(&self) -> BitSet {
-        BitSet::from_members(
-            self.counts.len(),
-            self.counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, _)| i),
-        )
+    /// Index of the group with minimal expected-waste distance to `hc`
+    /// (ties go to the lower index, deterministically). `scratch` is
+    /// the caller's reusable `in_both` buffer; its contents are ignored.
+    pub(crate) fn closest(&self, hc: &HyperCell, scratch: &mut Vec<u64>) -> usize {
+        let mut best = (0usize, f64::INFINITY);
+        for (g, d) in self.distances(hc, scratch).enumerate() {
+            if d < best.1 {
+                best = (g, d);
+            }
+        }
+        best.0
+    }
+
+    /// Whether every mask bit agrees with its count and every size is
+    /// the weighted popcount. `O(n·K)`: for `debug_assert!` and tests.
+    pub(crate) fn is_consistent(&self) -> bool {
+        self.counts.iter().enumerate().all(|(g, counts)| {
+            let bit = |m: usize| self.mask[m * self.words + g / 64] >> (g % 64) & 1;
+            let weight = |m: usize| bit(m) * weight_of(&self.weights, m);
+            (0..counts.len()).all(|m| (counts[m] > 0) == (bit(m) == 1))
+                && (0..counts.len()).map(weight).sum::<u64>() == self.size[g]
+        })
     }
 }
 
@@ -262,6 +290,23 @@ mod tests {
     use super::*;
     use crate::framework::CellProbability;
     use geometry::{Grid, Interval, Rect};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl GroupSet {
+        /// The distance `closest` compares for group `g`.
+        fn distance_to(&self, g: usize, hc: &HyperCell) -> f64 {
+            let d = self.distances(hc, &mut Vec::new()).nth(g);
+            d.expect("group in range")
+        }
+
+        /// Group `g`'s materialized membership vector, read off the masks.
+        fn members(&self, g: usize) -> BitSet {
+            let n = self.counts[g].len();
+            let in_g = |&m: &usize| self.mask[m * self.words + g / 64] >> (g % 64) & 1 == 1;
+            BitSet::from_members(n, (0..n).filter(in_g))
+        }
+    }
 
     fn rect1(lo: f64, hi: f64) -> Rect {
         Rect::new(vec![Interval::new(lo, hi).unwrap()])
@@ -333,23 +378,73 @@ mod tests {
     fn accumulator_tracks_members_through_moves() {
         let fw = framework();
         let hcs = fw.hypercells();
-        let mut acc = GroupAccumulator::new(fw.num_subscribers());
-        acc.add(&hcs[0]);
-        acc.add(&hcs[1]);
-        let full = acc.members();
+        let mut acc = GroupSet::new(&fw, 1);
+        acc.add(0, &hcs[0]);
+        acc.add(0, &hcs[1]);
+        let full = acc.members(0);
         assert_eq!(full.count(), hcs[0].members.union_count(&hcs[1].members));
-        acc.remove(&hcs[1]);
-        assert_eq!(acc.members(), hcs[0].members);
-        assert_eq!(acc.num_cells(), 1);
+        acc.remove(0, &hcs[1]);
+        assert_eq!(acc.members(0), hcs[0].members);
+        assert_eq!(acc.num_cells(0), 1);
+        assert!(acc.is_consistent());
+
+        // A random add/remove sequence over K = 70 groups (two mask
+        // words), concrete and weighted: after every step each mask bit
+        // agrees with its count and each size is the weighted popcount,
+        // and each group's members are the union of the cells it holds.
+        for fw in [framework(), weighted_framework()] {
+            let hcs = fw.hypercells();
+            let k = 70;
+            let mut acc = GroupSet::new(&fw, k);
+            let mut held: Vec<Vec<usize>> = vec![Vec::new(); k];
+            let mut rng = StdRng::seed_from_u64(21);
+            for _ in 0..600 {
+                let (g, h) = (rng.gen_range(0..k), rng.gen_range(0..hcs.len()));
+                match held[g].iter().position(|&c| c == h) {
+                    Some(at) if rng.gen_bool(0.5) => {
+                        held[g].swap_remove(at);
+                        acc.remove(g, &hcs[h]);
+                    }
+                    _ => {
+                        held[g].push(h);
+                        acc.add(g, &hcs[h]);
+                    }
+                }
+                assert!(acc.is_consistent());
+                let mut union = BitSet::new(fw.num_subscribers());
+                for &c in &held[g] {
+                    union.union_with(&hcs[c].members);
+                }
+                assert_eq!(acc.members(g), union, "group {g}");
+                assert_eq!(acc.num_cells(g), held[g].len());
+            }
+            assert!(held.iter().any(|cells| cells.len() > 1));
+        }
+    }
+
+    /// Duplicated rectangles: class weights 3, 1 and 2.
+    fn weighted_framework() -> GridFramework {
+        let grid = Grid::cube(0.0, 10.0, 1, 10).unwrap();
+        let subs = vec![
+            rect1(0.0, 7.0),
+            rect1(0.0, 7.0),
+            rect1(0.0, 7.0),
+            rect1(0.0, 4.0),
+            rect1(7.0, 10.0),
+            rect1(7.0, 10.0),
+        ];
+        let probs = CellProbability::uniform(&grid);
+        crate::Aggregation::build(&subs).build_framework(grid, &probs, None)
     }
 
     #[test]
     fn accumulator_distance_matches_expected_waste() {
         let fw = framework();
         let hcs = fw.hypercells();
-        let mut acc = GroupAccumulator::new(fw.num_subscribers());
-        acc.add(&hcs[0]);
-        let d = acc.distance_to(&hcs[1]);
+        // Group 65 sits in the second mask word; the rest stay empty.
+        let mut acc = GroupSet::new(&fw, 66);
+        acc.add(65, &hcs[0]);
+        let d = acc.distance_to(65, &hcs[1]);
         // Bit-for-bit, in either argument order: this is what lets
         // K-means, cold or warm, skip the pairwise cache without
         // changing a decision.
@@ -360,32 +455,25 @@ mod tests {
 
         // The same pin for a weighted accumulator over a class-universe
         // framework — what aggregated cold K-means now relies on.
-        let grid = Grid::cube(0.0, 10.0, 1, 10).unwrap();
-        // Duplicated rectangles: class weights 3, 1 and 2.
-        let subs = vec![
-            rect1(0.0, 7.0),
-            rect1(0.0, 7.0),
-            rect1(0.0, 7.0),
-            rect1(0.0, 4.0),
-            rect1(7.0, 10.0),
-            rect1(7.0, 10.0),
-        ];
-        let probs = CellProbability::uniform(&grid);
-        let fw = crate::Aggregation::build(&subs).build_framework(grid, &probs, None);
+        let fw = weighted_framework();
         let w = fw.weights_ref().expect("class-universe framework");
         assert!(w.iter().any(|&x| x > 1), "weights must matter: {w:?}");
         let hcs = fw.hypercells();
         assert_eq!(hcs.len(), 3);
         for (s, h) in [(0, 1), (1, 0), (0, 2), (2, 1)] {
-            let mut acc = GroupAccumulator::for_framework(&fw);
-            acc.add(&hcs[s]);
-            let d = acc.distance_to(&hcs[h]);
+            let mut acc = GroupSet::new(&fw, 2);
+            acc.add(1, &hcs[s]);
+            let d = acc.distance_to(1, &hcs[h]);
             let (a, b) = (&hcs[h], &hcs[s]);
             let ab = expected_waste_weighted(a.prob, &a.members, b.prob, &b.members, w);
             let ba = expected_waste_weighted(b.prob, &b.members, a.prob, &a.members, w);
             assert_eq!(d.to_bits(), ab.to_bits(), "({s},{h}): {d} vs {ab}");
             assert_eq!(d.to_bits(), ba.to_bits(), "({s},{h}): {d} vs {ba}");
             assert!(d > 0.0, "({s},{h}) must disagree somewhere");
+            // An empty group costs the cell's whole weighted size times
+            // a zero mass: exactly 0, and `closest` prefers it.
+            assert_eq!(acc.distance_to(0, &hcs[h]), 0.0);
+            assert_eq!(acc.closest(&hcs[h], &mut vec![7; 9]), 0);
         }
     }
 }

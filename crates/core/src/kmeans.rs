@@ -14,11 +14,14 @@
 //! updates only after the pass. A hyper-cell never leaves a group it is
 //! the last member of.
 //!
-//! Every distance is taken against the `K` group vectors — `l·K` per
-//! pass, as Figure 1 prices it — so neither the cold nor the warm entry
-//! builds the `O(l²)` pairwise cache of [`crate::DistanceMatrix`].
+//! Every distance is taken against the `K` group vectors — `l·K`
+//! *distances* per pass, as Figure 1 counts them — so neither the cold
+//! nor the warm entry builds the `O(l²)` pairwise cache of
+//! [`crate::DistanceMatrix`]. [`GroupSet`] keeps each subscriber's set
+//! of groups, so one walk of a hyper-cell's members prices all `K` of
+//! them: `O(Σ groups-per-member + K)` work per hyper-cell.
 
-use crate::clustering::{Clustering, ClusteringAlgorithm, GroupAccumulator};
+use crate::clustering::{Clustering, ClusteringAlgorithm, GroupSet};
 use crate::framework::{GridFramework, HyperCell};
 use crate::parallel;
 
@@ -103,7 +106,8 @@ impl KMeans {
     /// # Panics
     ///
     /// Panics if `initial.len()` differs from the hyper-cell count or
-    /// any group id is `>= k`.
+    /// any group id is `>= k` — where, as in the cold entry, a `k` above
+    /// the hyper-cell count `l` counts as `l`, so ids in `l..k` panic too.
     pub fn cluster_seeded(
         &self,
         framework: &GridFramework,
@@ -113,21 +117,15 @@ impl KMeans {
         let hcs = framework.hypercells();
         let l = hcs.len();
         assert_eq!(initial.len(), l, "one seed group per hyper-cell");
-        if l == 0 {
-            return (Clustering::from_assignment(framework, Vec::new()), 0);
-        }
-        let k = k.max(1).min(l);
-        let mut groups = empty_groups(framework, k);
+        let cap = k.max(1).min(l);
+        let mut groups = GroupSet::new(framework, cap);
         let mut assignment = initial.to_vec();
         for (h, &g) in assignment.iter().enumerate() {
-            assert!(g < k, "seed group {g} out of range for k = {k}");
-            groups[g].add(&hcs[h]);
+            assert!(g < cap, "seed group {g} out of range: k = {k}, cap {cap}");
+            groups.add(g, &hcs[h]);
         }
-        let total_moves = self.reassign(KMeansVariant::MacQueen, hcs, &mut groups, &mut assignment);
-        (
-            Clustering::from_assignment(framework, assignment),
-            total_moves,
-        )
+        let moves = self.reassign(KMeansVariant::MacQueen, hcs, &mut groups, &mut assignment);
+        (Clustering::from_assignment(framework, assignment), moves)
     }
 
     /// Steps 1-2 of Figure 1, shared by the cold and the warm entry:
@@ -137,11 +135,12 @@ impl KMeans {
         &self,
         variant: KMeansVariant,
         hcs: &[HyperCell],
-        groups: &mut [GroupAccumulator],
+        groups: &mut GroupSet,
         assignment: &mut [usize],
     ) -> usize {
         let l = hcs.len();
         let mut total_moves = 0usize;
+        let mut scratch = Vec::new();
         for _ in 0..self.max_iterations {
             let before = total_moves;
             match variant {
@@ -150,13 +149,13 @@ impl KMeans {
                     // sees, so this pass is inherently sequential.
                     for h in 0..l {
                         let cur = assignment[h];
-                        if groups[cur].num_cells() == 1 {
+                        if groups.num_cells(cur) == 1 {
                             continue; // never empty a group
                         }
-                        let best = closest_group(groups, hcs, h);
+                        let best = groups.closest(&hcs[h], &mut scratch);
                         if best != cur {
-                            groups[cur].remove(&hcs[h]);
-                            groups[best].add(&hcs[h]);
+                            groups.remove(cur, &hcs[h]);
+                            groups.add(best, &hcs[h]);
                             assignment[h] = best;
                             total_moves += 1;
                         }
@@ -167,15 +166,18 @@ impl KMeans {
                     // vectors, so every hyper-cell's closest group is
                     // independent and the scan runs in parallel. `groups`
                     // is not mutated until the apply loop below, which
-                    // makes it the frozen snapshot — no clone needed.
-                    let groups_ref = &*groups;
-                    let best_of =
-                        parallel::par_map_indexed(l, 64, |h| closest_group(groups_ref, hcs, h));
+                    // makes it the frozen snapshot — no clone needed. The
+                    // chunking (one scratch each) is invisible in the output.
+                    let best_of = parallel::par_chunks(l, 64, |range| {
+                        let mut scratch = Vec::new();
+                        let closest = |h: usize| groups.closest(&hcs[h], &mut scratch);
+                        range.map(closest).collect::<Vec<usize>>()
+                    });
                     let mut pending: Vec<(usize, usize)> = Vec::new();
-                    let mut leaving = vec![0usize; groups.len()];
-                    for (h, &best) in best_of.iter().enumerate() {
+                    let mut leaving = vec![0usize; groups.num_groups()];
+                    for (h, &best) in best_of.iter().flatten().enumerate() {
                         let cur = assignment[h];
-                        if best != cur && groups[cur].num_cells() > leaving[cur] + 1 {
+                        if best != cur && groups.num_cells(cur) > leaving[cur] + 1 {
                             pending.push((h, best));
                             leaving[cur] += 1;
                         }
@@ -183,8 +185,8 @@ impl KMeans {
                     // ...applied only after the pass.
                     for (h, best) in pending {
                         let cur = assignment[h];
-                        groups[cur].remove(&hcs[h]);
-                        groups[best].add(&hcs[h]);
+                        groups.remove(cur, &hcs[h]);
+                        groups.add(best, &hcs[h]);
                         assignment[h] = best;
                         total_moves += 1;
                     }
@@ -194,6 +196,7 @@ impl KMeans {
                 break;
             }
         }
+        debug_assert!(groups.is_consistent(), "group masks drifted from counts");
         total_moves
     }
 }
@@ -209,60 +212,28 @@ impl ClusteringAlgorithm for KMeans {
     fn cluster(&self, framework: &GridFramework, k: usize) -> Clustering {
         let hcs = framework.hypercells();
         let l = hcs.len();
-        if l == 0 {
-            return Clustering::from_assignment(framework, Vec::new());
-        }
         let k = k.max(1).min(l);
 
         // Step 0: the K most popular hyper-cells seed the groups
-        // (hyper-cells are already sorted by popularity).
-        let mut groups = empty_groups(framework, k);
-        let mut assignment: Vec<usize> = vec![usize::MAX; l];
-        for (g, group) in groups.iter_mut().enumerate() {
-            group.add(&hcs[g]);
-            assignment[g] = g;
-        }
-        // Assign the rest to the closest seed group (updating vectors as
-        // we go — this is the initial-partition step for both variants).
-        for h in k..l {
-            let g = closest_group(&groups, hcs, h);
-            groups[g].add(&hcs[h]);
-            assignment[h] = g;
+        // (hyper-cells are already sorted by popularity); each of the
+        // rest joins its closest group, updating the vectors as we go —
+        // the initial partition of both variants.
+        let mut groups = GroupSet::new(framework, k);
+        let mut assignment = Vec::with_capacity(l);
+        let mut scratch = Vec::new();
+        for (h, hc) in hcs.iter().enumerate() {
+            let g = if h < k {
+                h
+            } else {
+                groups.closest(hc, &mut scratch)
+            };
+            groups.add(g, hc);
+            assignment.push(g);
         }
 
         self.reassign(self.variant, hcs, &mut groups, &mut assignment);
         Clustering::from_assignment(framework, assignment)
     }
-}
-
-/// `k` empty group accumulators over `framework`'s subscriber universe.
-fn empty_groups(framework: &GridFramework, k: usize) -> Vec<GroupAccumulator> {
-    (0..k)
-        .map(|_| GroupAccumulator::for_framework(framework))
-        .collect()
-}
-
-/// Index of the group with minimal expected-waste distance to hyper-cell
-/// `h` (ties go to the lower index, deterministically).
-///
-/// Every distance is [`GroupAccumulator::distance_to`] against the group
-/// vectors — `K` of them per hyper-cell, the `l·K` per pass of Figure 1.
-/// No K-means entry reads (or builds) the framework's `O(l²)` pairwise
-/// cache; for a singleton group `distance_to` forms the same two
-/// products as [`expected_waste`](crate::expected_waste) and IEEE-754
-/// addition is commutative, so it is bit-identical to the cached entry.
-fn closest_group(groups: &[GroupAccumulator], hypercells: &[HyperCell], h: usize) -> usize {
-    let hc = &hypercells[h];
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (g, group) in groups.iter().enumerate() {
-        let d = group.distance_to(hc);
-        if d < best_d {
-            best_d = d;
-            best = g;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -329,12 +300,49 @@ mod tests {
     }
 
     #[test]
+    fn seeded_k_larger_than_cells_caps_at_cell_count() {
+        let fw = two_communities();
+        let l = fw.hypercells().len();
+        let km = KMeans::new(KMeansVariant::MacQueen);
+        // Seeds below the cap: k = 10·l is k = l, every hyper-cell its
+        // own group, so nothing may move and nothing is wasted.
+        let seed: Vec<usize> = (0..l).rev().collect();
+        let (c, moves) = km.cluster_seeded(&fw, 10 * l, &seed);
+        assert_eq!((c.num_groups(), moves), (l, 0));
+        assert_eq!(c.total_expected_waste(&fw), 0.0);
+        // A shared seed group behaves as at k = l, too.
+        let seed: Vec<usize> = (0..l).map(|h| h % 2).collect();
+        let (got, want) = (
+            km.cluster_seeded(&fw, 10 * l, &seed),
+            km.cluster_seeded(&fw, l, &seed),
+        );
+        assert_eq!(assignment_of(&got.0, l), assignment_of(&want.0, l));
+        assert_eq!(got.1, want.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "seed group 6 out of range: k = 60, cap 6")]
+    fn seeded_names_both_numbers_when_a_seed_is_above_the_cap() {
+        let fw = two_communities();
+        let l = fw.hypercells().len();
+        assert_eq!(l, 6, "the expected message names l");
+        // Legal for the caller's k, out of range once k is capped at l.
+        KMeans::new(KMeansVariant::MacQueen).cluster_seeded(&fw, 10 * l, &vec![l; l]);
+    }
+
+    #[test]
     fn empty_framework() {
         let grid = Grid::cube(0.0, 10.0, 1, 10).unwrap();
         let probs = CellProbability::uniform(&grid);
         let fw = GridFramework::build(grid, &[], &probs, None);
-        let c = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 3);
-        assert_eq!(c.num_groups(), 0);
+        // No hyper-cells caps K at zero groups: nothing to seed, scan or
+        // move on any entry.
+        for variant in [KMeansVariant::MacQueen, KMeansVariant::Forgy] {
+            let km = KMeans::new(variant);
+            assert_eq!(km.cluster(&fw, 3).num_groups(), 0);
+            let (c, moves) = km.cluster_seeded(&fw, 3, &[]);
+            assert_eq!((c.num_groups(), moves), (0, 0));
+        }
     }
 
     #[test]
@@ -507,17 +515,23 @@ mod tests {
     /// The weighted form repeats each box one to three times and
     /// clusters the class universe.
     fn scattered(weighted: bool) -> GridFramework {
-        let grid = Grid::cube(0.0, 12.0, 2, 12).unwrap();
+        scattered_on(12, 18, 4, weighted)
+    }
+
+    /// [`scattered`] with `boxes` boxes of side `2..2 + spread` on a
+    /// `cells × cells` grid.
+    fn scattered_on(cells: usize, boxes: usize, spread: usize, weighted: bool) -> GridFramework {
+        let grid = Grid::cube(0.0, cells as f64, 2, cells).unwrap();
         let probs = CellProbability::uniform(&grid);
         let side = |lo: usize, len: usize| Interval::new(lo as f64, (lo + len) as f64).unwrap();
         let boxed = |i: usize| {
             Rect::new(vec![
-                side((i * 5) % 9, 2 + i % 4),
-                side((i * 7) % 8, 2 + (i * 3) % 5),
+                side((i * 5) % (cells - 3), 2 + i % spread),
+                side((i * 7) % (cells - 4), 2 + (i * 3) % (spread + 1)),
             ])
         };
         let copies = |i: usize| if weighted { 1 + i % 3 } else { 1 };
-        let subs: Vec<Rect> = (0..18)
+        let subs: Vec<Rect> = (0..boxes)
             .flat_map(|i| std::iter::repeat_n(boxed(i), copies(i)))
             .collect();
         if weighted {
@@ -595,6 +609,44 @@ mod tests {
             // The perf contract: cold K-means costs l·K per pass and
             // never touched the O(l²) cache.
             assert!(fw.distances.get().is_none());
+        }
+    }
+
+    /// No other test here runs K > 57, yet the service runs K = 128: a
+    /// subscriber's set of groups then spans two (at 129, three) mask
+    /// words. Cold (both variants) and warm runs against the brute force
+    /// on either side of each word boundary.
+    #[test]
+    fn matches_brute_force_across_mask_word_boundaries() {
+        for weighted in [false, true] {
+            // 24 × 24 cells, 60 boxes: enough hyper-cells that K = 129
+            // still leaves cells to move.
+            let fw = scattered_on(24, 60, 6, weighted);
+            let l = fw.hypercells().len();
+            assert!(l >= 140, "scenario too small: {l} hyper-cells");
+            for k in [63, 64, 65, 128, 129] {
+                for variant in [KMeansVariant::MacQueen, KMeansVariant::Forgy] {
+                    let what = format!("cold {variant:?}, k = {k}, weighted = {weighted}");
+                    let clustering = KMeans::new(variant)
+                        .with_max_iterations(PASSES)
+                        .cluster(&fw, k);
+                    let (want, moves) = brute_force_seeded(&fw, k, variant, None);
+                    assert_eq!(clustering.num_groups(), k, "{what}");
+                    assert_eq!(assignment_of(&clustering, l), want, "{what}");
+                    assert!(moves > 0, "{what}: the passes must move cells");
+                }
+                let what = format!("warm, k = {k}, weighted = {weighted}");
+                let seed: Vec<usize> = (0..l).map(|h| (h * 7) % k).collect();
+                let (clustering, moves) = KMeans::new(KMeansVariant::MacQueen)
+                    .with_max_iterations(PASSES)
+                    .cluster_seeded(&fw, k, &seed);
+                let (want, want_moves) =
+                    brute_force_seeded(&fw, k, KMeansVariant::MacQueen, Some(&seed));
+                assert_eq!(moves, want_moves, "{what}");
+                assert_eq!(clustering.num_groups(), k, "{what}");
+                assert_eq!(assignment_of(&clustering, l), want, "{what}");
+                assert!(moves > l / 4, "{what}: only {moves} moves");
+            }
         }
     }
 
