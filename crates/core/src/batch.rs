@@ -20,12 +20,16 @@
 //!    per-event packed interested sets dwarf the point data, and
 //!    streaming them sequentially beats regrouping — so only adjacent
 //!    equal slots share a bucket there;
-//! 3. **per-bucket resolve** — the bucket's candidate block is looked
-//!    up once in the plan's *precompiled* flat bound arrays
-//!    (dimension-major `f64` bounds and group-membership flags, built
-//!    by `with_subscriptions`); every event in the bucket then scans
-//!    contiguous memory instead of dereferencing one `Rect` per
-//!    candidate;
+//! 3. **per-bucket resolve, per-event sweep and compaction** — the
+//!    bucket's candidate block is looked up once in the plan's
+//!    *precompiled* flat bound arrays (dimension-major `f64` bounds
+//!    and group-membership flags, built by `with_subscriptions`). Each
+//!    event of the bucket then makes one contiguous pass per dimension
+//!    over the block, folding `lo < x` and `x <= hi` into a 0/1 mask
+//!    per candidate, and one pass over the mask that stores every
+//!    candidate id at a write cursor and advances the cursor by the
+//!    mask — no `Rect` dereference, no strided read and no branch on
+//!    the data;
 //! 4. **scatter** — each decision is written back at the event's
 //!    original batch position.
 //!
@@ -69,8 +73,11 @@ pub struct BatchScratch {
     slots: Vec<u32>,
     /// Batch-local event positions, grouped by slot.
     order: Vec<u32>,
-    /// The current event's coordinates (serve path).
-    pt: Vec<f64>,
+    /// The current event's candidate mask (serve path): `mask[k]` is 1
+    /// when candidate `k` of the bucket's slot contains the event on
+    /// every dimension swept so far, else 0. `u64` so the sweep's lanes
+    /// match the `f64` compares that fill them.
+    mask: Vec<u64>,
     /// Interested subscriber ids of all batch events, concatenated …
     interested: Vec<u32>,
     /// … delimited per batch-local event by `ranges[l]`.
@@ -189,8 +196,11 @@ impl DispatchPlan {
     /// order*, and records each event's exact interested set (readable
     /// through [`BatchScratch::interested_of`]). Decisions and
     /// interested sets are bit-identical to calling `serve` per event;
-    /// internally events are bucketed by kept cell and scan the plan's
-    /// precompiled flat candidate bounds, resolved once per bucket.
+    /// internally events are bucketed by kept cell, and each tests the
+    /// bucket's precompiled flat candidate bounds one dimension at a
+    /// time into a mask, then compacts the ids the mask keeps — the
+    /// comparisons and the candidate order of `serve`, without its
+    /// branches.
     ///
     /// # Panics
     ///
@@ -217,7 +227,7 @@ impl DispatchPlan {
         let BatchScratch {
             slots,
             order,
-            pt,
+            mask,
             interested,
             ranges,
             tmp,
@@ -258,31 +268,50 @@ impl DispatchPlan {
                 let cand_lo = &state.cand_lo[o * dim..(o + nc) * dim];
                 let cand_hi = &state.cand_hi[o * dim..(o + nc) * dim];
                 let cand_in_group = &state.cand_in_group[o..o + nc];
+                // All ones, so a zero-dimensional event (no sweep runs)
+                // is inside every candidate, as `Rect::contains` has it.
+                mask.clear();
+                mask.resize(nc, 1);
                 for &l in &order[at..end] {
                     let p = point_of(start_event + l as usize);
-                    pt.clear();
+                    // Sweep: one contiguous pass per dimension folds
+                    // `Interval::contains` (lo < x <= hi, the floats and
+                    // the two comparisons `Rect::contains` makes) into
+                    // the mask — dimension 0 assigns, the rest AND.
                     for d in 0..dim {
-                        pt.push(p[d]);
-                    }
-                    let start = interested.len() as u32;
-                    let mut hits = 0usize;
-                    for (k, &id) in members.iter().enumerate() {
-                        let mut inside = true;
-                        for (d, &x) in pt.iter().enumerate() {
-                            // `Interval::contains`: lo < x <= hi, over
-                            // the same floats as `Rect::contains`.
-                            inside &= cand_lo[d * nc + k] < x && x <= cand_hi[d * nc + k];
-                        }
-                        if inside {
-                            interested.push(id);
-                            hits += usize::from(cand_in_group[k]);
+                        let x = p[d];
+                        let lo = &cand_lo[d * nc..(d + 1) * nc];
+                        let hi = &cand_hi[d * nc..(d + 1) * nc];
+                        let inside = mask.iter_mut().zip(lo.iter().zip(hi));
+                        if d == 0 {
+                            for (m, (&lo, &hi)) in inside {
+                                *m = u64::from((lo < x) & (x <= hi));
+                            }
+                        } else {
+                            for (m, (&lo, &hi)) in inside {
+                                *m &= u64::from((lo < x) & (x <= hi));
+                            }
                         }
                     }
-                    ranges[l as usize] = (start, interested.len() as u32);
+                    // Compaction, ascending candidate order: every id is
+                    // stored at the cursor, and only a set mask moves the
+                    // cursor past it — no branch on the data.
+                    let start = interested.len();
+                    interested.resize(start + nc, 0);
+                    let tail = &mut interested[start..];
+                    let mut kept = 0usize;
+                    let mut hits = 0u64;
+                    for ((&id, &m), &g) in members.iter().zip(mask.iter()).zip(cand_in_group) {
+                        tail[kept] = id;
+                        kept += m as usize;
+                        hits += m & u64::from(g);
+                    }
+                    interested.truncate(start + kept);
+                    ranges[l as usize] = (start as u32, (start + kept) as u32);
                     out[base + l as usize] = if group_empty {
                         Delivery::Unicast
                     } else {
-                        self.decide(slot, hits)
+                        self.decide(slot, hits as usize)
                     };
                 }
             }

@@ -180,8 +180,8 @@ mod tests {
     /// Concurrent readers vs a publisher: every observed `(epoch,
     /// value)` pair must be one that was actually published — a torn
     /// pair would mean the lock/epoch protocol is broken. Small
-    /// constants keep this tractable under Miri (the CI nightly job
-    /// interprets exactly this module's tests).
+    /// constants: `crates/core/tests/snapshot.rs` runs the same
+    /// invariant at stress counts.
     #[test]
     fn concurrent_swaps_never_tear() {
         const SWAPS: u64 = 16;

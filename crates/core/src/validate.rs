@@ -18,8 +18,10 @@
 //!   and their member/probability aggregates match a recompute;
 //! * [`Validator::check_dispatch_plan`] — the compiled tables agree
 //!   entry-for-entry with the framework and clustering they were
-//!   compiled from, and point location agrees with
-//!   [`GridFramework::hyper_of_point`] on a deterministic point sample;
+//!   compiled from, the flat candidate arrays the batched serve kernel
+//!   decides from hold the floats and flags scalar `serve` reads, and
+//!   point location agrees with [`GridFramework::hyper_of_point`] on a
+//!   deterministic point sample;
 //! * [`Validator::check_noloss`] — the containment guarantee and the
 //!   precomputed per-region counts.
 //!
@@ -34,7 +36,7 @@ use std::sync::Arc;
 use geometry::{Point, Rect};
 
 use crate::clustering::Clustering;
-use crate::dispatch::{CellTable, DispatchPlan, NO_SLOT};
+use crate::dispatch::{CellTable, DispatchPlan, ServeState, NO_SLOT};
 use crate::distance::DistanceMatrix;
 use crate::framework::GridFramework;
 use crate::membership::BitSet;
@@ -584,7 +586,7 @@ impl Validator {
                 }
             }
         }
-        self.check_flattened(
+        let hyper_lists_ok = self.check_flattened(
             "dispatch.hyper-state",
             &plan.hyper_offsets,
             &plan.hyper_members,
@@ -634,6 +636,15 @@ impl Validator {
             |g| c.groups.get(g).map(|group| &group.members),
         );
 
+        // The serve arrays are laid out over the hyper-cell member
+        // lists, so they are only auditable when those are sound (a
+        // failure there is already on record).
+        if hyper_lists_ok {
+            if let Some(state) = &plan.serve_state {
+                self.check_serve_state(plan, state);
+            }
+        }
+
         // Point location agrees with the framework on a deterministic
         // sample (in-bounds, boundary and out-of-bounds points).
         for p in sample_points(fw, LOCATE_SAMPLE_POINTS) {
@@ -653,9 +664,109 @@ impl Validator {
         self
     }
 
+    /// Audits the flat candidate arrays — all `serve_batch` reads to
+    /// decide an event — against what scalar `serve` reads for the same
+    /// candidate: every stored bound is `to_bits`-equal to the owned
+    /// rectangle's, every in-group flag equals the packed group
+    /// membership. At most one violation per slot. Requires sound
+    /// hyper-cell member lists (monotone offsets over the flat ids).
+    fn check_serve_state(&mut self, plan: &DispatchPlan, state: &ServeState) {
+        const INVARIANT: &str = "dispatch.serve-state";
+        let dim = plan.dims.len();
+        let total = plan.hyper_members.len();
+        let groups = plan.group_size.len();
+        // Shapes first, and everything the slot loop indexes with.
+        if state.rects.len() != plan.num_subscribers
+            || state.cand_lo.len() != total * dim
+            || state.cand_hi.len() != total * dim
+            || state.cand_in_group.len() != total
+            || state.rects.iter().any(|r| r.dim() != dim)
+            || plan
+                .hyper_members
+                .iter()
+                .any(|&id| id as usize >= state.rects.len())
+            || plan.hyper_group.iter().any(|&g| g as usize >= groups)
+        {
+            self.fail(
+                INVARIANT,
+                format!(
+                    "{} rectangles / {} lower bounds / {} upper bounds / {} flags cannot \
+                     describe {total} candidates of {} subscribers and {groups} groups in \
+                     {dim} dimension(s)",
+                    state.rects.len(),
+                    state.cand_lo.len(),
+                    state.cand_hi.len(),
+                    state.cand_in_group.len(),
+                    plan.num_subscribers
+                ),
+            );
+            return;
+        }
+        // The floats scalar `serve` reads, gathered once per subscriber
+        // (dimension-major) so the slot loop compares flat arrays.
+        let n = state.rects.len();
+        let rect_bits: Vec<(u64, u64)> = (0..dim)
+            .flat_map(|d| {
+                state.rects.iter().map(move |r| {
+                    let iv = r.interval(d);
+                    (iv.lo().to_bits(), iv.hi().to_bits())
+                })
+            })
+            .collect();
+        for (s, &group) in plan.hyper_group.iter().enumerate() {
+            let o = plan.hyper_offsets[s] as usize;
+            let members = &plan.hyper_members[o..plan.hyper_offsets[s + 1] as usize];
+            let nc = members.len();
+            let block = o * dim..(o + nc) * dim;
+            let (lo, hi) = (&state.cand_lo[block.clone()], &state.cand_hi[block]);
+            let wrong_bound = (0..dim).find_map(|d| {
+                let want = &rect_bits[d * n..(d + 1) * n];
+                let stored = lo[d * nc..(d + 1) * nc]
+                    .iter()
+                    .zip(&hi[d * nc..(d + 1) * nc]);
+                members
+                    .iter()
+                    .zip(stored)
+                    .position(|(&id, (lo, hi))| (lo.to_bits(), hi.to_bits()) != want[id as usize])
+                    .map(|k| (k, d))
+            });
+            if let Some((k, d)) = wrong_bound {
+                let iv = state.rects[members[k] as usize].interval(d);
+                self.fail(
+                    INVARIANT,
+                    format!(
+                        "slot {s} candidate {k} (subscriber {}) dimension {d} stores ({}, {}], \
+                         its rectangle has ({}, {}]",
+                        members[k],
+                        lo[d * nc + k],
+                        hi[d * nc + k],
+                        iv.lo(),
+                        iv.hi()
+                    ),
+                );
+                continue;
+            }
+            let wrong_flag = members
+                .iter()
+                .zip(&state.cand_in_group[o..o + nc])
+                .position(|(&id, &flag)| flag != plan.group_contains(group as usize, id as usize));
+            if let Some(k) = wrong_flag {
+                self.fail(
+                    INVARIANT,
+                    format!(
+                        "slot {s} candidate {k} (subscriber {}) is flagged {} for group {group}, \
+                         whose packed words say otherwise",
+                        members[k],
+                        state.cand_in_group[o + k]
+                    ),
+                );
+            }
+        }
+    }
+
     /// Checks one flattened member-list encoding (monotone offsets
     /// delimiting concatenated ascending member ids) against the source
-    /// bitsets.
+    /// bitsets; returns whether it found nothing to report.
     fn check_flattened<'a>(
         &mut self,
         invariant: &'static str,
@@ -663,7 +774,8 @@ impl Validator {
         flat: &[u32],
         items: usize,
         members_of: impl Fn(usize) -> Option<&'a BitSet>,
-    ) {
+    ) -> bool {
+        let before = self.violations.len();
         if offsets.len() != items + 1
             || offsets.first() != Some(&0)
             || offsets.last().copied() != Some(flat.len() as u32)
@@ -677,7 +789,7 @@ impl Validator {
                     flat.len()
                 ),
             );
-            return;
+            return false;
         }
         for i in 0..items {
             let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
@@ -704,6 +816,7 @@ impl Validator {
                 );
             }
         }
+        self.violations.len() == before
     }
 
     /// Audits a [`NoLossClustering`] against the subscription
@@ -842,7 +955,8 @@ mod tests {
 
     /// A bench-shaped scenario with every auditable artifact armed:
     /// materialized distance cache, initialized interning state, a
-    /// compiled plan with a dense table and at least two groups.
+    /// compiled plan with a dense table, at least two groups and the
+    /// serve arrays attached.
     fn scenario() -> Scenario {
         let mut rng = StdRng::seed_from_u64(2002);
         let subs: Vec<Rect> = (0..30)
@@ -860,7 +974,9 @@ mod tests {
         assert!(fw.hypercells.len() >= 4, "scenario too small to corrupt");
         let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 4);
         assert!(clustering.num_groups() >= 2, "need two groups to flip");
-        let plan = DispatchPlan::compile(&fw, &clustering).with_threshold(0.3);
+        let plan = DispatchPlan::compile(&fw, &clustering)
+            .with_threshold(0.3)
+            .with_subscriptions(&subs);
         Scenario {
             subs,
             probs,
@@ -898,7 +1014,28 @@ mod tests {
     }
 
     /// Number of grid-artifact corruptions [`corrupt`] knows.
-    const GRID_CORRUPTIONS: usize = 12;
+    const GRID_CORRUPTIONS: usize = 16;
+
+    /// First of the corruptions that touch only the plan's serve arrays
+    /// (kinds `SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS`).
+    const SERVE_STATE_CORRUPTIONS: usize = 12;
+
+    /// Offset of a slot whose first two candidates' lower bounds differ
+    /// (the scenario is one-dimensional, so a slot's block is one bound
+    /// per candidate); `salt` picks among them.
+    fn crowded_slot(plan: &DispatchPlan, salt: usize) -> usize {
+        let state = plan.serve_state.as_ref().expect("serve arrays attached");
+        let slots: Vec<usize> = plan
+            .hyper_offsets
+            .windows(2)
+            .map(|w| (w[0] as usize, w[1] as usize))
+            .filter(|&(o, end)| {
+                end - o >= 2 && state.cand_lo[o].to_bits() != state.cand_lo[o + 1].to_bits()
+            })
+            .map(|(o, _)| o)
+            .collect();
+        slots[salt % slots.len()]
+    }
 
     /// Applies corruption `kind` (entry selection varied by `salt`) and
     /// returns its name for diagnostics.
@@ -989,6 +1126,41 @@ mod tests {
                 s.plan.hyper_group[h] = (g + 1) % s.plan.group_size.len() as u32;
                 "plan-group-flip"
             }
+            12 => {
+                // Move one stored bound by one ulp.
+                let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
+                let bounds = if salt.is_multiple_of(2) {
+                    &mut state.cand_lo
+                } else {
+                    &mut state.cand_hi
+                };
+                let at = salt % bounds.len();
+                bounds[at] = f64::from_bits(bounds[at].to_bits() + 1);
+                "serve-bound-ulp"
+            }
+            13 => {
+                // Swap two candidates' bounds inside one slot.
+                let o = crowded_slot(&s.plan, salt);
+                let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
+                state.cand_lo.swap(o, o + 1);
+                state.cand_hi.swap(o, o + 1);
+                "serve-bounds-swap"
+            }
+            14 => {
+                let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
+                let at = salt % state.cand_in_group.len();
+                state.cand_in_group[at] = !state.cand_in_group[at];
+                "serve-flag-flip"
+            }
+            15 => {
+                let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
+                match salt % 3 {
+                    0 => state.cand_lo.truncate(state.cand_lo.len() - 1),
+                    1 => state.cand_hi.truncate(state.cand_hi.len() - 1),
+                    _ => state.cand_in_group.truncate(state.cand_in_group.len() - 1),
+                }
+                "serve-array-truncated"
+            }
             _ => unreachable!("unknown corruption kind"),
         }
     }
@@ -1033,6 +1205,27 @@ mod tests {
             let name = corrupt(&mut s, kind, 7);
             let v = audit(&s);
             assert!(!v.is_clean(), "corruption {kind} ({name}) went undetected");
+        }
+    }
+
+    /// The arrays `serve_batch` decides from are audited by one
+    /// invariant and nothing else looks at them: each corruption is
+    /// rejected, and under `dispatch.serve-state` alone.
+    #[test]
+    fn serve_state_corruptions_fail_exactly_their_invariant() {
+        for kind in SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS {
+            for salt in 0..24 {
+                let mut s = scenario();
+                let name = corrupt(&mut s, kind, salt);
+                let v = audit(&s);
+                assert!(!v.is_clean(), "{name} (salt {salt}) went undetected");
+                for violation in v.violations() {
+                    assert_eq!(
+                        violation.invariant, "dispatch.serve-state",
+                        "{name} (salt {salt}): {violation}"
+                    );
+                }
+            }
         }
     }
 

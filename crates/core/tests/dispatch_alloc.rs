@@ -196,6 +196,67 @@ fn steady_state_batched_dispatch_allocates_nothing() {
         "steady-state batched dispatch performed {allocs} heap allocations over {} events",
         2 * events.len()
     );
+
+    // A dense 2-D population: every slot holds at least a hundred
+    // candidates, so the serve kernel's per-slot mask and the span it
+    // reserves past the interested ids for each event are far larger
+    // than above. Batches of 1, 64 and 256 events in turn, several
+    // hundred batches in all: once warm, the reserve-then-truncate tail
+    // may never move the buffer (the counter counts `realloc` too).
+    let subs: Vec<Rect> = (0..600)
+        .map(|_| {
+            Rect::new(
+                (0..2)
+                    .map(|_| {
+                        let centre = rng.gen_range(0.0..1.0);
+                        let half = rng.gen_range(0.3..0.45);
+                        Interval::new((centre - half).max(0.0), (centre + half).min(1.0)).unwrap()
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let grid = Grid::cube(0.0, 1.0, 2, 8).unwrap();
+    let fewest = grid
+        .iter()
+        .map(|cell| {
+            let cell = grid.cell_rect(cell);
+            subs.iter().filter(|r| r.intersects(&cell)).count()
+        })
+        .min()
+        .unwrap();
+    assert!(fewest >= 100, "sparsest slot holds {fewest} candidates");
+    let probs = CellProbability::uniform(&grid);
+    let fw = GridFramework::build(grid, &subs, &probs, None);
+    let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 8);
+    let plan = DispatchPlan::compile(&fw, &clustering)
+        .with_threshold(0.15)
+        .with_subscriptions(&subs);
+    let events: Vec<Point> = (0..2_048)
+        .map(|_| Point::new(vec![rng.gen_range(-0.02..1.02), rng.gen_range(-0.02..1.02)]))
+        .collect();
+    let serve_all = |scratch: &mut BatchScratch, out: &mut Vec<Delivery>| {
+        for batch in [1usize, 64, 256] {
+            out.clear();
+            for start in (0..events.len()).step_by(batch) {
+                let end = (start + batch).min(events.len());
+                plan.serve_batch(start..end, |e| &events[e], scratch, out);
+            }
+        }
+    };
+    serve_all(&mut scratch, &mut out);
+    for (e, p) in events.iter().enumerate() {
+        assert_eq!(
+            out[e],
+            plan.serve(p, &mut scalar),
+            "dense serve_batch event {e}"
+        );
+    }
+    let allocs = count_allocs(|| serve_all(&mut scratch, &mut out));
+    assert_eq!(
+        allocs, 0,
+        "steady-state dense serve_batch performed {allocs} heap allocations"
+    );
 }
 
 #[test]

@@ -2,9 +2,8 @@
 //!
 //! The `parallel` unit tests pin small determinism cases; these suites
 //! push the scoped fan-out, the work-stealing chunk counter, and the
-//! per-slot ownership handoff of `par_map_vec` hard enough for the
-//! nightly ThreadSanitizer job to observe every synchronization edge
-//! at native speed (Miri never interprets these — see `tests/service.rs`).
+//! per-slot ownership handoff of `par_map_vec` through every
+//! synchronization edge at native speed.
 
 use pubsub_core::parallel;
 
@@ -37,8 +36,7 @@ fn f64_reductions_stay_bit_identical_at_stress_scale() {
 #[test]
 fn par_map_vec_hands_each_slot_to_exactly_one_worker() {
     // Boxed payloads make a double-take or a dropped slot an
-    // observable ownership bug (and a tsan-visible race on the slot
-    // mutexes).
+    // observable ownership bug.
     let make = || (0..5_000).map(|i| Box::new(i as u64)).collect::<Vec<_>>();
     let serial: Vec<u64> = make().into_iter().map(|b| *b * 3).collect();
     for threads in [2, 4, 8] {

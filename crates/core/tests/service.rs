@@ -15,9 +15,8 @@
 //!   before it, decides hostile coordinates exactly as scalar `serve`
 //!   does, and rejects a wrong-dimension event in the offering thread.
 //!
-//! These tests are deliberately placed outside the crate (`tests/`) so
-//! the Miri CI job, which interprets `--lib` only, runs the small
-//! snapshot unit tests but not these thread-heavy suites.
+//! These thread-heavy suites sit outside the crate (`tests/`); the
+//! `--lib` unit tests cover the pure logic at small constants.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;

@@ -1,10 +1,7 @@
 //! Real-thread stress of the epoch-swapped snapshot cell.
 //!
-//! The `snapshot::` unit tests run under Miri with tiny constants;
-//! these suites turn the same invariants loose on native threads at
-//! stress counts, and are the snapshot half of the nightly
-//! ThreadSanitizer job (`-Zsanitizer=thread` instruments exactly this
-//! kind of reader/publisher race).
+//! The `snapshot::` unit tests use tiny constants; these suites turn
+//! the same invariants loose on native threads at stress counts.
 //!
 //! Invariant under test: every `(epoch, value)` pair a reader observes
 //! was actually published — the publisher only ever publishes
@@ -128,7 +125,7 @@ fn in_flight_snapshots_outlive_heavy_churn() {
             for _ in 0..500 {
                 // Dropping freshly loaded Arcs races the publisher's
                 // store of the replacement — the refcount traffic is
-                // what tsan watches here.
+                // what is under stress here.
                 drop(cell.load());
             }
         });
