@@ -1,10 +1,10 @@
 //! Criterion benches of the batched kernels (DESIGN.md §13): the
 //! blocked one-pass `waste_counts` against the scalar two-pass
-//! formulation it replaced, and the cell-bucketed `serve_batch` /
-//! `dispatch_batch` kernels against their per-event counterparts, on
-//! the dispatch bin's hot-region workload shape. For the scripted
-//! throughput report (JSON, identity checks at forced thread counts)
-//! use the `dispatch` bin — see `docs/BENCHMARK.md`.
+//! formulation it replaced, and the cell-bucketed `serve_batch` kernel
+//! against scalar `serve`, on a hot-region workload shape. The numbers
+//! of record for the two serve calls are
+//! `batch.serve_batch_ns_per_event` and `dispatch.serve_ns_per_event`
+//! in `benchmark/` — see `docs/BENCHMARK.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use geometry::{Grid, Interval, Point, Rect};
@@ -18,9 +18,6 @@ const GRID_CELLS: usize = 2048;
 const GROUPS: usize = 32;
 const SUBS: usize = 20_000;
 const EVENTS: usize = 20_000;
-/// Events with precomputed interested sets for the dispatch pair
-/// (~2.5 KB of `BitSet` per event at this population).
-const DISPATCH_EVENTS: usize = 4_000;
 const BATCH: usize = 4_096;
 const HOT_REGION: f64 = 0.05;
 
@@ -52,7 +49,7 @@ fn bench_waste_counts(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batched_dispatch(c: &mut Criterion) {
+fn bench_batched_serve(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2002);
     let subs: Vec<Rect> = (0..SUBS).map(|_| random_rect(&mut rng)).collect();
     let events: Vec<Point> = (0..EVENTS)
@@ -98,48 +95,7 @@ fn bench_batched_dispatch(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    let sets: Vec<BitSet> = events[..DISPATCH_EVENTS]
-        .iter()
-        .map(|p| {
-            BitSet::from_members(
-                subs.len(),
-                subs.iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.contains(p))
-                    .map(|(i, _)| i),
-            )
-        })
-        .collect();
-    let mut group = c.benchmark_group("dispatch_4k_events");
-    group.sample_size(10);
-    group.bench_function("per_event", |ben| {
-        ben.iter(|| {
-            for (p, s) in events[..DISPATCH_EVENTS].iter().zip(&sets) {
-                criterion::black_box(plan.dispatch(p, s));
-            }
-        })
-    });
-    group.bench_function("bucketed", |ben| {
-        ben.iter(|| {
-            out.clear();
-            let mut start = 0;
-            while start < DISPATCH_EVENTS {
-                let end = (start + BATCH).min(DISPATCH_EVENTS);
-                plan.dispatch_batch(
-                    start..end,
-                    |e| &events[e],
-                    |e| &sets[e],
-                    &mut scratch,
-                    &mut out,
-                );
-                start = end;
-            }
-            criterion::black_box(out.len());
-        })
-    });
-    group.finish();
 }
 
-criterion_group!(benches, bench_waste_counts, bench_batched_dispatch);
+criterion_group!(benches, bench_waste_counts, bench_batched_serve);
 criterion_main!(benches);

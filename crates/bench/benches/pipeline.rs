@@ -84,7 +84,6 @@ fn bench_index_comparison(c: &mut Criterion) {
         .collect();
     let rtree = RTree::bulk_load(4, items.clone());
     let stree = STree::build(4, items);
-    let counting = pubsub_core::CountingMatcher::build(&sc.rects);
     let probes: Vec<_> = sc.workload.events.iter().map(|e| e.point.clone()).collect();
     let mut group = c.benchmark_group("matching_index_comparison");
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -94,14 +93,6 @@ fn bench_index_comparison(c: &mut Criterion) {
     });
     group.bench_function("stree_stab", |b| {
         b.iter(|| probes.iter().map(|p| stree.stab(p).len()).sum::<usize>())
-    });
-    group.bench_function("counting_match", |b| {
-        b.iter(|| {
-            probes
-                .iter()
-                .map(|p| counting.matching(p).len())
-                .sum::<usize>()
-        })
     });
     group.bench_function("brute_force", |b| {
         b.iter(|| {

@@ -2,9 +2,9 @@
 //! done efficiently, since the delay caused by the matching algorithm
 //! directly affects the maximum throughput of the system").
 //!
-//! Measures events matched per second for the three engines — brute
-//! force, the R-tree subscription index, and the counting matcher —
-//! across subscription counts on the stock workload.
+//! Measures events matched per second for the two engines — brute
+//! force and the R-tree subscription index — across subscription counts
+//! on the stock workload.
 //!
 //! ```text
 //! cargo run --release -p pubsub-bench --bin matching_perf [-- --scale quick|medium|paper]
@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use netsim::TransitStubParams;
 use pubsub_bench::Scale;
-use pubsub_core::{CountingMatcher, SubscriptionIndex};
+use pubsub_core::SubscriptionIndex;
 use sim::StockScenario;
 use workload::StockModel;
 
@@ -25,8 +25,8 @@ fn main() {
         Scale::Paper => (vec![1000usize, 2000, 5000, 10000], 20_000),
     };
     println!(
-        "{:>7} {:>14} {:>14} {:>14}   (events matched per second; {} events each)",
-        "subs", "brute", "rtree", "counting", events
+        "{:>7} {:>14} {:>14}   (events matched per second; {} events each)",
+        "subs", "brute", "rtree", events
     );
     for &subs in &sub_counts {
         let model = StockModel::default().with_sizes(subs, events);
@@ -34,7 +34,6 @@ fn main() {
         let points: Vec<geometry::Point> =
             sc.workload.events.iter().map(|e| e.point.clone()).collect();
         let index = SubscriptionIndex::build(&sc.rects);
-        let counting = CountingMatcher::build(&sc.rects);
 
         let time = |f: &dyn Fn(&geometry::Point) -> usize| {
             let start = Instant::now();
@@ -47,14 +46,10 @@ fn main() {
         };
         let (brute_eps, brute_total) = time(&|p| sc.rects.iter().filter(|r| r.contains(p)).count());
         let (rtree_eps, rtree_total) = time(&|p| index.matching(p).len());
-        let (count_eps, count_total) = time(&|p| counting.matching(p).len());
         assert_eq!(brute_total, rtree_total, "engines disagree");
-        assert_eq!(brute_total, count_total, "engines disagree");
-        println!("{subs:>7} {brute_eps:>14.0} {rtree_eps:>14.0} {count_eps:>14.0}");
+        println!("{subs:>7} {brute_eps:>14.0} {rtree_eps:>14.0}");
     }
     println!();
     println!("on this workload events match ~10% of all subscriptions, so output");
-    println!("size dominates: the R-tree roughly doubles brute-force throughput,");
-    println!("while the counting matcher's per-dimension hit lists make it pay");
-    println!("only when selectivity is higher (narrower subscriptions).");
+    println!("size dominates: the R-tree roughly doubles brute-force throughput.");
 }

@@ -1,25 +1,20 @@
-//! Batched cell-bucketed dispatch kernels.
+//! The batched cell-bucketed serve kernel.
 //!
-//! The per-event paths ([`DispatchPlan::serve`],
-//! [`DispatchPlan::dispatch`]) re-resolve the event cell's candidate
-//! list — and, on the serve path, chase one boxed `Rect` per candidate
-//! — for every single event. Real event streams are heavily skewed
-//! (hot cells receive most publications), so a batch of events lands on
-//! far fewer distinct kept cells than it has events. The batched
-//! kernels exploit that:
+//! The per-event path ([`DispatchPlan::serve`]) re-resolves the event
+//! cell's candidate list — and chases one boxed `Rect` per candidate —
+//! for every single event. Real event streams are heavily skewed (hot
+//! cells receive most publications), so a batch of events lands on far
+//! fewer distinct kept cells than it has events.
+//! [`DispatchPlan::serve_batch`] exploits that:
 //!
 //! 1. **SoA cell pass** — one sweep per grid dimension over a
 //!    contiguous coordinate array, accumulating each event's row-major
 //!    cell index with the plan's precompiled `lo/width/stride` (the
 //!    same float expressions as [`DispatchPlan`]'s `locate`, hence
 //!    bit-identical cells);
-//! 2. **bucketing** — on the serve path, batch-local event positions
-//!    are sorted by kept hyper-cell slot (off-grid and truncated cells
-//!    share the `NO_SLOT` bucket), so each distinct slot is resolved
-//!    once per batch; the dispatch path keeps arrival order — its
-//!    per-event packed interested sets dwarf the point data, and
-//!    streaming them sequentially beats regrouping — so only adjacent
-//!    equal slots share a bucket there;
+//! 2. **bucketing** — batch-local event positions are sorted by kept
+//!    hyper-cell slot (off-grid and truncated cells share the `NO_SLOT`
+//!    bucket), so each distinct slot is resolved once per batch;
 //! 3. **per-bucket resolve, per-event sweep and compaction** — the
 //!    bucket's candidate block is looked up once in the plan's
 //!    *precompiled* flat bound arrays (dimension-major `f64` bounds
@@ -34,11 +29,10 @@
 //!    original batch position.
 //!
 //! Bucketing is therefore a pure permutation of per-event work with
-//! per-event outputs: deliveries (and the serve path's interested
-//! sets) are bit-identical to the scalar paths at any batch size, any
-//! bucket order and any `PUBSUB_THREADS`, which keeps every downstream
-//! fixed-chunk `f64` reduction — `sim`'s `DeliveryBreakdown` in
-//! particular — bit-identical too (pinned by the `batch_equivalence`
+//! per-event outputs: deliveries and interested sets are bit-identical
+//! to scalar `serve` at any batch size, any bucket order and any
+//! `PUBSUB_THREADS`, which keeps every downstream fixed-chunk `f64`
+//! reduction bit-identical too (pinned by the `batch_equivalence`
 //! suite). See DESIGN.md §13.
 
 use std::ops::Range;
@@ -47,22 +41,21 @@ use geometry::Point;
 
 use crate::dispatch::{CellTable, DispatchPlan, NO_SLOT};
 use crate::matching::Delivery;
-use crate::membership::BitSet;
 
 /// Cell-pass sentinel: the event is outside the grid on some dimension.
 const OFF_GRID: usize = usize::MAX;
 
-/// Smallest batch for which the serve path's bucketing sort pays for
-/// itself; shorter batches keep arrival order (runs of equal adjacent
-/// slots still share a bucket). Purely a performance threshold — the
-/// scatter step makes the output independent of bucket order, so
-/// results are bit-identical either way.
+/// Smallest batch for which the bucketing sort pays for itself; shorter
+/// batches keep arrival order (runs of equal adjacent slots still share
+/// a bucket). Purely a performance threshold — the scatter step makes
+/// the output independent of bucket order, so results are bit-identical
+/// either way.
 const BATCH_BUCKET_MIN: usize = 16;
 
-/// Reusable buffers for the batched kernels ([`DispatchPlan::serve_batch`],
-/// [`DispatchPlan::dispatch_batch`]). Buffers grow to the high-water
-/// mark during warm-up and are then reused, so steady-state batches
-/// perform zero heap allocations (pinned by `dispatch_alloc`).
+/// Reusable buffers for [`DispatchPlan::serve_batch`]. Buffers grow to
+/// the high-water mark during warm-up and are then reused, so
+/// steady-state batches perform zero heap allocations (pinned by
+/// `dispatch_alloc`).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     /// Row-major grid cell per batch-local event (`OFF_GRID` if outside).
@@ -73,7 +66,7 @@ pub struct BatchScratch {
     slots: Vec<u32>,
     /// Batch-local event positions, grouped by slot.
     order: Vec<u32>,
-    /// The current event's candidate mask (serve path): `mask[k]` is 1
+    /// The current event's candidate mask: `mask[k]` is 1
     /// when candidate `k` of the bucket's slot contains the event on
     /// every dimension swept so far, else 0. `u64` so the sweep's lanes
     /// match the `f64` compares that fill them.
@@ -117,24 +110,16 @@ impl BatchScratch {
 
 impl DispatchPlan {
     // lint: hot-path
-    /// The shared SoA cell pass + bucketing: fills `scratch.slots`
-    /// (kept slot or [`NO_SLOT`] per batch-local event, from the same
-    /// float expressions as the scalar `locate`) and `scratch.order`
-    /// (event positions grouped by slot).
-    ///
-    /// `sort` groups *all* equal slots together (the serve path, whose
-    /// per-event input is one point, so reordering is free and maximizes
-    /// candidate-block reuse); without it only adjacent equal slots
-    /// share a bucket (the dispatch path, whose per-event input is a
-    /// packed `BitSet` indexed by event — arrival order keeps those
-    /// large reads sequential). The scatter step makes the output
-    /// independent of the choice.
+    /// The SoA cell pass + bucketing: fills `scratch.slots` (kept slot
+    /// or [`NO_SLOT`] per batch-local event, from the same float
+    /// expressions as the scalar `locate`) and `scratch.order` (event
+    /// positions grouped by slot — an event's only input is its point,
+    /// so reordering is free and maximizes candidate-block reuse).
     fn bucket_batch<'a>(
         &self,
         range: Range<usize>,
         point_of: &impl Fn(usize) -> &'a Point,
         scratch: &mut BatchScratch,
-        sort: bool,
     ) {
         let b = range.len();
         let dim = self.dims.len();
@@ -185,7 +170,7 @@ impl DispatchPlan {
         }
         scratch.order.clear();
         scratch.order.extend(0..b as u32);
-        if sort && b >= BATCH_BUCKET_MIN {
+        if b >= BATCH_BUCKET_MIN {
             let slots = &scratch.slots;
             scratch.order.sort_unstable_by_key(|&l| slots[l as usize]);
         }
@@ -223,7 +208,7 @@ impl DispatchPlan {
         let base = out.len();
         let start_event = range.start;
         out.resize(base + b, Delivery::Unicast);
-        self.bucket_batch(range, &point_of, scratch, true);
+        self.bucket_batch(range, &point_of, scratch);
         let BatchScratch {
             slots,
             order,
@@ -318,90 +303,6 @@ impl DispatchPlan {
             at = end;
         }
     }
-
-    /// Batched [`dispatch`](Self::dispatch) over an index range with
-    /// caller-computed interested sets: appends one [`Delivery`] per
-    /// index onto `out` (not cleared), *in index order*, bit-identical
-    /// to [`dispatch_chunk`](Self::dispatch_chunk). Adjacent events in
-    /// the same kept cell share a bucket that resolves its group, size
-    /// and hit strategy once; arrival order is kept (no bucket sort) so
-    /// the per-event packed interested sets stream sequentially.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any interested set's universe differs from the
-    /// framework's subscription count, or on dimension mismatch.
-    pub fn dispatch_batch<'a>(
-        &self,
-        range: Range<usize>,
-        point_of: impl Fn(usize) -> &'a Point,
-        interested_of: impl Fn(usize) -> &'a BitSet,
-        scratch: &mut BatchScratch,
-        out: &mut Vec<Delivery>,
-    ) {
-        let b = range.len();
-        let base = out.len();
-        let start_event = range.start;
-        out.resize(base + b, Delivery::Unicast);
-        self.bucket_batch(range, &point_of, scratch, false);
-        let BatchScratch { slots, order, .. } = scratch;
-        let check = |e: usize| {
-            assert_eq!(
-                interested_of(e).universe(),
-                self.num_subscribers,
-                "universe mismatch"
-            );
-        };
-        let mut at = 0usize;
-        while at < b {
-            let slot = slots[order[at] as usize];
-            let mut end = at + 1;
-            while end < b && slots[order[end] as usize] == slot {
-                end += 1;
-            }
-            if slot == NO_SLOT {
-                for &l in &order[at..end] {
-                    check(start_event + l as usize);
-                    // `out[base + l]` stays `Unicast`.
-                }
-            } else {
-                let group = self.hyper_group[slot as usize] as usize;
-                let size = self.group_size[group] as usize;
-                if size == 0 {
-                    for &l in &order[at..end] {
-                        check(start_event + l as usize);
-                    }
-                } else if size <= self.words {
-                    // Sparse group: walk the member list per event (the
-                    // scalar strategy for this size), list resolved once.
-                    let gmembers = &self.group_members[self.group_offsets[group] as usize
-                        ..self.group_offsets[group + 1] as usize];
-                    for &l in &order[at..end] {
-                        let e = start_event + l as usize;
-                        check(e);
-                        let set = interested_of(e);
-                        let hits = gmembers
-                            .iter()
-                            .filter(|&&i| set.contains(i as usize))
-                            .count();
-                        out[base + l as usize] = self.decide(slot, hits);
-                    }
-                } else {
-                    // Dense group: blocked popcount against the packed
-                    // words, row resolved once per bucket.
-                    let gwords = &self.group_words[group * self.words..(group + 1) * self.words];
-                    for &l in &order[at..end] {
-                        let e = start_event + l as usize;
-                        check(e);
-                        let hits =
-                            crate::membership::and_popcount_words(gwords, interested_of(e).words());
-                        out[base + l as usize] = self.decide(slot, hits);
-                    }
-                }
-            }
-            at = end;
-        }
-    }
     // lint: hot-path end
 }
 
@@ -469,47 +370,6 @@ mod tests {
                 start = end;
             }
             assert_eq!(out.len(), points.len());
-        }
-    }
-
-    #[test]
-    fn dispatch_batch_matches_dispatch_chunk() {
-        let (subs, points, plan) = scenario(18);
-        let sets: Vec<BitSet> = points
-            .iter()
-            .map(|p| {
-                BitSet::from_members(
-                    subs.len(),
-                    subs.iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.contains(p))
-                        .map(|(i, _)| i),
-                )
-            })
-            .collect();
-        let mut reference = Vec::new();
-        plan.dispatch_chunk(
-            0..points.len(),
-            |e| &points[e],
-            |e| &sets[e],
-            &mut reference,
-        );
-        for batch in [5usize, 64, points.len()] {
-            let mut scratch = BatchScratch::new();
-            let mut out = Vec::new();
-            let mut start = 0;
-            while start < points.len() {
-                let end = (start + batch).min(points.len());
-                plan.dispatch_batch(
-                    start..end,
-                    |e| &points[e],
-                    |e| &sets[e],
-                    &mut scratch,
-                    &mut out,
-                );
-                start = end;
-            }
-            assert_eq!(out, reference, "batch {batch}");
         }
     }
 

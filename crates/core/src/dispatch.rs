@@ -15,24 +15,25 @@
 //!    `Vec<u32>` index — no hashing (grids above
 //!    [`DENSE_TABLE_MAX_CELLS`] fall back to a copied hash map);
 //! 3. **threshold test**: the group's member count is precomputed; the
-//!    hit count is either a packed word-AND popcount against the
-//!    interested set or a walk of the group's member-index list,
-//!    whichever touches less memory — both produce the same integer.
+//!    hit count is one packed-word bit test per interested id (`serve`)
+//!    or a sum of precompiled in-group flags (`serve_batch`) — the same
+//!    integer.
 //!
-//! With [`DispatchPlan::with_subscriptions`] the plan also *computes*
-//! the interested set without a full R-tree stab: the event cell's
-//! interned membership list is a sound candidate superset (any
-//! rectangle containing the point overlaps the point's cell), so
-//! filtering it by rectangle containment yields the exact interested
-//! ids into a reusable [`DispatchScratch`] buffer — zero heap
-//! allocation per event in steady state.
+//! The plan *computes* the interested set itself, without a full R-tree
+//! stab ([`DispatchPlan::with_subscriptions`] attaches the rectangles):
+//! the event cell's interned membership list is a sound candidate
+//! superset (any rectangle containing the point overlaps the point's
+//! cell), so filtering it by rectangle containment yields the exact
+//! interested ids into a reusable [`DispatchScratch`] buffer — zero
+//! heap allocation per event in steady state.
 //!
-//! Decisions are bit-identical to `GridMatcher::match_event` (pinned by
-//! the `dispatch_equivalence` proptest); [`NoLossDispatchPlan`] does
-//! the same for [`NoLossClustering::match_event`].
+//! The plan has two serve calls: [`DispatchPlan::serve`], one event at
+//! a time, is the reference, and [`DispatchPlan::serve_batch`] is the
+//! production kernel tested against it. Both decide exactly as
+//! `GridMatcher::match_event` does when handed the brute-force
+//! interested set (pinned by the `dispatch_equivalence` proptests).
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use geometry::{Point, Rect};
 
@@ -40,8 +41,6 @@ use crate::clustering::Clustering;
 use crate::framework::GridFramework;
 use crate::match_index::SubscriptionIndex;
 use crate::matching::Delivery;
-use crate::membership::BitSet;
-use crate::noloss::NoLossClustering;
 
 const WORD_BITS: usize = 64;
 
@@ -126,8 +125,8 @@ impl DispatchScratch {
 /// ```
 /// use geometry::{Grid, Interval, Point, Rect};
 /// use pubsub_core::{
-///     BitSet, CellProbability, ClusteringAlgorithm, DispatchPlan, GridFramework, GridMatcher,
-///     KMeans, KMeansVariant,
+///     BitSet, CellProbability, ClusteringAlgorithm, DispatchPlan, DispatchScratch,
+///     GridFramework, GridMatcher, KMeans, KMeansVariant,
 /// };
 ///
 /// let grid = Grid::cube(0.0, 10.0, 1, 10)?;
@@ -138,11 +137,14 @@ impl DispatchScratch {
 /// let probs = CellProbability::uniform(&grid);
 /// let fw = GridFramework::build(grid, &subs, &probs, None);
 /// let clustering = KMeans::new(KMeansVariant::Forgy).cluster(&fw, 2);
-/// let plan = DispatchPlan::compile(&fw, &clustering);
+/// let plan = DispatchPlan::compile(&fw, &clustering).with_subscriptions(&subs);
 /// let matcher = GridMatcher::new(&fw, &clustering);
-/// let interested = BitSet::from_members(2, [0]);
+/// let mut scratch = DispatchScratch::new();
 /// let p = Point::new(vec![2.0]);
-/// assert_eq!(plan.dispatch(&p, &interested), matcher.match_event(&p, &interested));
+/// let decision = plan.serve(&p, &mut scratch);
+/// assert_eq!(scratch.interested(), &[0]);
+/// let interested = BitSet::from_members(2, [0]);
+/// assert_eq!(decision, matcher.match_event(&p, &interested));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -164,10 +166,6 @@ pub struct DispatchPlan {
     pub(crate) group_size: Vec<u32>,
     /// Packed membership words of every group, `words` per group.
     pub(crate) group_words: Vec<u64>,
-    /// Concatenated member-index lists of the groups (ascending) …
-    pub(crate) group_members: Vec<u32>,
-    /// … delimited by `group_offsets[g] .. group_offsets[g + 1]`.
-    pub(crate) group_offsets: Vec<u32>,
     pub(crate) serve_state: Option<ServeState>,
 }
 
@@ -236,14 +234,9 @@ impl DispatchPlan {
         let groups = clustering.groups();
         let mut group_size = Vec::with_capacity(groups.len());
         let mut group_words = Vec::with_capacity(groups.len() * words);
-        let mut group_members = Vec::new();
-        let mut group_offsets = Vec::with_capacity(groups.len() + 1);
-        group_offsets.push(0u32);
         for g in groups {
             group_size.push(g.members.count() as u32);
             group_words.extend_from_slice(g.members.words());
-            group_members.extend(g.members.iter().map(|m| m as u32));
-            group_offsets.push(group_members.len() as u32);
         }
 
         DispatchPlan {
@@ -257,8 +250,6 @@ impl DispatchPlan {
             hyper_offsets,
             group_size,
             group_words,
-            group_members,
-            group_offsets,
             serve_state: None,
         }
     }
@@ -363,35 +354,15 @@ impl DispatchPlan {
         (slot != NO_SLOT).then_some(slot)
     }
 
-    /// `|group ∩ interested|`, choosing the cheaper of the two exact
-    /// strategies: walk the group's member list testing bits (sparse
-    /// groups) or AND the packed words in blocked popcount form (dense
-    /// groups). Both return the same integer, so the choice never
-    /// affects decisions.
-    pub(crate) fn group_hits(&self, group: usize, interested: &BitSet) -> usize {
-        let size = self.group_size[group] as usize;
-        if size <= self.words {
-            let range = self.group_offsets[group] as usize..self.group_offsets[group + 1] as usize;
-            self.group_members[range]
-                .iter()
-                .filter(|&&i| interested.contains(i as usize))
-                .count()
-        } else {
-            crate::membership::and_popcount_words(
-                &self.group_words[group * self.words..(group + 1) * self.words],
-                interested.words(),
-            )
-        }
-    }
-
     /// Whether subscriber `i` belongs to `group`.
     pub(crate) fn group_contains(&self, group: usize, i: usize) -> bool {
         self.group_words[group * self.words + i / WORD_BITS] & (1 << (i % WORD_BITS)) != 0
     }
 
     /// The threshold decision given a matched hyper-cell slot and the
-    /// exact hit count — shared tail of [`dispatch`](Self::dispatch)
-    /// and [`serve`](Self::serve), mirroring `GridMatcher::match_event`.
+    /// exact hit count — shared tail of [`serve`](Self::serve) and
+    /// [`serve_batch`](Self::serve_batch), mirroring
+    /// `GridMatcher::match_event`.
     pub(crate) fn decide(&self, slot: u32, hits: usize) -> Delivery {
         let group = self.hyper_group[slot as usize] as usize;
         let size = self.group_size[group] as usize;
@@ -403,49 +374,6 @@ impl DispatchPlan {
             Delivery::Multicast { group }
         } else {
             Delivery::Unicast
-        }
-    }
-
-    /// Matches one event against a caller-computed interested set.
-    /// Allocation-free; bit-identical to
-    /// [`GridMatcher::match_event`](crate::GridMatcher::match_event).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interested set's universe differs from the
-    /// framework's subscription count, or on dimension mismatch.
-    pub fn dispatch(&self, p: &Point, interested: &BitSet) -> Delivery {
-        assert_eq!(
-            interested.universe(),
-            self.num_subscribers,
-            "universe mismatch"
-        );
-        let slot = match self.locate(p) {
-            Some(s) => s,
-            None => return Delivery::Unicast,
-        };
-        let group = self.hyper_group[slot as usize] as usize;
-        if self.group_size[group] == 0 {
-            return Delivery::Unicast;
-        }
-        self.decide(slot, self.group_hits(group, interested))
-    }
-
-    /// Batched [`dispatch`](Self::dispatch) over an index range: pushes
-    /// one [`Delivery`] per index onto `out` (which is *not* cleared).
-    /// Designed for fixed-size chunk decompositions — the caller picks
-    /// the chunk boundaries, so deterministic reductions (such as
-    /// `sim`'s `EVENT_CHUNK` sums) are preserved.
-    pub fn dispatch_chunk<'a>(
-        &self,
-        range: Range<usize>,
-        point_of: impl Fn(usize) -> &'a Point,
-        interested_of: impl Fn(usize) -> &'a BitSet,
-        out: &mut Vec<Delivery>,
-    ) {
-        out.reserve(range.len());
-        for e in range {
-            out.push(self.dispatch(point_of(e), interested_of(e)));
         }
     }
 
@@ -504,90 +432,13 @@ impl DispatchPlan {
     // lint: hot-path end
 }
 
-/// A compiled No-Loss dispatch plan: per-region member counts and
-/// weights copied into one flat array so the best-region fold touches
-/// no [`BitSet`] and allocates nothing (Figure 6's matching loop).
-///
-/// Decisions are identical to
-/// [`NoLossClustering::match_event`](crate::NoLossClustering::match_event).
-#[derive(Debug, Clone)]
-pub struct NoLossDispatchPlan<'a> {
-    clustering: &'a NoLossClustering,
-    /// `(member count, weight)` per region — the comparator key.
-    keys: Vec<(u32, f64)>,
-}
-
-impl<'a> NoLossDispatchPlan<'a> {
-    /// Compiles the plan from a built No-Loss clustering. The member
-    /// counts are copied from the clustering's precomputed (possibly
-    /// class-weighted) counts so aggregated and concrete plans rank
-    /// regions identically.
-    pub fn compile(clustering: &'a NoLossClustering) -> Self {
-        let keys = clustering
-            .regions()
-            .iter()
-            .zip(&clustering.counts)
-            .map(|(r, &c)| (c, r.weight))
-            .collect();
-        NoLossDispatchPlan { clustering, keys }
-    }
-
-    // lint: hot-path
-    /// Matches one event to the best containing region, exactly as
-    /// [`NoLossClustering::match_event`](crate::NoLossClustering::match_event):
-    /// maximal member count, then weight; ties prefer the lower index.
-    pub fn match_event(&self, p: &Point) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        self.clustering.stab_regions_with(p, |i| {
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    if self.beats(i, b) {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
-        });
-        best
-    }
-
-    /// Whether region `a` wins over region `b` under the matcher's
-    /// total order (count, then weight, then lower index). The order is
-    /// strict for `a != b`, so the fold's result does not depend on
-    /// visitation order.
-    fn beats(&self, a: usize, b: usize) -> bool {
-        let (ca, wa) = self.keys[a];
-        let (cb, wb) = self.keys[b];
-        ca.cmp(&cb)
-            .then_with(|| wa.partial_cmp(&wb).expect("weight is never NaN"))
-            .then(b.cmp(&a))
-            .is_gt()
-    }
-
-    /// Batched [`match_event`](Self::match_event) over an index range:
-    /// pushes one decision per index onto `out` (not cleared).
-    pub fn dispatch_chunk<'p>(
-        &self,
-        range: Range<usize>,
-        point_of: impl Fn(usize) -> &'p Point,
-        out: &mut Vec<Option<usize>>,
-    ) {
-        out.reserve(range.len());
-        for e in range {
-            out.push(self.match_event(point_of(e)));
-        }
-    }
-    // lint: hot-path end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::framework::CellProbability;
     use crate::kmeans::{KMeans, KMeansVariant};
     use crate::matching::GridMatcher;
+    use crate::membership::BitSet;
     use crate::ClusteringAlgorithm;
     use geometry::{Grid, Interval};
     use rand::prelude::*;
@@ -617,9 +468,12 @@ mod tests {
         for (max_cells, seed) in [(None, 7u64), (Some(8), 8u64)] {
             let (subs, fw, c) = scenario(120, max_cells, seed);
             let mut rng = StdRng::seed_from_u64(seed + 100);
+            let mut scratch = DispatchScratch::new();
             for threshold in [0.0, 0.3, 1.0] {
                 let matcher = GridMatcher::new(&fw, &c).with_threshold(threshold);
-                let plan = DispatchPlan::compile(&fw, &c).with_threshold(threshold);
+                let plan = DispatchPlan::compile(&fw, &c)
+                    .with_threshold(threshold)
+                    .with_subscriptions(&subs);
                 for _ in 0..400 {
                     let p = Point::new(vec![rng.gen_range(-1.0..11.0)]);
                     let interested = BitSet::from_members(
@@ -630,7 +484,7 @@ mod tests {
                             .map(|(i, _)| i),
                     );
                     assert_eq!(
-                        plan.dispatch(&p, &interested),
+                        plan.serve(&p, &mut scratch),
                         matcher.match_event(&p, &interested),
                         "threshold {threshold}, point {p:?}"
                     );
@@ -664,34 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_chunk_appends_in_order() {
-        let (subs, fw, c) = scenario(40, None, 3);
-        let plan = DispatchPlan::compile(&fw, &c);
-        let points: Vec<Point> = (0..10).map(|i| Point::new(vec![i as f64])).collect();
-        let sets: Vec<BitSet> = points
-            .iter()
-            .map(|p| {
-                BitSet::from_members(
-                    subs.len(),
-                    subs.iter()
-                        .enumerate()
-                        .filter(|(_, r)| r.contains(p))
-                        .map(|(i, _)| i),
-                )
-            })
-            .collect();
-        let mut out = Vec::new();
-        plan.dispatch_chunk(0..5, |e| &points[e], |e| &sets[e], &mut out);
-        plan.dispatch_chunk(5..10, |e| &points[e], |e| &sets[e], &mut out);
-        let one_by_one: Vec<Delivery> = points
-            .iter()
-            .zip(&sets)
-            .map(|(p, s)| plan.dispatch(p, s))
-            .collect();
-        assert_eq!(out, one_by_one);
-    }
-
-    #[test]
     #[should_panic(expected = "with_subscriptions")]
     fn serve_without_subscriptions_panics() {
         let (_, fw, c) = scenario(10, None, 1);
@@ -705,33 +531,5 @@ mod tests {
     fn invalid_threshold_panics() {
         let (_, fw, c) = scenario(10, None, 2);
         let _ = DispatchPlan::compile(&fw, &c).with_threshold(-0.1);
-    }
-
-    #[test]
-    fn noloss_plan_agrees_with_match_event() {
-        use crate::noloss::NoLossConfig;
-        let mut rng = StdRng::seed_from_u64(23);
-        let subs: Vec<Rect> = (0..60).map(|_| random_rect(&mut rng)).collect();
-        let sample: Vec<Point> = (0..50)
-            .map(|_| Point::new(vec![rng.gen_range(0.0..10.0)]))
-            .collect();
-        let cfg = NoLossConfig {
-            max_rects: 80,
-            iterations: 3,
-            max_candidates_per_round: 20_000,
-        };
-        let nl = NoLossClustering::build(&subs, &sample, &cfg, 12);
-        let plan = NoLossDispatchPlan::compile(&nl);
-        for _ in 0..400 {
-            let p = Point::new(vec![rng.gen_range(-1.0..11.0)]);
-            assert_eq!(plan.match_event(&p), nl.match_event(&p), "point {p:?}");
-        }
-        let points: Vec<Point> = (0..20)
-            .map(|_| Point::new(vec![rng.gen_range(0.0..10.0)]))
-            .collect();
-        let mut out = Vec::new();
-        plan.dispatch_chunk(0..points.len(), |e| &points[e], &mut out);
-        let serial: Vec<Option<usize>> = points.iter().map(|p| nl.match_event(p)).collect();
-        assert_eq!(out, serial);
     }
 }

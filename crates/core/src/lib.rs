@@ -59,7 +59,6 @@
 mod aggregate;
 mod batch;
 mod clustering;
-mod counting;
 mod dispatch;
 mod distance;
 mod dynamic;
@@ -84,8 +83,7 @@ pub use aggregate::{
 };
 pub use batch::BatchScratch;
 pub use clustering::{Clustering, ClusteringAlgorithm, Group};
-pub use counting::CountingMatcher;
-pub use dispatch::{DispatchPlan, DispatchScratch, NoLossDispatchPlan, DENSE_TABLE_MAX_CELLS};
+pub use dispatch::{DispatchPlan, DispatchScratch, DENSE_TABLE_MAX_CELLS};
 pub use distance::DistanceMatrix;
 pub use dynamic::{
     DynamicClustering, DynamicError, RebalanceError, RebalanceStats, SubscriptionId,

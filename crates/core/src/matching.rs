@@ -95,6 +95,13 @@ impl<'a> GridMatcher<'a> {
 
     /// Matches one event. `interested` is the exact set of interested
     /// subscriptions (computed by the caller's matching engine).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p.dim()` differs from the grid's, or — once the event
+    /// is matched to a non-empty group — if `interested` ranges over a
+    /// different universe than the group's membership (an event no
+    /// group matches is unicast before the set is looked at).
     pub fn match_event(&self, p: &Point, interested: &BitSet) -> Delivery {
         let group = match self.clustering.group_of_point(self.framework, p) {
             Some(g) => g,

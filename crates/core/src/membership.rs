@@ -45,26 +45,6 @@ fn waste_counts_words(a: &[u64], b: &[u64]) -> (usize, usize) {
     }
     (only_a as usize, only_b as usize)
 }
-
-/// `|a ∩ b|` over raw word slices, blocked exactly like
-/// [`waste_counts_words`]. Shared kernel of the dense branch of the
-/// dispatch plan's packed membership intersection.
-pub(crate) fn and_popcount_words(a: &[u64], b: &[u64]) -> usize {
-    let mut blocks_a = a.chunks_exact(POPCOUNT_BLOCK);
-    let mut blocks_b = b.chunks_exact(POPCOUNT_BLOCK);
-    let mut total = 0u64;
-    for (ba, bb) in blocks_a.by_ref().zip(blocks_b.by_ref()) {
-        let mut x = 0u32;
-        for (wa, wb) in ba.iter().zip(bb) {
-            x += (wa & wb).count_ones();
-        }
-        total += u64::from(x);
-    }
-    for (wa, wb) in blocks_a.remainder().iter().zip(blocks_b.remainder()) {
-        total += u64::from((wa & wb).count_ones());
-    }
-    total as usize
-}
 // lint: hot-path end
 
 /// Weighted directed difference counts `(Σ w[i] for i ∈ a\b,
@@ -503,11 +483,6 @@ mod tests {
                 .zip(&b.words)
                 .map(|(x, y)| (x & y).count_ones() as usize)
                 .sum();
-            assert_eq!(
-                and_popcount_words(&a.words, &b.words),
-                scalar_and,
-                "and at {words} words"
-            );
             assert_eq!(a.waste_counts(&b), (scalar_only_a, scalar_only_b));
             assert_eq!(a.intersection_count(&b), scalar_and);
         }

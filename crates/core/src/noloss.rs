@@ -445,12 +445,6 @@ impl NoLossClustering {
             .then(b.cmp(&a))
             .is_gt()
     }
-
-    /// Visits the index of every region containing `p`, in the R-tree's
-    /// traversal order. Used by the compiled dispatch plan.
-    pub(crate) fn stab_regions_with(&self, p: &Point, mut visit: impl FnMut(usize)) {
-        self.tree.stab_with(p, |&i| visit(i));
-    }
 }
 
 /// Greedy submodular selection: pick `k` regions maximizing the total

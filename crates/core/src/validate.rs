@@ -38,7 +38,7 @@ use geometry::{Point, Rect};
 use crate::clustering::Clustering;
 use crate::dispatch::{CellTable, DispatchPlan, ServeState, NO_SLOT};
 use crate::distance::DistanceMatrix;
-use crate::framework::GridFramework;
+use crate::framework::{GridFramework, HyperCell};
 use crate::membership::BitSet;
 use crate::noloss::NoLossClustering;
 use crate::waste::{expected_waste, expected_waste_weighted, popularity_weighted};
@@ -586,15 +586,9 @@ impl Validator {
                 }
             }
         }
-        let hyper_lists_ok = self.check_flattened(
-            "dispatch.hyper-state",
-            &plan.hyper_offsets,
-            &plan.hyper_members,
-            hcs.len(),
-            |h| hcs.get(h).map(|hc| &hc.members),
-        );
+        let hyper_lists_ok = self.check_hyper_lists(plan, hcs);
 
-        // Per-group state: sizes, packed words and flattened members.
+        // Per-group state: sizes and packed words.
         if plan.group_size.len() != c.groups.len()
             || plan.group_words.len() != c.groups.len() * plan.words
         {
@@ -628,13 +622,6 @@ impl Validator {
                 );
             }
         }
-        self.check_flattened(
-            "dispatch.group-state",
-            &plan.group_offsets,
-            &plan.group_members,
-            c.groups.len(),
-            |g| c.groups.get(g).map(|group| &group.members),
-        );
 
         // The serve arrays are laid out over the hyper-cell member
         // lists, so they are only auditable when those are sound (a
@@ -764,55 +751,46 @@ impl Validator {
         }
     }
 
-    /// Checks one flattened member-list encoding (monotone offsets
-    /// delimiting concatenated ascending member ids) against the source
-    /// bitsets; returns whether it found nothing to report.
-    fn check_flattened<'a>(
-        &mut self,
-        invariant: &'static str,
-        offsets: &[u32],
-        flat: &[u32],
-        items: usize,
-        members_of: impl Fn(usize) -> Option<&'a BitSet>,
-    ) -> bool {
+    /// Checks the plan's flattened hyper-cell member lists (monotone
+    /// offsets delimiting concatenated ascending member ids) against the
+    /// framework's bitsets; returns whether it found nothing to report.
+    fn check_hyper_lists(&mut self, plan: &DispatchPlan, hcs: &[HyperCell]) -> bool {
+        const INVARIANT: &str = "dispatch.hyper-state";
+        let (offsets, flat) = (&plan.hyper_offsets, &plan.hyper_members);
         let before = self.violations.len();
-        if offsets.len() != items + 1
+        if offsets.len() != hcs.len() + 1
             || offsets.first() != Some(&0)
             || offsets.last().copied() != Some(flat.len() as u32)
         {
             self.fail(
-                invariant,
+                INVARIANT,
                 format!(
-                    "offset table of {} entries does not delimit {items} member lists \
+                    "offset table of {} entries does not delimit {} member lists \
                      over {} flattened ids",
                     offsets.len(),
+                    hcs.len(),
                     flat.len()
                 ),
             );
             return false;
         }
-        for i in 0..items {
-            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+        for (h, hc) in hcs.iter().enumerate() {
+            let (lo, hi) = (offsets[h] as usize, offsets[h + 1] as usize);
             if lo > hi || hi > flat.len() {
                 self.fail(
-                    invariant,
-                    format!("item {i}'s offsets {lo}..{hi} are not monotone"),
+                    INVARIANT,
+                    format!("hyper-cell {h}'s offsets {lo}..{hi} are not monotone"),
                 );
                 continue;
             }
-            let Some(members) = members_of(i) else {
-                continue;
-            };
-            let stored = &flat[lo..hi];
-            let mut expected = members.iter();
-            let mut mismatch = stored.len() != members.count();
-            if !mismatch {
-                mismatch = stored.iter().any(|&s| expected.next() != Some(s as usize));
-            }
-            if mismatch {
+            if !flat[lo..hi]
+                .iter()
+                .map(|&s| s as usize)
+                .eq(hc.members.iter())
+            {
                 self.fail(
-                    invariant,
-                    format!("item {i}'s flattened member list disagrees with its bitset"),
+                    INVARIANT,
+                    format!("hyper-cell {h}'s flattened member list disagrees with its bitset"),
                 );
             }
         }

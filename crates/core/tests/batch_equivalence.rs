@@ -1,18 +1,16 @@
-//! The batched cell-bucketed kernels are a pure optimization: per-event
-//! deliveries (and serve-path interested sets) are bit-identical to the
-//! scalar paths for all five grid algorithms and No-Loss, at any batch
-//! decomposition and any thread count — so every downstream fixed-chunk
-//! `f64` aggregate (`sim`'s `DeliveryBreakdown` sums in particular) is
-//! bit-identical too. The end-to-end breakdown identity through the
-//! real simulator is pinned by `tests/dispatch_equivalence.rs`, whose
-//! evaluators now run on these kernels.
+//! The batched cell-bucketed serve kernel is a pure optimization:
+//! per-event deliveries and interested sets are bit-identical to scalar
+//! `serve` for all five grid algorithms, at any batch decomposition and
+//! any thread count — so every downstream fixed-chunk `f64` aggregate
+//! is bit-identical too. Scalar `serve` itself answers to the
+//! paper-literal matcher in `tests/dispatch_equivalence.rs`.
 
 use geometry::{Grid, Interval, Point, Rect};
 use proptest::prelude::*;
 use pubsub_core::{
     parallel, BatchScratch, BitSet, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
     DispatchScratch, GridFramework, KMeans, KMeansVariant, MstClustering, NoLossClustering,
-    NoLossConfig, NoLossDispatchPlan, PairsStrategy, PairwiseGrouping,
+    NoLossConfig, PairsStrategy, PairwiseGrouping,
 };
 
 /// Random interval inside (0, 20], sometimes unbounded.
@@ -63,138 +61,72 @@ fn interested_set(subs: &[Rect], p: &Point) -> BitSet {
     )
 }
 
-/// Batched plan decisions under a pinned thread count, via the same
-/// fixed-chunk decomposition `sim::delivery` uses.
-fn chunked_batched_decisions(
-    plan: &DispatchPlan,
-    points: &[Point],
-    sets: &[BitSet],
-    threads: usize,
-) -> Vec<Delivery> {
-    parallel::with_threads(threads, || {
-        parallel::par_chunks(points.len(), 64, |range| {
-            let mut scratch = BatchScratch::new();
-            let mut out = Vec::with_capacity(range.len());
-            plan.dispatch_batch(range, |e| &points[e], |e| &sets[e], &mut scratch, &mut out);
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Grid dispatch: batched == scalar for all five algorithms, on
-    /// both complete and truncated frameworks, whole-stream and chunked
-    /// at 1 and 8 threads.
-    #[test]
-    fn batched_dispatch_equals_scalar_for_all_algorithms(
-        subs in prop::collection::vec(rect_strategy(), 1..20),
-        points in prop::collection::vec(point_strategy(), 1..40),
-        threshold in 0.0..1.0f64,
-        k in 1usize..6,
-    ) {
-        let sets: Vec<BitSet> = points.iter().map(|p| interested_set(&subs, p)).collect();
-        for max_cells in [None, Some(5)] {
-            let fw = build_framework(&subs, max_cells);
-            for alg in algorithms() {
-                let clustering = alg.cluster(&fw, k);
-                let plan = DispatchPlan::compile(&fw, &clustering).with_threshold(threshold);
-                let reference: Vec<Delivery> = points
-                    .iter()
-                    .zip(&sets)
-                    .map(|(p, s)| plan.dispatch(p, s))
-                    .collect();
-                let mut scratch = BatchScratch::new();
-                let mut whole = Vec::new();
-                plan.dispatch_batch(
-                    0..points.len(),
-                    |e| &points[e],
-                    |e| &sets[e],
-                    &mut scratch,
-                    &mut whole,
-                );
-                prop_assert_eq!(
-                    &whole,
-                    &reference,
-                    "{} (max_cells {:?}): whole-stream batch",
-                    alg.name(),
-                    max_cells
-                );
-                for threads in [1, 8] {
-                    let chunked = chunked_batched_decisions(&plan, &points, &sets, threads);
-                    prop_assert_eq!(
-                        &chunked,
-                        &reference,
-                        "{} (max_cells {:?}) diverged at {} thread(s)",
-                        alg.name(),
-                        max_cells,
-                        threads
-                    );
-                }
-            }
-        }
-    }
-
     /// The batched serve path computes the exact interested set and the
     /// same decision as scalar `serve`, event by event, at batch sizes
-    /// below and above the bucket-sort threshold.
+    /// below and above the bucket-sort threshold — for all five
+    /// algorithms, on both complete and truncated frameworks.
     #[test]
     fn batched_serve_equals_scalar_serve(
         subs in prop::collection::vec(rect_strategy(), 1..20),
         points in prop::collection::vec(point_strategy(), 1..40),
         threshold in 0.0..1.0f64,
+        k in 1usize..6,
     ) {
+        let mut scalar = DispatchScratch::new();
+        let mut scratch = BatchScratch::new();
         for max_cells in [None, Some(5)] {
             let fw = build_framework(&subs, max_cells);
-            let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 4);
-            let plan = DispatchPlan::compile(&fw, &clustering)
-                .with_threshold(threshold)
-                .with_subscriptions(&subs);
-            let mut scalar = DispatchScratch::new();
-            let reference: Vec<(Delivery, Vec<usize>)> = points
-                .iter()
-                .map(|p| {
-                    let d = plan.serve(p, &mut scalar);
-                    (d, scalar.interested().to_vec())
-                })
-                .collect();
-            for batch in [3usize, points.len()] {
-                let mut scratch = BatchScratch::new();
-                let mut out = Vec::new();
-                let mut start = 0;
-                while start < points.len() {
-                    let end = (start + batch).min(points.len());
-                    let before = out.len();
-                    plan.serve_batch(start..end, |e| &points[e], &mut scratch, &mut out);
-                    for local in 0..(end - start) {
-                        prop_assert_eq!(
-                            out[before + local],
-                            reference[start + local].0,
-                            "decision, batch {}, event {}",
-                            batch,
-                            start + local
-                        );
-                        prop_assert_eq!(
-                            scratch.interested_of(local).collect::<Vec<_>>(),
-                            reference[start + local].1.clone(),
-                            "interested set, batch {}, event {}",
-                            batch,
-                            start + local
-                        );
+            for alg in algorithms() {
+                let clustering = alg.cluster(&fw, k);
+                let plan = DispatchPlan::compile(&fw, &clustering)
+                    .with_threshold(threshold)
+                    .with_subscriptions(&subs);
+                let reference: Vec<(Delivery, Vec<usize>)> = points
+                    .iter()
+                    .map(|p| {
+                        let d = plan.serve(p, &mut scalar);
+                        (d, scalar.interested().to_vec())
+                    })
+                    .collect();
+                for batch in [3usize, points.len()] {
+                    let mut out = Vec::new();
+                    let mut start = 0;
+                    while start < points.len() {
+                        let end = (start + batch).min(points.len());
+                        let before = out.len();
+                        plan.serve_batch(start..end, |e| &points[e], &mut scratch, &mut out);
+                        for local in 0..(end - start) {
+                            prop_assert_eq!(
+                                out[before + local],
+                                reference[start + local].0,
+                                "{} (max_cells {:?}): decision, batch {}, event {}",
+                                alg.name(),
+                                max_cells,
+                                batch,
+                                start + local
+                            );
+                            prop_assert_eq!(
+                                scratch.interested_of(local).collect::<Vec<_>>(),
+                                reference[start + local].1.clone(),
+                                "{} (max_cells {:?}): interested set, batch {}, event {}",
+                                alg.name(),
+                                max_cells,
+                                batch,
+                                start + local
+                            );
+                        }
+                        start = end;
                     }
-                    start = end;
                 }
             }
         }
     }
 
-    /// No-Loss: the chunked plan path is bit-identical to per-event
-    /// matching at 1 and 8 threads (No-Loss dispatch is already
-    /// per-region; this pins the chunk decomposition the sim uses).
+    /// No-Loss: matching in `sim`'s fixed 64-event chunks equals
+    /// per-event matching in stream order at 1 and 8 threads.
     #[test]
     fn noloss_chunked_identical_across_threads(
         subs in prop::collection::vec(rect_strategy(), 1..15),
@@ -202,14 +134,11 @@ proptest! {
     ) {
         let cfg = NoLossConfig { max_rects: 60, iterations: 2, max_candidates_per_round: 5_000 };
         let nl = NoLossClustering::build(&subs, &[], &cfg, 30);
-        let plan = NoLossDispatchPlan::compile(&nl);
         let reference: Vec<Option<usize>> = points.iter().map(|p| nl.match_event(p)).collect();
         for threads in [1, 8] {
             let chunked: Vec<Option<usize>> = parallel::with_threads(threads, || {
                 parallel::par_chunks(points.len(), 64, |range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    plan.dispatch_chunk(range, |e| &points[e], &mut out);
-                    out
+                    range.map(|e| nl.match_event(&points[e])).collect::<Vec<_>>()
                 })
                 .into_iter()
                 .flatten()
@@ -221,8 +150,8 @@ proptest! {
 }
 
 /// Breakdown-shaped aggregates: a `DeliveryBreakdown`-style chunked
-/// `f64` reduction over the decisions is bit-identical between the
-/// scalar and batched paths at 1 and 8 threads — equal per-event
+/// `f64` reduction over the decisions is bit-identical between scalar
+/// `serve` and `serve_batch` at 1 and 8 threads — equal per-event
 /// decisions in equal order, combined over the same fixed 64-event
 /// chunks, leave no room for the sums to drift.
 #[test]
@@ -248,7 +177,9 @@ fn breakdown_style_aggregates_bit_identical() {
     let sets: Vec<BitSet> = points.iter().map(|p| interested_set(&subs, p)).collect();
     let fw = build_framework(&subs, Some(200));
     let clustering = KMeans::new(KMeansVariant::Forgy).cluster(&fw, 12);
-    let plan = DispatchPlan::compile(&fw, &clustering).with_threshold(0.25);
+    let plan = DispatchPlan::compile(&fw, &clustering)
+        .with_threshold(0.25)
+        .with_subscriptions(&subs);
 
     // Pseudo-cost per event from its decision and interested count —
     // the same shape as the simulator's multicast/unicast cost sums.
@@ -287,9 +218,10 @@ fn breakdown_style_aggregates_bit_identical() {
         .flat_map(|&threads| {
             parallel::with_threads(threads, || {
                 let scalar: Vec<Delivery> = parallel::par_chunks(points.len(), 64, |range| {
-                    let mut out = Vec::with_capacity(range.len());
-                    plan.dispatch_chunk(range, |e| &points[e], |e| &sets[e], &mut out);
-                    out
+                    let mut scratch = DispatchScratch::new();
+                    range
+                        .map(|e| plan.serve(&points[e], &mut scratch))
+                        .collect::<Vec<_>>()
                 })
                 .into_iter()
                 .flatten()
@@ -297,13 +229,7 @@ fn breakdown_style_aggregates_bit_identical() {
                 let batched: Vec<Delivery> = parallel::par_chunks(points.len(), 64, |range| {
                     let mut scratch = BatchScratch::new();
                     let mut out = Vec::with_capacity(range.len());
-                    plan.dispatch_batch(
-                        range,
-                        |e| &points[e],
-                        |e| &sets[e],
-                        &mut scratch,
-                        &mut out,
-                    );
+                    plan.serve_batch(range, |e| &points[e], &mut scratch, &mut out);
                     out
                 })
                 .into_iter()

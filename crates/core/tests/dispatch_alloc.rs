@@ -5,8 +5,8 @@
 //! thread only (other threads — e.g. the libtest harness — are
 //! invisible to the counter). After one warm-up pass grows the scratch
 //! buffers to their high-water mark, re-running the whole event stream
-//! through `DispatchPlan::serve`, `DispatchPlan::dispatch` and
-//! `NoLossDispatchPlan::match_event` must not allocate at all.
+//! through `DispatchPlan::serve`, `DispatchPlan::serve_batch` and
+//! `NoLossClustering::match_event` must not allocate at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,7 +15,7 @@ use geometry::{Grid, Interval, Point, Rect};
 use pubsub_core::{
     BatchScratch, BitSet, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
     DispatchScratch, GridFramework, GridMatcher, KMeans, KMeansVariant, NoLossClustering,
-    NoLossConfig, NoLossDispatchPlan,
+    NoLossConfig,
 };
 use rand::prelude::*;
 
@@ -110,14 +110,11 @@ fn steady_state_dispatch_allocates_nothing() {
     // must agree with the reference matcher on every event.
     let mut scratch = DispatchScratch::new();
     for (p, set) in events.iter().zip(&interested) {
-        let expect = matcher.match_event(p, set);
-        assert_eq!(plan.dispatch(p, set), expect);
-        assert_eq!(plan.serve(p, &mut scratch), expect);
+        assert_eq!(plan.serve(p, &mut scratch), matcher.match_event(p, set));
     }
 
     let allocs = count_allocs(|| {
-        for (p, set) in events.iter().zip(&interested) {
-            std::hint::black_box(plan.dispatch(p, set));
+        for p in &events {
             std::hint::black_box(plan.serve(p, &mut scratch));
         }
     });
@@ -145,56 +142,31 @@ fn steady_state_batched_dispatch_allocates_nothing() {
     let events: Vec<Point> = (0..2_000)
         .map(|_| Point::new(vec![rng.gen_range(-0.05..1.05)]))
         .collect();
-    let interested: Vec<BitSet> = events
-        .iter()
-        .map(|p| {
-            BitSet::from_members(
-                subs.len(),
-                subs.iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.contains(p))
-                    .map(|(i, _)| i),
-            )
-        })
-        .collect();
     const BATCH: usize = 256;
 
     // Warm-up pass: buffers reach their high-water mark, and the
-    // batched kernels must agree with the scalar paths event by event.
+    // batched kernel must agree with scalar `serve` event by event.
     let mut scalar = DispatchScratch::new();
     let mut scratch = BatchScratch::new();
     let mut out: Vec<Delivery> = Vec::with_capacity(events.len());
-    let run_batches = |scratch: &mut BatchScratch, out: &mut Vec<Delivery>, served: bool| {
+    let run_batches = |scratch: &mut BatchScratch, out: &mut Vec<Delivery>| {
         out.clear();
-        let mut start = 0;
-        while start < events.len() {
+        for start in (0..events.len()).step_by(BATCH) {
             let end = (start + BATCH).min(events.len());
-            if served {
-                plan.serve_batch(start..end, |e| &events[e], scratch, out);
-            } else {
-                plan.dispatch_batch(start..end, |e| &events[e], |e| &interested[e], scratch, out);
-            }
-            start = end;
+            plan.serve_batch(start..end, |e| &events[e], scratch, out);
         }
     };
-    run_batches(&mut scratch, &mut out, true);
+    run_batches(&mut scratch, &mut out);
     for (e, p) in events.iter().enumerate() {
         assert_eq!(out[e], plan.serve(p, &mut scalar), "serve_batch event {e}");
     }
-    run_batches(&mut scratch, &mut out, false);
-    for (e, (p, set)) in events.iter().zip(&interested).enumerate() {
-        assert_eq!(out[e], plan.dispatch(p, set), "dispatch_batch event {e}");
-    }
 
-    let allocs = count_allocs(|| {
-        run_batches(&mut scratch, &mut out, true);
-        run_batches(&mut scratch, &mut out, false);
-    });
+    let allocs = count_allocs(|| run_batches(&mut scratch, &mut out));
     assert_eq!(
         allocs,
         0,
         "steady-state batched dispatch performed {allocs} heap allocations over {} events",
-        2 * events.len()
+        events.len()
     );
 
     // A dense 2-D population: every slot holds at least a hundred
@@ -273,19 +245,14 @@ fn steady_state_noloss_match_allocates_nothing() {
     };
     let nl = NoLossClustering::build(&subs, &sample, &cfg, 20);
     assert!(nl.num_groups() > 0);
-    let plan = NoLossDispatchPlan::compile(&nl);
 
     let events: Vec<Point> = (0..2_000)
         .map(|_| Point::new(vec![rng.gen_range(-0.05..1.05)]))
         .collect();
-    for p in &events {
-        assert_eq!(plan.match_event(p), nl.match_event(p));
-    }
-
+    // The fold needs no warm-up: it keeps no buffer.
     let allocs = count_allocs(|| {
         for p in &events {
             std::hint::black_box(nl.match_event(p));
-            std::hint::black_box(plan.match_event(p));
         }
     });
     assert_eq!(

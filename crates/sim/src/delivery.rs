@@ -8,8 +8,8 @@
 
 use netsim::{FrozenRouter, NodeId, ShortestPathTree, Topology};
 use pubsub_core::{
-    parallel, BatchScratch, BitSet, Clustering, Delivery, DispatchPlan, GridFramework,
-    NoLossClustering, NoLossDispatchPlan, SubscriptionIndex,
+    parallel, BitSet, Clustering, Delivery, GridFramework, GridMatcher, NoLossClustering,
+    SubscriptionIndex,
 };
 use workload::Workload;
 
@@ -201,6 +201,33 @@ impl<'a> Evaluator<'a> {
         })
     }
 
+    /// The Figure 5 decision for every event of the stream, in event
+    /// order: [`GridMatcher::match_event`] over the precomputed
+    /// interested sets. Chunks are the fixed `EVENT_CHUNK`, so decisions
+    /// and ordering are thread-count independent.
+    pub(crate) fn grid_decisions(
+        &self,
+        framework: &GridFramework,
+        clustering: &Clustering,
+        threshold: f64,
+    ) -> Vec<Delivery> {
+        let events = &self.workload.events;
+        let subs = &self.interested_subs;
+        let matcher = GridMatcher::new(framework, clustering).with_threshold(threshold);
+        // lint: hot-path
+        parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
+            let mut out = Vec::with_capacity(range.len());
+            for e in range {
+                out.push(matcher.match_event(&events[e].point, &subs[e]));
+            }
+            out
+        })
+        // lint: hot-path end
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
     /// The topology under evaluation.
     pub fn topology(&self) -> &'a Topology {
         self.topo
@@ -263,32 +290,7 @@ impl<'a> Evaluator<'a> {
         // Static per-group member-node lists (parallel over groups).
         let memberships: Vec<&BitSet> = clustering.groups().iter().map(|g| &g.members).collect();
         let group_nodes = self.member_nodes(&memberships);
-        // Match every event up front through the compiled dispatch
-        // plan's cell-bucketed batch kernel (bit-identical to
-        // `GridMatcher` and to per-event `dispatch`, emitting in event
-        // order); chunks are the fixed `EVENT_CHUNK`, so decisions and
-        // ordering are thread-count independent.
-        let plan = DispatchPlan::compile(framework, clustering).with_threshold(threshold);
-        let matches: Vec<Delivery> = {
-            let subs = &self.interested_subs;
-            // lint: hot-path
-            parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-                let mut scratch = BatchScratch::new();
-                let mut out = Vec::with_capacity(range.len());
-                plan.dispatch_batch(
-                    range,
-                    |e| &events[e].point,
-                    |e| &subs[e],
-                    &mut scratch,
-                    &mut out,
-                );
-                out
-            })
-            // lint: hot-path end
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        let matches = self.grid_decisions(framework, clustering, threshold);
         // Per-group event-independent state, resolved exactly as the
         // per-event lazy initialization would have: the first matching
         // event's publisher backs the (degenerate) empty-group RP case.
@@ -383,27 +385,7 @@ impl<'a> Evaluator<'a> {
         let events = &workload.events;
         let memberships: Vec<&BitSet> = clustering.groups().iter().map(|g| &g.members).collect();
         let group_nodes = self.member_nodes(&memberships);
-        let plan = DispatchPlan::compile(framework, clustering).with_threshold(threshold);
-        let matches: Vec<Delivery> = {
-            let subs = &self.interested_subs;
-            // lint: hot-path
-            parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-                let mut scratch = BatchScratch::new();
-                let mut out = Vec::with_capacity(range.len());
-                plan.dispatch_batch(
-                    range,
-                    |e| &events[e].point,
-                    |e| &subs[e],
-                    &mut scratch,
-                    &mut out,
-                );
-                out
-            })
-            // lint: hot-path end
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        let matches = self.grid_decisions(framework, clustering, threshold);
         self.ensure_spts(events.iter().map(|e| e.publisher));
         let frozen = &self.frozen;
         let inodes = &self.interested_nodes;
@@ -492,13 +474,13 @@ impl<'a> Evaluator<'a> {
             .map(|r| &r.subscribers)
             .collect();
         let region_nodes = self.member_nodes(&memberships);
-        // Match every event up front through the compiled No-Loss plan
-        // (identical decisions, no per-candidate re-counting).
-        let plan = NoLossDispatchPlan::compile(clustering);
+        // Match every event up front (Figure 6's best containing region).
         let matches: Vec<Option<usize>> =
             parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
                 let mut out = Vec::with_capacity(range.len());
-                plan.dispatch_chunk(range, |e| &events[e].point, &mut out);
+                for e in range {
+                    out.push(clustering.match_event(&events[e].point));
+                }
                 out
             })
             .into_iter()

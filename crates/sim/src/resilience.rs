@@ -23,8 +23,8 @@ use std::collections::HashMap;
 
 use netsim::{DegradedView, EdgeId, FaultSchedule, Graph, NodeId, ShortestPathTree};
 use pubsub_core::{
-    env_knob, parallel, BatchScratch, BitSet, Clustering, Delivery, DispatchPlan,
-    DynamicClustering, DynamicError, GridFramework, SubscriptionId,
+    env_knob, parallel, BitSet, Clustering, Delivery, DynamicClustering, DynamicError,
+    GridFramework, SubscriptionId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -353,25 +353,7 @@ impl<'a> Evaluator<'a> {
         let n = events.len();
         let memberships: Vec<&BitSet> = clustering.groups().iter().map(|g| &g.members).collect();
         let group_nodes = self.member_nodes(&memberships);
-        let plan = DispatchPlan::compile(framework, clustering).with_threshold(threshold);
-        let matches: Vec<Delivery> = {
-            let subs = &self.interested_subs;
-            parallel::par_chunks(n, EVENT_CHUNK, |range| {
-                let mut scratch = BatchScratch::new();
-                let mut out = Vec::with_capacity(range.len());
-                plan.dispatch_batch(
-                    range,
-                    |e| &events[e].point,
-                    |e| &subs[e],
-                    &mut scratch,
-                    &mut out,
-                );
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        let matches = self.grid_decisions(framework, clustering, threshold);
         // Healthy trees for every publisher: the routing state all
         // brokers start from (and fall back to in healthy epochs).
         self.ensure_spts(events.iter().map(|e| e.publisher));

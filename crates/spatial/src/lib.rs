@@ -23,10 +23,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod interval_tree;
 mod rtree;
 mod stree;
 
-pub use interval_tree::IntervalTree;
 pub use rtree::RTree;
 pub use stree::STree;

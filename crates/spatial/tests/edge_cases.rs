@@ -1,7 +1,7 @@
 //! Edge-case coverage for the spatial indexes.
 
 use geometry::{Interval, Point, Rect};
-use spatial::{IntervalTree, RTree, STree};
+use spatial::{RTree, STree};
 
 fn rect1(lo: f64, hi: f64) -> Rect {
     Rect::new(vec![Interval::new(lo, hi).unwrap()])
@@ -81,40 +81,4 @@ fn stree_unbounded_mixed_with_bounded() {
         .collect();
     hits.sort();
     assert_eq!(hits, vec![0, 1]);
-}
-
-#[test]
-fn interval_tree_nested_intervals() {
-    // Russian-doll nesting: stabbing the core hits every layer.
-    let items: Vec<(Interval, usize)> = (0..20)
-        .map(|i| {
-            let pad = i as f64;
-            (Interval::new(0.0 - pad, 40.0 + pad).unwrap(), i)
-        })
-        .collect();
-    let tree = IntervalTree::build(items);
-    assert_eq!(tree.stab(20.0).len(), 20);
-    // A point only the widest layers cover.
-    assert_eq!(tree.stab(-10.0).len(), 9); // pads 11..=19 reach -10? (0-pad < -10 ⇔ pad > 10)
-}
-
-#[test]
-fn interval_tree_disjoint_runs() {
-    let items: Vec<(Interval, usize)> = (0..100)
-        .map(|i| {
-            (
-                Interval::new(i as f64 * 2.0, i as f64 * 2.0 + 1.0).unwrap(),
-                i,
-            )
-        })
-        .collect();
-    let tree = IntervalTree::build(items);
-    // In a gap.
-    assert!(tree.stab(1.5).is_empty());
-    // Inside run 3: (6, 7].
-    assert_eq!(tree.stab(6.5), vec![&3]);
-    // Exactly on a closed upper bound.
-    assert_eq!(tree.stab(7.0), vec![&3]);
-    // Exactly on an open lower bound.
-    assert!(tree.stab(6.0).is_empty());
 }

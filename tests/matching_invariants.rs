@@ -109,23 +109,21 @@ proptest! {
         }
     }
 
-    /// The three matching engines agree on arbitrary inputs: R-tree
-    /// index, counting matcher, and the brute-force scan.
+    /// The two matching engines agree on arbitrary inputs: the R-tree
+    /// index and the brute-force scan.
     #[test]
     fn matching_engines_agree(
         subs in prop::collection::vec(rect_strategy(), 0..25),
         p in point_strategy(),
     ) {
         let index = pubsub_core::SubscriptionIndex::build(&subs);
-        let counting = pubsub_core::CountingMatcher::build(&subs);
         let brute: Vec<usize> = subs
             .iter()
             .enumerate()
             .filter(|(_, r)| r.contains(&p))
             .map(|(i, _)| i)
             .collect();
-        prop_assert_eq!(index.matching(&p), brute.clone());
-        prop_assert_eq!(counting.matching(&p), brute);
+        prop_assert_eq!(index.matching(&p), brute);
     }
 
     /// Every clustering algorithm produces a complete partition: each
