@@ -1,6 +1,5 @@
-//! Subscription aggregation: canonical subscription classes, the
-//! aggregated dispatch plan and axis-selected sharding (DESIGN.md §15
-//! and §16).
+//! Subscription aggregation: canonical subscription classes and the
+//! aggregated dispatch plan (DESIGN.md §15).
 //!
 //! At a million subscribers the concrete population is dominated by
 //! near-duplicates: popular interest specifications are submitted by
@@ -10,37 +9,31 @@
 //! delivery time. The class universe — typically orders of magnitude
 //! smaller — is clustered with per-class multiplicities (the weighted
 //! framework build), producing decisions bit-identical to clustering
-//! the expanded concrete population.
+//! the expanded concrete population. That build-time collapse is what
+//! the layer is for: `K` groups are still precomputed once, over a
+//! clustering input many times smaller.
 //!
-//! [`AggregatePlan`] compiles a class framework + clustering into the
+//! [`AggregatePlan`] compiles a class framework + clustering into a
 //! serve path: locate the event's cell, filter the cell's *classes* by
-//! per-variant rectangle containment, expand the surviving variants'
-//! packed member lists into the exact concrete interested set, and make
-//! the threshold decision on weighted counts (the same integers the
-//! concrete plan computes, hence the same `f64` comparison).
-//!
-//! [`ShardedAggregate`] splits the grid into contiguous bin-aligned
-//! slabs along a selectivity-chosen axis (`PUBSUB_AGG_SHARD_DIM`),
-//! each with its own sub-framework and plan, so churn touches the
-//! overlapped shards instead of rebuilding the whole structure. Shards
-//! are independent, so both the initial build and churn refresh fan
-//! out across the scoped-thread pool — bit-identical at any
-//! `PUBSUB_THREADS` (DESIGN.md §16).
+//! rectangle containment, expand the surviving classes' packed member
+//! lists into the exact concrete interested set, and make the threshold
+//! decision on weighted counts (the same integers the concrete plan
+//! computes, hence the same `f64` comparison). It is the executable
+//! form of the equivalence argument — the concrete
+//! [`DispatchPlan::serve_batch`] kernel is the production serve path.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use geometry::{CellId, Grid, Interval, Point, Rect};
+use geometry::{CellId, Grid, Point, Rect};
 
-use crate::clustering::{Clustering, ClusteringAlgorithm};
+use crate::clustering::Clustering;
 use crate::dispatch::DispatchPlan;
 use crate::framework::{CellProbability, GridFramework};
-use crate::knob::env_knob;
 use crate::match_index::SubscriptionIndex;
 use crate::matching::Delivery;
 use crate::parallel;
-use crate::validate::Validator;
 
 /// Bit-pattern identity key of a rectangle: `(lo, hi)` bits per
 /// dimension. Two rectangles with equal keys rasterize, match and
@@ -52,29 +45,9 @@ pub(crate) fn rect_key(r: &Rect) -> Vec<(u64, u64)> {
         .collect()
 }
 
-fn parse_bool(s: &str) -> Option<bool> {
-    match s {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
-    }
-}
-
-/// Whether cell-set canonicalization (tier 2) is enabled.
-fn cell_canon_enabled() -> bool {
-    env_knob("PUBSUB_AGG_CELL_CANON", false, parse_bool)
-}
-
-/// Canonicalized subscription population: concrete subscriptions
-/// collapsed into classes of identical rectangles (tier 1) and,
-/// optionally, classes of identical rasterized cell sets (tier 2,
-/// behind `PUBSUB_AGG_CELL_CANON`).
-///
-/// A *variant* is one distinct rectangle bit-pattern; a *class* is one
-/// clustering slot. Under tier 1 every class holds exactly one variant.
-/// Under tier 2 a class may hold several variants whose rectangles
-/// differ but overlap the same grid cells — delivery then tests each
-/// variant's own rectangle, so interested sets stay exact.
+/// Canonicalized subscription population: concrete subscriptions with
+/// bit-identical rectangles collapsed into one *class* — one clustering
+/// slot carrying the number of concrete subscribers it stands for.
 ///
 /// # Examples
 ///
@@ -94,157 +67,54 @@ fn cell_canon_enabled() -> bool {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Aggregation {
-    num_concrete: usize,
     /// Concrete subscriber → class.
     class_of: Vec<u32>,
-    /// Class → concrete multiplicity (sum of its variants' weights).
+    /// Class → concrete multiplicity.
     weights: Vec<u64>,
-    /// Class → its variants, `variant_offsets[c] .. variant_offsets[c+1]`.
-    variant_offsets: Vec<u32>,
-    /// Variant → distinct rectangle.
-    variant_rects: Vec<Rect>,
-    /// Variant → concrete multiplicity.
-    variant_weights: Vec<u64>,
-    /// Variant → packed concrete subscriber ids, ascending.
-    variant_members: Vec<Vec<u32>>,
-    /// Variant → owning class.
-    variant_class: Vec<u32>,
-    /// Rectangle bit-pattern → variant, for churn-time lookups.
-    class_index: HashMap<Vec<(u64, u64)>, u32>,
+    /// Class → its rectangle.
+    rects: Vec<Rect>,
+    /// Class → packed concrete subscriber ids, ascending.
+    members: Vec<Vec<u32>>,
 }
 
 impl Aggregation {
-    /// Canonicalizes by exact rectangle identity (tier 1): concrete
+    /// Canonicalizes by exact rectangle identity: concrete
     /// subscriptions with bit-identical rectangles form one class, in
     /// first-occurrence order.
     pub fn build(subscriptions: &[Rect]) -> Self {
         let n = subscriptions.len();
         let mut class_index: HashMap<Vec<(u64, u64)>, u32> = HashMap::with_capacity(n);
         let mut class_of = Vec::with_capacity(n);
-        let mut variant_rects: Vec<Rect> = Vec::new();
-        let mut variant_weights: Vec<u64> = Vec::new();
-        let mut variant_members: Vec<Vec<u32>> = Vec::new();
+        let mut weights: Vec<u64> = Vec::new();
+        let mut rects: Vec<Rect> = Vec::new();
+        let mut members: Vec<Vec<u32>> = Vec::new();
         for (i, sub) in subscriptions.iter().enumerate() {
             let c = *class_index.entry(rect_key(sub)).or_insert_with(|| {
-                variant_rects.push(sub.clone());
-                variant_weights.push(0);
-                variant_members.push(Vec::new());
-                (variant_rects.len() - 1) as u32
+                weights.push(0);
+                rects.push(sub.clone());
+                members.push(Vec::new());
+                (rects.len() - 1) as u32
             });
             class_of.push(c);
-            variant_weights[c as usize] += 1;
-            variant_members[c as usize].push(i as u32);
+            weights[c as usize] += 1;
+            members[c as usize].push(i as u32);
         }
-        let num_classes = variant_rects.len();
         Aggregation {
-            num_concrete: n,
-            class_of,
-            weights: variant_weights.clone(),
-            variant_offsets: (0..=num_classes as u32).collect(),
-            variant_rects,
-            variant_weights,
-            variant_members,
-            variant_class: (0..num_classes as u32).collect(),
-            class_index,
-        }
-    }
-
-    /// Tier-1 canonicalization, then — when `PUBSUB_AGG_CELL_CANON` is
-    /// enabled — a second pass merging variants whose rectangles
-    /// overlap exactly the same cells of `grid` into one class.
-    ///
-    /// Cell-set classes are sound only when the serving grid equals the
-    /// canonicalization grid (shard sub-grids recompute cell edges, so
-    /// a variant's cell set there could in principle drift by one
-    /// cell); [`ShardedAggregate`] should therefore be fed a tier-1
-    /// aggregation, which is the knob's default.
-    pub fn build_with_grid(subscriptions: &[Rect], grid: &Grid) -> Self {
-        let t1 = Self::build(subscriptions);
-        if !cell_canon_enabled() {
-            return t1;
-        }
-        t1.cell_canonicalize(grid)
-    }
-
-    /// Regroups tier-1 variants by identical rasterized cell set.
-    fn cell_canonicalize(mut self, grid: &Grid) -> Self {
-        let nv = self.variant_rects.len();
-        let cell_sets: Vec<Vec<CellId>> =
-            parallel::par_map(&self.variant_rects, parallel::MIN_PARALLEL_LEN, |r| {
-                grid.cells_overlapping(r)
-            });
-        // Group variants by cell set, classes in first-occurrence order.
-        let mut by_cells: HashMap<Vec<CellId>, u32> = HashMap::with_capacity(nv);
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        let mut class_of_variant = vec![0u32; nv];
-        for (v, cells) in cell_sets.into_iter().enumerate() {
-            let c = *by_cells.entry(cells).or_insert_with(|| {
-                classes.push(Vec::new());
-                (classes.len() - 1) as u32
-            });
-            classes[c as usize].push(v as u32);
-            class_of_variant[v] = c;
-        }
-        // Reorder variants so each class's variants are contiguous.
-        let mut variant_rects = Vec::with_capacity(nv);
-        let mut variant_weights = Vec::with_capacity(nv);
-        let mut variant_members = Vec::with_capacity(nv);
-        let mut variant_class = Vec::with_capacity(nv);
-        let mut variant_offsets = Vec::with_capacity(classes.len() + 1);
-        variant_offsets.push(0u32);
-        let mut weights = vec![0u64; classes.len()];
-        let mut new_variant_of_old = vec![0u32; nv];
-        for (c, vs) in classes.iter().enumerate() {
-            for &v in vs {
-                let v = v as usize;
-                new_variant_of_old[v] = variant_rects.len() as u32;
-                variant_rects.push(self.variant_rects[v].clone());
-                variant_weights.push(self.variant_weights[v]);
-                variant_members.push(std::mem::take(&mut self.variant_members[v]));
-                variant_class.push(c as u32);
-                weights[c] += self.variant_weights[v];
-            }
-            variant_offsets.push(variant_rects.len() as u32);
-        }
-        // In tier 1 a class id *is* its variant id, so the concrete map
-        // composes directly with the variant regrouping.
-        let class_of = self
-            .class_of
-            .iter()
-            .map(|&old| class_of_variant[old as usize])
-            .collect();
-        let class_index = self
-            .class_index
-            // lint: allow(hash-order): value remap only, rebuilt into a map
-            .into_iter()
-            .map(|(k, v)| (k, new_variant_of_old[v as usize]))
-            .collect();
-        Aggregation {
-            num_concrete: self.num_concrete,
             class_of,
             weights,
-            variant_offsets,
-            variant_rects,
-            variant_weights,
-            variant_members,
-            variant_class,
-            class_index,
+            rects,
+            members,
         }
     }
 
     /// Number of concrete subscriptions the aggregation was built from.
     pub fn num_concrete(&self) -> usize {
-        self.num_concrete
+        self.class_of.len()
     }
 
     /// Number of canonical classes (clustering slots).
     pub fn num_classes(&self) -> usize {
         self.weights.len()
-    }
-
-    /// Number of distinct rectangle variants.
-    pub fn num_variants(&self) -> usize {
-        self.variant_rects.len()
     }
 
     /// Per-class concrete multiplicities.
@@ -257,63 +127,33 @@ impl Aggregation {
         &self.class_of
     }
 
-    /// The distinct rectangles, one per variant.
-    pub fn variant_rects(&self) -> &[Rect] {
-        &self.variant_rects
-    }
-
     /// Concrete subscriptions per class — the aggregation ratio. `1.0`
     /// means nothing aggregated; large values mean heavy duplication.
     pub fn ratio(&self) -> f64 {
         if self.num_classes() == 0 {
             1.0
         } else {
-            self.num_concrete as f64 / self.num_classes() as f64
+            self.num_concrete() as f64 / self.num_classes() as f64
         }
     }
 
-    /// The variants of `class`.
-    fn variants_of(&self, class: usize) -> Range<usize> {
-        self.variant_offsets[class] as usize..self.variant_offsets[class + 1] as usize
-    }
-
-    /// One representative rectangle per class (the first variant's).
-    /// Under tier 1 this is exactly the distinct-rectangle list.
+    /// The distinct rectangles, one per class, in class order.
     pub fn class_rects(&self) -> Vec<Rect> {
-        (0..self.num_classes())
-            .map(|c| self.variant_rects[self.variant_offsets[c] as usize].clone())
-            .collect()
-    }
-
-    /// Appends the concrete subscriber ids of `class` to `out`.
-    pub fn expand_class_into(&self, class: usize, out: &mut Vec<usize>) {
-        for v in self.variants_of(class) {
-            out.extend(self.variant_members[v].iter().map(|&i| i as usize));
-        }
+        self.rects.clone()
     }
 
     /// Builds the class-universe framework: one slot per class, ranked
     /// and clustered with the class multiplicities, bit-identical to
     /// building over the expanded concrete population.
-    ///
-    /// Tombstoned classes (weight 0, every concrete member removed)
-    /// rasterize to *empty* cell sets: they stand for no live
-    /// subscriber, so a cold rebuild excludes their bits exactly as the
-    /// churn path clears them from live frameworks.
     pub fn build_framework(
         &self,
         grid: Grid,
         probs: &CellProbability,
         max_cells: Option<usize>,
     ) -> GridFramework {
-        let class_rects = self.class_rects();
         let cell_sets: Vec<Vec<CellId>> =
-            parallel::par_map_indexed(class_rects.len(), parallel::MIN_PARALLEL_LEN, |c| {
-                if self.weights[c] == 0 {
-                    Vec::new()
-                } else {
-                    grid.cells_overlapping(&class_rects[c])
-                }
+            parallel::par_map(&self.rects, parallel::MIN_PARALLEL_LEN, |r| {
+                grid.cells_overlapping(r)
             });
         GridFramework::build_weighted_from_cells(
             grid,
@@ -329,7 +169,7 @@ impl Aggregation {
 #[derive(Debug, Default)]
 pub struct AggregateScratch {
     interested: Vec<usize>,
-    variant_hits: Vec<usize>,
+    class_hits: Vec<usize>,
 }
 
 impl AggregateScratch {
@@ -353,9 +193,9 @@ impl AggregateScratch {
 pub struct AggregatePlan {
     plan: DispatchPlan,
     agg: Arc<Aggregation>,
-    /// Fallback index over the *variant* rectangles for events outside
+    /// Fallback index over the class rectangles for events outside
     /// every kept cell.
-    index: Arc<SubscriptionIndex>,
+    index: SubscriptionIndex,
     /// Per-group concrete (weighted) size.
     group_wsize: Vec<u64>,
 }
@@ -366,7 +206,7 @@ impl AggregatePlan {
     ///
     /// # Panics
     ///
-    /// Panics if the framework's subscriber universe exceeds the
+    /// Panics if the framework's subscriber universe is not the
     /// aggregation's class count, if the clustering was not built over
     /// `framework`, or if `threshold` is outside `[0, 1]`.
     pub fn compile(
@@ -375,25 +215,10 @@ impl AggregatePlan {
         threshold: f64,
         aggregation: Arc<Aggregation>,
     ) -> Self {
-        let index = Arc::new(SubscriptionIndex::build(&aggregation.variant_rects));
-        Self::compile_with_index(framework, clustering, threshold, aggregation, index)
-    }
-
-    /// [`AggregatePlan::compile`] with a shared variant index —
-    /// [`ShardedAggregate`] builds the index once for all shards.
-    pub(crate) fn compile_with_index(
-        framework: &GridFramework,
-        clustering: &Clustering,
-        threshold: f64,
-        aggregation: Arc<Aggregation>,
-        index: Arc<SubscriptionIndex>,
-    ) -> Self {
-        // `<=` rather than `==`: after churn a shard untouched by the
-        // new classes keeps its smaller class universe (see
-        // `ShardedAggregate::apply_churn`).
-        assert!(
-            framework.num_subscribers() <= aggregation.num_classes(),
-            "framework universe exceeds the aggregation's class count"
+        assert_eq!(
+            framework.num_subscribers(),
+            aggregation.num_classes(),
+            "framework universe is not the aggregation's class count"
         );
         let plan = DispatchPlan::compile(framework, clustering).with_threshold(threshold);
         let group_wsize = clustering
@@ -403,8 +228,8 @@ impl AggregatePlan {
             .collect();
         AggregatePlan {
             plan,
+            index: SubscriptionIndex::build(&aggregation.rects),
             agg: aggregation,
-            index,
             group_wsize,
         }
     }
@@ -423,20 +248,18 @@ impl AggregatePlan {
     /// Serves one event: computes the exact concrete interested set
     /// (into `scratch`, ascending) and the delivery decision.
     ///
-    /// Candidates are the event cell's *classes*; each class's variants
-    /// are filtered by their own rectangle, so tier-2 classes (merged
-    /// cell sets, different rectangles) still deliver exactly. The
-    /// threshold compares `weighted hits / weighted group size` — the
-    /// same integers, hence the same `f64`s, as the concrete
-    /// [`DispatchPlan::serve`].
+    /// Candidates are the event cell's *classes*, each filtered by its
+    /// own rectangle. The threshold compares `weighted hits / weighted
+    /// group size` — the same integers, hence the same `f64`s, as the
+    /// concrete [`DispatchPlan::serve`].
     ///
     /// # Panics
     ///
     /// Panics if `p`'s dimension differs from the grid's.
     pub fn serve(&self, p: &Point, scratch: &mut AggregateScratch) -> Delivery {
+        scratch.interested.clear();
         match self.plan.locate(p) {
             Some(slot) => {
-                scratch.interested.clear();
                 let s = slot as usize;
                 let range =
                     self.plan.hyper_offsets[s] as usize..self.plan.hyper_offsets[s + 1] as usize;
@@ -444,15 +267,12 @@ impl AggregatePlan {
                 let mut whits = 0u64;
                 for &class in &self.plan.hyper_members[range] {
                     let c = class as usize;
-                    let in_group = self.plan.group_contains(group, c);
-                    for v in self.agg.variants_of(c) {
-                        if self.agg.variant_rects[v].contains(p) {
-                            scratch
-                                .interested
-                                .extend(self.agg.variant_members[v].iter().map(|&i| i as usize));
-                            if in_group {
-                                whits += self.agg.variant_weights[v];
-                            }
+                    if self.agg.rects[c].contains(p) {
+                        scratch
+                            .interested
+                            .extend(self.agg.members[c].iter().map(|&i| i as usize));
+                        if self.plan.group_contains(group, c) {
+                            whits += self.agg.weights[c];
                         }
                     }
                 }
@@ -469,15 +289,14 @@ impl AggregatePlan {
                 }
             }
             None => {
-                // Outside every kept cell: exact variant stab, expanded
+                // Outside every kept cell: exact class stab, expanded
                 // to concrete ids. Always unicast, as in the concrete
                 // plan's fallback.
-                self.index.matching_into(p, &mut scratch.variant_hits);
-                scratch.interested.clear();
-                for &v in &scratch.variant_hits {
+                self.index.matching_into(p, &mut scratch.class_hits);
+                for &c in &scratch.class_hits {
                     scratch
                         .interested
-                        .extend(self.agg.variant_members[v].iter().map(|&i| i as usize));
+                        .extend(self.agg.members[c].iter().map(|&i| i as usize));
                 }
                 scratch.interested.sort_unstable();
                 Delivery::Unicast
@@ -504,559 +323,13 @@ impl AggregatePlan {
     // lint: hot-path end
 }
 
-/// One shard-axis slab: its sub-grid framework, clustering and plan.
-#[derive(Debug)]
-struct AggregateShard {
-    /// Half-open shard-axis extent `(lo, hi]` of the slab.
-    lo: f64,
-    hi: f64,
-    probs: CellProbability,
-    framework: GridFramework,
-    clustering: Clustering,
-    plan: AggregatePlan,
-}
-
-/// Outcome of [`ShardedAggregate::apply_churn`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AggregateChurnReport {
-    /// Concrete subscriptions added.
-    pub added: usize,
-    /// Concrete subscriptions removed.
-    pub removed: usize,
-    /// Additions that created a brand-new class.
-    pub new_classes: usize,
-    /// Additions folded into an existing class (weight bump only).
-    pub weight_bumps: usize,
-    /// Removals that left their class with live members (weight
-    /// decrement only).
-    pub weight_decrements: usize,
-    /// Classes whose last live member was removed this batch — their
-    /// bits are cleared from every overlapped shard, and the class slot
-    /// is kept so re-adding the identical rectangle revives it.
-    pub class_tombstones: usize,
-    /// Shards whose framework changed structurally and were
-    /// re-clustered.
-    pub shards_reclustered: usize,
-    /// Shards whose plan was recompiled (superset of the above).
-    pub shards_recompiled: usize,
-}
-
-/// The aggregated structure sharded into contiguous bin-aligned slabs
-/// along one grid axis (`PUBSUB_AGG_SHARDS` slabs, axis from
-/// `PUBSUB_AGG_SHARD_DIM` — `auto` scores every dimension and picks
-/// the one minimizing cross-slab class replication). Each shard is an
-/// independent sub-framework + plan over the full class universe;
-/// events route to their slab by the shard-axis coordinate; churn
-/// re-clusters only the slabs the changed rectangles overlap. Because
-/// shards share no mutable state, both the initial build and the churn
-/// refresh fan out across the scoped-thread pool, bit-identically at
-/// any thread count.
-///
-/// With one shard the slab grid equals the full grid, so serving is
-/// identical to an unsharded [`AggregatePlan`]. With several shards the
-/// per-slab clusterings are a different (equally valid) grouping
-/// policy; interested sets remain exact at any shard count.
-#[derive(Debug)]
-pub struct ShardedAggregate {
-    agg: Arc<Aggregation>,
-    index: Arc<SubscriptionIndex>,
-    shards: Vec<AggregateShard>,
-    threshold: f64,
-    k: usize,
-    /// The grid axis the slabs partition.
-    shard_dim: usize,
-    /// When set, churn re-runs the delta + re-cluster pipeline on every
-    /// *affected* shard even if no class appeared or vanished there, so
-    /// hyper-cell popularity ranks track the new weights exactly as a
-    /// cold rebuild would (see [`ShardedAggregate::with_strict_recluster`]).
-    strict_recluster: bool,
-}
-
-/// Scores every grid axis for sharding and returns the best one: the
-/// dimension whose bin-aligned slab partition replicates the fewest
-/// live class rectangles across slab boundaries (each rectangle costs
-/// `slabs spanned − 1`). Ties prefer the axis that admits more slabs
-/// (more parallelism), then the lowest dimension — fully deterministic,
-/// independent of thread count and hash order.
-fn select_shard_dim(grid: &Grid, rects: &[Rect], weights: &[u64], num_shards: usize) -> usize {
-    let mut best: Option<(u64, usize, usize)> = None; // (score, slabs, dim)
-    for d in 0..grid.dim() {
-        let bins = grid.bins()[d];
-        let s = num_shards.min(bins).max(1);
-        // Bin → slab, with the same `i * bins / s` boundaries the build
-        // uses below.
-        let mut slab_of = vec![0usize; bins];
-        for si in 0..s {
-            for slab in &mut slab_of[si * bins / s..(si + 1) * bins / s] {
-                *slab = si;
-            }
-        }
-        let bounds_iv = grid.bounds().interval(d);
-        let w = bounds_iv.length() / bins as f64;
-        let mut score = 0u64;
-        for (c, r) in rects.iter().enumerate() {
-            if weights[c] == 0 {
-                continue;
-            }
-            let Some(clipped) = r.clip(grid.bounds()) else {
-                continue;
-            };
-            // The clipped bin span [i_min, i_max], with the exact
-            // formulas of `Grid::cells_overlapping`.
-            let iv = clipped.interval(d);
-            let ta = (iv.lo() - bounds_iv.lo()) / w;
-            let tb = (iv.hi() - bounds_iv.lo()) / w;
-            let i_min = ((ta - 1.0).floor() as isize + 1).clamp(0, bins as isize - 1) as usize;
-            let i_max = (tb.ceil() as isize - 1).clamp(0, bins as isize - 1) as usize;
-            if i_max < i_min {
-                continue;
-            }
-            score += (slab_of[i_max] - slab_of[i_min]) as u64;
-        }
-        let better = match best {
-            None => true,
-            Some((bs, bslabs, _)) => score < bs || (score == bs && s > bslabs),
-        };
-        if better {
-            best = Some((score, s, d));
-        }
-    }
-    best.map(|(_, _, d)| d).unwrap_or(0)
-}
-
-impl ShardedAggregate {
-    /// Builds with the shard count from `PUBSUB_AGG_SHARDS` (default 1)
-    /// and the shard axis from `PUBSUB_AGG_SHARD_DIM` (`auto`, the
-    /// default, scores every dimension; an explicit `0..D-1` pins the
-    /// axis; out-of-range values fall back to `auto`).
-    ///
-    /// `probs_of` supplies each slab grid's cell-probability model
-    /// (e.g. [`CellProbability::uniform`]).
-    pub fn build(
-        grid: &Grid,
-        aggregation: Arc<Aggregation>,
-        probs_of: impl Fn(&Grid) -> CellProbability + Sync,
-        algorithm: &dyn ClusteringAlgorithm,
-        k: usize,
-        threshold: f64,
-    ) -> Self {
-        let shards = env_knob("PUBSUB_AGG_SHARDS", 1usize, |s| {
-            s.parse().ok().filter(|&n| n > 0)
-        });
-        Self::build_with_shards(grid, aggregation, probs_of, algorithm, k, threshold, shards)
-    }
-
-    /// Builds with an explicit shard count (clamped to the shard axis's
-    /// bin count); the axis comes from `PUBSUB_AGG_SHARD_DIM` as in
-    /// [`ShardedAggregate::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards == 0` or `threshold` is outside `[0, 1]`.
-    pub fn build_with_shards(
-        grid: &Grid,
-        aggregation: Arc<Aggregation>,
-        probs_of: impl Fn(&Grid) -> CellProbability + Sync,
-        algorithm: &dyn ClusteringAlgorithm,
-        k: usize,
-        threshold: f64,
-        num_shards: usize,
-    ) -> Self {
-        let dim = env_knob("PUBSUB_AGG_SHARD_DIM", None, |s| {
-            if s == "auto" {
-                Some(None)
-            } else {
-                s.parse::<usize>().ok().map(Some)
-            }
-        })
-        .filter(|&d| d < grid.dim());
-        Self::build_with_shards_on(
-            grid,
-            aggregation,
-            probs_of,
-            algorithm,
-            k,
-            threshold,
-            num_shards,
-            dim,
-        )
-    }
-
-    /// Builds with an explicit shard count and shard axis. `shard_dim
-    /// == None` scores every dimension and picks the one minimizing
-    /// cross-slab class replication; `Some(d)` pins the axis (forcing
-    /// `Some(0)` reproduces the legacy dimension-0 sharding
-    /// bit-for-bit). The per-shard framework-build → cluster →
-    /// plan-compile loop fans out across the scoped-thread pool; shard
-    /// contents are placed by index, so results are bit-identical at
-    /// any `PUBSUB_THREADS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards == 0`, `shard_dim` is out of range, or
-    /// `threshold` is outside `[0, 1]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_shards_on(
-        grid: &Grid,
-        aggregation: Arc<Aggregation>,
-        probs_of: impl Fn(&Grid) -> CellProbability + Sync,
-        algorithm: &dyn ClusteringAlgorithm,
-        k: usize,
-        threshold: f64,
-        num_shards: usize,
-        shard_dim: Option<usize>,
-    ) -> Self {
-        assert!(num_shards >= 1, "at least one shard");
-        let dim = shard_dim.unwrap_or_else(|| {
-            select_shard_dim(
-                grid,
-                &aggregation.variant_rects,
-                &aggregation.variant_weights,
-                num_shards,
-            )
-        });
-        assert!(dim < grid.dim(), "shard axis out of range");
-        let bd = grid.bins()[dim];
-        let s = num_shards.min(bd);
-        let ivd = grid.bounds().interval(dim);
-        let wd = ivd.length() / bd as f64;
-        let index = Arc::new(SubscriptionIndex::build(&aggregation.variant_rects));
-        // Slab geometry is cheap and sequential; the expensive
-        // rasterize → merge → cluster → compile chain per slab runs on
-        // the pool.
-        let slabs: Vec<(f64, f64, Grid)> = (0..s)
-            .map(|si| {
-                let start = si * bd / s;
-                let end = (si + 1) * bd / s;
-                // Bin-aligned slab edges; the outer edges reuse the
-                // exact bounds so a single shard reproduces the grid
-                // bit-for-bit.
-                let lo = if start == 0 {
-                    ivd.lo()
-                } else {
-                    ivd.lo() + start as f64 * wd
-                };
-                let hi = if end == bd {
-                    ivd.hi()
-                } else {
-                    ivd.lo() + end as f64 * wd
-                };
-                let mut ivs = grid.bounds().intervals().to_vec();
-                ivs[dim] = Interval::new(lo, hi).expect("slab interval is well-formed");
-                let mut bins = grid.bins().to_vec();
-                bins[dim] = end - start;
-                let sub = Grid::new(Rect::new(ivs), bins).expect("slab grid is well-formed");
-                (lo, hi, sub)
-            })
-            .collect();
-        // lint: allow(thread-panic): the expect-style invariant
-        // failures inside propagate through par_map_vec's scoped join
-        // and re-raise on the caller before any partial shard set is
-        // observable.
-        let shards = parallel::par_map_vec(slabs, 2, |(lo, hi, sub)| {
-            let probs = probs_of(&sub);
-            let framework = aggregation.build_framework(sub, &probs, None);
-            let clustering = algorithm.cluster(&framework, k);
-            let plan = AggregatePlan::compile_with_index(
-                &framework,
-                &clustering,
-                threshold,
-                aggregation.clone(),
-                index.clone(),
-            );
-            AggregateShard {
-                lo,
-                hi,
-                probs,
-                framework,
-                clustering,
-                plan,
-            }
-        });
-        ShardedAggregate {
-            agg: aggregation,
-            index,
-            shards,
-            threshold,
-            k,
-            shard_dim: dim,
-            strict_recluster: false,
-        }
-    }
-
-    /// Switches churn into strict re-cluster mode: every shard an added
-    /// or removed rectangle overlaps re-runs the delta + re-cluster
-    /// pipeline even when its class set did not change shape, so
-    /// hyper-cell popularity ranks follow the updated weights exactly
-    /// as a cold rebuild's would. Costlier per batch; the default
-    /// (lazy) mode re-clusters only on structural change and keeps
-    /// interested sets exact either way.
-    pub fn with_strict_recluster(mut self, on: bool) -> Self {
-        self.strict_recluster = on;
-        self
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The grid axis the slabs partition.
-    pub fn shard_dim(&self) -> usize {
-        self.shard_dim
-    }
-
-    /// The aggregation backing the shards.
-    pub fn aggregation(&self) -> &Aggregation {
-        &self.agg
-    }
-
-    /// Runs the full framework + clustering invariant audit over every
-    /// shard (see [`Validator`]); failures accumulate in `validator`.
-    pub fn audit(&self, validator: &mut Validator) {
-        for shard in &self.shards {
-            validator
-                .check_framework(&shard.framework)
-                .check_clustering(&shard.framework, &shard.clustering);
-        }
-    }
-
-    /// The shard whose shard-axis slab contains the event, if any.
-    fn shard_of(&self, p: &Point) -> Option<usize> {
-        let x = p[self.shard_dim];
-        let i = self.shards.partition_point(|sh| sh.hi < x);
-        (i < self.shards.len() && self.shards[i].lo < x && x <= self.shards[i].hi).then_some(i)
-    }
-
-    // lint: hot-path
-    /// Serves one event through its slab's plan. Events outside the
-    /// dimension-0 extent fall back to the global variant index and are
-    /// unicast; interested sets are exact in every case.
-    pub fn serve(&self, p: &Point, scratch: &mut AggregateScratch) -> Delivery {
-        match self.shard_of(p) {
-            Some(s) => self.shards[s].plan.serve(p, scratch),
-            None => {
-                self.index.matching_into(p, &mut scratch.variant_hits);
-                scratch.interested.clear();
-                for &v in &scratch.variant_hits {
-                    scratch
-                        .interested
-                        .extend(self.agg.variant_members[v].iter().map(|&i| i as usize));
-                }
-                scratch.interested.sort_unstable();
-                Delivery::Unicast
-            }
-        }
-    }
-    // lint: hot-path end
-
-    /// Folds a batch of concrete subscription adds and removals into
-    /// the structure.
-    ///
-    /// `added` rectangles identical to an existing variant are *weight
-    /// bumps*: the class's multiplicity and member list grow, no
-    /// framework changes shape. A new rectangle becomes a new class.
-    /// `removed` holds live concrete subscriber ids: each is deleted
-    /// from its variant's member list and its class weight decremented;
-    /// a class whose weight reaches zero is *tombstoned* — its bits are
-    /// cleared (via [`GridFramework::apply_delta`]) from every shard
-    /// its rectangle overlaps, while its slot and rectangle key are
-    /// kept so a later identical add revives it in place.
-    ///
-    /// Only the shards some changed rectangle overlaps are refreshed —
-    /// re-clustered when their class set changed shape (always, under
-    /// [`ShardedAggregate::with_strict_recluster`]), recompiled
-    /// regardless so decisions see the new weights. The refresh fans
-    /// out across the scoped-thread pool (shards are independent), and
-    /// the shared variant index grows incrementally instead of being
-    /// rebuilt. Shards untouched by every changed rectangle keep their
-    /// framework, clustering, plan and (smaller) class universe: a
-    /// class whose rectangle misses a slab can never match an event
-    /// routed there, so their serving stays exact without
-    /// recompilation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a removed id is out of range or not live (already
-    /// removed).
-    pub fn apply_churn(
-        &mut self,
-        added: &[Rect],
-        removed: &[usize],
-        algorithm: &dyn ClusteringAlgorithm,
-    ) -> AggregateChurnReport {
-        let mut report = AggregateChurnReport {
-            added: added.len(),
-            removed: removed.len(),
-            ..AggregateChurnReport::default()
-        };
-        if added.is_empty() && removed.is_empty() {
-            return report;
-        }
-        // 1. Fold into the aggregation. Plans hold `Arc` snapshots, so
-        //    `make_mut` gives untouched shards their consistent old
-        //    view. Per-class weights are snapshotted on first touch so
-        //    structural transitions (0 → live, live → 0) are judged on
-        //    the batch's *net* effect.
-        let agg = Arc::make_mut(&mut self.agg);
-        let old_num_variants = agg.variant_rects.len();
-        let mut before_weight: HashMap<usize, u64> = HashMap::new();
-        for rect in added {
-            let concrete = agg.num_concrete as u32;
-            agg.num_concrete += 1;
-            match agg.class_index.get(&rect_key(rect)) {
-                Some(&v) => {
-                    let v = v as usize;
-                    let c = agg.variant_class[v] as usize;
-                    before_weight.entry(c).or_insert(agg.weights[c]);
-                    agg.class_of.push(c as u32);
-                    agg.weights[c] += 1;
-                    agg.variant_weights[v] += 1;
-                    agg.variant_members[v].push(concrete);
-                    report.weight_bumps += 1;
-                }
-                None => {
-                    let c = agg.weights.len();
-                    let v = agg.variant_rects.len() as u32;
-                    before_weight.insert(c, 0);
-                    agg.class_of.push(c as u32);
-                    agg.weights.push(1);
-                    agg.variant_offsets.push(v + 1);
-                    agg.variant_rects.push(rect.clone());
-                    agg.variant_weights.push(1);
-                    agg.variant_members.push(vec![concrete]);
-                    agg.variant_class.push(c as u32);
-                    agg.class_index.insert(rect_key(rect), v);
-                    report.new_classes += 1;
-                }
-            }
-        }
-        let mut removed_spans: Vec<(f64, f64)> = Vec::with_capacity(removed.len());
-        for &id in removed {
-            assert!(id < agg.num_concrete, "removed id out of range");
-            let c = agg.class_of[id] as usize;
-            before_weight.entry(c).or_insert(agg.weights[c]);
-            let id32 = id as u32;
-            let hit = agg.variants_of(c).find_map(|v| {
-                agg.variant_members[v]
-                    .binary_search(&id32)
-                    .ok()
-                    .map(|pos| (v, pos))
-            });
-            let (v, pos) = hit.expect("removed subscriber is not live");
-            agg.variant_members[v].remove(pos);
-            agg.variant_weights[v] -= 1;
-            agg.weights[c] -= 1;
-            let iv = agg.variant_rects[v].interval(self.shard_dim);
-            removed_spans.push((iv.lo(), iv.hi()));
-            if agg.weights[c] == 0 {
-                report.class_tombstones += 1;
-            } else {
-                report.weight_decrements += 1;
-            }
-        }
-        // Net structural transitions, in class order (not the
-        // HashMap's) so the delta lists — and therefore every
-        // downstream framework — are deterministic.
-        // lint: allow(hash-order): keys are sorted before use
-        let mut touched: Vec<(usize, u64)> = before_weight.into_iter().collect();
-        touched.sort_unstable_by_key(|&(c, _)| c);
-        let mut structural_adds: Vec<(usize, Rect)> = Vec::new();
-        let mut structural_removes: Vec<(usize, Rect)> = Vec::new();
-        for (c, before) in touched {
-            let after = agg.weights[c];
-            let rect = agg.variant_rects[agg.variant_offsets[c] as usize].clone();
-            if before == 0 && after > 0 {
-                structural_adds.push((c, rect));
-            } else if before > 0 && after == 0 {
-                structural_removes.push((c, rect));
-            }
-        }
-        let num_classes = agg.weights.len();
-        let shared_weights = Arc::new(agg.weights.clone());
-        if agg.variant_rects.len() > old_num_variants {
-            // Grow the variant index in place with only the new
-            // rectangles. Tombstoned variants stay indexed — they
-            // expand to empty member lists, so matches remain exact.
-            let new_rects = agg.variant_rects[old_num_variants..].to_vec();
-            Arc::make_mut(&mut self.index).extend(&new_rects);
-        }
-        // 2. Refresh only the shards some changed rectangle overlaps.
-        //    Half-open slabs: rect (a, b] overlaps slab (lo, hi] iff
-        //    a < hi and lo < b. Shards are independent, so the refresh
-        //    fans out over the pool; results are placed by shard index.
-        let dim = self.shard_dim;
-        let mut spans: Vec<(f64, f64)> = added
-            .iter()
-            .map(|r| {
-                let iv = r.interval(dim);
-                (iv.lo(), iv.hi())
-            })
-            .collect();
-        spans.extend(removed_spans);
-        let agg_shared = self.agg.clone();
-        let index_shared = self.index.clone();
-        let threshold = self.threshold;
-        let k = self.k;
-        let strict = self.strict_recluster;
-        let old_shards = std::mem::take(&mut self.shards);
-        let refreshed: Vec<(AggregateShard, bool, bool)> =
-            // lint: allow(thread-panic): invariant failures propagate
-            // through par_map_vec's scoped join and re-raise on the
-            // caller; the taken shard set is never published partially.
-            parallel::par_map_vec(old_shards, 2, |mut shard| {
-                let affected = spans.iter().any(|&(a, b)| a < shard.hi && shard.lo < b);
-                if !affected {
-                    return (shard, false, false);
-                }
-                shard.framework.weights = Some(shared_weights.clone());
-                let overlaps = |r: &Rect| {
-                    let iv = r.interval(dim);
-                    iv.lo() < shard.hi && shard.lo < iv.hi()
-                };
-                let adds: Vec<(usize, Rect)> = structural_adds
-                    .iter()
-                    .filter(|(_, r)| overlaps(r))
-                    .cloned()
-                    .collect();
-                let removes: Vec<(usize, Rect)> = structural_removes
-                    .iter()
-                    .filter(|(_, r)| overlaps(r))
-                    .cloned()
-                    .collect();
-                let reclustered = if !adds.is_empty() || !removes.is_empty() || strict {
-                    shard
-                        .framework
-                        .apply_delta(&adds, &removes, &shard.probs, num_classes);
-                    shard.clustering = algorithm.cluster(&shard.framework, k);
-                    true
-                } else {
-                    false
-                };
-                shard.plan = AggregatePlan::compile_with_index(
-                    &shard.framework,
-                    &shard.clustering,
-                    threshold,
-                    agg_shared.clone(),
-                    index_shared.clone(),
-                );
-                (shard, reclustered, true)
-            });
-        for (shard, reclustered, recompiled) in refreshed {
-            report.shards_reclustered += reclustered as usize;
-            report.shards_recompiled += recompiled as usize;
-            self.shards.push(shard);
-        }
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clustering::ClusteringAlgorithm;
     use crate::dispatch::DispatchScratch;
-    use crate::framework::CellProbability;
     use crate::kmeans::{KMeans, KMeansVariant};
+    use geometry::Interval;
     use rand::prelude::*;
 
     fn rect1(lo: f64, hi: f64) -> Rect {
@@ -1079,6 +352,39 @@ mod tests {
             .collect()
     }
 
+    /// Serves `points` through the aggregated and the concrete plan of
+    /// `subs` and requires equal decisions and interested sets.
+    fn assert_serves_like_concrete(
+        subs: &[Rect],
+        grid: &Grid,
+        k: usize,
+        threshold: f64,
+        points: impl Iterator<Item = Point>,
+    ) {
+        let probs = CellProbability::uniform(grid);
+        let algorithm = KMeans::new(KMeansVariant::MacQueen);
+        let raw_fw = GridFramework::build(grid.clone(), subs, &probs, None);
+        let raw_plan = DispatchPlan::compile(&raw_fw, &algorithm.cluster(&raw_fw, k))
+            .with_threshold(threshold)
+            .with_subscriptions(subs);
+        let agg = Arc::new(Aggregation::build(subs));
+        let agg_fw = agg.build_framework(grid.clone(), &probs, None);
+        let agg_plan =
+            AggregatePlan::compile(&agg_fw, &algorithm.cluster(&agg_fw, k), threshold, agg);
+        let mut raw_scratch = DispatchScratch::new();
+        let mut agg_scratch = AggregateScratch::new();
+        for p in points {
+            let raw_d = raw_plan.serve(&p, &mut raw_scratch);
+            let agg_d = agg_plan.serve(&p, &mut agg_scratch);
+            assert_eq!(raw_d, agg_d, "threshold {threshold}, point {p:?}");
+            assert_eq!(
+                raw_scratch.interested(),
+                agg_scratch.interested(),
+                "threshold {threshold}, point {p:?}"
+            );
+        }
+    }
+
     #[test]
     fn aggregation_collapses_identical_rects() {
         let subs = near_dup_subs(200, 13, 5);
@@ -1089,14 +395,15 @@ mod tests {
         assert!(agg.ratio() >= 200.0 / 13.0);
         // The packed member lists partition 0..n and agree with class_of.
         let mut seen = [false; 200];
-        for c in 0..agg.num_classes() {
-            let mut members = Vec::new();
-            agg.expand_class_into(c, &mut members);
-            for &m in &members {
+        for (c, members) in agg.members.iter().enumerate() {
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "class {c}");
+            assert_eq!(members.len() as u64, agg.weights()[c]);
+            for &m in members {
+                let m = m as usize;
                 assert!(!seen[m], "member {m} in two classes");
                 seen[m] = true;
                 assert_eq!(agg.class_of()[m] as usize, c);
-                assert_eq!(rect_key(&subs[m]), rect_key(&agg.class_rects()[c]));
+                assert_eq!(rect_key(&subs[m]), rect_key(&agg.rects[c]));
             }
         }
         assert!(seen.iter().all(|&s| s));
@@ -1121,321 +428,51 @@ mod tests {
     #[test]
     fn aggregated_serve_matches_concrete_serve() {
         let subs = near_dup_subs(300, 17, 9);
-        let agg = Arc::new(Aggregation::build(&subs));
+        let grid = Grid::cube(0.0, 10.0, 1, 40).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
         for threshold in [0.0, 0.3, 1.0] {
-            let grid = Grid::cube(0.0, 10.0, 1, 40).unwrap();
-            let probs = CellProbability::uniform(&grid);
-            let raw_fw = GridFramework::build(grid.clone(), &subs, &probs, None);
-            let raw_c = KMeans::new(KMeansVariant::MacQueen).cluster(&raw_fw, 6);
-            let raw_plan = DispatchPlan::compile(&raw_fw, &raw_c)
-                .with_threshold(threshold)
-                .with_subscriptions(&subs);
-            let agg_fw = agg.build_framework(grid, &probs, None);
-            let agg_c = KMeans::new(KMeansVariant::MacQueen).cluster(&agg_fw, 6);
-            let agg_plan = AggregatePlan::compile(&agg_fw, &agg_c, threshold, agg.clone());
-            let mut raw_scratch = DispatchScratch::new();
-            let mut agg_scratch = AggregateScratch::new();
-            for _ in 0..500 {
-                let p = Point::new(vec![rng.gen_range(-1.0..11.0)]);
-                let raw_d = raw_plan.serve(&p, &mut raw_scratch);
-                let agg_d = agg_plan.serve(&p, &mut agg_scratch);
-                assert_eq!(raw_d, agg_d, "threshold {threshold}, point {p:?}");
-                assert_eq!(
-                    raw_scratch.interested(),
-                    agg_scratch.interested(),
-                    "threshold {threshold}, point {p:?}"
-                );
-            }
+            let points = (0..500).map(|_| Point::new(vec![rng.gen_range(-1.0..11.0)]));
+            assert_serves_like_concrete(&subs, &grid, 6, threshold, points);
         }
     }
 
     #[test]
-    fn single_shard_matches_unsharded_plan() {
-        let subs = near_dup_subs(250, 15, 21);
-        let agg = Arc::new(Aggregation::build(&subs));
-        let grid = Grid::cube(0.0, 10.0, 1, 30).unwrap();
-        let probs = CellProbability::uniform(&grid);
-        let fw = agg.build_framework(grid.clone(), &probs, None);
-        let c = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 5);
-        let plan = AggregatePlan::compile(&fw, &c, 0.25, agg.clone());
-        let sharded = ShardedAggregate::build_with_shards(
-            &grid,
-            agg,
-            CellProbability::uniform,
-            &KMeans::new(KMeansVariant::MacQueen),
-            5,
-            0.25,
-            1,
-        );
-        assert_eq!(sharded.num_shards(), 1);
-        let mut a = AggregateScratch::new();
-        let mut b = AggregateScratch::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..400 {
-            let p = Point::new(vec![rng.gen_range(-1.0..11.0)]);
-            assert_eq!(plan.serve(&p, &mut a), sharded.serve(&p, &mut b));
-            assert_eq!(a.interested(), b.interested());
+    fn zero_sign_splits_classes_but_not_interested_sets() {
+        // `-0.0` and `0.0` compare equal, so these pairs match exactly
+        // the same events — but their bit patterns differ, so the
+        // canonicalization (deliberately blind to numeric equality)
+        // keeps them apart. Serving must not care either way.
+        let subs = vec![
+            rect1(0.0, 4.0),
+            rect1(-0.0, 4.0),
+            rect1(-3.0, 0.0),
+            rect1(-3.0, -0.0),
+            rect1(0.0, 4.0),
+        ];
+        let agg = Aggregation::build(&subs);
+        assert_eq!(agg.num_classes(), 4);
+        assert_eq!(agg.weights(), &[2, 1, 1, 1]);
+        assert_eq!(agg.class_of(), &[0, 1, 2, 3, 0]);
+        let grid = Grid::cube(-5.0, 5.0, 1, 10).unwrap();
+        for threshold in [0.0, 0.5] {
+            let points = [-6.0, -3.0, -1.5, -0.0, 0.0, 1e-300, 2.0, 4.0, 4.5]
+                .into_iter()
+                .map(|x| Point::new(vec![x]));
+            assert_serves_like_concrete(&subs, &grid, 2, threshold, points);
         }
     }
 
     #[test]
-    fn sharded_interested_sets_are_exact_at_any_shard_count() {
-        let subs = near_dup_subs(220, 19, 33);
-        let agg = Arc::new(Aggregation::build(&subs));
-        let grid = Grid::cube(0.0, 10.0, 1, 24).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        for shards in [1, 3, 4, 24] {
-            let sharded = ShardedAggregate::build_with_shards(
-                &grid,
-                agg.clone(),
-                CellProbability::uniform,
-                &KMeans::new(KMeansVariant::MacQueen),
-                4,
-                0.2,
-                shards,
-            );
-            let mut scratch = AggregateScratch::new();
-            for _ in 0..300 {
-                let p = Point::new(vec![rng.gen_range(-1.0..11.0)]);
-                let brute: Vec<usize> = subs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.contains(&p))
-                    .map(|(i, _)| i)
-                    .collect();
-                sharded.serve(&p, &mut scratch);
-                assert_eq!(scratch.interested(), &brute[..], "{shards} shards, {p:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn churn_keeps_interested_sets_exact() {
-        let mut subs = near_dup_subs(150, 11, 41);
-        let agg = Arc::new(Aggregation::build(&subs));
-        let grid = Grid::cube(0.0, 10.0, 1, 20).unwrap();
-        let alg = KMeans::new(KMeansVariant::MacQueen);
-        let mut sharded = ShardedAggregate::build_with_shards(
-            &grid,
-            agg,
-            CellProbability::uniform,
-            &alg,
-            4,
-            0.2,
-            4,
-        );
-        let mut rng = StdRng::seed_from_u64(17);
-        for round in 0..3 {
-            // A mix of duplicates (weight bumps) and fresh rectangles.
-            let mut batch = Vec::new();
-            for _ in 0..10 {
-                if rng.gen_bool(0.5) && !subs.is_empty() {
-                    batch.push(subs[rng.gen_range(0..subs.len())].clone());
-                } else {
-                    let lo = rng.gen_range(0.0..9.0);
-                    batch.push(rect1(lo, (lo + rng.gen_range(0.1..2.0)).min(10.0)));
-                }
-            }
-            let report = sharded.apply_churn(&batch, &[], &alg);
-            assert_eq!(report.added, 10);
-            assert_eq!(report.new_classes + report.weight_bumps, 10);
-            subs.extend(batch);
-            assert_eq!(sharded.aggregation().num_concrete(), subs.len());
-            let mut scratch = AggregateScratch::new();
-            for _ in 0..200 {
-                let p = Point::new(vec![rng.gen_range(-1.0..11.0)]);
-                let brute: Vec<usize> = subs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.contains(&p))
-                    .map(|(i, _)| i)
-                    .collect();
-                sharded.serve(&p, &mut scratch);
-                assert_eq!(scratch.interested(), &brute[..], "round {round}, {p:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn churn_removals_keep_interested_sets_exact_and_tombstone_classes() {
-        let subs = near_dup_subs(120, 9, 77);
-        let agg = Arc::new(Aggregation::build(&subs));
-        let grid = Grid::cube(0.0, 10.0, 1, 20).unwrap();
-        let alg = KMeans::new(KMeansVariant::MacQueen);
-        let mut sharded = ShardedAggregate::build_with_shards(
-            &grid,
-            agg,
-            CellProbability::uniform,
-            &alg,
-            4,
-            0.2,
-            4,
-        );
-        let mut live: Vec<Option<Rect>> = subs.iter().cloned().map(Some).collect();
-        let mut rng = StdRng::seed_from_u64(78);
-        for round in 0..4 {
-            // Remove a handful of live ids, sometimes draining a whole
-            // class; add a few fresh rectangles too.
-            let live_ids: Vec<usize> = live
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| r.as_ref().map(|_| i))
-                .collect();
-            let mut removed: Vec<usize> = Vec::new();
-            for _ in 0..8.min(live_ids.len()) {
-                let id = live_ids[rng.gen_range(0..live_ids.len())];
-                if !removed.contains(&id) {
-                    removed.push(id);
-                }
-            }
-            let added: Vec<Rect> = (0..3)
-                .map(|_| {
-                    let lo = rng.gen_range(0.0..9.0);
-                    rect1(lo, (lo + rng.gen_range(0.1..2.0)).min(10.0))
-                })
-                .collect();
-            let report = sharded.apply_churn(&added, &removed, &alg);
-            assert_eq!(report.removed, removed.len());
-            assert_eq!(
-                report.weight_decrements + report.class_tombstones,
-                removed.len()
-            );
-            for &id in &removed {
-                live[id] = None;
-            }
-            for r in &added {
-                live.push(Some(r.clone()));
-            }
-            let mut scratch = AggregateScratch::new();
-            for _ in 0..200 {
-                let p = Point::new(vec![rng.gen_range(-1.0..11.0)]);
-                let brute: Vec<usize> = live
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.as_ref().is_some_and(|r| r.contains(&p)))
-                    .map(|(i, _)| i)
-                    .collect();
-                sharded.serve(&p, &mut scratch);
-                assert_eq!(scratch.interested(), &brute[..], "round {round}, {p:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn tombstoned_class_revives_on_identical_add() {
-        let r = rect1(2.0, 4.0);
-        let subs = vec![r.clone(), r.clone(), rect1(6.0, 8.0)];
-        let agg = Arc::new(Aggregation::build(&subs));
+    #[should_panic(expected = "framework universe is not the aggregation's class count")]
+    fn compile_rejects_a_framework_over_another_universe() {
         let grid = Grid::cube(0.0, 10.0, 1, 10).unwrap();
-        let alg = KMeans::new(KMeansVariant::MacQueen);
-        let mut sharded = ShardedAggregate::build_with_shards(
-            &grid,
-            agg,
-            CellProbability::uniform,
-            &alg,
-            2,
-            0.2,
-            2,
-        );
-        // Drain class 0 entirely, then re-add the identical rectangle.
-        let report = sharded.apply_churn(&[], &[0, 1], &alg);
-        assert_eq!(report.class_tombstones, 1);
-        let mut scratch = AggregateScratch::new();
-        let p = Point::new(vec![3.0]);
-        sharded.serve(&p, &mut scratch);
-        assert!(scratch.interested().is_empty());
-        let report = sharded.apply_churn(&[r], &[], &alg);
-        // The revived class reuses its slot: a weight bump, not a new
-        // class, but a structural (re-cluster-worthy) change.
-        assert_eq!(report.new_classes, 0);
-        assert_eq!(report.weight_bumps, 1);
-        assert!(report.shards_reclustered >= 1);
-        sharded.serve(&p, &mut scratch);
-        assert_eq!(scratch.interested(), &[3]);
-        assert_eq!(sharded.aggregation().num_classes(), 2);
-    }
-
-    #[test]
-    fn shard_axis_scoring_prefers_the_less_replicated_dimension() {
-        // Rectangles thin along dimension 1 but spanning all of
-        // dimension 0: slabbing along dim 1 replicates nothing, while
-        // dim 0 would put every class in every slab.
-        let subs: Vec<Rect> = (0..8)
-            .map(|i| {
-                let lo = i as f64;
-                Rect::new(vec![
-                    Interval::new(0.0, 10.0).unwrap(),
-                    Interval::new(lo, lo + 0.5).unwrap(),
-                ])
-            })
-            .collect();
-        let agg = Arc::new(Aggregation::build(&subs));
-        let grid = Grid::cube(0.0, 10.0, 2, 10).unwrap();
-        let alg = KMeans::new(KMeansVariant::MacQueen);
-        let auto = ShardedAggregate::build_with_shards_on(
-            &grid,
-            agg.clone(),
-            CellProbability::uniform,
-            &alg,
-            3,
-            0.2,
-            4,
-            None,
-        );
-        assert_eq!(auto.shard_dim(), 1);
-        // Forced dim 0 still serves exactly; auto serves exactly.
-        let forced = ShardedAggregate::build_with_shards_on(
-            &grid,
-            agg,
-            CellProbability::uniform,
-            &alg,
-            3,
-            0.2,
-            4,
-            Some(0),
-        );
-        assert_eq!(forced.shard_dim(), 0);
-        let mut rng = StdRng::seed_from_u64(91);
-        let mut a = AggregateScratch::new();
-        let mut b = AggregateScratch::new();
-        for _ in 0..300 {
-            let p = Point::new(vec![rng.gen_range(-1.0..11.0), rng.gen_range(-1.0..11.0)]);
-            let brute: Vec<usize> = subs
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.contains(&p))
-                .map(|(i, _)| i)
-                .collect();
-            auto.serve(&p, &mut a);
-            forced.serve(&p, &mut b);
-            assert_eq!(a.interested(), &brute[..], "auto axis, {p:?}");
-            assert_eq!(b.interested(), &brute[..], "forced axis, {p:?}");
-        }
-    }
-
-    #[test]
-    fn cell_canonicalization_merges_same_cell_sets() {
-        // Two rectangles with different bounds but identical cell
-        // overlap on a coarse grid must merge under tier 2.
-        let subs = vec![rect1(1.1, 3.9), rect1(1.3, 3.7), rect1(6.0, 8.0)];
-        let grid = Grid::cube(0.0, 10.0, 1, 5).unwrap();
-        let t1 = Aggregation::build(&subs);
-        assert_eq!(t1.num_classes(), 3);
-        let t2 = t1.cell_canonicalize(&grid);
-        assert_eq!(t2.num_classes(), 2);
-        assert_eq!(t2.num_variants(), 3);
-        assert_eq!(t2.weights(), &[2, 1]);
-        // Delivery through a tier-2 plan still tests per-variant rects.
         let probs = CellProbability::uniform(&grid);
-        let fw = t2.build_framework(grid, &probs, None);
+        let small = Aggregation::build(&[rect1(1.0, 3.0), rect1(5.0, 8.0)]);
+        let fw = small.build_framework(grid, &probs, None);
         let c = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 2);
-        let plan = AggregatePlan::compile(&fw, &c, 0.0, Arc::new(t2));
-        let mut scratch = AggregateScratch::new();
-        // 1.2 is inside variant 0 only; 1.35 is inside variants 0 and 1.
-        plan.serve(&Point::new(vec![1.2]), &mut scratch);
-        assert_eq!(scratch.interested(), &[0]);
-        plan.serve(&Point::new(vec![1.35]), &mut scratch);
-        assert_eq!(scratch.interested(), &[0, 1]);
+        // One class more than the framework was built over: every
+        // member id is in range, the universe is still the wrong one.
+        let larger = Aggregation::build(&[rect1(1.0, 3.0), rect1(5.0, 8.0), rect1(2.0, 6.0)]);
+        AggregatePlan::compile(&fw, &c, 0.0, Arc::new(larger));
     }
 }

@@ -23,22 +23,10 @@ use crate::membership::BitSet;
 use crate::parallel;
 use crate::waste::{popularity, popularity_weighted};
 
-/// Default cap (in hyper-cells) above which [`GridFramework`] declines to
+/// Cap (in hyper-cells) above which [`GridFramework`] declines to
 /// materialize the pairwise distance cache (`l(l−1)/2` f64s ≈ 150 MB at
-/// 6144 cells). Override with `PUBSUB_DISTANCE_CACHE_CELLS`; 0 disables
-/// the cache entirely.
-const DEFAULT_DISTANCE_CACHE_CELLS: usize = 6144;
-
-fn distance_cache_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        crate::env_knob(
-            "PUBSUB_DISTANCE_CACHE_CELLS",
-            DEFAULT_DISTANCE_CACHE_CELLS,
-            |s| s.parse().ok(),
-        )
-    })
-}
+/// 6144 cells).
+const DISTANCE_CACHE_CELLS: usize = 6144;
 
 /// Per-cell publication probability `p_p` over a grid.
 ///
@@ -537,9 +525,8 @@ impl GridFramework {
     /// hyper-cells, building it (in parallel) on first access.
     ///
     /// Returns `None` when the framework exceeds the cache size cap
-    /// (`PUBSUB_DISTANCE_CACHE_CELLS`, default 6144 hyper-cells) or has
-    /// fewer than two hyper-cells; callers then compute distances
-    /// directly. Entries are exactly the values
+    /// (6144 hyper-cells) or has fewer than two hyper-cells; callers
+    /// then compute distances directly. Entries are exactly the values
     /// [`expected_waste`](crate::expected_waste) (its weighted form on a
     /// class-universe framework) would return for the same hyper-cell
     /// pair, so using the cache never changes results.
@@ -548,14 +535,12 @@ impl GridFramework {
         self.distances
             .get_or_init(|| {
                 let l = self.hypercells.len();
-                if l < 2 || l > distance_cache_cap() {
-                    None
-                } else {
-                    Some(Arc::new(DistanceMatrix::build_weighted(
+                (2..=DISTANCE_CACHE_CELLS).contains(&l).then(|| {
+                    Arc::new(DistanceMatrix::build_weighted(
                         &self.hypercells,
                         self.weights_ref(),
-                    )))
-                }
+                    ))
+                })
             })
             .as_deref()
     }
@@ -695,9 +680,10 @@ impl GridFramework {
 
     /// Whether [`GridFramework::apply_delta`] may be called: the
     /// framework holds every merged hyper-cell (no truncation, no
-    /// outlier filtering, not an unmerged ablation build).
+    /// outlier filtering, not an unmerged ablation build) over concrete
+    /// subscribers (not a weighted class universe).
     pub fn supports_incremental(&self) -> bool {
-        self.complete
+        self.complete && self.weights.is_none()
     }
 
     /// Applies a subscription delta in place: `removed[i] = (id, rect)`
@@ -724,7 +710,9 @@ impl GridFramework {
     /// # Panics
     ///
     /// Panics if the framework is not [`GridFramework::supports_incremental`],
-    /// if `num_subscribers` is smaller than the current universe, if a
+    /// if it is a weighted class-universe framework (an aggregation is
+    /// rebuilt from its population, never patched), if
+    /// `num_subscribers` is smaller than the current universe, if a
     /// delta id is `>= num_subscribers`, or on rectangle dimension
     /// mismatch.
     pub fn apply_delta(
@@ -737,6 +725,10 @@ impl GridFramework {
         assert!(
             self.complete,
             "apply_delta requires a complete (merged, untruncated) framework"
+        );
+        assert!(
+            self.weights.is_none(),
+            "apply_delta requires an unweighted framework"
         );
         assert!(
             num_subscribers >= self.num_subscribers,
@@ -932,13 +924,9 @@ impl GridFramework {
                 ));
             }
         }
-        let rank = |hc: &HyperCell| match self.weights.as_deref() {
-            None => hc.popularity(),
-            Some(w) => popularity_weighted(hc.prob, &hc.members, w),
-        };
         rebuilt.sort_by(|a, b| {
-            rank(&b.0)
-                .partial_cmp(&rank(&a.0))
+            b.0.popularity()
+                .partial_cmp(&a.0.popularity())
                 .expect("popularity is never NaN")
                 // lint: allow(no-literal-index): hyper-cells always hold >= 1 cell
                 .then_with(|| a.0.cells[0].cmp(&b.0.cells[0]))
@@ -1291,6 +1279,26 @@ mod tests {
         let mut fw = GridFramework::build(g, &subs, &probs, Some(1));
         assert!(!fw.supports_incremental());
         fw.apply_delta(&[], &[], &probs, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "apply_delta requires an unweighted framework")]
+    fn apply_delta_rejects_weighted_frameworks() {
+        let g = grid10();
+        let probs = CellProbability::uniform(&g);
+        let cell_sets = vec![
+            g.cells_overlapping(&rect1(0.0, 5.0)),
+            g.cells_overlapping(&rect1(5.0, 10.0)),
+        ];
+        let mut fw = GridFramework::build_weighted_from_cells(
+            g,
+            &cell_sets,
+            Arc::new(vec![3, 1]),
+            &probs,
+            None,
+        );
+        assert!(!fw.supports_incremental());
+        fw.apply_delta(&[(2, rect1(2.0, 7.0))], &[], &probs, 3);
     }
 
     #[test]

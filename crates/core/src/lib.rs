@@ -78,9 +78,7 @@ mod snapshot;
 mod validate;
 mod waste;
 
-pub use aggregate::{
-    AggregateChurnReport, AggregatePlan, AggregateScratch, Aggregation, ShardedAggregate,
-};
+pub use aggregate::{AggregatePlan, AggregateScratch, Aggregation};
 pub use batch::BatchScratch;
 pub use clustering::{Clustering, ClusteringAlgorithm, Group};
 pub use dispatch::{DispatchPlan, DispatchScratch, DENSE_TABLE_MAX_CELLS};

@@ -68,33 +68,6 @@ impl SubscriptionIndex {
         }
     }
 
-    /// Appends `new_rects` with ids continuing from [`len`](Self::len),
-    /// inserting into the existing tree instead of re-bulk-loading the
-    /// whole population — the churn path grows the variant index
-    /// incrementally with this. Matches equal a fresh
-    /// [`build`](Self::build) over the concatenated population:
-    /// [`matching_into`](Self::matching_into) sorts its output, so the
-    /// differing tree shape is unobservable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a rectangle's dimension differs from the indexed ones.
-    pub fn extend(&mut self, new_rects: &[Rect]) {
-        if new_rects.is_empty() {
-            return;
-        }
-        if self.len == 0 {
-            // The empty index holds a placeholder 1-d tree; replace it
-            // wholesale so the first real rectangles fix the dimension.
-            *self = Self::build(new_rects);
-            return;
-        }
-        for r in new_rects {
-            self.tree.insert(r.clone(), self.len);
-            self.len += 1;
-        }
-    }
-
     /// Number of indexed subscriptions.
     pub fn len(&self) -> usize {
         self.len
@@ -185,45 +158,6 @@ mod tests {
             idx.matching_into(&p, &mut buf);
             assert_eq!(buf, idx.matching(&p));
         }
-    }
-
-    #[test]
-    fn extend_matches_a_fresh_build() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut rect2 = |_: usize| {
-            Rect::new(
-                (0..2)
-                    .map(|_| {
-                        let a = rng.gen_range(0.0..20.0);
-                        Interval::from_unordered(a, a + rng.gen_range(0.1..6.0))
-                    })
-                    .collect(),
-            )
-        };
-        let mut all: Vec<Rect> = Vec::new();
-        // Grow from empty (exercises the placeholder-tree replacement)
-        // through several batches of genuine inserts.
-        let mut grown = SubscriptionIndex::build(&all);
-        let mut rng2 = StdRng::seed_from_u64(30);
-        for batch in 0..4 {
-            let added: Vec<Rect> = (0..if batch == 0 { 7 } else { 12 })
-                .map(&mut rect2)
-                .collect();
-            grown.extend(&added);
-            all.extend(added);
-            let fresh = SubscriptionIndex::build(&all);
-            assert_eq!(grown.len(), fresh.len());
-            for _ in 0..100 {
-                let p = Point::new(vec![rng2.gen_range(-1.0..21.0), rng2.gen_range(-1.0..21.0)]);
-                assert_eq!(
-                    grown.matching(&p),
-                    fresh.matching(&p),
-                    "batch {batch}, {p:?}"
-                );
-            }
-        }
-        grown.extend(&[]);
-        assert_eq!(grown.len(), all.len());
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use geometry::{Point, Rect};
 use spatial::RTree;
 
+use crate::aggregate::rect_key;
 use crate::membership::BitSet;
 use crate::parallel;
 
@@ -99,15 +100,6 @@ pub struct NoLossClustering {
     /// `regions[i].subscribers.count()`, precomputed at build time so
     /// the matcher's comparator never re-counts a bit-set.
     pub(crate) counts: Vec<u32>,
-}
-
-/// Exact bit-pattern key for a rectangle (used to merge duplicate
-/// regions produced by different intersection paths).
-fn rect_key(r: &Rect) -> Vec<(u64, u64)> {
-    r.intervals()
-        .iter()
-        .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
-        .collect()
 }
 
 /// Empirical probability mass of a rectangle: its share of the sample.

@@ -35,7 +35,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Inputs shorter than this run serially in [`par_map_indexed`] /
 /// [`par_map`] unless the caller passes an explicit grain.
@@ -202,33 +202,6 @@ where
     par_map_indexed(items.len(), min_len, |i| f(&items[i]))
 }
 
-/// Maps `f` over an *owned* vector in parallel; `out[i] == f(items[i])`
-/// exactly as in the serial loop. This is the by-value sibling of
-/// [`par_map`], for elements too large (or too non-`Sync`) to process
-/// behind a shared reference — e.g. whole aggregation shards being
-/// rebuilt in place. Under `#![forbid(unsafe_code)]` ownership is
-/// handed to workers through per-slot mutexes; each slot is taken
-/// exactly once, so the locks never contend.
-pub fn par_map_vec<T, R, F>(items: Vec<T>, min_len: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = items.len();
-    if num_threads() <= 1 || n < min_len.max(2) {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    par_map_indexed(n, 1, |i| {
-        let taken = slots[i]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .take();
-        f(taken.expect("each slot is taken exactly once"))
-    })
-}
-
 /// Sums `f(i)` over `0..n` with a fixed `chunk_size` decomposition, so
 /// the result is bit-identical for any thread count (partial sums are
 /// combined in chunk order).
@@ -282,19 +255,6 @@ mod tests {
             let sum = with_threads(threads, || par_sum_f64(10_000, 128, f));
             assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn par_map_vec_matches_serial_and_moves_ownership() {
-        let make = || (0..100).map(|i| vec![i; 3]).collect::<Vec<_>>();
-        let serial: Vec<usize> = make().into_iter().map(|v| v.iter().sum()).collect();
-        for threads in [1, 2, 8] {
-            let par = with_threads(threads, || {
-                par_map_vec(make(), 1, |v: Vec<usize>| v.iter().sum::<usize>())
-            });
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-        assert!(par_map_vec(Vec::<u8>::new(), 1, |b| b).is_empty());
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! the class-universe [`AggregatePlan`] produces decisions and
 //! concrete interested sets bit-identical to the unaggregated
 //! [`DispatchPlan`] over the expanded population — for all five grid
-//! algorithms, scalar and chunked, at 1 and 8 threads — and one shard
-//! of a [`ShardedAggregate`] is identical to the unsharded plan. The
-//! No-Loss analogue clusters class rectangles with multiplicities and
+//! algorithms, scalar and chunked, at 1 and 8 threads. The No-Loss
+//! analogue clusters class rectangles with multiplicities and
 //! must agree with the concrete build on every region match. The
 //! always-on service path is pinned by `service_path_agrees_with_the
 //! _aggregated_plan` below.
@@ -17,7 +16,7 @@ use pubsub_core::{
     parallel, AggregatePlan, AggregateScratch, Aggregation, BrokerService, CellProbability,
     ClusteringAlgorithm, Delivery, DispatchPlan, DispatchScratch, DynamicClustering, GridFramework,
     KMeans, KMeansVariant, MstClustering, NoLossClustering, NoLossConfig, PairsStrategy,
-    PairwiseGrouping, ServiceConfig, ShardedAggregate,
+    PairwiseGrouping, ServiceConfig,
 };
 
 /// Bounded random interval inside (0, 20].
@@ -150,209 +149,6 @@ proptest! {
                     threads
                 );
             }
-        }
-    }
-
-    /// One shard serves bit-identically to the unsharded plan, and any
-    /// shard count keeps interested sets exact against brute force.
-    #[test]
-    fn sharded_serves_match_unsharded_and_brute_force(
-        subs in population_strategy(),
-        points in prop::collection::vec(point_strategy(), 1..30),
-        threshold in 0.0..1.0f64,
-        shards in 2usize..6,
-    ) {
-        let grid = grid();
-        let agg = Arc::new(Aggregation::build(&subs));
-        let algorithm = KMeans::new(KMeansVariant::MacQueen);
-        let class_fw = agg.build_framework(grid.clone(), &CellProbability::uniform(&grid), None);
-        let clustering = algorithm.cluster(&class_fw, 4);
-        let plan = AggregatePlan::compile(&class_fw, &clustering, threshold, agg.clone());
-        let one = ShardedAggregate::build_with_shards(
-            &grid, agg.clone(), CellProbability::uniform, &algorithm, 4, threshold, 1,
-        );
-        let many = ShardedAggregate::build_with_shards(
-            &grid, agg.clone(), CellProbability::uniform, &algorithm, 4, threshold, shards,
-        );
-        let mut a = AggregateScratch::new();
-        let mut b = AggregateScratch::new();
-        for p in &points {
-            let d_plan = plan.serve(p, &mut a);
-            let d_one = one.serve(p, &mut b);
-            prop_assert_eq!(d_plan, d_one, "one-shard decision diverged at {:?}", p);
-            prop_assert_eq!(a.interested(), b.interested(), "one-shard set diverged at {:?}", p);
-            let _ = many.serve(p, &mut b);
-            let brute: Vec<usize> = subs
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.contains(p))
-                .map(|(i, _)| i)
-                .collect();
-            prop_assert_eq!(
-                b.interested(),
-                &brute[..],
-                "{}-shard interested set diverged at {:?}",
-                shards,
-                p
-            );
-        }
-    }
-
-    /// The parallel shard fan-out is a pure scheduling change: building
-    /// a sharded aggregate and churning it (adds and removals) under 1
-    /// and 8 worker threads yields bit-identical decisions and
-    /// interested sets at every shard count.
-    #[test]
-    fn parallel_build_and_churn_match_serial(
-        subs in population_strategy(),
-        added in prop::collection::vec(rect_strategy(), 1..6),
-        points in prop::collection::vec(point_strategy(), 1..20),
-        threshold in 0.0..1.0f64,
-    ) {
-        let grid = grid();
-        let algorithm = KMeans::new(KMeansVariant::MacQueen);
-        let removed: Vec<usize> = (0..subs.len()).step_by(4).take(3).collect();
-        for shards in [1usize, 3, 8] {
-            let run = |threads: usize| {
-                parallel::with_threads(threads, || {
-                    let agg = Arc::new(Aggregation::build(&subs));
-                    let mut sharded = ShardedAggregate::build_with_shards(
-                        &grid, agg, CellProbability::uniform, &algorithm, 4, threshold, shards,
-                    );
-                    let report = sharded.apply_churn(&added, &removed, &algorithm);
-                    let mut scratch = AggregateScratch::new();
-                    let served: Vec<(Delivery, Vec<usize>)> = points
-                        .iter()
-                        .map(|p| {
-                            let d = sharded.serve(p, &mut scratch);
-                            (d, scratch.interested().to_vec())
-                        })
-                        .collect();
-                    (sharded.shard_dim(), report.shards_reclustered, served)
-                })
-            };
-            let serial = run(1);
-            let par = run(8);
-            prop_assert_eq!(serial, par, "threads 1 vs 8 diverged at {} shard(s)", shards);
-        }
-    }
-
-    /// The selectivity-chosen shard axis is reproducible: pinning
-    /// `shard_dim` to the axis the auto heuristic picked rebuilds the
-    /// identical aggregate, and *every* forced axis still serves exact
-    /// interested sets against brute force.
-    #[test]
-    fn forced_shard_axis_matches_auto_and_serves_exact(
-        subs in population_strategy(),
-        points in prop::collection::vec(point_strategy(), 1..20),
-        threshold in 0.0..1.0f64,
-        shards in 2usize..6,
-    ) {
-        let grid = grid();
-        let algorithm = KMeans::new(KMeansVariant::MacQueen);
-        let agg = Arc::new(Aggregation::build(&subs));
-        let auto = ShardedAggregate::build_with_shards(
-            &grid, agg.clone(), CellProbability::uniform, &algorithm, 4, threshold, shards,
-        );
-        let pinned = ShardedAggregate::build_with_shards_on(
-            &grid, agg.clone(), CellProbability::uniform, &algorithm, 4, threshold, shards,
-            Some(auto.shard_dim()),
-        );
-        let mut a = AggregateScratch::new();
-        let mut b = AggregateScratch::new();
-        for p in &points {
-            let da = auto.serve(p, &mut a);
-            let dp = pinned.serve(p, &mut b);
-            prop_assert_eq!(da, dp, "pinned-axis decision diverged at {:?}", p);
-            prop_assert_eq!(a.interested(), b.interested(), "pinned-axis set diverged at {:?}", p);
-        }
-        for dim in 0..grid.dim() {
-            let forced = ShardedAggregate::build_with_shards_on(
-                &grid, agg.clone(), CellProbability::uniform, &algorithm, 4, threshold, shards,
-                Some(dim),
-            );
-            prop_assert_eq!(forced.shard_dim(), dim);
-            for p in &points {
-                let _ = forced.serve(p, &mut a);
-                let brute: Vec<usize> = subs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.contains(p))
-                    .map(|(i, _)| i)
-                    .collect();
-                prop_assert_eq!(
-                    a.interested(),
-                    &brute[..],
-                    "axis {} interested set diverged at {:?}",
-                    dim,
-                    p
-                );
-            }
-        }
-    }
-
-    /// Interleaved add/remove churn under strict re-clustering lands on
-    /// the same aggregate a cold rebuild from the churned population
-    /// produces: identical decisions and interested sets everywhere.
-    #[test]
-    fn strict_churn_interleavings_match_cold_rebuild(
-        subs in population_strategy(),
-        rounds in prop::collection::vec(
-            (
-                prop::collection::vec(rect_strategy(), 0..4),
-                prop::collection::vec(0usize..1000, 0..5),
-            ),
-            1..4,
-        ),
-        points in prop::collection::vec(point_strategy(), 1..20),
-        threshold in 0.0..1.0f64,
-        shards in 1usize..5,
-    ) {
-        let grid = grid();
-        let algorithm = KMeans::new(KMeansVariant::MacQueen);
-        let agg = Arc::new(Aggregation::build(&subs));
-        let mut sharded = ShardedAggregate::build_with_shards(
-            &grid, agg, CellProbability::uniform, &algorithm, 4, threshold, shards,
-        )
-        .with_strict_recluster(true);
-        let mut num_concrete = subs.len();
-        let mut alive: Vec<usize> = (0..subs.len()).collect();
-        for (adds, removal_picks) in &rounds {
-            let mut ids: Vec<usize> = Vec::new();
-            for &pick in removal_picks {
-                if alive.is_empty() {
-                    break;
-                }
-                ids.push(alive.swap_remove(pick % alive.len()));
-            }
-            sharded.apply_churn(adds, &ids, &algorithm);
-            for _ in adds {
-                alive.push(num_concrete);
-                num_concrete += 1;
-            }
-        }
-        let cold = ShardedAggregate::build_with_shards_on(
-            &grid,
-            Arc::new(sharded.aggregation().clone()),
-            CellProbability::uniform,
-            &algorithm,
-            4,
-            threshold,
-            shards,
-            Some(sharded.shard_dim()),
-        );
-        let mut a = AggregateScratch::new();
-        let mut b = AggregateScratch::new();
-        for p in &points {
-            let dc = sharded.serve(p, &mut a);
-            let dd = cold.serve(p, &mut b);
-            prop_assert_eq!(dc, dd, "decision diverged from cold rebuild at {:?}", p);
-            prop_assert_eq!(
-                a.interested(),
-                b.interested(),
-                "interested set diverged from cold rebuild at {:?}",
-                p
-            );
         }
     }
 

@@ -1,9 +1,8 @@
 //! Real-thread stress of the deterministic fan-out primitives.
 //!
 //! The `parallel` unit tests pin small determinism cases; these suites
-//! push the scoped fan-out, the work-stealing chunk counter, and the
-//! per-slot ownership handoff of `par_map_vec` through every
-//! synchronization edge at native speed.
+//! push the scoped fan-out and the work-stealing chunk counter through
+//! every synchronization edge at native speed.
 
 use pubsub_core::parallel;
 
@@ -30,20 +29,6 @@ fn f64_reductions_stay_bit_identical_at_stress_scale() {
     for threads in [2, 5, 8, 16] {
         let sum = parallel::with_threads(threads, || parallel::par_sum_f64(200_000, 512, f));
         assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
-    }
-}
-
-#[test]
-fn par_map_vec_hands_each_slot_to_exactly_one_worker() {
-    // Boxed payloads make a double-take or a dropped slot an
-    // observable ownership bug.
-    let make = || (0..5_000).map(|i| Box::new(i as u64)).collect::<Vec<_>>();
-    let serial: Vec<u64> = make().into_iter().map(|b| *b * 3).collect();
-    for threads in [2, 4, 8] {
-        let par = parallel::with_threads(threads, || {
-            parallel::par_map_vec(make(), 1, |b: Box<u64>| *b * 3)
-        });
-        assert_eq!(par, serial, "threads = {threads}");
     }
 }
 

@@ -1,9 +1,7 @@
 //! Bad fixture: closures crossing a thread boundary that can panic —
 //! directly (`.expect` inside a `thread::spawn` closure) and
-//! transitively (`par_map_vec` closure calling a same-crate function
-//! that can panic) — with no `catch_unwind`-style containment.
-
-use pubsub_core::parallel;
+//! transitively (a `thread::spawn` closure calling a same-crate
+//! function that can panic) — with no `catch_unwind`-style containment.
 
 pub fn helper(v: &[u64]) -> u64 {
     v.first().copied().expect("nonempty batch")
@@ -16,6 +14,6 @@ pub fn direct() {
     });
 }
 
-pub fn transitive(vals: Vec<Vec<u64>>) -> Vec<u64> {
-    parallel::par_map_vec(vals, 1, |v| helper(&v))
+pub fn transitive(vals: Vec<u64>) {
+    std::thread::spawn(move || helper(&vals));
 }

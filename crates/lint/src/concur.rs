@@ -1,4 +1,4 @@
-//! Concurrency and determinism audit rules (DESIGN.md §17).
+//! Concurrency and determinism audit rules (DESIGN.md §16).
 //!
 //! Four rules that lean on the [`crate::item_tree`] structural index
 //! and a per-crate function/call index:
@@ -17,12 +17,12 @@
 //!   hash-ordered sequences outside the blessed fixed-chunk reducers
 //!   in `pubsub_core::parallel`.
 //! * **thread-panic** — closures crossing a thread boundary
-//!   (`spawn`, `par_map_vec`) that can panic — directly or through a
-//!   same-crate callee — without a `catch_unwind`-style boundary.
+//!   (`spawn`) that can panic — directly or through a same-crate
+//!   callee — without a `catch_unwind`-style boundary.
 //!
 //! All four require *reasoned* waivers: a bare `lint: allow(rule)`
 //! does not silence them, because the recorded argument is the point
-//! of the audit. Known blind spots are documented in DESIGN.md §17.
+//! of the audit. Known blind spots are documented in DESIGN.md §16.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -771,7 +771,7 @@ pub fn check_lock_order(
 
 /// `pubsub_core::parallel` helpers that *produce* per-thread data
 /// whose reduction order must then be fixed by the consumer.
-const PAR_PRODUCERS: [&str; 4] = ["par_chunks", "par_map", "par_map_indexed", "par_map_vec"];
+const PAR_PRODUCERS: [&str; 3] = ["par_chunks", "par_map", "par_map_indexed"];
 
 /// The blessed reducer module: fixed-chunk decomposition lives here,
 /// so its own internals are exempt.
@@ -938,7 +938,7 @@ pub fn check_float_det(file: &SourceFile, out: &mut Vec<Finding>) {
 /// Calls whose closure argument runs on another thread. (`thread::
 /// scope`'s own closure runs on the caller thread and is exempt; the
 /// closures it passes to `Scope::spawn` are not.)
-const BOUNDARY_CALLS: [&str; 2] = ["spawn", "par_map_vec"];
+const BOUNDARY_CALLS: [&str; 1] = ["spawn"];
 
 /// Flags thread-boundary closures that can panic — directly or via a
 /// same-crate callee — without a `catch_unwind` boundary in the span.

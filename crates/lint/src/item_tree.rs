@@ -11,7 +11,7 @@
 //! followed by `(`.
 //!
 //! Known blind spots (shared with the rest of the scanner, see
-//! DESIGN.md §17): macro bodies look like ordinary code, and a `fn`
+//! DESIGN.md §16): macro bodies look like ordinary code, and a `fn`
 //! keyword inside a macro invocation is treated as a real item. Both
 //! over-approximate, which for the audit rules means at worst an extra
 //! waiver, never a silently missed site.

@@ -1,7 +1,7 @@
 //! Workspace-local static analysis for the pub-sub clustering repo.
 //!
 //! `pubsub-lint` is a dependency-free checker that enforces the
-//! project's correctness conventions (see DESIGN.md §12 and §17):
+//! project's correctness conventions (see DESIGN.md §12 and §16):
 //!
 //! * **no-panic** — library code never calls `.unwrap()`, `panic!`,
 //!   `todo!`, `unimplemented!`, or `.expect(..)` with a computed

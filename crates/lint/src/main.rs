@@ -12,7 +12,7 @@
 //! * `--verbose` — per-rule wall-clock timings on stderr.
 //!
 //! Exit code 0 when the workspace is clean, 1 when any rule fired,
-//! 2 on usage or I/O errors. See `DESIGN.md` §12 and §17 for the rule
+//! 2 on usage or I/O errors. See `DESIGN.md` §12 and §16 for the rule
 //! catalogue and the waiver syntax.
 
 use std::path::PathBuf;
