@@ -15,7 +15,11 @@
 //!   atomic load and one clock read per window in steady state, none
 //!   per event, no `futex_wake` unless a thread is actually parked, and
 //!   no parking for a wait shorter than a wake-up (the ingest protocol,
-//!   DESIGN.md §14.3);
+//!   DESIGN.md §14.3). The offering side pays per event: one lock, one
+//!   clock read and a copy of the event's `dim` coordinates into a ring
+//!   preallocated at start (`queue_depth × (24 + 8·dim)` bytes with the
+//!   event's id and offer instant); the caller's [`Point`] is freed on
+//!   the caller's thread after the lock is released;
 //! * a **rebalancer thread** consumes churn ops, folds them into a
 //!   *clone* of the [`DynamicClustering`] (the one state copy a swap
 //!   makes), runs the audited incremental pipeline on it, compiles the
@@ -70,6 +74,12 @@ const BACKOFF_SHIFT_CAP: u32 = 6;
 /// throughput is flat from 16 to 1024; 64 is the smallest size on the
 /// flat part, so eight workers still share a 1024-deep queue and a
 /// window adds at most 63 kernel calls to its first event's latency.
+/// It is a cap, not the usual size: a worker takes whatever is queued.
+/// Behind the benchmark's one offering thread the mean window per
+/// round read 2.7–17.7 events on `serve-sparse` and 50–55 on
+/// `serve-dense` and `swap-trickle` while the queue carried `Point`s,
+/// and 4–54 on `serve-sparse` since it carries coordinates (DESIGN.md
+/// §14.3).
 const INGEST_WINDOW: usize = 64;
 
 /// How long an ingest worker that found the queue empty keeps looking
@@ -131,7 +141,8 @@ impl std::fmt::Display for ShedPolicy {
 pub struct ServiceConfig {
     /// Ingest worker threads (at least 1).
     pub ingest_threads: usize,
-    /// Bounded ingest-queue capacity (at least 1).
+    /// Bounded ingest-queue capacity (at least 1), allocated in full
+    /// when the service starts.
     pub queue_depth: usize,
     /// Overload behavior when the queue is full.
     pub shed: ShedPolicy,
@@ -318,15 +329,20 @@ impl ServiceReport {
     }
 }
 
-/// An event waiting in the ingest queue.
+/// An event waiting in the ingest queue; its coordinates wait beside it
+/// in [`QueueState::coords`].
 struct PendingEvent {
     id: u64,
-    point: Point,
     enqueued: Instant,
 }
 
 struct QueueState {
     buf: VecDeque<PendingEvent>,
+    /// The coordinates of the events in `buf`, `dim` per event in the
+    /// same order. Both rings are allocated for `queue_depth` events
+    /// when the service starts and never grow, so an offer copies its
+    /// coordinates in and keeps its [`Point`] to free on its own thread.
+    coords: VecDeque<f64>,
     /// Events taken by a worker whose window has not been settled yet.
     in_flight: usize,
     paused: bool,
@@ -358,6 +374,9 @@ struct QueueState {
 /// never touches it while deciding an event).
 struct IngestQueue {
     state: Mutex<QueueState>,
+    /// Coordinates per queued event: the grid's dimension, fixed for
+    /// the service's lifetime.
+    dim: usize,
     /// Signalled when slots free up (block-policy producers wait).
     space: Condvar,
     /// Signalled when an event arrives or the queue closes/resumes.
@@ -367,10 +386,11 @@ struct IngestQueue {
 }
 
 impl IngestQueue {
-    fn new() -> Self {
+    fn new(depth: usize, dim: usize) -> Self {
         IngestQueue {
             state: Mutex::new(QueueState {
-                buf: VecDeque::new(),
+                buf: VecDeque::with_capacity(depth),
+                coords: VecDeque::with_capacity(depth * dim),
                 in_flight: 0,
                 paused: false,
                 closed: false,
@@ -378,6 +398,7 @@ impl IngestQueue {
                 ready_parked: 0,
                 idle_parked: 0,
             }),
+            dim,
             space: Condvar::new(),
             ready: Condvar::new(),
             idle: Condvar::new(),
@@ -453,8 +474,6 @@ pub struct BrokerService {
     rebalancer: Option<JoinHandle<DynamicClustering>>,
     shed_policy: ShedPolicy,
     queue_depth: usize,
-    /// Dimension of the grid, fixed for the service's lifetime.
-    dim: usize,
 }
 
 /// Id-aligned rectangles for [`DispatchPlan::with_subscriptions`]:
@@ -630,20 +649,22 @@ impl Rebalancer {
 /// load when unchanged), serve the window through the batched kernel,
 /// record locally. Returns every record it made.
 fn worker_loop(shared: &Shared) -> Vec<EventRecord> {
+    let queue = &shared.queue;
+    let dim = queue.dim;
     let (mut cached, mut epoch) = shared.plan.load_with_epoch();
     let mut scratch = BatchScratch::new();
     let mut window: Vec<PendingEvent> = Vec::with_capacity(INGEST_WINDOW);
+    let mut coords: Vec<f64> = Vec::with_capacity(INGEST_WINDOW * dim);
+    // The window's events, overwritten in place window after window.
+    let mut points: Vec<Point> = (0..INGEST_WINDOW)
+        .map(|_| Point::new(vec![0.0; dim]))
+        .collect();
     let mut decisions: Vec<Delivery> = Vec::with_capacity(INGEST_WINDOW);
     let mut records = Vec::new();
     loop {
-        // Free the served window's points before locking: offerers
-        // contend for the same lock and must not wait on `free`.
-        let served = window.len();
-        window.clear();
         {
-            let queue = &shared.queue;
             let mut state = queue.lock();
-            state.in_flight -= served;
+            state.in_flight -= window.len();
             if state.idle_parked > 0 && state.in_flight == 0 && state.buf.is_empty() {
                 state.idle_parked = 0;
                 queue.idle.notify_all();
@@ -659,12 +680,19 @@ fn worker_loop(shared: &Shared) -> Vec<EventRecord> {
                 state = queue.ready.wait(state).unwrap_or_else(|e| e.into_inner());
             }
             let take = state.buf.len().min(INGEST_WINDOW);
+            window.clear();
             window.extend(state.buf.drain(..take));
+            coords.clear();
+            coords.extend(state.coords.drain(..take * dim));
             state.in_flight += take;
             if state.space_parked > 0 {
                 state.space_parked = 0;
                 queue.space.notify_all();
             }
+        }
+        // `dim >= 1`: `start` cannot compile a plan over a 0-D grid.
+        for (point, c) in points.iter_mut().zip(coords.chunks_exact(dim)) {
+            point.set_coords(c);
         }
 
         // After the take, not before: an event offered after
@@ -678,7 +706,7 @@ fn worker_loop(shared: &Shared) -> Vec<EventRecord> {
         decisions.clear();
         cached.plan.serve_batch(
             0..window.len(),
-            |e| &window[e].point,
+            |e| &points[e],
             &mut scratch,
             &mut decisions,
         );
@@ -712,9 +740,10 @@ impl BrokerService {
         let plan = compile_plan(&dynamic, config.threshold)?;
         let next_slot = dynamic.subscription_slots().len();
         let dim = dynamic.framework().grid().dim();
+        let queue_depth = config.queue_depth.max(1);
         let shared = Arc::new(Shared {
             plan: SnapshotCell::new(Arc::new(VersionedPlan { version: 0, plan })),
-            queue: IngestQueue::new(),
+            queue: IngestQueue::new(queue_depth, dim),
             shed_events: Mutex::new(Vec::new()),
             published: Mutex::new(vec![0]),
             offered: AtomicU64::new(0),
@@ -756,8 +785,7 @@ impl BrokerService {
             workers,
             rebalancer: Some(rebalancer),
             shed_policy: config.shed,
-            queue_depth: config.queue_depth.max(1),
-            dim,
+            queue_depth,
         })
     }
 
@@ -787,16 +815,16 @@ impl BrokerService {
     /// before an id is allocated, so a rejected event is never part of
     /// the offered load and cannot take an ingest worker down with it.
     pub fn offer(&self, point: Point) -> u64 {
+        let queue = &self.shared.queue;
         assert_eq!(
             point.dim(),
-            self.dim,
+            queue.dim,
             "offered event's dimension differs from the service's grid"
         );
         // lint: allow(atomic-order): unique-id allocator; the RMW's
         // atomicity alone guarantees distinct ids, and the total is
         // read exactly only after shutdown() joins every worker.
         let id = self.shared.offered.fetch_add(1, Ordering::Relaxed);
-        let queue = &self.shared.queue;
         let mut state = queue.lock();
         debug_assert!(!state.closed, "offer after shutdown");
         match self.shed_policy {
@@ -816,6 +844,7 @@ impl BrokerService {
             ShedPolicy::DropOldest => {
                 if state.buf.len() >= self.queue_depth {
                     if let Some(victim) = state.buf.pop_front() {
+                        state.coords.drain(..queue.dim);
                         self.record_shed(victim.id);
                     }
                 }
@@ -823,13 +852,18 @@ impl BrokerService {
         }
         state.buf.push_back(PendingEvent {
             id,
-            point,
             enqueued: Instant::now(),
         });
-        if state.ready_parked > 0 {
+        state.coords.extend(point.coords());
+        // A paused worker cannot take the event: waking it would only
+        // make it park again (`resume_ingest` wakes every worker).
+        if state.ready_parked > 0 && !state.paused {
             state.ready_parked -= 1;
             queue.ready.notify_one();
         }
+        drop(state);
+        // `point` is dropped on return: its buffer is freed on the
+        // thread that allocated it, after the lock is released.
         id
     }
 
@@ -1107,7 +1141,7 @@ mod tests {
 
     #[test]
     fn poll_while_stops_on_the_condition_or_the_budget_and_frees_the_lock() {
-        let queue = IngestQueue::new();
+        let queue = IngestQueue::new(1, 1);
         let busy = |s: &QueueState| s.in_flight > 0;
         // Condition already false: not one yield, whatever the budget.
         let state = queue.poll_while(queue.lock(), Duration::MAX, busy);
@@ -1134,5 +1168,63 @@ mod tests {
             let state = queue.poll_while(queue.lock(), Duration::from_secs(3600), busy);
             assert_eq!(state.in_flight, 0);
         });
+    }
+
+    /// A paused worker cannot take an event, so an offer must leave its
+    /// wait registered instead of paying a `futex_wake` that only makes
+    /// it park again. The real worker re-registers too fast after such
+    /// a wake for the count to show it, so a second waiter that parks
+    /// exactly as a worker does, but reports why it woke instead of
+    /// parking again, stands beside it.
+    #[test]
+    fn offers_to_a_paused_service_wake_no_parked_worker() {
+        let grid = geometry::Grid::cube(0.0, 1.0, 1, 16).expect("grid");
+        let probs = crate::CellProbability::uniform(&grid);
+        let kmeans = crate::KMeans::new(crate::KMeansVariant::MacQueen);
+        let mut dynamic = DynamicClustering::new(grid, probs, kmeans, 2);
+        for i in 0..8 {
+            let lo = f64::from(i) / 10.0;
+            dynamic.subscribe(Rect::new(vec![
+                Interval::new(lo, lo + 0.2).expect("interval")
+            ]));
+        }
+        dynamic.try_rebalance().expect("population rebalances");
+        let service = BrokerService::start(
+            dynamic,
+            ServiceConfig {
+                ingest_threads: 1,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("service starts");
+        service.pause_ingest();
+        let queue = &service.shared.queue;
+        let parked = || queue.lock().ready_parked;
+        while parked() != 1 {
+            std::thread::yield_now();
+        }
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let mut state = queue.lock();
+                state.ready_parked += 1;
+                let state = queue.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+                state.paused
+            });
+            while parked() != 2 {
+                std::thread::yield_now();
+            }
+            for i in 0..100 {
+                service.offer(Point::new(vec![f64::from(i % 10) / 10.0 + 0.05]));
+            }
+            let after = parked();
+            // Release the waiter before asserting: the scope joins it.
+            service.resume_ingest();
+            let woke_paused = waiter.join().expect("waiter returns");
+            assert_eq!(after, 2, "an offer retired a paused wait");
+            assert!(!woke_paused, "an offer woke a worker while paused");
+        });
+        let (report, _) = service.shutdown();
+        assert_eq!(report.delivered, 100);
+        assert!(report.partitions_offered());
     }
 }

@@ -1,21 +1,24 @@
 //! Proves the compiled dispatch path performs ZERO heap allocations
 //! per event in steady state.
 //!
-//! A counting global allocator tallies allocations on the measuring
-//! thread only (other threads — e.g. the libtest harness — are
-//! invisible to the counter). After one warm-up pass grows the scratch
-//! buffers to their high-water mark, re-running the whole event stream
-//! through `DispatchPlan::serve`, `DispatchPlan::serve_batch` and
-//! `NoLossClustering::match_event` must not allocate at all.
+//! A counting global allocator tallies allocations and deallocations
+//! on the measuring thread only (other threads — e.g. the libtest
+//! harness or a service's ingest workers — are invisible to the
+//! counters). After one warm-up pass grows the scratch buffers to their
+//! high-water mark, re-running the whole event stream through
+//! `DispatchPlan::serve`, `DispatchPlan::serve_batch` and
+//! `NoLossClustering::match_event` must not allocate at all, and
+//! `BrokerService::offer` must allocate nothing and free each offered
+//! point on the offering thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use geometry::{Grid, Interval, Point, Rect};
 use pubsub_core::{
-    BatchScratch, BitSet, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
-    DispatchScratch, GridFramework, GridMatcher, KMeans, KMeansVariant, NoLossClustering,
-    NoLossConfig,
+    BatchScratch, BitSet, BrokerService, CellProbability, ClusteringAlgorithm, Delivery,
+    DispatchPlan, DispatchScratch, DynamicClustering, GridFramework, GridMatcher, KMeans,
+    KMeansVariant, NoLossClustering, NoLossConfig, ServiceConfig,
 };
 use rand::prelude::*;
 
@@ -24,6 +27,7 @@ struct CountingAllocator;
 thread_local! {
     // `const` init: no lazy-init allocation inside the allocator itself.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCS: Cell<u64> = const { Cell::new(0) };
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -40,6 +44,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        COUNTING.with(|c| {
+            if c.get() {
+                DEALLOCS.with(|d| d.set(d.get() + 1));
+            }
+        });
         // SAFETY: `ptr` was returned by `System.alloc`/`System.realloc`
         // (every other method forwards there) with this same `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -61,13 +70,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Runs `f` with allocation counting enabled on this thread and
-/// returns how many heap allocations (alloc + realloc) it performed.
-fn count_allocs(f: impl FnOnce()) -> u64 {
+/// returns how many heap allocations (alloc + realloc) and
+/// deallocations it performed.
+fn count_allocs_and_frees(f: impl FnOnce()) -> (u64, u64) {
     ALLOCS.with(|a| a.set(0));
+    DEALLOCS.with(|d| d.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.with(|a| a.get())
+    (ALLOCS.with(|a| a.get()), DEALLOCS.with(|d| d.get()))
+}
+
+/// How many heap allocations (alloc + realloc) `f` performed on this
+/// thread.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    count_allocs_and_frees(f).0
 }
 
 fn random_rect(rng: &mut StdRng) -> Rect {
@@ -258,5 +275,56 @@ fn steady_state_noloss_match_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state No-Loss matching performed {allocs} heap allocations"
+    );
+}
+
+/// The offering thread allocated each offered point, so it frees it: an
+/// offer copies the coordinates into the service's preallocated ring
+/// and drops the point on return, and the ingest worker frees nothing
+/// per event.
+#[test]
+fn offer_allocates_nothing_and_frees_each_point_on_the_offering_thread() {
+    const N: usize = 2_000;
+    let mut rng = StdRng::seed_from_u64(2002);
+    let grid = Grid::cube(0.0, 1.0, 2, 16).unwrap();
+    let probs = CellProbability::uniform(&grid);
+    let mut dynamic = DynamicClustering::new(grid, probs, KMeans::new(KMeansVariant::MacQueen), 4);
+    for _ in 0..50 {
+        let (x, y) = (random_rect(&mut rng), random_rect(&mut rng));
+        dynamic.subscribe(Rect::new(vec![x.intervals()[0], y.intervals()[0]]));
+    }
+    dynamic.try_rebalance().unwrap();
+    let service = BrokerService::start(
+        dynamic,
+        ServiceConfig {
+            ingest_threads: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap();
+    let mut event = || Point::new(vec![rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+
+    // Warm-up: the worker runs, and whatever the first offer and park
+    // set up lazily is in place.
+    for _ in 0..N {
+        service.offer(event());
+    }
+    service.drain();
+
+    let mut points: Vec<Point> = (0..N).map(|_| event()).collect();
+    let (allocs, frees) = count_allocs_and_frees(|| {
+        // `drain(..)`, not `into_iter()`: the Vec's own buffer must not
+        // be freed inside the counted region.
+        for p in points.drain(..) {
+            service.offer(p);
+        }
+    });
+    service.drain();
+    let (report, _) = service.shutdown();
+    assert_eq!(report.delivered, 2 * N as u64);
+    assert_eq!(allocs, 0, "{N} offers performed {allocs} heap allocations");
+    assert_eq!(
+        frees, N as u64,
+        "{N} offers freed {frees} buffers on the offering thread"
     );
 }

@@ -32,22 +32,33 @@ const CELLS: usize = 64;
 const GROUPS: usize = 8;
 const THRESHOLD: f64 = 0.15;
 
-fn random_rect(rng: &mut StdRng) -> Rect {
-    let lo = rng.gen_range(0.0..0.9);
-    let width = rng.gen_range(0.02..0.1);
-    Rect::new(vec![
-        Interval::new(lo, (lo + width).min(1.0)).expect("valid interval")
-    ])
+/// A rectangle of the unit `dim`-cube covering 2–10 % of it before
+/// clipping, so a random event interests a few of 20–60 subscribers in
+/// any dimension.
+fn random_rect(rng: &mut StdRng, dim: usize) -> Rect {
+    Rect::new(
+        (0..dim)
+            .map(|_| {
+                let lo = rng.gen_range(0.0..0.9);
+                let width = rng.gen_range(0.02f64..0.1).powf(1.0 / dim as f64);
+                Interval::new(lo, (lo + width).min(1.0)).expect("valid interval")
+            })
+            .collect(),
+    )
 }
 
-fn seed_dynamic(n: usize, seed: u64) -> (DynamicClustering, Vec<SubscriptionId>) {
-    let grid = Grid::cube(0.0, 1.0, 1, CELLS).expect("grid");
+fn random_point(rng: &mut StdRng, dim: usize) -> Point {
+    Point::new((0..dim).map(|_| rng.gen_range(0.0..1.0)).collect())
+}
+
+fn seed_dynamic(dim: usize, n: usize, seed: u64) -> (DynamicClustering, Vec<SubscriptionId>) {
+    let grid = Grid::cube(0.0, 1.0, dim, CELLS).expect("grid");
     let probs = CellProbability::uniform(&grid);
     let mut dynamic =
         DynamicClustering::new(grid, probs, KMeans::new(KMeansVariant::MacQueen), GROUPS);
     let mut rng = StdRng::seed_from_u64(seed);
     let ids = (0..n)
-        .map(|_| dynamic.subscribe(random_rect(&mut rng)))
+        .map(|_| dynamic.subscribe(random_rect(&mut rng, dim)))
         .collect();
     dynamic.try_rebalance().expect("seed population rebalances");
     (dynamic, ids)
@@ -84,32 +95,40 @@ struct Phase {
     events: Vec<Point>,
 }
 
-fn make_phases(ids: &[SubscriptionId], phases: usize, events_per_phase: usize) -> Vec<Phase> {
+fn make_phases(
+    dim: usize,
+    ids: &[SubscriptionId],
+    phases: usize,
+    events_per_phase: usize,
+) -> Vec<Phase> {
     let mut rng = StdRng::seed_from_u64(99);
     (0..phases)
         .map(|p| Phase {
             unsubscribe: ids[p],
-            subscribe: random_rect(&mut rng),
-            resubscribe: (ids[ids.len() - 1 - p], random_rect(&mut rng)),
+            subscribe: random_rect(&mut rng, dim),
+            resubscribe: (ids[ids.len() - 1 - p], random_rect(&mut rng, dim)),
             events: (0..events_per_phase)
-                .map(|_| Point::new(vec![rng.gen_range(0.0..1.0)]))
+                .map(|_| random_point(&mut rng, dim))
                 .collect(),
         })
         .collect()
 }
 
 /// Every event is decided by exactly one validated plan, bit-identical
-/// to a serial oracle replay, regardless of ingest thread count.
+/// to a serial oracle replay, regardless of ingest thread count. The
+/// grid is 2-D and every event distinct, so a queue that misaligned
+/// one event's coordinates with another's would decide wrong points.
 #[test]
 fn swap_storm_is_bit_identical_to_serial_oracle() {
+    const DIM: usize = 2;
     const N: usize = 60;
     const PHASES: usize = 10;
     const EVENTS_PER_PHASE: usize = 40;
 
     // --- Serial oracle: replay churn + rebalance + serve with no
     // service, no threads, no queue.
-    let (mut oracle, ids) = seed_dynamic(N, 7);
-    let phases = make_phases(&ids, PHASES, EVENTS_PER_PHASE);
+    let (mut oracle, ids) = seed_dynamic(DIM, N, 7);
+    let phases = make_phases(DIM, &ids, PHASES, EVENTS_PER_PHASE);
     let mut scratch = DispatchScratch::new();
     // (event id, plan version, decision, interested) in offer order.
     let mut expected: Vec<(u64, u64, Delivery, u32)> = Vec::new();
@@ -136,7 +155,7 @@ fn swap_storm_is_bit_identical_to_serial_oracle() {
     }
 
     for threads in [1usize, 8] {
-        let (dynamic, _) = seed_dynamic(N, 7);
+        let (dynamic, _) = seed_dynamic(DIM, N, 7);
         let service = BrokerService::start(
             dynamic,
             ServiceConfig {
@@ -191,9 +210,12 @@ fn swap_storm_is_bit_identical_to_serial_oracle() {
     }
 }
 
-fn shed_service(policy: ShedPolicy, depth: usize) -> BrokerService {
-    let (dynamic, _) = seed_dynamic(20, 3);
-    BrokerService::start(
+/// A two-worker service over 40 random subscriptions in `dim`
+/// dimensions, and the oracle's copy of the plan it starts with.
+fn shed_service(dim: usize, policy: ShedPolicy, depth: usize) -> (BrokerService, DispatchPlan) {
+    let (dynamic, _) = seed_dynamic(dim, 40, 3);
+    let plan = oracle_plan(&dynamic);
+    let service = BrokerService::start(
         dynamic,
         ServiceConfig {
             ingest_threads: 2,
@@ -203,12 +225,13 @@ fn shed_service(policy: ShedPolicy, depth: usize) -> BrokerService {
             ..ServiceConfig::default()
         },
     )
-    .expect("service starts")
+    .expect("service starts");
+    (service, plan)
 }
 
 #[test]
 fn drop_newest_sheds_the_overflow_and_partitions_load() {
-    let service = shed_service(ShedPolicy::DropNewest, 4);
+    let (service, _) = shed_service(1, ShedPolicy::DropNewest, 4);
     service.pause_ingest();
     for i in 0..10u64 {
         assert_eq!(service.offer(Point::new(vec![0.5])), i);
@@ -230,12 +253,17 @@ fn drop_newest_sheds_the_overflow_and_partitions_load() {
     assert_eq!(report.shed_policy, ShedPolicy::DropNewest);
 }
 
+/// The grid is 2-D and every event distinct, so each survivor must be
+/// decided on its own coordinates, not on a shed victim's.
 #[test]
 fn drop_oldest_keeps_the_freshest_window() {
-    let service = shed_service(ShedPolicy::DropOldest, 4);
+    const DIM: usize = 2;
+    let (service, plan) = shed_service(DIM, ShedPolicy::DropOldest, 4);
+    let mut rng = StdRng::seed_from_u64(41);
+    let points: Vec<Point> = (0..10).map(|_| random_point(&mut rng, DIM)).collect();
     service.pause_ingest();
-    for _ in 0..10 {
-        service.offer(Point::new(vec![0.5]));
+    for p in &points {
+        service.offer(p.clone());
     }
     service.resume_ingest();
     service.drain();
@@ -249,11 +277,22 @@ fn drop_oldest_keeps_the_freshest_window() {
         vec![6, 7, 8, 9]
     );
     assert_eq!(report.shed_events, vec![0, 1, 2, 3, 4, 5]);
+    let mut scratch = DispatchScratch::new();
+    for r in &report.records {
+        let p = &points[r.id as usize];
+        let decision = plan.serve(p, &mut scratch);
+        assert_eq!(
+            (r.decision, r.interested),
+            (decision, scratch.interested().len() as u32),
+            "event {} at {p}",
+            r.id
+        );
+    }
 }
 
 #[test]
 fn block_policy_is_lossless_backpressure() {
-    let service = shed_service(ShedPolicy::Block, 4);
+    let (service, _) = shed_service(1, ShedPolicy::Block, 4);
     service.pause_ingest();
     for _ in 0..4 {
         service.offer(Point::new(vec![0.5]));
@@ -287,7 +326,7 @@ fn block_policy_is_lossless_backpressure() {
 /// live the same churn lands in the next successful swap.
 #[test]
 fn watchdog_abort_rolls_back_and_recovers() {
-    let (dynamic, _) = seed_dynamic(30, 5);
+    let (dynamic, _) = seed_dynamic(1, 30, 5);
     let before = 30;
     let service = BrokerService::start(
         dynamic,
@@ -302,7 +341,7 @@ fn watchdog_abort_rolls_back_and_recovers() {
     .expect("service starts");
 
     let mut rng = StdRng::seed_from_u64(17);
-    let added = service.subscribe(random_rect(&mut rng));
+    let added = service.subscribe(random_rect(&mut rng, 1));
     assert_eq!(added, SubscriptionId(before));
 
     // Every attempt times out instantly (deadline already passed at
@@ -352,7 +391,7 @@ fn watchdog_abort_rolls_back_and_recovers() {
 /// Sanity for the knob-driven constructor under test env isolation.
 #[test]
 fn from_env_config_runs_a_service() {
-    let (dynamic, _) = seed_dynamic(10, 2);
+    let (dynamic, _) = seed_dynamic(1, 10, 2);
     let config = ServiceConfig {
         ingest_threads: 2,
         ..ServiceConfig::from_env()
@@ -385,7 +424,7 @@ fn no_wakeup_is_lost_under_pause_resume_and_drain_contention() {
     // Detached on purpose: if a wake-up is lost this thread hangs, and
     // the watchdog below fails the test instead of hanging with it.
     std::thread::spawn(move || {
-        let (dynamic, _) = seed_dynamic(20, 3);
+        let (dynamic, _) = seed_dynamic(1, 20, 3);
         let service = BrokerService::start(
             dynamic,
             ServiceConfig {
@@ -446,7 +485,7 @@ fn events_offered_after_a_swap_never_see_the_plan_before_it() {
     const BEFORE: u64 = 200;
     const AFTER: u64 = 200;
     for threads in [1usize, 8] {
-        let (dynamic, _) = seed_dynamic(30, 5);
+        let (dynamic, _) = seed_dynamic(1, 30, 5);
         let service = BrokerService::start(
             dynamic,
             ServiceConfig {
@@ -493,7 +532,7 @@ fn events_offered_after_a_swap_never_see_the_plan_before_it() {
 /// rejects it in the caller's thread before `offer` is reached.
 #[test]
 fn hostile_coordinates_are_decided_as_scalar_serve_decides_them() {
-    let (dynamic, _) = seed_dynamic(40, 11);
+    let (dynamic, _) = seed_dynamic(1, 40, 11);
     let plan = oracle_plan(&dynamic);
     let service = BrokerService::start(
         dynamic,
@@ -557,7 +596,7 @@ fn hostile_coordinates_are_decided_as_scalar_serve_decides_them() {
 /// it, nothing is left in flight, and the service keeps serving.
 #[test]
 fn wrong_dimension_offer_panics_in_the_caller_and_wedges_nothing() {
-    let (dynamic, _) = seed_dynamic(10, 2);
+    let (dynamic, _) = seed_dynamic(1, 10, 2);
     let service = BrokerService::start(
         dynamic,
         ServiceConfig {

@@ -47,6 +47,22 @@ impl Point {
     pub fn into_coords(self) -> Vec<f64> {
         self.coords
     }
+
+    /// Overwrites the coordinates in place, keeping the buffer, so one
+    /// point can carry event after event without an allocation each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coords` has a different dimension or holds a NaN.
+    pub fn set_coords(&mut self, coords: &[f64]) {
+        assert_eq!(coords.len(), self.dim(), "dimension mismatch");
+        // A loop, not `copy_from_slice`: for the few coordinates of an
+        // event, a `memcpy` call costs more than the copy.
+        for (c, &x) in self.coords.iter_mut().zip(coords) {
+            assert!(!x.is_nan(), "event coordinate was NaN");
+            *c = x;
+        }
+    }
 }
 
 impl Index<usize> for Point {
@@ -87,6 +103,15 @@ mod tests {
         assert_eq!(p.coords(), &[1.0, 2.0, 3.0]);
         assert_eq!(p[2], 3.0);
         assert_eq!(p.clone().into_coords(), vec![1.0, 2.0, 3.0]);
+        let mut q = p.clone();
+        q.set_coords(&[4.0, 5.0, 6.0]);
+        assert_eq!(q.coords(), &[4.0, 5.0, 6.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn set_coords_rejects_nan() {
+        Point::new(vec![0.0]).set_coords(&[f64::NAN]);
     }
 
     #[test]
