@@ -70,10 +70,9 @@ fn bench_rtree(c: &mut Criterion) {
     group.finish();
 }
 
-/// The paper's two index candidates (R*-tree substitute vs S-tree)
-/// against the brute-force scan, on the same matching workload.
+/// The R-tree (the paper's R*-tree, substituted) against the
+/// brute-force scan, on the same matching workload.
 fn bench_index_comparison(c: &mut Criterion) {
-    use spatial::STree;
     let model = StockModel::default().with_sizes(1000, 200);
     let sc = StockScenario::generate(&model, &TransitStubParams::paper_100_nodes(), 100, 6);
     let items: Vec<_> = sc
@@ -82,17 +81,13 @@ fn bench_index_comparison(c: &mut Criterion) {
         .enumerate()
         .map(|(i, r)| (r.clone(), i))
         .collect();
-    let rtree = RTree::bulk_load(4, items.clone());
-    let stree = STree::build(4, items);
+    let rtree = RTree::bulk_load(4, items);
     let probes: Vec<_> = sc.workload.events.iter().map(|e| e.point.clone()).collect();
     let mut group = c.benchmark_group("matching_index_comparison");
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.bench_function("rtree_stab", |b| {
         b.iter(|| probes.iter().map(|p| rtree.stab(p).len()).sum::<usize>())
-    });
-    group.bench_function("stree_stab", |b| {
-        b.iter(|| probes.iter().map(|p| stree.stab(p).len()).sum::<usize>())
     });
     group.bench_function("brute_force", |b| {
         b.iter(|| {

@@ -9,9 +9,10 @@
 //!
 //! 1. **SoA cell pass** — one sweep per grid dimension over a
 //!    contiguous coordinate array, accumulating each event's row-major
-//!    cell index with the plan's precompiled `lo/width/stride` (the
-//!    same float expressions as [`DispatchPlan`]'s `locate`, hence
-//!    bit-identical cells);
+//!    cell index with that dimension's [`Axis`](geometry::Axis) of the
+//!    plan's grid, taken once per sweep (the rule
+//!    [`Grid::cell_of`](geometry::Grid::cell_of) applies, hence the
+//!    cells scalar `serve` finds);
 //! 2. **bucketing** — batch-local event positions are sorted by kept
 //!    hyper-cell slot (off-grid and truncated cells share the `NO_SLOT`
 //!    bucket), so each distinct slot is resolved once per batch;
@@ -111,8 +112,8 @@ impl BatchScratch {
 impl DispatchPlan {
     // lint: hot-path
     /// The SoA cell pass + bucketing: fills `scratch.slots` (kept slot
-    /// or [`NO_SLOT`] per batch-local event, from the same float
-    /// expressions as the scalar `locate`) and `scratch.order` (event
+    /// or [`NO_SLOT`] per batch-local event, by the grid's per-axis rule
+    /// the scalar `locate` applies) and `scratch.order` (event
     /// positions grouped by slot — an event's only input is its point,
     /// so reordering is free and maximizes candidate-block reuse).
     fn bucket_batch<'a>(
@@ -122,10 +123,10 @@ impl DispatchPlan {
         scratch: &mut BatchScratch,
     ) {
         let b = range.len();
-        let dim = self.dims.len();
+        let dim = self.grid.dim();
         scratch.cells.clear();
         scratch.cells.resize(b, 0);
-        for (d, pd) in self.dims.iter().enumerate() {
+        for d in 0..dim {
             scratch.xs.clear();
             for e in range.start..range.end {
                 let p = point_of(e);
@@ -134,19 +135,17 @@ impl DispatchPlan {
                 }
                 scratch.xs.push(p[d]);
             }
+            // The grid's own per-axis rule, taken once per dimension.
+            let axis = self.grid.axis(d);
+            let stride = axis.stride();
             for (cell, &x) in scratch.cells.iter_mut().zip(&scratch.xs) {
                 if *cell == OFF_GRID {
                     continue;
                 }
-                // `Interval::contains` (lo < x <= hi) and the bin
-                // expression of the scalar `locate`, verbatim.
-                if pd.lo < x && x <= pd.hi {
-                    let t = (x - pd.lo) / pd.width;
-                    let i = (t.ceil() as isize - 1).clamp(0, pd.bins - 1) as usize;
-                    *cell += i * pd.stride;
-                } else {
-                    *cell = OFF_GRID;
-                }
+                *cell = match axis.bin(x) {
+                    Some(i) => *cell + i * stride,
+                    None => OFF_GRID,
+                };
             }
         }
         scratch.slots.clear();
@@ -204,7 +203,7 @@ impl DispatchPlan {
             .as_ref()
             .expect("DispatchPlan::serve_batch requires with_subscriptions");
         let b = range.len();
-        let dim = self.dims.len();
+        let dim = self.grid.dim();
         let base = out.len();
         let start_event = range.start;
         out.resize(base + b, Delivery::Unicast);

@@ -8,9 +8,10 @@
 //! indirection. A [`DispatchPlan`] compiles the framework + clustering
 //! pair once into flat arrays so the per-event work is:
 //!
-//! 1. **point → cell**: per-dimension precomputed `lo/width/stride`
-//!    replicating [`Grid::cell_of`](geometry::Grid::cell_of)
-//!    bit-for-bit (same expressions over the same values);
+//! 1. **point → cell**: [`Grid::cell_of`] on the grid the plan was
+//!    compiled over, which the plan keeps — no coordinate arithmetic of
+//!    its own, so an event lands in a cell every rectangle containing
+//!    it was rasterised into;
 //! 2. **cell → hyper-cell → group**: one dense `Vec<u32>` load plus one
 //!    `Vec<u32>` index — no hashing (grids above
 //!    [`DENSE_TABLE_MAX_CELLS`] fall back to a copied hash map);
@@ -35,7 +36,7 @@
 
 use std::collections::HashMap;
 
-use geometry::{Point, Rect};
+use geometry::{Grid, Point, Rect};
 
 use crate::clustering::Clustering;
 use crate::framework::GridFramework;
@@ -53,19 +54,6 @@ pub const DENSE_TABLE_MAX_CELLS: usize = 1 << 20;
 
 /// Sentinel in the dense cell table: "this cell was not kept".
 pub(crate) const NO_SLOT: u32 = u32::MAX;
-
-/// Precompiled point-location state for one grid dimension. `width` is
-/// computed with the same expression [`geometry::Grid`] uses
-/// (`length / bins`), so the division and `ceil` below reproduce
-/// `Grid::cell_of` bit-for-bit.
-#[derive(Debug, Clone)]
-pub(crate) struct PlanDim {
-    pub(crate) lo: f64,
-    pub(crate) hi: f64,
-    pub(crate) width: f64,
-    pub(crate) bins: isize,
-    pub(crate) stride: usize,
-}
 
 #[derive(Debug, Clone)]
 pub(crate) enum CellTable {
@@ -153,7 +141,9 @@ pub struct DispatchPlan {
     pub(crate) num_subscribers: usize,
     /// Words per packed membership set (`num_subscribers / 64`, ceil).
     pub(crate) words: usize,
-    pub(crate) dims: Vec<PlanDim>,
+    /// The grid the plan was compiled over: the only owner of the
+    /// point → cell rule.
+    pub(crate) grid: Grid,
     pub(crate) table: CellTable,
     /// `hyper_group[h]` — the group of kept hyper-cell `h`.
     pub(crate) hyper_group: Vec<u32>,
@@ -179,27 +169,6 @@ impl DispatchPlan {
     /// counts disagree).
     pub fn compile(framework: &GridFramework, clustering: &Clustering) -> Self {
         let grid = framework.grid();
-        let dim = grid.dim();
-        let bounds = grid.bounds();
-        let bins = grid.bins();
-        // Row-major strides, recomputed exactly as `Grid::new` does.
-        let mut strides = vec![1usize; dim];
-        for d in (0..dim.saturating_sub(1)).rev() {
-            strides[d] = strides[d + 1] * bins[d + 1];
-        }
-        let dims: Vec<PlanDim> = (0..dim)
-            .map(|d| {
-                let iv = bounds.interval(d);
-                PlanDim {
-                    lo: iv.lo(),
-                    hi: iv.hi(),
-                    width: iv.length() / bins[d] as f64,
-                    bins: bins[d] as isize,
-                    stride: strides[d],
-                }
-            })
-            .collect();
-
         let hcs = framework.hypercells();
         let hyper_group: Vec<u32> = (0..hcs.len())
             .map(|h| clustering.group_of_hyper(h) as u32)
@@ -243,7 +212,7 @@ impl DispatchPlan {
             threshold: 0.0,
             num_subscribers,
             words,
-            dims,
+            grid: grid.clone(),
             table,
             hyper_group,
             hyper_members,
@@ -285,7 +254,7 @@ impl DispatchPlan {
             self.num_subscribers,
             "subscription count must match the compiled framework"
         );
-        let dim = self.dims.len();
+        let dim = self.grid.dim();
         let total = self.hyper_members.len();
         let mut cand_lo = vec![0.0f64; total * dim];
         let mut cand_hi = vec![0.0f64; total * dim];
@@ -326,27 +295,14 @@ impl DispatchPlan {
     }
 
     // lint: hot-path
-    /// Point → kept hyper-cell, replicating
-    /// [`Grid::cell_of`](geometry::Grid::cell_of) bit-for-bit (same
-    /// float expressions over the same values) followed by the flat
-    /// table lookup.
+    /// Point → kept hyper-cell: [`Grid::cell_of`] on the compiled grid,
+    /// then the flat table lookup.
     ///
     /// # Panics
     ///
     /// Panics if `p.dim()` differs from the grid's.
     pub(crate) fn locate(&self, p: &Point) -> Option<u32> {
-        assert_eq!(p.dim(), self.dims.len(), "dimension mismatch");
-        let mut idx = 0usize;
-        for (d, pd) in self.dims.iter().enumerate() {
-            let x = p[d];
-            // `Interval::contains`: lo < x <= hi.
-            if !(pd.lo < x && x <= pd.hi) {
-                return None;
-            }
-            let t = (x - pd.lo) / pd.width;
-            let i = (t.ceil() as isize - 1).clamp(0, pd.bins - 1) as usize;
-            idx += i * pd.stride;
-        }
+        let idx = self.grid.cell_of(p)?.index();
         let slot = match &self.table {
             CellTable::Dense(t) => t[idx],
             CellTable::Sparse(m) => m.get(&idx).copied().unwrap_or(NO_SLOT),

@@ -2,7 +2,7 @@
 //!
 //! The paper's guarantees are *structural*: hyper-cells partition the
 //! set of live grid cells, every kept cell maps to exactly one group,
-//! the compiled dispatch table reproduces `Grid::cell_of` bit-for-bit,
+//! the compiled dispatch table is exactly the framework's cell index,
 //! and No-Loss never lists a subscriber whose rectangle does not
 //! contain the region. After several layers of performance work
 //! (parallel fan-out, incremental deltas, compiled dispatch) those
@@ -18,10 +18,11 @@
 //!   and their member/probability aggregates match a recompute;
 //! * [`Validator::check_dispatch_plan`] — the compiled tables agree
 //!   entry-for-entry with the framework and clustering they were
-//!   compiled from, the flat candidate arrays the batched serve kernel
-//!   decides from hold the floats and flags scalar `serve` reads, and
-//!   point location agrees with [`GridFramework::hyper_of_point`] on a
-//!   deterministic point sample;
+//!   compiled from, and the flat candidate arrays the batched serve
+//!   kernel decides from hold the floats and flags scalar `serve` reads
+//!   (point location needs no audit: the plan keeps the framework's
+//!   [`Grid`](geometry::Grid) and locates with it, the rule
+//!   rasterisation used);
 //! * [`Validator::check_noloss`] — the containment guarantee and the
 //!   precomputed per-region counts.
 //!
@@ -33,7 +34,7 @@
 
 use std::sync::Arc;
 
-use geometry::{Point, Rect};
+use geometry::Rect;
 
 use crate::clustering::Clustering;
 use crate::dispatch::{CellTable, DispatchPlan, ServeState, NO_SLOT};
@@ -46,9 +47,6 @@ use crate::waste::{expected_waste, expected_waste_weighted, popularity_weighted}
 /// Pairs per distance-matrix audit: small matrices are checked in
 /// full, larger ones on a deterministic strided sample of this size.
 const DISTANCE_SAMPLE_PAIRS: usize = 4096;
-
-/// Points thrown at [`DispatchPlan::locate`] per audit.
-const LOCATE_SAMPLE_POINTS: usize = 256;
 
 /// One violated invariant.
 #[derive(Debug, Clone)]
@@ -472,8 +470,8 @@ impl Validator {
     }
 
     /// Audits a [`DispatchPlan`] against the framework and clustering it
-    /// was compiled from: table exactness, flattened group state, and
-    /// point-location agreement on a deterministic sample.
+    /// was compiled from: the grid and table exactness, flattened group
+    /// state, and the serve arrays.
     pub fn check_dispatch_plan(
         &mut self,
         fw: &GridFramework,
@@ -500,7 +498,14 @@ impl Validator {
             return self;
         }
 
-        // The cell table is exactly the framework's cell→hyper index.
+        // The cell table is exactly the framework's cell→hyper index,
+        // over the grid it locates on.
+        if plan.grid != fw.grid {
+            self.fail(
+                "dispatch.cell-table",
+                "plan locates on a different grid than the framework's".to_string(),
+            );
+        }
         let mut table_entries = 0usize;
         match &plan.table {
             CellTable::Dense(t) => {
@@ -632,22 +637,6 @@ impl Validator {
             }
         }
 
-        // Point location agrees with the framework on a deterministic
-        // sample (in-bounds, boundary and out-of-bounds points).
-        for p in sample_points(fw, LOCATE_SAMPLE_POINTS) {
-            let from_plan = plan.locate(&p).map(|s| s as usize);
-            let from_grid = fw.hyper_of_point(&p);
-            if from_plan != from_grid {
-                self.fail(
-                    "dispatch.locate-agreement",
-                    format!(
-                        "point {:?} locates to {from_plan:?} in the plan, {from_grid:?} \
-                         via Grid::cell_of",
-                        p.coords()
-                    ),
-                );
-            }
-        }
         self
     }
 
@@ -659,7 +648,7 @@ impl Validator {
     /// hyper-cell member lists (monotone offsets over the flat ids).
     fn check_serve_state(&mut self, plan: &DispatchPlan, state: &ServeState) {
         const INVARIANT: &str = "dispatch.serve-state";
-        let dim = plan.dims.len();
+        let dim = plan.grid.dim();
         let total = plan.hyper_members.len();
         let groups = plan.group_size.len();
         // Shapes first, and everything the slot loop indexes with.
@@ -868,44 +857,6 @@ fn triangle_coords(flat: usize) -> (usize, usize) {
     (i, flat - i * (i - 1) / 2)
 }
 
-/// Deterministic sample of points for locate-agreement audits: `n`
-/// quasi-random in-bounds points plus the corners just inside and
-/// outside the grid bounds. No RNG dependency — a fixed-seed LCG keeps
-/// the audit reproducible run to run.
-fn sample_points(fw: &GridFramework, n: usize) -> Vec<Point> {
-    let bounds = fw.grid.bounds();
-    let dim = fw.grid.dim();
-    let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let mut next_unit = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        // (0, 1]: cells are lo-exclusive, hi-inclusive.
-        ((state >> 11) as f64 + 1.0) / (1u64 << 53) as f64
-    };
-    let mut points = Vec::with_capacity(n + 2);
-    for _ in 0..n {
-        let coords = (0..dim)
-            .map(|d| {
-                let iv = bounds.interval(d);
-                iv.lo() + next_unit() * iv.length()
-            })
-            .collect();
-        points.push(Point::new(coords));
-    }
-    // Boundary probes: the exact upper corner (in-bounds, the ceil
-    // expression's worst case) and a point past it (out-of-bounds).
-    points.push(Point::new(
-        (0..dim).map(|d| bounds.interval(d).hi()).collect(),
-    ));
-    points.push(Point::new(
-        (0..dim)
-            .map(|d| bounds.interval(d).hi() + bounds.interval(d).length())
-            .collect(),
-    ));
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::OnceLock;
@@ -915,7 +866,7 @@ mod tests {
     use crate::kmeans::{KMeans, KMeansVariant};
     use crate::noloss::{NoLossClustering, NoLossConfig};
     use crate::ClusteringAlgorithm;
-    use geometry::{Grid, Interval};
+    use geometry::{Grid, Interval, Point};
     use proptest::prelude::*;
     use rand::prelude::*;
 

@@ -9,8 +9,8 @@ use geometry::{Grid, Interval, Point, Rect};
 use proptest::prelude::*;
 use pubsub_core::{
     parallel, BatchScratch, BitSet, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
-    DispatchScratch, GridFramework, KMeans, KMeansVariant, MstClustering, NoLossClustering,
-    NoLossConfig, PairsStrategy, PairwiseGrouping,
+    DispatchScratch, GridFramework, GridMatcher, KMeans, KMeansVariant, MstClustering,
+    NoLossClustering, NoLossConfig, PairsStrategy, PairwiseGrouping,
 };
 
 /// Random interval inside (0, 20], sometimes unbounded.
@@ -314,26 +314,15 @@ fn edge_events(dim: usize) -> Vec<Point> {
     events
 }
 
-/// Whether some coordinate is the float just above an interior cell
-/// edge of the grid over `(-2, 2]`. Every locate in the tree
-/// (`Grid::cell_of` included) bins `(x - lo) / width`, and for these
-/// `x` the subtraction rounds onto the edge, so the event is filed one
-/// cell down — among candidates that lack every rectangle starting at
-/// the edge. The grid's defect, shared by scalar and batched serve
-/// (ROADMAP item 5d); such events are held to scalar `serve` only.
-fn filed_one_cell_down(p: &Point) -> bool {
-    p.coords()
-        .iter()
-        .any(|&x| [-1.0, 0.0, 1.0].iter().any(|&edge| x == f64::next_up(edge)))
-}
-
 /// What the proptest above cannot reach: events exactly on a bound and
 /// one float either side of it, on cell edges, at ±∞ and ±0.0, against
 /// slots whose candidate count straddles every unroll width — the
 /// batched kernel, scalar `serve` and a brute-force `Rect::contains`
 /// scan must agree on every interested set, and the first two on every
 /// decision, at batch sizes below, at and above the bucket-sort
-/// threshold.
+/// threshold. On this grid `x − lo` rounds onto an interior edge for
+/// the float just above it, so these events also hold the grid's
+/// locate and rasterisation to one cell edge.
 #[test]
 fn batched_serve_equals_scalar_on_bounds_edges_and_remainders() {
     for dim in 1..=3usize {
@@ -370,15 +359,13 @@ fn batched_serve_equals_scalar_on_bounds_edges_and_remainders() {
                 .iter()
                 .map(|p| {
                     let d = plan.serve(p, &mut scalar);
-                    if !filed_one_cell_down(p) {
-                        let brute: Vec<usize> =
-                            (0..subs.len()).filter(|&i| subs[i].contains(p)).collect();
-                        assert_eq!(
-                            scalar.interested(),
-                            &brute[..],
-                            "dim {dim}, {n} candidates: scalar serve vs brute force at {p:?}"
-                        );
-                    }
+                    let brute: Vec<usize> =
+                        (0..subs.len()).filter(|&i| subs[i].contains(p)).collect();
+                    assert_eq!(
+                        scalar.interested(),
+                        &brute[..],
+                        "dim {dim}, {n} candidates: scalar serve vs brute force at {p:?}"
+                    );
                     (d, scalar.interested().to_vec())
                 })
                 .collect();
@@ -411,4 +398,42 @@ fn batched_serve_equals_scalar_on_bounds_edges_and_remainders() {
             }
         }
     }
+}
+
+/// An event one float above an interior cell edge, on a grid whose `lo`
+/// is not 0: `x − lo` rounds onto the edge there, and a locate that
+/// trusted it filed the event in the cell below, where the rectangle
+/// starting at the edge was never rasterised — a lost delivery. The
+/// second rectangle keeps that lower cell, so no R-tree fallback hides
+/// the miss.
+#[test]
+fn event_one_float_above_a_cell_edge_reaches_the_rectangle_above_it() {
+    let grid = Grid::cube(-2.0, 2.0, 1, 4).unwrap();
+    let subs = vec![
+        Rect::new(vec![Interval::new(-1.0, -0.25).unwrap()]),
+        Rect::new(vec![Interval::new(-1.5, -1.0).unwrap()]),
+    ];
+    let p = Point::new(vec![f64::next_up(-1.0)]);
+    let probs = CellProbability::uniform(&grid);
+    let fw = GridFramework::build(grid, &subs, &probs, None);
+    let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 2);
+    let plan = DispatchPlan::compile(&fw, &clustering).with_subscriptions(&subs);
+
+    let brute = interested_set(&subs, &p);
+    assert_eq!(brute.iter().collect::<Vec<_>>(), [0]);
+    let expected = GridMatcher::new(&fw, &clustering).match_event(&p, &brute);
+    assert!(
+        matches!(expected, Delivery::Multicast { .. }),
+        "the matcher must find subscriber 0 in the event's group: {expected:?}"
+    );
+
+    let mut scalar = DispatchScratch::new();
+    assert_eq!(plan.serve(&p, &mut scalar), expected);
+    assert_eq!(scalar.interested(), [0]);
+
+    let mut scratch = BatchScratch::new();
+    let mut out = Vec::new();
+    plan.serve_batch(0..1, |_| &p, &mut scratch, &mut out);
+    assert_eq!(out, [expected]);
+    assert_eq!(scratch.interested_of(0).collect::<Vec<_>>(), [0]);
 }

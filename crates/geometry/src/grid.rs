@@ -5,10 +5,18 @@
 //! This module provides the grid itself: mapping events to cells and
 //! rasterizing subscription rectangles to the set of cells they overlap.
 //!
-//! Cells inherit the half-open convention: the cell with per-dimension
-//! index `i` covers `(lo + i·w, lo + (i+1)·w]`, so every event inside the
-//! grid bounds falls in exactly one cell and adjacent cells never share a
-//! point.
+//! Each axis stores its `bins + 1` cell edges, `e[i] = lo + i·w` with the
+//! top edge snapped to `hi`, and cells inherit the half-open convention:
+//! the cell with per-dimension index `i` covers `(e[i], e[i+1]]`, so
+//! every event inside the grid bounds falls in exactly one cell and
+//! adjacent cells never share a point. Locating an event
+//! ([`Grid::cell_of`], [`Axis::bin`]), rasterising a rectangle
+//! ([`Grid::cells_overlapping`]) and describing a cell
+//! ([`Grid::cell_rect`]) all compare against those stored floats and
+//! nothing else, so they agree on where a cell ends by construction: an
+//! event inside a rectangle always lies in a cell the rectangle was
+//! rasterised into. This module is the only code that does float
+//! arithmetic on grid coordinates.
 
 use std::fmt;
 
@@ -92,10 +100,58 @@ pub struct Grid {
     bounds: Rect,
     bins: Vec<usize>,
     widths: Vec<f64>,
+    /// `edges[d]` holds the `bins[d] + 1` cell edges of dimension `d`:
+    /// `lo + i·w`, the last one snapped to `hi`.
+    edges: Vec<Vec<f64>>,
     /// `strides[d]` is the linear-index step when the index along
     /// dimension `d` increases by one (row-major, last dim contiguous).
     strides: Vec<usize>,
     num_cells: usize,
+}
+
+/// One dimension of a [`Grid`]: its cell edges, cell width and
+/// linear-index stride — everything locating a coordinate along it
+/// reads. Take it once per dimension ([`Grid::axis`]) and call
+/// [`Axis::bin`] per coordinate.
+#[derive(Debug, Clone, Copy)]
+pub struct Axis<'a> {
+    edges: &'a [f64],
+    width: f64,
+    stride: usize,
+}
+
+impl Axis<'_> {
+    /// The linear-index step of one cell along this dimension.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The cell index `i` along this dimension with
+    /// `e[i] < x <= e[i+1]`, or `None` when `x` is outside `(lo, hi]`
+    /// (NaN included).
+    ///
+    /// `(x − lo) / w` only guesses `i`: the subtraction and the division
+    /// round, and near an edge the guess can be one cell off. The stored
+    /// edges settle it, so the answer is exact and, the guess being off
+    /// by at most one in practice, O(1).
+    #[inline]
+    pub fn bin(&self, x: f64) -> Option<usize> {
+        let e = self.edges;
+        let (&lo, &hi) = (e.first()?, e.last()?);
+        if !(lo < x && x <= hi) {
+            return None;
+        }
+        let guess = ((x - lo) / self.width).ceil() as usize;
+        let mut i = guess.clamp(1, e.len() - 1) - 1;
+        // `lo < x <= hi` bounds both walks.
+        while x <= e[i] {
+            i -= 1;
+        }
+        while x > e[i + 1] {
+            i += 1;
+        }
+        Some(i)
+    }
 }
 
 impl Grid {
@@ -131,6 +187,17 @@ impl Grid {
             .zip(bins.iter())
             .map(|(iv, &b)| iv.length() / b as f64)
             .collect();
+        let edges = bounds
+            .intervals()
+            .iter()
+            .zip(bins.iter().zip(&widths))
+            .map(|(iv, (&b, &w))| {
+                (0..b)
+                    .map(|i| iv.lo() + i as f64 * w)
+                    .chain([iv.hi()])
+                    .collect()
+            })
+            .collect();
         // Row-major strides, last dimension contiguous.
         let mut strides = vec![1usize; bins.len()];
         for d in (0..bins.len().saturating_sub(1)).rev() {
@@ -140,6 +207,7 @@ impl Grid {
             bounds,
             bins,
             widths,
+            edges,
             strides,
             num_cells,
         })
@@ -185,20 +253,25 @@ impl Grid {
     pub fn cell_of(&self, p: &Point) -> Option<CellId> {
         assert_eq!(p.dim(), self.dim(), "dimension mismatch");
         let mut idx = 0usize;
-        for d in 0..self.dim() {
-            let iv = self.bounds.interval(d);
-            let x = p[d];
-            if !iv.contains(x) {
-                return None;
-            }
-            // Cell i covers (lo + i·w, lo + (i+1)·w]; ceil(t) - 1 maps the
-            // half-open convention correctly (a boundary point belongs to
-            // the cell below it).
-            let t = (x - iv.lo()) / self.widths[d];
-            let i = (t.ceil() as isize - 1).clamp(0, self.bins[d] as isize - 1) as usize;
-            idx += i * self.strides[d];
+        for (d, &x) in p.coords().iter().enumerate() {
+            let axis = self.axis(d);
+            idx += axis.bin(x)? * axis.stride;
         }
         Some(CellId(idx))
+    }
+
+    /// Dimension `d`'s edges, width and stride, for locating many
+    /// coordinates along it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d >= self.dim()`.
+    pub fn axis(&self, d: usize) -> Axis<'_> {
+        Axis {
+            edges: &self.edges[d],
+            width: self.widths[d],
+            stride: self.strides[d],
+        }
     }
 
     /// The per-dimension cell coordinates of `cell`.
@@ -226,18 +299,8 @@ impl Grid {
         let coords = self.cell_coords(cell);
         let ivs = coords
             .iter()
-            .enumerate()
-            .map(|(d, &i)| {
-                let lo = self.bounds.interval(d).lo() + i as f64 * self.widths[d];
-                // Snap the top cell's upper edge to the exact bound to
-                // avoid floating-point drift.
-                let hi = if i + 1 == self.bins[d] {
-                    self.bounds.interval(d).hi()
-                } else {
-                    self.bounds.interval(d).lo() + (i + 1) as f64 * self.widths[d]
-                };
-                Interval::new(lo, hi).expect("cell interval is well-formed")
-            })
+            .zip(&self.edges)
+            .map(|(&i, e)| Interval::new(e[i], e[i + 1]).expect("cell edges ascend"))
             .collect();
         Rect::new(ivs)
     }
@@ -272,21 +335,21 @@ impl Grid {
             None => return Vec::new(),
         };
         // Per-dimension index ranges [i_min, i_max] of overlapped cells.
-        let mut ranges = Vec::with_capacity(self.dim());
-        for d in 0..self.dim() {
-            let iv = clipped.interval(d);
-            let lo = self.bounds.interval(d).lo();
-            let w = self.widths[d];
-            let ta = (iv.lo() - lo) / w;
-            let tb = (iv.hi() - lo) / w;
-            // Cell i overlaps (a, b] iff i+1 > ta and i < tb.
-            let i_min = ((ta - 1.0).floor() as isize + 1).clamp(0, self.bins[d] as isize - 1);
-            let i_max = (tb.ceil() as isize - 1).clamp(0, self.bins[d] as isize - 1);
-            if i_max < i_min {
-                return Vec::new();
-            }
-            ranges.push((i_min as usize, i_max as usize));
-        }
+        // Cell i overlaps the clipped (a, b] iff e[i] < b and a < e[i+1];
+        // the outer edges always pass (lo <= a < b <= hi), so count the
+        // interior edges. `a < b` keeps `i_min <= i_max`.
+        let ranges: Vec<(usize, usize)> = clipped
+            .intervals()
+            .iter()
+            .zip(&self.edges)
+            .map(|(iv, e)| {
+                let interior = &e[1..e.len() - 1];
+                (
+                    interior.partition_point(|&x| x <= iv.lo()),
+                    interior.partition_point(|&x| x < iv.hi()),
+                )
+            })
+            .collect();
         // Cartesian product of the per-dimension ranges.
         let mut out = Vec::new();
         let mut coords: Vec<usize> = ranges.iter().map(|&(a, _)| a).collect();

@@ -39,7 +39,7 @@ mod point;
 mod rect;
 
 pub use decompose::decompose_multirange;
-pub use grid::{CellId, Grid, GridError};
+pub use grid::{Axis, CellId, Grid, GridError};
 pub use interval::{Interval, IntervalError};
 pub use point::Point;
 pub use rect::{Covering, Rect};

@@ -117,3 +117,37 @@ fn negative_coordinate_domains() {
     assert!(g.cell_rect(c).contains(&p));
     assert!(g.cell_of(&Point::new(vec![0.0, -75.0])).is_none());
 }
+
+#[test]
+fn float_above_an_interior_edge_locates_above_it() {
+    // lo = -2 and w = 1: `x − lo` rounds to exactly 1.0 for the float
+    // just above the edge -1, so a locate that trusted it would file the
+    // point in cell 0, which (-1, -0.25] is not rasterised into.
+    let g = Grid::cube(-2.0, 2.0, 1, 4).unwrap();
+    let x = f64::next_up(-1.0);
+    assert_eq!(x - -2.0, 1.0, "the subtraction must round onto the edge");
+    let c = g.cell_of(&Point::new(vec![x])).unwrap();
+    assert_eq!(g.cell_coords(c), vec![1]);
+    let r = Rect::new(vec![Interval::new(-1.0, -0.25).unwrap()]);
+    assert!(r.contains(&Point::new(vec![x])));
+    assert_eq!(g.cells_overlapping(&r), vec![c]);
+    // The edge itself stays in the cell below.
+    let below = g.cell_of(&Point::new(vec![-1.0])).unwrap();
+    assert_eq!(g.cell_coords(below), vec![0]);
+}
+
+#[test]
+fn stock_bst_axis_locates_the_smallest_positive_float_to_cell_1() {
+    // The stock workload's `bst` axis: (-1, 3] in four unit bins, each
+    // value `v` the predicate (v − 1, v].
+    let g = Grid::cube(-1.0, 3.0, 1, 4).unwrap();
+    let x = f64::next_up(0.0);
+    assert_eq!(x - -1.0, 1.0, "the subtraction must round onto the edge");
+    let c = g.cell_of(&Point::new(vec![x])).unwrap();
+    assert_eq!(g.cell_coords(c), vec![1]);
+    // `bst = 1` is rasterised into its own cell only.
+    assert_eq!(
+        g.cells_overlapping(&Rect::new(vec![Interval::equals_int(1)])),
+        vec![c]
+    );
+}

@@ -24,7 +24,5 @@
 #![warn(missing_docs)]
 
 mod rtree;
-mod stree;
 
 pub use rtree::RTree;
-pub use stree::STree;

@@ -1,7 +1,7 @@
 //! Edge-case coverage for the spatial indexes.
 
 use geometry::{Interval, Point, Rect};
-use spatial::{RTree, STree};
+use spatial::RTree;
 
 fn rect1(lo: f64, hi: f64) -> Rect {
     Rect::new(vec![Interval::new(lo, hi).unwrap()])
@@ -39,46 +39,4 @@ fn rtree_point_like_rectangles() {
     let tree = RTree::bulk_load(1, items);
     assert_eq!(tree.stab(&Point::new(vec![7.0 + 5e-10])), vec![&7]);
     assert!(tree.stab(&Point::new(vec![7.5])).is_empty());
-}
-
-#[test]
-fn stree_all_identical_then_one_different() {
-    let mut items: Vec<(Rect, usize)> = (0..40).map(|i| (rect1(0.0, 1.0), i)).collect();
-    items.push((rect1(5.0, 6.0), 40));
-    let tree = STree::build(1, items);
-    assert_eq!(tree.stab(&Point::new(vec![0.5])).len(), 40);
-    assert_eq!(tree.stab(&Point::new(vec![5.5])), vec![&40]);
-}
-
-#[test]
-fn stree_unbounded_mixed_with_bounded() {
-    let items = vec![
-        (Rect::new(vec![Interval::all(), Interval::all()]), 0usize),
-        (
-            Rect::new(vec![Interval::greater_than(10.0), Interval::all()]),
-            1,
-        ),
-        (
-            Rect::new(vec![
-                Interval::new(0.0, 5.0).unwrap(),
-                Interval::at_most(3.0),
-            ]),
-            2,
-        ),
-    ];
-    let tree = STree::build(2, items);
-    let mut hits: Vec<usize> = tree
-        .stab(&Point::new(vec![2.0, 1.0]))
-        .into_iter()
-        .copied()
-        .collect();
-    hits.sort();
-    assert_eq!(hits, vec![0, 2]);
-    let mut hits: Vec<usize> = tree
-        .stab(&Point::new(vec![20.0, 100.0]))
-        .into_iter()
-        .copied()
-        .collect();
-    hits.sort();
-    assert_eq!(hits, vec![0, 1]);
 }

@@ -1,9 +1,9 @@
-//! Property tests: both spatial indexes agree with brute force (and
-//! hence with each other) on arbitrary rectangle populations.
+//! Property tests: the R-tree agrees with brute force on arbitrary
+//! rectangle populations.
 
 use geometry::{Interval, Point, Rect};
 use proptest::prelude::*;
-use spatial::{RTree, STree};
+use spatial::RTree;
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     prop_oneof![
@@ -28,26 +28,6 @@ proptest! {
         let items: Vec<(Rect, usize)> =
             rects.iter().cloned().zip(0..).collect();
         let tree = RTree::bulk_load(2, items);
-        let mut got: Vec<usize> = tree.stab(&p).into_iter().copied().collect();
-        got.sort();
-        let expect: Vec<usize> = rects
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.contains(&p))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn stree_stab_matches_brute_force(
-        rects in prop::collection::vec(rect_strategy(), 0..40),
-        probe in prop::collection::vec(0.0..32.0f64, 2),
-    ) {
-        let p = Point::new(probe);
-        let items: Vec<(Rect, usize)> =
-            rects.iter().cloned().zip(0..).collect();
-        let tree = STree::build(2, items);
         let mut got: Vec<usize> = tree.stab(&p).into_iter().copied().collect();
         got.sort();
         let expect: Vec<usize> = rects

@@ -19,7 +19,7 @@ run() {
 
 for bin in table1 table2 fig7 fig8 fig9 fig10 fig11 \
            ablations modes architectures loadstats matching_perf fig7stats \
-           resilience; do
+           regionalism resilience; do
     run "$bin"
 done
 
