@@ -16,25 +16,30 @@
 //! 2. **bucketing** — batch-local event positions are sorted by kept
 //!    hyper-cell slot (off-grid and truncated cells share the `NO_SLOT`
 //!    bucket), so each distinct slot is resolved once per batch;
-//! 3. **per-bucket resolve, per-event sweep and compaction** — the
-//!    bucket's candidate block is looked up once in the plan's
-//!    *precompiled* flat bound arrays (dimension-major `f64` bounds
-//!    and group-membership flags, built by `with_subscriptions`). Each
+//! 3. **per-bucket resolve, per-event sweep and tail** — the bucket's
+//!    candidate block is looked up once in the plan's *precompiled*
+//!    flat bound arrays (dimension-major `f64` bounds and
+//!    group-membership flags, built by `with_subscriptions`). Each
 //!    event of the bucket then makes one contiguous pass per dimension
 //!    over the block, folding `lo < x` and `x <= hi` into a 0/1 mask
-//!    per candidate, and one pass over the mask that stores every
-//!    candidate id at a write cursor and advances the cursor by the
-//!    mask — no `Rect` dereference, no strided read and no branch on
-//!    the data;
+//!    per candidate, and one tail pass: `serve_batch` *compacts* —
+//!    stores every candidate id at a write cursor and advances the
+//!    cursor by the mask — while the crate-private
+//!    `serve_batch_counts`, which the service's ingest workers run,
+//!    *reduces* — sums the mask and the mask's in-group part, folding
+//!    the last dimension's test into the same pass, and stores no id.
+//!    No `Rect` dereference, no strided read and no branch on the data
+//!    in either;
 //! 4. **scatter** — each decision is written back at the event's
 //!    original batch position.
 //!
 //! Bucketing is therefore a pure permutation of per-event work with
-//! per-event outputs: deliveries and interested sets are bit-identical
-//! to scalar `serve` at any batch size, any bucket order and any
-//! `PUBSUB_THREADS`, which keeps every downstream fixed-chunk `f64`
-//! reduction bit-identical too (pinned by the `batch_equivalence`
-//! suite). See DESIGN.md §13.
+//! per-event outputs: deliveries, interested sets and counts are
+//! bit-identical to scalar `serve` at any batch size, any bucket order
+//! and any `PUBSUB_THREADS`, which keeps every downstream fixed-chunk
+//! `f64` reduction bit-identical too (pinned by the `batch_equivalence`
+//! suite). The two tails share everything before them and are picked at
+//! compile time. See DESIGN.md §13.
 
 use std::ops::Range;
 
@@ -72,10 +77,13 @@ pub struct BatchScratch {
     /// every dimension swept so far, else 0. `u64` so the sweep's lanes
     /// match the `f64` compares that fill them.
     mask: Vec<u64>,
-    /// Interested subscriber ids of all batch events, concatenated …
+    /// Interested subscriber ids of all batch events, concatenated;
+    /// batch-local event `l`'s ids start at `starts[l]`. Both stay
+    /// empty after a count-only window.
     interested: Vec<u32>,
-    /// … delimited per batch-local event by `ranges[l]`.
-    ranges: Vec<(u32, u32)>,
+    starts: Vec<u32>,
+    /// Interested subscriber count per batch-local event, in both modes.
+    counts: Vec<u32>,
     /// R-tree fallback buffer for `NO_SLOT` events.
     tmp: Vec<usize>,
 }
@@ -96,16 +104,16 @@ impl BatchScratch {
     ///
     /// Panics if `local` is outside the last served batch.
     pub fn interested_of(&self, local: usize) -> impl Iterator<Item = usize> + '_ {
-        let (start, end) = self.ranges[local];
-        self.interested[start as usize..end as usize]
+        let start = self.starts[local] as usize;
+        self.interested[start..start + self.counts[local] as usize]
             .iter()
             .map(|&id| id as usize)
     }
 
-    /// `interested_of(local).count()` without walking the ids.
+    /// `interested_of(local).count()`, also after a count-only window
+    /// ([`DispatchPlan::serve_batch_counts`]), which stores no ids.
     pub(crate) fn interested_count(&self, local: usize) -> u32 {
-        let (start, end) = self.ranges[local];
-        end - start
+        self.counts[local]
     }
 }
 
@@ -198,6 +206,35 @@ impl DispatchPlan {
         scratch: &mut BatchScratch,
         out: &mut Vec<Delivery>,
     ) {
+        self.serve_window::<true>(range, point_of, scratch, out);
+    }
+
+    /// [`serve_batch`](Self::serve_batch) for a caller that reads only
+    /// [`BatchScratch::interested_count`]: the same decisions and counts,
+    /// but each event's tail sums its mask — the last dimension's test
+    /// folded into that pass — instead of compacting the ids, and
+    /// `interested` is left empty (`interested_of` panics until the next
+    /// `serve_batch`).
+    pub(crate) fn serve_batch_counts<'a>(
+        &self,
+        range: Range<usize>,
+        point_of: impl Fn(usize) -> &'a Point,
+        scratch: &mut BatchScratch,
+        out: &mut Vec<Delivery>,
+    ) {
+        self.serve_window::<false>(range, point_of, scratch, out);
+    }
+
+    /// The one kernel behind both calls; `IDS` picks the per-event tail
+    /// at compile time, and with it whether the tail or the sweep tests
+    /// the last dimension.
+    fn serve_window<'a, const IDS: bool>(
+        &self,
+        range: Range<usize>,
+        point_of: impl Fn(usize) -> &'a Point,
+        scratch: &mut BatchScratch,
+        out: &mut Vec<Delivery>,
+    ) {
         let state = self
             .serve_state
             .as_ref()
@@ -213,13 +250,18 @@ impl DispatchPlan {
             order,
             mask,
             interested,
-            ranges,
+            starts,
+            counts,
             tmp,
             ..
         } = scratch;
         interested.clear();
-        ranges.clear();
-        ranges.resize(b, (0, 0));
+        starts.clear();
+        if IDS {
+            starts.resize(b, 0);
+        }
+        counts.clear();
+        counts.resize(b, 0);
         let mut at = 0usize;
         while at < b {
             let slot = slots[order[at] as usize];
@@ -233,9 +275,11 @@ impl DispatchPlan {
                 for &l in &order[at..end] {
                     let p = point_of(start_event + l as usize);
                     state.index.matching_into(p, tmp);
-                    let start = interested.len() as u32;
-                    interested.extend(tmp.iter().map(|&i| i as u32));
-                    ranges[l as usize] = (start, interested.len() as u32);
+                    if IDS {
+                        starts[l as usize] = interested.len() as u32;
+                        interested.extend(tmp.iter().map(|&i| i as u32));
+                    }
+                    counts[l as usize] = tmp.len() as u32;
                     // `out[base + l]` stays `Unicast`.
                 }
             } else {
@@ -252,8 +296,10 @@ impl DispatchPlan {
                 let cand_lo = &state.cand_lo[o * dim..(o + nc) * dim];
                 let cand_hi = &state.cand_hi[o * dim..(o + nc) * dim];
                 let cand_in_group = &state.cand_in_group[o..o + nc];
-                // All ones, so a zero-dimensional event (no sweep runs)
-                // is inside every candidate, as `Rect::contains` has it.
+                // All ones: the count tail of a one-dimensional event
+                // reads it with no sweep before it. (`dim >= 1` here: a
+                // kept slot has candidates, and `with_subscriptions`
+                // indexes no zero-dimensional rectangle.)
                 mask.clear();
                 mask.resize(nc, 1);
                 for &l in &order[at..end] {
@@ -261,8 +307,10 @@ impl DispatchPlan {
                     // Sweep: one contiguous pass per dimension folds
                     // `Interval::contains` (lo < x <= hi, the floats and
                     // the two comparisons `Rect::contains` makes) into
-                    // the mask — dimension 0 assigns, the rest AND.
-                    for d in 0..dim {
+                    // the mask — dimension 0 assigns, the rest AND. The
+                    // count tail sweeps the last dimension itself.
+                    let swept = if IDS { dim } else { dim - 1 };
+                    for d in 0..swept {
                         let x = p[d];
                         let lo = &cand_lo[d * nc..(d + 1) * nc];
                         let hi = &cand_hi[d * nc..(d + 1) * nc];
@@ -277,21 +325,41 @@ impl DispatchPlan {
                             }
                         }
                     }
-                    // Compaction, ascending candidate order: every id is
-                    // stored at the cursor, and only a set mask moves the
-                    // cursor past it — no branch on the data.
-                    let start = interested.len();
-                    interested.resize(start + nc, 0);
-                    let tail = &mut interested[start..];
                     let mut kept = 0usize;
                     let mut hits = 0u64;
-                    for ((&id, &m), &g) in members.iter().zip(mask.iter()).zip(cand_in_group) {
-                        tail[kept] = id;
-                        kept += m as usize;
-                        hits += m & u64::from(g);
+                    if IDS {
+                        // Compaction, ascending candidate order: every id
+                        // is stored at the cursor, and only a set mask
+                        // moves the cursor past it — no branch on the data.
+                        let start = interested.len();
+                        interested.resize(start + nc, 0);
+                        let tail = &mut interested[start..];
+                        for ((&id, &m), &g) in members.iter().zip(mask.iter()).zip(cand_in_group) {
+                            tail[kept] = id;
+                            kept += m as usize;
+                            hits += m & u64::from(g);
+                        }
+                        interested.truncate(start + kept);
+                        starts[l as usize] = start as u32;
+                    } else {
+                        // Reduction fused with the last dimension's
+                        // sweep: the compaction's cursor and hit count,
+                        // summed without storing an id or the mask. The
+                        // mask holds the other dimensions' verdict — all
+                        // ones for a one-dimensional event, whose sweep
+                        // above ran no pass.
+                        let d = dim - 1;
+                        let x = p[d];
+                        let lo = &cand_lo[d * nc..(d + 1) * nc];
+                        let hi = &cand_hi[d * nc..(d + 1) * nc];
+                        let inside = mask.iter().zip(lo.iter().zip(hi)).zip(cand_in_group);
+                        for ((&m, (&lo, &hi)), &g) in inside {
+                            let m = m & u64::from((lo < x) & (x <= hi));
+                            kept += m as usize;
+                            hits += m & u64::from(g);
+                        }
                     }
-                    interested.truncate(start + kept);
-                    ranges[l as usize] = (start as u32, (start + kept) as u32);
+                    counts[l as usize] = kept as u32;
                     out[base + l as usize] = if group_empty {
                         Delivery::Unicast
                     } else {
@@ -314,19 +382,27 @@ mod tests {
     use geometry::{Grid, Interval, Rect};
     use rand::prelude::*;
 
-    fn scenario(seed: u64) -> (Vec<Rect>, Vec<Point>, DispatchPlan) {
+    /// 150 random subscriptions and 700 events, on and off a grid over
+    /// `(0, 10]^dim`, truncated to 30 kept cells.
+    fn scenario(seed: u64, dim: usize) -> (Vec<Rect>, Vec<Point>, DispatchPlan) {
         let mut rng = StdRng::seed_from_u64(seed);
         let subs: Vec<Rect> = (0..150)
             .map(|_| {
-                let lo = rng.gen_range(0.0..9.0);
-                let hi = lo + rng.gen_range(0.1..4.0);
-                Rect::new(vec![Interval::new(lo, hi.min(10.0)).unwrap()])
+                Rect::new(
+                    (0..dim)
+                        .map(|_| {
+                            let lo = rng.gen_range(0.0..9.0);
+                            let hi = lo + rng.gen_range(0.1..4.0);
+                            Interval::new(lo, hi.min(10.0)).unwrap()
+                        })
+                        .collect(),
+                )
             })
             .collect();
         let points: Vec<Point> = (0..700)
-            .map(|_| Point::new(vec![rng.gen_range(-1.0..11.0)]))
+            .map(|_| Point::new((0..dim).map(|_| rng.gen_range(-1.0..11.0)).collect()))
             .collect();
-        let grid = Grid::cube(0.0, 10.0, 1, 50).unwrap();
+        let grid = Grid::cube(0.0, 10.0, dim, [50, 10, 5][dim - 1]).unwrap();
         let probs = CellProbability::uniform(&grid);
         let fw = GridFramework::build(grid, &subs, &probs, Some(30));
         let c = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 6);
@@ -336,46 +412,138 @@ mod tests {
         (subs, points, plan)
     }
 
+    /// Both tails of the kernel against scalar `serve`, event by event,
+    /// at batch sizes below and above the bucket-sort threshold, in one
+    /// to three dimensions, one scratch alternating between them:
+    /// `serve_batch` yields the scalar interested set and decision, and
+    /// the count tail the same decision and the set's size, storing no
+    /// id.
     #[test]
     fn serve_batch_matches_scalar_serve_at_any_batch_size() {
-        let (_, points, plan) = scenario(17);
-        let mut scalar = DispatchScratch::new();
-        let reference: Vec<(Delivery, Vec<usize>)> = points
-            .iter()
-            .map(|p| {
-                let d = plan.serve(p, &mut scalar);
-                (d, scalar.interested().to_vec())
-            })
-            .collect();
-        // Batch sizes below and above the bucket-sort threshold.
-        for batch in [1usize, 3, 16, 97, points.len()] {
+        for dim in 1..=3 {
+            let (_, points, plan) = scenario(17, dim);
+            let mut scalar = DispatchScratch::new();
+            let reference: Vec<(Delivery, Vec<usize>)> = points
+                .iter()
+                .map(|p| {
+                    let d = plan.serve(p, &mut scalar);
+                    (d, scalar.interested().to_vec())
+                })
+                .collect();
+            for batch in [1usize, 3, 16, 97, points.len()] {
+                let mut scratch = BatchScratch::new();
+                let mut out = Vec::new();
+                let mut counted = Vec::new();
+                let mut start = 0;
+                while start < points.len() {
+                    let end = (start + batch).min(points.len());
+                    let before = out.len();
+                    plan.serve_batch(start..end, |e| &points[e], &mut scratch, &mut out);
+                    for local in 0..(end - start) {
+                        let (decision, ref ids) = reference[start + local];
+                        let at = format!("dim {dim}, batch {batch}, event {}", start + local);
+                        assert_eq!(
+                            scratch.interested_of(local).collect::<Vec<_>>(),
+                            *ids,
+                            "{at}"
+                        );
+                        assert_eq!(scratch.interested_count(local) as usize, ids.len(), "{at}");
+                        assert_eq!(out[before + local], decision, "{at}");
+                    }
+                    plan.serve_batch_counts(start..end, |e| &points[e], &mut scratch, &mut counted);
+                    assert!(
+                        scratch.interested.is_empty(),
+                        "a count-only window stored ids"
+                    );
+                    for local in 0..(end - start) {
+                        let (decision, ref ids) = reference[start + local];
+                        let at =
+                            format!("dim {dim}, batch {batch}, event {}, counts", start + local);
+                        assert_eq!(scratch.interested_count(local) as usize, ids.len(), "{at}");
+                        assert_eq!(counted[before + local], decision, "{at}");
+                    }
+                    start = end;
+                }
+                assert_eq!(out.len(), points.len());
+                assert_eq!(counted.len(), points.len());
+            }
+        }
+    }
+
+    /// On a plan the validator accepts, every candidate is in its slot's
+    /// group (a group's members are the union of its cells'), so the hit
+    /// count equals the interested count and no test above can tell the
+    /// two sums apart. With every in-group flag cleared they differ: the
+    /// count tail must still count the mask, and decide as `serve_batch`
+    /// does — no hit, so unicast.
+    #[test]
+    fn count_tail_counts_the_mask_not_the_hits() {
+        for dim in 1..=3 {
+            let (_, points, mut plan) = scenario(23, dim);
+            plan.serve_state
+                .as_mut()
+                .expect("compiled with subscriptions")
+                .cand_in_group
+                .fill(false);
+            let n = points.len();
             let mut scratch = BatchScratch::new();
             let mut out = Vec::new();
-            let mut start = 0;
-            while start < points.len() {
-                let end = (start + batch).min(points.len());
-                let before = out.len();
-                plan.serve_batch(start..end, |e| &points[e], &mut scratch, &mut out);
-                for local in 0..(end - start) {
-                    let (_, ref ids) = reference[start + local];
-                    assert_eq!(
-                        scratch.interested_of(local).collect::<Vec<_>>(),
-                        *ids,
-                        "interested set, batch {batch}, event {}",
-                        start + local
-                    );
-                    assert_eq!(out[before + local], reference[start + local].0);
-                }
-                start = end;
-            }
-            assert_eq!(out.len(), points.len());
+            plan.serve_batch(0..n, |e| &points[e], &mut scratch, &mut out);
+            let ids: Vec<u32> = (0..n)
+                .map(|l| scratch.interested_of(l).count() as u32)
+                .collect();
+            let mut counted = Vec::new();
+            plan.serve_batch_counts(0..n, |e| &points[e], &mut scratch, &mut counted);
+            let counts: Vec<u32> = (0..n).map(|l| scratch.interested_count(l)).collect();
+            assert!(ids.iter().any(|&c| c > 0), "dim {dim}: nobody interested");
+            assert_eq!(counts, ids, "dim {dim}");
+            assert_eq!(counted, out, "dim {dim}");
+            assert!(out.iter().all(|&d| d == Delivery::Unicast), "dim {dim}");
         }
+    }
+
+    /// The ingest worker's window loop allocates nothing once warm: the
+    /// hot-path lint bans every allocating call in the kernel, so what
+    /// is left is a scratch buffer growing — and a second pass of the
+    /// same windows moves none of them.
+    #[test]
+    fn count_tail_reuses_its_buffers_once_warm() {
+        let (_, points, plan) = scenario(29, 2);
+        let mut scratch = BatchScratch::new();
+        let mut out = Vec::with_capacity(64);
+        let mut pass = |scratch: &mut BatchScratch| {
+            for start in (0..points.len()).step_by(64) {
+                out.clear();
+                let end = (start + 64).min(points.len());
+                plan.serve_batch_counts(start..end, |e| &points[e], scratch, &mut out);
+            }
+        };
+        let buffers = |s: &BatchScratch| {
+            [
+                (s.cells.as_ptr() as usize, s.cells.capacity()),
+                (s.xs.as_ptr() as usize, s.xs.capacity()),
+                (s.slots.as_ptr() as usize, s.slots.capacity()),
+                (s.order.as_ptr() as usize, s.order.capacity()),
+                (s.mask.as_ptr() as usize, s.mask.capacity()),
+                (s.counts.as_ptr() as usize, s.counts.capacity()),
+                (s.tmp.as_ptr() as usize, s.tmp.capacity()),
+            ]
+        };
+        pass(&mut scratch);
+        let warm = buffers(&scratch);
+        pass(&mut scratch);
+        assert_eq!(buffers(&scratch), warm);
+        assert_eq!(
+            (scratch.interested.capacity(), scratch.starts.capacity()),
+            (0, 0),
+            "a count-only window stored ids"
+        );
     }
 
     #[test]
     #[should_panic(expected = "with_subscriptions")]
     fn serve_batch_without_subscriptions_panics() {
-        let (subs, points, _) = scenario(19);
+        let (subs, points, _) = scenario(19, 1);
         let grid = Grid::cube(0.0, 10.0, 1, 50).unwrap();
         let probs = CellProbability::uniform(&grid);
         let fw = GridFramework::build(grid, &subs, &probs, None);

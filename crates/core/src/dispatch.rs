@@ -17,8 +17,10 @@
 //!    [`DENSE_TABLE_MAX_CELLS`] fall back to a copied hash map);
 //! 3. **threshold test**: the group's member count is precomputed; the
 //!    hit count is one packed-word bit test per interested id (`serve`)
-//!    or a sum of precompiled in-group flags (`serve_batch`) — the same
-//!    integer.
+//!    or a sum of precompiled in-group flags over the candidates the
+//!    batched sweep kept (`serve_batch`, and the count-only tail the
+//!    service runs, which decides from that count and the interested
+//!    count alone, with no id list) — the same integer.
 //!
 //! The plan *computes* the interested set itself, without a full R-tree
 //! stab ([`DispatchPlan::with_subscriptions`] attaches the rectangles):
@@ -30,7 +32,8 @@
 //!
 //! The plan has two serve calls: [`DispatchPlan::serve`], one event at
 //! a time, is the reference, and [`DispatchPlan::serve_batch`] is the
-//! production kernel tested against it. Both decide exactly as
+//! batched kernel tested against it, whose count-only tail is what
+//! `BrokerService` runs in production. Both decide exactly as
 //! `GridMatcher::match_event` does when handed the brute-force
 //! interested set (pinned by the `dispatch_equivalence` proptests).
 

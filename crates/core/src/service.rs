@@ -9,9 +9,11 @@
 //!
 //! * **N ingest threads** each take a *window* of up to
 //!   `INGEST_WINDOW` events from a bounded queue under one lock
-//!   acquisition, serve it with [`DispatchPlan::serve_batch`] against
-//!   an epoch-cached [`SnapshotCell`](crate::SnapshotCell) snapshot and
-//!   record the decisions in a worker-local buffer — one lock, one
+//!   acquisition, serve it through the batched kernel of
+//!   [`DispatchPlan::serve_batch`] against an epoch-cached
+//!   [`SnapshotCell`](crate::SnapshotCell) snapshot — its count-only
+//!   tail, since a record keeps the interested count and never the ids —
+//!   and record the decisions in a worker-local buffer — one lock, one
 //!   atomic load and one clock read per window in steady state, none
 //!   per event, no `futex_wake` unless a thread is actually parked, and
 //!   no parking for a wait shorter than a wake-up (the ingest protocol,
@@ -219,7 +221,8 @@ pub struct EventRecord {
     pub plan_version: u64,
     /// The delivery decision.
     pub decision: Delivery,
-    /// Exact interested subscribers computed by the serve path.
+    /// Exact number of interested subscribers (the ids are never
+    /// materialized on this path).
     pub interested: u32,
     /// offer → decision latency in nanoseconds (includes queue wait).
     /// "Decided" is the end of the window that served the event: a
@@ -704,7 +707,7 @@ fn worker_loop(shared: &Shared) -> Vec<EventRecord> {
             epoch = fresh.1;
         }
         decisions.clear();
-        cached.plan.serve_batch(
+        cached.plan.serve_batch_counts(
             0..window.len(),
             |e| &points[e],
             &mut scratch,

@@ -3,14 +3,17 @@
 //! `serve` for all five grid algorithms, at any batch decomposition and
 //! any thread count — so every downstream fixed-chunk `f64` aggregate
 //! is bit-identical too. Scalar `serve` itself answers to the
-//! paper-literal matcher in `tests/dispatch_equivalence.rs`.
+//! paper-literal matcher in `tests/dispatch_equivalence.rs`. The
+//! count-only tail the service's workers run is held to the brute-force
+//! scan on the edge events through a `BrokerService`.
 
 use geometry::{Grid, Interval, Point, Rect};
 use proptest::prelude::*;
 use pubsub_core::{
-    parallel, BatchScratch, BitSet, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
-    DispatchScratch, GridFramework, GridMatcher, KMeans, KMeansVariant, MstClustering,
-    NoLossClustering, NoLossConfig, PairsStrategy, PairwiseGrouping,
+    parallel, BatchScratch, BitSet, BrokerService, CellProbability, ClusteringAlgorithm, Delivery,
+    DispatchPlan, DispatchScratch, DynamicClustering, GridFramework, GridMatcher, KMeans,
+    KMeansVariant, MstClustering, NoLossClustering, NoLossConfig, PairsStrategy, PairwiseGrouping,
+    ServiceConfig,
 };
 
 /// Random interval inside (0, 20], sometimes unbounded.
@@ -395,6 +398,68 @@ fn batched_serve_equals_scalar_on_bounds_edges_and_remainders() {
                     }
                     start = end;
                 }
+            }
+        }
+    }
+}
+
+/// The same events and populations through a `BrokerService`, whose
+/// ingest workers serve every window through the kernel's count-only
+/// tail: every record's interested count is the brute-force scan's, and
+/// its decision the paper-literal matcher's over that scan — `NO_SLOT`
+/// events (off-grid, or in the unkept empty cell) included.
+#[test]
+fn service_records_equal_brute_force_on_bounds_edges_and_remainders() {
+    for dim in 1..=3usize {
+        let grid = Grid::cube(-2.0, 2.0, dim, 4).unwrap();
+        let events = edge_events(dim);
+        for &n in &SLOT_SIZES {
+            let subs: Vec<Rect> = if n == 0 {
+                vec![Rect::new(vec![Interval::new(1.25, 1.75).unwrap(); dim]); 3]
+            } else {
+                (0..n)
+                    .map(|j| Rect::new((0..dim).map(|d| edge_interval(j, d)).collect()))
+                    .collect()
+            };
+            let probs = CellProbability::uniform(&grid);
+            let kmeans = KMeans::new(KMeansVariant::MacQueen);
+            let mut dynamic = DynamicClustering::new(grid.clone(), probs, kmeans, 3);
+            for rect in &subs {
+                dynamic.subscribe(rect.clone());
+            }
+            dynamic.try_rebalance().unwrap();
+            let matcher =
+                GridMatcher::new(dynamic.framework(), dynamic.clustering()).with_threshold(0.4);
+            let expected: Vec<(Delivery, u32)> = events
+                .iter()
+                .map(|p| {
+                    let brute = interested_set(&subs, p);
+                    (matcher.match_event(p, &brute), brute.count() as u32)
+                })
+                .collect();
+
+            let service = BrokerService::start(
+                dynamic,
+                ServiceConfig {
+                    ingest_threads: 2,
+                    threshold: 0.4,
+                    ..ServiceConfig::default()
+                },
+            )
+            .unwrap();
+            for p in &events {
+                service.offer(p.clone());
+            }
+            service.drain();
+            let (report, _) = service.shutdown();
+            assert!(report.partitions_offered());
+            assert_eq!(report.delivered, events.len() as u64);
+            for (r, (p, want)) in report.records.iter().zip(events.iter().zip(&expected)) {
+                assert_eq!(
+                    (r.decision, r.interested),
+                    *want,
+                    "dim {dim}, {n} candidates: service record at {p:?}"
+                );
             }
         }
     }

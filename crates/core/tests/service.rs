@@ -13,7 +13,9 @@
 //!   window) loses no wake-up under pause/resume/drain contention,
 //!   never serves an event offered after a swap with the plan from
 //!   before it, decides hostile coordinates exactly as scalar `serve`
-//!   does, and rejects a wrong-dimension event in the offering thread.
+//!   does, and rejects a wrong-dimension event in the offering thread;
+//! * a service over zero subscriptions unicasts every event to nobody,
+//!   and an unsubscribe of a gone or never-issued id is one rejected op.
 //!
 //! These thread-heavy suites sit outside the crate (`tests/`); the
 //! `--lib` unit tests cover the pure logic at small constants.
@@ -589,6 +591,73 @@ fn hostile_coordinates_are_decided_as_scalar_serve_decides_them() {
             r.id
         );
     }
+}
+
+/// A service started over no subscription at all serves: every event,
+/// on the grid or off it, is unicast to nobody, and the load partitions.
+#[test]
+fn a_service_over_zero_subscriptions_unicasts_every_event_to_nobody() {
+    let (dynamic, ids) = seed_dynamic(2, 0, 1);
+    assert!(ids.is_empty());
+    let service = BrokerService::start(
+        dynamic,
+        ServiceConfig {
+            ingest_threads: 2,
+            threshold: THRESHOLD,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service starts");
+    let mut rng = StdRng::seed_from_u64(3);
+    for _ in 0..200 {
+        service.offer(random_point(&mut rng, 2));
+    }
+    service.offer(Point::new(vec![-1.0, 2.0]));
+    service.drain();
+    let (report, _) = service.shutdown();
+    assert!(report.partitions_offered());
+    assert_eq!(report.delivered, 201);
+    for r in &report.records {
+        assert_eq!(
+            (r.decision, r.interested),
+            (Delivery::Unicast, 0),
+            "event {}",
+            r.id
+        );
+    }
+}
+
+/// An unsubscribe the clustering cannot apply — of an id already gone,
+/// or of one never issued — is one rejected op, in the swap that met it
+/// and in the run's total; the swap itself goes through.
+#[test]
+fn duplicate_and_unknown_unsubscribes_are_each_one_rejected_op() {
+    let (dynamic, ids) = seed_dynamic(1, 10, 4);
+    let service = BrokerService::start(
+        dynamic,
+        ServiceConfig {
+            ingest_threads: 1,
+            threshold: THRESHOLD,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("service starts");
+    service.unsubscribe(ids[0]);
+    let swap = service.rebalance().expect("first unsubscribe applies");
+    assert_eq!((swap.rejected_ops, swap.subscriptions), (0, 9));
+
+    service.unsubscribe(ids[0]);
+    let swap = service.rebalance().expect("a duplicate aborts nothing");
+    assert_eq!((swap.rejected_ops, swap.subscriptions), (1, 9));
+
+    service.unsubscribe(SubscriptionId(1_000));
+    let swap = service.rebalance().expect("an unknown id aborts nothing");
+    assert_eq!((swap.rejected_ops, swap.subscriptions), (1, 9));
+
+    let (report, final_dynamic) = service.shutdown();
+    assert_eq!(report.rejected_ops, 2);
+    assert_eq!((report.swaps, report.aborts), (3, 0));
+    assert_eq!(final_dynamic.num_subscriptions(), 9);
 }
 
 /// A wrong-dimension event is the caller's bug and surfaces in the
