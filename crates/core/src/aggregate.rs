@@ -250,8 +250,9 @@ impl AggregatePlan {
     ///
     /// Candidates are the event cell's *classes*, each filtered by its
     /// own rectangle. The threshold compares `weighted hits / weighted
-    /// group size` — the same integers, hence the same `f64`s, as the
-    /// concrete [`DispatchPlan::serve`].
+    /// group size`, the hits being every interested class's weight (a
+    /// cell's classes are members of its group) — the same integers,
+    /// hence the same `f64`s, as the concrete [`DispatchPlan::serve`].
     ///
     /// # Panics
     ///
@@ -271,9 +272,7 @@ impl AggregatePlan {
                         scratch
                             .interested
                             .extend(self.agg.members[c].iter().map(|&i| i as usize));
-                        if self.plan.group_contains(group, c) {
-                            whits += self.agg.weights[c];
-                        }
+                        whits += self.agg.weights[c];
                     }
                 }
                 scratch.interested.sort_unstable();

@@ -18,18 +18,18 @@
 //!    bucket), so each distinct slot is resolved once per batch;
 //! 3. **per-bucket resolve, per-event sweep and tail** — the bucket's
 //!    candidate block is looked up once in the plan's *precompiled*
-//!    flat bound arrays (dimension-major `f64` bounds and
-//!    group-membership flags, built by `with_subscriptions`). Each
-//!    event of the bucket then makes one contiguous pass per dimension
-//!    over the block, folding `lo < x` and `x <= hi` into a 0/1 mask
-//!    per candidate, and one tail pass: `serve_batch` *compacts* —
+//!    flat bound arrays (dimension-major `f64` bounds, built by
+//!    `with_subscriptions`). Each event of the bucket then makes one
+//!    contiguous pass per dimension over the block, folding `lo < x`
+//!    and `x <= hi` into a 0/1 mask per candidate, and one tail pass:
+//!    `serve_batch` *compacts* —
 //!    stores every candidate id at a write cursor and advances the
 //!    cursor by the mask — while the crate-private
 //!    `serve_batch_counts`, which the service's ingest workers run,
-//!    *reduces* — sums the mask and the mask's in-group part, folding
-//!    the last dimension's test into the same pass, and stores no id.
-//!    No `Rect` dereference, no strided read and no branch on the data
-//!    in either;
+//!    *reduces* — sums the mask, folding the last dimension's test into
+//!    the same pass, and stores no id. Either way the interested count
+//!    is what the threshold is applied to. No `Rect` dereference, no
+//!    strided read and no branch on the data in either;
 //! 4. **scatter** — each decision is written back at the event's
 //!    original batch position.
 //!
@@ -287,15 +287,12 @@ impl DispatchPlan {
                 let o = self.hyper_offsets[sl] as usize;
                 let members = &self.hyper_members[o..self.hyper_offsets[sl + 1] as usize];
                 let nc = members.len();
-                let group = self.hyper_group[sl] as usize;
-                let group_empty = self.group_size[group] == 0;
                 // The bucket's candidate block in the plan's precompiled
                 // flat bound arrays (built once by `with_subscriptions`
                 // from the same `Rect` floats): every event in the
                 // bucket scans contiguous memory, no gather at all.
                 let cand_lo = &state.cand_lo[o * dim..(o + nc) * dim];
                 let cand_hi = &state.cand_hi[o * dim..(o + nc) * dim];
-                let cand_in_group = &state.cand_in_group[o..o + nc];
                 // All ones: the count tail of a one-dimensional event
                 // reads it with no sweep before it. (`dim >= 1` here: a
                 // kept slot has candidates, and `with_subscriptions`
@@ -326,7 +323,6 @@ impl DispatchPlan {
                         }
                     }
                     let mut kept = 0usize;
-                    let mut hits = 0u64;
                     if IDS {
                         // Compaction, ascending candidate order: every id
                         // is stored at the cursor, and only a set mask
@@ -334,37 +330,29 @@ impl DispatchPlan {
                         let start = interested.len();
                         interested.resize(start + nc, 0);
                         let tail = &mut interested[start..];
-                        for ((&id, &m), &g) in members.iter().zip(mask.iter()).zip(cand_in_group) {
+                        for (&id, &m) in members.iter().zip(mask.iter()) {
                             tail[kept] = id;
                             kept += m as usize;
-                            hits += m & u64::from(g);
                         }
                         interested.truncate(start + kept);
                         starts[l as usize] = start as u32;
                     } else {
                         // Reduction fused with the last dimension's
-                        // sweep: the compaction's cursor and hit count,
-                        // summed without storing an id or the mask. The
-                        // mask holds the other dimensions' verdict — all
-                        // ones for a one-dimensional event, whose sweep
-                        // above ran no pass.
+                        // sweep: the compaction's cursor, summed without
+                        // storing an id or the mask. The mask holds the
+                        // other dimensions' verdict — all ones for a
+                        // one-dimensional event, whose sweep above ran no
+                        // pass.
                         let d = dim - 1;
                         let x = p[d];
                         let lo = &cand_lo[d * nc..(d + 1) * nc];
                         let hi = &cand_hi[d * nc..(d + 1) * nc];
-                        let inside = mask.iter().zip(lo.iter().zip(hi)).zip(cand_in_group);
-                        for ((&m, (&lo, &hi)), &g) in inside {
-                            let m = m & u64::from((lo < x) & (x <= hi));
-                            kept += m as usize;
-                            hits += m & u64::from(g);
+                        for (&m, (&lo, &hi)) in mask.iter().zip(lo.iter().zip(hi)) {
+                            kept += (m & u64::from((lo < x) & (x <= hi))) as usize;
                         }
                     }
                     counts[l as usize] = kept as u32;
-                    out[base + l as usize] = if group_empty {
-                        Delivery::Unicast
-                    } else {
-                        self.decide(slot, hits as usize)
-                    };
+                    out[base + l as usize] = self.decide(slot, kept);
                 }
             }
             at = end;
@@ -467,38 +455,6 @@ mod tests {
                 assert_eq!(out.len(), points.len());
                 assert_eq!(counted.len(), points.len());
             }
-        }
-    }
-
-    /// On a plan the validator accepts, every candidate is in its slot's
-    /// group (a group's members are the union of its cells'), so the hit
-    /// count equals the interested count and no test above can tell the
-    /// two sums apart. With every in-group flag cleared they differ: the
-    /// count tail must still count the mask, and decide as `serve_batch`
-    /// does — no hit, so unicast.
-    #[test]
-    fn count_tail_counts_the_mask_not_the_hits() {
-        for dim in 1..=3 {
-            let (_, points, mut plan) = scenario(23, dim);
-            plan.serve_state
-                .as_mut()
-                .expect("compiled with subscriptions")
-                .cand_in_group
-                .fill(false);
-            let n = points.len();
-            let mut scratch = BatchScratch::new();
-            let mut out = Vec::new();
-            plan.serve_batch(0..n, |e| &points[e], &mut scratch, &mut out);
-            let ids: Vec<u32> = (0..n)
-                .map(|l| scratch.interested_of(l).count() as u32)
-                .collect();
-            let mut counted = Vec::new();
-            plan.serve_batch_counts(0..n, |e| &points[e], &mut scratch, &mut counted);
-            let counts: Vec<u32> = (0..n).map(|l| scratch.interested_count(l)).collect();
-            assert!(ids.iter().any(|&c| c > 0), "dim {dim}: nobody interested");
-            assert_eq!(counts, ids, "dim {dim}");
-            assert_eq!(counted, out, "dim {dim}");
-            assert!(out.iter().all(|&d| d == Delivery::Unicast), "dim {dim}");
         }
     }
 

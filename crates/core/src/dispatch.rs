@@ -15,12 +15,10 @@
 //! 2. **cell → hyper-cell → group**: one dense `Vec<u32>` load plus one
 //!    `Vec<u32>` index — no hashing (grids above
 //!    [`DENSE_TABLE_MAX_CELLS`] fall back to a copied hash map);
-//! 3. **threshold test**: the group's member count is precomputed; the
-//!    hit count is one packed-word bit test per interested id (`serve`)
-//!    or a sum of precompiled in-group flags over the candidates the
-//!    batched sweep kept (`serve_batch`, and the count-only tail the
-//!    service runs, which decides from that count and the interested
-//!    count alone, with no id list) — the same integer.
+//! 3. **threshold test**: the group's member count is precomputed, and
+//!    the hit count is the interested count every serve path already
+//!    has — a group's members are the union of its cells', so
+//!    `interested(p) ⊆ members(cell(p)) ⊆ members(group)`.
 //!
 //! The plan *computes* the interested set itself, without a full R-tree
 //! stab ([`DispatchPlan::with_subscriptions`] attaches the rectangles):
@@ -45,8 +43,6 @@ use crate::clustering::Clustering;
 use crate::framework::GridFramework;
 use crate::match_index::SubscriptionIndex;
 use crate::matching::Delivery;
-
-const WORD_BITS: usize = 64;
 
 /// Largest grid (in cells) for which the plan materializes the dense
 /// cell table (one `u32` per grid cell — 4 MiB at the cap). Larger
@@ -82,9 +78,6 @@ pub(crate) struct ServeState {
     pub(crate) cand_lo: Vec<f64>,
     /// Upper bounds, same layout.
     pub(crate) cand_hi: Vec<f64>,
-    /// `cand_in_group[o + k]` — whether candidate `k` of slot `s`
-    /// belongs to the slot's group.
-    pub(crate) cand_in_group: Vec<bool>,
 }
 
 /// Reusable per-thread buffers for [`DispatchPlan::serve`]. Buffers
@@ -142,8 +135,6 @@ impl DispatchScratch {
 pub struct DispatchPlan {
     pub(crate) threshold: f64,
     pub(crate) num_subscribers: usize,
-    /// Words per packed membership set (`num_subscribers / 64`, ceil).
-    pub(crate) words: usize,
     /// The grid the plan was compiled over: the only owner of the
     /// point → cell rule.
     pub(crate) grid: Grid,
@@ -157,8 +148,6 @@ pub struct DispatchPlan {
     pub(crate) hyper_offsets: Vec<u32>,
     /// Precomputed `members.count()` per group.
     pub(crate) group_size: Vec<u32>,
-    /// Packed membership words of every group, `words` per group.
-    pub(crate) group_words: Vec<u64>,
     pub(crate) serve_state: Option<ServeState>,
 }
 
@@ -201,27 +190,21 @@ impl DispatchPlan {
             hyper_offsets.push(hyper_members.len() as u32);
         }
 
-        let num_subscribers = framework.num_subscribers();
-        let words = num_subscribers.div_ceil(WORD_BITS);
-        let groups = clustering.groups();
-        let mut group_size = Vec::with_capacity(groups.len());
-        let mut group_words = Vec::with_capacity(groups.len() * words);
-        for g in groups {
-            group_size.push(g.members.count() as u32);
-            group_words.extend_from_slice(g.members.words());
-        }
+        let group_size = clustering
+            .groups()
+            .iter()
+            .map(|g| g.members.count() as u32)
+            .collect();
 
         DispatchPlan {
             threshold: 0.0,
-            num_subscribers,
-            words,
+            num_subscribers: framework.num_subscribers(),
             grid: grid.clone(),
             table,
             hyper_group,
             hyper_members,
             hyper_offsets,
             group_size,
-            group_words,
             serve_state: None,
         }
     }
@@ -261,12 +244,10 @@ impl DispatchPlan {
         let total = self.hyper_members.len();
         let mut cand_lo = vec![0.0f64; total * dim];
         let mut cand_hi = vec![0.0f64; total * dim];
-        let mut cand_in_group = vec![false; total];
         for s in 0..self.hyper_group.len() {
             let o = self.hyper_offsets[s] as usize;
             let end = self.hyper_offsets[s + 1] as usize;
             let nc = end - o;
-            let group = self.hyper_group[s] as usize;
             for (k, &id) in self.hyper_members[o..end].iter().enumerate() {
                 let rect = &subscriptions[id as usize];
                 for d in 0..dim {
@@ -274,7 +255,6 @@ impl DispatchPlan {
                     cand_lo[o * dim + d * nc + k] = iv.lo();
                     cand_hi[o * dim + d * nc + k] = iv.hi();
                 }
-                cand_in_group[o + k] = self.group_contains(group, id as usize);
             }
         }
         self.serve_state = Some(ServeState {
@@ -282,7 +262,6 @@ impl DispatchPlan {
             index: SubscriptionIndex::build(subscriptions),
             cand_lo,
             cand_hi,
-            cand_in_group,
         });
         self
     }
@@ -313,23 +292,21 @@ impl DispatchPlan {
         (slot != NO_SLOT).then_some(slot)
     }
 
-    /// Whether subscriber `i` belongs to `group`.
-    pub(crate) fn group_contains(&self, group: usize, i: usize) -> bool {
-        self.group_words[group * self.words + i / WORD_BITS] & (1 << (i % WORD_BITS)) != 0
-    }
-
     /// The threshold decision given a matched hyper-cell slot and the
-    /// exact hit count — shared tail of [`serve`](Self::serve) and
+    /// event's exact interested count — the one place the threshold is
+    /// applied, shared by [`serve`](Self::serve) and
     /// [`serve_batch`](Self::serve_batch), mirroring
-    /// `GridMatcher::match_event`.
-    pub(crate) fn decide(&self, slot: u32, hits: usize) -> Delivery {
+    /// `GridMatcher::match_event`. The interested count is its hit count:
+    /// the slot's candidates are its cell's members, and a group's
+    /// members are the union of its cells'.
+    pub(crate) fn decide(&self, slot: u32, interested: usize) -> Delivery {
         let group = self.hyper_group[slot as usize] as usize;
         let size = self.group_size[group] as usize;
         if size == 0 {
             return Delivery::Unicast;
         }
-        let proportion = hits as f64 / size as f64;
-        if proportion >= self.threshold && hits > 0 {
+        let proportion = interested as f64 / size as f64;
+        if proportion >= self.threshold && interested > 0 {
             Delivery::Multicast { group }
         } else {
             Delivery::Unicast
@@ -368,16 +345,7 @@ impl DispatchPlan {
                         scratch.interested.push(i as usize);
                     }
                 }
-                let group = self.hyper_group[slot as usize] as usize;
-                if self.group_size[group] == 0 {
-                    return Delivery::Unicast;
-                }
-                let hits = scratch
-                    .interested
-                    .iter()
-                    .filter(|&&i| self.group_contains(group, i))
-                    .count();
-                self.decide(slot, hits)
+                self.decide(slot, scratch.interested.len())
             }
             None => {
                 // Not kept: the cell membership is unknown (truncated or

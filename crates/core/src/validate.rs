@@ -19,10 +19,14 @@
 //! * [`Validator::check_dispatch_plan`] — the compiled tables agree
 //!   entry-for-entry with the framework and clustering they were
 //!   compiled from, and the flat candidate arrays the batched serve
-//!   kernel decides from hold the floats and flags scalar `serve` reads
-//!   (point location needs no audit: the plan keeps the framework's
+//!   kernel decides from hold the floats scalar `serve` reads (point
+//!   location needs no audit: the plan keeps the framework's
 //!   [`Grid`](geometry::Grid) and locates with it, the rule
-//!   rasterisation used);
+//!   rasterisation used). The plans decide from the interested count,
+//!   which is the hit count only while every group's members are the
+//!   union of its cells': `clustering.group-members`,
+//!   `dispatch.hyper-state` and the group sizes of
+//!   `dispatch.group-state` hold that premise;
 //! * [`Validator::check_noloss`] — the containment guarantee and the
 //!   precomputed per-region counts.
 //!
@@ -485,14 +489,12 @@ impl Validator {
                 format!("threshold {} outside [0, 1]", plan.threshold),
             );
         }
-        if plan.num_subscribers != fw.num_subscribers
-            || plan.words != fw.num_subscribers.div_ceil(64)
-        {
+        if plan.num_subscribers != fw.num_subscribers {
             self.fail(
                 "dispatch.subscriber-shape",
                 format!(
-                    "plan compiled for {} subscribers / {} words, framework has {}",
-                    plan.num_subscribers, plan.words, fw.num_subscribers
+                    "plan compiled for {} subscribers, framework has {}",
+                    plan.num_subscribers, fw.num_subscribers
                 ),
             );
             return self;
@@ -593,16 +595,13 @@ impl Validator {
         }
         let hyper_lists_ok = self.check_hyper_lists(plan, hcs);
 
-        // Per-group state: sizes and packed words.
-        if plan.group_size.len() != c.groups.len()
-            || plan.group_words.len() != c.groups.len() * plan.words
-        {
+        // Per-group state: sizes.
+        if plan.group_size.len() != c.groups.len() {
             self.fail(
                 "dispatch.group-state",
                 format!(
-                    "plan compiled {} groups / {} packed words, clustering has {}",
+                    "plan compiled {} groups, clustering has {}",
                     plan.group_size.len(),
-                    plan.group_words.len(),
                     c.groups.len()
                 ),
             );
@@ -617,13 +616,6 @@ impl Validator {
                         plan.group_size[g],
                         group.members.count()
                     ),
-                );
-            }
-            let words = &plan.group_words[g * plan.words..(g + 1) * plan.words];
-            if words != group.members.words() {
-                self.fail(
-                    "dispatch.group-state",
-                    format!("group {g}'s packed membership words disagree with the clustering"),
                 );
             }
         }
@@ -643,36 +635,30 @@ impl Validator {
     /// Audits the flat candidate arrays — all `serve_batch` reads to
     /// decide an event — against what scalar `serve` reads for the same
     /// candidate: every stored bound is `to_bits`-equal to the owned
-    /// rectangle's, every in-group flag equals the packed group
-    /// membership. At most one violation per slot. Requires sound
+    /// rectangle's. At most one violation per slot. Requires sound
     /// hyper-cell member lists (monotone offsets over the flat ids).
     fn check_serve_state(&mut self, plan: &DispatchPlan, state: &ServeState) {
         const INVARIANT: &str = "dispatch.serve-state";
         let dim = plan.grid.dim();
         let total = plan.hyper_members.len();
-        let groups = plan.group_size.len();
         // Shapes first, and everything the slot loop indexes with.
         if state.rects.len() != plan.num_subscribers
             || state.cand_lo.len() != total * dim
             || state.cand_hi.len() != total * dim
-            || state.cand_in_group.len() != total
             || state.rects.iter().any(|r| r.dim() != dim)
             || plan
                 .hyper_members
                 .iter()
                 .any(|&id| id as usize >= state.rects.len())
-            || plan.hyper_group.iter().any(|&g| g as usize >= groups)
         {
             self.fail(
                 INVARIANT,
                 format!(
-                    "{} rectangles / {} lower bounds / {} upper bounds / {} flags cannot \
-                     describe {total} candidates of {} subscribers and {groups} groups in \
-                     {dim} dimension(s)",
+                    "{} rectangles / {} lower bounds / {} upper bounds cannot describe \
+                     {total} candidates of {} subscribers in {dim} dimension(s)",
                     state.rects.len(),
                     state.cand_lo.len(),
                     state.cand_hi.len(),
-                    state.cand_in_group.len(),
                     plan.num_subscribers
                 ),
             );
@@ -689,7 +675,7 @@ impl Validator {
                 })
             })
             .collect();
-        for (s, &group) in plan.hyper_group.iter().enumerate() {
+        for s in 0..plan.hyper_group.len() {
             let o = plan.hyper_offsets[s] as usize;
             let members = &plan.hyper_members[o..plan.hyper_offsets[s + 1] as usize];
             let nc = members.len();
@@ -718,22 +704,6 @@ impl Validator {
                         hi[d * nc + k],
                         iv.lo(),
                         iv.hi()
-                    ),
-                );
-                continue;
-            }
-            let wrong_flag = members
-                .iter()
-                .zip(&state.cand_in_group[o..o + nc])
-                .position(|(&id, &flag)| flag != plan.group_contains(group as usize, id as usize));
-            if let Some(k) = wrong_flag {
-                self.fail(
-                    INVARIANT,
-                    format!(
-                        "slot {s} candidate {k} (subscriber {}) is flagged {} for group {group}, \
-                         whose packed words say otherwise",
-                        members[k],
-                        state.cand_in_group[o + k]
                     ),
                 );
             }
@@ -943,7 +913,7 @@ mod tests {
     }
 
     /// Number of grid-artifact corruptions [`corrupt`] knows.
-    const GRID_CORRUPTIONS: usize = 16;
+    const GRID_CORRUPTIONS: usize = 15;
 
     /// First of the corruptions that touch only the plan's serve arrays
     /// (kinds `SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS`).
@@ -1077,17 +1047,12 @@ mod tests {
             }
             14 => {
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
-                let at = salt % state.cand_in_group.len();
-                state.cand_in_group[at] = !state.cand_in_group[at];
-                "serve-flag-flip"
-            }
-            15 => {
-                let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
-                match salt % 3 {
-                    0 => state.cand_lo.truncate(state.cand_lo.len() - 1),
-                    1 => state.cand_hi.truncate(state.cand_hi.len() - 1),
-                    _ => state.cand_in_group.truncate(state.cand_in_group.len() - 1),
-                }
+                let bounds = if salt.is_multiple_of(2) {
+                    &mut state.cand_lo
+                } else {
+                    &mut state.cand_hi
+                };
+                bounds.truncate(bounds.len() - 1);
                 "serve-array-truncated"
             }
             _ => unreachable!("unknown corruption kind"),

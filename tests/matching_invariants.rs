@@ -5,7 +5,7 @@ use geometry::{Grid, Interval, Point, Rect};
 use proptest::prelude::*;
 use pubsub_core::{
     BitSet, CellProbability, ClusteringAlgorithm, Delivery, GridFramework, GridMatcher, KMeans,
-    KMeansVariant, MstClustering, NoLossClustering, NoLossConfig,
+    KMeansVariant, MstClustering, NoLossClustering, NoLossConfig, PairsStrategy, PairwiseGrouping,
 };
 
 /// Random interval inside (0, 20], sometimes unbounded.
@@ -26,44 +26,65 @@ fn point_strategy() -> impl Strategy<Value = Point> {
     prop::collection::vec(0.01..20.0f64, 2).prop_map(Point::new)
 }
 
-fn build_framework(subs: &[Rect]) -> GridFramework {
+fn build_framework(subs: &[Rect], max_cells: Option<usize>) -> GridFramework {
     let grid = Grid::cube(0.0, 20.0, 2, 10).unwrap();
     let probs = CellProbability::uniform(&grid);
-    GridFramework::build(grid, subs, &probs, None)
+    GridFramework::build(grid, subs, &probs, max_cells)
+}
+
+/// The five grid clustering algorithms.
+fn algorithms() -> Vec<Box<dyn ClusteringAlgorithm>> {
+    vec![
+        Box::new(KMeans::new(KMeansVariant::MacQueen)),
+        Box::new(KMeans::new(KMeansVariant::Forgy)),
+        Box::new(PairwiseGrouping::new(PairsStrategy::Exact)),
+        Box::new(PairwiseGrouping::new(PairsStrategy::Approximate {
+            seed: 9,
+        })),
+        Box::new(MstClustering::new()),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A kept cell's membership vector includes every subscriber whose
-    /// rectangle contains any point of the cell — so grid matching can
-    /// only ever OVER-deliver, never under-deliver.
+    /// rectangle contains any point of the cell, and a group's members
+    /// are the union of its cells' — so the matched group holds the
+    /// whole interested set (the dispatch plans decide from the
+    /// interested count as the hit count on that premise) and grid
+    /// matching can only ever OVER-deliver, never under-deliver. Every
+    /// algorithm, on complete and truncated frameworks.
     #[test]
     fn grid_groups_cover_all_interested_subscribers(
         subs in prop::collection::vec(rect_strategy(), 1..20),
         p in point_strategy(),
+        max_cells in prop_oneof![Just(None), (1usize..8).prop_map(Some)],
     ) {
-        let fw = build_framework(&subs);
-        let clustering = KMeans::new(KMeansVariant::Forgy).cluster(&fw, 4);
+        let fw = build_framework(&subs, max_cells);
         let interested: Vec<usize> = subs
             .iter()
             .enumerate()
             .filter(|(_, r)| r.contains(&p))
             .map(|(i, _)| i)
             .collect();
-        if let Some(group) = clustering.group_of_point(&fw, &p) {
-            let members = &clustering.groups()[group].members;
-            for &i in &interested {
-                prop_assert!(
-                    members.contains(i),
-                    "interested subscriber {i} missing from matched group"
-                );
+        for alg in algorithms() {
+            let clustering = alg.cluster(&fw, 4);
+            if let Some(group) = clustering.group_of_point(&fw, &p) {
+                let members = &clustering.groups()[group].members;
+                for &i in &interested {
+                    prop_assert!(
+                        members.contains(i),
+                        "{}: interested subscriber {i} missing from matched group",
+                        alg.name()
+                    );
+                }
+            } else if max_cells.is_none() {
+                // No cell kept for this point ⇒ a complete framework
+                // must know nobody subscribed there.
+                prop_assert!(interested.is_empty(),
+                    "{}: point with interested subscribers fell off the grid", alg.name());
             }
-        } else {
-            // No cell kept for this point ⇒ framework must know nobody
-            // subscribed there (framework built with no truncation).
-            prop_assert!(interested.is_empty(),
-                "point with interested subscribers fell off the grid");
         }
     }
 
@@ -75,7 +96,7 @@ proptest! {
         p in point_strategy(),
         threshold in 0.0..1.0f64,
     ) {
-        let fw = build_framework(&subs);
+        let fw = build_framework(&subs, None);
         let clustering = MstClustering::new().cluster(&fw, 4);
         let matcher = GridMatcher::new(&fw, &clustering).with_threshold(threshold);
         let interested = BitSet::from_members(
@@ -133,7 +154,7 @@ proptest! {
         subs in prop::collection::vec(rect_strategy(), 1..20),
         k in 1usize..8,
     ) {
-        let fw = build_framework(&subs);
+        let fw = build_framework(&subs, None);
         let algs: Vec<Box<dyn ClusteringAlgorithm>> = vec![
             Box::new(KMeans::new(KMeansVariant::MacQueen)),
             Box::new(KMeans::new(KMeansVariant::Forgy)),
