@@ -14,8 +14,9 @@
 //! resubscribes 1% of the population — subscriptions whose rectangles
 //! sit inside the hot sub-range — and then rebalances twice from the
 //! same state: once through the incremental pipeline (delta
-//! rasterization, membership interning, warm-seeded K-means) and once
-//! through the full re-rasterizing rebuild, by running two
+//! rasterization, dirty cells re-merged by membership vector,
+//! warm-seeded K-means) and once through the full rebuild that
+//! re-rasterizes every slot, by running two
 //! [`DynamicClustering`]s with opposite dirty thresholds in lockstep.
 //! Both paths are verified bit-identical every epoch; the JSON records
 //! per-epoch latencies, the delta statistics, and the R-tree matching

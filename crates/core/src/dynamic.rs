@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 
 use geometry::{CellId, Grid, Point, Rect};
 
@@ -26,26 +25,10 @@ use crate::kmeans::KMeans;
 use crate::parallel;
 use crate::validate::{ValidationError, Validator};
 
-/// Default dirty-fraction threshold above which [`DynamicClustering::rebalance`]
-/// falls back to the full re-rasterizing path. Override with
-/// `PUBSUB_INCREMENTAL_MAX_DIRTY` (a float; `0` forces the full path,
-/// `1` allows incremental updates for any delta size).
-const DEFAULT_INCREMENTAL_MAX_DIRTY: f64 = 0.2;
-
-fn incremental_max_dirty() -> f64 {
-    static CAP: OnceLock<f64> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        crate::env_knob(
-            "PUBSUB_INCREMENTAL_MAX_DIRTY",
-            DEFAULT_INCREMENTAL_MAX_DIRTY,
-            |s| {
-                s.parse::<f64>()
-                    .ok()
-                    .filter(|v| v.is_finite() && (0.0..=1.0).contains(v))
-            },
-        )
-    })
-}
+/// Dirty-fraction threshold above which [`DynamicClustering::rebalance`]
+/// falls back to the full re-rasterizing path, unless
+/// [`DynamicClustering::with_max_dirty`] sets another.
+const DEFAULT_MAX_DIRTY: f64 = 0.2;
 
 /// Stable identifier of a dynamic subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -97,9 +80,8 @@ pub struct DynamicClustering {
     /// (`None` = the slot was empty then). Together with the current
     /// slots this yields the net delta for the incremental path.
     baseline: HashMap<usize, Option<Rect>>,
-    /// Dirty-fraction threshold override; `None` reads
-    /// `PUBSUB_INCREMENTAL_MAX_DIRTY` (default 0.2).
-    max_dirty: Option<f64>,
+    /// Dirty-fraction threshold of the incremental path (default 0.2).
+    max_dirty: f64,
     /// Diagnostics of the most recent rebalance.
     last_stats: RebalanceStats,
 }
@@ -186,19 +168,19 @@ impl DynamicClustering {
             clustering,
             pending: 0,
             baseline: HashMap::new(),
-            max_dirty: None,
+            max_dirty: DEFAULT_MAX_DIRTY,
             last_stats: RebalanceStats::default(),
         }
     }
 
     /// Overrides the dirty-fraction threshold of the incremental path
-    /// (normally `PUBSUB_INCREMENTAL_MAX_DIRTY`, default 0.2): deltas
-    /// touching at most `fraction` of the slots fold in incrementally,
-    /// larger ones re-rasterize everything. `0.0` always takes the full
-    /// path, `1.0` (or more) always tries the incremental one.
+    /// (default 0.2): deltas touching at most `fraction` of the slots
+    /// fold in incrementally, larger ones re-rasterize everything.
+    /// `0.0` always takes the full path, `1.0` (or more) always tries
+    /// the incremental one.
     pub fn with_max_dirty(mut self, fraction: f64) -> Self {
         assert!(fraction >= 0.0, "fraction must be non-negative");
-        self.max_dirty = Some(fraction);
+        self.max_dirty = fraction;
         self
     }
 
@@ -299,11 +281,11 @@ impl DynamicClustering {
     /// start's convergence cost.
     ///
     /// When the net delta touches at most a threshold fraction of the
-    /// slots (`PUBSUB_INCREMENTAL_MAX_DIRTY`, default 0.2, or
-    /// [`DynamicClustering::with_max_dirty`]), the framework is updated
-    /// in place via [`GridFramework::apply_delta`] — only dirty cells
-    /// are re-rasterized and unchanged hyper-cells carry over. Larger
-    /// deltas re-rasterize everything. Both paths produce bit-identical
+    /// slots (0.2, or what [`DynamicClustering::with_max_dirty`] set),
+    /// the framework is updated in place via
+    /// [`GridFramework::apply_delta`] — only dirty cells are
+    /// re-rasterized and unchanged hyper-cells carry over. Larger
+    /// deltas re-rasterize every slot. Both paths produce bit-identical
     /// frameworks, clusterings and move counts at any `PUBSUB_THREADS`,
     /// and neither builds the `O(l²)` pairwise distance cache.
     pub fn rebalance(&mut self) -> usize {
@@ -317,9 +299,8 @@ impl DynamicClustering {
     /// except the post-condition audit.
     fn rebalance_paths(&mut self) -> usize {
         let changed = self.baseline.len();
-        let threshold = self.max_dirty.unwrap_or_else(incremental_max_dirty);
         let fraction = changed as f64 / self.subscriptions.len().max(1) as f64;
-        if self.framework.supports_incremental() && fraction <= threshold {
+        if self.framework.supports_incremental() && fraction <= self.max_dirty {
             self.rebalance_incremental(changed)
         } else {
             self.rebalance_full(changed)
@@ -468,44 +449,15 @@ impl DynamicClustering {
         moves
     }
 
-    /// Rasterizes the whole population, computing `cells_overlapping`
-    /// once per *distinct* rectangle bit-pattern. Churned populations
-    /// are dominated by repeated interest specifications, and the cell
-    /// set is a pure function of the rectangle, so slots sharing a
-    /// rectangle share the rasterization. Tombstoned slots rasterize
-    /// nothing, keeping membership vectors aligned with ids.
+    /// Rasterizes every slot, in parallel as [`GridFramework::build`]
+    /// does. Tombstoned slots rasterize nothing, keeping membership
+    /// vectors aligned with ids.
     fn rasterize_population(&self) -> Vec<Vec<CellId>> {
-        const TOMBSTONE: u32 = u32::MAX;
-        let mut distinct_rects: Vec<Rect> = Vec::new();
-        let mut index: HashMap<Vec<(u64, u64)>, u32> = HashMap::new();
-        let distinct_of: Vec<u32> = self
-            .subscriptions
-            .iter()
-            .map(|s| match s {
-                None => TOMBSTONE,
-                Some(r) => *index
-                    .entry(crate::aggregate::rect_key(r))
-                    .or_insert_with(|| {
-                        distinct_rects.push(r.clone());
-                        (distinct_rects.len() - 1) as u32
-                    }),
-            })
-            .collect();
         let grid = &self.grid;
-        let distinct_sets: Vec<Vec<CellId>> =
-            parallel::par_map(&distinct_rects, parallel::MIN_PARALLEL_LEN, |r| {
-                grid.cells_overlapping(r)
-            });
-        distinct_of
-            .iter()
-            .map(|&d| {
-                if d == TOMBSTONE {
-                    Vec::new()
-                } else {
-                    distinct_sets[d as usize].clone()
-                }
-            })
-            .collect()
+        parallel::par_map(&self.subscriptions, parallel::MIN_PARALLEL_LEN, |s| {
+            s.as_ref()
+                .map_or_else(Vec::new, |r| grid.cells_overlapping(r))
+        })
     }
 
     /// Full path: re-rasterize the whole population and re-balance
@@ -816,8 +768,22 @@ mod tests {
         assert_eq!(stats.changed_slots, 1);
         assert!(stats.dirty_cells > 0);
         assert!(stats.unchanged_hypercells > 0);
-        // The default threshold comes from the environment knob.
-        assert!((0.0..=1.0).contains(&super::incremental_max_dirty()));
+        // Without an override the threshold is the constant 0.2: two
+        // changed slots of ten fold in incrementally, three do not.
+        let mut d = system(2);
+        for i in 0..10 {
+            d.subscribe(rect1(i as f64, i as f64 + 4.0));
+        }
+        d.rebalance();
+        for (changed, incremental) in [(2, true), (3, false)] {
+            for i in 0..changed {
+                let r = rect1(i as f64 + 0.5, (i + changed) as f64);
+                d.resubscribe(SubscriptionId(i), r).unwrap();
+            }
+            d.rebalance();
+            assert_eq!(d.last_rebalance().changed_slots, changed);
+            assert_eq!(d.last_rebalance().incremental, incremental);
+        }
     }
 
     #[test]

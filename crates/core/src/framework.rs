@@ -11,6 +11,12 @@
 //!    keep only the most popular ones ("the rest [is left] for
 //!    unicast") — the paper's *number of rectangles* parameter that
 //!    Figures 8 and 10 sweep.
+//!
+//! Under churn, [`GridFramework::apply_delta`] re-runs steps 1–2 for the
+//! changed rectangles and the cells they touch only: the old
+//! hyper-cells and the dirty cells meet in one per-call map keyed by
+//! membership vector — the merge the cold build does — and nothing is
+//! kept between calls but the hyper-cells themselves.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
@@ -18,7 +24,6 @@ use std::sync::{Arc, OnceLock};
 use geometry::{CellId, Grid, Point, Rect};
 
 use crate::distance::DistanceMatrix;
-use crate::intern::{MembershipId, MembershipPool};
 use crate::membership::BitSet;
 use crate::parallel;
 use crate::waste::{popularity, popularity_weighted};
@@ -188,18 +193,6 @@ pub struct GridFramework {
     /// [`GridFramework::apply_delta`], which assumes each live cell is
     /// mapped and each membership vector appears exactly once.
     pub(crate) complete: bool,
-    /// Interning state carried across incremental updates; lazily
-    /// initialized by the first [`GridFramework::apply_delta`].
-    pub(crate) incremental: Option<IncrementalState>,
-}
-
-/// Hash-consed membership state the incremental path keeps between
-/// deltas: the pool of distinct vectors plus each hyper-cell's id.
-#[derive(Debug, Clone)]
-pub(crate) struct IncrementalState {
-    pub(crate) pool: MembershipPool,
-    /// Interned id per hyper-cell, aligned with `hypercells`.
-    pub(crate) hyper_ids: Vec<MembershipId>,
 }
 
 /// Per-cell bit flips accumulated from the delta rectangles.
@@ -209,13 +202,15 @@ struct CellOps {
     sets: Vec<usize>,
 }
 
-/// A hyper-cell being reassembled during [`GridFramework::apply_delta`].
+/// A hyper-cell being reassembled during [`GridFramework::apply_delta`],
+/// keyed by its membership vector.
 struct GroupBuild {
     cells: Vec<CellId>,
-    members: Option<BitSet>,
+    /// Probability mass of `cells`, kept only while `old` is `Some`.
     prob: f64,
+    /// The old hyper-cell this entry still equals byte for byte; `None`
+    /// once it gained or lost a cell, or when it is new.
     old: Option<usize>,
-    touched: bool,
 }
 
 /// Outcome summary of one [`GridFramework::apply_delta`] call, with the
@@ -349,7 +344,6 @@ impl GridFramework {
             // Unmerged builds break apply_delta's "one hyper-cell per
             // membership vector" invariant.
             complete: false,
-            incremental: None,
         }
     }
 
@@ -481,7 +475,6 @@ impl GridFramework {
             cell_to_hyper,
             distances: OnceLock::new(),
             complete,
-            incremental: None,
         }
     }
 
@@ -556,7 +549,6 @@ impl GridFramework {
             cell_to_hyper: self.cell_to_hyper.clone(),
             distances: OnceLock::new(),
             complete: self.complete,
-            incremental: None,
         }
     }
 
@@ -674,7 +666,6 @@ impl GridFramework {
             // Dropped outliers leave live cells unmapped, so the
             // filtered framework cannot take deltas.
             complete: false,
-            incremental: None,
         }
     }
 
@@ -734,29 +725,8 @@ impl GridFramework {
             num_subscribers >= self.num_subscribers,
             "the subscriber universe never shrinks (tombstones keep their slot)"
         );
-        // (Re)build the interning state when absent or grown far past
-        // the live hyper-cell count (stale ids from long churn runs).
-        let stale = self
-            .incremental
-            .as_ref()
-            .is_some_and(|s| s.pool.len() > (8 * self.hypercells.len()).max(1024));
-        if stale {
-            self.incremental = None;
-        }
-        if self.incremental.is_none() {
-            let mut pool = MembershipPool::new(self.num_subscribers);
-            let hyper_ids = self
-                .hypercells
-                .iter()
-                .map(|hc| pool.intern(hc.members.clone()))
-                .collect();
-            self.incremental = Some(IncrementalState { pool, hyper_ids });
-        }
-        let mut state = self.incremental.take().expect("just initialized");
-
         // Grow the universe in place (new indices absent everywhere).
         if num_subscribers > self.num_subscribers {
-            state.pool.grow(num_subscribers);
             for hc in &mut self.hypercells {
                 hc.members.grow(num_subscribers);
             }
@@ -798,7 +768,7 @@ impl GridFramework {
         //    whose vector nets out unchanged (e.g. a resubscribe
         //    covering the same cell) are not dirty.
         let mut affected_old: HashSet<usize> = HashSet::new();
-        let mut dirty: Vec<(CellId, Option<MembershipId>)> = Vec::new();
+        let mut dirty: Vec<(CellId, BitSet)> = Vec::new();
         for (cell, op) in flipped {
             let old_h = self.cell_to_hyper.get(&cell).copied();
             let mut m = match old_h {
@@ -821,108 +791,85 @@ impl GridFramework {
             if let Some(h) = old_h {
                 affected_old.insert(h);
             }
+            dirty.push((cell, m));
+        }
+
+        // 4. Re-merge inside the dirty region, by membership vector as
+        //    the full build merges: every old hyper-cell's vector is
+        //    moved in as a key, affected hyper-cells give up their dirty
+        //    cells, and each dirty cell joins the entry of its new
+        //    vector — an old hyper-cell's, touched or not, or a fresh
+        //    one. A dirty cell's new vector always differs from its old
+        //    hyper-cell's, so any entry that gains or loses a cell is
+        //    genuinely changed.
+        let dirty_set: HashSet<CellId> = dirty.iter().map(|(c, _)| *c).collect();
+        let old_hypercells = std::mem::take(&mut self.hypercells);
+        let mut groups: HashMap<BitSet, GroupBuild> =
+            HashMap::with_capacity(old_hypercells.len() + dirty.len());
+        for (h, hc) in old_hypercells.into_iter().enumerate() {
+            let b = if affected_old.contains(&h) {
+                GroupBuild {
+                    cells: hc
+                        .cells
+                        .into_iter()
+                        .filter(|c| !dirty_set.contains(c))
+                        .collect(),
+                    prob: 0.0,
+                    old: None,
+                }
+            } else {
+                GroupBuild {
+                    cells: hc.cells,
+                    prob: hc.prob,
+                    old: Some(h),
+                }
+            };
+            groups.insert(hc.members, b);
+        }
+        let dirty_cells = dirty.len();
+        for (cell, members) in dirty {
             // An emptied cell is dropped outright (events there
             // interest nobody), exactly as the full build drops it.
-            let id = if m.is_empty() {
-                None
-            } else {
-                Some(state.pool.intern(m))
-            };
-            dirty.push((cell, id));
-        }
-
-        // 4. Re-merge inside the dirty region: affected hyper-cells
-        //    give up their dirty cells, dirty cells join the group of
-        //    their new membership id. A dirty cell's new vector always
-        //    differs from its old hyper-cell's, so any group that gains
-        //    or loses a cell is genuinely changed.
-        let dirty_set: HashSet<CellId> = dirty.iter().map(|&(c, _)| c).collect();
-        let old_hypercells = std::mem::take(&mut self.hypercells);
-        let old_ids = std::mem::take(&mut state.hyper_ids);
-        let mut groups: HashMap<u32, GroupBuild> =
-            HashMap::with_capacity(old_hypercells.len() + dirty.len());
-        for (h, (hc, id)) in old_hypercells.into_iter().zip(old_ids).enumerate() {
-            let HyperCell {
-                cells,
-                members,
-                prob,
-            } = hc;
-            let (cells, touched) = if affected_old.contains(&h) {
-                let before = cells.len();
-                let kept: Vec<CellId> = cells
-                    .into_iter()
-                    .filter(|c| !dirty_set.contains(c))
-                    .collect();
-                let t = kept.len() != before;
-                (kept, t)
-            } else {
-                (cells, false)
-            };
-            groups.insert(
-                id.0,
-                GroupBuild {
-                    cells,
-                    members: Some(members),
-                    prob,
-                    old: Some(h),
-                    touched,
-                },
-            );
-        }
-        for &(cell, id) in &dirty {
-            let Some(id) = id else { continue };
-            let b = groups.entry(id.0).or_insert_with(|| GroupBuild {
+            if members.is_empty() {
+                continue;
+            }
+            let b = groups.entry(members).or_insert_with(|| GroupBuild {
                 cells: Vec::new(),
-                members: None,
                 prob: 0.0,
                 old: None,
-                touched: true,
             });
             b.cells.push(cell);
-            b.touched = true;
+            b.old = None;
         }
 
-        // 5. Finalize. Touched groups recompute cells/prob with the
-        //    full build's exact expressions; untouched groups move
+        // 5. Finalize. Changed entries recompute cells/prob with the
+        //    full build's exact expressions; unchanged ones move
         //    through byte-identical (and remember their old index, the
         //    key to warm starts).
-        let mut rebuilt: Vec<(HyperCell, MembershipId, Option<usize>)> =
-            Vec::with_capacity(groups.len());
+        let mut rebuilt: Vec<(HyperCell, Option<usize>)> = Vec::with_capacity(groups.len());
         // lint: allow(hash-order): per-group work is order-local; `rebuilt`
         // gets a total-order sort by (popularity, first cell) below
-        for (raw_id, b) in groups {
+        for (members, b) in groups {
             if b.cells.is_empty() {
                 continue;
             }
-            let id = MembershipId(raw_id);
-            if b.touched {
-                let mut cells = b.cells;
-                cells.sort_unstable();
-                let prob = cells.iter().map(|&c| probs.prob(c)).sum();
-                let members = b.members.unwrap_or_else(|| state.pool.get(id).clone());
-                rebuilt.push((
-                    HyperCell {
-                        cells,
-                        members,
-                        prob,
-                    },
-                    id,
-                    None,
-                ));
-            } else {
-                let members = b
-                    .members
-                    .expect("untouched groups come from an old hyper-cell");
-                rebuilt.push((
-                    HyperCell {
-                        cells: b.cells,
-                        members,
-                        prob: b.prob,
-                    },
-                    id,
-                    b.old,
-                ));
-            }
+            let (cells, prob) = match b.old {
+                Some(_) => (b.cells, b.prob),
+                None => {
+                    let mut cells = b.cells;
+                    cells.sort_unstable();
+                    let prob = cells.iter().map(|&c| probs.prob(c)).sum();
+                    (cells, prob)
+                }
+            };
+            rebuilt.push((
+                HyperCell {
+                    cells,
+                    members,
+                    prob,
+                },
+                b.old,
+            ));
         }
         rebuilt.sort_by(|a, b| {
             b.0.popularity()
@@ -936,7 +883,7 @@ impl GridFramework {
         //    changed hyper-cell used to live — warm-start votes read
         //    this instead of the discarded old framework.
         let mut old_hyper_of_cell = HashMap::new();
-        for (hc, _, old) in &rebuilt {
+        for (hc, old) in &rebuilt {
             if old.is_none() {
                 for &c in &hc.cells {
                     if let Some(&oh) = self.cell_to_hyper.get(&c) {
@@ -947,9 +894,9 @@ impl GridFramework {
         }
 
         // 7. Install the new hyper-cells and indexes.
-        let old_index: Vec<Option<usize>> = rebuilt.iter().map(|r| r.2).collect();
-        state.hyper_ids = rebuilt.iter().map(|r| r.1).collect();
-        self.hypercells = rebuilt.into_iter().map(|r| r.0).collect();
+        let (hypercells, old_index): (Vec<HyperCell>, Vec<Option<usize>>) =
+            rebuilt.into_iter().unzip();
+        self.hypercells = hypercells;
         self.cell_to_hyper = self
             .hypercells
             .iter()
@@ -961,9 +908,8 @@ impl GridFramework {
         //    whoever reads all pairs next rebuilds it lazily.
         self.distances = OnceLock::new();
 
-        self.incremental = Some(state);
         DeltaReport {
-            dirty_cells: dirty.len(),
+            dirty_cells,
             changed_hypercells: old_index.iter().filter(|o| o.is_none()).count(),
             unchanged_hypercells: old_index.iter().filter(|o| o.is_some()).count(),
             old_index,
@@ -1268,6 +1214,98 @@ mod tests {
         );
         assert_eq!(fw.hypercells().len(), 0);
         assert_eq!(fw.num_subscribers(), 2);
+    }
+
+    /// Applies a delta to a cold build of `initial` on the 10-cell grid
+    /// and holds the result to a cold build of the population the delta
+    /// leaves (removed slots become tombstones).
+    fn delta_against_cold(
+        initial: &[Rect],
+        added: &[(usize, Rect)],
+        removed: &[(usize, Rect)],
+    ) -> (GridFramework, DeltaReport) {
+        let g = grid10();
+        let probs = CellProbability::uniform(&g);
+        let mut slots: Vec<Option<Rect>> = initial.iter().cloned().map(Some).collect();
+        for (id, _) in removed {
+            slots[*id] = None;
+        }
+        for (id, r) in added {
+            if *id >= slots.len() {
+                slots.resize(*id + 1, None);
+            }
+            slots[*id] = Some(r.clone());
+        }
+        let mut fw = GridFramework::build(g.clone(), initial, &probs, None);
+        let report = fw.apply_delta(added, removed, &probs, slots.len());
+        let cell_sets: Vec<Vec<CellId>> = slots
+            .iter()
+            .map(|s| s.as_ref().map_or_else(Vec::new, |r| g.cells_overlapping(r)))
+            .collect();
+        assert_bit_identical(
+            &fw,
+            &GridFramework::build_from_cells(g, &cell_sets, &probs, None),
+        );
+        (fw, report)
+    }
+
+    fn cells(ids: impl IntoIterator<Item = usize>) -> Vec<CellId> {
+        ids.into_iter().map(CellId).collect()
+    }
+
+    #[test]
+    fn apply_delta_remerges_dirty_cells_by_membership() {
+        // A dirty cell whose new vector is an untouched hyper-cell's
+        // joins it: #0 covers cells 0–3 and #1 cell 3 only, so dropping
+        // #1 leaves cell 3 with {0}, the vector of cells 0–2, which the
+        // delta never touches.
+        let (fw, report) = delta_against_cold(
+            &[rect1(0.0, 4.0), rect1(3.0, 4.0)],
+            &[],
+            &[(1, rect1(3.0, 4.0))],
+        );
+        assert_eq!(report.dirty_cells, 1);
+        assert_eq!(fw.hypercells().len(), 1);
+        assert_eq!(fw.hypercells()[0].cells, cells(0..4));
+        assert_eq!(report.old_index, vec![None]);
+
+        // Two dirty cells of different hyper-cells that end on one new
+        // vector merge: when #0 and #1 leave, cell 0 ({0,2}) and cell 4
+        // ({1,2}) both fall to {2}, while cells 1–3 ({2,3}) keep their
+        // hyper-cell. And a cell the delta empties is dropped: #4 alone
+        // covered cell 8.
+        let (fw, report) = delta_against_cold(
+            &[
+                rect1(0.0, 1.0),
+                rect1(4.0, 5.0),
+                rect1(0.0, 5.0),
+                rect1(1.0, 4.0),
+                rect1(8.0, 9.0),
+            ],
+            &[],
+            &[
+                (0, rect1(0.0, 1.0)),
+                (1, rect1(4.0, 5.0)),
+                (4, rect1(8.0, 9.0)),
+            ],
+        );
+        assert_eq!(report.dirty_cells, 3);
+        let merged = fw.hyper_of_cell(CellId(0)).unwrap();
+        assert_eq!(fw.hypercells()[merged].cells, cells([0, 4]));
+        assert_eq!(
+            fw.hypercells()[merged].members,
+            BitSet::from_members(5, [2])
+        );
+        assert_eq!(report.old_index[merged], None);
+        let kept = fw.hyper_of_cell(CellId(1)).unwrap();
+        assert_eq!(fw.hypercells()[kept].cells, cells(1..4));
+        assert!(report.old_index[kept].is_some());
+        assert_eq!(fw.hyper_of_cell(CellId(8)), None);
+        assert_eq!(fw.hypercells().len(), 2);
+        assert_eq!(
+            (report.changed_hypercells, report.unchanged_hypercells),
+            (1, 1)
+        );
     }
 
     #[test]

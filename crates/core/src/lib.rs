@@ -63,7 +63,6 @@ mod dispatch;
 mod distance;
 mod dynamic;
 mod framework;
-mod intern;
 mod kmeans;
 mod knob;
 mod match_index;
@@ -87,7 +86,6 @@ pub use dynamic::{
     DynamicClustering, DynamicError, RebalanceError, RebalanceStats, SubscriptionId,
 };
 pub use framework::{CellProbability, DeltaReport, FrameworkStats, GridFramework, HyperCell};
-pub use intern::{MembershipId, MembershipPool};
 pub use kmeans::{KMeans, KMeansVariant};
 pub use knob::env_knob;
 pub use match_index::SubscriptionIndex;

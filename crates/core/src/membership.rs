@@ -161,11 +161,6 @@ impl BitSet {
         self.words.resize(new_len.div_ceil(WORD_BITS), 0);
     }
 
-    /// The packed words, for content hashing by the interning pool.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Whether index `i` is a member.
     ///
     /// # Panics

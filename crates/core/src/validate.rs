@@ -11,9 +11,8 @@
 //!
 //! * [`Validator::check_framework`] — hyper-cells partition the cell
 //!   space, the cell→hyper index is exact, popularity ranking is
-//!   monotone, interned membership ids resolve to the stored bitsets,
-//!   and the pairwise distance cache agrees with freshly recomputed
-//!   [`expected_waste`] values bit-for-bit;
+//!   monotone, and the pairwise distance cache agrees with freshly
+//!   recomputed [`expected_waste`] values bit-for-bit;
 //! * [`Validator::check_clustering`] — groups partition the hyper-cells
 //!   and their member/probability aggregates match a recompute;
 //! * [`Validator::check_dispatch_plan`] — the compiled tables agree
@@ -170,8 +169,7 @@ impl Validator {
     }
 
     /// Audits a [`GridFramework`]: cell partition, index exactness,
-    /// popularity ranking, interned membership resolution, and the
-    /// distance cache (when materialized).
+    /// popularity ranking, and the distance cache (when materialized).
     pub fn check_framework(&mut self, fw: &GridFramework) -> &mut Self {
         let hcs = &fw.hypercells;
         let num_cells = fw.grid.num_cells();
@@ -264,41 +262,6 @@ impl Validator {
                         pop(w)
                     ),
                 );
-            }
-        }
-
-        // Interned membership ids resolve to the stored bitsets.
-        if let Some(inc) = &fw.incremental {
-            if inc.hyper_ids.len() != hcs.len() {
-                self.fail(
-                    "framework.intern-resolution",
-                    format!(
-                        "{} interned ids for {} hyper-cells",
-                        inc.hyper_ids.len(),
-                        hcs.len()
-                    ),
-                );
-            }
-            if inc.pool.universe() != fw.num_subscribers {
-                self.fail(
-                    "framework.intern-resolution",
-                    format!(
-                        "pool universe {} != {} subscribers",
-                        inc.pool.universe(),
-                        fw.num_subscribers
-                    ),
-                );
-            }
-            for (h, (&id, hc)) in inc.hyper_ids.iter().zip(hcs).enumerate() {
-                if inc.pool.get(id) != &hc.members {
-                    self.fail(
-                        "framework.intern-resolution",
-                        format!(
-                            "hyper-cell {h}: interned id {} resolves to a different bitset",
-                            id.index()
-                        ),
-                    );
-                }
             }
         }
 
@@ -853,9 +816,8 @@ mod tests {
     }
 
     /// A bench-shaped scenario with every auditable artifact armed:
-    /// materialized distance cache, initialized interning state, a
-    /// compiled plan with a dense table, at least two groups and the
-    /// serve arrays attached.
+    /// materialized distance cache, a compiled plan with a dense table,
+    /// at least two groups and the serve arrays attached.
     fn scenario() -> Scenario {
         let mut rng = StdRng::seed_from_u64(2002);
         let subs: Vec<Rect> = (0..30)
@@ -866,9 +828,7 @@ mod tests {
             .collect();
         let grid = Grid::cube(0.0, 10.0, 1, 40).unwrap();
         let probs = CellProbability::uniform(&grid);
-        let mut fw = GridFramework::build(grid, &subs, &probs, None);
-        // Arm the incremental interning state and the distance cache.
-        fw.apply_delta(&[], &[], &probs, subs.len());
+        let fw = GridFramework::build(grid, &subs, &probs, None);
         assert!(fw.distance_matrix().is_some(), "cache must materialize");
         assert!(fw.hypercells.len() >= 4, "scenario too small to corrupt");
         let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 4);
@@ -913,11 +873,11 @@ mod tests {
     }
 
     /// Number of grid-artifact corruptions [`corrupt`] knows.
-    const GRID_CORRUPTIONS: usize = 15;
+    const GRID_CORRUPTIONS: usize = 14;
 
     /// First of the corruptions that touch only the plan's serve arrays
     /// (kinds `SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS`).
-    const SERVE_STATE_CORRUPTIONS: usize = 12;
+    const SERVE_STATE_CORRUPTIONS: usize = 11;
 
     /// Offset of a slot whose first two candidates' lower bounds differ
     /// (the scenario is one-dimensional, so a slot's block is one bound
@@ -1000,32 +960,26 @@ mod tests {
                 "group-probability-drift"
             }
             7 => {
-                // Swap two interned ids (distinct by hash-consing).
-                let inc = s.fw.incremental.as_mut().expect("interning armed");
-                inc.hyper_ids.swap(0, 1);
-                "intern-id-desync"
-            }
-            8 => {
                 s.plan.threshold = 2.0;
                 "threshold-out-of-range"
             }
-            9 => {
+            8 => {
                 let g = salt % s.plan.group_size.len();
                 s.plan.group_size[g] += 1;
                 "plan-group-size-drift"
             }
-            10 => {
+            9 => {
                 let h = salt % s.fw.hypercells.len();
                 s.fw.hypercells[h].prob = -1.0;
                 "negative-probability"
             }
-            11 => {
+            10 => {
                 let h = salt % s.plan.hyper_group.len();
                 let g = s.plan.hyper_group[h];
                 s.plan.hyper_group[h] = (g + 1) % s.plan.group_size.len() as u32;
                 "plan-group-flip"
             }
-            12 => {
+            11 => {
                 // Move one stored bound by one ulp.
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
                 let bounds = if salt.is_multiple_of(2) {
@@ -1037,7 +991,7 @@ mod tests {
                 bounds[at] = f64::from_bits(bounds[at].to_bits() + 1);
                 "serve-bound-ulp"
             }
-            13 => {
+            12 => {
                 // Swap two candidates' bounds inside one slot.
                 let o = crowded_slot(&s.plan, salt);
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
@@ -1045,7 +999,7 @@ mod tests {
                 state.cand_hi.swap(o, o + 1);
                 "serve-bounds-swap"
             }
-            14 => {
+            13 => {
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
                 let bounds = if salt.is_multiple_of(2) {
                     &mut state.cand_lo
@@ -1159,8 +1113,8 @@ mod tests {
     #[test]
     fn error_report_lists_every_violation() {
         let mut s = scenario();
+        corrupt(&mut s, 7, 0);
         corrupt(&mut s, 8, 0);
-        corrupt(&mut s, 9, 0);
         let err = audit(&s).finish().unwrap_err();
         assert!(err.violations.len() >= 2);
         let text = err.to_string();

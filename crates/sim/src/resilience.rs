@@ -523,7 +523,7 @@ pub struct ChurnReport {
     pub rebalance_moves: usize,
     /// Per-epoch rebalances served by the incremental churn pipeline
     /// (delta rasterization + seeded re-clustering) rather than a full
-    /// rebuild; governed by `PUBSUB_INCREMENTAL_MAX_DIRTY`.
+    /// rebuild: those whose changed-slot fraction is at most 0.2.
     pub incremental_rebalances: usize,
     /// Live subscriptions after the last epoch.
     pub final_subscriptions: usize,
