@@ -129,16 +129,24 @@ pub trait ClusteringAlgorithm: Sync {
 /// Incrementally maintained state of all `K` groups of an iterative
 /// algorithm: per-(group, subscriber) containment counts, so hyper-cells
 /// can be added *and removed* in `O(|cell members|)`; the group sizes and
-/// probability masses the expected-waste distance needs; and, transposed
-/// for the scan, each subscriber's *set of groups*.
+/// probability masses the expected-waste distance needs; and the
+/// membership itself twice over, one copy per pricing kernel — each
+/// group's membership vector, and transposed, each subscriber's *set of
+/// groups*.
 #[derive(Debug)]
 pub(crate) struct GroupSet {
     /// `counts[g][m]`: how many of group `g`'s hyper-cells contain
     /// subscriber `m`.
     counts: Vec<Vec<u32>>,
+    /// `vectors[g]`: group `g`'s membership vector — bit `m` is set iff
+    /// `counts[g][m] > 0`, so it flips only on a 0↔1 count transition.
+    vectors: Vec<BitSet>,
+    /// The number of (group, subscriber) pairs with a non-zero count:
+    /// the set bits over all `vectors`.
+    links: usize,
     /// `words = ceil(K / 64)` per subscriber: bit `g % 64` of
-    /// `mask[m * words + g / 64]` is set iff `counts[g][m] > 0`, so it
-    /// flips only on a 0↔1 count transition.
+    /// `mask[m * words + g / 64]` is set iff `counts[g][m] > 0`, the
+    /// same bit as `vectors[g]`'s bit `m`.
     mask: Vec<u64>,
     words: usize,
     /// Per-slot multiplicities for class-universe frameworks; `None`
@@ -164,6 +172,8 @@ impl GroupSet {
         let words = k.div_ceil(64);
         GroupSet {
             counts: vec![vec![0; n]; k],
+            vectors: vec![BitSet::new(n); k],
+            links: 0,
             mask: vec![0; n * words],
             words,
             weights: framework.weights.clone(),
@@ -178,6 +188,8 @@ impl GroupSet {
         for m in hc.members.iter() {
             if counts[m] == 0 {
                 self.size[g] += weight_of(&self.weights, m);
+                self.vectors[g].insert(m);
+                self.links += 1;
                 self.mask[m * self.words + g / 64] |= 1 << (g % 64);
             }
             counts[m] += 1;
@@ -193,6 +205,8 @@ impl GroupSet {
             counts[m] -= 1;
             if counts[m] == 0 {
                 self.size[g] -= weight_of(&self.weights, m);
+                self.vectors[g].remove(m);
+                self.links -= 1;
                 self.mask[m * self.words + g / 64] &= !(1 << (g % 64));
             }
         }
@@ -208,19 +222,23 @@ impl GroupSet {
         self.num_cells[g]
     }
 
-    /// Expected-waste distance between `hc` and every group, in group
-    /// order: `p(hc)·|group \ hc| + p(group)·|hc \ group|`, with set
-    /// sizes weighted by the per-slot multiplicities when present. The
-    /// weighted integers equal the concrete counts, so each `f64` is
-    /// bit-identical to the expanded computation. One walk of
-    /// `hc.members` prices all `K` groups (each member adds its weight
-    /// to `in_both[g]` for the groups in its mask):
-    /// `O(Σ groups-per-member + K)`, not `K` walks.
-    fn distances<'a>(
-        &'a self,
-        hc: &'a HyperCell,
-        in_both: &'a mut Vec<u64>,
-    ) -> impl Iterator<Item = f64> + 'a {
+    /// Whether the word kernel prices `hc` (`cell_size` members) in
+    /// fewer steps than the walk: the walk visits each member and the
+    /// groups in its mask, `|hc|·(1 + links/n)`; the word kernel reads
+    /// `K·ceil(n/64)` words whatever `hc` holds. Both sides are scaled
+    /// by `n` to stay in integers. Weighted frameworks always walk: the
+    /// word kernel counts members, it does not weigh them.
+    pub(crate) fn prices_by_words(&self, hc: &HyperCell, cell_size: usize) -> bool {
+        let n = hc.members.universe() as u128;
+        let word_steps = self.num_groups() as u128 * n.div_ceil(64) * n;
+        let walk_steps = cell_size as u128 * (n + self.links as u128);
+        self.weights.is_none() && word_steps < walk_steps
+    }
+
+    /// The walk kernel: `in_both[g]` ← the weighted size of
+    /// `hc ∩ group g`, by one walk of `hc.members` (each member adds its
+    /// weight to the groups in its mask). Returns `hc`'s weighted size.
+    fn in_both_by_walk(&self, hc: &HyperCell, in_both: &mut Vec<u64>) -> u64 {
         in_both.clear();
         in_both.resize(self.num_groups(), 0);
         let mut cell_size = 0u64;
@@ -236,6 +254,40 @@ impl GroupSet {
                 }
             }
         }
+        cell_size
+    }
+
+    /// The word kernel: `in_both[g]` ← `|hc ∩ group g|`, one
+    /// AND-popcount of the two membership vectors per group. Unweighted.
+    fn in_both_by_words(&self, hc: &HyperCell, in_both: &mut Vec<u64>) {
+        in_both.clear();
+        let both = |group: &BitSet| hc.members.intersection_count(group) as u64;
+        in_both.extend(self.vectors.iter().map(both));
+    }
+
+    /// Expected-waste distance between `hc` and every group, in group
+    /// order: `p(hc)·|group \ hc| + p(group)·|hc \ group|`, with set
+    /// sizes weighted by the per-slot multiplicities when present. The
+    /// weighted integers equal the concrete counts, so each `f64` is
+    /// bit-identical to the expanded computation. Both set differences
+    /// come from `in_both[g] = |hc ∩ group g|`, which the cheaper of two
+    /// exact kernels fills for all `K` groups at once (see
+    /// [`prices_by_words`](Self::prices_by_words)): one walk of
+    /// `hc.members`, `O(|hc|·(1 + links/n))`, on a sparse population;
+    /// one AND-popcount per group, `O(K·n/64)`, on a dense one.
+    /// `cell_size` is `|hc.members|`, counted once by the caller.
+    fn distances<'a>(
+        &'a self,
+        hc: &'a HyperCell,
+        cell_size: usize,
+        in_both: &'a mut Vec<u64>,
+    ) -> impl Iterator<Item = f64> + 'a {
+        let cell_size = if self.prices_by_words(hc, cell_size) {
+            self.in_both_by_words(hc, in_both);
+            cell_size as u64
+        } else {
+            self.in_both_by_walk(hc, in_both)
+        };
         let groups = self.size.iter().zip(&self.prob).zip(&*in_both);
         groups.map(move |((&size, &prob), &both)| {
             let only_group = size - both;
@@ -245,11 +297,19 @@ impl GroupSet {
     }
 
     /// Index of the group with minimal expected-waste distance to `hc`
-    /// (ties go to the lower index, deterministically). `scratch` is
-    /// the caller's reusable `in_both` buffer; its contents are ignored.
-    pub(crate) fn closest(&self, hc: &HyperCell, scratch: &mut Vec<u64>) -> usize {
+    /// (ties go to the lower index, deterministically). `cell_size` is
+    /// `|hc.members|`, which the caller counts once per hyper-cell so
+    /// the kernel choice costs no pass over `hc` of its own. `scratch`
+    /// is the caller's reusable `in_both` buffer; its contents are
+    /// ignored.
+    pub(crate) fn closest(
+        &self,
+        hc: &HyperCell,
+        cell_size: usize,
+        scratch: &mut Vec<u64>,
+    ) -> usize {
         let mut best = (0usize, f64::INFINITY);
-        for (g, d) in self.distances(hc, scratch).enumerate() {
+        for (g, d) in self.distances(hc, cell_size, scratch).enumerate() {
             if d < best.1 {
                 best = (g, d);
             }
@@ -257,15 +317,23 @@ impl GroupSet {
         best.0
     }
 
-    /// Whether every mask bit agrees with its count and every size is
-    /// the weighted popcount. `O(n·K)`: for `debug_assert!` and tests.
+    /// Whether every mask bit and every group-vector bit agrees with
+    /// its count, `links` is the number of set group-vector bits, and
+    /// every size is the weighted popcount. `O(n·K)`: for
+    /// `debug_assert!` and tests.
     pub(crate) fn is_consistent(&self) -> bool {
-        self.counts.iter().enumerate().all(|(g, counts)| {
-            let bit = |m: usize| self.mask[m * self.words + g / 64] >> (g % 64) & 1;
-            let weight = |m: usize| bit(m) * weight_of(&self.weights, m);
-            (0..counts.len()).all(|m| (counts[m] > 0) == (bit(m) == 1))
-                && (0..counts.len()).map(weight).sum::<u64>() == self.size[g]
-        })
+        let links: usize = self.vectors.iter().map(BitSet::count).sum();
+        links == self.links
+            && self.counts.iter().enumerate().all(|(g, counts)| {
+                let bit = |m: usize| self.mask[m * self.words + g / 64] >> (g % 64) & 1;
+                let weight = |m: usize| bit(m) * weight_of(&self.weights, m);
+                let agrees = |m: usize| {
+                    (counts[m] > 0) == (bit(m) == 1)
+                        && (counts[m] > 0) == self.vectors[g].contains(m)
+                };
+                (0..counts.len()).all(agrees)
+                    && (0..counts.len()).map(weight).sum::<u64>() == self.size[g]
+            })
     }
 }
 
@@ -296,7 +364,9 @@ mod tests {
     impl GroupSet {
         /// The distance `closest` compares for group `g`.
         fn distance_to(&self, g: usize, hc: &HyperCell) -> f64 {
-            let d = self.distances(hc, &mut Vec::new()).nth(g);
+            let d = self
+                .distances(hc, hc.members.count(), &mut Vec::new())
+                .nth(g);
             d.expect("group in range")
         }
 
@@ -390,14 +460,17 @@ mod tests {
 
         // A random add/remove sequence over K = 70 groups (two mask
         // words), concrete and weighted: after every step each mask bit
-        // agrees with its count and each size is the weighted popcount,
-        // and each group's members are the union of the cells it holds.
-        for fw in [framework(), weighted_framework()] {
+        // and group-vector bit agrees with its count and each size is
+        // the weighted popcount, each group's members are the union of
+        // the cells it holds, and on a concrete framework the walk and
+        // the word kernel give every hyper-cell the same `in_both`.
+        for fw in [framework(), weighted_framework(), dense_framework()] {
             let hcs = fw.hypercells();
             let k = 70;
             let mut acc = GroupSet::new(&fw, k);
             let mut held: Vec<Vec<usize>> = vec![Vec::new(); k];
             let mut rng = StdRng::seed_from_u64(21);
+            let (mut walked, mut counted) = (Vec::new(), Vec::new());
             for _ in 0..600 {
                 let (g, h) = (rng.gen_range(0..k), rng.gen_range(0..hcs.len()));
                 match held[g].iter().position(|&c| c == h) {
@@ -417,9 +490,32 @@ mod tests {
                 }
                 assert_eq!(acc.members(g), union, "group {g}");
                 assert_eq!(acc.num_cells(g), held[g].len());
+                if fw.weights_ref().is_none() {
+                    for hc in hcs {
+                        let size = acc.in_both_by_walk(hc, &mut walked);
+                        acc.in_both_by_words(hc, &mut counted);
+                        assert_eq!(walked, counted);
+                        assert_eq!(size, hc.members.count() as u64);
+                    }
+                }
             }
             assert!(held.iter().any(|cells| cells.len() > 1));
         }
+    }
+
+    /// 129 random intervals on a 40-cell line: three subscriber words
+    /// and large hyper-cells, which the word kernel prices.
+    fn dense_framework() -> GridFramework {
+        let grid = Grid::cube(0.0, 40.0, 1, 40).unwrap();
+        let mut rng = StdRng::seed_from_u64(33);
+        let subs: Vec<Rect> = (0..129)
+            .map(|_| {
+                let lo = rng.gen_range(0..30);
+                rect1(lo as f64, rng.gen_range(lo + 1..=40) as f64)
+            })
+            .collect();
+        let probs = CellProbability::uniform(&grid);
+        GridFramework::build(grid, &subs, &probs, None)
     }
 
     /// Duplicated rectangles: class weights 3, 1 and 2.
@@ -473,7 +569,8 @@ mod tests {
             // An empty group costs the cell's whole weighted size times
             // a zero mass: exactly 0, and `closest` prefers it.
             assert_eq!(acc.distance_to(0, &hcs[h]), 0.0);
-            assert_eq!(acc.closest(&hcs[h], &mut vec![7; 9]), 0);
+            let size = hcs[h].members.count();
+            assert_eq!(acc.closest(&hcs[h], size, &mut vec![7; 9]), 0);
         }
     }
 }

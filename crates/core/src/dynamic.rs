@@ -422,22 +422,9 @@ impl DynamicClustering {
                     }
                 }
                 None => {
-                    let mut votes = HashMap::new();
-                    for &cell in &self.framework.hypercells()[h].cells {
-                        if let Some(&old_h) = report.old_hyper_of_cell.get(&cell) {
-                            let g = self.clustering.group_of_hyper(old_h);
-                            if g < k {
-                                *votes.entry(g).or_insert(0usize) += 1;
-                            }
-                        }
-                    }
-                    votes
-                        // lint: allow(hash-order): max over the total key
-                        // (count, group id) is order-independent
-                        .into_iter()
-                        .max_by_key(|&(g, count)| (count, usize::MAX - g))
-                        .map(|(g, _)| g)
-                        .unwrap_or(h % k)
+                    let cells = &self.framework.hypercells()[h].cells;
+                    let old = cells.iter().filter_map(|c| report.old_hyper_of_cell.get(c));
+                    warm_seed(&self.clustering, old.copied(), k, h)
                 }
             })
             .collect();
@@ -482,22 +469,11 @@ impl DynamicClustering {
             .iter()
             .enumerate()
             .map(|(h, hc)| {
-                let mut votes = HashMap::new();
-                for &cell in &hc.cells {
-                    if let Some(old_h) = self.framework.hyper_of_cell(cell) {
-                        let g = self.clustering.group_of_hyper(old_h);
-                        if g < k {
-                            *votes.entry(g).or_insert(0usize) += 1;
-                        }
-                    }
-                }
-                votes
-                    // lint: allow(hash-order): max over the total key
-                    // (count, group id) is order-independent
-                    .into_iter()
-                    .max_by_key(|&(g, count)| (count, usize::MAX - g))
-                    .map(|(g, _)| g)
-                    .unwrap_or(h % k)
+                let old = hc
+                    .cells
+                    .iter()
+                    .filter_map(|&c| self.framework.hyper_of_cell(c));
+                warm_seed(&self.clustering, old, k, h)
             })
             .collect();
         let (clustering, moves) = self.algorithm.cluster_seeded(&new_fw, k, &seed);
@@ -542,6 +518,33 @@ impl DynamicClustering {
         self.debug_validate("DynamicClustering::rebuild");
         moves
     }
+}
+
+/// The warm-start group of new hyper-cell `h`, shared by both rebuild
+/// paths: the old group that most of its cells belonged to. `old_hypers`
+/// yields, per cell that had one, the cell's old hyper-cell in `old`.
+/// Groups `>= k` do not vote, ties go to the lower group id, and a cell
+/// set with no vote falls back to round-robin `h % k`.
+fn warm_seed(
+    old: &Clustering,
+    old_hypers: impl Iterator<Item = usize>,
+    k: usize,
+    h: usize,
+) -> usize {
+    let mut votes = HashMap::new();
+    for old_h in old_hypers {
+        let g = old.group_of_hyper(old_h);
+        if g < k {
+            *votes.entry(g).or_insert(0usize) += 1;
+        }
+    }
+    votes
+        // lint: allow(hash-order): max over the total key
+        // (count, group id) is order-independent
+        .into_iter()
+        .max_by_key(|&(g, count)| (count, usize::MAX - g))
+        .map(|(g, _)| g)
+        .unwrap_or(h % k)
 }
 
 /// Best-effort rendering of a panic payload (the two shapes `panic!`

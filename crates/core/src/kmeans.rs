@@ -17,9 +17,12 @@
 //! Every distance is taken against the `K` group vectors — `l·K`
 //! *distances* per pass, as Figure 1 counts them — so neither the cold
 //! nor the warm entry builds the `O(l²)` pairwise cache of
-//! [`crate::DistanceMatrix`]. [`GroupSet`] keeps each subscriber's set
-//! of groups, so one walk of a hyper-cell's members prices all `K` of
-//! them: `O(Σ groups-per-member + K)` work per hyper-cell.
+//! [`crate::DistanceMatrix`]. [`GroupSet`] prices all `K` of them at
+//! once with the cheaper of two exact kernels: a walk of the
+//! hyper-cell's members through each subscriber's set of groups,
+//! `O(|members|·(1 + groups-per-subscriber))`, on a sparse population;
+//! one AND-popcount of the hyper-cell's vector against each group's,
+//! `O(K·n/64)`, on a dense one.
 
 use crate::clustering::{Clustering, ClusteringAlgorithm, GroupSet};
 use crate::framework::{GridFramework, HyperCell};
@@ -124,17 +127,26 @@ impl KMeans {
             assert!(g < cap, "seed group {g} out of range: k = {k}, cap {cap}");
             groups.add(g, &hcs[h]);
         }
-        let moves = self.reassign(KMeansVariant::MacQueen, hcs, &mut groups, &mut assignment);
+        let sizes = cell_sizes(hcs);
+        let moves = self.reassign(
+            KMeansVariant::MacQueen,
+            hcs,
+            &sizes,
+            &mut groups,
+            &mut assignment,
+        );
         (Clustering::from_assignment(framework, assignment), moves)
     }
 
     /// Steps 1-2 of Figure 1, shared by the cold and the warm entry:
     /// re-assignment passes under `variant` until no hyper-cell moves
     /// or the iteration cap is reached. Returns the number of moves.
+    /// `sizes` is [`cell_sizes`] of `hcs`.
     fn reassign(
         &self,
         variant: KMeansVariant,
         hcs: &[HyperCell],
+        sizes: &[usize],
         groups: &mut GroupSet,
         assignment: &mut [usize],
     ) -> usize {
@@ -152,7 +164,7 @@ impl KMeans {
                         if groups.num_cells(cur) == 1 {
                             continue; // never empty a group
                         }
-                        let best = groups.closest(&hcs[h], &mut scratch);
+                        let best = groups.closest(&hcs[h], sizes[h], &mut scratch);
                         if best != cur {
                             groups.remove(cur, &hcs[h]);
                             groups.add(best, &hcs[h]);
@@ -170,7 +182,7 @@ impl KMeans {
                     // chunking (one scratch each) is invisible in the output.
                     let best_of = parallel::par_chunks(l, 64, |range| {
                         let mut scratch = Vec::new();
-                        let closest = |h: usize| groups.closest(&hcs[h], &mut scratch);
+                        let closest = |h: usize| groups.closest(&hcs[h], sizes[h], &mut scratch);
                         range.map(closest).collect::<Vec<usize>>()
                     });
                     let mut pending: Vec<(usize, usize)> = Vec::new();
@@ -201,6 +213,13 @@ impl KMeans {
     }
 }
 
+/// `|members|` of each hyper-cell, counted once per clustering call:
+/// [`GroupSet::closest`] reads it to choose its pricing kernel on every
+/// pass.
+fn cell_sizes(hcs: &[HyperCell]) -> Vec<usize> {
+    hcs.iter().map(|hc| hc.members.count()).collect()
+}
+
 impl ClusteringAlgorithm for KMeans {
     fn name(&self) -> &'static str {
         match self.variant {
@@ -221,17 +240,18 @@ impl ClusteringAlgorithm for KMeans {
         let mut groups = GroupSet::new(framework, k);
         let mut assignment = Vec::with_capacity(l);
         let mut scratch = Vec::new();
+        let sizes = cell_sizes(hcs);
         for (h, hc) in hcs.iter().enumerate() {
             let g = if h < k {
                 h
             } else {
-                groups.closest(hc, &mut scratch)
+                groups.closest(hc, sizes[h], &mut scratch)
             };
             groups.add(g, hc);
             assignment.push(g);
         }
 
-        self.reassign(self.variant, hcs, &mut groups, &mut assignment);
+        self.reassign(self.variant, hcs, &sizes, &mut groups, &mut assignment);
         Clustering::from_assignment(framework, assignment)
     }
 }
@@ -612,6 +632,41 @@ mod tests {
         }
     }
 
+    /// Runs cold MacQueen, cold Forgy and warm `cluster_seeded` (seeded
+    /// `(7·h) mod k`) on `fw` and holds each to the brute force: equal
+    /// assignments, no group emptied, and the warm entry's move count.
+    /// Returns each entry's label, clustering and move count.
+    fn entries_match_brute_force(
+        fw: &GridFramework,
+        k: usize,
+        case: &str,
+    ) -> Vec<(String, Clustering, usize)> {
+        let l = fw.hypercells().len();
+        let seed: Vec<usize> = (0..l).map(|h| (h * 7) % k).collect();
+        let entries = [
+            ("cold MacQueen", KMeansVariant::MacQueen, None),
+            ("cold Forgy", KMeansVariant::Forgy, None),
+            ("warm", KMeansVariant::MacQueen, Some(&seed[..])),
+        ];
+        let run = |(entry, variant, seed): (&str, KMeansVariant, Option<&[usize]>)| {
+            let what = format!("{entry}, {case}");
+            let km = KMeans::new(variant).with_max_iterations(PASSES);
+            let (want, moves) = brute_force_seeded(fw, k, variant, seed);
+            let clustering = match seed {
+                None => km.cluster(fw, k),
+                Some(seed) => {
+                    let (clustering, got) = km.cluster_seeded(fw, k, seed);
+                    assert_eq!(got, moves, "{what}");
+                    clustering
+                }
+            };
+            assert_eq!(clustering.num_groups(), k, "{what}");
+            assert_eq!(assignment_of(&clustering, l), want, "{what}");
+            (what, clustering, moves)
+        };
+        entries.into_iter().map(run).collect()
+    }
+
     /// No other test here runs K > 57, yet the service runs K = 128: a
     /// subscriber's set of groups then spans two (at 129, three) mask
     /// words. Cold (both variants) and warm runs against the brute force
@@ -625,27 +680,66 @@ mod tests {
             let l = fw.hypercells().len();
             assert!(l >= 140, "scenario too small: {l} hyper-cells");
             for k in [63, 64, 65, 128, 129] {
-                for variant in [KMeansVariant::MacQueen, KMeansVariant::Forgy] {
-                    let what = format!("cold {variant:?}, k = {k}, weighted = {weighted}");
-                    let clustering = KMeans::new(variant)
-                        .with_max_iterations(PASSES)
-                        .cluster(&fw, k);
-                    let (want, moves) = brute_force_seeded(&fw, k, variant, None);
-                    assert_eq!(clustering.num_groups(), k, "{what}");
-                    assert_eq!(assignment_of(&clustering, l), want, "{what}");
-                    assert!(moves > 0, "{what}: the passes must move cells");
+                let case = format!("k = {k}, weighted = {weighted}");
+                for (what, _, moves) in entries_match_brute_force(&fw, k, &case) {
+                    // The passes must move cells, the warm ones many.
+                    let least = if what.starts_with("warm") { l / 4 } else { 0 };
+                    assert!(moves > least, "{what}: only {moves} moves");
                 }
-                let what = format!("warm, k = {k}, weighted = {weighted}");
-                let seed: Vec<usize> = (0..l).map(|h| (h * 7) % k).collect();
-                let (clustering, moves) = KMeans::new(KMeansVariant::MacQueen)
-                    .with_max_iterations(PASSES)
-                    .cluster_seeded(&fw, k, &seed);
-                let (want, want_moves) =
-                    brute_force_seeded(&fw, k, KMeansVariant::MacQueen, Some(&seed));
-                assert_eq!(moves, want_moves, "{what}");
-                assert_eq!(clustering.num_groups(), k, "{what}");
-                assert_eq!(assignment_of(&clustering, l), want, "{what}");
-                assert!(moves > l / 4, "{what}: only {moves} moves");
+            }
+        }
+    }
+
+    /// `n` large overlapping boxes on a 12 × 12 grid: each hyper-cell
+    /// holds a large share of the universe and each subscriber sits in
+    /// many groups — the population the word kernel is for.
+    fn dense(n: usize) -> GridFramework {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let grid = Grid::cube(0.0, 12.0, 2, 12).unwrap();
+        let probs = CellProbability::uniform(&grid);
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut side = || {
+            let len = rng.gen_range(4..=10);
+            let lo = rng.gen_range(0..=12 - len);
+            Interval::new(lo as f64, (lo + len) as f64).unwrap()
+        };
+        let subs: Vec<Rect> = (0..n).map(|_| Rect::new(vec![side(), side()])).collect();
+        GridFramework::build(grid, &subs, &probs, None)
+    }
+
+    /// How many hyper-cells `GroupSet::closest` prices with the word
+    /// kernel against the groups of `clustering`: the state the last,
+    /// moveless pass of a converged run priced every hyper-cell against.
+    fn priced_by_words(fw: &GridFramework, clustering: &Clustering, k: usize) -> usize {
+        let hcs = fw.hypercells();
+        let mut groups = GroupSet::new(fw, k);
+        for (h, hc) in hcs.iter().enumerate() {
+            groups.add(clustering.group_of_hyper(h), hc);
+        }
+        let by_words = |hc: &&HyperCell| groups.prices_by_words(hc, hc.members.count());
+        hcs.iter().filter(by_words).count()
+    }
+
+    /// The brute-force tests above run sparse populations, which the
+    /// walk prices. On a dense one the word kernel takes over: cold
+    /// (both variants) and warm runs against the brute force, with
+    /// universes on either side of a word boundary and `K` from one
+    /// group to past a mask word.
+    #[test]
+    fn matches_brute_force_on_dense_populations() {
+        for n in [63, 64, 65, 129] {
+            let fw = dense(n);
+            let l = fw.hypercells().len();
+            assert!(l >= 100, "n = {n}: only {l} hyper-cells");
+            for k in [1, 16, 63, 64, 65] {
+                let case = format!("n = {n}, k = {k}");
+                for (what, clustering, moves) in entries_match_brute_force(&fw, k, &case) {
+                    let warm = what.starts_with("warm");
+                    assert!(moves > 0 || !warm || k == 1, "{what}: no moves");
+                    let by_words = priced_by_words(&fw, &clustering, k);
+                    assert!(2 * by_words > l, "{what}: {by_words} of {l} by words");
+                }
             }
         }
     }

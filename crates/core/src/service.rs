@@ -999,9 +999,9 @@ impl BrokerService {
         // every record twice at the peak).
         let mut records = Vec::new();
         for w in self.workers.drain(..) {
-            // A worker panic already aborted the process in practice
-            // (panic = abort is not set, but the loop body cannot
-            // panic on valid plans); surface it if it ever happens.
+            // A worker panic is not caught: this `expect` re-raises it
+            // in the caller. A panic mid-window also leaves the
+            // window's `in_flight` unsettled, so `drain()` blocks.
             let mut local = w.join().expect("ingest worker exited cleanly");
             if records.is_empty() {
                 records = local;
