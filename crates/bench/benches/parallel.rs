@@ -5,9 +5,9 @@
 //! is inside the measurement.
 //!
 //! The worker count is forced through `parallel::with_threads`, so the
-//! comparison is meaningful regardless of `PUBSUB_THREADS`. For the
-//! scripted speedup report (JSON, more cell counts, bit-identity
-//! checks) use the `perf` bin — see `docs/BENCHMARK.md`.
+//! comparison is meaningful regardless of `PUBSUB_THREADS`. That the
+//! outputs are bit-identical at any worker count is pinned by
+//! `tests/parallel_determinism.rs`, not here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::TransitStubParams;

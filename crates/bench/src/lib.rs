@@ -12,10 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod hist;
-
-pub use hist::{LatencyHistogram, LatencySummary};
-
 /// Run scale selected on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -59,7 +55,7 @@ pub fn csv_requested() -> bool {
     std::env::args().any(|a| a == "--csv")
 }
 
-/// Writes a perf bin's JSON report and returns where it went:
+/// Writes the `scale` bin's JSON report and returns where it went:
 /// `target/bench/<file>` by default, the committed `results/<file>`
 /// only when `--record` was passed — so a smoke run at whatever
 /// `--scale` never overwrites the numbers the docs quote.

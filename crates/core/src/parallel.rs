@@ -24,13 +24,12 @@
 //! # Thread-count selection
 //!
 //! [`num_threads`] resolves, in order: the [`with_threads`] scoped
-//! override (used by tests and the `perf` bench binary — it is
-//! thread-local, so concurrent `cargo test` threads cannot race each
-//! other), the `PUBSUB_THREADS` environment variable (read once per
-//! process), and finally [`std::thread::available_parallelism`]. Small
-//! inputs fall back to the serial path so tiny tests never pay thread
-//! spawn cost; workers run nested parallel calls serially rather than
-//! oversubscribing.
+//! override (used by tests — it is thread-local, so concurrent
+//! `cargo test` threads cannot race each other), the `PUBSUB_THREADS`
+//! environment variable (read once per process), and finally
+//! [`std::thread::available_parallelism`]. Small inputs fall back to
+//! the serial path so tiny tests never pay thread spawn cost; workers
+//! run nested parallel calls serially rather than oversubscribing.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -73,7 +72,7 @@ pub fn num_threads() -> usize {
 ///
 /// The override is thread-local and restored on exit (even on panic), so
 /// concurrent tests can pin different thread counts without racing on the
-/// process environment. Used by the determinism suite and the `perf` bin.
+/// process environment. Used by the determinism suites.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {

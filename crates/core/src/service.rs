@@ -654,7 +654,7 @@ impl Rebalancer {
 fn worker_loop(shared: &Shared) -> Vec<EventRecord> {
     let queue = &shared.queue;
     let dim = queue.dim;
-    let (mut cached, mut epoch) = shared.plan.load_with_epoch();
+    let mut plan = shared.plan.reader();
     let mut scratch = BatchScratch::new();
     let mut window: Vec<PendingEvent> = Vec::with_capacity(INGEST_WINDOW);
     let mut coords: Vec<f64> = Vec::with_capacity(INGEST_WINDOW * dim);
@@ -700,12 +700,8 @@ fn worker_loop(shared: &Shared) -> Vec<EventRecord> {
 
         // After the take, not before: an event offered after
         // `rebalance()` returned was enqueued after the publish, so it
-        // is taken after it and this check sees the new epoch.
-        if shared.plan.epoch() != epoch {
-            let fresh = shared.plan.load_with_epoch();
-            cached = fresh.0;
-            epoch = fresh.1;
-        }
+        // is taken after it and `current()` sees the new epoch.
+        let cached = plan.current();
         decisions.clear();
         cached.plan.serve_batch_counts(
             0..window.len(),

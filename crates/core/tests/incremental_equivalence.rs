@@ -11,12 +11,15 @@
 //! lists, and `f64` probabilities compared via `to_bits`). This is the
 //! determinism contract of DESIGN.md §10: the threshold and thread
 //! count are pure performance knobs, never observable in results.
+//! The proptest inputs stay below `parallel::MIN_PARALLEL_LEN`; one
+//! fixed input is large enough to take the parallel branches.
 
 use geometry::{CellId, Grid, Interval, Rect};
 use proptest::prelude::*;
 use pubsub_core::{
-    parallel, CellProbability, DynamicClustering, KMeans, KMeansVariant, SubscriptionId,
+    parallel, CellProbability, DynamicClustering, KMeans, KMeansVariant, SubscriptionId, Validator,
 };
+use rand::prelude::*;
 
 /// One random churn operation; indices are taken modulo the number of
 /// issued ids at execution time so every op is valid. A rectangle is
@@ -85,10 +88,10 @@ fn run_scenario(grid: &Grid, ops: &[Op], k: usize, max_dirty: f64) -> Snapshot {
                 let _ = s.resubscribe(SubscriptionId(i % issued), rect(r));
             }
             Op::Unsubscribe(_) | Op::Resubscribe(..) => {}
-            Op::Rebalance => moves.push(s.rebalance()),
+            Op::Rebalance => moves.push(rebalance_checked(&mut s, max_dirty)),
         }
     }
-    moves.push(s.rebalance());
+    moves.push(rebalance_checked(&mut s, max_dirty));
     let hypercells = s
         .framework()
         .hypercells()
@@ -116,10 +119,28 @@ fn run_scenario(grid: &Grid, ops: &[Op], k: usize, max_dirty: f64) -> Snapshot {
     (moves, hypercells, groups)
 }
 
+/// Rebalances, then checks that the threshold picked the path it pins
+/// and runs the structural audit, which `rebalance` itself skips in
+/// release builds.
+fn rebalance_checked(s: &mut DynamicClustering, max_dirty: f64) -> usize {
+    let moves = s.rebalance();
+    let stats = s.last_rebalance();
+    assert_eq!(
+        stats.incremental,
+        max_dirty == f64::INFINITY || stats.changed_slots == 0,
+        "threshold {max_dirty} took the wrong path"
+    );
+    Validator::new()
+        .check_framework(s.framework())
+        .check_clustering(s.framework(), s.clustering())
+        .assert_clean("rebalance");
+    moves
+}
+
 /// Force the two maintenance paths: a threshold of +inf accepts every
 /// delta incrementally, 0.0 rejects every non-empty delta and falls
-/// back to the cold rebuild.
-fn check_paths_agree(grid: &Grid, ops: &[Op], k: usize) -> Result<(), TestCaseError> {
+/// back to the cold rebuild. Returns the serial snapshot.
+fn check_paths_agree(grid: &Grid, ops: &[Op], k: usize) -> Result<Snapshot, TestCaseError> {
     let serial_inc = parallel::with_threads(1, || run_scenario(grid, ops, k, f64::INFINITY));
     let serial_full = parallel::with_threads(1, || run_scenario(grid, ops, k, 0.0));
     let par_inc = parallel::with_threads(8, || run_scenario(grid, ops, k, f64::INFINITY));
@@ -129,6 +150,48 @@ fn check_paths_agree(grid: &Grid, ops: &[Op], k: usize) -> Result<(), TestCaseEr
     // ...and so is the thread count, on either path.
     prop_assert_eq!(&par_inc, &serial_inc);
     prop_assert_eq!(&par_full, &serial_full);
+    Ok(serial_inc)
+}
+
+/// The contract at a size where the parallel branches run: 1 000
+/// narrow subscriptions on a 256-cell line, a tenth of them on a hot
+/// front in the first 2 % of it, folded in by one rebalance (one
+/// `apply_delta` of 1 000 added slots on the incremental side), then
+/// three epochs that each resubscribe 1 % of the population to fresh
+/// hot-front rectangles.
+#[test]
+fn incremental_equals_full_rebuild_on_the_parallel_branches() -> Result<(), TestCaseError> {
+    const N: usize = 1_000;
+    const HOT: f64 = 0.02;
+    let mut rng = StdRng::seed_from_u64(2002);
+    let mut span = |lo: std::ops::Range<f64>, width: std::ops::Range<f64>| {
+        let lo = rng.gen_range(lo);
+        vec![(lo, (lo + rng.gen_range(width)).min(1.0))]
+    };
+    let mut ops: Vec<Op> = (0..N)
+        .map(|i| {
+            if i < N / 10 {
+                Op::Subscribe(span(0.0..HOT * 0.6, 0.002..0.005))
+            } else {
+                Op::Subscribe(span(0.0..0.98, 0.01..0.02))
+            }
+        })
+        .collect();
+    ops.push(Op::Rebalance);
+    let churners = N / 100;
+    for epoch in 0..3 {
+        for c in 0..churners {
+            let id = (epoch * churners + c) % (N / 10);
+            ops.push(Op::Resubscribe(id, span(0.0..HOT * 0.6, 0.002..0.005)));
+        }
+        ops.push(Op::Rebalance);
+    }
+    // Both paths must agree after every epoch, not only the last.
+    let grid = Grid::cube(0.0, 1.0, 1, 256).unwrap();
+    for end in (0..ops.len()).filter(|&i| matches!(ops[i], Op::Rebalance)) {
+        let (_, hypercells, _) = check_paths_agree(&grid, &ops[..=end], 16)?;
+        prop_assert!(hypercells.len() >= 128, "{} hyper-cells", hypercells.len());
+    }
     Ok(())
 }
 

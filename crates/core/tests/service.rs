@@ -321,6 +321,9 @@ fn block_policy_is_lossless_backpressure() {
     assert_eq!(report.delivered, 10);
     assert_eq!(report.shed, 0);
     assert!(report.shed_events.is_empty());
+    // No swap was asked for: the version-0 plan decided every event.
+    assert_eq!((report.swaps, report.aborts), (0, 0));
+    assert!(report.records.iter().all(|r| r.plan_version == 0));
 }
 
 /// A timed-out rebalance aborts and rolls back: the old plan keeps
