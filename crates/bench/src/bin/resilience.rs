@@ -7,11 +7,10 @@
 //! cargo run --release -p pubsub-bench --bin resilience [-- --scale quick|medium|paper]
 //! ```
 //!
-//! Environment knobs (see `docs/BENCHMARK.md`): `PUBSUB_FAULT_SEED`
-//! seeds the fault schedules (default 2002); `PUBSUB_RETRY_MAX`,
-//! `PUBSUB_RETRY_LOSS` and `PUBSUB_RETRY_BACKOFF` tune the retry
-//! policy. All draws go through the workspace's deterministic RNG, so
-//! output is bit-identical at any `PUBSUB_THREADS`.
+//! `FAULT_SEED` (2002) seeds the topology, workload and fault
+//! schedules; the retry policy is `RetryPolicy::default()`. All draws
+//! go through the workspace's deterministic RNG, so output is
+//! bit-identical at any `PUBSUB_THREADS`.
 
 use netsim::{FaultModel, FaultSchedule, Topology, TransitStubParams};
 use pubsub_bench::Scale;
@@ -22,6 +21,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim::{failure_churn, Evaluator, RetryPolicy};
 use workload::{PredicateDist, Section3Model};
+
+/// Seed of the topology, the workload and every fault schedule.
+const FAULT_SEED: u64 = 2002;
 
 struct Config {
     topo: TransitStubParams,
@@ -59,10 +61,9 @@ fn config(scale: Scale) -> Config {
 
 fn main() {
     let cfg = config(Scale::from_args());
-    let fault_seed: u64 = pubsub_core::env_knob("PUBSUB_FAULT_SEED", 2002, |s| s.parse().ok());
-    let policy = RetryPolicy::from_env();
+    let policy = RetryPolicy::default();
 
-    let mut rng = StdRng::seed_from_u64(fault_seed);
+    let mut rng = StdRng::seed_from_u64(FAULT_SEED);
     let topo = Topology::generate(&cfg.topo, &mut rng);
     let model = Section3Model {
         regionalism: 0.4,
@@ -91,7 +92,7 @@ fn main() {
         cfg.k
     );
     println!(
-        "fault seed {fault_seed}; retry policy: max={} loss={:.2} backoff={:.1}",
+        "fault seed {FAULT_SEED}; retry policy: max={} loss={:.2} backoff={:.1}",
         policy.max_retries, policy.loss_prob, policy.backoff_base
     );
     println!(
@@ -122,9 +123,9 @@ fn main() {
                 degrade: rate,
                 ..FaultModel::with_link_fail(cfg.epochs, rate)
             };
-            FaultSchedule::random(topo.graph(), &fm, fault_seed)
+            FaultSchedule::random(topo.graph(), &fm, FAULT_SEED)
         };
-        let r = ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, &policy, fault_seed);
+        let r = ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, &policy, FAULT_SEED);
         println!(
             "{:>9.2} {:>10.2} {:>8} {:>9} {:>8} {:>8} {:>9.0} {:>10.1} {:>9.1}",
             rate,
@@ -145,7 +146,7 @@ fn main() {
         node_crash: 0.05,
         ..FaultModel::with_link_fail(cfg.epochs, 0.1)
     };
-    let schedule = FaultSchedule::random(topo.graph(), &fm, fault_seed);
+    let schedule = FaultSchedule::random(topo.graph(), &fm, FAULT_SEED);
     let mut dynamic =
         DynamicClustering::new(grid, probs, KMeans::new(KMeansVariant::MacQueen), cfg.k);
     let homes: Vec<_> = w

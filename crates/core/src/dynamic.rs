@@ -154,7 +154,8 @@ impl std::fmt::Display for RebalanceError {
 impl std::error::Error for RebalanceError {}
 
 impl DynamicClustering {
-    /// Creates an empty dynamic clustering over the grid.
+    /// Creates an empty dynamic clustering over the grid. `k = 0` is
+    /// clamped to one group, as the cold algorithms do.
     pub fn new(grid: Grid, probs: CellProbability, algorithm: KMeans, k: usize) -> Self {
         let framework = GridFramework::build(grid.clone(), &[], &probs, None);
         let clustering = Clustering::from_assignment(&framework, Vec::new());
@@ -162,7 +163,7 @@ impl DynamicClustering {
             grid,
             probs,
             algorithm,
-            k,
+            k: k.max(1),
             subscriptions: Vec::new(),
             framework,
             clustering,
@@ -859,6 +860,46 @@ mod tests {
         assert_eq!(panic_message(payload.as_ref()), "static");
         let payload: Box<dyn std::any::Any + Send> = Box::new(42u8);
         assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
+    fn k_zero_and_k_above_the_hypercells_rebalance() {
+        let populate = |k: usize| {
+            let mut s = system(k);
+            for i in 0..6 {
+                let lo = 3.0 * i as f64;
+                s.subscribe(rect1(lo, lo + 4.0));
+            }
+            s
+        };
+        for k in [0, 1_000] {
+            let mut s = populate(k);
+            s.rebalance();
+            let groups = s.clustering().num_groups();
+            assert!(groups >= 1 && groups <= s.framework().hypercells().len());
+            if k == 0 {
+                assert_eq!(groups, 1);
+            }
+            s.subscribe(rect1(1.0, 2.0));
+            assert!(s.try_rebalance().is_ok(), "k = {k}");
+            s.subscribe(rect1(17.0, 19.0));
+            s.rebuild();
+            assert!(s.clustering().num_groups() >= 1);
+        }
+        let mut s = populate(0);
+        s.rebalance();
+        let service = crate::service::BrokerService::start(
+            s,
+            crate::service::ServiceConfig {
+                ingest_threads: 1,
+                ..Default::default()
+            },
+        )
+        .expect("the k = 0 plan validates");
+        service.subscribe(rect1(5.0, 6.0));
+        assert_eq!(service.rebalance().expect("the swap publishes").version, 1);
+        let (report, _) = service.shutdown();
+        assert_eq!(report.swaps, 1);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 use geometry::{Point, Rect};
 use spatial::RTree;
 
-use crate::membership::BitSet;
-
 /// An index over all subscription rectangles answering "which
 /// subscriptions match this event" in sub-linear time.
 ///
@@ -99,19 +97,6 @@ impl SubscriptionIndex {
         self.tree.stab_with(event, |&id| out.push(id));
         out.sort_unstable();
     }
-
-    /// The matching set as a membership bit-vector over all
-    /// subscriptions.
-    pub fn matching_set(&self, event: &Point) -> BitSet {
-        if self.len == 0 {
-            return BitSet::new(0);
-        }
-        let mut set = BitSet::new(self.len);
-        self.tree.stab_with(event, |&id| {
-            set.insert(id);
-        });
-        set
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +114,6 @@ mod tests {
         let idx = SubscriptionIndex::build(&[]);
         assert!(idx.is_empty());
         assert!(idx.matching(&Point::new(vec![0.0])).is_empty());
-        assert_eq!(idx.matching_set(&Point::new(vec![0.0])).universe(), 0);
     }
 
     #[test]
@@ -139,9 +123,6 @@ mod tests {
         assert_eq!(idx.matching(&Point::new(vec![4.0])), vec![0, 1]);
         assert_eq!(idx.matching(&Point::new(vec![8.5])), vec![1, 2]);
         assert!(idx.matching(&Point::new(vec![20.0])).is_empty());
-        let set = idx.matching_set(&Point::new(vec![4.0]));
-        assert_eq!(set.universe(), 3);
-        assert!(set.contains(0) && set.contains(1) && !set.contains(2));
     }
 
     #[test]

@@ -31,14 +31,14 @@
 //!   and surfaces a [`RebalanceAbort`] — the serve path is never
 //!   poisoned;
 //! * **backpressure is explicit**: the ingest queue holds at most
-//!   `queue_depth` events (`PUBSUB_SERVICE_QUEUE_DEPTH`) and overload
-//!   follows the configured [`ShedPolicy`] (`PUBSUB_SERVICE_SHED`).
+//!   [`ServiceConfig::queue_depth`] events and overload follows
+//!   [`ServiceConfig::shed`], a [`ShedPolicy`].
 //!   Every shed event is counted with its id, so
 //!   `delivered + shed == offered` exactly partitions the offered load
 //!   — nothing is ever dropped on the floor silently;
-//! * repeated rebalance failures back off exponentially
-//!   (shift-capped, mirroring the PR 2 retry machinery) and the
-//!   watchdog timeout can be retuned live
+//! * repeated rebalance failures back off exponentially (from
+//!   `BACKOFF_BASE`, 10 ms, shift-capped at 640 ms, mirroring `sim`'s
+//!   `RetryPolicy`) and the watchdog timeout can be retuned live
 //!   ([`BrokerService::set_rebalance_timeout`]).
 //!
 //! Determinism: an event's decision depends only on `(event, plan
@@ -61,15 +61,17 @@ use geometry::{Interval, Point, Rect};
 use crate::batch::BatchScratch;
 use crate::dispatch::DispatchPlan;
 use crate::dynamic::{DynamicClustering, RebalanceError, RebalanceStats, SubscriptionId};
-use crate::knob::env_knob;
 use crate::matching::Delivery;
 use crate::snapshot::SnapshotCell;
 use crate::validate::Validator;
 
+/// Delay before the rebalance attempt that follows one abort; it
+/// doubles with each further consecutive abort.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+
 /// Exponent cap of the abort backoff: after this many consecutive
-/// failures the delay stops doubling (`base << SHIFT_CAP` at most), so
-/// arithmetic can never overflow and the rebalancer never sleeps
-/// unboundedly long.
+/// failures the delay stops doubling (`BACKOFF_BASE << 6`, 640 ms, at
+/// most), so the rebalancer never sleeps unboundedly long.
 const BACKOFF_SHIFT_CAP: u32 = 6;
 
 /// Most events an ingest worker takes per lock acquisition. Measured
@@ -111,33 +113,6 @@ pub enum ShedPolicy {
     DropOldest,
 }
 
-impl ShedPolicy {
-    /// Parses the `PUBSUB_SERVICE_SHED` spelling.
-    fn parse(s: &str) -> Option<ShedPolicy> {
-        match s {
-            "block" => Some(ShedPolicy::Block),
-            "drop-newest" => Some(ShedPolicy::DropNewest),
-            "drop-oldest" => Some(ShedPolicy::DropOldest),
-            _ => None,
-        }
-    }
-
-    /// The canonical knob spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ShedPolicy::Block => "block",
-            ShedPolicy::DropNewest => "drop-newest",
-            ShedPolicy::DropOldest => "drop-oldest",
-        }
-    }
-}
-
-impl std::fmt::Display for ShedPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Configuration of a [`BrokerService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -153,9 +128,6 @@ pub struct ServiceConfig {
     /// Watchdog deadline for one rebalance attempt (checked between
     /// pipeline stages); `None` disables the watchdog.
     pub rebalance_timeout: Option<Duration>,
-    /// Base delay of the exponential abort backoff (doubled per
-    /// consecutive failure, shift-capped at 2^6; `ZERO` disables).
-    pub retry_backoff: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -166,30 +138,6 @@ impl Default for ServiceConfig {
             shed: ShedPolicy::Block,
             threshold: 0.0,
             rebalance_timeout: Some(Duration::from_millis(5_000)),
-            retry_backoff: Duration::from_millis(10),
-        }
-    }
-}
-
-impl ServiceConfig {
-    /// Defaults overridden by the environment knobs
-    /// `PUBSUB_SERVICE_QUEUE_DEPTH` (≥ 1),
-    /// `PUBSUB_SERVICE_SHED` (`block` | `drop-newest` | `drop-oldest`)
-    /// and `PUBSUB_SERVICE_REBALANCE_TIMEOUT_MS` (`0` disables the
-    /// watchdog). Malformed values keep the defaults with a one-time
-    /// stderr report ([`env_knob`]).
-    pub fn from_env() -> Self {
-        let d = ServiceConfig::default();
-        let timeout_ms = env_knob("PUBSUB_SERVICE_REBALANCE_TIMEOUT_MS", 5_000u64, |s| {
-            s.parse().ok()
-        });
-        ServiceConfig {
-            queue_depth: env_knob("PUBSUB_SERVICE_QUEUE_DEPTH", d.queue_depth, |s| {
-                s.parse().ok().filter(|&n| n > 0)
-            }),
-            shed: env_knob("PUBSUB_SERVICE_SHED", d.shed, ShedPolicy::parse),
-            rebalance_timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-            ..d
         }
     }
 }
@@ -521,19 +469,19 @@ struct Rebalancer {
     pending: Vec<ServiceOp>,
     threshold: f64,
     timeout: Option<Duration>,
-    backoff_base: Duration,
     consecutive_failures: u32,
     shared: Arc<Shared>,
 }
 
-/// Shift-capped exponential backoff: `base << min(failures - 1, CAP)`,
-/// saturating, `ZERO` when there is no failure streak or no base.
-fn backoff_delay(base: Duration, consecutive_failures: u32) -> Duration {
-    if consecutive_failures == 0 || base.is_zero() {
+/// Shift-capped exponential backoff:
+/// `BACKOFF_BASE << min(failures - 1, BACKOFF_SHIFT_CAP)`, `ZERO` when
+/// there is no failure streak.
+fn backoff_delay(consecutive_failures: u32) -> Duration {
+    if consecutive_failures == 0 {
         return Duration::ZERO;
     }
     let shift = (consecutive_failures - 1).min(BACKOFF_SHIFT_CAP);
-    base.saturating_mul(1u32 << shift)
+    BACKOFF_BASE * (1u32 << shift)
 }
 
 impl Rebalancer {
@@ -583,7 +531,7 @@ impl Rebalancer {
     /// drops the clone, leaving the last good state (and plan) in
     /// force.
     fn attempt(&mut self) -> Result<SwapReport, RebalanceAbort> {
-        let delay = backoff_delay(self.backoff_base, self.consecutive_failures);
+        let delay = backoff_delay(self.consecutive_failures);
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
@@ -772,7 +720,6 @@ impl BrokerService {
             pending: Vec::new(),
             threshold: config.threshold,
             timeout: config.rebalance_timeout,
-            backoff_base: config.retry_backoff,
             consecutive_failures: 0,
             shared: Arc::clone(&shared),
         };
@@ -1060,36 +1007,12 @@ mod tests {
     // tests cover the pure logic only.
 
     #[test]
-    fn shed_policy_parses_and_renders() {
-        assert_eq!(ShedPolicy::parse("block"), Some(ShedPolicy::Block));
-        assert_eq!(
-            ShedPolicy::parse("drop-newest"),
-            Some(ShedPolicy::DropNewest)
-        );
-        assert_eq!(
-            ShedPolicy::parse("drop-oldest"),
-            Some(ShedPolicy::DropOldest)
-        );
-        assert_eq!(ShedPolicy::parse("nonsense"), None);
-        for p in [
-            ShedPolicy::Block,
-            ShedPolicy::DropNewest,
-            ShedPolicy::DropOldest,
-        ] {
-            assert_eq!(ShedPolicy::parse(p.as_str()), Some(p));
-            assert_eq!(p.to_string(), p.as_str());
-        }
-    }
-
-    #[test]
     fn config_defaults_are_sane() {
         let d = ServiceConfig::default();
         assert!(d.ingest_threads >= 1);
         assert!(d.queue_depth >= 1);
         assert_eq!(d.shed, ShedPolicy::Block);
         assert!(d.rebalance_timeout.is_some());
-        let e = ServiceConfig::from_env();
-        assert!(e.queue_depth >= 1);
     }
 
     #[test]
@@ -1127,15 +1050,12 @@ mod tests {
 
     #[test]
     fn backoff_is_shift_capped() {
-        let base = Duration::from_millis(3);
-        assert_eq!(backoff_delay(base, 0), Duration::ZERO);
-        assert_eq!(backoff_delay(base, 1), Duration::from_millis(3));
-        assert_eq!(backoff_delay(base, 4), Duration::from_millis(24));
-        // Far past the cap: 3ms << 6, never more, never overflowing.
-        assert_eq!(backoff_delay(base, u32::MAX), Duration::from_millis(3 * 64));
-        assert_eq!(backoff_delay(Duration::ZERO, 9), Duration::ZERO);
-        // Even a huge base saturates instead of panicking.
-        assert_eq!(backoff_delay(Duration::MAX, 40), Duration::MAX);
+        assert_eq!(backoff_delay(0), Duration::ZERO);
+        assert_eq!(backoff_delay(1), Duration::from_millis(10));
+        assert_eq!(backoff_delay(4), Duration::from_millis(80));
+        // Far past the cap: 10 ms << 6, never more, never overflowing.
+        assert_eq!(backoff_delay(7), Duration::from_millis(640));
+        assert_eq!(backoff_delay(u32::MAX), Duration::from_millis(640));
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl Point {
         &self.coords
     }
 
-    /// Consume the point, returning its coordinates.
-    pub fn into_coords(self) -> Vec<f64> {
-        self.coords
-    }
-
     /// Overwrites the coordinates in place, keeping the buffer, so one
     /// point can carry event after event without an allocation each.
     ///
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!(p.dim(), 3);
         assert_eq!(p.coords(), &[1.0, 2.0, 3.0]);
         assert_eq!(p[2], 3.0);
-        assert_eq!(p.clone().into_coords(), vec![1.0, 2.0, 3.0]);
         let mut q = p.clone();
         q.set_coords(&[4.0, 5.0, 6.0]);
         assert_eq!(q.coords(), &[4.0, 5.0, 6.0]);

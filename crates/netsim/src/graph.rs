@@ -229,22 +229,6 @@ impl Graph {
         g
     }
 
-    /// Renders the graph in Graphviz DOT format (undirected), edge
-    /// labels carrying costs — handy for eyeballing small topologies.
-    pub fn to_dot(&self, name: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "graph {name} {{");
-        for n in self.nodes() {
-            let _ = writeln!(out, "  n{};", n.0);
-        }
-        for e in &self.edges {
-            let _ = writeln!(out, "  n{} -- n{} [label=\"{:.1}\"];", e.u.0, e.v.0, e.cost);
-        }
-        let _ = writeln!(out, "}}");
-        out
-    }
-
     /// Whether the graph is connected (true for the empty graph).
     pub fn is_connected(&self) -> bool {
         let n = self.num_nodes();
@@ -323,17 +307,6 @@ mod tests {
             Err(GraphError::InvalidCost(-2.0))
         );
         assert!(g.add_edge(NodeId(0), NodeId(1), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn dot_output_lists_nodes_and_edges() {
-        let mut g = Graph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), 2.5).unwrap();
-        let dot = g.to_dot("test");
-        assert!(dot.starts_with("graph test {"));
-        assert!(dot.contains("n0;"));
-        assert!(dot.contains("n0 -- n1 [label=\"2.5\"];"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -179,12 +179,6 @@ impl TransitStubParams {
         TransitStubParams::default()
     }
 
-    /// Total node count implied by the parameters.
-    pub fn total_nodes(&self) -> usize {
-        let transit = self.transit_blocks * self.transit_nodes_per_block;
-        transit + transit * self.stubs_per_transit * self.nodes_per_stub
-    }
-
     /// The paper's Section 6 extension (item 2): "assigning higher
     /// costs to the last-mile links, since these are usually the
     /// slowest and the most congested ones". In the transit-stub
@@ -494,7 +488,6 @@ mod tests {
             (TransitStubParams::paper_600_nodes(), 604),
             (TransitStubParams::paper_section51(), 615),
         ] {
-            assert_eq!(params.total_nodes(), expected);
             let topo = Topology::generate(&params, &mut rng);
             assert_eq!(topo.num_nodes(), expected);
         }

@@ -87,15 +87,6 @@ pub struct DeliveryBreakdown {
 }
 
 impl DeliveryBreakdown {
-    /// Fraction of events that used a multicast group.
-    pub fn match_rate(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.multicast_events as f64 / self.events as f64
-        }
-    }
-
     /// Mean total cost per event.
     pub fn mean_cost(&self) -> f64 {
         if self.events == 0 {
@@ -701,13 +692,11 @@ mod tests {
             "{} vs {mean}",
             bd.mean_cost()
         );
-        assert!((0.0..=1.0).contains(&bd.match_rate()));
         // The group is a superset of the interested nodes, so waste is
         // at most the group size.
         assert!(bd.mean_wasted_nodes <= bd.mean_group_nodes);
         // Empty breakdown is well-behaved.
         let empty = DeliveryBreakdown::default();
-        assert_eq!(empty.match_rate(), 0.0);
         assert_eq!(empty.mean_cost(), 0.0);
     }
 

@@ -155,65 +155,6 @@ pub fn render_fig11(res: &Fig10Result) -> String {
     out
 }
 
-/// Renders Table 1/2 rows as a GitHub-flavored markdown table (for
-/// pasting into reports like `EXPERIMENTS.md`).
-pub fn render_table_markdown(rows: &[TableRow]) -> String {
-    let mut out = String::from(
-        "| Node | Sub'n | Dist'n | Unicast | Broadcast | Ideal |\n|---|---|---|---|---|---|\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:.0} | {:.0} | {:.0} |",
-            r.nodes,
-            r.subscriptions,
-            dist_label(r.dist),
-            r.unicast,
-            r.broadcast,
-            r.ideal
-        );
-    }
-    out
-}
-
-/// Renders a Figure 7/9 result as a markdown table (one block per
-/// mode).
-pub fn render_group_sweep_markdown(res: &Fig7Result) -> String {
-    let mut out = String::new();
-    for mode in [
-        MulticastMode::NetworkSupported,
-        MulticastMode::SparseMode,
-        MulticastMode::ApplicationLevel,
-    ] {
-        let series: Vec<_> = res.series.iter().filter(|s| s.mode == mode).collect();
-        if series.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "**{} multicast (improvement %)**\n", mode_label(mode));
-        let _ = write!(out, "| K |");
-        for s in &series {
-            let _ = write!(out, " {} |", s.algorithm);
-        }
-        let _ = writeln!(out);
-        let _ = write!(out, "|---|");
-        for _ in &series {
-            let _ = write!(out, "---|");
-        }
-        let _ = writeln!(out);
-        // lint: allow(no-literal-index): the empty case `continue`d above
-        let ks: Vec<usize> = series[0].points.iter().map(|&(k, _)| k).collect();
-        for (row, &k) in ks.iter().enumerate() {
-            let _ = write!(out, "| {k} |");
-            for s in &series {
-                let _ = write!(out, " {:.1} |", s.points[row].1);
-            }
-            let _ = writeln!(out);
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 /// Renders Table 1/2 rows as CSV (for plotting tools).
 pub fn render_table_csv(rows: &[TableRow]) -> String {
     let mut out = String::from("nodes,subscriptions,dist,unicast,broadcast,ideal\n");
@@ -342,35 +283,6 @@ mod tests {
         let s = render_fig11(&f10);
         assert!(s.contains("quality as a function of time"));
         assert!(s.contains("44.0"));
-    }
-
-    #[test]
-    fn markdown_renders_are_tables() {
-        let rows = vec![TableRow {
-            nodes: 600,
-            subscriptions: 1000,
-            dist: PredicateDist::Uniform,
-            unicast: 5477.0,
-            broadcast: 10235.0,
-            ideal: 1350.0,
-        }];
-        let md = render_table_markdown(&rows);
-        assert!(md.starts_with("| Node | Sub'n |"));
-        assert!(md.contains("| 600 | 1000 | uniform | 5477 | 10235 | 1350 |"));
-
-        let res = Fig7Result {
-            baselines: baselines(),
-            series: vec![GroupSweepSeries {
-                algorithm: "forgy".into(),
-                mode: MulticastMode::NetworkSupported,
-                points: vec![(10, 67.7), (100, 88.0)],
-            }],
-        };
-        let md = render_group_sweep_markdown(&res);
-        assert!(md.contains("**net multicast"));
-        assert!(md.contains("| 100 | 88.0 |"));
-        // Sparse/app blocks absent when no series carries them.
-        assert!(!md.contains("sparse multicast"));
     }
 
     #[test]

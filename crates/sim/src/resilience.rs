@@ -23,8 +23,8 @@ use std::collections::HashMap;
 
 use netsim::{DegradedView, EdgeId, FaultSchedule, Graph, NodeId, ShortestPathTree};
 use pubsub_core::{
-    env_knob, parallel, BitSet, Clustering, Delivery, DynamicClustering, DynamicError,
-    GridFramework, SubscriptionId,
+    parallel, BitSet, Clustering, Delivery, DynamicClustering, DynamicError, GridFramework,
+    SubscriptionId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,35 +62,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Reads overrides from the environment: `PUBSUB_RETRY_MAX`,
-    /// `PUBSUB_RETRY_LOSS` and `PUBSUB_RETRY_BACKOFF`. Unset variables
-    /// keep the defaults; malformed ones keep the defaults and are
-    /// reported once to stderr ([`pubsub_core::env_knob`]);
-    /// probabilities are clamped to `[0, 1]` and the backoff base to
-    /// at least 1.
-    pub fn from_env() -> Self {
-        let d = RetryPolicy::default();
-        RetryPolicy {
-            max_retries: env_knob("PUBSUB_RETRY_MAX", d.max_retries, |s| s.parse().ok()),
-            loss_prob: env_knob("PUBSUB_RETRY_LOSS", d.loss_prob, |s| {
-                s.parse::<f64>()
-                    .ok()
-                    .filter(|v| !v.is_nan())
-                    .map(|v| v.clamp(0.0, 1.0))
-            }),
-            duplicate_prob: d.duplicate_prob,
-            backoff_base: env_knob("PUBSUB_RETRY_BACKOFF", d.backoff_base, |s| {
-                s.parse::<f64>()
-                    .ok()
-                    .filter(|v| !v.is_nan())
-                    .map(|v| v.max(1.0))
-            }),
-        }
-    }
-
     /// Backoff units waited before retry `r` (1-based):
     /// `backoff_base^min(r, 32)`. The exponent is shift-capped so a
-    /// huge `PUBSUB_RETRY_MAX` cannot push the accounting to `inf` —
+    /// huge [`RetryPolicy::max_retries`] cannot push the accounting to `inf` —
     /// past the cap every further retry waits the same capped amount.
     fn backoff_at(&self, r: u32) -> f64 {
         self.backoff_base.powi(r.min(BACKOFF_EXP_CAP) as i32)
@@ -700,13 +674,9 @@ mod tests {
 
     #[test]
     fn retry_policy_env_roundtrip() {
-        // Defaults survive unset / garbage environment values.
         let p = RetryPolicy::default();
         assert_eq!(p.max_retries, 3);
         assert!(p.backoff_sum(2) > p.backoff_base);
-        let q = RetryPolicy::from_env();
-        assert!(q.loss_prob >= 0.0 && q.loss_prob <= 1.0);
-        assert!(q.backoff_base >= 1.0);
     }
 
     #[test]

@@ -206,11 +206,6 @@ impl ChaosScenario {
         }
     }
 
-    /// Total churn ops across all epochs.
-    pub fn total_churn(&self) -> usize {
-        self.epochs.iter().map(|e| e.churn.len()).sum()
-    }
-
     /// Total events across all epochs.
     pub fn total_events(&self) -> usize {
         self.epochs.iter().map(|e| e.events.len()).sum()
@@ -275,7 +270,7 @@ mod tests {
         let s = ChaosScenario::generate(&topo, &w, &FaultModel::default(), &cfg, 9);
         assert_eq!(s.epochs.len(), 4);
         assert_eq!(s.faults.num_epochs(), 4);
-        assert_eq!(s.total_churn(), 28);
+        assert!(s.epochs.iter().all(|e| e.churn.len() == 7));
         assert_eq!(s.total_events(), 36);
         assert_eq!(s.initial.len(), w.subscriptions.len());
         for e in &s.epochs {

@@ -86,15 +86,6 @@ impl Workload {
         nodes.dedup();
         nodes
     }
-
-    /// The node hosting subscription `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn node_of(&self, i: usize) -> NodeId {
-        self.subscriptions[i].node
-    }
 }
 
 #[cfg(test)]
@@ -168,6 +159,5 @@ mod tests {
     fn accessors() {
         let w = workload();
         assert_eq!(w.dim(), 1);
-        assert_eq!(w.node_of(1), NodeId(2));
     }
 }
