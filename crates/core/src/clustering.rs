@@ -542,8 +542,9 @@ mod tests {
         acc.add(65, &hcs[0]);
         let d = acc.distance_to(65, &hcs[1]);
         // Bit-for-bit, in either argument order: this is what lets
-        // K-means, cold or warm, skip the pairwise cache without
-        // changing a decision.
+        // K-means price against group vectors, and MST and outlier
+        // removal call `expected_waste` in whatever order they meet a
+        // pair, without changing a decision.
         let ab = expected_waste(hcs[1].prob, &hcs[1].members, hcs[0].prob, &hcs[0].members);
         let ba = expected_waste(hcs[0].prob, &hcs[0].members, hcs[1].prob, &hcs[1].members);
         assert_eq!(d.to_bits(), ab.to_bits(), "{d} vs {ab}");

@@ -1,25 +1,26 @@
-//! Shared lower-triangular cache of pairwise expected-waste distances.
+//! Lower-triangular matrix of pairwise expected-waste distances.
 //!
-//! The algorithms that read all pairs start from the same `l × l`
-//! singleton distance structure: Pairwise Grouping's nearest-neighbour
-//! initialization, MST clustering's edge generation and outlier removal
-//! all evaluate `d(a, b)` over pairs of *hyper-cells* (not yet merged
-//! groups). [`DistanceMatrix`] computes those `l(l−1)/2` values once —
-//! filled in parallel, row-chunked — and every consumer reads them back
-//! instead of re-walking two membership bit-vectors per query.
+//! Pairwise Grouping starts from the `l × l` singleton distance
+//! structure over *hyper-cells* (not yet merged groups) and looks the
+//! same singleton pairs up many times while it agglomerates.
+//! [`DistanceMatrix`] computes those `l(l−1)/2` values once — filled in
+//! parallel, row-chunked — and the lookups read them back instead of
+//! re-walking two membership bit-vectors per query.
 //!
 //! Each stored value is produced by the very same
-//! [`expected_waste`](crate::expected_waste) call the algorithms would
-//! otherwise make, so cached and uncached runs are bit-for-bit identical;
-//! the cache is only valid for *singleton* pairs, and algorithms fall
-//! back to direct computation for merged groups (whose membership vectors
-//! differ from any hyper-cell's).
+//! [`expected_waste`](crate::expected_waste) call the algorithm would
+//! otherwise make, so runs with and without the matrix are bit-for-bit
+//! identical; the matrix only holds *singleton* pairs, and merged
+//! groups (whose membership vectors differ from any hyper-cell's) are
+//! measured directly.
 //!
-//! The cache belongs to the algorithms that read all pairs. K-means,
-//! cold (`KMeans::cluster`) or warm (`KMeans::cluster_seeded` under
-//! `DynamicClustering`), costs `O(l·K)` per pass and never builds it, and
-//! [`GridFramework::apply_delta`](crate::GridFramework::apply_delta)
-//! drops a materialized cache instead of patching it.
+//! Nothing caches the matrix:
+//! [`GridFramework::distance_matrix`](crate::GridFramework::distance_matrix)
+//! builds a fresh one per call, and pairwise grouping keeps it as a
+//! local for one clustering. MST evaluates each pair exactly once — as
+//! many evaluations as a build makes — so it computes its distances
+//! directly, as outlier removal does; K-means costs `O(l·K)` per pass
+//! against its group vectors.
 
 use crate::clustering::group_distance;
 use crate::framework::HyperCell;
@@ -35,26 +36,20 @@ const DM_BLOCK: usize = 32;
 
 /// Packed lower-triangular matrix of `d(i, j)` over hyper-cell indices.
 pub struct DistanceMatrix {
-    pub(crate) n: usize,
+    n: usize,
     /// Row-major lower triangle: row `i` holds `d(i, 0) .. d(i, i-1)`
     /// starting at offset `i·(i−1)/2`.
-    pub(crate) data: Vec<f64>,
+    data: Vec<f64>,
 }
 
 impl DistanceMatrix {
     /// Computes all pairwise expected-waste distances between the given
-    /// hyper-cells. Each entry is exactly
-    /// `expected_waste(h[i].prob, &h[i].members, h[j].prob, &h[j].members)`.
-    pub fn build(hypercells: &[HyperCell]) -> Self {
-        Self::build_weighted(hypercells, None)
-    }
-
-    /// [`DistanceMatrix::build`] with optional per-subscriber weights:
-    /// each entry becomes the *weighted* expected waste, where member
-    /// `i` of an exclusive set counts `weights[i]` deliveries. With
-    /// `None` this is exactly the unweighted build. The aggregation
-    /// layer passes class weights here so class-level matrices equal
-    /// the concrete matrices bit-for-bit.
+    /// hyper-cells. With `weights = None` each entry is exactly
+    /// `expected_waste(h[i].prob, &h[i].members, h[j].prob, &h[j].members)`;
+    /// with weights it is the *weighted* expected waste, where member
+    /// `i` of an exclusive set counts `weights[i]` deliveries. The
+    /// aggregation layer passes class weights here so class-level
+    /// matrices equal the concrete matrices bit-for-bit.
     ///
     /// The triangle is filled in parallel 8-row chunks, each chunk
     /// cache-blocked into [`DM_BLOCK`]-column tiles: the tile's column
@@ -101,12 +96,12 @@ impl DistanceMatrix {
         self.n == 0
     }
 
-    /// The cached `d(i, j)`; `d(i, i)` is 0.
+    /// The stored `d(i, j)`; `d(i, i)` is 0.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds, via slice indexing in release) if an
-    /// index is out of range.
+    /// Panics (via slice indexing, in every build profile) if an index
+    /// is out of range.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         if i == j {
@@ -114,11 +109,6 @@ impl DistanceMatrix {
         }
         let (hi, lo) = if i > j { (i, j) } else { (j, i) };
         self.data[hi * (hi - 1) / 2 + lo]
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -152,7 +142,7 @@ mod tests {
     #[test]
     fn matches_direct_expected_waste() {
         let h = cells();
-        let m = DistanceMatrix::build(&h);
+        let m = DistanceMatrix::build_weighted(&h, None);
         assert_eq!(m.len(), 5);
         for i in 0..5 {
             for j in 0..5 {
@@ -166,8 +156,8 @@ mod tests {
     #[test]
     fn identical_across_thread_counts() {
         let h = cells();
-        let serial = parallel::with_threads(1, || DistanceMatrix::build(&h));
-        let par = parallel::with_threads(8, || DistanceMatrix::build(&h));
+        let serial = parallel::with_threads(1, || DistanceMatrix::build_weighted(&h, None));
+        let par = parallel::with_threads(8, || DistanceMatrix::build_weighted(&h, None));
         assert_eq!(serial.data.len(), par.data.len());
         for (a, b) in serial.data.iter().zip(&par.data) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -221,10 +211,10 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        let m = DistanceMatrix::build(&[]);
+        let m = DistanceMatrix::build_weighted(&[], None);
         assert!(m.is_empty());
         let h = cells();
-        let m = DistanceMatrix::build(&h[..1]);
+        let m = DistanceMatrix::build_weighted(&h[..1], None);
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(0, 0), 0.0);
     }

@@ -97,8 +97,8 @@ pub struct RebalanceStats {
     pub dirty_cells: usize,
     /// Hyper-cells carried over byte-identical (incremental path only).
     pub unchanged_hypercells: usize,
-    /// Always 0: no rebalance path builds or patches the pairwise
-    /// distance cache any more. The field stays only because
+    /// Always 0: no rebalance path builds or reuses a pairwise
+    /// distance matrix. The field stays only because
     /// `benchmark/` reads it (`dynamic.reused_distances_per_swap`) and
     /// compares whole `RebalanceStats` values; it goes when a benchmark
     /// change retires that metric.
@@ -288,7 +288,7 @@ impl DynamicClustering {
     /// re-rasterized and unchanged hyper-cells carry over. Larger
     /// deltas re-rasterize every slot. Both paths produce bit-identical
     /// frameworks, clusterings and move counts at any `PUBSUB_THREADS`,
-    /// and neither builds the `O(l²)` pairwise distance cache.
+    /// and neither builds the `O(l²)` pairwise distance matrix.
     pub fn rebalance(&mut self) -> usize {
         let moves = self.rebalance_paths();
         self.debug_validate("DynamicClustering::rebalance");
@@ -788,42 +788,6 @@ mod tests {
             assert_eq!(d.last_rebalance().changed_slots, changed);
             assert_eq!(d.last_rebalance().incremental, incremental);
         }
-    }
-
-    #[test]
-    fn no_rebalance_path_builds_the_distance_cache() {
-        let unbuilt = |s: &DynamicClustering| s.framework.distances.get().is_none();
-        let mut s = system(4).with_max_dirty(0.2);
-        for i in 0..40 {
-            s.subscribe(rect1(
-                (i % 16) as f64,
-                (i % 16) as f64 + 1.5 + (i % 5) as f64 * 0.5,
-            ));
-        }
-        s.rebalance(); // 40/40 dirty: the cold build
-        assert!(!s.last_rebalance().incremental);
-        assert!(unbuilt(&s));
-        for i in 0..20 {
-            let lo = (i * 7 % 16) as f64 + 0.25;
-            s.resubscribe(SubscriptionId(i), rect1(lo, lo + 2.0))
-                .unwrap();
-            if i % 2 == 0 {
-                s.rebalance();
-            } else {
-                s.try_rebalance().unwrap();
-            }
-            assert!(s.last_rebalance().incremental, "swap {i}");
-            assert_eq!(s.last_rebalance().reused_distances, 0);
-            assert!(unbuilt(&s), "swap {i} built the O(l^2) cache");
-        }
-        for i in 0..20 {
-            s.unsubscribe(SubscriptionId(i + 20)).unwrap();
-        }
-        s.rebalance(); // 20/40 dirty: forced onto the full path
-        assert!(!s.last_rebalance().incremental);
-        assert!(unbuilt(&s));
-        s.rebuild();
-        assert!(unbuilt(&s));
     }
 
     #[test]

@@ -19,17 +19,18 @@
 //! kept between calls but the hyper-cells themselves.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use geometry::{CellId, Grid, Point, Rect};
 
+use crate::clustering::group_distance;
 use crate::distance::DistanceMatrix;
 use crate::membership::BitSet;
 use crate::parallel;
 use crate::waste::{popularity, popularity_weighted};
 
-/// Cap (in hyper-cells) above which [`GridFramework`] declines to
-/// materialize the pairwise distance cache (`l(l−1)/2` f64s ≈ 150 MB at
+/// Cap (in hyper-cells) above which [`GridFramework::distance_matrix`]
+/// declines to build the pairwise matrix (`l(l−1)/2` f64s ≈ 150 MB at
 /// 6144 cells).
 const DISTANCE_CACHE_CELLS: usize = 6144;
 
@@ -184,10 +185,6 @@ pub struct GridFramework {
     pub(crate) weights: Option<Arc<Vec<u64>>>,
     pub(crate) hypercells: Vec<HyperCell>,
     pub(crate) cell_to_hyper: HashMap<CellId, usize>,
-    /// Lazily-built pairwise distance cache, shared by clones. `None`
-    /// once initialized means "too large to cache" — consumers fall back
-    /// to computing distances on the fly.
-    pub(crate) distances: OnceLock<Option<Arc<DistanceMatrix>>>,
     /// Whether the framework holds *every* merged hyper-cell (merged
     /// build, nothing truncated or filtered) — the precondition for
     /// [`GridFramework::apply_delta`], which assumes each live cell is
@@ -340,7 +337,6 @@ impl GridFramework {
             weights: None,
             hypercells,
             cell_to_hyper,
-            distances: OnceLock::new(),
             // Unmerged builds break apply_delta's "one hyper-cell per
             // membership vector" invariant.
             complete: false,
@@ -473,7 +469,6 @@ impl GridFramework {
             weights,
             hypercells,
             cell_to_hyper,
-            distances: OnceLock::new(),
             complete,
         }
     }
@@ -514,42 +509,22 @@ impl GridFramework {
         self.weights.as_deref().map(Vec::as_slice)
     }
 
-    /// The shared pairwise distance cache over this framework's
-    /// hyper-cells, building it (in parallel) on first access.
+    /// Builds (in parallel) the pairwise distance matrix over this
+    /// framework's hyper-cells. Nothing caches it: each call builds a
+    /// fresh matrix, and pairwise grouping keeps the one it reads as a
+    /// local.
     ///
-    /// Returns `None` when the framework exceeds the cache size cap
+    /// Returns `None` when the framework exceeds the size cap
     /// (6144 hyper-cells) or has fewer than two hyper-cells; callers
     /// then compute distances directly. Entries are exactly the values
     /// [`expected_waste`](crate::expected_waste) (its weighted form on a
     /// class-universe framework) would return for the same hyper-cell
-    /// pair, so using the cache never changes results.
-    /// Clones of a framework share the same cache.
-    pub fn distance_matrix(&self) -> Option<&DistanceMatrix> {
-        self.distances
-            .get_or_init(|| {
-                let l = self.hypercells.len();
-                (2..=DISTANCE_CACHE_CELLS).contains(&l).then(|| {
-                    Arc::new(DistanceMatrix::build_weighted(
-                        &self.hypercells,
-                        self.weights_ref(),
-                    ))
-                })
-            })
-            .as_deref()
-    }
-
-    /// A clone whose distance cache starts empty (not shared with
-    /// `self`). Used by benchmarks to measure cold-cache runs.
-    pub fn with_cold_distance_cache(&self) -> GridFramework {
-        GridFramework {
-            grid: self.grid.clone(),
-            num_subscribers: self.num_subscribers,
-            weights: self.weights.clone(),
-            hypercells: self.hypercells.clone(),
-            cell_to_hyper: self.cell_to_hyper.clone(),
-            distances: OnceLock::new(),
-            complete: self.complete,
-        }
+    /// pair, so reading the matrix never changes results.
+    pub fn distance_matrix(&self) -> Option<DistanceMatrix> {
+        let l = self.hypercells.len();
+        (2..=DISTANCE_CACHE_CELLS)
+            .contains(&l)
+            .then(|| DistanceMatrix::build_weighted(&self.hypercells, self.weights_ref()))
     }
 
     /// Summary statistics of the prepared framework — the quantities
@@ -600,26 +575,14 @@ impl GridFramework {
             return self.clone();
         }
         // Isolation score: distance to the nearest other hyper-cell.
-        // Rows are independent, so they are scored in parallel; the
-        // shared distance cache (when present) holds exactly the values
-        // `expected_waste` would produce for these singleton pairs.
-        let matrix = self.distance_matrix();
+        // Rows are independent, so they are scored in parallel.
+        let weights = self.weights_ref();
         let scores_vec = parallel::par_map_indexed(l, 8, |i| {
             let a = &self.hypercells[i];
             let mut best = f64::INFINITY;
             for (j, b) in self.hypercells.iter().enumerate() {
                 if i != j {
-                    let d = match matrix {
-                        Some(m) => m.get(i, j),
-                        None => match self.weights_ref() {
-                            None => {
-                                crate::waste::expected_waste(a.prob, &a.members, b.prob, &b.members)
-                            }
-                            Some(w) => crate::waste::expected_waste_weighted(
-                                a.prob, &a.members, b.prob, &b.members, w,
-                            ),
-                        },
-                    };
+                    let d = group_distance(a.prob, &a.members, b.prob, &b.members, weights);
                     if d < best {
                         best = d;
                     }
@@ -662,7 +625,6 @@ impl GridFramework {
             weights: self.weights.clone(),
             hypercells,
             cell_to_hyper,
-            distances: OnceLock::new(),
             // Dropped outliers leave live cells unmapped, so the
             // filtered framework cannot take deltas.
             complete: false,
@@ -690,10 +652,6 @@ impl GridFramework {
     /// membership words and probability sums; changed ones are
     /// recomputed with the very same expressions the full build uses;
     /// and the final popularity ranking applies the same comparator.
-    /// A distance cache materialized before the call is dropped, not
-    /// patched: the warm re-balance that follows a delta never reads
-    /// it, and an algorithm that does read all pairs rebuilds it
-    /// lazily through [`GridFramework::distance_matrix`].
     ///
     /// A subscriber appearing in both slices is a *resubscribe*: its
     /// old rectangle's bits are cleared before the new one's are set.
@@ -903,10 +861,6 @@ impl GridFramework {
             .enumerate()
             .flat_map(|(h, hc)| hc.cells.iter().map(move |&c| (c, h)))
             .collect();
-
-        // 8. The pairwise distance cache describes the old hyper-cells;
-        //    whoever reads all pairs next rebuilds it lazily.
-        self.distances = OnceLock::new();
 
         DeltaReport {
             dirty_cells,
@@ -1143,8 +1097,6 @@ mod tests {
         let initial = vec![rect1(0.0, 5.0), rect1(2.0, 8.0), rect1(6.0, 10.0)];
         let mut fw = GridFramework::build(g.clone(), &initial, &probs, None);
         assert!(fw.supports_incremental());
-        // Arm the cache: the delta must drop it, not patch it.
-        assert!(fw.distance_matrix().is_some());
         // Resubscribe #0 to (1,4], unsubscribe #1, add #3 on (3,9].
         let report = fw.apply_delta(
             &[(0, rect1(1.0, 4.0)), (3, rect1(3.0, 9.0))],
@@ -1160,8 +1112,8 @@ mod tests {
         ];
         let cold = GridFramework::build_from_cells(g, &post_sets, &probs, None);
         assert_bit_identical(&fw, &cold);
-        assert!(fw.distances.get().is_none(), "stale cache survived");
-        // The lazily rebuilt cache agrees with a cold one, bitwise.
+        // Matrices built from the incremental and the cold framework
+        // agree bitwise.
         let (inc_m, cold_m) = (
             fw.distance_matrix().unwrap(),
             cold.distance_matrix().unwrap(),
@@ -1177,9 +1129,8 @@ mod tests {
             report.changed_hypercells + report.unchanged_hypercells,
             fw.hypercells().len()
         );
-        // A second, empty delta changes nothing but still resets the cache.
+        // A second, empty delta changes nothing.
         let noop = fw.apply_delta(&[], &[], &probs, 4);
-        assert!(fw.distances.get().is_none());
         assert_eq!(noop.dirty_cells, 0);
         assert_eq!(noop.changed_hypercells, 0);
         assert!(noop
@@ -1349,7 +1300,6 @@ mod tests {
         // A cap that truncates nothing keeps the framework complete.
         let roomy = GridFramework::build(g.clone(), &subs, &probs, Some(100));
         assert!(roomy.supports_incremental());
-        assert!(full.with_cold_distance_cache().supports_incremental());
         let unmerged = GridFramework::build_unmerged(g, &subs, &probs, None);
         assert!(!unmerged.supports_incremental());
         assert!(!full.remove_outliers(0.5).supports_incremental());

@@ -16,7 +16,7 @@
 //!
 //! Every distance is taken against the `K` group vectors — `l·K`
 //! *distances* per pass, as Figure 1 counts them — so neither the cold
-//! nor the warm entry builds the `O(l²)` pairwise cache of
+//! nor the warm entry builds the `O(l²)` pairwise
 //! [`crate::DistanceMatrix`]. [`GroupSet`] prices all `K` of them at
 //! once with the cheaper of two exact kernels: a walk of the
 //! hyper-cell's members through each subscriber's set of groups,
@@ -103,8 +103,7 @@ impl KMeans {
     /// The passes are MacQueen's whichever variant `self` was built
     /// with (each move updates the group vectors at once), and like the
     /// cold [`cluster`](ClusteringAlgorithm::cluster) they cost `O(l·K)`
-    /// distances each and never build the framework's `O(l²)` pairwise
-    /// cache.
+    /// distances each and never build the `O(l²)` pairwise matrix.
     ///
     /// # Panics
     ///
@@ -602,8 +601,6 @@ mod tests {
                 assert!(moves > 0, "the mixed seed must exercise real moves");
             }
         }
-        // The perf contract: the warm path never touched the O(l²) cache.
-        assert!(fw.distances.get().is_none());
     }
 
     #[test]
@@ -626,9 +623,6 @@ mod tests {
                     assert_eq!(moves > 0, k < l, "{what}");
                 }
             }
-            // The perf contract: cold K-means costs l·K per pass and
-            // never touched the O(l²) cache.
-            assert!(fw.distances.get().is_none());
         }
     }
 

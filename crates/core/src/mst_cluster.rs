@@ -19,9 +19,8 @@ use crate::clustering::{group_distance, Clustering, ClusteringAlgorithm};
 use crate::framework::GridFramework;
 use crate::parallel;
 
-/// Below this vertex count the Prim relaxation row is computed serially
-/// even without the distance cache — the row is too cheap to amortize a
-/// thread fan-out per iteration.
+/// Below this vertex count the Prim relaxation row is computed serially:
+/// the row is too cheap to amortize a thread fan-out per iteration.
 const PAR_RELAX_MIN_VERTICES: usize = 2048;
 
 /// The MST clustering algorithm.
@@ -66,32 +65,29 @@ impl ClusteringAlgorithm for MstClustering {
         }
         let k = k.max(1).min(l);
 
-        // Prim's algorithm over the implicit complete graph. MST edges
-        // are always between hyper-cells (never merged groups), so every
-        // distance is served by the shared cache when it fits; above the
-        // cache cap each relaxation row is recomputed, in parallel for
-        // large graphs.
-        let matrix = framework.distance_matrix();
+        // Prim's algorithm over the implicit complete graph. Each pair is
+        // evaluated exactly once, when the first of its two endpoints
+        // joins the tree — the `l(l−1)/2` evaluations a pairwise matrix
+        // would make — so distances are computed directly, one
+        // relaxation row at a time, in parallel for large graphs.
         let class_weights = framework.weights_ref();
-        let d = |i: usize, j: usize| match matrix {
-            Some(m) => m.get(i, j),
-            None => group_distance(
+        let d = |i: usize, j: usize| {
+            group_distance(
                 hcs[i].prob,
                 &hcs[i].members,
                 hcs[j].prob,
                 &hcs[j].members,
                 class_weights,
-            ),
+            )
         };
         let mut in_tree = vec![false; l];
         let mut best = vec![f64::INFINITY; l];
         let mut best_from = vec![0usize; l];
         // lint: allow(no-literal-index): l >= 1 (the l == 0 case returned above)
         in_tree[0] = true;
-        // With the cache a distance is a load — a parallel row would be
-        // all fan-out overhead. Without it each d() walks two membership
-        // vectors, which dominates for big graphs.
-        let par_rows = matrix.is_none() && l >= PAR_RELAX_MIN_VERTICES;
+        // Each d() walks two membership vectors, which dominates the
+        // fan-out cost for big graphs.
+        let par_rows = l >= PAR_RELAX_MIN_VERTICES;
         let row = |pick: usize, in_tree: &[bool]| -> Vec<f64> {
             if par_rows {
                 parallel::par_map_indexed(l, 512, |j| {
@@ -178,6 +174,7 @@ impl ClusteringAlgorithm for MstClustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::DistanceMatrix;
     use crate::framework::CellProbability;
     use geometry::{Grid, Interval, Rect};
 
@@ -247,6 +244,92 @@ mod tests {
         let l = fw.hypercells().len();
         let c = MstClustering::new().cluster(&fw, l);
         assert_eq!(c.total_expected_waste(&fw), 0.0);
+    }
+
+    /// Serial Prim over a prebuilt [`DistanceMatrix`] — the lookup path
+    /// MST ran before it computed its distances directly — cut at the
+    /// `K − 1` heaviest edges. Group ids are dense in order of first
+    /// appearance, the numbering `cluster` produces.
+    fn prim_over_matrix(fw: &GridFramework, k: usize) -> Vec<usize> {
+        let m = DistanceMatrix::build_weighted(fw.hypercells(), fw.weights_ref());
+        let l = m.len();
+        let mut in_tree = vec![false; l];
+        in_tree[0] = true;
+        let mut best: Vec<(f64, usize)> = (0..l).map(|j| (m.get(0, j), 0)).collect();
+        let mut edges = Vec::with_capacity(l - 1);
+        for _ in 1..l {
+            // The first of the nearest vertices outside the tree.
+            let pick = (0..l)
+                .filter(|&j| !in_tree[j])
+                .min_by(|&a, &b| best[a].0.partial_cmp(&best[b].0).unwrap())
+                .unwrap();
+            in_tree[pick] = true;
+            edges.push((best[pick].0, best[pick].1, pick));
+            for j in 0..l {
+                if !in_tree[j] && m.get(pick, j) < best[j].0 {
+                    best[j] = (m.get(pick, j), pick);
+                }
+            }
+        }
+        edges.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut label: Vec<usize> = (0..l).collect();
+        for &(_, u, v) in edges.iter().take(l - k) {
+            let (from, to) = (label[u], label[v]);
+            label
+                .iter_mut()
+                .filter(|x| **x == from)
+                .for_each(|x| *x = to);
+        }
+        let mut dense = std::collections::HashMap::new();
+        label
+            .iter()
+            .map(|x| {
+                let next = dense.len();
+                *dense.entry(*x).or_insert(next)
+            })
+            .collect()
+    }
+
+    /// From `PAR_RELAX_MIN_VERTICES` hyper-cells up, each relaxation row
+    /// fans out over the workers. The clustering is the serial one at
+    /// any worker count, and the one a prebuilt matrix gives.
+    #[test]
+    fn parallel_relaxation_rows_match_serial_prim() {
+        // Strip i covers (2i, 2i + 3] along one axis and all of the
+        // other: along each axis the cells alternate between lying in
+        // one strip and in two, so 24 + 24 strips cut a 50 × 50 grid
+        // into 47 × 47 distinct memberships held in one word each.
+        // Uneven cell masses keep most distances from tying.
+        let (strips, side) = (24, 50.0);
+        let grid = Grid::cube(0.0, side, 2, side as usize).unwrap();
+        let probs = CellProbability::from_mass_fn(&grid, |r| {
+            1.0 + (r.interval(0).lo() * 7.0 + r.interval(1).lo() * 13.0) % 11.0
+        });
+        let strip = |i: usize| Interval::new(2.0 * i as f64, 2.0 * i as f64 + 3.0).unwrap();
+        let whole = Interval::new(0.0, side).unwrap();
+        let subs: Vec<Rect> = (0..strips)
+            .flat_map(|i| {
+                [
+                    Rect::new(vec![strip(i), whole]),
+                    Rect::new(vec![whole, strip(i)]),
+                ]
+            })
+            .collect();
+        let fw = GridFramework::build(grid, &subs, &probs, None);
+        let l = fw.hypercells().len();
+        assert!(
+            l >= PAR_RELAX_MIN_VERTICES,
+            "rows stay serial at {l} hyper-cells"
+        );
+        let k = 37;
+        let assignment = |threads: usize| {
+            let c = parallel::with_threads(threads, || MstClustering::new().cluster(&fw, k));
+            assert_eq!(c.num_groups(), k);
+            (0..l).map(|h| c.group_of_hyper(h)).collect::<Vec<_>>()
+        };
+        let serial = assignment(1);
+        assert_eq!(serial, assignment(8));
+        assert_eq!(serial, prim_over_matrix(&fw, k));
     }
 
     #[test]

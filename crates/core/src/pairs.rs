@@ -99,6 +99,26 @@ impl ClusteringAlgorithm for PairwiseGrouping {
     }
 
     fn cluster(&self, framework: &GridFramework, k: usize) -> Clustering {
+        // While both endpoints of a candidate pair are still singleton
+        // groups (the common case early in agglomeration), their distance
+        // is a matrix lookup instead of a bit-vector walk. The matrix is
+        // built here, once per call, and read by nothing else.
+        let matrix = framework.distance_matrix();
+        self.cluster_with(framework, k, matrix.as_ref())
+    }
+}
+
+impl PairwiseGrouping {
+    /// The agglomeration behind [`ClusteringAlgorithm::cluster`], with
+    /// singleton-pair distances read from `matrix` when given and
+    /// computed directly otherwise (the path above the matrix's size
+    /// cap). Both give the same clustering, bit for bit.
+    pub(crate) fn cluster_with(
+        &self,
+        framework: &GridFramework,
+        k: usize,
+        matrix: Option<&DistanceMatrix>,
+    ) -> Clustering {
         let hcs = framework.hypercells();
         let l = hcs.len();
         if l == 0 {
@@ -119,10 +139,6 @@ impl ClusteringAlgorithm for PairwiseGrouping {
             .collect();
         let mut alive = l;
 
-        // While both endpoints of a candidate pair are still singleton
-        // groups (the common case early in agglomeration), their distance
-        // is a shared-cache lookup instead of a bit-vector walk.
-        let matrix = framework.distance_matrix();
         let weights = framework.weights_ref();
         match self.strategy {
             PairsStrategy::Exact => {
@@ -151,11 +167,11 @@ fn dist(a: &GroupState, b: &GroupState, weights: Option<&[u64]>) -> f64 {
     group_distance(a.prob, &a.members, b.prob, &b.members, weights)
 }
 
-/// Group distance, served from the shared cache when both groups are
-/// still singleton hyper-cells. A singleton's membership vector and
-/// probability are exactly its hyper-cell's, and the cache stores the
+/// Group distance, read from the matrix when both groups are still
+/// singleton hyper-cells. A singleton's membership vector and
+/// probability are exactly its hyper-cell's, and the matrix stores the
 /// very `expected_waste` value `dist` would compute (weighted builds
-/// cache the weighted value), so the lookup is bit-identical to the
+/// store the weighted value), so the lookup is bit-identical to the
 /// direct path.
 fn dist_cached(
     matrix: Option<&DistanceMatrix>,
@@ -323,7 +339,7 @@ fn merge_approximate(
             }
             // The scan order is RNG-driven and must stay sequential (the
             // secretary rule stops at the first improvement), but each
-            // probe still benefits from the shared cache.
+            // probe still benefits from the matrix.
             let d = dist_cached(
                 matrix,
                 groups[i].as_ref().expect("alive"),
@@ -385,6 +401,64 @@ mod tests {
         }
         let probs = CellProbability::uniform(&grid);
         GridFramework::build(grid, &subs, &probs, None)
+    }
+
+    /// Scattered, overlapping 2-D boxes on a 12 × 12 grid: dozens of
+    /// distinct hyper-cells at uneven distances. `weighted` repeats
+    /// some boxes and clusters the class universe of that population.
+    fn scattered(weighted: bool) -> GridFramework {
+        let cells = 12;
+        let grid = Grid::cube(0.0, cells as f64, 2, cells).unwrap();
+        let probs = CellProbability::from_mass_fn(&grid, |r| 1.0 + r.interval(0).lo() % 3.0);
+        let side = |lo: usize, len: usize| Interval::new(lo as f64, (lo + len) as f64).unwrap();
+        let subs: Vec<Rect> = (0..18)
+            .flat_map(|i: usize| {
+                let r = Rect::new(vec![
+                    side((i * 5) % (cells - 3), 2 + i % 3),
+                    side((i * 7) % (cells - 4), 2 + (i * 3) % 4),
+                ]);
+                std::iter::repeat_n(r, if weighted { 1 + i % 3 } else { 1 })
+            })
+            .collect();
+        if weighted {
+            let fw = crate::Aggregation::build(&subs).build_framework(grid, &probs, None);
+            assert!(fw.weights_ref().is_some_and(|w| w.iter().any(|&x| x > 1)));
+            fw
+        } else {
+            GridFramework::build(grid, &subs, &probs, None)
+        }
+    }
+
+    /// Above the matrix's size cap `cluster` reads no matrix: every
+    /// strategy must then merge exactly as it does from the matrix.
+    #[test]
+    fn matrix_path_equals_the_above_cap_fallback() {
+        for weighted in [false, true] {
+            let fw = scattered(weighted);
+            let l = fw.hypercells().len();
+            assert!(l >= 24, "scenario too small: {l} hyper-cells");
+            let matrix = fw.distance_matrix().expect("below the cap");
+            for strategy in [
+                PairsStrategy::Exact,
+                PairsStrategy::ExactFullScan,
+                PairsStrategy::Approximate { seed: 11 },
+            ] {
+                let alg = PairwiseGrouping::new(strategy);
+                for k in [1, 3, l / 4, l / 2] {
+                    let what = format!("{strategy:?}, k = {k}, weighted = {weighted}");
+                    let read = alg.cluster_with(&fw, k, Some(&matrix));
+                    let direct = alg.cluster_with(&fw, k, None);
+                    let assignment =
+                        |c: &Clustering| (0..l).map(|h| c.group_of_hyper(h)).collect::<Vec<_>>();
+                    assert_eq!(assignment(&read), assignment(&direct), "{what}");
+                    assert_eq!(
+                        read.total_expected_waste(&fw).to_bits(),
+                        direct.total_expected_waste(&fw).to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! artifacts directly:
 //!
 //! * [`Validator::check_framework`] — hyper-cells partition the cell
-//!   space, the cell→hyper index is exact, popularity ranking is
-//!   monotone, and the pairwise distance cache agrees with freshly
-//!   recomputed [`expected_waste`] values bit-for-bit;
+//!   space, the cell→hyper index is exact, and popularity ranking is
+//!   monotone;
 //! * [`Validator::check_clustering`] — groups partition the hyper-cells
 //!   and their member/probability aggregates match a recompute;
 //! * [`Validator::check_dispatch_plan`] — the compiled tables agree
@@ -35,21 +34,14 @@
 //! binaries; the mutation tests below corrupt each artifact field and
 //! assert the validator flags every corruption.
 
-use std::sync::Arc;
-
 use geometry::Rect;
 
 use crate::clustering::Clustering;
 use crate::dispatch::{CellTable, DispatchPlan, ServeState, NO_SLOT};
-use crate::distance::DistanceMatrix;
 use crate::framework::{GridFramework, HyperCell};
 use crate::membership::BitSet;
 use crate::noloss::NoLossClustering;
-use crate::waste::{expected_waste, expected_waste_weighted, popularity_weighted};
-
-/// Pairs per distance-matrix audit: small matrices are checked in
-/// full, larger ones on a deterministic strided sample of this size.
-const DISTANCE_SAMPLE_PAIRS: usize = 4096;
+use crate::waste::popularity_weighted;
 
 /// One violated invariant.
 #[derive(Debug, Clone)]
@@ -168,8 +160,8 @@ impl Validator {
         );
     }
 
-    /// Audits a [`GridFramework`]: cell partition, index exactness,
-    /// popularity ranking, and the distance cache (when materialized).
+    /// Audits a [`GridFramework`]: cell partition, index exactness and
+    /// popularity ranking.
     pub fn check_framework(&mut self, fw: &GridFramework) -> &mut Self {
         let hcs = &fw.hypercells;
         let num_cells = fw.grid.num_cells();
@@ -264,72 +256,7 @@ impl Validator {
                 );
             }
         }
-
-        // Distance cache (when materialized): symmetry is structural
-        // (one stored entry per unordered pair), so audit shape and
-        // row/cell agreement with freshly recomputed expected waste.
-        if let Some(Some(m)) = fw.distances.get() {
-            self.check_distance_matrix(fw, m);
-        }
         self
-    }
-
-    fn check_distance_matrix(&mut self, fw: &GridFramework, m: &Arc<DistanceMatrix>) {
-        let hcs = &fw.hypercells;
-        let n = m.n;
-        if n != hcs.len() {
-            self.fail(
-                "framework.distance-shape",
-                format!(
-                    "matrix covers {n} hyper-cells, framework holds {}",
-                    hcs.len()
-                ),
-            );
-            return;
-        }
-        if m.data.len() != n * n.saturating_sub(1) / 2 {
-            self.fail(
-                "framework.distance-shape",
-                format!(
-                    "matrix stores {} entries for {n} hyper-cells (want {})",
-                    m.data.len(),
-                    n * n.saturating_sub(1) / 2
-                ),
-            );
-            return;
-        }
-        // Deterministic strided pair sample; complete for small l. The
-        // recomputation is the very expression DistanceMatrix::build
-        // (or build_weighted, for an aggregated class framework) uses,
-        // so agreement must be bit-for-bit — this is what catches a
-        // cache that outlived the hyper-cells it was built over.
-        let weights = fw.weights.as_deref();
-        let total_pairs = m.data.len();
-        let stride = (total_pairs / DISTANCE_SAMPLE_PAIRS).max(1);
-        let mut flat = 0usize;
-        while flat < total_pairs {
-            let (i, j) = triangle_coords(flat);
-            let direct = match weights {
-                Some(w) => expected_waste_weighted(
-                    hcs[i].prob,
-                    &hcs[i].members,
-                    hcs[j].prob,
-                    &hcs[j].members,
-                    w,
-                ),
-                None => expected_waste(hcs[i].prob, &hcs[i].members, hcs[j].prob, &hcs[j].members),
-            };
-            if m.data[flat].to_bits() != direct.to_bits() {
-                self.fail(
-                    "framework.distance-agreement",
-                    format!(
-                        "d({i},{j}) cached as {} but recomputes to {direct}",
-                        m.data[flat]
-                    ),
-                );
-            }
-            flat += stride;
-        }
     }
 
     /// Audits a [`Clustering`] against the framework it was built over:
@@ -779,21 +706,8 @@ impl Validator {
     }
 }
 
-/// Maps a flat lower-triangle offset back to its `(i, j)` pair
-/// (`i > j`), inverting `offset = i·(i−1)/2 + j`.
-fn triangle_coords(flat: usize) -> (usize, usize) {
-    let mut i = 1usize;
-    // Row i starts at i(i-1)/2; advance to the row containing `flat`.
-    while (i + 1) * i / 2 <= flat {
-        i += 1;
-    }
-    (i, flat - i * (i - 1) / 2)
-}
-
 #[cfg(test)]
 mod tests {
-    use std::sync::OnceLock;
-
     use super::*;
     use crate::framework::CellProbability;
     use crate::kmeans::{KMeans, KMeansVariant};
@@ -816,8 +730,8 @@ mod tests {
     }
 
     /// A bench-shaped scenario with every auditable artifact armed:
-    /// materialized distance cache, a compiled plan with a dense table,
-    /// at least two groups and the serve arrays attached.
+    /// a compiled plan with a dense table, at least two groups and the
+    /// serve arrays attached.
     fn scenario() -> Scenario {
         let mut rng = StdRng::seed_from_u64(2002);
         let subs: Vec<Rect> = (0..30)
@@ -829,7 +743,6 @@ mod tests {
         let grid = Grid::cube(0.0, 10.0, 1, 40).unwrap();
         let probs = CellProbability::uniform(&grid);
         let fw = GridFramework::build(grid, &subs, &probs, None);
-        assert!(fw.distance_matrix().is_some(), "cache must materialize");
         assert!(fw.hypercells.len() >= 4, "scenario too small to corrupt");
         let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 4);
         assert!(clustering.num_groups() >= 2, "need two groups to flip");
@@ -873,11 +786,11 @@ mod tests {
     }
 
     /// Number of grid-artifact corruptions [`corrupt`] knows.
-    const GRID_CORRUPTIONS: usize = 14;
+    const GRID_CORRUPTIONS: usize = 13;
 
     /// First of the corruptions that touch only the plan's serve arrays
     /// (kinds `SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS`).
-    const SERVE_STATE_CORRUPTIONS: usize = 11;
+    const SERVE_STATE_CORRUPTIONS: usize = 10;
 
     /// Offset of a slot whose first two candidates' lower bounds differ
     /// (the scenario is one-dimensional, so a slot's block is one bound
@@ -916,25 +829,13 @@ mod tests {
                 "hypercell-drop"
             }
             2 => {
-                // Desync one distance-matrix entry.
-                let m = s.fw.distance_matrix().expect("cache armed");
-                let mut data = m.data.clone();
-                let n = m.n;
-                let idx = salt % data.len();
-                data[idx] += 1.0;
-                let cell = OnceLock::new();
-                cell.set(Some(Arc::new(DistanceMatrix { n, data }))).ok();
-                s.fw.distances = cell;
-                "distance-row-desync"
-            }
-            3 => {
                 // Reassign a hyper-cell behind the groups' back.
                 let h = salt % s.clustering.hyper_to_group.len();
                 let g = s.clustering.hyper_to_group[h];
                 s.clustering.hyper_to_group[h] = (g + 1) % s.clustering.groups.len();
                 "assignment-flip"
             }
-            4 => {
+            3 => {
                 // Drop a member from a group's stored union.
                 let g = salt % s.clustering.groups.len();
                 let m = s.clustering.groups[g]
@@ -945,7 +846,7 @@ mod tests {
                 s.clustering.groups[g].members.remove(m);
                 "group-member-drop"
             }
-            5 => {
+            4 => {
                 // Point a kept cell at the wrong hyper-cell.
                 let l = s.fw.hypercells.len();
                 let cells: Vec<_> = s.fw.hypercells[salt % l].cells.clone();
@@ -954,32 +855,32 @@ mod tests {
                 s.fw.cell_to_hyper.insert(cell, wrong);
                 "cell-index-remap"
             }
-            6 => {
+            5 => {
                 let g = salt % s.clustering.groups.len();
                 s.clustering.groups[g].prob += 1.0;
                 "group-probability-drift"
             }
-            7 => {
+            6 => {
                 s.plan.threshold = 2.0;
                 "threshold-out-of-range"
             }
-            8 => {
+            7 => {
                 let g = salt % s.plan.group_size.len();
                 s.plan.group_size[g] += 1;
                 "plan-group-size-drift"
             }
-            9 => {
+            8 => {
                 let h = salt % s.fw.hypercells.len();
                 s.fw.hypercells[h].prob = -1.0;
                 "negative-probability"
             }
-            10 => {
+            9 => {
                 let h = salt % s.plan.hyper_group.len();
                 let g = s.plan.hyper_group[h];
                 s.plan.hyper_group[h] = (g + 1) % s.plan.group_size.len() as u32;
                 "plan-group-flip"
             }
-            11 => {
+            10 => {
                 // Move one stored bound by one ulp.
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
                 let bounds = if salt.is_multiple_of(2) {
@@ -991,7 +892,7 @@ mod tests {
                 bounds[at] = f64::from_bits(bounds[at].to_bits() + 1);
                 "serve-bound-ulp"
             }
-            12 => {
+            11 => {
                 // Swap two candidates' bounds inside one slot.
                 let o = crowded_slot(&s.plan, salt);
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
@@ -999,7 +900,7 @@ mod tests {
                 state.cand_hi.swap(o, o + 1);
                 "serve-bounds-swap"
             }
-            13 => {
+            12 => {
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
                 let bounds = if salt.is_multiple_of(2) {
                     &mut state.cand_lo
@@ -1113,8 +1014,8 @@ mod tests {
     #[test]
     fn error_report_lists_every_violation() {
         let mut s = scenario();
+        corrupt(&mut s, 6, 0);
         corrupt(&mut s, 7, 0);
-        corrupt(&mut s, 8, 0);
         let err = audit(&s).finish().unwrap_err();
         assert!(err.violations.len() >= 2);
         let text = err.to_string();

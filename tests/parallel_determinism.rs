@@ -60,12 +60,9 @@ fn all_five_algorithms_are_thread_count_invariant() {
     let sc = StockScenario::generate(&model, &TransitStubParams::paper_100_nodes(), 120, 7);
     let fw = sc.framework(300);
     for alg in algorithms() {
-        // A cold cache per run makes each thread count rebuild the
-        // shared distance matrix itself (in parallel at 8 workers).
-        let run = |threads: usize| {
-            let cold = fw.with_cold_distance_cache();
-            with_threads(threads, || alg.cluster(&cold, 12))
-        };
+        // Nothing is cached between runs: pairwise grouping builds its
+        // distance matrix inside each run (in parallel at 8 workers).
+        let run = |threads: usize| with_threads(threads, || alg.cluster(&fw, 12));
         let (c1, c8) = (run(1), run(8));
         assert_eq!(
             assignment(&fw, &c1),
