@@ -32,25 +32,23 @@ fn bench_delivery_schemes(c: &mut Criterion) {
     let nodes: Vec<NodeId> = t.stub_nodes().collect();
     let members: Vec<NodeId> = nodes.iter().step_by(7).copied().collect();
     let src = nodes[0];
+    // Every tree the queries read is warmed up front, so the timings
+    // below measure the cost models, not Dijkstra.
+    let mut r = Router::new(t.graph());
+    r.warm(members.iter().copied().chain([src]));
     let mut group = c.benchmark_group("delivery_schemes_600_nodes");
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.bench_function("unicast", |b| {
-        let mut r = Router::new(t.graph());
         b.iter(|| r.unicast_cost(src, members.iter().copied()))
     });
     group.bench_function("network_multicast", |b| {
-        let mut r = Router::new(t.graph());
         b.iter(|| r.group_multicast_cost(src, &members))
     });
     group.bench_function("app_level_multicast", |b| {
-        let mut r = Router::new(t.graph());
         b.iter(|| r.app_multicast_cost(src, &members))
     });
-    group.bench_function("broadcast", |b| {
-        let mut r = Router::new(t.graph());
-        b.iter(|| r.broadcast_cost(src))
-    });
+    group.bench_function("broadcast", |b| b.iter(|| r.broadcast_cost(src)));
     group.finish();
 }
 

@@ -64,7 +64,6 @@ mod distance;
 mod dynamic;
 mod framework;
 mod kmeans;
-mod knob;
 mod match_index;
 mod matching;
 mod membership;
@@ -87,7 +86,6 @@ pub use dynamic::{
 };
 pub use framework::{CellProbability, DeltaReport, FrameworkStats, GridFramework, HyperCell};
 pub use kmeans::{KMeans, KMeansVariant};
-pub use knob::env_knob;
 pub use match_index::SubscriptionIndex;
 pub use matching::{Delivery, GridMatcher};
 pub use membership::BitSet;

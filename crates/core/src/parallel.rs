@@ -26,7 +26,8 @@
 //! [`num_threads`] resolves, in order: the [`with_threads`] scoped
 //! override (used by tests — it is thread-local, so concurrent
 //! `cargo test` threads cannot race each other), the `PUBSUB_THREADS`
-//! environment variable (read once per process), and finally
+//! environment variable (read once per process; a value it cannot use
+//! is reported once on stderr and ignored), and finally
 //! [`std::thread::available_parallelism`]. Small inputs fall back to
 //! the serial path so tiny tests never pay thread spawn cost; workers
 //! run nested parallel calls serially rather than oversubscribing.
@@ -44,13 +45,30 @@ thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// `PUBSUB_THREADS`, read and reported once per process.
 fn env_threads() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        crate::env_knob("PUBSUB_THREADS", None, |s| {
-            s.parse::<usize>().ok().filter(|&n| n > 0).map(Some)
-        })
-    })
+    *ENV.get_or_init(|| threads_from(std::env::var("PUBSUB_THREADS")))
+}
+
+/// Parses a `PUBSUB_THREADS` lookup: unset gives `None` (the default)
+/// silently; a positive integer, trimmed, is taken; anything else
+/// (garbage, `0`, non-UTF-8) gives `None` with one line on stderr, so a
+/// typo does not silently turn into the default.
+fn threads_from(var: Result<String, std::env::VarError>) -> Option<usize> {
+    let raw = match var {
+        Err(std::env::VarError::NotPresent) => return None,
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+        Ok(raw) => raw,
+    };
+    let n = raw.trim().parse::<usize>().ok().filter(|&n| n > 0);
+    if n.is_none() {
+        eprintln!(
+            "pubsub: ignoring malformed PUBSUB_THREADS={raw:?}; \
+             using the default (see docs/BENCHMARK.md)"
+        );
+    }
+    n
 }
 
 /// The effective worker count for parallel regions started on this
@@ -225,6 +243,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::env::VarError;
+
+    #[test]
+    fn unset_threads_is_the_default() {
+        assert_eq!(threads_from(Err(VarError::NotPresent)), None);
+    }
+
+    #[test]
+    fn trimmed_thread_count_is_taken() {
+        assert_eq!(threads_from(Ok(" 3 ".to_string())), Some(3));
+    }
+
+    #[test]
+    fn malformed_or_zero_threads_fall_back_to_the_default() {
+        assert_eq!(threads_from(Ok("abc".to_string())), None);
+        assert_eq!(threads_from(Ok("0".to_string())), None);
+        let not_unicode = VarError::NotUnicode(std::ffi::OsString::from("x"));
+        assert_eq!(threads_from(Err(not_unicode)), None);
+    }
 
     #[test]
     fn par_map_matches_serial() {

@@ -4,7 +4,7 @@
 //! code must be documented in `docs/BENCHMARK.md`, and every knob the
 //! documentation promises must still exist in code. Knob names are
 //! collected from *string literals* on non-test lines (reads always
-//! name the variable as a literal — `env_knob("PUBSUB_THREADS", ..)`),
+//! name the variable as a literal — `std::env::var("PUBSUB_THREADS")`),
 //! so prose mentions in doc comments neither satisfy nor trigger the
 //! rule. `PUBSUB_TEST_*` names are reserved for unit tests and exempt.
 

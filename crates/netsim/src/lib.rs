@@ -11,10 +11,12 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let topo = Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
-//! let mut router = Router::new(topo.graph());
 //! let nodes: Vec<_> = topo.stub_nodes().take(5).collect();
+//! // Warm the publisher's shortest-path tree; every query takes `&self`.
+//! let mut router = Router::new(topo.graph());
+//! router.warm([nodes[0]]);
 //! let unicast = router.unicast_cost(nodes[0], nodes[1..].iter().copied());
-//! let ideal = router.ideal_multicast_cost(nodes[0], nodes[1..].iter().copied());
+//! let ideal = router.group_multicast_cost(nodes[0], &nodes[1..]);
 //! assert!(ideal <= unicast);
 //! ```
 
@@ -33,6 +35,6 @@ pub use faults::{DegradedView, Fault, FaultModel, FaultSchedule};
 pub use graph::{Edge, EdgeId, Graph, GraphError, NodeId};
 pub use load::LoadTracker;
 pub use mst::{minimum_spanning_forest_cost, overlay_mst, UnionFind};
-pub use routing::{FrozenRouter, Router, RoutingError, ViewTransition};
+pub use routing::{Router, ViewTransition};
 pub use shortest_path::ShortestPathTree;
 pub use topology::{CostRange, NodeKind, Stub, StubId, Topology, TopologyStats, TransitStubParams};

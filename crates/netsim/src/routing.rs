@@ -11,7 +11,8 @@
 //! * **broadcast** — the message floods the shortest-path tree to *every*
 //!   node: the cost of the full SPT (event-independent per source);
 //! * **ideal multicast** — a dedicated group per event: the SPT pruned to
-//!   exactly the interested nodes;
+//!   exactly the interested nodes ([`Router::group_multicast_cost`] with
+//!   the interested nodes as members);
 //! * **group multicast** (dense mode) — the SPT pruned to the members of
 //!   the precomputed group the event was matched to;
 //! * **application-level multicast** — group members form an overlay MST
@@ -19,41 +20,18 @@
 //!   member; the publisher unicasts into the nearest member.
 
 use std::collections::HashMap;
-use std::fmt;
 
 use crate::faults::DegradedView;
 use crate::graph::{Graph, NodeId};
 use crate::mst::overlay_mst;
 use crate::shortest_path::ShortestPathTree;
 
-/// Error produced by routing queries that cannot be answered from the
-/// warmed state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingError {
-    /// No shortest-path tree was warmed for this source before the
-    /// router was frozen; infallible queries fall back to an on-demand
-    /// (uncached) Dijkstra run instead.
-    ColdSource(NodeId),
-}
-
-impl fmt::Display for RoutingError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RoutingError::ColdSource(n) => {
-                write!(f, "no frozen shortest-path tree for source {n}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RoutingError {}
-
-/// How a [`Router::set_view`] transition affected the SPT cache.
+/// How a [`Router::set_view`] transition affected the SPT map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ViewTransition {
     /// Whether an edge *improved* (revival / degradation easing), which
-    /// forces every cached tree out — a better edge can create
-    /// shortcuts for trees that never touched it.
+    /// forces every held tree out — a better edge can create shortcuts
+    /// for trees that never touched it.
     pub full_rebuild: bool,
     /// Trees dropped by this transition.
     pub invalidated: usize,
@@ -61,9 +39,17 @@ pub struct ViewTransition {
     pub retained: usize,
 }
 
-/// A routing oracle over a fixed network: caches one shortest-path tree
-/// per source and answers delivery-cost queries for every scheme in the
-/// paper.
+/// A routing oracle over a fixed network: holds one shortest-path tree
+/// per warmed source and answers delivery-cost queries for every scheme
+/// in the paper.
+///
+/// Trees enter the map only through [`Router::warm`] (serial) and
+/// [`Router::insert_spt`] (trees a caller computed, typically in
+/// parallel, over [`Router::routed_graph`]); [`Router::set_view`] drops
+/// the ones a new failure view invalidates. Every query takes `&self`,
+/// so evaluations can fan out across threads. A query from a source
+/// that was never warmed runs an uncached Dijkstra instead: the same
+/// answer, merely slower.
 ///
 /// # Examples
 ///
@@ -74,8 +60,9 @@ pub struct ViewTransition {
 /// g.add_edge(NodeId(0), NodeId(1), 1.0)?;
 /// g.add_edge(NodeId(1), NodeId(2), 1.0)?;
 /// let mut router = Router::new(&g);
+/// router.warm([NodeId(0)]);
 /// assert_eq!(router.unicast_cost(NodeId(0), [NodeId(1), NodeId(2)]), 3.0);
-/// assert_eq!(router.ideal_multicast_cost(NodeId(0), [NodeId(1), NodeId(2)]), 2.0);
+/// assert_eq!(router.group_multicast_cost(NodeId(0), &[NodeId(1), NodeId(2)]), 2.0);
 /// # Ok::<(), netsim::GraphError>(())
 /// ```
 #[derive(Debug)]
@@ -87,19 +74,18 @@ pub struct Router<'g> {
     /// `+inf`); `None` while the view is healthy so the fault-free path
     /// runs the exact original code.
     degraded: Option<Graph>,
-    spt_cache: HashMap<NodeId, ShortestPathTree>,
-    scratch: Vec<bool>,
+    spts: HashMap<NodeId, ShortestPathTree>,
 }
 
 impl<'g> Router<'g> {
-    /// Creates a router over `graph` with a fully healthy view.
+    /// Creates a router over `graph` with a fully healthy view and no
+    /// warmed source.
     pub fn new(graph: &'g Graph) -> Self {
         Router {
             graph,
             view: DegradedView::healthy(graph),
             degraded: None,
-            spt_cache: HashMap::new(),
-            scratch: Vec::new(),
+            spts: HashMap::new(),
         }
     }
 
@@ -108,28 +94,34 @@ impl<'g> Router<'g> {
         self.graph
     }
 
+    /// The graph routes and costs are computed on: the installed view's
+    /// degraded materialization, or the healthy graph.
+    pub fn routed_graph(&self) -> &Graph {
+        self.degraded.as_ref().unwrap_or(self.graph)
+    }
+
     /// The failure view the router currently routes under.
     pub fn view(&self) -> &DegradedView {
         &self.view
     }
 
     /// Installs a new failure view, incrementally invalidating the SPT
-    /// cache: only trees that traverse a changed edge (or whose source
+    /// map: only trees that traverse a changed edge (or whose source
     /// flipped liveness) are dropped — unless some edge *improved*, in
     /// which case every tree goes (a revived link can shortcut paths
-    /// that never used it). Returns what happened to the cache.
+    /// that never used it). Returns what happened to the map.
     pub fn set_view(&mut self, view: DegradedView) -> ViewTransition {
-        let before = self.spt_cache.len();
+        let before = self.spts.len();
         let full_rebuild = view.has_improvement_over(&self.view, self.graph);
         if full_rebuild {
-            self.spt_cache.clear();
+            self.spts.clear();
         } else {
             let prev = &self.view;
             let graph = self.graph;
-            self.spt_cache
+            self.spts
                 .retain(|_, tree| !view.invalidates_tree(prev, graph, tree));
         }
-        let retained = self.spt_cache.len();
+        let retained = self.spts.len();
         self.degraded = if view.is_healthy() {
             None
         } else {
@@ -143,62 +135,71 @@ impl<'g> Router<'g> {
         }
     }
 
-    /// The (cached) shortest-path tree rooted at `src`, computed over
-    /// the degraded graph when a faulty view is installed.
+    /// Computes, one after another, the tree of every source in
+    /// `sources` that the router does not hold yet.
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range.
-    pub fn spt(&mut self, src: NodeId) -> &ShortestPathTree {
+    /// Panics if a source is out of range.
+    pub fn warm(&mut self, sources: impl IntoIterator<Item = NodeId>) {
         let graph = self.degraded.as_ref().unwrap_or(self.graph);
-        self.spt_cache
-            .entry(src)
-            .or_insert_with(|| ShortestPathTree::compute(graph, src))
+        for src in sources {
+            self.spts
+                .entry(src)
+                .or_insert_with(|| ShortestPathTree::compute(graph, src));
+        }
+    }
+
+    /// Adds a precomputed shortest-path tree, keyed by its source. The
+    /// tree must have been computed over [`Router::routed_graph`].
+    pub fn insert_spt(&mut self, spt: ShortestPathTree) {
+        self.spts.insert(spt.source(), spt);
+    }
+
+    /// The held shortest-path tree rooted at `src`, or `None` when
+    /// `src` was never warmed (or its tree was invalidated).
+    pub fn spt(&self, src: NodeId) -> Option<&ShortestPathTree> {
+        self.spts.get(&src)
+    }
+
+    /// Number of distinct sources whose trees are held.
+    pub fn cached_sources(&self) -> usize {
+        self.spts.len()
+    }
+
+    /// Runs `f` against the tree for `src`: the held tree when warmed,
+    /// otherwise a freshly computed (uncached) one.
+    fn with_spt<R>(&self, src: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
+        match self.spts.get(&src) {
+            Some(spt) => f(spt),
+            None => f(&ShortestPathTree::compute(self.routed_graph(), src)),
+        }
     }
 
     /// Shortest-path distance between two nodes.
-    pub fn distance(&mut self, a: NodeId, b: NodeId) -> f64 {
-        self.spt(a).distance(b)
+    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
+        self.with_spt(a, |spt| spt.distance(b))
     }
 
     /// Unicast cost: `Σ_t dist(src, t)`. The source itself contributes 0.
-    pub fn unicast_cost(&mut self, src: NodeId, targets: impl IntoIterator<Item = NodeId>) -> f64 {
-        self.spt(src).unicast_cost(targets)
+    pub fn unicast_cost(&self, src: NodeId, targets: impl IntoIterator<Item = NodeId>) -> f64 {
+        self.with_spt(src, |spt| spt.unicast_cost(targets))
     }
 
     /// Broadcast cost: the full shortest-path tree from `src` to every
     /// node. Event-independent for a fixed source.
-    pub fn broadcast_cost(&mut self, src: NodeId) -> f64 {
+    pub fn broadcast_cost(&self, src: NodeId) -> f64 {
         let all: Vec<NodeId> = self.graph.nodes().collect();
         self.group_multicast_cost(src, &all)
-    }
-
-    /// Ideal multicast: a dedicated group containing exactly the
-    /// interested nodes — the pruned SPT cost. Equals
-    /// [`Router::group_multicast_cost`] with `members = interested`.
-    pub fn ideal_multicast_cost(
-        &mut self,
-        src: NodeId,
-        interested: impl IntoIterator<Item = NodeId>,
-    ) -> f64 {
-        let targets: Vec<NodeId> = interested.into_iter().collect();
-        self.group_multicast_cost(src, &targets)
     }
 
     /// Network-supported (dense-mode) multicast to a precomputed group:
     /// the shortest-path tree rooted at the publisher, pruned to the
     /// group members. Each shared tree edge is traversed once.
-    pub fn group_multicast_cost(&mut self, src: NodeId, members: &[NodeId]) -> f64 {
-        // Split borrows: take the scratch buffer out during the call.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let graph = self.degraded.as_ref().unwrap_or(self.graph);
-        let spt = self
-            .spt_cache
-            .entry(src)
-            .or_insert_with(|| ShortestPathTree::compute(graph, src));
-        let cost = spt.multicast_tree_cost_with(graph, members.iter().copied(), &mut scratch);
-        self.scratch = scratch;
-        cost
+    pub fn group_multicast_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
+        self.with_spt(src, |spt| {
+            spt.multicast_tree_cost(self.routed_graph(), members.iter().copied())
+        })
     }
 
     /// Application-level multicast: members form an overlay MST whose
@@ -212,7 +213,7 @@ impl<'g> Router<'g> {
     /// When delivering many events to the same static group, compute
     /// the group's tree once with [`Router::overlay_mst_cost`] and add
     /// [`Router::entry_cost`] per event instead.
-    pub fn app_multicast_cost(&mut self, src: NodeId, members: &[NodeId]) -> f64 {
+    pub fn app_multicast_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
         if members.is_empty() {
             return 0.0;
         }
@@ -222,42 +223,27 @@ impl<'g> Router<'g> {
     /// The publisher's cost of injecting a message into an overlay
     /// group: the unicast cost to the nearest member (0 when the
     /// publisher is a member, `+inf` for an empty group).
-    pub fn entry_cost(&mut self, src: NodeId, members: &[NodeId]) -> f64 {
+    pub fn entry_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
         if members.contains(&src) {
             return 0.0;
         }
-        let spt = self.spt(src);
-        members
-            .iter()
-            .map(|&m| spt.distance(m))
-            .fold(f64::INFINITY, f64::min)
+        self.with_spt(src, |spt| {
+            members
+                .iter()
+                .map(|&m| spt.distance(m))
+                .fold(f64::INFINITY, f64::min)
+        })
     }
 
     /// Total weight of the overlay MST among `members` (edge weight =
-    /// pairwise unicast cost). Event-independent for a static group.
-    pub fn overlay_mst_cost(&mut self, members: &[NodeId]) -> f64 {
+    /// pairwise unicast cost). Event-independent for a static group;
+    /// warm the members first, or every pair runs its own Dijkstra.
+    pub fn overlay_mst_cost(&self, members: &[NodeId]) -> f64 {
         if members.len() < 2 {
             return 0.0;
         }
-        // Pairwise member distances need one SPT per member; warm the
-        // cache first so the closure below can borrow immutably. A
-        // cache miss (impossible today, but cheap to tolerate) falls
-        // back to an on-demand Dijkstra run instead of aborting.
-        for &m in members {
-            self.spt(m);
-        }
-        let cache = &self.spt_cache;
-        let graph = self.degraded.as_ref().unwrap_or(self.graph);
-        let (_, mst_cost) = overlay_mst(members, |a, b| match cache.get(&a) {
-            Some(spt) => spt.distance(b),
-            None => ShortestPathTree::compute(graph, a).distance(b),
-        });
+        let (_, mst_cost) = overlay_mst(members, |a, b| self.distance(a, b));
         mst_cost
-    }
-
-    /// Number of distinct sources whose SPTs are currently cached.
-    pub fn cached_sources(&self) -> usize {
-        self.spt_cache.len()
     }
 
     /// Sparse-mode multicast (PIM-SM style shared tree): the group
@@ -271,188 +257,13 @@ impl<'g> Router<'g> {
     /// (publisher, group) — at the price of the publisher→RP detour.
     /// The paper mentions both modes and assumes dense; this gives the
     /// comparison.
-    pub fn sparse_multicast_cost(&mut self, src: NodeId, rp: NodeId, members: &[NodeId]) -> f64 {
-        let entry = self.distance(src, rp);
-        entry + self.group_multicast_cost(rp, members)
+    pub fn sparse_multicast_cost(&self, src: NodeId, rp: NodeId, members: &[NodeId]) -> f64 {
+        self.distance(src, rp) + self.group_multicast_cost(rp, members)
     }
 
     /// A natural rendezvous point for a group: the member minimizing
     /// the total shortest-path distance to all members (the 1-median
     /// restricted to the group). Returns `None` for an empty group.
-    pub fn rendezvous_point(&mut self, members: &[NodeId]) -> Option<NodeId> {
-        let mut best: Option<(f64, NodeId)> = None;
-        for &candidate in members {
-            let spt = self.spt(candidate);
-            let total: f64 = members.iter().map(|&m| spt.distance(m)).sum();
-            if best.is_none_or(|(b, _)| total < b) {
-                best = Some((total, candidate));
-            }
-        }
-        best.map(|(_, rp)| rp)
-    }
-
-    /// Consumes the router into an immutable [`FrozenRouter`] holding
-    /// the SPTs cached so far (and the installed failure view, if any).
-    /// Freeze after warming every source the queries will need; a
-    /// source missed during warming degrades to an on-demand Dijkstra
-    /// run per query instead of panicking.
-    pub fn freeze(self) -> FrozenRouter<'g> {
-        FrozenRouter {
-            graph: self.graph,
-            degraded: self.degraded,
-            spts: self.spt_cache,
-        }
-    }
-}
-
-/// An immutable routing oracle: the same cost models as [`Router`], but
-/// every query takes `&self` so evaluations can fan out across threads.
-///
-/// Unlike [`Router`], a `FrozenRouter` never *caches* a shortest-path
-/// tree on demand — trees are supplied up front (computed in parallel by
-/// the caller, typically) via [`FrozenRouter::insert_spt`] or inherited
-/// through [`Router::freeze`]. Querying a source whose tree is missing
-/// degrades gracefully: [`FrozenRouter::try_spt`] reports
-/// [`RoutingError::ColdSource`], and the infallible cost methods fall
-/// back to an on-demand (uncached) Dijkstra run — correct answers,
-/// merely slower, instead of aborting the evaluation.
-///
-/// Every cost method calls the same [`ShortestPathTree`] routines as the
-/// mutable router, so frozen and mutable answers are bit-identical.
-#[derive(Debug)]
-pub struct FrozenRouter<'g> {
-    graph: &'g Graph,
-    /// Degraded materialization inherited from [`Router::freeze`];
-    /// `None` for a healthy view.
-    degraded: Option<Graph>,
-    spts: HashMap<NodeId, ShortestPathTree>,
-}
-
-impl<'g> FrozenRouter<'g> {
-    /// Creates an empty frozen router over `graph`; populate it with
-    /// [`FrozenRouter::insert_spt`].
-    pub fn new(graph: &'g Graph) -> Self {
-        FrozenRouter {
-            graph,
-            degraded: None,
-            spts: HashMap::new(),
-        }
-    }
-
-    /// The underlying (healthy) graph.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// The graph costs are read from: the degraded materialization
-    /// inherited from [`Router::freeze`], or the pristine graph.
-    fn active_graph(&self) -> &Graph {
-        self.degraded.as_ref().unwrap_or(self.graph)
-    }
-
-    /// Adds a precomputed shortest-path tree, keyed by its source.
-    pub fn insert_spt(&mut self, spt: ShortestPathTree) {
-        self.spts.insert(spt.source(), spt);
-    }
-
-    /// Whether the tree rooted at `src` is available.
-    pub fn contains(&self, src: NodeId) -> bool {
-        self.spts.contains_key(&src)
-    }
-
-    /// Number of distinct sources with a frozen tree.
-    pub fn cached_sources(&self) -> usize {
-        self.spts.len()
-    }
-
-    /// The frozen shortest-path tree rooted at `src`, or
-    /// [`RoutingError::ColdSource`] when `src` was never warmed.
-    pub fn try_spt(&self, src: NodeId) -> Result<&ShortestPathTree, RoutingError> {
-        self.spts.get(&src).ok_or(RoutingError::ColdSource(src))
-    }
-
-    /// Runs `f` against the tree for `src`: the frozen tree when
-    /// warmed, otherwise a freshly computed (uncached) one.
-    fn with_spt<R>(&self, src: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
-        match self.spts.get(&src) {
-            Some(spt) => f(spt),
-            None => f(&ShortestPathTree::compute(self.active_graph(), src)),
-        }
-    }
-
-    /// Shortest-path distance between two nodes.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> f64 {
-        self.with_spt(a, |spt| spt.distance(b))
-    }
-
-    /// Unicast cost: `Σ_t dist(src, t)`.
-    pub fn unicast_cost(&self, src: NodeId, targets: impl IntoIterator<Item = NodeId>) -> f64 {
-        self.with_spt(src, |spt| spt.unicast_cost(targets))
-    }
-
-    /// Broadcast cost: the full shortest-path tree from `src`.
-    pub fn broadcast_cost(&self, src: NodeId) -> f64 {
-        let all: Vec<NodeId> = self.graph.nodes().collect();
-        self.group_multicast_cost(src, &all)
-    }
-
-    /// Ideal multicast: the SPT pruned to exactly the interested nodes.
-    pub fn ideal_multicast_cost(
-        &self,
-        src: NodeId,
-        interested: impl IntoIterator<Item = NodeId>,
-    ) -> f64 {
-        let targets: Vec<NodeId> = interested.into_iter().collect();
-        self.group_multicast_cost(src, &targets)
-    }
-
-    /// Dense-mode multicast: the SPT rooted at `src` pruned to `members`.
-    pub fn group_multicast_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
-        self.with_spt(src, |spt| {
-            spt.multicast_tree_cost(self.active_graph(), members.iter().copied())
-        })
-    }
-
-    /// The publisher's cost of injecting into an overlay group (0 when
-    /// the publisher is a member, `+inf` for an empty group).
-    pub fn entry_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
-        if members.contains(&src) {
-            return 0.0;
-        }
-        self.with_spt(src, |spt| {
-            members
-                .iter()
-                .map(|&m| spt.distance(m))
-                .fold(f64::INFINITY, f64::min)
-        })
-    }
-
-    /// Total weight of the overlay MST among `members`. Cold members
-    /// fall back to on-demand Dijkstra runs.
-    pub fn overlay_mst_cost(&self, members: &[NodeId]) -> f64 {
-        if members.len() < 2 {
-            return 0.0;
-        }
-        let (_, mst_cost) = overlay_mst(members, |a, b| self.distance(a, b));
-        mst_cost
-    }
-
-    /// Application-level multicast: overlay MST plus the entry unicast.
-    pub fn app_multicast_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
-        if members.is_empty() {
-            return 0.0;
-        }
-        self.entry_cost(src, members) + self.overlay_mst_cost(members)
-    }
-
-    /// Sparse-mode multicast via rendezvous point `rp`.
-    pub fn sparse_multicast_cost(&self, src: NodeId, rp: NodeId, members: &[NodeId]) -> f64 {
-        self.distance(src, rp) + self.group_multicast_cost(rp, members)
-    }
-
-    /// The member minimizing total distance to all members (cold
-    /// members fall back to on-demand Dijkstra). `None` for an empty
-    /// group.
     pub fn rendezvous_point(&self, members: &[NodeId]) -> Option<NodeId> {
         let mut best: Option<(f64, NodeId)> = None;
         for &candidate in members {
@@ -485,17 +296,17 @@ mod tests {
     #[test]
     fn unicast_vs_multicast() {
         let g = line();
-        let mut r = Router::new(&g);
+        let r = Router::new(&g);
         let ts = [NodeId(1), NodeId(2)];
         assert_eq!(r.unicast_cost(NodeId(0), ts), 1.0 + 2.0);
         // SPT edges {0-1, 1-2} shared → 2.0.
-        assert_eq!(r.ideal_multicast_cost(NodeId(0), ts), 2.0);
+        assert_eq!(r.group_multicast_cost(NodeId(0), &ts), 2.0);
     }
 
     #[test]
     fn broadcast_is_full_tree() {
         let g = line();
-        let mut r = Router::new(&g);
+        let r = Router::new(&g);
         assert_eq!(r.broadcast_cost(NodeId(0)), 2.0);
         assert_eq!(r.broadcast_cost(NodeId(1)), 2.0);
     }
@@ -503,7 +314,7 @@ mod tests {
     #[test]
     fn group_multicast_to_subset() {
         let g = line();
-        let mut r = Router::new(&g);
+        let r = Router::new(&g);
         assert_eq!(r.group_multicast_cost(NodeId(0), &[NodeId(2)]), 2.0);
         assert_eq!(r.group_multicast_cost(NodeId(0), &[]), 0.0);
     }
@@ -511,7 +322,7 @@ mod tests {
     #[test]
     fn app_multicast_overlay() {
         let g = line();
-        let mut r = Router::new(&g);
+        let r = Router::new(&g);
         // Members {1, 2}: overlay MST = one edge 1-2 with weight 1;
         // publisher 0 enters at member 1 (distance 1). Total 2.
         assert_eq!(
@@ -534,6 +345,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let topo = Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
         let mut r = Router::new(topo.graph());
+        r.warm(topo.graph().nodes());
         let nodes: Vec<NodeId> = topo.stub_nodes().collect();
         for trial in 0..10 {
             let src = nodes[(trial * 17) % nodes.len()];
@@ -552,11 +364,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let topo = Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
         let mut r = Router::new(topo.graph());
+        r.warm(topo.graph().nodes());
         let nodes: Vec<NodeId> = topo.stub_nodes().collect();
         let src = nodes[0];
         let interested: Vec<NodeId> = nodes.iter().step_by(7).copied().collect();
         let uni = r.unicast_cost(src, interested.iter().copied());
-        let ideal = r.ideal_multicast_cost(src, interested.iter().copied());
+        let ideal = r.group_multicast_cost(src, &interested);
         let bcast = r.broadcast_cost(src);
         assert!(ideal <= uni + 1e-9, "ideal {ideal} > unicast {uni}");
         assert!(ideal <= bcast + 1e-9, "ideal {ideal} > broadcast {bcast}");
@@ -565,7 +378,7 @@ mod tests {
     #[test]
     fn sparse_mode_pays_the_rp_detour() {
         let g = line();
-        let mut r = Router::new(&g);
+        let r = Router::new(&g);
         let members = [NodeId(1), NodeId(2)];
         let rp = r.rendezvous_point(&members).unwrap();
         // 1-median of {1, 2} on the line 0-1-2: node 1 (total 1) beats
@@ -594,6 +407,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let topo = Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
         let mut r = Router::new(topo.graph());
+        r.warm(topo.graph().nodes());
         let nodes: Vec<NodeId> = topo.stub_nodes().collect();
         for trial in 0..10 {
             let members: Vec<NodeId> = nodes
@@ -620,70 +434,30 @@ mod tests {
     }
 
     #[test]
-    fn frozen_router_matches_mutable_answers() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let topo = Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
-        let mut r = Router::new(topo.graph());
-        let nodes: Vec<NodeId> = topo.stub_nodes().collect();
-        let members: Vec<NodeId> = nodes.iter().step_by(5).copied().take(6).collect();
-        let src = nodes[1];
-        let uni = r.unicast_cost(src, members.iter().copied());
-        let dense = r.group_multicast_cost(src, &members);
-        let app = r.app_multicast_cost(src, &members);
-        let rp = r.rendezvous_point(&members).unwrap();
-        let sparse = r.sparse_multicast_cost(src, rp, &members);
-        let bcast = r.broadcast_cost(src);
-        let f = r.freeze();
-        assert!(f.contains(src));
-        assert_eq!(
-            f.unicast_cost(src, members.iter().copied()).to_bits(),
-            uni.to_bits()
-        );
-        assert_eq!(
-            f.group_multicast_cost(src, &members).to_bits(),
-            dense.to_bits()
-        );
-        assert_eq!(f.app_multicast_cost(src, &members).to_bits(), app.to_bits());
-        assert_eq!(f.rendezvous_point(&members), Some(rp));
-        assert_eq!(
-            f.sparse_multicast_cost(src, rp, &members).to_bits(),
-            sparse.to_bits()
-        );
-        assert_eq!(f.broadcast_cost(src).to_bits(), bcast.to_bits());
-    }
-
-    #[test]
     fn frozen_router_accepts_inserted_trees() {
         let g = line();
-        let mut f = FrozenRouter::new(&g);
-        assert!(!f.contains(NodeId(0)));
-        f.insert_spt(crate::shortest_path::ShortestPathTree::compute(
-            &g,
-            NodeId(0),
-        ));
-        assert_eq!(f.cached_sources(), 1);
-        assert_eq!(f.distance(NodeId(0), NodeId(2)), 2.0);
-        assert_eq!(f.group_multicast_cost(NodeId(0), &[NodeId(2)]), 2.0);
+        let mut r = Router::new(&g);
+        assert!(r.spt(NodeId(0)).is_none());
+        r.insert_spt(ShortestPathTree::compute(r.routed_graph(), NodeId(0)));
+        assert_eq!(r.cached_sources(), 1);
+        assert_eq!(r.spt(NodeId(0)).map(|t| t.source()), Some(NodeId(0)));
+        assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
+        assert_eq!(r.group_multicast_cost(NodeId(0), &[NodeId(2)]), 2.0);
     }
 
     #[test]
     fn frozen_router_cold_source_falls_back() {
         let g = line();
-        let f = FrozenRouter::new(&g);
-        // try_spt reports the miss as a typed error...
-        assert_eq!(
-            f.try_spt(NodeId(0)).unwrap_err(),
-            RoutingError::ColdSource(NodeId(0))
-        );
-        assert!(!f.try_spt(NodeId(0)).unwrap_err().to_string().is_empty());
-        // ...while cost queries degrade to on-demand Dijkstra with the
-        // same answers a warmed router gives.
-        assert_eq!(f.distance(NodeId(0), NodeId(1)), 1.0);
-        assert_eq!(f.group_multicast_cost(NodeId(0), &[NodeId(2)]), 2.0);
-        assert_eq!(f.overlay_mst_cost(&[NodeId(1), NodeId(2)]), 1.0);
-        assert_eq!(f.rendezvous_point(&[NodeId(1), NodeId(2)]), Some(NodeId(1)));
-        // The fallback never populates the cache.
-        assert_eq!(f.cached_sources(), 0);
+        let r = Router::new(&g);
+        // Cost queries from a cold source run an uncached Dijkstra with
+        // the same answers a warmed router gives.
+        assert_eq!(r.distance(NodeId(0), NodeId(1)), 1.0);
+        assert_eq!(r.group_multicast_cost(NodeId(0), &[NodeId(2)]), 2.0);
+        assert_eq!(r.overlay_mst_cost(&[NodeId(1), NodeId(2)]), 1.0);
+        assert_eq!(r.rendezvous_point(&[NodeId(1), NodeId(2)]), Some(NodeId(1)));
+        // The fallback never populates the map.
+        assert_eq!(r.cached_sources(), 0);
+        assert!(r.spt(NodeId(0)).is_none());
     }
 
     #[test]
@@ -694,6 +468,7 @@ mod tests {
         let mut r = Router::new(&g);
         assert!(r.view().is_healthy());
         // Warm trees from both ends.
+        r.warm([NodeId(0), NodeId(2)]);
         assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
         assert_eq!(r.distance(NodeId(2), NodeId(0)), 2.0);
         assert_eq!(r.cached_sources(), 2);
@@ -720,9 +495,11 @@ mod tests {
         let up = schedule.view_at(&g, 1);
         let t = r.set_view(up);
         assert!(t.full_rebuild);
+        assert_eq!(r.cached_sources(), 0);
         assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
 
-        // A failure the cached tree dodges leaves it in place.
+        // A failure the held tree dodges leaves it in place.
+        r.warm([NodeId(0)]);
         let far = FaultSchedule::new(1)
             .with(0, Fault::LinkDown(EdgeId(2)))
             .view_at(&g, 0);
@@ -734,7 +511,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_router_inherits_degraded_view() {
+    fn costs_after_set_view_read_the_degraded_graph() {
         use crate::faults::{Fault, FaultSchedule};
         use crate::graph::EdgeId;
         let g = line();
@@ -743,21 +520,29 @@ mod tests {
             .with(0, Fault::LinkDown(EdgeId(1)))
             .view_at(&g, 0);
         r.set_view(down);
-        let warm = r.distance(NodeId(0), NodeId(2));
-        let f = r.freeze();
-        assert_eq!(f.distance(NodeId(0), NodeId(2)).to_bits(), warm.to_bits());
-        // Cold fallback also routes under the degraded view.
-        assert_eq!(f.distance(NodeId(1), NodeId(2)), 6.0);
+        r.warm([NodeId(0)]);
+        // Warm and cold sources both route around the dead 1-2 link.
+        assert_eq!(r.distance(NodeId(0), NodeId(2)), 5.0);
+        assert_eq!(r.distance(NodeId(1), NodeId(2)), 6.0);
+        assert_eq!(
+            r.group_multicast_cost(NodeId(0), &[NodeId(1), NodeId(2)]),
+            6.0
+        );
+        assert_eq!(r.routed_graph().edge(EdgeId(1)).cost, f64::INFINITY);
     }
 
     #[test]
     fn spt_cache_reuse() {
         let g = line();
         let mut r = Router::new(&g);
+        r.warm([NodeId(0)]);
         let _ = r.unicast_cost(NodeId(0), [NodeId(1)]);
         let _ = r.broadcast_cost(NodeId(0));
-        assert_eq!(r.cached_sources(), 1);
         let _ = r.distance(NodeId(2), NodeId(0));
+        // Queries never fill the map; only a warm call does.
+        assert_eq!(r.cached_sources(), 1);
+        r.warm([NodeId(0), NodeId(2), NodeId(2)]);
         assert_eq!(r.cached_sources(), 2);
+        assert_eq!(r.distance(NodeId(2), NodeId(0)), 2.0);
     }
 }

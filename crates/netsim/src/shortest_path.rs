@@ -146,24 +146,9 @@ impl ShortestPathTree {
     /// The cost of the union of shortest paths from the source to every
     /// node in `targets` — the dense-mode multicast tree cost (each tree
     /// edge is traversed once regardless of how many receivers share it).
-    ///
-    /// Unreachable targets are ignored. `edge_seen` is a caller-supplied
-    /// scratch buffer of length `num_edges`, cleared on entry, that lets
-    /// hot loops avoid reallocating; see
-    /// [`ShortestPathTree::multicast_tree_cost`] for the convenient form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge_seen` is shorter than the edge count implied by the
-    /// tree's parent pointers.
-    pub fn multicast_tree_cost_with(
-        &self,
-        g: &Graph,
-        targets: impl IntoIterator<Item = NodeId>,
-        edge_seen: &mut Vec<bool>,
-    ) -> f64 {
-        edge_seen.clear();
-        edge_seen.resize(g.num_edges(), false);
+    /// Unreachable targets are ignored.
+    pub fn multicast_tree_cost(&self, g: &Graph, targets: impl IntoIterator<Item = NodeId>) -> f64 {
+        let mut edge_seen = vec![false; g.num_edges()];
         let mut total = 0.0;
         for t in targets {
             let mut cur = t;
@@ -181,14 +166,6 @@ impl ShortestPathTree {
             }
         }
         total
-    }
-
-    /// Convenience wrapper around
-    /// [`ShortestPathTree::multicast_tree_cost_with`] that allocates its
-    /// own scratch buffer.
-    pub fn multicast_tree_cost(&self, g: &Graph, targets: impl IntoIterator<Item = NodeId>) -> f64 {
-        let mut seen = Vec::new();
-        self.multicast_tree_cost_with(g, targets, &mut seen)
     }
 
     /// The distinct edges of the pruned tree reaching `targets` — the

@@ -615,6 +615,7 @@ mod tests {
             let nodes: Vec<NodeId> = topo.stub_nodes().collect();
             let members: Vec<NodeId> = nodes.iter().step_by(5).copied().collect();
             let mut r = Router::new(topo.graph());
+            r.warm([nodes[0]]);
             let uni = r.unicast_cost(nodes[0], members.iter().copied());
             let tree = r.group_multicast_cost(nodes[0], &members);
             ratios.push(tree / uni);

@@ -13,10 +13,12 @@ fn removing_a_detour_edge_raises_costs_monotonically() {
     g.add_edge(NodeId(0), NodeId(2), 5.0).unwrap();
     g.add_edge(NodeId(2), NodeId(3), 5.0).unwrap();
     let mut r = Router::new(&g);
+    r.warm([NodeId(0)]);
     assert_eq!(r.distance(NodeId(0), NodeId(3)), 2.0);
     // Fail the fast path: traffic reroutes over the expensive side.
     let degraded = g.without_edges(&[fast]);
     let mut r = Router::new(&degraded);
+    r.warm([NodeId(0)]);
     assert_eq!(r.distance(NodeId(0), NodeId(3)), 10.0);
 }
 
@@ -30,6 +32,7 @@ fn partition_leaves_unreachable_receivers_out_silently() {
     let spt = ShortestPathTree::compute(&degraded, NodeId(0));
     assert!(!spt.is_reachable(NodeId(2)));
     let mut r = Router::new(&degraded);
+    r.warm([NodeId(0)]);
     // Unicast and multicast both skip the unreachable receiver instead
     // of failing; the reachable one is still served.
     assert_eq!(r.unicast_cost(NodeId(0), [NodeId(1), NodeId(2)]), 1.0);
@@ -49,6 +52,7 @@ fn random_non_partitioning_failures_never_reduce_costs() {
     let members: Vec<NodeId> = nodes.iter().step_by(11).copied().collect();
     let src = nodes[0];
     let mut base_router = Router::new(g);
+    base_router.warm([src]);
     let base_uni = base_router.unicast_cost(src, members.iter().copied());
     let base_tree = base_router.group_multicast_cost(src, &members);
     let mut tested = 0;
@@ -60,6 +64,7 @@ fn random_non_partitioning_failures_never_reduce_costs() {
         }
         tested += 1;
         let mut r = Router::new(&degraded);
+        r.warm([src]);
         let uni = r.unicast_cost(src, members.iter().copied());
         let tree = r.group_multicast_cost(src, &members);
         assert!(uni >= base_uni - 1e-9, "unicast improved after failure");

@@ -95,14 +95,16 @@ proptest! {
         let targets: Vec<NodeId> = topo.stub_nodes().step_by(4).collect();
         let mut warm = Router::new(g);
         // Warm everything once so later epochs exercise tree retention.
-        for &s in &sources {
-            let _ = warm.spt(s);
-        }
+        warm.warm(sources.iter().copied());
         for epoch in 0..schedule.num_epochs() {
             let view = schedule.view_at(g, epoch);
-            warm.set_view(view.clone());
+            let t = warm.set_view(view.clone());
+            prop_assert_eq!(t.retained, warm.cached_sources());
+            // Refill what the view dropped, as the resilience pass does:
+            // retained trees must still answer like a cold recompute.
+            warm.warm(sources.iter().copied());
             let degraded = view.apply(g);
-            let mut cold = Router::new(&degraded);
+            let cold = Router::new(&degraded);
             for &s in &sources {
                 for &t in &targets {
                     prop_assert_eq!(

@@ -24,6 +24,7 @@ proptest! {
         let n = topo.num_nodes();
         let (a, b, c) = (NodeId(a % n), NodeId(b % n), NodeId(c % n));
         let mut r = Router::new(topo.graph());
+        r.warm([a, b, c]);
         let dab = r.distance(a, b);
         let dbc = r.distance(b, c);
         let dac = r.distance(a, c);
@@ -39,6 +40,7 @@ proptest! {
         let members: Vec<NodeId> = nodes.iter().step_by(pick).copied().collect();
         let src = nodes[0];
         let mut r = Router::new(topo.graph());
+        r.warm([src]);
         let uni = r.unicast_cost(src, members.iter().copied());
         let tree = r.group_multicast_cost(src, &members);
         let bcast = r.broadcast_cost(src);
@@ -62,6 +64,7 @@ proptest! {
         let members: Vec<NodeId> = nodes.iter().step_by(pick + 1).copied().collect();
         let src = nodes[1 % nodes.len()];
         let mut r = Router::new(topo.graph());
+        r.warm(members.iter().copied().chain([src]));
         // app_multicast_cost == entry_cost + overlay_mst_cost.
         let combined = r.app_multicast_cost(src, &members);
         let split = r.entry_cost(src, &members) + r.overlay_mst_cost(&members);
@@ -81,6 +84,7 @@ proptest! {
         let nodes: Vec<NodeId> = topo.stub_nodes().collect();
         let src = nodes[0];
         let mut r = Router::new(topo.graph());
+        r.warm([src]);
         let mut prev_tree = 0.0f64;
         let mut prev_uni = 0.0f64;
         for take in [2usize, 4, 8, 16] {

@@ -5,8 +5,19 @@
 //! event is the sum of edge costs on every link the message crosses.
 //! All aggregate numbers reported here are *mean cost per event* over
 //! the workload's event stream.
+//!
+//! Every price is written once: [`Covers::price`] prices one event
+//! against its route (a cover — grid group or No-Loss region — or
+//! unicast) under a [`MulticastMode`], and `Evaluator::price_events` is
+//! the one loop that runs it over an event stream in fixed chunks. The
+//! baselines, the grid and No-Loss costs, the breakdown, the resilience
+//! pass and [`crate::PubSubSystem::publish`] all price through them;
+//! what differs per caller (the covers, the No-Loss unicast top-up, the
+//! tally kept per chunk) is passed in as data.
 
-use netsim::{FrozenRouter, NodeId, ShortestPathTree, Topology};
+use std::ops::Range;
+
+use netsim::{NodeId, Router, ShortestPathTree, Topology};
 use pubsub_core::{
     parallel, BitSet, Clustering, Delivery, GridFramework, GridMatcher, NoLossClustering,
     SubscriptionIndex,
@@ -97,18 +108,146 @@ impl DeliveryBreakdown {
     }
 }
 
+/// One event's price: what its delivery costs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Price {
+    /// Cost of the multicast to the routed cover; `None` for an event
+    /// routed to unicast.
+    pub multicast: Option<f64>,
+    /// Cost of the unicast: to every interested node when `multicast`
+    /// is `None`, else the No-Loss top-up to the interested nodes the
+    /// cover misses (`0` when no top-up applies).
+    pub unicast: f64,
+}
+
+/// The per-cover state a pricing pass reads: each cover's member nodes
+/// (sorted) and, for the covers events route to, the overlay tree cost
+/// (application-level mode) or the rendezvous point (sparse mode).
+pub(crate) struct Covers {
+    mode: MulticastMode,
+    /// Whether interested nodes outside a routed cover get a unicast
+    /// top-up (No-Loss delivery, Figure 6).
+    top_up: bool,
+    nodes: Vec<Vec<NodeId>>,
+    tree: Vec<Option<f64>>,
+    rp: Vec<Option<NodeId>>,
+}
+
+impl Covers {
+    /// Builds the state of the covers `routed` selects, in parallel over
+    /// covers. Warm every member of a routed cover in `router` first
+    /// unless `mode` is network-supported, or each cold member costs a
+    /// Dijkstra run per distance it answers.
+    pub(crate) fn new(
+        router: &Router,
+        nodes: Vec<Vec<NodeId>>,
+        mode: MulticastMode,
+        top_up: bool,
+        routed: impl Fn(usize) -> bool + Sync,
+    ) -> Self {
+        let n = nodes.len();
+        let tree = if mode == MulticastMode::ApplicationLevel {
+            parallel::par_map_indexed(n, 4, |c| {
+                routed(c).then(|| router.overlay_mst_cost(&nodes[c]))
+            })
+        } else {
+            vec![None; n]
+        };
+        let rp = if mode == MulticastMode::SparseMode {
+            parallel::par_map_indexed(n, 4, |c| {
+                routed(c)
+                    .then(|| router.rendezvous_point(&nodes[c]))
+                    .flatten()
+            })
+        } else {
+            vec![None; n]
+        };
+        Covers {
+            mode,
+            top_up,
+            nodes,
+            tree,
+            rp,
+        }
+    }
+
+    /// The member nodes of cover `c`, sorted.
+    pub(crate) fn members(&self, c: usize) -> &[NodeId] {
+        &self.nodes[c]
+    }
+
+    /// Prices one event from `publisher`: a multicast to cover `route`
+    /// (plus the No-Loss top-up when it applies), or a unicast to the
+    /// sorted `interested` nodes when `route` is `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `route` names a cover whose state was not built.
+    pub(crate) fn price(
+        &self,
+        router: &Router,
+        publisher: NodeId,
+        route: Option<usize>,
+        interested: &[NodeId],
+    ) -> Price {
+        let Some(c) = route else {
+            return Price {
+                multicast: None,
+                unicast: router.unicast_cost(publisher, interested.iter().copied()),
+            };
+        };
+        // A routed cover is never empty — `GridMatcher::match_event`
+        // unicasts at group size 0, and a No-Loss region always holds
+        // the subscriber whose rectangle seeded it — so it has an RP.
+        let members = &self.nodes[c];
+        let multicast = match self.mode {
+            MulticastMode::NetworkSupported => router.group_multicast_cost(publisher, members),
+            MulticastMode::ApplicationLevel => {
+                self.tree[c].expect("overlay tree built for every routed cover")
+                    + router.entry_cost(publisher, members)
+            }
+            MulticastMode::SparseMode => router.sparse_multicast_cost(
+                publisher,
+                self.rp[c].expect("a routed cover is never empty, so it has an RP"),
+                members,
+            ),
+        };
+        let unicast = if self.top_up {
+            let missed = interested
+                .iter()
+                .copied()
+                .filter(|n| members.binary_search(n).is_err());
+            router.unicast_cost(publisher, missed)
+        } else {
+            0.0
+        };
+        Price {
+            multicast: Some(multicast),
+            unicast,
+        }
+    }
+}
+
+/// Adds an event's price to a running cost, multicast first.
+fn add_cost(acc: &mut f64, _event: usize, price: Price) {
+    if let Some(m) = price.multicast {
+        *acc += m;
+    }
+    *acc += price.unicast;
+}
+
 /// A delivery-cost evaluator bound to one topology and one workload.
 ///
 /// Caches per-event interested sets and per-publisher shortest-path
 /// trees, so evaluating many clusterings over the same scenario is
 /// cheap. Event evaluation fans out across threads (see
 /// [`pubsub_core::parallel`]): shortest-path trees are computed in
-/// parallel once per source, then per-event costs are summed in
-/// fixed-size chunks against the immutable [`FrozenRouter`] view.
+/// parallel once per source and inserted into the [`Router`], then
+/// per-event costs are summed in fixed-size chunks against it.
 pub struct Evaluator<'a> {
     pub(crate) topo: &'a Topology,
     pub(crate) workload: &'a Workload,
-    pub(crate) frozen: FrozenRouter<'a>,
+    pub(crate) router: Router<'a>,
     /// Interested subscription ids per event (aligned with
     /// `workload.events`).
     pub(crate) interested_subs: Vec<BitSet>,
@@ -155,18 +294,18 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             topo,
             workload,
-            frozen: FrozenRouter::new(topo.graph()),
+            router: Router::new(topo.graph()),
             interested_subs,
             interested_nodes,
         }
     }
 
-    /// Ensures the frozen router holds a shortest-path tree for every
-    /// source in `sources`, computing the missing ones in parallel.
+    /// Ensures the router holds a shortest-path tree for every source in
+    /// `sources`, computing the missing ones in parallel.
     pub(crate) fn ensure_spts(&mut self, sources: impl IntoIterator<Item = NodeId>) {
         let mut missing: Vec<NodeId> = sources
             .into_iter()
-            .filter(|&s| !self.frozen.contains(s))
+            .filter(|&s| self.router.spt(s).is_none())
             .collect();
         missing.sort_unstable();
         missing.dedup();
@@ -176,15 +315,19 @@ impl<'a> Evaluator<'a> {
         let graph = self.topo.graph();
         let spts = parallel::par_map(&missing, 2, |&s| ShortestPathTree::compute(graph, s));
         for spt in spts {
-            self.frozen.insert_spt(spt);
+            self.router.insert_spt(spt);
         }
     }
 
     /// Member-node lists of every group-like membership set, sorted and
     /// deduplicated, computed in parallel.
-    pub(crate) fn member_nodes(&self, memberships: &[&BitSet]) -> Vec<Vec<NodeId>> {
+    pub(crate) fn member_nodes<'m>(
+        &self,
+        memberships: impl IntoIterator<Item = &'m BitSet>,
+    ) -> Vec<Vec<NodeId>> {
+        let memberships: Vec<&BitSet> = memberships.into_iter().collect();
         let subscriptions = &self.workload.subscriptions;
-        parallel::par_map(memberships, 8, |members| {
+        parallel::par_map(&memberships, 8, |members| {
             let mut nodes: Vec<NodeId> = members.iter().map(|i| subscriptions[i].node).collect();
             nodes.sort_unstable();
             nodes.dedup();
@@ -192,31 +335,112 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// The Figure 5 decision for every event of the stream, in event
-    /// order: [`GridMatcher::match_event`] over the precomputed
-    /// interested sets. Chunks are the fixed `EVENT_CHUNK`, so decisions
-    /// and ordering are thread-count independent.
-    pub(crate) fn grid_decisions(
+    /// Every event's route, in event order, from `route(event)`. Chunks
+    /// are the fixed `EVENT_CHUNK`, so routes and ordering are
+    /// thread-count independent.
+    fn routes(&self, route: impl Fn(usize) -> Option<usize> + Sync) -> Vec<Option<usize>> {
+        // lint: hot-path
+        parallel::par_chunks(self.num_events(), EVENT_CHUNK, |range| {
+            let mut out = Vec::with_capacity(range.len());
+            out.extend(range.map(&route));
+            out
+        })
+        // lint: hot-path end
+        .concat()
+    }
+
+    /// The Figure 5 route of every event: [`GridMatcher::match_event`]
+    /// over the precomputed interested sets, `Some(group)` for a
+    /// multicast.
+    pub(crate) fn grid_routes(
         &self,
         framework: &GridFramework,
         clustering: &Clustering,
         threshold: f64,
-    ) -> Vec<Delivery> {
-        let events = &self.workload.events;
-        let subs = &self.interested_subs;
+    ) -> Vec<Option<usize>> {
+        let (events, subs) = (&self.workload.events, &self.interested_subs);
         let matcher = GridMatcher::new(framework, clustering).with_threshold(threshold);
+        self.routes(|e| match matcher.match_event(&events[e].point, &subs[e]) {
+            Delivery::Multicast { group } => Some(group),
+            Delivery::Unicast => None,
+        })
+    }
+
+    /// The Figure 6 route of every event: the heaviest No-Loss region
+    /// containing it.
+    pub(crate) fn noloss_routes(&self, clustering: &NoLossClustering) -> Vec<Option<usize>> {
+        let events = &self.workload.events;
+        self.routes(|e| clustering.match_event(&events[e].point))
+    }
+
+    /// The cover state of `nodes` under `mode`, built for the covers
+    /// some event routes to, after warming every tree the pricing pass
+    /// will read (each publisher's, and in overlay or sparse mode each
+    /// routed cover member's).
+    pub(crate) fn covers(
+        &mut self,
+        nodes: Vec<Vec<NodeId>>,
+        routes: &[Option<usize>],
+        mode: MulticastMode,
+        top_up: bool,
+    ) -> Covers {
+        let mut routed = vec![false; nodes.len()];
+        for &c in routes.iter().flatten() {
+            routed[c] = true;
+        }
+        let mut warm: Vec<NodeId> = self.workload.events.iter().map(|e| e.publisher).collect();
+        if mode != MulticastMode::NetworkSupported {
+            for (c, members) in nodes.iter().enumerate() {
+                if routed[c] {
+                    warm.extend(members.iter().copied());
+                }
+            }
+        }
+        self.ensure_spts(warm);
+        Covers::new(&self.router, nodes, mode, top_up, |c| routed[c])
+    }
+
+    /// The one per-event pricing loop: prices the events in `events`
+    /// against `routes` and `covers` on `router`, folding each price
+    /// into a per-chunk tally with `tally(&mut partial, event, price)`.
+    /// Chunks are the fixed `EVENT_CHUNK`, counted from `events.start`,
+    /// and the tallies come back in chunk order, so a caller that folds
+    /// them left to right gets the same bits at any thread count.
+    pub(crate) fn price_events<P: Default + Send>(
+        &self,
+        router: &Router,
+        covers: &Covers,
+        routes: &[Option<usize>],
+        events: Range<usize>,
+        tally: impl Fn(&mut P, usize, Price) + Sync,
+    ) -> Vec<P> {
+        let stream = &self.workload.events;
+        let inodes = &self.interested_nodes;
+        let lo = events.start;
         // lint: hot-path
         parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-            let mut out = Vec::with_capacity(range.len());
-            for e in range {
-                out.push(matcher.match_event(&events[e].point, &subs[e]));
+            let mut partial = P::default();
+            for e in range.start + lo..range.end + lo {
+                let price = covers.price(router, stream[e].publisher, routes[e], &inodes[e]);
+                tally(&mut partial, e, price);
             }
-            out
+            partial
         })
         // lint: hot-path end
-        .into_iter()
-        .flatten()
-        .collect()
+    }
+
+    /// Mean per-event cost of the whole stream routed by `routes`.
+    fn mean_cost(&self, covers: &Covers, routes: &[Option<usize>]) -> f64 {
+        let n = self.num_events();
+        let total: f64 = self
+            .price_events(&self.router, covers, routes, 0..n, add_cost)
+            .into_iter()
+            // lint: allow(float-det): the partials come from par_chunks'
+            // fixed EVENT_CHUNK decomposition, returned in chunk order;
+            // this serial sum folds them in that fixed order, so the
+            // result is bit-identical at any thread count.
+            .sum();
+        total / n.max(1) as f64
     }
 
     /// The topology under evaluation.
@@ -234,34 +458,23 @@ impl<'a> Evaluator<'a> {
         self.workload.events.len()
     }
 
-    /// Mean per-event cost of the three baseline schemes. Events are
-    /// evaluated in parallel over fixed-size chunks.
+    /// Mean per-event cost of the three baseline schemes: unicast
+    /// routes no event to a cover, broadcast routes every event to one
+    /// cover of every node, and ideal multicast routes each event to a
+    /// cover of exactly its interested nodes.
     pub fn baseline_costs(&mut self) -> BaselineCosts {
-        let workload = self.workload;
-        self.ensure_spts(workload.events.iter().map(|e| e.publisher));
-        let events = &workload.events;
-        let frozen = &self.frozen;
-        let nodes = &self.interested_nodes;
-        let n = events.len().max(1) as f64;
-        // lint: hot-path
-        let partials = parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-            let (mut u, mut b, mut i) = (0.0f64, 0.0f64, 0.0f64);
-            for e in range {
-                let ev = &events[e];
-                u += frozen.unicast_cost(ev.publisher, nodes[e].iter().copied());
-                b += frozen.broadcast_cost(ev.publisher);
-                i += frozen.group_multicast_cost(ev.publisher, &nodes[e]);
-            }
-            (u, b, i)
-        });
-        // lint: hot-path end
-        let (unicast, broadcast, ideal) = partials
-            .into_iter()
-            .fold((0.0, 0.0, 0.0), |a, p| (a.0 + p.0, a.1 + p.1, a.2 + p.2));
+        let n = self.num_events();
+        let (none, all) = (vec![None; n], vec![Some(0); n]);
+        let own: Vec<Option<usize>> = (0..n).map(Some).collect();
+        let dense = MulticastMode::NetworkSupported;
+        let unicast = self.covers(Vec::new(), &none, dense, false);
+        let everyone = vec![self.topo.graph().nodes().collect()];
+        let broadcast = self.covers(everyone, &all, dense, false);
+        let ideal = self.covers(self.interested_nodes.clone(), &own, dense, false);
         BaselineCosts {
-            unicast: unicast / n,
-            broadcast: broadcast / n,
-            ideal: ideal / n,
+            unicast: self.mean_cost(&unicast, &none),
+            broadcast: self.mean_cost(&broadcast, &all),
+            ideal: self.mean_cost(&ideal, &own),
         }
     }
 
@@ -276,90 +489,10 @@ impl<'a> Evaluator<'a> {
         threshold: f64,
         mode: MulticastMode,
     ) -> f64 {
-        let workload = self.workload;
-        let events = &workload.events;
-        // Static per-group member-node lists (parallel over groups).
-        let memberships: Vec<&BitSet> = clustering.groups().iter().map(|g| &g.members).collect();
-        let group_nodes = self.member_nodes(&memberships);
-        let matches = self.grid_decisions(framework, clustering, threshold);
-        // Per-group event-independent state, resolved exactly as the
-        // per-event lazy initialization would have: the first matching
-        // event's publisher backs the (degenerate) empty-group RP case.
-        let mut matched = vec![false; group_nodes.len()];
-        let mut first_pub: Vec<Option<NodeId>> = vec![None; group_nodes.len()];
-        for (e, m) in matches.iter().enumerate() {
-            if let Delivery::Multicast { group } = *m {
-                if !matched[group] {
-                    matched[group] = true;
-                    first_pub[group] = Some(events[e].publisher);
-                }
-            }
-        }
-        // Warm every SPT the cost pass will read, in parallel.
-        let mut warm: Vec<NodeId> = events.iter().map(|e| e.publisher).collect();
-        if mode != MulticastMode::NetworkSupported {
-            for (g, nodes) in group_nodes.iter().enumerate() {
-                if matched[g] {
-                    warm.extend(nodes.iter().copied());
-                }
-            }
-        }
-        self.ensure_spts(warm);
-        let frozen = &self.frozen;
-        let app_tree: Vec<Option<f64>> = if mode == MulticastMode::ApplicationLevel {
-            parallel::par_map_indexed(group_nodes.len(), 4, |g| {
-                matched[g].then(|| frozen.overlay_mst_cost(&group_nodes[g]))
-            })
-        } else {
-            vec![None; group_nodes.len()]
-        };
-        let rps: Vec<Option<NodeId>> = if mode == MulticastMode::SparseMode {
-            parallel::par_map_indexed(group_nodes.len(), 4, |g| {
-                matched[g].then(|| {
-                    frozen
-                        .rendezvous_point(&group_nodes[g])
-                        .or(first_pub[g])
-                        .expect("matched group has a first publisher")
-                })
-            })
-        } else {
-            vec![None; group_nodes.len()]
-        };
-        let inodes = &self.interested_nodes;
-        let n = events.len().max(1) as f64;
-        let total: f64 = parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-            let mut acc = 0.0;
-            for e in range {
-                let ev = &events[e];
-                acc += match matches[e] {
-                    Delivery::Multicast { group } => match mode {
-                        MulticastMode::NetworkSupported => {
-                            frozen.group_multicast_cost(ev.publisher, &group_nodes[group])
-                        }
-                        MulticastMode::ApplicationLevel => {
-                            app_tree[group].expect("precomputed for matched groups")
-                                + frozen.entry_cost(ev.publisher, &group_nodes[group])
-                        }
-                        MulticastMode::SparseMode => frozen.sparse_multicast_cost(
-                            ev.publisher,
-                            rps[group].expect("precomputed for matched groups"),
-                            &group_nodes[group],
-                        ),
-                    },
-                    Delivery::Unicast => {
-                        frozen.unicast_cost(ev.publisher, inodes[e].iter().copied())
-                    }
-                };
-            }
-            acc
-        })
-        .into_iter()
-        // lint: allow(float-det): the partials come from par_chunks'
-        // fixed EVENT_CHUNK decomposition, returned in chunk order;
-        // this serial sum folds them in that fixed order, so the
-        // result is bit-identical at any thread count.
-        .sum();
-        total / n
+        let nodes = self.member_nodes(clustering.groups().iter().map(|g| &g.members));
+        let routes = self.grid_routes(framework, clustering, threshold);
+        let covers = self.covers(nodes, &routes, mode, false);
+        self.mean_cost(&covers, &routes)
     }
 
     /// Detailed per-event accounting for a grid clustering under
@@ -372,82 +505,61 @@ impl<'a> Evaluator<'a> {
         clustering: &Clustering,
         threshold: f64,
     ) -> DeliveryBreakdown {
-        let workload = self.workload;
-        let events = &workload.events;
-        let memberships: Vec<&BitSet> = clustering.groups().iter().map(|g| &g.members).collect();
-        let group_nodes = self.member_nodes(&memberships);
-        let matches = self.grid_decisions(framework, clustering, threshold);
-        self.ensure_spts(events.iter().map(|e| e.publisher));
-        let frozen = &self.frozen;
+        let nodes = self.member_nodes(clustering.groups().iter().map(|g| &g.members));
+        let routes = self.grid_routes(framework, clustering, threshold);
+        let covers = self.covers(nodes, &routes, MulticastMode::NetworkSupported, false);
         let inodes = &self.interested_nodes;
-        // Chunked partial tallies: counts are exact, costs are combined
-        // in chunk order (fixed chunk size → thread-count independent).
-        struct Partial {
-            multicast_events: usize,
-            unicast_events: usize,
-            multicast_cost: f64,
-            unicast_cost: f64,
-            group_node_sum: usize,
-            interested_sum: usize,
-            wasted_nodes: usize,
-        }
-        let partials = parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-            let mut p = Partial {
-                multicast_events: 0,
-                unicast_events: 0,
-                multicast_cost: 0.0,
-                unicast_cost: 0.0,
-                group_node_sum: 0,
-                interested_sum: 0,
-                wasted_nodes: 0,
-            };
-            for e in range {
-                let ev = &events[e];
-                p.interested_sum += inodes[e].len();
-                match matches[e] {
-                    Delivery::Multicast { group } => {
+        let n = self.num_events();
+        // Chunk tallies fold in chunk order (fixed chunk size, so
+        // thread-count independent). Until the division below, the
+        // `mean_*` fields hold sums of node counts, which f64 adds
+        // exactly.
+        let partials = self.price_events(
+            &self.router,
+            &covers,
+            &routes,
+            0..n,
+            |p: &mut DeliveryBreakdown, e, price| {
+                p.mean_interested_nodes += inodes[e].len() as f64;
+                match (routes[e], price.multicast) {
+                    (Some(c), Some(cost)) => {
                         p.multicast_events += 1;
-                        let members = &group_nodes[group];
-                        p.group_node_sum += members.len();
+                        p.multicast_cost += cost;
+                        let members = covers.members(c);
+                        p.mean_group_nodes += members.len() as f64;
                         // Nodes in the group that have no interested
                         // subscription for this event receive waste.
-                        p.wasted_nodes += members
+                        let wasted = members
                             .iter()
-                            .filter(|n| inodes[e].binary_search(n).is_err())
-                            .count();
-                        p.multicast_cost += frozen.group_multicast_cost(ev.publisher, members);
+                            .filter(|n| inodes[e].binary_search(n).is_err());
+                        p.mean_wasted_nodes += wasted.count() as f64;
                     }
-                    Delivery::Unicast => {
+                    _ => {
                         p.unicast_events += 1;
-                        p.unicast_cost +=
-                            frozen.unicast_cost(ev.publisher, inodes[e].iter().copied());
+                        p.unicast_cost += price.unicast;
                     }
                 }
-            }
-            p
-        });
+            },
+        );
         let mut out = DeliveryBreakdown {
-            events: events.len(),
+            events: n,
             ..DeliveryBreakdown::default()
         };
-        let mut group_node_sum = 0usize;
-        let mut interested_sum = 0usize;
-        let mut wasted_nodes = 0usize;
         for p in partials {
             out.multicast_events += p.multicast_events;
             out.unicast_events += p.unicast_events;
             out.multicast_cost += p.multicast_cost;
             out.unicast_cost += p.unicast_cost;
-            group_node_sum += p.group_node_sum;
-            interested_sum += p.interested_sum;
-            wasted_nodes += p.wasted_nodes;
+            out.mean_group_nodes += p.mean_group_nodes;
+            out.mean_interested_nodes += p.mean_interested_nodes;
+            out.mean_wasted_nodes += p.mean_wasted_nodes;
         }
         if out.multicast_events > 0 {
-            out.mean_group_nodes = group_node_sum as f64 / out.multicast_events as f64;
-            out.mean_wasted_nodes = wasted_nodes as f64 / out.multicast_events as f64;
+            out.mean_group_nodes /= out.multicast_events as f64;
+            out.mean_wasted_nodes /= out.multicast_events as f64;
         }
         if out.events > 0 {
-            out.mean_interested_nodes = interested_sum as f64 / out.events as f64;
+            out.mean_interested_nodes /= out.events as f64;
         }
         out
     }
@@ -456,112 +568,10 @@ impl<'a> Evaluator<'a> {
     /// (Figure 6 of the paper): multicast to the heaviest matching
     /// region's subscribers, unicast to the remaining interested nodes.
     pub fn noloss_cost(&mut self, clustering: &NoLossClustering, mode: MulticastMode) -> f64 {
-        let workload = self.workload;
-        let events = &workload.events;
-        // Static per-region member-node lists (parallel over regions).
-        let memberships: Vec<&BitSet> = clustering
-            .regions()
-            .iter()
-            .map(|r| &r.subscribers)
-            .collect();
-        let region_nodes = self.member_nodes(&memberships);
-        // Match every event up front (Figure 6's best containing region).
-        let matches: Vec<Option<usize>> =
-            parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for e in range {
-                    out.push(clustering.match_event(&events[e].point));
-                }
-                out
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        // Per-region event-independent state (overlay MST / RP),
-        // resolved as the per-event lazy initialization would have.
-        let mut matched = vec![false; region_nodes.len()];
-        let mut first_pub: Vec<Option<NodeId>> = vec![None; region_nodes.len()];
-        for (e, m) in matches.iter().enumerate() {
-            if let Some(region) = *m {
-                if !matched[region] {
-                    matched[region] = true;
-                    first_pub[region] = Some(events[e].publisher);
-                }
-            }
-        }
-        let mut warm: Vec<NodeId> = events.iter().map(|e| e.publisher).collect();
-        if mode != MulticastMode::NetworkSupported {
-            for (r, nodes) in region_nodes.iter().enumerate() {
-                if matched[r] {
-                    warm.extend(nodes.iter().copied());
-                }
-            }
-        }
-        self.ensure_spts(warm);
-        let frozen = &self.frozen;
-        let app_tree: Vec<Option<f64>> = if mode == MulticastMode::ApplicationLevel {
-            parallel::par_map_indexed(region_nodes.len(), 4, |r| {
-                matched[r].then(|| frozen.overlay_mst_cost(&region_nodes[r]))
-            })
-        } else {
-            vec![None; region_nodes.len()]
-        };
-        let rps: Vec<Option<NodeId>> = if mode == MulticastMode::SparseMode {
-            parallel::par_map_indexed(region_nodes.len(), 4, |r| {
-                matched[r].then(|| {
-                    frozen
-                        .rendezvous_point(&region_nodes[r])
-                        .or(first_pub[r])
-                        .expect("matched region has a first publisher")
-                })
-            })
-        } else {
-            vec![None; region_nodes.len()]
-        };
-        let inodes = &self.interested_nodes;
-        let n = events.len().max(1) as f64;
-        let total: f64 = parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
-            let mut acc = 0.0;
-            for e in range {
-                let ev = &events[e];
-                match matches[e] {
-                    Some(region) => {
-                        let covered = &region_nodes[region];
-                        acc += match mode {
-                            MulticastMode::NetworkSupported => {
-                                frozen.group_multicast_cost(ev.publisher, covered)
-                            }
-                            MulticastMode::ApplicationLevel => {
-                                app_tree[region].expect("precomputed for matched regions")
-                                    + frozen.entry_cost(ev.publisher, covered)
-                            }
-                            MulticastMode::SparseMode => frozen.sparse_multicast_cost(
-                                ev.publisher,
-                                rps[region].expect("precomputed for matched regions"),
-                                covered,
-                            ),
-                        };
-                        // Unicast top-up for interested nodes outside the
-                        // region.
-                        let extra = inodes[e]
-                            .iter()
-                            .copied()
-                            .filter(|n| covered.binary_search(n).is_err());
-                        acc += frozen.unicast_cost(ev.publisher, extra);
-                    }
-                    None => {
-                        acc += frozen.unicast_cost(ev.publisher, inodes[e].iter().copied());
-                    }
-                }
-            }
-            acc
-        })
-        .into_iter()
-        // lint: allow(float-det): fixed EVENT_CHUNK partials folded
-        // serially in chunk order (same argument as total_cost), so
-        // the result is bit-identical at any thread count.
-        .sum();
-        total / n
+        let nodes = self.member_nodes(clustering.regions().iter().map(|r| &r.subscribers));
+        let routes = self.noloss_routes(clustering);
+        let covers = self.covers(nodes, &routes, mode, true);
+        self.mean_cost(&covers, &routes)
     }
 }
 
@@ -592,6 +602,48 @@ mod tests {
         let sample: Vec<geometry::Point> = w.events.iter().map(|e| e.point.clone()).collect();
         let probs = CellProbability::empirical(&grid, &sample);
         GridFramework::build(grid, &rects, &probs, Some(2000))
+    }
+
+    fn noloss(w: &Workload) -> NoLossClustering {
+        let rects: Vec<geometry::Rect> = w.subscriptions.iter().map(|s| s.rect.clone()).collect();
+        let sample: Vec<geometry::Point> = w.events.iter().map(|e| e.point.clone()).collect();
+        NoLossClustering::build(
+            &rects,
+            &sample,
+            &NoLossConfig {
+                max_rects: 500,
+                iterations: 3,
+                max_candidates_per_round: 50_000,
+            },
+            50,
+        )
+    }
+
+    #[test]
+    fn every_multicast_route_targets_a_non_empty_cover() {
+        let (topo, w) = scenario();
+        let fw = framework(&w);
+        let nl = noloss(&w);
+        let ev = Evaluator::new(&topo, &w);
+        let mut cases = vec![(
+            ev.noloss_routes(&nl),
+            ev.member_nodes(nl.regions().iter().map(|r| &r.subscribers)),
+        )];
+        // More groups than occupied cells leaves some groups empty.
+        for k in [30, 400] {
+            let clustering = KMeans::new(KMeansVariant::Forgy).cluster(&fw, k);
+            cases.push((
+                ev.grid_routes(&fw, &clustering, 0.0),
+                ev.member_nodes(clustering.groups().iter().map(|g| &g.members)),
+            ));
+        }
+        for (routes, nodes) in cases {
+            let routed: Vec<usize> = routes.iter().flatten().copied().collect();
+            assert!(!routed.is_empty(), "no event was multicast");
+            for c in routed {
+                assert!(!nodes[c].is_empty(), "event routed to empty cover {c}");
+            }
+        }
     }
 
     #[test]
@@ -719,18 +771,7 @@ mod tests {
     #[test]
     fn noloss_cost_is_bounded_by_unicast_factor() {
         let (topo, w) = scenario();
-        let rects: Vec<geometry::Rect> = w.subscriptions.iter().map(|s| s.rect.clone()).collect();
-        let sample: Vec<geometry::Point> = w.events.iter().map(|e| e.point.clone()).collect();
-        let nl = pubsub_core::NoLossClustering::build(
-            &rects,
-            &sample,
-            &NoLossConfig {
-                max_rects: 500,
-                iterations: 3,
-                max_candidates_per_round: 50_000,
-            },
-            50,
-        );
+        let nl = noloss(&w);
         let mut ev = Evaluator::new(&topo, &w);
         let b = ev.baseline_costs();
         let cost = ev.noloss_cost(&nl, MulticastMode::NetworkSupported);

@@ -2,11 +2,12 @@
 //! retries and per-member unicast fallback.
 //!
 //! The paper's evaluation assumes a fault-free network. This module
-//! re-runs the same per-event cost model of [`crate::Evaluator`] under
-//! a [`FaultSchedule`]: the event stream is partitioned into epochs,
-//! each epoch sees a cumulative [`DegradedView`] of the topology, and
-//! routing state (the per-publisher shortest-path trees) is repaired
-//! incrementally between epochs. Members whose path crosses a degraded
+//! re-runs the same per-event pricing pass as [`crate::Evaluator`]
+//! under a [`FaultSchedule`]: the event stream is partitioned into
+//! epochs, each epoch sees a cumulative [`DegradedView`] of the
+//! topology, and routing state (the per-publisher shortest-path trees)
+//! is repaired incrementally between epochs by [`Router::set_view`] —
+//! the invalidation its property test holds to a cold recompute. Members whose path crosses a degraded
 //! link may lose the primary copy; the publisher retries with
 //! exponential backoff and finally falls back to a dedicated unicast
 //! ([`RetryPolicy`]). The resulting [`ResilienceBreakdown`] accounts
@@ -14,22 +15,22 @@
 //! `delivered + fallback_deliveries + dropped` partitions the
 //! interested set exactly.
 //!
-//! With an empty schedule the whole machinery is a strict no-op: the
-//! healthy path issues the exact same cost calls, in the same chunk
-//! order, as [`crate::Evaluator::grid_clustering_breakdown`], so the
+//! With an empty schedule the whole machinery is a strict no-op: a
+//! healthy epoch prices on the evaluator's own router through the same
+//! pass, in the same chunk order, as
+//! [`crate::Evaluator::grid_clustering_breakdown`], so the
 //! multicast/unicast cost fields are bit-for-bit identical.
 
 use std::collections::HashMap;
 
-use netsim::{DegradedView, EdgeId, FaultSchedule, Graph, NodeId, ShortestPathTree};
+use netsim::{DegradedView, EdgeId, FaultSchedule, Graph, NodeId, Router, ShortestPathTree};
 use pubsub_core::{
-    parallel, BitSet, Clustering, Delivery, DynamicClustering, DynamicError, GridFramework,
-    SubscriptionId,
+    parallel, Clustering, DynamicClustering, DynamicError, GridFramework, SubscriptionId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::delivery::{DeliveryBreakdown, Evaluator, EVENT_CHUNK};
+use crate::delivery::{DeliveryBreakdown, Evaluator, MulticastMode};
 
 /// How a publisher reacts to a lost primary copy: bounded retries with
 /// exponential backoff, then a dedicated per-member unicast fallback.
@@ -173,40 +174,23 @@ impl ResilienceBreakdown {
     }
 }
 
-/// Chunked partial tally, combined in chunk order (see
-/// [`crate::delivery`]'s determinism note).
-#[derive(Default)]
-struct Partial {
-    multicast_events: usize,
-    unicast_events: usize,
-    multicast_cost: f64,
-    unicast_cost: f64,
-    retry_cost: f64,
-    fallback_cost: f64,
-    interested: usize,
-    delivered: usize,
-    fallback_deliveries: usize,
-    dropped: usize,
-    duplicated: usize,
-    retry_attempts: usize,
-    backoff_units: f64,
-}
-
-impl Partial {
-    fn fold_into(self, out: &mut ResilienceBreakdown) {
-        out.multicast_events += self.multicast_events;
-        out.unicast_events += self.unicast_events;
-        out.multicast_cost += self.multicast_cost;
-        out.unicast_cost += self.unicast_cost;
-        out.retry_cost += self.retry_cost;
-        out.fallback_cost += self.fallback_cost;
-        out.interested += self.interested;
-        out.delivered += self.delivered;
-        out.fallback_deliveries += self.fallback_deliveries;
-        out.dropped += self.dropped;
-        out.duplicated += self.duplicated;
-        out.retry_attempts += self.retry_attempts;
-        out.backoff_units += self.backoff_units;
+impl ResilienceBreakdown {
+    /// Adds one chunk's per-event tallies (chunks fold in chunk order;
+    /// see [`crate::delivery`]'s determinism note).
+    fn add_chunk(&mut self, p: ResilienceBreakdown) {
+        self.multicast_events += p.multicast_events;
+        self.unicast_events += p.unicast_events;
+        self.multicast_cost += p.multicast_cost;
+        self.unicast_cost += p.unicast_cost;
+        self.retry_cost += p.retry_cost;
+        self.fallback_cost += p.fallback_cost;
+        self.interested += p.interested;
+        self.delivered += p.delivered;
+        self.fallback_deliveries += p.fallback_deliveries;
+        self.dropped += p.dropped;
+        self.duplicated += p.duplicated;
+        self.retry_attempts += p.retry_attempts;
+        self.backoff_units += p.backoff_units;
     }
 }
 
@@ -238,7 +222,7 @@ fn resolve_member(
     policy: &RetryPolicy,
     rng: &mut StdRng,
     m: NodeId,
-    p: &mut Partial,
+    p: &mut ResilienceBreakdown,
 ) {
     if !spt.is_reachable(m) {
         // No surviving path (crashed member or partition): the
@@ -301,12 +285,12 @@ impl<'a> Evaluator<'a> {
     /// The event stream is split into `schedule.num_epochs()` equal
     /// contiguous epochs (event `e` lands in epoch
     /// `e * epochs / num_events`). Each epoch's cumulative
-    /// [`DegradedView`] governs routing: per-publisher shortest-path
-    /// trees are kept in a cache that is invalidated incrementally at
-    /// epoch boundaries (only trees crossing a changed edge — or any
-    /// tree, after a repair that can shorten paths — are recomputed),
-    /// and the newly installed tree edges are charged to
-    /// `repair_traffic`.
+    /// [`DegradedView`] governs routing: the per-publisher
+    /// shortest-path trees of an epoch [`Router`] are invalidated
+    /// incrementally by [`Router::set_view`] at epoch boundaries (only
+    /// trees crossing a changed edge — or any tree, after a repair that
+    /// can shorten paths — are recomputed), and the newly installed
+    /// tree edges are charged to `repair_traffic`.
     ///
     /// All randomness (loss, duplicates) derives from `fault_seed`
     /// mixed per event, never from thread scheduling: results are
@@ -322,15 +306,13 @@ impl<'a> Evaluator<'a> {
         policy: &RetryPolicy,
         fault_seed: u64,
     ) -> ResilienceBreakdown {
-        let workload = self.workload;
-        let events = &workload.events;
+        let events = &self.workload.events;
         let n = events.len();
-        let memberships: Vec<&BitSet> = clustering.groups().iter().map(|g| &g.members).collect();
-        let group_nodes = self.member_nodes(&memberships);
-        let matches = self.grid_decisions(framework, clustering, threshold);
+        let nodes = self.member_nodes(clustering.groups().iter().map(|g| &g.members));
+        let routes = self.grid_routes(framework, clustering, threshold);
         // Healthy trees for every publisher: the routing state all
-        // brokers start from (and fall back to in healthy epochs).
-        self.ensure_spts(events.iter().map(|e| e.publisher));
+        // brokers start from (and return to in healthy epochs).
+        let covers = self.covers(nodes, &routes, MulticastMode::NetworkSupported, false);
 
         let g = self.topo.graph();
         let views = schedule.views(g);
@@ -339,10 +321,10 @@ impl<'a> Evaluator<'a> {
             epochs: views.len(),
             ..ResilienceBreakdown::default()
         };
-        // Trees recomputed against a degraded view, keyed by source.
-        let mut cache: HashMap<NodeId, ShortestPathTree> = HashMap::new();
-        let mut prev_view = DegradedView::healthy(g);
-        let frozen = &self.frozen;
+        let healthy = &self.router;
+        // Routing state under the faulty views: trees recomputed against
+        // the degraded graph, invalidated at each epoch boundary.
+        let mut degraded = Router::new(g);
         let inodes = &self.interested_nodes;
 
         for (epoch, view) in views.into_iter().enumerate() {
@@ -353,130 +335,75 @@ impl<'a> Evaluator<'a> {
             needed.sort_unstable();
             needed.dedup();
 
-            let partials: Vec<Partial> = if view.is_healthy() {
-                // Reverting to healthy trees is a repair too: charge
-                // the edges the cached degraded trees did not carry.
-                for &s in &needed {
-                    if let (Some(old), Ok(new)) = (cache.get(&s), frozen.try_spt(s)) {
-                        let old_edges: Vec<EdgeId> = old.tree_edges().collect();
-                        out.repair_traffic += install_cost(new, &old_edges, &view, g);
-                    }
+            // Old routing state of the sources this epoch reads (the
+            // degraded tree still held, else the healthy tree), and the
+            // sources whose tree the epoch replaces: going back to a
+            // healthy tree is a repair too.
+            let mut old_edges_by_source: HashMap<NodeId, Vec<EdgeId>> = HashMap::new();
+            let mut replaced: Vec<NodeId> = Vec::new();
+            for &s in &needed {
+                let held = degraded.spt(s);
+                if held.is_some() {
+                    replaced.push(s);
                 }
-                cache.clear();
-                // Fault-free fast path: the exact cost calls, in the
-                // exact chunk order, of `grid_clustering_breakdown`.
-                parallel::par_chunks(hi - lo, EVENT_CHUNK, |range| {
-                    let mut p = Partial::default();
-                    for i in range {
-                        let e = lo + i;
-                        let ev = &events[e];
-                        p.interested += inodes[e].len();
-                        match matches[e] {
-                            Delivery::Multicast { group } => {
-                                p.multicast_events += 1;
-                                p.multicast_cost +=
-                                    frozen.group_multicast_cost(ev.publisher, &group_nodes[group]);
-                            }
-                            Delivery::Unicast => {
-                                p.unicast_events += 1;
-                                p.unicast_cost +=
-                                    frozen.unicast_cost(ev.publisher, inodes[e].iter().copied());
-                            }
-                        }
-                        match frozen.try_spt(ev.publisher) {
-                            Ok(spt) => {
-                                for &m in &inodes[e] {
-                                    if spt.is_reachable(m) {
-                                        p.delivered += 1;
-                                    } else {
-                                        p.dropped += 1;
-                                    }
-                                }
-                            }
-                            Err(_) => p.delivered += inodes[e].len(),
-                        }
-                    }
-                    p
-                })
-            } else {
+                if let Some(t) = held.or_else(|| healthy.spt(s)) {
+                    old_edges_by_source.insert(s, t.tree_edges().collect());
+                }
+            }
+            let faulty = !view.is_healthy();
+            degraded.set_view(view);
+            let router = if faulty {
                 out.faulty_epochs += 1;
-                // Old routing state of the sources this epoch reads:
-                // the cached degraded tree, else the healthy tree.
-                let mut old_edges_by_source: HashMap<NodeId, Vec<EdgeId>> = HashMap::new();
-                for &s in &needed {
-                    let tree = cache.get(&s).ok_or(()).or_else(|()| frozen.try_spt(s));
-                    if let Ok(t) = tree {
-                        old_edges_by_source.insert(s, t.tree_edges().collect());
-                    }
-                }
-                // Incremental invalidation: a repair (anything that can
-                // shorten a path) flushes everything, pure deterioration
-                // only flushes trees that cross a changed edge.
-                if view.has_improvement_over(&prev_view, g) {
-                    cache.clear();
-                } else {
-                    cache.retain(|_, t| !view.invalidates_tree(&prev_view, g, t));
-                }
-                let dg = view.apply(g);
-                let mut missing: Vec<NodeId> = needed
+                replaced = needed
                     .iter()
                     .copied()
-                    .filter(|s| !cache.contains_key(s))
+                    .filter(|&s| degraded.spt(s).is_none())
                     .collect();
-                missing.sort_unstable();
+                let dg = degraded.routed_graph();
                 let rebuilt =
-                    parallel::par_map(&missing, 2, |&s| ShortestPathTree::compute(&dg, s));
+                    parallel::par_map(&replaced, 2, |&s| ShortestPathTree::compute(dg, s));
                 out.spt_rebuilds += rebuilt.len();
                 for spt in rebuilt {
-                    if let Some(old) = old_edges_by_source.get(&spt.source()) {
-                        out.repair_traffic += install_cost(&spt, old, &view, g);
-                    }
-                    cache.insert(spt.source(), spt);
+                    degraded.insert_spt(spt);
                 }
-                let cache_ref = &cache;
-                let view_ref = &view;
-                let dg_ref = &dg;
-                parallel::par_chunks(hi - lo, EVENT_CHUNK, |range| {
-                    let mut p = Partial::default();
-                    for i in range {
-                        let e = lo + i;
-                        let ev = &events[e];
-                        p.interested += inodes[e].len();
-                        let mut rng = event_rng(fault_seed, e);
-                        let spt = match cache_ref.get(&ev.publisher) {
-                            Some(spt) => spt,
-                            // Unreachable: every epoch publisher is warmed
-                            // above. Count the event dropped if it ever
-                            // regresses rather than panic mid-simulation.
-                            None => {
-                                p.dropped += inodes[e].len();
-                                continue;
-                            }
-                        };
-                        match matches[e] {
-                            Delivery::Multicast { group } => {
-                                p.multicast_events += 1;
-                                p.multicast_cost += spt.multicast_tree_cost(
-                                    dg_ref,
-                                    group_nodes[group].iter().copied(),
-                                );
-                            }
-                            Delivery::Unicast => {
-                                p.unicast_events += 1;
-                                p.unicast_cost += spt.unicast_cost(inodes[e].iter().copied());
-                            }
+                &degraded
+            } else {
+                healthy
+            };
+            for s in &replaced {
+                if let (Some(new), Some(old)) = (router.spt(*s), old_edges_by_source.get(s)) {
+                    out.repair_traffic += install_cost(new, old, router.view(), g);
+                }
+            }
+            let partials = self.price_events(
+                router,
+                &covers,
+                &routes,
+                lo..hi,
+                |p: &mut ResilienceBreakdown, e, price| {
+                    p.interested += inodes[e].len();
+                    match price.multicast {
+                        Some(cost) => {
+                            p.multicast_events += 1;
+                            p.multicast_cost += cost;
                         }
-                        for &m in &inodes[e] {
-                            resolve_member(spt, view_ref, policy, &mut rng, m, &mut p);
+                        None => {
+                            p.unicast_events += 1;
+                            p.unicast_cost += price.unicast;
                         }
                     }
-                    p
-                })
-            };
+                    let spt = router
+                        .spt(events[e].publisher)
+                        .expect("every publisher of the epoch is warmed");
+                    let mut rng = event_rng(fault_seed, e);
+                    for &m in &inodes[e] {
+                        resolve_member(spt, router.view(), policy, &mut rng, m, p);
+                    }
+                },
+            );
             for p in partials {
-                p.fold_into(&mut out);
+                out.add_chunk(p);
             }
-            prev_view = view;
         }
         out
     }

@@ -14,7 +14,7 @@ use pubsub_core::{
     KMeansVariant, SubscriptionId, SubscriptionIndex,
 };
 
-use crate::delivery::MulticastMode;
+use crate::delivery::{Covers, MulticastMode};
 
 /// How a published event was delivered.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,8 +75,8 @@ pub struct PubSubSystem<'a> {
     /// Rectangles of live subscriptions (`None` = unsubscribed).
     rects: Vec<Option<Rect>>,
     index: SubscriptionIndex,
-    /// Member nodes per group, rebuilt on refresh.
-    group_nodes: Vec<Vec<NodeId>>,
+    /// Per-group state the pricing reads, rebuilt on refresh.
+    covers: Covers,
     mode: MulticastMode,
     threshold: f64,
     stats: SystemStats,
@@ -89,15 +89,18 @@ impl<'a> PubSubSystem<'a> {
     pub fn new(topo: &'a Topology, grid: Grid, k: usize) -> Self {
         let probs = CellProbability::uniform(&grid);
         let dynamic = DynamicClustering::new(grid, probs, KMeans::new(KMeansVariant::Forgy), k);
+        let router = Router::new(topo.graph());
+        let mode = MulticastMode::NetworkSupported;
+        let covers = Covers::new(&router, Vec::new(), mode, false, |_| true);
         PubSubSystem {
             topo,
-            router: Router::new(topo.graph()),
+            router,
             dynamic,
             nodes: Vec::new(),
             rects: Vec::new(),
             index: SubscriptionIndex::build(&[]),
-            group_nodes: Vec::new(),
-            mode: MulticastMode::NetworkSupported,
+            covers,
+            mode,
             threshold: 0.0,
             stats: SystemStats::default(),
         }
@@ -106,6 +109,7 @@ impl<'a> PubSubSystem<'a> {
     /// Switches the multicast substrate (default: network-supported).
     pub fn with_mode(mut self, mode: MulticastMode) -> Self {
         self.mode = mode;
+        self.build_covers();
         self
     }
 
@@ -171,7 +175,15 @@ impl<'a> PubSubSystem<'a> {
             })
             .collect();
         self.index = SubscriptionIndex::build(&rects);
-        self.group_nodes = self
+        self.build_covers();
+        moves
+    }
+
+    /// Rebuilds the per-group state (member nodes, and the overlay tree
+    /// or rendezvous point of the mode), warming every member's tree
+    /// first when the mode reads them.
+    fn build_covers(&mut self) {
+        let nodes: Vec<Vec<NodeId>> = self
             .dynamic
             .clustering()
             .groups()
@@ -183,7 +195,10 @@ impl<'a> PubSubSystem<'a> {
                 ns
             })
             .collect();
-        moves
+        if self.mode != MulticastMode::NetworkSupported {
+            self.router.warm(nodes.iter().flatten().copied());
+        }
+        self.covers = Covers::new(&self.router, nodes, self.mode, false, |_| true);
     }
 
     /// Publishes an event: matches it, chooses multicast or unicast
@@ -198,30 +213,18 @@ impl<'a> PubSubSystem<'a> {
 
         let matcher = GridMatcher::new(self.dynamic.framework(), self.dynamic.clustering())
             .with_threshold(self.threshold);
-        let decision = matcher.match_event(event, &interested_set);
-        let (cost, receivers, group) = match decision {
-            Delivery::Multicast { group } => {
-                let members = &self.group_nodes[group];
-                let cost = match self.mode {
-                    MulticastMode::NetworkSupported => {
-                        self.router.group_multicast_cost(publisher, members)
-                    }
-                    MulticastMode::ApplicationLevel => {
-                        self.router.app_multicast_cost(publisher, members)
-                    }
-                    MulticastMode::SparseMode => {
-                        let rp = self.router.rendezvous_point(members).unwrap_or(publisher);
-                        self.router.sparse_multicast_cost(publisher, rp, members)
-                    }
-                };
-                (cost, members.clone(), Some(group))
-            }
-            Delivery::Unicast => {
-                let cost = self
-                    .router
-                    .unicast_cost(publisher, interested_nodes.iter().copied());
-                (cost, interested_nodes.clone(), None)
-            }
+        let group = match matcher.match_event(event, &interested_set) {
+            Delivery::Multicast { group } => Some(group),
+            Delivery::Unicast => None,
+        };
+        self.router.warm([publisher]);
+        let price = self
+            .covers
+            .price(&self.router, publisher, group, &interested_nodes);
+        let cost = price.multicast.unwrap_or(price.unicast);
+        let receivers = match group {
+            Some(g) => self.covers.members(g).to_vec(),
+            None => interested_nodes,
         };
         self.stats.events += 1;
         self.stats.total_cost += cost;
@@ -341,6 +344,77 @@ mod tests {
         assert_eq!(stats.multicast_events, 1);
         assert_eq!(stats.unicast_events, 1);
         assert!(stats.total_cost > 0.0);
+    }
+
+    #[test]
+    fn publish_cost_equals_the_shared_pass_bit_for_bit() {
+        use crate::delivery::Evaluator;
+        use workload::{Event, Subscription, Workload};
+        let t = topo();
+        let nodes: Vec<NodeId> = t.stub_nodes().collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        let subs: Vec<Subscription> = (0..40)
+            .map(|i| {
+                let (a, b) = (rng.gen_range(0.0..20.0), rng.gen_range(0.0..20.0));
+                Subscription {
+                    node: nodes[(i * 7) % nodes.len()],
+                    rect: Rect::new(vec![Interval::from_unordered(a, b)]),
+                }
+            })
+            .collect();
+        let events: Vec<Event> = (0..30)
+            .map(|i| Event {
+                publisher: nodes[(i * 11 + 3) % nodes.len()],
+                point: Point::new(vec![rng.gen_range(0.0..20.0)]),
+            })
+            .collect();
+        for mode in [
+            MulticastMode::NetworkSupported,
+            MulticastMode::ApplicationLevel,
+            MulticastMode::SparseMode,
+        ] {
+            let grid = Grid::cube(0.0, 20.0, 1, 20).unwrap();
+            let mut sys = PubSubSystem::new(&t, grid, 4).with_mode(mode);
+            for s in &subs {
+                sys.subscribe(s.node, s.rect.clone());
+            }
+            sys.refresh();
+            // The evaluator prices the same events through the shared
+            // pass, from group state it builds itself.
+            let w = Workload {
+                bounds: rect1(0.0, 20.0),
+                suggested_bins: vec![20],
+                subscriptions: subs.clone(),
+                events: events.clone(),
+            };
+            let mut evaluator = Evaluator::new(&t, &w);
+            let (fw, clustering) = (sys.dynamic.framework(), sys.dynamic.clustering());
+            let nodes = evaluator.member_nodes(clustering.groups().iter().map(|g| &g.members));
+            let routes = evaluator.grid_routes(fw, clustering, 0.0);
+            let covers = evaluator.covers(nodes, &routes, mode, false);
+            let prices = evaluator
+                .price_events(
+                    &evaluator.router,
+                    &covers,
+                    &routes,
+                    0..events.len(),
+                    |v: &mut Vec<f64>, _, p| v.push(p.multicast.unwrap_or(p.unicast)),
+                )
+                .concat();
+            for (ev, price) in events.iter().zip(prices) {
+                let cost = sys.publish(ev.publisher, &ev.point).cost;
+                assert_eq!(
+                    cost.to_bits(),
+                    price.to_bits(),
+                    "{mode:?}: {cost} vs {price}"
+                );
+            }
+            let stats = sys.stats();
+            assert!(
+                stats.multicast_events > 0 && stats.unicast_events > 0,
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

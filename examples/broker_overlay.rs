@@ -50,6 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let event = Point::new(vec![rng.gen_range(0.0..100.0)]);
         let d = net.deliver(publisher, &event);
         broker_total += d.cost;
+        router.warm([publisher]);
         unicast_total += router.unicast_cost(publisher, d.receivers.iter().copied());
     }
     println!(
