@@ -6,9 +6,9 @@
 //! cargo run --release -p pubsub-bench --bin fig10 [-- --scale quick|medium|paper]
 //! ```
 
-use pubsub_bench::{csv_requested, Scale};
+use pubsub_bench::Scale;
 use sim::experiments::{fig10, Fig10Config};
-use sim::report::{render_fig10, render_fig10_csv};
+use sim::report::render_fig10;
 
 fn main() {
     let cfg = match Scale::from_args() {
@@ -17,9 +17,5 @@ fn main() {
         Scale::Paper => Fig10Config::paper(),
     };
     let res = fig10(&cfg);
-    if csv_requested() {
-        print!("{}", render_fig10_csv(&res));
-    } else {
-        print!("{}", render_fig10(&res));
-    }
+    print!("{}", render_fig10(&res));
 }

@@ -7,9 +7,9 @@
 //! cargo run --release -p pubsub-bench --bin fig7 [-- --scale quick|medium|paper]
 //! ```
 
-use pubsub_bench::{csv_requested, Scale};
+use pubsub_bench::Scale;
 use sim::experiments::{fig7, Fig7Config};
-use sim::report::{render_group_sweep, render_group_sweep_csv};
+use sim::report::render_group_sweep;
 
 fn main() {
     let cfg = match Scale::from_args() {
@@ -18,12 +18,8 @@ fn main() {
         Scale::Paper => Fig7Config::paper(),
     };
     let res = fig7(&cfg);
-    if csv_requested() {
-        print!("{}", render_group_sweep_csv(&res));
-    } else {
-        print!(
-            "{}",
-            render_group_sweep("Figure 7: improvement vs number of groups", &res)
-        );
-    }
+    print!(
+        "{}",
+        render_group_sweep("Figure 7: improvement vs number of groups", &res)
+    );
 }

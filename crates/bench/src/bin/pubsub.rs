@@ -38,32 +38,97 @@ use rand::SeedableRng;
 use sim::{Evaluator, MulticastMode, StockScenario};
 use workload::{PredicateDist, PublicationModes, Section3Model, StockModel};
 
+/// One command: the flags (`--name value`) and switches (`--name`) it
+/// reads, space-separated as the module doc lists them, and what runs
+/// it. `Args` rejects any other argument.
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    switches: &'static str,
+    run: fn(&Args),
+}
+
+const COMMANDS: [Command; 5] = [
+    Command {
+        name: "topology",
+        flags: "nodes seed",
+        switches: "",
+        run: cmd_topology,
+    },
+    Command {
+        name: "baselines",
+        flags: "nodes subs events regionalism dist seed",
+        switches: "",
+        run: cmd_baselines,
+    },
+    Command {
+        name: "cluster",
+        flags: "algorithm k subs events cells modes threshold seed",
+        switches: "app sparse",
+        run: cmd_cluster,
+    },
+    Command {
+        name: "export",
+        flags: "subs-file events-file subs events seed",
+        switches: "",
+        run: cmd_export,
+    },
+    Command {
+        name: "replay",
+        flags: "subs-file events-file nodes k bins seed",
+        switches: "",
+        run: cmd_replay,
+    },
+];
+
 /// Minimal `--flag value` argument map.
 struct Args {
-    command: String,
+    command: &'static Command,
     flags: Vec<(String, String)>,
     switches: Vec<String>,
 }
 
 impl Args {
+    /// Parses `std::env::args`. `help` prints the usage and exits 0;
+    /// an unknown command, or an argument the command does not read,
+    /// exits 2.
     fn parse() -> Args {
         let mut it = std::env::args().skip(1);
-        let command = it.next().unwrap_or_else(|| {
+        let name = it.next().unwrap_or_else(|| {
             usage();
             exit(2);
         });
+        let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+            if matches!(name.as_str(), "help" | "--help" | "-h") {
+                usage();
+                exit(0);
+            }
+            eprintln!("unknown command: {name}");
+            usage();
+            exit(2);
+        };
+        let reject = |msg: String| -> ! {
+            eprintln!("pubsub {name}: {msg}");
+            usage();
+            exit(2);
+        };
         let mut flags = Vec::new();
         let mut switches = Vec::new();
-        let rest: Vec<String> = it.collect();
-        let mut i = 0;
-        while i < rest.len() {
-            let key = rest[i].trim_start_matches("--").to_string();
-            if i + 1 < rest.len() && !rest[i + 1].starts_with("--") {
-                flags.push((key, rest[i + 1].clone()));
-                i += 2;
-            } else {
+        let mut rest = it.peekable();
+        while let Some(arg) = rest.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                reject(format!("unexpected argument {arg:?}"));
+            };
+            let key = key.to_string();
+            if command.flags.split_whitespace().any(|f| f == key) {
+                match rest.next_if(|v| !v.starts_with("--")) {
+                    Some(value) => flags.push((key, value)),
+                    None => reject(format!("--{key} needs a value")),
+                }
+            } else if command.switches.split_whitespace().any(|s| s == key) {
                 switches.push(key);
-                i += 1;
+            } else {
+                reject(format!("unknown flag --{key}"));
             }
         }
         Args {
@@ -97,9 +162,13 @@ impl Args {
 }
 
 fn usage() {
-    eprintln!("usage: pubsub <topology|baselines|cluster|export|replay> [--flag value]...");
-    eprintln!("run with a command and no flags for sensible defaults;");
-    eprintln!("see the module docs (or the source header) for the flag list.");
+    eprintln!("usage: pubsub <command> [--flag value]... [--switch]...");
+    for c in &COMMANDS {
+        let flags = c.flags.split_whitespace().map(|f| format!(" [--{f} V]"));
+        let switches = c.switches.split_whitespace().map(|s| format!(" [--{s}]"));
+        eprintln!("  {}{}", c.name, flags.chain(switches).collect::<String>());
+    }
+    eprintln!("run with a command and no flags for sensible defaults.");
 }
 
 fn topo_params(nodes: usize) -> TransitStubParams {
@@ -360,17 +429,5 @@ fn cmd_replay(args: &Args) {
 
 fn main() {
     let args = Args::parse();
-    match args.command.as_str() {
-        "topology" => cmd_topology(&args),
-        "baselines" => cmd_baselines(&args),
-        "cluster" => cmd_cluster(&args),
-        "export" => cmd_export(&args),
-        "replay" => cmd_replay(&args),
-        "help" | "--help" | "-h" => usage(),
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
-            exit(2);
-        }
-    }
+    (args.command.run)(&args);
 }

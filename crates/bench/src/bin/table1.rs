@@ -6,9 +6,9 @@
 //! cargo run --release -p pubsub-bench --bin table1 [-- --scale quick|medium|paper]
 //! ```
 
-use pubsub_bench::{csv_requested, Scale};
+use pubsub_bench::Scale;
 use sim::experiments::{paper_table1_specs, table_rows};
-use sim::report::{render_table, render_table_csv};
+use sim::report::render_table;
 
 fn main() {
     let scale = Scale::from_args();
@@ -19,15 +19,11 @@ fn main() {
         Scale::Paper => (specs, 500),
     };
     let rows = table_rows(0.4, &specs, events, 1);
-    if csv_requested() {
-        print!("{}", render_table_csv(&rows));
-    } else {
-        print!(
-            "{}",
-            render_table(
-                "Table 1: mean per-event cost, degree-0.4 regionalism",
-                &rows
-            )
-        );
-    }
+    print!(
+        "{}",
+        render_table(
+            "Table 1: mean per-event cost, degree-0.4 regionalism",
+            &rows
+        )
+    );
 }

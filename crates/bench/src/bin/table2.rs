@@ -5,9 +5,9 @@
 //! cargo run --release -p pubsub-bench --bin table2 [-- --scale quick|medium|paper]
 //! ```
 
-use pubsub_bench::{csv_requested, Scale};
+use pubsub_bench::Scale;
 use sim::experiments::{paper_table2_specs, table_rows};
-use sim::report::{render_table, render_table_csv};
+use sim::report::render_table;
 
 fn main() {
     let scale = Scale::from_args();
@@ -18,12 +18,8 @@ fn main() {
         Scale::Paper => (specs, 500),
     };
     let rows = table_rows(0.0, &specs, events, 2);
-    if csv_requested() {
-        print!("{}", render_table_csv(&rows));
-    } else {
-        print!(
-            "{}",
-            render_table("Table 2: mean per-event cost, no regionalism", &rows)
-        );
-    }
+    print!(
+        "{}",
+        render_table("Table 2: mean per-event cost, no regionalism", &rows)
+    );
 }

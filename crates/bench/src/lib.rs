@@ -1,5 +1,4 @@
-//! Shared scaffolding for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! Shared scaffolding for the table/figure regeneration binaries.
 //!
 //! Every binary accepts a `--scale` flag:
 //!
@@ -24,35 +23,30 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale quick|medium|paper` from `std::env::args`,
-    /// defaulting to `Medium`. Unknown values abort with a usage
-    /// message.
+    /// Parses `std::env::args`, defaulting to `Medium`. The only
+    /// arguments accepted are `--scale quick|medium|paper` and
+    /// `--record` (read by [`write_bench_json`]); anything else aborts
+    /// with a usage message and exit code 2.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                match args.get(i + 1).map(String::as_str) {
-                    Some("quick") => return Scale::Quick,
-                    Some("medium") => return Scale::Medium,
-                    Some("paper") => return Scale::Paper,
-                    other => {
-                        eprintln!(
-                            "usage: --scale quick|medium|paper (got {:?})",
-                            other.unwrap_or("<missing>")
-                        );
-                        std::process::exit(2);
-                    }
-                }
+        let mut scale = Scale::Medium;
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
+            if arg == "--record" {
+                continue;
             }
+            let value = args.next().unwrap_or_default();
+            scale = match (arg.as_str(), value.as_str()) {
+                ("--scale", "quick") => Scale::Quick,
+                ("--scale", "medium") => Scale::Medium,
+                ("--scale", "paper") => Scale::Paper,
+                _ => {
+                    eprintln!("usage: [--scale quick|medium|paper] [--record] (got {arg} {value})");
+                    std::process::exit(2);
+                }
+            };
         }
-        Scale::Medium
+        scale
     }
-}
-
-/// Whether `--csv` was passed (bins then emit machine-readable CSV via
-/// `sim::report::render_*_csv` instead of the human tables).
-pub fn csv_requested() -> bool {
-    std::env::args().any(|a| a == "--csv")
 }
 
 /// Writes the `scale` bin's JSON report and returns where it went:

@@ -71,7 +71,7 @@ pub use rules::{
 pub use scan::{scan, ScannedFile};
 
 /// Vendored third-party API stand-ins: not our code style to police.
-const VENDORED_CRATES: [&str; 3] = ["rand", "proptest", "criterion"];
+const VENDORED_CRATES: [&str; 2] = ["rand", "proptest"];
 
 /// One source file, scanned and indexed exactly once; every rule
 /// shares this view (one tokenization, N rules).

@@ -155,52 +155,6 @@ pub fn render_fig11(res: &Fig10Result) -> String {
     out
 }
 
-/// Renders Table 1/2 rows as CSV (for plotting tools).
-pub fn render_table_csv(rows: &[TableRow]) -> String {
-    let mut out = String::from("nodes,subscriptions,dist,unicast,broadcast,ideal\n");
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{}",
-            r.nodes,
-            r.subscriptions,
-            dist_label(r.dist),
-            r.unicast,
-            r.broadcast,
-            r.ideal
-        );
-    }
-    out
-}
-
-/// Renders a Figure 7/9 result as long-format CSV
-/// (`algorithm,mode,k,improvement`).
-pub fn render_group_sweep_csv(res: &Fig7Result) -> String {
-    let mut out = String::from("algorithm,mode,k,improvement\n");
-    for s in &res.series {
-        for &(k, impr) in &s.points {
-            let _ = writeln!(out, "{},{},{k},{impr}", s.algorithm, mode_label(s.mode));
-        }
-    }
-    out
-}
-
-/// Renders a Figure 10 result as long-format CSV
-/// (`algorithm,cells,improvement,seconds`).
-pub fn render_fig10_csv(res: &Fig10Result) -> String {
-    let mut out = String::from("algorithm,cells,improvement,seconds\n");
-    for s in &res.series {
-        for p in &s.points {
-            let _ = writeln!(
-                out,
-                "{},{},{},{}",
-                s.algorithm, p.cells, p.improvement, p.seconds
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,49 +237,5 @@ mod tests {
         let s = render_fig11(&f10);
         assert!(s.contains("quality as a function of time"));
         assert!(s.contains("44.0"));
-    }
-
-    #[test]
-    fn csv_renders_are_machine_readable() {
-        let rows = vec![TableRow {
-            nodes: 100,
-            subscriptions: 80,
-            dist: PredicateDist::Gaussian,
-            unicast: 548.0,
-            broadcast: 1430.0,
-            ideal: 287.0,
-        }];
-        let csv = render_table_csv(&rows);
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "nodes,subscriptions,dist,unicast,broadcast,ideal"
-        );
-        assert_eq!(lines.next().unwrap(), "100,80,gaussian,548,1430,287");
-
-        let res = Fig7Result {
-            baselines: baselines(),
-            series: vec![GroupSweepSeries {
-                algorithm: "forgy".into(),
-                mode: MulticastMode::SparseMode,
-                points: vec![(10, 40.5)],
-            }],
-        };
-        let csv = render_group_sweep_csv(&res);
-        assert!(csv.contains("forgy,sparse,10,40.5"));
-
-        let f10 = Fig10Result {
-            baselines: baselines(),
-            series: vec![CellSweepSeries {
-                algorithm: "pairs".into(),
-                points: vec![CellSweepPoint {
-                    cells: 500,
-                    improvement: 57.4,
-                    seconds: 0.039,
-                }],
-            }],
-        };
-        let csv = render_fig10_csv(&f10);
-        assert!(csv.contains("pairs,500,57.4,0.039"));
     }
 }
