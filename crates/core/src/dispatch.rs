@@ -29,11 +29,11 @@
 //! heap allocation per event in steady state.
 //!
 //! The plan has two serve calls: [`DispatchPlan::serve`], one event at
-//! a time, is the reference, and [`DispatchPlan::serve_batch`] is the
-//! batched kernel tested against it, whose count-only tail is what
-//! `BrokerService` runs in production. Both decide exactly as
-//! `GridMatcher::match_event` does when handed the brute-force
-//! interested set (pinned by the `dispatch_equivalence` proptests).
+//! a time, and [`DispatchPlan::serve_batch`], the batched kernel whose
+//! count-only tail is what `BrokerService` runs in production. Both
+//! decide exactly as `GridMatcher::match_event` does when handed the
+//! brute-force interested set (pinned by the `batch_equivalence`
+//! proptests against the one test oracle).
 
 use std::collections::HashMap;
 

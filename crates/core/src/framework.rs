@@ -94,17 +94,29 @@ impl CellProbability {
     ///
     /// # Panics
     ///
-    /// Panics if the function returns a negative or NaN mass.
+    /// Panics if the function returns a negative, NaN or infinite mass.
     pub fn from_mass_fn(grid: &Grid, mass: impl Fn(&Rect) -> f64) -> Self {
         let mut probs: Vec<f64> = grid
             .iter()
             .map(|c| {
                 let m = mass(&grid.cell_rect(c));
-                assert!(m >= 0.0, "cell mass must be non-negative, got {m}");
+                assert!(
+                    m >= 0.0 && m.is_finite(),
+                    "cell mass must be finite and non-negative, got {m}"
+                );
                 m
             })
             .collect();
-        let total: f64 = probs.iter().sum();
+        let mut total: f64 = probs.iter().sum();
+        if total.is_infinite() {
+            // Finite masses whose sum overflows: scale by the largest
+            // first, so the normalised masses keep their ratios.
+            let max = probs.iter().copied().fold(0.0, f64::max);
+            for p in &mut probs {
+                *p /= max;
+            }
+            total = probs.iter().sum();
+        }
         if total <= 0.0 {
             return CellProbability::uniform(grid);
         }
@@ -1045,6 +1057,28 @@ mod tests {
         // All-zero mass falls back to uniform.
         let u = CellProbability::from_mass_fn(&g, |_| 0.0);
         assert_eq!(u, CellProbability::uniform(&g));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn from_mass_fn_rejects_infinite_mass() {
+        let _ = CellProbability::from_mass_fn(&grid10(), |r| {
+            if r.interval(0).lo() < 1.0 {
+                f64::INFINITY
+            } else {
+                1.0
+            }
+        });
+    }
+
+    #[test]
+    fn from_mass_fn_survives_an_overflowing_total() {
+        let g = grid10();
+        assert_eq!(g.num_cells(), 10);
+        let p = CellProbability::from_mass_fn(&g, |_| f64::MAX);
+        for c in g.iter() {
+            assert_eq!(p.prob(c), 0.1, "cell {c:?}");
+        }
     }
 
     #[test]

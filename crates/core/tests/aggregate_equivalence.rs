@@ -1,25 +1,29 @@
 //! Subscription aggregation is a pure optimization: serving through
-//! the class-universe [`AggregatePlan`] produces decisions and
-//! concrete interested sets bit-identical to the unaggregated
-//! [`DispatchPlan`] over the expanded population — for all five grid
-//! algorithms, scalar and chunked, at 1 and 8 threads. The No-Loss
-//! analogue clusters class rectangles with multiplicities and
-//! must agree with the concrete build on every region match. The
-//! always-on service path is pinned by `service_path_agrees_with_the
+//! the class-universe [`AggregatePlan`] — scalar `serve`, and
+//! `serve_chunk` in fixed chunks at 1 and 8 threads — makes the
+//! oracle's decision over the concrete population (`oracle::decide`:
+//! brute-force scan plus the paper-literal matcher) and expands to its
+//! concrete interested set, for all five grid algorithms. The No-Loss
+//! analogue clusters class rectangles with multiplicities and must
+//! agree with the concrete build on every region match. The always-on
+//! service path is pinned by `service_path_agrees_with_the
 //! _aggregated_plan` below.
+
+mod oracle;
 
 use std::sync::Arc;
 
 use geometry::{Grid, Interval, Point, Rect};
+use oracle::{algorithms, decide, point_strategy};
 use proptest::prelude::*;
 use pubsub_core::{
-    parallel, AggregatePlan, AggregateScratch, Aggregation, BrokerService, CellProbability,
-    ClusteringAlgorithm, Delivery, DispatchPlan, DispatchScratch, DynamicClustering, GridFramework,
-    KMeans, KMeansVariant, MstClustering, NoLossClustering, NoLossConfig, PairsStrategy,
-    PairwiseGrouping, ServiceConfig,
+    parallel, AggregatePlan, AggregateScratch, Aggregation, BitSet, BrokerService, CellProbability,
+    Delivery, DynamicClustering, GridFramework, KMeans, KMeansVariant, NoLossClustering,
+    NoLossConfig, ServiceConfig, Validator,
 };
 
-/// Bounded random interval inside (0, 20].
+/// Bounded random interval inside (0, 20]: unlike the oracle's, never
+/// unbounded, so the class rectangles stay finite templates.
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (0.0..20.0f64, 0.0..20.0f64).prop_map(|(a, b)| Interval::from_unordered(a, b))
 }
@@ -43,44 +47,18 @@ fn population_strategy() -> impl Strategy<Value = Vec<Rect>> {
         })
 }
 
-/// Points both on- and off-grid (the grid covers (0, 20]).
-fn point_strategy() -> impl Strategy<Value = Point> {
-    prop::collection::vec(-1.0..22.0f64, 2).prop_map(Point::new)
-}
-
-/// All five grid clustering algorithms of the paper.
-fn algorithms() -> Vec<Box<dyn ClusteringAlgorithm>> {
-    vec![
-        Box::new(KMeans::new(KMeansVariant::MacQueen)),
-        Box::new(KMeans::new(KMeansVariant::Forgy)),
-        Box::new(PairwiseGrouping::new(PairsStrategy::Exact)),
-        Box::new(PairwiseGrouping::new(PairsStrategy::Approximate {
-            seed: 9,
-        })),
-        Box::new(MstClustering::new()),
-    ]
-}
-
 fn grid() -> Grid {
     Grid::cube(0.0, 20.0, 2, 10).unwrap()
 }
 
-/// Serves every point through the aggregated plan under a pinned
-/// thread count via the fixed-chunk decomposition the sim uses,
-/// collecting `(decision, interested)` per event.
-fn chunked_aggregated(
-    plan: &AggregatePlan,
-    points: &[Point],
-    threads: usize,
-) -> Vec<(Delivery, Vec<usize>)> {
+/// Serves every point through `plan.serve_chunk` in fixed 8-event
+/// chunks under a pinned thread count, the decomposition the sim uses.
+fn chunked_aggregated(plan: &AggregatePlan, points: &[Point], threads: usize) -> Vec<Delivery> {
     parallel::with_threads(threads, || {
         parallel::par_chunks(points.len(), 8, |range| {
             let mut scratch = AggregateScratch::new();
             let mut out = Vec::with_capacity(range.len());
-            for e in range {
-                let d = plan.serve(&points[e], &mut scratch);
-                out.push((d, scratch.interested().to_vec()));
-            }
+            plan.serve_chunk(range, |e| &points[e], &mut out, &mut scratch);
             out
         })
         .into_iter()
@@ -92,9 +70,9 @@ fn chunked_aggregated(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The aggregated serve path is bit-identical to the concrete
-    /// serve path — decisions AND interested sets — for all five grid
-    /// algorithms, scalar and chunked at 1 and 8 threads.
+    /// The aggregated serve path makes the oracle's decision over the
+    /// concrete population and expands to its interested set, for all
+    /// five grid algorithms, scalar and chunked at 1 and 8 threads.
     #[test]
     fn aggregated_serve_equals_concrete_for_all_algorithms(
         subs in population_strategy(),
@@ -109,9 +87,6 @@ proptest! {
         let class_fw = agg.build_framework(grid.clone(), &probs, None);
         for alg in algorithms() {
             let concrete_clustering = alg.cluster(&concrete_fw, k);
-            let concrete_plan = DispatchPlan::compile(&concrete_fw, &concrete_clustering)
-                .with_threshold(threshold)
-                .with_subscriptions(&subs);
             let class_clustering = alg.cluster(&class_fw, k);
             let agg_plan = AggregatePlan::compile(
                 &class_fw,
@@ -119,21 +94,21 @@ proptest! {
                 threshold,
                 agg.clone(),
             );
-            let mut cs = DispatchScratch::new();
-            let mut asr = AggregateScratch::new();
-            let reference: Vec<(Delivery, Vec<usize>)> = points
+            let (decisions, sets): (Vec<Delivery>, Vec<BitSet>) = points
                 .iter()
-                .map(|p| {
-                    let d = concrete_plan.serve(p, &mut cs);
-                    (d, cs.interested().to_vec())
-                })
-                .collect();
-            for (p, (d_ref, interested_ref)) in points.iter().zip(&reference) {
-                let d = agg_plan.serve(p, &mut asr);
-                prop_assert_eq!(&d, d_ref, "{}: decision diverged at {:?}", alg.name(), p);
+                .map(|p| decide(&concrete_fw, &concrete_clustering, threshold, &subs, p))
+                .unzip();
+            let mut asr = AggregateScratch::new();
+            for ((p, decision), set) in points.iter().zip(&decisions).zip(&sets) {
                 prop_assert_eq!(
-                    asr.interested(),
-                    &interested_ref[..],
+                    agg_plan.serve(p, &mut asr),
+                    *decision,
+                    "{}: decision diverged at {:?}",
+                    alg.name(),
+                    p
+                );
+                prop_assert!(
+                    asr.interested().iter().copied().eq(set.iter()),
                     "{}: interested set diverged at {:?}",
                     alg.name(),
                     p
@@ -143,7 +118,7 @@ proptest! {
                 let chunked = chunked_aggregated(&agg_plan, &points, threads);
                 prop_assert_eq!(
                     &chunked,
-                    &reference,
+                    &decisions,
                     "{} diverged at {} thread(s)",
                     alg.name(),
                     threads
@@ -180,6 +155,10 @@ proptest! {
         let aggregated = NoLossClustering::build_aggregated(
             &classes, agg.weights(), &sample, &cfg, k,
         );
+        // Only the concrete build: the aggregated one caches
+        // class-expanded member counts, which the audit cannot
+        // recompute without the class weights.
+        Validator::new().check_noloss(&subs, &concrete).assert_clean("concrete noloss build");
         for p in &points {
             let c = concrete.match_event(p).map(|r| concrete.regions()[r].rect.clone());
             let a = aggregated.match_event(p).map(|r| aggregated.regions()[r].rect.clone());

@@ -1,76 +1,132 @@
-//! The batched cell-bucketed serve kernel is a pure optimization:
-//! per-event deliveries and interested sets are bit-identical to scalar
-//! `serve` for all five grid algorithms, at any batch decomposition and
-//! any thread count — so every downstream fixed-chunk `f64` aggregate
-//! is bit-identical too. Scalar `serve` itself answers to the
-//! paper-literal matcher in `tests/dispatch_equivalence.rs`. The
-//! count-only tail the service's workers run is held to the brute-force
-//! scan on the edge events through a `BrokerService`.
+//! Every serve path of the compiled plan answers to one oracle
+//! (`oracle::decide`: a brute-force `Rect::contains` scan fed to the
+//! paper-literal Figure 5 matcher), event by event: scalar `serve` and
+//! the batched cell-bucketed kernel at any batch decomposition, on the
+//! decision and on the interested set — for all five grid algorithms,
+//! random populations and the bound/edge population below. The
+//! count-only tail the service's workers run is held to the same
+//! oracle on the edge events through a `BrokerService`. Fixed-chunk
+//! `f64` aggregates over the decisions are bit-identical at any thread
+//! count, and the No-Loss fold answers to its reference selection.
 
-use geometry::{Grid, Interval, Point, Rect};
+mod oracle;
+
+use geometry::{Interval, Point, Rect};
+use oracle::{
+    algorithms, build_framework, decide, edge_events, edge_grid, edge_population, noloss_reference,
+    point_strategy, rect_strategy, SLOT_SIZES,
+};
 use proptest::prelude::*;
 use pubsub_core::{
     parallel, BatchScratch, BitSet, BrokerService, CellProbability, ClusteringAlgorithm, Delivery,
-    DispatchPlan, DispatchScratch, DynamicClustering, GridFramework, GridMatcher, KMeans,
-    KMeansVariant, MstClustering, NoLossClustering, NoLossConfig, PairsStrategy, PairwiseGrouping,
-    ServiceConfig,
+    DispatchPlan, DispatchScratch, DynamicClustering, GridFramework, KMeans, KMeansVariant,
+    NoLossClustering, NoLossConfig, ServiceConfig, Validator,
 };
 
-/// Random interval inside (0, 20], sometimes unbounded.
-fn interval_strategy() -> impl Strategy<Value = Interval> {
-    prop_oneof![
-        3 => (0.0..20.0f64, 0.0..20.0f64).prop_map(|(a, b)| Interval::from_unordered(a, b)),
-        1 => (0.0..20.0f64).prop_map(Interval::greater_than),
-        1 => (0.0..20.0f64).prop_map(Interval::at_most),
-        1 => Just(Interval::all()),
-    ]
+/// Serves `events` through `plan.serve_batch` in consecutive batches of
+/// `batch` events and asserts each event's decision and interested set
+/// against `expected`; `context` prefixes every failure message.
+fn assert_batches_decide(
+    plan: &DispatchPlan,
+    events: &[Point],
+    batch: usize,
+    expected: &[(Delivery, BitSet)],
+    context: &str,
+) {
+    let mut scratch = BatchScratch::new();
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < events.len() {
+        let end = (start + batch).min(events.len());
+        let before = out.len();
+        plan.serve_batch(start..end, |e| &events[e], &mut scratch, &mut out);
+        for local in 0..(end - start) {
+            let (decision, ref set) = expected[start + local];
+            let p = &events[start + local];
+            assert!(
+                scratch.interested_of(local).eq(set.iter()),
+                "{context}, batch {batch}: interested set at {p:?}"
+            );
+            assert_eq!(
+                out[before + local],
+                decision,
+                "{context}, batch {batch}: decision at {p:?}"
+            );
+        }
+        start = end;
+    }
 }
 
-fn rect_strategy() -> impl Strategy<Value = Rect> {
-    prop::collection::vec(interval_strategy(), 2).prop_map(Rect::new)
-}
-
-/// Points both on- and off-grid (the grid covers (0, 20]).
-fn point_strategy() -> impl Strategy<Value = Point> {
-    prop::collection::vec(-1.0..22.0f64, 2).prop_map(Point::new)
-}
-
-/// All five grid clustering algorithms of the paper.
-fn algorithms() -> Vec<Box<dyn ClusteringAlgorithm>> {
-    vec![
-        Box::new(KMeans::new(KMeansVariant::MacQueen)),
-        Box::new(KMeans::new(KMeansVariant::Forgy)),
-        Box::new(PairwiseGrouping::new(PairsStrategy::Exact)),
-        Box::new(PairwiseGrouping::new(PairsStrategy::Approximate {
-            seed: 9,
-        })),
-        Box::new(MstClustering::new()),
-    ]
-}
-
-fn build_framework(subs: &[Rect], max_cells: Option<usize>) -> GridFramework {
-    let grid = Grid::cube(0.0, 20.0, 2, 10).unwrap();
-    let probs = CellProbability::uniform(&grid);
-    GridFramework::build(grid, subs, &probs, max_cells)
-}
-
-fn interested_set(subs: &[Rect], p: &Point) -> BitSet {
-    BitSet::from_members(
-        subs.len(),
-        subs.iter()
-            .enumerate()
-            .filter(|(_, r)| r.contains(p))
-            .map(|(i, _)| i),
-    )
+/// For each of the five algorithms on the complete and the truncated
+/// framework over `subs`: a failure-message context, the compiled plan
+/// and the oracle's decision and interested set for every point.
+fn oracle_plans(
+    subs: &[Rect],
+    points: &[Point],
+    threshold: f64,
+    k: usize,
+) -> Vec<(String, DispatchPlan, Vec<(Delivery, BitSet)>)> {
+    let mut plans = Vec::new();
+    for max_cells in [None, Some(5)] {
+        let fw = build_framework(subs, max_cells);
+        for alg in algorithms() {
+            let clustering = alg.cluster(&fw, k);
+            let plan = DispatchPlan::compile(&fw, &clustering)
+                .with_threshold(threshold)
+                .with_subscriptions(subs);
+            let expected = points
+                .iter()
+                .map(|p| decide(&fw, &clustering, threshold, subs, p))
+                .collect();
+            plans.push((
+                format!("{} (max_cells {max_cells:?})", alg.name()),
+                plan,
+                expected,
+            ));
+        }
+    }
+    plans
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The batched serve path computes the exact interested set and the
-    /// same decision as scalar `serve`, event by event, at batch sizes
-    /// below and above the bucket-sort threshold — for all five
+    /// Scalar `serve` computes the exact interested set — candidate
+    /// pruning through the cell membership is lossless — and the
+    /// paper-literal matcher's decision over it, for all five
     /// algorithms, on both complete and truncated frameworks.
+    #[test]
+    fn serve_equals_brute_force_plus_matcher(
+        subs in prop::collection::vec(rect_strategy(), 1..20),
+        points in prop::collection::vec(point_strategy(), 1..40),
+        threshold in 0.0..1.0f64,
+        k in 1usize..6,
+    ) {
+        let mut scalar = DispatchScratch::new();
+        for (context, plan, expected) in oracle_plans(&subs, &points, threshold, k) {
+            for (p, (decision, set)) in points.iter().zip(&expected) {
+                prop_assert_eq!(
+                    plan.serve(p, &mut scalar),
+                    *decision,
+                    "{}: point {:?}",
+                    context,
+                    p
+                );
+                prop_assert!(
+                    scalar.interested().iter().copied().eq(set.iter()),
+                    "{}: interested set at {:?}",
+                    context,
+                    p
+                );
+            }
+        }
+    }
+
+    /// `serve_batch` (batches of 3 and of every event, below and above
+    /// the bucket-sort threshold) makes the same per-event decision and
+    /// interested set as scalar `serve` — both are held to the one
+    /// oracle on the same generated cases, so neither path is the
+    /// other's expected value.
     #[test]
     fn batched_serve_equals_scalar_serve(
         subs in prop::collection::vec(rect_strategy(), 1..20),
@@ -78,53 +134,26 @@ proptest! {
         threshold in 0.0..1.0f64,
         k in 1usize..6,
     ) {
-        let mut scalar = DispatchScratch::new();
-        let mut scratch = BatchScratch::new();
-        for max_cells in [None, Some(5)] {
-            let fw = build_framework(&subs, max_cells);
-            for alg in algorithms() {
-                let clustering = alg.cluster(&fw, k);
-                let plan = DispatchPlan::compile(&fw, &clustering)
-                    .with_threshold(threshold)
-                    .with_subscriptions(&subs);
-                let reference: Vec<(Delivery, Vec<usize>)> = points
-                    .iter()
-                    .map(|p| {
-                        let d = plan.serve(p, &mut scalar);
-                        (d, scalar.interested().to_vec())
-                    })
-                    .collect();
-                for batch in [3usize, points.len()] {
-                    let mut out = Vec::new();
-                    let mut start = 0;
-                    while start < points.len() {
-                        let end = (start + batch).min(points.len());
-                        let before = out.len();
-                        plan.serve_batch(start..end, |e| &points[e], &mut scratch, &mut out);
-                        for local in 0..(end - start) {
-                            prop_assert_eq!(
-                                out[before + local],
-                                reference[start + local].0,
-                                "{} (max_cells {:?}): decision, batch {}, event {}",
-                                alg.name(),
-                                max_cells,
-                                batch,
-                                start + local
-                            );
-                            prop_assert_eq!(
-                                scratch.interested_of(local).collect::<Vec<_>>(),
-                                reference[start + local].1.clone(),
-                                "{} (max_cells {:?}): interested set, batch {}, event {}",
-                                alg.name(),
-                                max_cells,
-                                batch,
-                                start + local
-                            );
-                        }
-                        start = end;
-                    }
-                }
+        for (context, plan, expected) in oracle_plans(&subs, &points, threshold, k) {
+            for batch in [3usize, points.len()] {
+                assert_batches_decide(&plan, &points, batch, &expected, &context);
             }
+        }
+    }
+
+    /// No-Loss: the allocation-free fold reproduces the reference
+    /// selection (max member count, then weight, then lower index, over
+    /// all containing regions), on a clustering the `Validator` passes.
+    #[test]
+    fn noloss_plan_equals_reference_selection(
+        subs in prop::collection::vec(rect_strategy(), 1..15),
+        points in prop::collection::vec(point_strategy(), 1..40),
+    ) {
+        let cfg = NoLossConfig { max_rects: 60, iterations: 2, max_candidates_per_round: 5_000 };
+        let nl = NoLossClustering::build(&subs, &[], &cfg, 30);
+        Validator::new().check_noloss(&subs, &nl).assert_clean("noloss build");
+        for p in &points {
+            prop_assert_eq!(nl.match_event(p), noloss_reference(&nl, p), "match_event at {:?}", p);
         }
     }
 
@@ -152,11 +181,13 @@ proptest! {
     }
 }
 
-/// Breakdown-shaped aggregates: a `DeliveryBreakdown`-style chunked
-/// `f64` reduction over the decisions is bit-identical between scalar
-/// `serve` and `serve_batch` at 1 and 8 threads — equal per-event
-/// decisions in equal order, combined over the same fixed 64-event
-/// chunks, leave no room for the sums to drift.
+/// Breakdown-shaped aggregates: scalar `serve` and `serve_batch`, each
+/// run in fixed 64-event chunks at 1 and 8 threads, make the oracle's
+/// decision on every event, and a `DeliveryBreakdown`-style chunked
+/// `f64` reduction over those decisions is bit-identical across paths
+/// and thread counts — equal per-event decisions in equal order,
+/// combined over the same fixed chunks, leave no room for the sums to
+/// drift.
 #[test]
 fn breakdown_style_aggregates_bit_identical() {
     use rand::prelude::*;
@@ -177,12 +208,15 @@ fn breakdown_style_aggregates_bit_identical() {
     let points: Vec<Point> = (0..2_000)
         .map(|_| Point::new(vec![rng.gen_range(-1.0..21.0), rng.gen_range(-1.0..21.0)]))
         .collect();
-    let sets: Vec<BitSet> = points.iter().map(|p| interested_set(&subs, p)).collect();
     let fw = build_framework(&subs, Some(200));
     let clustering = KMeans::new(KMeansVariant::Forgy).cluster(&fw, 12);
     let plan = DispatchPlan::compile(&fw, &clustering)
         .with_threshold(0.25)
         .with_subscriptions(&subs);
+    let (expected, sets): (Vec<Delivery>, Vec<BitSet>) = points
+        .iter()
+        .map(|p| decide(&fw, &clustering, 0.25, &subs, p))
+        .unzip();
 
     // Pseudo-cost per event from its decision and interested count —
     // the same shape as the simulator's multicast/unicast cost sums.
@@ -238,7 +272,8 @@ fn breakdown_style_aggregates_bit_identical() {
                 .into_iter()
                 .flatten()
                 .collect();
-                assert_eq!(scalar, batched, "decisions diverged at {threads} thread(s)");
+                assert_eq!(scalar, expected, "scalar serve at {threads} thread(s)");
+                assert_eq!(batched, expected, "serve_batch at {threads} thread(s)");
                 vec![aggregate(&scalar), aggregate(&batched)]
             })
         })
@@ -248,103 +283,26 @@ fn breakdown_style_aggregates_bit_identical() {
     }
 }
 
-/// Candidate counts either side of every power of two a sweep could be
-/// unrolled by, plus the benchmark's dense slot (175).
-const SLOT_SIZES: [usize; 18] = [
-    0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 175,
-];
-
-/// Candidate `j`'s interval on dimension `d`: bounded, `greater_than`,
-/// `at_most` and `all` in turn, every one of them meeting the
-/// target cell `(-1, 0]` and every bound exactly representable.
-fn edge_interval(j: usize, d: usize) -> Interval {
-    const LO: [f64; 4] = [-0.75, -1.0, -0.5, -1.5];
-    const HI: [f64; 4] = [-0.25, 0.0, 0.5, -0.375];
-    let pick = j / 4 + d;
-    match (j + d) % 4 {
-        0 => Interval::new(LO[pick % 4], HI[(pick / 4) % 4]).unwrap(),
-        1 => Interval::greater_than(LO[pick % 4]),
-        2 => Interval::at_most(HI[pick % 4]),
-        _ => Interval::all(),
-    }
-}
-
-/// Events around everything a candidate bound or the grid can be
-/// compared with: each value, moved along one dimension at a time
-/// while the others sit inside or on the upper edge of the target cell;
-/// then the same value on every dimension at once.
-fn edge_events(dim: usize) -> Vec<Point> {
-    let mut values = vec![
-        f64::NEG_INFINITY,
-        f64::INFINITY,
-        -0.0,
-        0.0,
-        // off-grid, and interior points of each cell
-        -3.0,
-        2.5,
-        -1.3,
-        -0.6,
-        -0.3,
-        0.7,
-        1.9,
-    ];
-    // Every candidate bound and every cell edge of the grid over
-    // (-2, 2], each with its two neighbouring floats.
-    for on in [
-        -2.0, -1.5, -1.0, -0.75, -0.5, -0.375, -0.25, 0.0, 0.5, 1.0, 2.0,
-    ] {
-        values.extend([on, f64::next_up(on), f64::next_down(on)]);
-    }
-    let others = [-0.5, 0.0, -0.875, -0.25];
-    let mut events = Vec::new();
-    for &v in &values {
-        for d in 0..dim {
-            for shift in 0..others.len() {
-                let coords = (0..dim)
-                    .map(|e| {
-                        if e == d {
-                            v
-                        } else {
-                            others[(shift + e) % others.len()]
-                        }
-                    })
-                    .collect();
-                events.push(Point::new(coords));
-            }
-        }
-        events.push(Point::new(vec![v; dim]));
-    }
-    events
-}
-
 /// What the proptest above cannot reach: events exactly on a bound and
 /// one float either side of it, on cell edges, at ±∞ and ±0.0, against
-/// slots whose candidate count straddles every unroll width — the
-/// batched kernel, scalar `serve` and a brute-force `Rect::contains`
-/// scan must agree on every interested set, and the first two on every
-/// decision, at batch sizes below, at and above the bucket-sort
-/// threshold. On this grid `x − lo` rounds onto an interior edge for
-/// the float just above it, so these events also hold the grid's
-/// locate and rasterisation to one cell edge.
+/// slots whose candidate count straddles every unroll width — scalar
+/// `serve` and the batched kernel, at batch sizes below, at and above
+/// the bucket-sort threshold, must make the oracle's decision over the
+/// brute-force interested set on every event. On this grid `x − lo`
+/// rounds onto an interior edge for the float just above it, so these
+/// events also hold the grid's locate and rasterisation to one cell
+/// edge.
 #[test]
 fn batched_serve_equals_scalar_on_bounds_edges_and_remainders() {
     for dim in 1..=3usize {
-        let grid = Grid::cube(-2.0, 2.0, dim, 4).unwrap();
+        let grid = edge_grid(dim);
         let target = grid
             .cell_of(&Point::new(vec![-0.5; dim]))
             .expect("the target cell is on the grid");
         let target_rect = grid.cell_rect(target);
         let events = edge_events(dim);
         for &n in &SLOT_SIZES {
-            // An empty target cell is not kept (the R-tree fallback
-            // serves it); the population then lives in another cell.
-            let subs: Vec<Rect> = if n == 0 {
-                vec![Rect::new(vec![Interval::new(1.25, 1.75).unwrap(); dim]); 3]
-            } else {
-                (0..n)
-                    .map(|j| Rect::new((0..dim).map(|d| edge_interval(j, d)).collect()))
-                    .collect()
-            };
+            let subs = edge_population(dim, n);
             assert_eq!(
                 subs.iter().filter(|r| r.intersects(&target_rect)).count(),
                 n,
@@ -356,48 +314,26 @@ fn batched_serve_equals_scalar_on_bounds_edges_and_remainders() {
             let plan = DispatchPlan::compile(&fw, &clustering)
                 .with_threshold(0.4)
                 .with_subscriptions(&subs);
-
-            let mut scalar = DispatchScratch::new();
-            let reference: Vec<(Delivery, Vec<usize>)> = events
+            let expected: Vec<(Delivery, BitSet)> = events
                 .iter()
-                .map(|p| {
-                    let d = plan.serve(p, &mut scalar);
-                    let brute: Vec<usize> =
-                        (0..subs.len()).filter(|&i| subs[i].contains(p)).collect();
-                    assert_eq!(
-                        scalar.interested(),
-                        &brute[..],
-                        "dim {dim}, {n} candidates: scalar serve vs brute force at {p:?}"
-                    );
-                    (d, scalar.interested().to_vec())
-                })
+                .map(|p| decide(&fw, &clustering, 0.4, &subs, p))
                 .collect();
 
+            let context = format!("dim {dim}, {n} candidates");
+            let mut scalar = DispatchScratch::new();
+            for (p, (decision, set)) in events.iter().zip(&expected) {
+                assert_eq!(
+                    plan.serve(p, &mut scalar),
+                    *decision,
+                    "{context}: scalar decision at {p:?}"
+                );
+                assert!(
+                    scalar.interested().iter().copied().eq(set.iter()),
+                    "{context}: scalar interested set at {p:?}"
+                );
+            }
             for batch in [1usize, 15, 16, 64, events.len()] {
-                let mut scratch = BatchScratch::new();
-                let mut out = Vec::new();
-                let mut start = 0;
-                while start < events.len() {
-                    let end = (start + batch).min(events.len());
-                    let before = out.len();
-                    plan.serve_batch(start..end, |e| &events[e], &mut scratch, &mut out);
-                    for local in 0..(end - start) {
-                        let (decision, ref ids) = reference[start + local];
-                        assert_eq!(
-                            scratch.interested_of(local).collect::<Vec<_>>(),
-                            *ids,
-                            "dim {dim}, {n} candidates, batch {batch}: interested set at {:?}",
-                            events[start + local]
-                        );
-                        assert_eq!(
-                            out[before + local],
-                            decision,
-                            "dim {dim}, {n} candidates, batch {batch}: decision at {:?}",
-                            events[start + local]
-                        );
-                    }
-                    start = end;
-                }
+                assert_batches_decide(&plan, &events, batch, &expected, &context);
             }
         }
     }
@@ -405,36 +341,33 @@ fn batched_serve_equals_scalar_on_bounds_edges_and_remainders() {
 
 /// The same events and populations through a `BrokerService`, whose
 /// ingest workers serve every window through the kernel's count-only
-/// tail: every record's interested count is the brute-force scan's, and
-/// its decision the paper-literal matcher's over that scan — `NO_SLOT`
-/// events (off-grid, or in the unkept empty cell) included.
+/// tail: every record's decision and interested count are the oracle's
+/// over the service's subscription slots — `NO_SLOT` events (off-grid,
+/// or in the unkept empty cell) included.
 #[test]
 fn service_records_equal_brute_force_on_bounds_edges_and_remainders() {
     for dim in 1..=3usize {
-        let grid = Grid::cube(-2.0, 2.0, dim, 4).unwrap();
+        let grid = edge_grid(dim);
         let events = edge_events(dim);
         for &n in &SLOT_SIZES {
-            let subs: Vec<Rect> = if n == 0 {
-                vec![Rect::new(vec![Interval::new(1.25, 1.75).unwrap(); dim]); 3]
-            } else {
-                (0..n)
-                    .map(|j| Rect::new((0..dim).map(|d| edge_interval(j, d)).collect()))
-                    .collect()
-            };
             let probs = CellProbability::uniform(&grid);
             let kmeans = KMeans::new(KMeansVariant::MacQueen);
             let mut dynamic = DynamicClustering::new(grid.clone(), probs, kmeans, 3);
-            for rect in &subs {
-                dynamic.subscribe(rect.clone());
+            for rect in edge_population(dim, n) {
+                dynamic.subscribe(rect);
             }
             dynamic.try_rebalance().unwrap();
-            let matcher =
-                GridMatcher::new(dynamic.framework(), dynamic.clustering()).with_threshold(0.4);
             let expected: Vec<(Delivery, u32)> = events
                 .iter()
                 .map(|p| {
-                    let brute = interested_set(&subs, p);
-                    (matcher.match_event(p, &brute), brute.count() as u32)
+                    let (decision, set) = decide(
+                        dynamic.framework(),
+                        dynamic.clustering(),
+                        0.4,
+                        dynamic.subscription_slots(),
+                        p,
+                    );
+                    (decision, set.count() as u32)
                 })
                 .collect();
 
@@ -473,7 +406,7 @@ fn service_records_equal_brute_force_on_bounds_edges_and_remainders() {
 /// the miss.
 #[test]
 fn event_one_float_above_a_cell_edge_reaches_the_rectangle_above_it() {
-    let grid = Grid::cube(-2.0, 2.0, 1, 4).unwrap();
+    let grid = edge_grid(1);
     let subs = vec![
         Rect::new(vec![Interval::new(-1.0, -0.25).unwrap()]),
         Rect::new(vec![Interval::new(-1.5, -1.0).unwrap()]),
@@ -484,9 +417,8 @@ fn event_one_float_above_a_cell_edge_reaches_the_rectangle_above_it() {
     let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 2);
     let plan = DispatchPlan::compile(&fw, &clustering).with_subscriptions(&subs);
 
-    let brute = interested_set(&subs, &p);
+    let (expected, brute) = decide(&fw, &clustering, 0.0, &subs, &p);
     assert_eq!(brute.iter().collect::<Vec<_>>(), [0]);
-    let expected = GridMatcher::new(&fw, &clustering).match_event(&p, &brute);
     assert!(
         matches!(expected, Delivery::Multicast { .. }),
         "the matcher must find subscriber 0 in the event's group: {expected:?}"

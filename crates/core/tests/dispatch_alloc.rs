@@ -9,16 +9,20 @@
 //! `DispatchPlan::serve`, `DispatchPlan::serve_batch` and
 //! `NoLossClustering::match_event` must not allocate at all, and
 //! `BrokerService::offer` must allocate nothing and free each offered
-//! point on the offering thread.
+//! point on the offering thread. The warm-up passes also hold every
+//! decision to the oracle (`oracle::decide`).
+
+mod oracle;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use geometry::{Grid, Interval, Point, Rect};
+use oracle::decide;
 use pubsub_core::{
-    BatchScratch, BitSet, BrokerService, CellProbability, ClusteringAlgorithm, Delivery,
-    DispatchPlan, DispatchScratch, DynamicClustering, GridFramework, GridMatcher, KMeans,
-    KMeansVariant, NoLossClustering, NoLossConfig, ServiceConfig,
+    BatchScratch, BrokerService, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
+    DispatchScratch, DynamicClustering, GridFramework, KMeans, KMeansVariant, NoLossClustering,
+    NoLossConfig, ServiceConfig,
 };
 use rand::prelude::*;
 
@@ -104,30 +108,18 @@ fn steady_state_dispatch_allocates_nothing() {
     let plan = DispatchPlan::compile(&fw, &clustering)
         .with_threshold(0.15)
         .with_subscriptions(&subs);
-    let matcher = GridMatcher::new(&fw, &clustering).with_threshold(0.15);
 
     // Off-grid points exercise the unicast fallback too.
     let events: Vec<Point> = (0..2_000)
         .map(|_| Point::new(vec![rng.gen_range(-0.05..1.05)]))
         .collect();
-    let interested: Vec<BitSet> = events
-        .iter()
-        .map(|p| {
-            BitSet::from_members(
-                subs.len(),
-                subs.iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.contains(p))
-                    .map(|(i, _)| i),
-            )
-        })
-        .collect();
 
     // Warm-up: every buffer reaches its high-water mark, and the plan
-    // must agree with the reference matcher on every event.
+    // must make the oracle's decision on every event.
     let mut scratch = DispatchScratch::new();
-    for (p, set) in events.iter().zip(&interested) {
-        assert_eq!(plan.serve(p, &mut scratch), matcher.match_event(p, set));
+    for p in &events {
+        let (decision, _) = decide(&fw, &clustering, 0.15, &subs, p);
+        assert_eq!(plan.serve(p, &mut scratch), decision, "event at {p:?}");
     }
 
     let allocs = count_allocs(|| {
@@ -162,8 +154,7 @@ fn steady_state_batched_dispatch_allocates_nothing() {
     const BATCH: usize = 256;
 
     // Warm-up pass: buffers reach their high-water mark, and the
-    // batched kernel must agree with scalar `serve` event by event.
-    let mut scalar = DispatchScratch::new();
+    // batched kernel must make the oracle's decision event by event.
     let mut scratch = BatchScratch::new();
     let mut out: Vec<Delivery> = Vec::with_capacity(events.len());
     let run_batches = |scratch: &mut BatchScratch, out: &mut Vec<Delivery>| {
@@ -175,7 +166,8 @@ fn steady_state_batched_dispatch_allocates_nothing() {
     };
     run_batches(&mut scratch, &mut out);
     for (e, p) in events.iter().enumerate() {
-        assert_eq!(out[e], plan.serve(p, &mut scalar), "serve_batch event {e}");
+        let (decision, _) = decide(&fw, &clustering, 0.15, &subs, p);
+        assert_eq!(out[e], decision, "serve_batch event {e}");
     }
 
     let allocs = count_allocs(|| run_batches(&mut scratch, &mut out));
@@ -235,11 +227,8 @@ fn steady_state_batched_dispatch_allocates_nothing() {
     };
     serve_all(&mut scratch, &mut out);
     for (e, p) in events.iter().enumerate() {
-        assert_eq!(
-            out[e],
-            plan.serve(p, &mut scalar),
-            "dense serve_batch event {e}"
-        );
+        let (decision, _) = decide(&fw, &clustering, 0.15, &subs, p);
+        assert_eq!(out[e], decision, "dense serve_batch event {e}");
     }
     let allocs = count_allocs(|| serve_all(&mut scratch, &mut out));
     assert_eq!(

@@ -1,9 +1,11 @@
 //! End-to-end swap semantics of the always-on broker service:
 //!
 //! * a plan-swap storm (one rebalance + hot swap per phase) is
-//!   bit-identical to a serial oracle that replays the same op/event
-//!   interleaving with no concurrency at all, at 1 and 8 ingest
-//!   threads — every event decided by exactly one validated plan;
+//!   bit-identical to a serial replay of the same op/event interleaving
+//!   with no concurrency at all, each event decided by the oracle
+//!   (`oracle::decide`: brute-force scan plus the paper-literal
+//!   matcher) over the replay's slots, at 1 and 8 ingest threads —
+//!   every event decided by exactly one validated plan;
 //! * `delivered + shed` exactly partitions offered load under each
 //!   shed policy, with the shed id sets the policies promise;
 //! * a timed-out rebalance aborts, rolls back, keeps serving the old
@@ -12,21 +14,23 @@
 //! * the windowed ingest protocol (parked-thread counts, one lock per
 //!   window) loses no wake-up under pause/resume/drain contention,
 //!   never serves an event offered after a swap with the plan from
-//!   before it, decides hostile coordinates exactly as scalar `serve`
-//!   does, and rejects a wrong-dimension event in the offering thread;
+//!   before it, decides hostile coordinates as the oracle does, and
+//!   rejects a wrong-dimension event in the offering thread;
 //! * a service over zero subscriptions unicasts every event to nobody,
 //!   and an unsubscribe of a gone or never-issued id is one rejected op.
 //!
 //! These thread-heavy suites sit outside the crate (`tests/`); the
 //! `--lib` unit tests cover the pure logic at small constants.
 
+mod oracle;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use geometry::{Grid, Interval, Point, Rect};
 use pubsub_core::{
-    BrokerService, CellProbability, Delivery, DispatchPlan, DispatchScratch, DynamicClustering,
-    KMeans, KMeansVariant, RebalanceAbort, ServiceConfig, ShedPolicy, SubscriptionId,
+    BrokerService, CellProbability, Delivery, DynamicClustering, KMeans, KMeansVariant,
+    RebalanceAbort, ServiceConfig, ShedPolicy, SubscriptionId,
 };
 use rand::prelude::*;
 
@@ -66,27 +70,17 @@ fn seed_dynamic(dim: usize, n: usize, seed: u64) -> (DynamicClustering, Vec<Subs
     (dynamic, ids)
 }
 
-/// The oracle's plan compiler: public-API reimplementation of what the
-/// service publishes (tombstoned slots become contain-nothing
-/// degenerate rectangles), so agreement is checked against an
-/// independent construction.
-fn oracle_plan(dynamic: &DynamicClustering) -> DispatchPlan {
-    let bounds = dynamic.framework().grid().bounds().clone();
-    let empty = Rect::new(
-        bounds
-            .intervals()
-            .iter()
-            .map(|iv| Interval::new(iv.lo(), iv.lo()).expect("degenerate interval"))
-            .collect(),
+/// The oracle's `(decision, interested count)` for `p` over the
+/// clustering's current slots.
+fn oracle_record(dynamic: &DynamicClustering, p: &Point) -> (Delivery, u32) {
+    let (decision, set) = oracle::decide(
+        dynamic.framework(),
+        dynamic.clustering(),
+        THRESHOLD,
+        dynamic.subscription_slots(),
+        p,
     );
-    let rects: Vec<Rect> = dynamic
-        .subscription_slots()
-        .iter()
-        .map(|s| s.clone().unwrap_or_else(|| empty.clone()))
-        .collect();
-    DispatchPlan::compile(dynamic.framework(), dynamic.clustering())
-        .with_threshold(THRESHOLD)
-        .with_subscriptions(&rects)
+    (decision, set.count() as u32)
 }
 
 /// One deterministically generated storm phase.
@@ -131,7 +125,6 @@ fn swap_storm_is_bit_identical_to_serial_oracle() {
     // service, no threads, no queue.
     let (mut oracle, ids) = seed_dynamic(DIM, N, 7);
     let phases = make_phases(DIM, &ids, PHASES, EVENTS_PER_PHASE);
-    let mut scratch = DispatchScratch::new();
     // (event id, plan version, decision, interested) in offer order.
     let mut expected: Vec<(u64, u64, Delivery, u32)> = Vec::new();
     let mut next_event = 0u64;
@@ -143,15 +136,9 @@ fn swap_storm_is_bit_identical_to_serial_oracle() {
             .resubscribe(*rid, rect.clone())
             .expect("oracle resub");
         oracle.try_rebalance().expect("oracle rebalance");
-        let plan = oracle_plan(&oracle);
         for point in &phase.events {
-            let decision = plan.serve(point, &mut scratch);
-            expected.push((
-                next_event,
-                (p + 1) as u64,
-                decision,
-                scratch.interested().len() as u32,
-            ));
+            let (decision, interested) = oracle_record(&oracle, point);
+            expected.push((next_event, (p + 1) as u64, decision, interested));
             next_event += 1;
         }
     }
@@ -213,11 +200,10 @@ fn swap_storm_is_bit_identical_to_serial_oracle() {
 }
 
 /// A two-worker service over 40 random subscriptions in `dim`
-/// dimensions, and the oracle's copy of the plan it starts with.
-fn shed_service(dim: usize, policy: ShedPolicy, depth: usize) -> (BrokerService, DispatchPlan) {
+/// dimensions.
+fn shed_service(dim: usize, policy: ShedPolicy, depth: usize) -> BrokerService {
     let (dynamic, _) = seed_dynamic(dim, 40, 3);
-    let plan = oracle_plan(&dynamic);
-    let service = BrokerService::start(
+    BrokerService::start(
         dynamic,
         ServiceConfig {
             ingest_threads: 2,
@@ -227,13 +213,12 @@ fn shed_service(dim: usize, policy: ShedPolicy, depth: usize) -> (BrokerService,
             ..ServiceConfig::default()
         },
     )
-    .expect("service starts");
-    (service, plan)
+    .expect("service starts")
 }
 
 #[test]
 fn drop_newest_sheds_the_overflow_and_partitions_load() {
-    let (service, _) = shed_service(1, ShedPolicy::DropNewest, 4);
+    let service = shed_service(1, ShedPolicy::DropNewest, 4);
     service.pause_ingest();
     for i in 0..10u64 {
         assert_eq!(service.offer(Point::new(vec![0.5])), i);
@@ -260,7 +245,7 @@ fn drop_newest_sheds_the_overflow_and_partitions_load() {
 #[test]
 fn drop_oldest_keeps_the_freshest_window() {
     const DIM: usize = 2;
-    let (service, plan) = shed_service(DIM, ShedPolicy::DropOldest, 4);
+    let service = shed_service(DIM, ShedPolicy::DropOldest, 4);
     let mut rng = StdRng::seed_from_u64(41);
     let points: Vec<Point> = (0..10).map(|_| random_point(&mut rng, DIM)).collect();
     service.pause_ingest();
@@ -269,7 +254,9 @@ fn drop_oldest_keeps_the_freshest_window() {
     }
     service.resume_ingest();
     service.drain();
-    let (report, _) = service.shutdown();
+    // No churn reached the clustering: it is the one the plan that
+    // served every event was compiled from.
+    let (report, dynamic) = service.shutdown();
     assert!(report.partitions_offered());
     assert_eq!(report.delivered, 4);
     assert_eq!(report.shed, 6);
@@ -279,13 +266,11 @@ fn drop_oldest_keeps_the_freshest_window() {
         vec![6, 7, 8, 9]
     );
     assert_eq!(report.shed_events, vec![0, 1, 2, 3, 4, 5]);
-    let mut scratch = DispatchScratch::new();
     for r in &report.records {
         let p = &points[r.id as usize];
-        let decision = plan.serve(p, &mut scratch);
         assert_eq!(
             (r.decision, r.interested),
-            (decision, scratch.interested().len() as u32),
+            oracle_record(&dynamic, p),
             "event {} at {p}",
             r.id
         );
@@ -294,7 +279,7 @@ fn drop_oldest_keeps_the_freshest_window() {
 
 #[test]
 fn block_policy_is_lossless_backpressure() {
-    let (service, _) = shed_service(1, ShedPolicy::Block, 4);
+    let service = shed_service(1, ShedPolicy::Block, 4);
     service.pause_ingest();
     for _ in 0..4 {
         service.offer(Point::new(vec![0.5]));
@@ -514,14 +499,13 @@ fn events_offered_after_a_swap_never_see_the_plan_before_it() {
 }
 
 /// Hostile coordinates have a defined outcome through the service: ±∞
-/// and off-grid points are decided exactly as scalar
-/// `DispatchPlan::serve` decides them (unicast to whoever matches,
-/// usually nobody), and NaN cannot be offered at all — `Point::new`
-/// rejects it in the caller's thread before `offer` is reached.
+/// and off-grid points are decided exactly as the oracle decides them
+/// (unicast to whoever matches, usually nobody), and NaN cannot be
+/// offered at all — `Point::new` rejects it in the caller's thread
+/// before `offer` is reached.
 #[test]
 fn hostile_coordinates_are_decided_as_scalar_serve_decides_them() {
     let (dynamic, _) = seed_dynamic(1, 40, 11);
-    let plan = oracle_plan(&dynamic);
     let service = BrokerService::start(
         dynamic,
         ServiceConfig {
@@ -563,16 +547,16 @@ fn hostile_coordinates_are_decided_as_scalar_serve_decides_them() {
         service.offer(p.clone());
     }
     service.drain();
-    let (report, _) = service.shutdown();
+    // No churn reached the clustering: it is the one the plan that
+    // served every event was compiled from.
+    let (report, dynamic) = service.shutdown();
 
     assert!(report.partitions_offered());
     assert_eq!(report.delivered, points.len() as u64);
-    let mut scratch = DispatchScratch::new();
     for (r, p) in report.records.iter().zip(&points) {
-        let decision = plan.serve(p, &mut scratch);
         assert_eq!(
             (r.decision, r.interested),
-            (decision, scratch.interested().len() as u32),
+            oracle_record(&dynamic, p),
             "event {} at {p}",
             r.id
         );

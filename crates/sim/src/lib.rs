@@ -29,12 +29,10 @@ pub mod experiments;
 pub mod report;
 mod resilience;
 mod scenario;
-mod service;
 pub mod stats;
 mod system;
 
 pub use delivery::{BaselineCosts, DeliveryBreakdown, Evaluator, MulticastMode};
 pub use resilience::{failure_churn, ChurnReport, ResilienceBreakdown, RetryPolicy};
 pub use scenario::StockScenario;
-pub use service::{run_chaos, ChaosRunReport};
 pub use system::{DeliveryReport, PubSubSystem, SystemStats};

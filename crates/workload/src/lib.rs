@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chaos;
 mod covering;
 mod density;
 mod dist;
@@ -28,7 +27,6 @@ mod section3;
 mod stock;
 mod types;
 
-pub use chaos::{ChaosConfig, ChaosEpoch, ChaosScenario, ChurnOp};
 pub use covering::{prune_covered, PruneOutcome};
 pub use density::{NormalMixture, PublicationDensity};
 pub use dist::{DistError, Normal, Pareto, Zipf};

@@ -6,7 +6,7 @@
 //! with a long tail of bespoke rectangles. [`NearDupModel`] reproduces
 //! that shape: a pool of `distinct` template rectangles is drawn once,
 //! then each of `population` subscribers picks a template with
-//! Zipf(`alpha`) popularity — so the realized population contains many
+//! Zipf(1.1) popularity — so the realized population contains many
 //! *bit-identical* copies of the head templates, which is exactly what
 //! subscription aggregation exploits.
 
@@ -19,6 +19,8 @@ use crate::types::{Event, Subscription, Workload};
 
 /// Extent of every attribute domain: `[0, DOMAIN]`.
 const DOMAIN: f64 = 100.0;
+/// Zipf exponent over template popularity.
+const ALPHA: f64 = 1.1;
 
 /// A near-duplicate population generator (see the module docs).
 ///
@@ -44,9 +46,6 @@ pub struct NearDupModel {
 }
 
 impl NearDupModel {
-    /// Default Zipf exponent over template popularity.
-    pub const DEFAULT_ALPHA: f64 = 1.1;
-
     /// Creates a model producing `population` subscriptions drawn from
     /// a pool of `distinct` template rectangles in `dim` dimensions.
     ///
@@ -59,28 +58,12 @@ impl NearDupModel {
         dim: usize,
         seed: u64,
     ) -> Result<Self, DistError> {
-        Self::with_alpha(population, distinct, dim, Self::DEFAULT_ALPHA, seed)
-    }
-
-    /// Like [`new`](Self::new) with an explicit Zipf exponent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::EmptySupport`] when `distinct == 0` and
-    /// [`DistError::InvalidShape`] when `alpha` is non-positive.
-    pub fn with_alpha(
-        population: usize,
-        distinct: usize,
-        dim: usize,
-        alpha: f64,
-        seed: u64,
-    ) -> Result<Self, DistError> {
         assert!(dim > 0, "event space needs at least one dimension");
         Ok(NearDupModel {
             population,
             distinct,
             dim,
-            zipf: Zipf::new(distinct, alpha)?,
+            zipf: Zipf::new(distinct, ALPHA)?,
             // Mean half-length 5 on a 0..100 domain: selective rects.
             lengths: Pareto::with_mean(5.0)?,
             seed,
@@ -218,6 +201,5 @@ mod tests {
     #[test]
     fn empty_pool_is_rejected() {
         assert!(NearDupModel::new(10, 0, 2, 1).is_err());
-        assert!(NearDupModel::with_alpha(10, 5, 2, 0.0, 1).is_err());
     }
 }

@@ -124,10 +124,6 @@ pub struct StockModel {
     pub num_events: usize,
     /// Number of publication hot spots.
     pub modes: PublicationModes,
-    /// Zipf exponent for stub / node placement and name-interval length.
-    pub zipf_alpha: f64,
-    /// Per-block subscription weights (40/30/30% in the paper).
-    pub block_weights: Vec<f64>,
     /// Standard deviation of the name-interval center around the
     /// block-specific mean (4 in the paper). Larger values weaken the
     /// *regionalism of interest* — the assumption the paper's Section 3
@@ -141,8 +137,6 @@ impl Default for StockModel {
             num_subscriptions: 1000,
             num_events: 500,
             modes: PublicationModes::One,
-            zipf_alpha: 1.0,
-            block_weights: vec![0.4, 0.3, 0.3],
             name_sd: 4.0,
         }
     }
@@ -153,6 +147,10 @@ impl Default for StockModel {
 const NAME_MEANS: [f64; 3] = [3.0, 10.0, 17.0];
 /// Value domain maximum for name / quote / volume.
 const VALUE_MAX: f64 = 20.0;
+/// Zipf exponent for stub / node placement and name-interval length.
+const ZIPF_ALPHA: f64 = 1.0;
+/// Per-block subscription weights (40/30/30% in the paper).
+const BLOCK_WEIGHTS: [f64; 3] = [0.4, 0.3, 0.3];
 
 impl StockModel {
     /// Returns a copy with the given subscription and event counts.
@@ -180,34 +178,6 @@ impl StockModel {
         self
     }
 
-    /// Returns a copy with the given Zipf exponent for stub/node
-    /// placement and name-interval lengths (1.0 in the paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is non-positive or NaN.
-    pub fn with_zipf_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0, "zipf alpha must be positive");
-        self.zipf_alpha = alpha;
-        self
-    }
-
-    /// Returns a copy with the given per-block subscription weights
-    /// (40/30/30% in the paper; adapted to the topology's block count
-    /// at generation time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weights are empty or not all positive.
-    pub fn with_block_weights(mut self, weights: Vec<f64>) -> Self {
-        assert!(
-            !weights.is_empty() && weights.iter().all(|&w| w > 0.0),
-            "block weights must be positive"
-        );
-        self.block_weights = weights;
-        self
-    }
-
     /// The analytic publication density this model samples events from.
     ///
     /// The paper's clustering framework weighs cells and regions by the
@@ -220,16 +190,16 @@ impl StockModel {
 
     /// Generates the workload on `topo`.
     ///
-    /// `block_weights` are adapted to the topology: truncated when the
-    /// topology has fewer transit blocks than weights, padded with the
-    /// mean weight when it has more.
+    /// The 40/30/30 block weights are adapted to the topology:
+    /// truncated when the topology has fewer transit blocks than
+    /// weights, padded with the mean weight when it has more.
     ///
     /// # Panics
     ///
     /// Panics if the topology has no stub nodes.
     pub fn generate(&self, topo: &Topology, rng: &mut impl Rng) -> Workload {
-        let mut block_weights = self.block_weights.clone();
-        let mean = block_weights.iter().sum::<f64>() / block_weights.len().max(1) as f64;
+        let mut block_weights = BLOCK_WEIGHTS.to_vec();
+        let mean = block_weights.iter().sum::<f64>() / block_weights.len() as f64;
         block_weights.resize(topo.num_blocks(), mean);
         let quote_row = ParametricRow {
             q0: 0.15,
@@ -244,15 +214,14 @@ impl StockModel {
             q0: 0.35,
             ..quote_row
         };
-        let name_len_zipf =
-            Zipf::new(VALUE_MAX as usize, self.zipf_alpha).expect("positive support");
+        let name_len_zipf = Zipf::new(VALUE_MAX as usize, ZIPF_ALPHA).expect("positive support");
 
         // Subscriber placement: blocks → stubs (Zipf) → nodes (Zipf).
         let nodes = zipf_placement(
             topo,
             self.num_subscriptions,
             &block_weights,
-            self.zipf_alpha,
+            ZIPF_ALPHA,
             rng,
         );
         let mut subscriptions = Vec::with_capacity(self.num_subscriptions);
@@ -429,44 +398,8 @@ mod tests {
 
     #[test]
     fn builder_knobs_round_trip() {
-        let m = StockModel::default()
-            .with_zipf_alpha(1.5)
-            .with_block_weights(vec![0.5, 0.5])
-            .with_name_sd(2.0);
-        assert_eq!(m.zipf_alpha, 1.5);
-        assert_eq!(m.block_weights, vec![0.5, 0.5]);
+        let m = StockModel::default().with_name_sd(2.0);
         assert_eq!(m.name_sd, 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn builder_rejects_bad_alpha() {
-        let _ = StockModel::default().with_zipf_alpha(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn builder_rejects_bad_weights() {
-        let _ = StockModel::default().with_block_weights(vec![0.5, 0.0]);
-    }
-
-    #[test]
-    fn higher_alpha_concentrates_placement() {
-        let t = topo();
-        let count_top_stub = |alpha: f64| {
-            let mut rng = StdRng::seed_from_u64(10);
-            let w = StockModel::default()
-                .with_sizes(3000, 1)
-                .with_zipf_alpha(alpha)
-                .generate(&t, &mut rng);
-            // Subscriptions on the most-loaded stub.
-            let mut per_stub = std::collections::HashMap::new();
-            for s in &w.subscriptions {
-                *per_stub.entry(t.stub_of(s.node).unwrap()).or_insert(0usize) += 1;
-            }
-            per_stub.values().copied().max().unwrap_or(0)
-        };
-        assert!(count_top_stub(2.0) > count_top_stub(0.5));
     }
 
     #[test]

@@ -1,34 +1,24 @@
 //! Thread-count invariance of the parallel pipeline: every fan-out
 //! introduced by `pubsub_core::parallel` must be bit-for-bit
 //! deterministic — one worker or eight, the framework, the clusterings
-//! of all five algorithms and the Figure 7 numbers must be identical.
+//! of all five algorithms, the simulator's delivery breakdowns and the
+//! Figure 7 numbers must be identical.
 //!
 //! The tests force both extremes through the thread-local override
 //! (`parallel::with_threads`), so they are meaningful even on a
 //! single-CPU machine and regardless of `PUBSUB_THREADS`.
 
-use netsim::TransitStubParams;
-use pubsub_core::parallel::with_threads;
-use pubsub_core::{
-    Clustering, ClusteringAlgorithm, GridFramework, KMeans, KMeansVariant, MstClustering,
-    NoLossConfig, PairsStrategy, PairwiseGrouping,
-};
-use sim::experiments::{fig7, Fig7Config};
-use sim::StockScenario;
-use workload::StockModel;
+#[path = "../crates/core/tests/oracle/mod.rs"]
+mod oracle;
 
-/// The five clustering algorithms of the paper's evaluation.
-fn algorithms() -> Vec<Box<dyn ClusteringAlgorithm>> {
-    vec![
-        Box::new(KMeans::new(KMeansVariant::MacQueen)),
-        Box::new(KMeans::new(KMeansVariant::Forgy)),
-        Box::new(MstClustering::new()),
-        Box::new(PairwiseGrouping::new(PairsStrategy::Exact)),
-        Box::new(PairwiseGrouping::new(PairsStrategy::Approximate {
-            seed: 99,
-        })),
-    ]
-}
+use geometry::{Grid, Point, Rect};
+use netsim::TransitStubParams;
+use oracle::algorithms;
+use pubsub_core::parallel::with_threads;
+use pubsub_core::{CellProbability, Clustering, GridFramework, NoLossConfig};
+use sim::experiments::{fig7, Fig7Config};
+use sim::{Evaluator, StockScenario};
+use workload::{PredicateDist, Section3Model, StockModel};
 
 fn assignment(fw: &GridFramework, c: &Clustering) -> Vec<usize> {
     (0..fw.hypercells().len())
@@ -121,4 +111,53 @@ fn fig7_numbers_are_thread_count_invariant() {
             );
         }
     }
+}
+
+/// End-to-end: the numbers the simulator reports for a realistic
+/// scenario are bit-identical across thread counts, for all five
+/// algorithms. The contract does not depend on the hyper-cell count, so
+/// the framework is capped where five cold clusterings (exact pairwise
+/// included) stay cheap in the debug profile.
+#[test]
+fn delivery_breakdown_bits_identical_across_thread_counts() {
+    use rand::prelude::*;
+
+    let mut rng = StdRng::seed_from_u64(5);
+    let topo = netsim::Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
+    let model = Section3Model {
+        regionalism: 0.4,
+        dist: PredicateDist::Uniform,
+        num_subscriptions: 150,
+        num_events: 80,
+    };
+    let w = model.generate(&topo, &mut rng);
+    let grid = Grid::new(w.bounds.clone(), w.suggested_bins.clone()).unwrap();
+    let rects: Vec<Rect> = w.subscriptions.iter().map(|s| s.rect.clone()).collect();
+    let sample: Vec<Point> = w.events.iter().map(|e| e.point.clone()).collect();
+    let probs = CellProbability::empirical(&grid, &sample);
+    let fw = GridFramework::build(grid, &rects, &probs, Some(300));
+
+    let clusterings: Vec<Clustering> = algorithms().iter().map(|a| a.cluster(&fw, 10)).collect();
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let mut ev = Evaluator::new(&topo, &w);
+            clusterings
+                .iter()
+                .map(|c| {
+                    let bd = ev.grid_clustering_breakdown(&fw, c, 0.25);
+                    (
+                        bd.events,
+                        bd.multicast_events,
+                        bd.unicast_events,
+                        bd.multicast_cost.to_bits(),
+                        bd.unicast_cost.to_bits(),
+                        bd.mean_group_nodes.to_bits(),
+                        bd.mean_wasted_nodes.to_bits(),
+                        bd.mean_interested_nodes.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    assert_eq!(run(1), run(8), "breakdowns diverged across thread counts");
 }
