@@ -14,8 +14,11 @@
 //!    [`Grid::cell_of`](geometry::Grid::cell_of) applies, hence the
 //!    cells scalar `serve` finds);
 //! 2. **bucketing** — batch-local event positions are sorted by kept
-//!    hyper-cell slot (off-grid and truncated cells share the `NO_SLOT`
-//!    bucket), so each distinct slot is resolved once per batch;
+//!    hyper-cell slot (off-grid, empty and truncated cells share the
+//!    `NO_SLOT` bucket, which the plan's fallback R-tree answers — over
+//!    the rectangles overhanging the grid when the framework is
+//!    complete, over all of them when it is not), so each distinct slot
+//!    is resolved once per batch;
 //! 3. **per-bucket resolve, per-event sweep and tail** — the bucket's
 //!    candidate block is looked up once in the plan's *precompiled*
 //!    flat bound arrays (dimension-major `f64` bounds, built by
@@ -84,7 +87,8 @@ pub struct BatchScratch {
     starts: Vec<u32>,
     /// Interested subscriber count per batch-local event, in both modes.
     counts: Vec<u32>,
-    /// R-tree fallback buffer for `NO_SLOT` events.
+    /// R-tree fallback buffer for `NO_SLOT` events: positions in the
+    /// plan's fallback id map, not subscriber ids.
     tmp: Vec<usize>,
 }
 
@@ -270,14 +274,15 @@ impl DispatchPlan {
                 end += 1;
             }
             if slot == NO_SLOT {
-                // Not kept: full-index fallback and unicast, exactly as
-                // the scalar serve path.
+                // Not kept: the fallback index and unicast, exactly as
+                // the scalar serve path; only the id tail translates its
+                // positions to subscriber ids.
                 for &l in &order[at..end] {
                     let p = point_of(start_event + l as usize);
                     state.index.matching_into(p, tmp);
                     if IDS {
                         starts[l as usize] = interested.len() as u32;
-                        interested.extend(tmp.iter().map(|&i| i as u32));
+                        interested.extend(tmp.iter().map(|&k| state.fallback[k]));
                     }
                     counts[l as usize] = tmp.len() as u32;
                     // `out[base + l]` stays `Unicast`.

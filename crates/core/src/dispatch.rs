@@ -64,14 +64,20 @@ pub(crate) enum CellTable {
 
 /// Owned subscription state enabling the self-contained serve path
 /// ([`DispatchPlan::serve`]): rectangles for candidate filtering and an
-/// R-tree index for events whose cell was not kept. For the batched
-/// serve kernel it also precompiles every kept slot's candidate bounds
-/// into flat dimension-major arrays, so `serve_batch` scans contiguous
-/// memory with no per-bucket `Rect` gather at all.
+/// R-tree index for events whose cell was not kept. The index covers
+/// only the rectangles no kept cell answers for — those overhanging the
+/// grid when the framework is complete, every one when it is not. For
+/// the batched serve kernel it also precompiles every kept slot's
+/// candidate bounds into flat dimension-major arrays, so `serve_batch`
+/// scans contiguous memory with no per-bucket `Rect` gather at all.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeState {
     pub(crate) rects: Vec<Rect>,
+    /// R-tree over `rects[fallback[k]]`, item `k` for position `k`.
     pub(crate) index: SubscriptionIndex,
+    /// Ascending subscriber ids the index covers: a position the index
+    /// reports is translated back to a subscriber id through this map.
+    pub(crate) fallback: Vec<u32>,
     /// Lower bounds of slot `s`'s candidates, dimension-major within
     /// the slot's block: `cand_lo[o * dim + d * nc + k]` where
     /// `o = hyper_offsets[s]` and `nc` is the slot's member count.
@@ -148,6 +154,10 @@ pub struct DispatchPlan {
     pub(crate) hyper_offsets: Vec<u32>,
     /// Precomputed `members.count()` per group.
     pub(crate) group_size: Vec<u32>,
+    /// Whether the framework kept every non-empty cell
+    /// ([`GridFramework`]'s `complete`): then an in-grid event outside
+    /// every kept cell interests nobody.
+    pub(crate) complete: bool,
     pub(crate) serve_state: Option<ServeState>,
 }
 
@@ -205,6 +215,7 @@ impl DispatchPlan {
             hyper_members,
             hyper_offsets,
             group_size,
+            complete: framework.complete,
             serve_state: None,
         }
     }
@@ -226,10 +237,17 @@ impl DispatchPlan {
     }
 
     /// Attaches the subscription rectangles, enabling
-    /// [`DispatchPlan::serve`] (the plan copies the rectangles, builds
-    /// the unicast-fallback R-tree once, and precompiles every kept
-    /// slot's candidate bounds into the flat arrays the batched serve
-    /// kernel scans — see DESIGN.md §13).
+    /// [`DispatchPlan::serve`] (the plan copies the rectangles,
+    /// precompiles every kept slot's candidate bounds into the flat
+    /// arrays the batched serve kernel scans, and builds the
+    /// unicast-fallback R-tree once — see DESIGN.md §11 and §13).
+    ///
+    /// The R-tree holds only the rectangles a kept cell's member list
+    /// cannot answer for. On a complete framework every non-empty cell
+    /// is kept, so an in-grid event outside every kept cell interests
+    /// nobody, and only a rectangle that sticks out of the grid can
+    /// contain an off-grid event: those are indexed. On a truncated or
+    /// filtered framework every rectangle is.
     ///
     /// # Panics
     ///
@@ -257,13 +275,28 @@ impl DispatchPlan {
                 }
             }
         }
+        let fallback: Vec<u32> = (0..subscriptions.len() as u32)
+            .filter(|&id| self.needs_fallback(&subscriptions[id as usize]))
+            .collect();
+        let unanswered: Vec<Rect> = fallback
+            .iter()
+            .map(|&id| subscriptions[id as usize].clone())
+            .collect();
         self.serve_state = Some(ServeState {
             rects: subscriptions.to_vec(),
-            index: SubscriptionIndex::build(subscriptions),
+            index: SubscriptionIndex::build(&unanswered),
+            fallback,
             cand_lo,
             cand_hi,
         });
         self
+    }
+
+    /// Whether no kept cell's member list answers for rectangle `r`, so
+    /// the fallback index must hold it: every rectangle when the
+    /// framework is not complete, else one that overhangs the grid.
+    pub(crate) fn needs_fallback(&self, r: &Rect) -> bool {
+        !self.complete || !self.grid.bounds().contains_rect(r)
     }
 
     /// The configured threshold.
@@ -322,9 +355,10 @@ impl DispatchPlan {
     /// set: any rectangle containing the point overlaps the point's
     /// cell) filtered by exact rectangle containment — no R-tree
     /// descent. Events outside every kept cell fall back to the R-tree
-    /// index and are unicast, as in the uncompiled path. After the
-    /// call, [`DispatchScratch::interested`] holds the interested ids
-    /// in increasing order.
+    /// over the rectangles no kept cell answers for, and are unicast, as
+    /// in the uncompiled path. After the call,
+    /// [`DispatchScratch::interested`] holds the interested ids in
+    /// increasing order.
     ///
     /// # Panics
     ///
@@ -348,10 +382,14 @@ impl DispatchPlan {
                 self.decide(slot, scratch.interested.len())
             }
             None => {
-                // Not kept: the cell membership is unknown (truncated or
-                // empty), so fall back to the full index. The decision is
-                // always unicast, matching `group_of_point → None`.
+                // Not kept: the cell is off-grid, empty or truncated, so
+                // the index answers, and its ascending positions map to
+                // ascending ids. The decision is always unicast, matching
+                // `group_of_point → None`.
                 state.index.matching_into(p, &mut scratch.interested);
+                for id in &mut scratch.interested {
+                    *id = state.fallback[*id] as usize;
+                }
                 Delivery::Unicast
             }
         }

@@ -525,8 +525,12 @@ impl Validator {
     /// Audits the flat candidate arrays — all `serve_batch` reads to
     /// decide an event — against what scalar `serve` reads for the same
     /// candidate: every stored bound is `to_bits`-equal to the owned
-    /// rectangle's. At most one violation per slot. Requires sound
-    /// hyper-cell member lists (monotone offsets over the flat ids).
+    /// rectangle's. At most one violation per slot. Then the fallback:
+    /// its ids are ascending subscriber ids, exactly those no kept cell
+    /// answers for (the rectangles overhanging the grid, or all of them
+    /// when the framework is not complete), and the index holds that
+    /// many. Requires sound hyper-cell member lists (monotone offsets
+    /// over the flat ids).
     fn check_serve_state(&mut self, plan: &DispatchPlan, state: &ServeState) {
         const INVARIANT: &str = "dispatch.serve-state";
         let dim = plan.grid.dim();
@@ -597,6 +601,49 @@ impl Validator {
                     ),
                 );
             }
+        }
+        self.check_fallback(plan, state);
+    }
+
+    /// The fallback half of [`Validator::check_serve_state`]; requires
+    /// its shape checks (one rectangle per subscriber, of the grid's
+    /// dimension).
+    fn check_fallback(&mut self, plan: &DispatchPlan, state: &ServeState) {
+        const INVARIANT: &str = "dispatch.serve-state";
+        let (n, ids) = (state.rects.len(), &state.fallback);
+        if !ids.is_sorted_by(|a, b| a < b) || ids.last().is_some_and(|&id| id as usize >= n) {
+            self.fail(
+                INVARIANT,
+                format!("fallback ids are not ascending subscriber ids below {n}"),
+            );
+            return;
+        }
+        let mut listed = ids.iter().map(|&id| id as usize).peekable();
+        for id in 0..n {
+            let held = listed.next_if_eq(&id).is_some();
+            if plan.needs_fallback(&state.rects[id]) != held {
+                let detail = if held {
+                    format!(
+                        "fallback holds subscriber {id}, whose rectangle a kept cell answers for"
+                    )
+                } else {
+                    format!(
+                        "fallback misses subscriber {id}, whose rectangle no kept cell answers for"
+                    )
+                };
+                self.fail(INVARIANT, detail);
+                break;
+            }
+        }
+        if state.index.len() != ids.len() {
+            self.fail(
+                INVARIANT,
+                format!(
+                    "fallback index holds {} rectangles for {} ids",
+                    state.index.len(),
+                    ids.len()
+                ),
+            );
         }
     }
 
@@ -731,15 +778,20 @@ mod tests {
 
     /// A bench-shaped scenario with every auditable artifact armed:
     /// a compiled plan with a dense table, at least two groups and the
-    /// serve arrays attached.
+    /// serve arrays attached, three of whose rectangles overhang the
+    /// grid.
     fn scenario() -> Scenario {
         let mut rng = StdRng::seed_from_u64(2002);
-        let subs: Vec<Rect> = (0..30)
+        let mut subs: Vec<Rect> = (0..30)
             .map(|_| {
                 let lo = rng.gen_range(0.0..8.0);
                 rect1(lo, lo + rng.gen_range(0.5..2.0))
             })
             .collect();
+        // Rectangles overhanging the grid give the fallback ids to audit.
+        subs.insert(4, rect1(-1.0, 1.5));
+        subs.insert(17, Rect::new(vec![Interval::greater_than(8.5)]));
+        subs.push(rect1(9.0, 11.0));
         let grid = Grid::cube(0.0, 10.0, 1, 40).unwrap();
         let probs = CellProbability::uniform(&grid);
         let fw = GridFramework::build(grid, &subs, &probs, None);
@@ -786,7 +838,7 @@ mod tests {
     }
 
     /// Number of grid-artifact corruptions [`corrupt`] knows.
-    const GRID_CORRUPTIONS: usize = 13;
+    const GRID_CORRUPTIONS: usize = 14;
 
     /// First of the corruptions that touch only the plan's serve arrays
     /// (kinds `SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS`).
@@ -910,6 +962,11 @@ mod tests {
                 bounds.truncate(bounds.len() - 1);
                 "serve-array-truncated"
             }
+            13 => {
+                let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
+                state.fallback.remove(salt % state.fallback.len());
+                "fallback-id-drop"
+            }
             _ => unreachable!("unknown corruption kind"),
         }
     }
@@ -976,6 +1033,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The fallback index covers the overhanging rectangles of a
+    /// complete framework and every rectangle of a truncated one; the
+    /// audit names an id dropped from either.
+    #[test]
+    fn audit_names_a_dropped_fallback_id() {
+        let mut s = scenario();
+        let fallback = &s
+            .plan
+            .serve_state
+            .as_ref()
+            .expect("serve arrays attached")
+            .fallback;
+        assert_eq!(*fallback, [4, 17, 32]);
+        corrupt(&mut s, 13, 1);
+        let err = audit(&s).finish().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("fallback misses subscriber 17, whose rectangle no kept cell"),
+            "{err}"
+        );
+
+        let fw = GridFramework::build(s.fw.grid().clone(), &s.subs, &s.probs, Some(5));
+        assert!(!fw.complete, "five hyper-cells must truncate the scenario");
+        let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 2);
+        let mut plan = DispatchPlan::compile(&fw, &clustering).with_subscriptions(&s.subs);
+        let state = plan.serve_state.as_ref().expect("serve arrays attached");
+        assert!(state
+            .fallback
+            .iter()
+            .map(|&id| id as usize)
+            .eq(0..s.subs.len()));
+        let mut v = Validator::new();
+        v.check_dispatch_plan(&fw, &clustering, &plan);
+        v.assert_clean("truncated plan");
+        plan.serve_state
+            .as_mut()
+            .expect("serve arrays attached")
+            .fallback
+            .remove(9);
+        let mut v = Validator::new();
+        v.check_dispatch_plan(&fw, &clustering, &plan);
+        let err = v.finish().unwrap_err();
+        assert!(
+            err.to_string().contains("fallback misses subscriber 9"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! paper-literal Figure 5 matcher), event by event: scalar `serve` and
 //! the batched cell-bucketed kernel at any batch decomposition, on the
 //! decision and on the interested set — for all five grid algorithms,
-//! random populations and the bound/edge population below. The
+//! random populations, a truncated framework of bounded rectangles and
+//! the bound/edge population below. The
 //! count-only tail the service's workers run is held to the same
 //! oracle on the edge events through a `BrokerService`. Fixed-chunk
 //! `f64` aggregates over the decisions are bit-identical at any thread
@@ -57,15 +58,13 @@ fn assert_batches_decide(
     }
 }
 
-/// For each of the five algorithms on the complete and the truncated
-/// framework over `subs`: a failure-message context, the compiled plan
-/// and the oracle's decision and interested set for every point.
-fn oracle_plans(
-    subs: &[Rect],
-    points: &[Point],
-    threshold: f64,
-    k: usize,
-) -> Vec<(String, DispatchPlan, Vec<(Delivery, BitSet)>)> {
+/// A failure-message context, a compiled plan and the oracle's decision
+/// and interested set for every point.
+type OraclePlan = (String, DispatchPlan, Vec<(Delivery, BitSet)>);
+
+/// An [`OraclePlan`] for each of the five algorithms on the complete and
+/// the truncated framework over `subs`.
+fn oracle_plans(subs: &[Rect], points: &[Point], threshold: f64, k: usize) -> Vec<OraclePlan> {
     let mut plans = Vec::new();
     for max_cells in [None, Some(5)] {
         let fw = build_framework(subs, max_cells);
@@ -280,6 +279,88 @@ fn breakdown_style_aggregates_bit_identical() {
         .collect();
     for r in &runs {
         assert_eq!(r, &runs[0], "aggregates diverged across paths/threads");
+    }
+}
+
+/// A framework that really truncates, over bounded rectangles only: none
+/// of them overhangs the grid, so an event in a truncated cell is
+/// answered by the fallback index only if the plan indexed every
+/// rectangle because the framework is not complete. (The proptests'
+/// unbounded rectangles overhang the grid anyway, so they would not
+/// notice an index built over the overhanging ones alone.) Scalar
+/// `serve` and `serve_batch`, in batches of 1, 3 and every event, must
+/// make the oracle's decision over its interested set, for all five
+/// algorithms, on and off the grid.
+#[test]
+fn truncated_framework_of_bounded_rectangles_serves_like_the_oracle() {
+    use rand::prelude::*;
+
+    let mut rng = StdRng::seed_from_u64(40);
+    let subs: Vec<Rect> = (0..60)
+        .map(|_| {
+            Rect::new(
+                (0..2)
+                    .map(|_| {
+                        let lo = rng.gen_range(0.0..16.0);
+                        Interval::new(lo, lo + rng.gen_range(0.5..4.0)).unwrap()
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut points: Vec<Point> = (0..34)
+        .flat_map(|i| {
+            (0..34).map(move |j| Point::new(vec![0.65 * i as f64 - 1.1, 0.65 * j as f64 - 1.1]))
+        })
+        .collect();
+    points.extend([
+        Point::new(vec![f64::INFINITY, 5.0]),
+        Point::new(vec![5.0, f64::NEG_INFINITY]),
+    ]);
+    let fw = build_framework(&subs, Some(12));
+    assert!(
+        subs.iter().all(|r| fw.grid().bounds().contains_rect(r)),
+        "every rectangle lies inside the grid"
+    );
+    assert_eq!(fw.hypercells().len(), 12);
+    assert!(
+        !fw.supports_incremental(),
+        "the framework must not be complete"
+    );
+    let truncated_hits = points
+        .iter()
+        .filter(|p| fw.grid().cell_of(p).is_some() && fw.hyper_of_point(p).is_none())
+        .filter(|p| subs.iter().any(|r| r.contains(p)))
+        .count();
+    assert!(
+        truncated_hits >= 100,
+        "only {truncated_hits} events interest someone in a truncated cell"
+    );
+    for alg in algorithms() {
+        let clustering = alg.cluster(&fw, 4);
+        let plan = DispatchPlan::compile(&fw, &clustering)
+            .with_threshold(0.3)
+            .with_subscriptions(&subs);
+        let expected: Vec<(Delivery, BitSet)> = points
+            .iter()
+            .map(|p| decide(&fw, &clustering, 0.3, &subs, p))
+            .collect();
+        let context = format!("{} on a truncated framework", alg.name());
+        let mut scalar = DispatchScratch::new();
+        for (p, (decision, set)) in points.iter().zip(&expected) {
+            assert_eq!(
+                plan.serve(p, &mut scalar),
+                *decision,
+                "{context}: scalar decision at {p:?}"
+            );
+            assert!(
+                scalar.interested().iter().copied().eq(set.iter()),
+                "{context}: scalar interested set at {p:?}"
+            );
+        }
+        for batch in [1usize, 3, points.len()] {
+            assert_batches_decide(&plan, &points, batch, &expected, &context);
+        }
     }
 }
 

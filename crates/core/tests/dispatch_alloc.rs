@@ -237,6 +237,106 @@ fn steady_state_batched_dispatch_allocates_nothing() {
     );
 }
 
+/// A complete framework indexes only the rectangles that overhang its
+/// grid, so the cases above meet an empty fallback index off the grid.
+/// Here unbounded rectangles (`greater_than`, `at_most`, `all`) overhang
+/// it: off-grid and ±∞ events stab a non-empty index, and scalar `serve`
+/// and `serve_batch` still allocate nothing once warm.
+#[test]
+fn steady_state_fallback_over_overhanging_rectangles_allocates_nothing() {
+    let mut rng = StdRng::seed_from_u64(2002);
+    let subs: Vec<Rect> = (0..300)
+        .map(|i| {
+            Rect::new(
+                (0..2)
+                    .map(|_| {
+                        let x = rng.gen_range(0.0..1.0);
+                        match i % 4 {
+                            0 => Interval::greater_than(x),
+                            1 => Interval::at_most(x),
+                            2 => Interval::all(),
+                            _ => Interval::new(x * 0.9, x * 0.9 + 0.1).unwrap(),
+                        }
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let grid = Grid::cube(0.0, 1.0, 2, 16).unwrap();
+    let probs = CellProbability::uniform(&grid);
+    let fw = GridFramework::build(grid.clone(), &subs, &probs, None);
+    assert!(fw.supports_incremental(), "the framework must be complete");
+    let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 6);
+    let plan = DispatchPlan::compile(&fw, &clustering)
+        .with_threshold(0.15)
+        .with_subscriptions(&subs);
+
+    let edges = [f64::NEG_INFINITY, -0.5, 1.5, f64::INFINITY];
+    let mut events: Vec<Point> = (0..1_500)
+        .map(|_| Point::new(vec![rng.gen_range(-0.3..1.3), rng.gen_range(-0.3..1.3)]))
+        .collect();
+    events.extend(edges.iter().flat_map(|&x| {
+        [
+            Point::new(vec![x, 0.5]),
+            Point::new(vec![0.5, x]),
+            Point::new(vec![x, x]),
+        ]
+    }));
+    let expected: Vec<_> = events
+        .iter()
+        .map(|p| decide(&fw, &clustering, 0.15, &subs, p))
+        .collect();
+    let off_grid_hits = events
+        .iter()
+        .zip(&expected)
+        .filter(|(p, (_, set))| grid.cell_of(p).is_none() && !set.is_empty())
+        .count();
+    assert!(
+        off_grid_hits >= 100,
+        "{off_grid_hits} off-grid events interest someone"
+    );
+
+    // Warm-up: every buffer reaches its high-water mark, and both calls
+    // make the oracle's decision over its interested set.
+    let mut scratch = DispatchScratch::new();
+    for (p, (decision, set)) in events.iter().zip(&expected) {
+        assert_eq!(plan.serve(p, &mut scratch), *decision, "event at {p:?}");
+        assert!(
+            scratch.interested().iter().copied().eq(set.iter()),
+            "event at {p:?}"
+        );
+    }
+    const BATCH: usize = 64;
+    let mut batch_scratch = BatchScratch::new();
+    let mut out: Vec<Delivery> = Vec::with_capacity(events.len());
+    let run_batches = |scratch: &mut BatchScratch, out: &mut Vec<Delivery>| {
+        out.clear();
+        for start in (0..events.len()).step_by(BATCH) {
+            let end = (start + BATCH).min(events.len());
+            plan.serve_batch(start..end, |e| &events[e], scratch, out);
+        }
+    };
+    run_batches(&mut batch_scratch, &mut out);
+    for (e, (decision, _)) in expected.iter().enumerate() {
+        assert_eq!(out[e], *decision, "serve_batch event {e}");
+    }
+
+    let allocs = count_allocs(|| {
+        for p in &events {
+            std::hint::black_box(plan.serve(p, &mut scratch));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state serve performed {allocs} heap allocations"
+    );
+    let allocs = count_allocs(|| run_batches(&mut batch_scratch, &mut out));
+    assert_eq!(
+        allocs, 0,
+        "steady-state serve_batch performed {allocs} heap allocations"
+    );
+}
+
 #[test]
 fn steady_state_noloss_match_allocates_nothing() {
     let mut rng = StdRng::seed_from_u64(77);
