@@ -148,6 +148,28 @@ impl Args {
         }
     }
 
+    /// A `--key` that must lie in `[0, 1]`: anything else, NaN
+    /// included, exits 2 naming the flag.
+    fn proportion(&self, key: &str, default: f64) -> f64 {
+        let v: f64 = self.get(key, default);
+        if !(0.0..=1.0).contains(&v) {
+            eprintln!("--{key} must be in [0, 1] (got {v})");
+            exit(2);
+        }
+        v
+    }
+
+    /// A count `--key` that must be at least 1: 0 exits 2 naming the
+    /// flag (the algorithms would clamp it to 1 without a word).
+    fn count(&self, key: &str, default: usize) -> usize {
+        let v: usize = self.get(key, default);
+        if v == 0 {
+            eprintln!("--{key} must be at least 1 (got 0)");
+            exit(2);
+        }
+        v
+    }
+
     fn get_str(&self, key: &str, default: &str) -> String {
         self.flags
             .iter()
@@ -211,7 +233,7 @@ fn cmd_baselines(args: &Args) {
     let nodes: usize = args.get("nodes", 600);
     let subs: usize = args.get("subs", 1000);
     let events: usize = args.get("events", 200);
-    let regionalism: f64 = args.get("regionalism", 0.4);
+    let regionalism = args.proportion("regionalism", 0.4);
     let seed: u64 = args.get("seed", 1);
     let dist = match args.get_str("dist", "uniform").as_str() {
         "uniform" => PredicateDist::Uniform,
@@ -239,12 +261,12 @@ fn cmd_baselines(args: &Args) {
 }
 
 fn cmd_cluster(args: &Args) {
-    let k: usize = args.get("k", 50);
+    let k = args.count("k", 50);
     let subs: usize = args.get("subs", 1000);
     let events: usize = args.get("events", 200);
     let cells: usize = args.get("cells", 2000);
     let seed: u64 = args.get("seed", 2002);
-    let threshold: f64 = args.get("threshold", 0.0);
+    let threshold = args.proportion("threshold", 0.0);
     let modes = match args.get::<usize>("modes", 1) {
         1 => PublicationModes::One,
         4 => PublicationModes::Four,
@@ -351,7 +373,7 @@ fn cmd_export(args: &Args) {
 
 fn cmd_replay(args: &Args) {
     let nodes: usize = args.get("nodes", 600);
-    let k: usize = args.get("k", 50);
+    let k = args.count("k", 50);
     let bins: usize = args.get("bins", 12);
     let seed: u64 = args.get("seed", 2002);
     let subs_path = args.get_str("subs-file", "");

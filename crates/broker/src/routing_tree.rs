@@ -828,7 +828,7 @@ mod tests {
                 (node, rect1(a.min(b), a.max(b)))
             })
             .collect();
-        let core = topo.transit_nodes(0)[0];
+        let core = topo.stubs()[0].transit;
         let mst = BrokerNetwork::build_with_tree(topo.graph(), &subs, TreeKind::Mst);
         let cbt = BrokerNetwork::build_with_tree(topo.graph(), &subs, TreeKind::CoreSpt(core));
         for trial in 0..20 {

@@ -54,7 +54,7 @@ proptest! {
             .filter(|(_, (_, r))| r.contains(&event))
             .map(|(i, _)| i)
             .collect();
-        for kind in [TreeKind::Mst, TreeKind::CoreSpt(topo.transit_nodes(0)[0])] {
+        for kind in [TreeKind::Mst, TreeKind::CoreSpt(topo.stubs()[0].transit)] {
             let net = BrokerNetwork::build_with_tree(topo.graph(), &subs, kind);
             let d = net.deliver(publisher, &event);
             prop_assert_eq!(&d.matched_subscriptions, &expect, "{:?}", kind);
@@ -120,7 +120,6 @@ proptest! {
         // Live-graph connectivity from the primary seed (the lowest-id
         // live broker) — everything in this set was grafted into the
         // primary tree.
-        let live_graph = view.live_graph(g);
         let primary_seed = match g.nodes().find(|&u| view.node_live(u)) {
             Some(u) => u,
             None => return Ok(()),
@@ -129,8 +128,8 @@ proptest! {
         let mut stack = vec![primary_seed];
         in_primary[primary_seed.index()] = true;
         while let Some(u) = stack.pop() {
-            for &(v, _) in live_graph.neighbors(u) {
-                if !in_primary[v.index()] {
+            for &(v, e) in g.neighbors(u) {
+                if view.edge_live(g, e) && !in_primary[v.index()] {
                     in_primary[v.index()] = true;
                     stack.push(v);
                 }

@@ -62,7 +62,7 @@ pub(crate) fn rect_key(r: &Rect) -> Vec<(u64, u64)> {
 /// ];
 /// let agg = Aggregation::build(&subs);
 /// assert_eq!(agg.num_classes(), 2);
-/// assert_eq!(agg.weights(), &[2, 1]);
+/// assert_eq!(agg.ratio(), 1.5); // three subscriptions, two classes
 /// # Ok::<(), geometry::IntervalError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -117,16 +117,6 @@ impl Aggregation {
         self.weights.len()
     }
 
-    /// Per-class concrete multiplicities.
-    pub fn weights(&self) -> &[u64] {
-        &self.weights
-    }
-
-    /// The class of concrete subscriber `i`.
-    pub fn class_of(&self) -> &[u32] {
-        &self.class_of
-    }
-
     /// Concrete subscriptions per class — the aggregation ratio. `1.0`
     /// means nothing aggregated; large values mean heavy duplication.
     pub fn ratio(&self) -> f64 {
@@ -135,11 +125,6 @@ impl Aggregation {
         } else {
             self.num_concrete() as f64 / self.num_classes() as f64
         }
-    }
-
-    /// The distinct rectangles, one per class, in class order.
-    pub fn class_rects(&self) -> Vec<Rect> {
-        self.rects.clone()
     }
 
     /// Builds the class-universe framework: one slot per class, ranked
@@ -232,11 +217,6 @@ impl AggregatePlan {
             agg: aggregation,
             group_wsize,
         }
-    }
-
-    /// The configured threshold.
-    pub fn threshold(&self) -> f64 {
-        self.plan.threshold
     }
 
     /// Number of compiled groups.
@@ -390,18 +370,18 @@ mod tests {
         let agg = Aggregation::build(&subs);
         assert!(agg.num_classes() <= 13);
         assert_eq!(agg.num_concrete(), 200);
-        assert_eq!(agg.weights().iter().sum::<u64>(), 200);
+        assert_eq!(agg.weights.iter().sum::<u64>(), 200);
         assert!(agg.ratio() >= 200.0 / 13.0);
         // The packed member lists partition 0..n and agree with class_of.
         let mut seen = [false; 200];
         for (c, members) in agg.members.iter().enumerate() {
             assert!(members.windows(2).all(|w| w[0] < w[1]), "class {c}");
-            assert_eq!(members.len() as u64, agg.weights()[c]);
+            assert_eq!(members.len() as u64, agg.weights[c]);
             for &m in members {
                 let m = m as usize;
                 assert!(!seen[m], "member {m} in two classes");
                 seen[m] = true;
-                assert_eq!(agg.class_of()[m] as usize, c);
+                assert_eq!(agg.class_of[m] as usize, c);
                 assert_eq!(rect_key(&subs[m]), rect_key(&agg.rects[c]));
             }
         }
@@ -450,8 +430,8 @@ mod tests {
         ];
         let agg = Aggregation::build(&subs);
         assert_eq!(agg.num_classes(), 4);
-        assert_eq!(agg.weights(), &[2, 1, 1, 1]);
-        assert_eq!(agg.class_of(), &[0, 1, 2, 3, 0]);
+        assert_eq!(agg.weights, &[2, 1, 1, 1]);
+        assert_eq!(agg.class_of, &[0, 1, 2, 3, 0]);
         let grid = Grid::cube(-5.0, 5.0, 1, 10).unwrap();
         for threshold in [0.0, 0.5] {
             let points = [-6.0, -3.0, -1.5, -0.0, 0.0, 1e-300, 2.0, 4.0, 4.5]

@@ -299,11 +299,6 @@ impl DispatchPlan {
         !self.complete || !self.grid.bounds().contains_rect(r)
     }
 
-    /// The configured threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Number of compiled groups.
     pub fn num_groups(&self) -> usize {
         self.group_size.len()

@@ -74,8 +74,6 @@ pub struct DynamicClustering {
     subscriptions: Vec<Option<Rect>>,
     framework: GridFramework,
     clustering: Clustering,
-    /// Changes since the last rebalance.
-    pending: usize,
     /// Rectangle each touched slot held *at the last rebalance*
     /// (`None` = the slot was empty then). Together with the current
     /// slots this yields the net delta for the incremental path.
@@ -167,7 +165,6 @@ impl DynamicClustering {
             subscriptions: Vec::new(),
             framework,
             clustering,
-            pending: 0,
             baseline: HashMap::new(),
             max_dirty: DEFAULT_MAX_DIRTY,
             last_stats: RebalanceStats::default(),
@@ -192,7 +189,6 @@ impl DynamicClustering {
         // The slot did not exist at the last rebalance.
         self.baseline.entry(id).or_insert(None);
         self.subscriptions.push(Some(rect));
-        self.pending += 1;
         SubscriptionId(id)
     }
 
@@ -208,7 +204,6 @@ impl DynamicClustering {
                 let before = slot.clone();
                 self.baseline.entry(id.0).or_insert(before);
                 *slot = None;
-                self.pending += 1;
                 Ok(())
             }
             _ => Err(DynamicError::UnknownSubscription(id)),
@@ -227,7 +222,6 @@ impl DynamicClustering {
                 let before = slot.clone();
                 self.baseline.entry(id.0).or_insert(before);
                 *slot = Some(rect);
-                self.pending += 1;
                 Ok(())
             }
             _ => Err(DynamicError::UnknownSubscription(id)),
@@ -247,11 +241,6 @@ impl DynamicClustering {
     /// can derive an id-aligned rectangle vector from it.
     pub fn subscription_slots(&self) -> &[Option<Rect>] {
         &self.subscriptions
-    }
-
-    /// Number of changes since the last rebalance.
-    pub fn pending_changes(&self) -> usize {
-        self.pending
     }
 
     /// The current clustering (as of the last rebalance).
@@ -403,7 +392,6 @@ impl DynamicClustering {
         if l == 0 {
             self.clustering = Clustering::from_assignment(&self.framework, Vec::new());
             self.last_stats = stats;
-            self.pending = 0;
             return 0;
         }
         let k = self.k.min(l);
@@ -433,7 +421,6 @@ impl DynamicClustering {
         self.clustering = clustering;
         stats.moves = moves;
         self.last_stats = stats;
-        self.pending = 0;
         moves
     }
 
@@ -486,7 +473,6 @@ impl DynamicClustering {
 
     fn finish_full(&mut self, changed: usize, moves: usize) {
         self.baseline.clear();
-        self.pending = 0;
         self.last_stats = RebalanceStats {
             incremental: false,
             changed_slots: changed,
@@ -495,29 +481,6 @@ impl DynamicClustering {
             reused_distances: 0,
             moves,
         };
-    }
-
-    /// Rebuilds from scratch (cold start) — the baseline the warm
-    /// start is measured against. Returns the moves performed.
-    pub fn rebuild(&mut self) -> usize {
-        let changed = self.baseline.len();
-        let cell_sets = self.rasterize_population();
-        let new_fw =
-            GridFramework::build_from_cells(self.grid.clone(), &cell_sets, &self.probs, None);
-        let l = new_fw.hypercells().len();
-        let k = self.k.min(l.max(1));
-        // Cold seed: round-robin (deliberately uninformed).
-        let seed: Vec<usize> = (0..l).map(|h| h % k).collect();
-        let (clustering, moves) = if l == 0 {
-            (Clustering::from_assignment(&new_fw, Vec::new()), 0)
-        } else {
-            self.algorithm.cluster_seeded(&new_fw, k, &seed)
-        };
-        self.framework = new_fw;
-        self.clustering = clustering;
-        self.finish_full(changed, moves);
-        self.debug_validate("DynamicClustering::rebuild");
-        moves
     }
 }
 
@@ -560,6 +523,34 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Test-only: the unit tests of this module and `validate.rs` compare
+/// the warm start against a cold one.
+#[cfg(test)]
+impl DynamicClustering {
+    /// Rebuilds from scratch (cold start) — the baseline the warm
+    /// start is measured against. Returns the moves performed.
+    pub(crate) fn rebuild(&mut self) -> usize {
+        let changed = self.baseline.len();
+        let cell_sets = self.rasterize_population();
+        let new_fw =
+            GridFramework::build_from_cells(self.grid.clone(), &cell_sets, &self.probs, None);
+        let l = new_fw.hypercells().len();
+        let k = self.k.min(l.max(1));
+        // Cold seed: round-robin (deliberately uninformed).
+        let seed: Vec<usize> = (0..l).map(|h| h % k).collect();
+        let (clustering, moves) = if l == 0 {
+            (Clustering::from_assignment(&new_fw, Vec::new()), 0)
+        } else {
+            self.algorithm.cluster_seeded(&new_fw, k, &seed)
+        };
+        self.framework = new_fw;
+        self.clustering = clustering;
+        self.finish_full(changed, moves);
+        self.debug_validate("DynamicClustering::rebuild");
+        moves
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,9 +581,7 @@ mod tests {
         let mut s = system(2);
         s.subscribe(rect1(0.0, 8.0));
         s.subscribe(rect1(12.0, 20.0));
-        assert_eq!(s.pending_changes(), 2);
         s.rebalance();
-        assert_eq!(s.pending_changes(), 0);
         let left = s.group_of_point(&Point::new(vec![3.0]));
         let right = s.group_of_point(&Point::new(vec![15.0]));
         assert!(left.is_some() && right.is_some());
@@ -628,15 +617,12 @@ mod tests {
             Err(DynamicError::UnknownSubscription(SubscriptionId(99)))
         );
         // A tombstoned id is just as dead as a never-issued one, and
-        // the failed calls leave no pending change behind.
+        // a failed resubscribe does not bring the slot back.
         assert_eq!(
             s.resubscribe(a, rect1(0.0, 1.0)),
             Err(DynamicError::UnknownSubscription(a))
         );
-        let pending = s.pending_changes();
-        let _ = s.unsubscribe(a);
-        let _ = s.resubscribe(a, rect1(2.0, 3.0));
-        assert_eq!(s.pending_changes(), pending);
+        assert_eq!(s.subscriptions[a.0], None);
         // Errors render their id for diagnostics.
         assert_eq!(
             DynamicError::UnknownSubscription(a).to_string(),

@@ -76,18 +76,6 @@ impl KMeans {
         }
     }
 
-    /// Overrides the iteration cap. The paper notes processing "can be
-    /// stopped after any iteration, resulting in a feasible partition".
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
-    /// The variant.
-    pub fn variant(&self) -> KMeansVariant {
-        self.variant
-    }
-
     /// Runs the re-assignment passes from a caller-supplied initial
     /// partition instead of the popularity seeding — the warm start
     /// used when subscriptions change and the previous clustering is
@@ -388,9 +376,13 @@ mod tests {
     #[test]
     fn zero_iterations_still_yields_feasible_partition() {
         let fw = two_communities();
-        let c = KMeans::new(KMeansVariant::MacQueen)
-            .with_max_iterations(0)
-            .cluster(&fw, 3);
+        // The paper: processing "can be stopped after any iteration,
+        // resulting in a feasible partition".
+        let c = KMeans {
+            variant: KMeansVariant::MacQueen,
+            max_iterations: 0,
+        }
+        .cluster(&fw, 3);
         assert!(c.num_groups() <= 3);
         assert!(!c.groups().is_empty());
         // Every hyper-cell is assigned somewhere.
@@ -577,7 +569,10 @@ mod tests {
         let fw = GridFramework::build(grid, &subs, &probs, None);
         let l = fw.hypercells().len();
         assert!(l >= 12, "scenario too small: {l} hyper-cells");
-        let km = KMeans::new(KMeansVariant::MacQueen).with_max_iterations(PASSES);
+        let km = KMeans {
+            variant: KMeansVariant::MacQueen,
+            max_iterations: PASSES,
+        };
         let seeds: [(usize, Vec<usize>); 2] = [
             // Every seed group a singleton.
             (l, (0..l).collect()),
@@ -612,9 +607,11 @@ mod tests {
             for variant in [KMeansVariant::MacQueen, KMeansVariant::Forgy] {
                 for k in [l / 4, l / 2, l] {
                     let what = format!("{variant:?}, k = {k}, weighted = {weighted}");
-                    let clustering = KMeans::new(variant)
-                        .with_max_iterations(PASSES)
-                        .cluster(&fw, k);
+                    let clustering = KMeans {
+                        variant,
+                        max_iterations: PASSES,
+                    }
+                    .cluster(&fw, k);
                     let (want, moves) = brute_force_seeded(&fw, k, variant, None);
                     // Every group keeps its seed, so ids are not remapped.
                     assert_eq!(clustering.num_groups(), k, "{what}");
@@ -644,7 +641,10 @@ mod tests {
         ];
         let run = |(entry, variant, seed): (&str, KMeansVariant, Option<&[usize]>)| {
             let what = format!("{entry}, {case}");
-            let km = KMeans::new(variant).with_max_iterations(PASSES);
+            let km = KMeans {
+                variant,
+                max_iterations: PASSES,
+            };
             let (want, moves) = brute_force_seeded(fw, k, variant, seed);
             let clustering = match seed {
                 None => km.cluster(fw, k),

@@ -88,11 +88,6 @@ impl<'a> GridMatcher<'a> {
         self
     }
 
-    /// The configured threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Matches one event. `interested` is the exact set of interested
     /// subscriptions (computed by the caller's matching engine).
     ///

@@ -226,20 +226,6 @@ impl BitSet {
             .sum()
     }
 
-    /// `|self ∪ other|`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on universe mismatch.
-    pub fn union_count(&self, other: &BitSet) -> usize {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
-    }
-
     /// In-place union: `self ← self ∪ other`.
     ///
     /// # Panics
@@ -361,7 +347,6 @@ mod tests {
         assert_eq!(a.difference_count(&b), 2); // {1, 70}
         assert_eq!(b.difference_count(&a), 2); // {4, 71}
         assert_eq!(a.intersection_count(&b), 2); // {2, 3}
-        assert_eq!(a.union_count(&b), 6);
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.count(), 6);

@@ -112,17 +112,6 @@ fn empirical_mass(rect: &Rect, sample: &[Point]) -> f64 {
     hits as f64 / sample.len() as f64
 }
 
-/// Membership size of `u`, expanded through the per-slot multiplicities
-/// when clustering a class universe. The weighted integer equals the
-/// concrete subscriber count, so downstream `f64` weights are
-/// bit-identical to the unaggregated run.
-fn wcount(u: &BitSet, weights: Option<&[u64]>) -> u64 {
-    match weights {
-        None => u.count() as u64,
-        Some(w) => u.weighted_count(w),
-    }
-}
-
 impl NoLossClustering {
     /// Runs the No-Loss algorithm over the subscription rectangles and
     /// keeps the `k` heaviest regions as multicast groups.
@@ -172,45 +161,6 @@ impl NoLossClustering {
         config: &NoLossConfig,
         k: usize,
     ) -> Self {
-        Self::build_with_density_weighted(subscriptions, None, density, selection_sample, config, k)
-    }
-
-    /// [`NoLossClustering::build`] over a *class* universe: slot `i`
-    /// stands for `weights[i]` identical concrete subscriptions. Region
-    /// weights, the greedy selection and the matcher's precomputed
-    /// counts all use the class-expanded sizes, so region choice is
-    /// bit-identical to running over the expanded population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != subscriptions.len()` or on dimension
-    /// mismatch.
-    pub fn build_aggregated(
-        subscriptions: &[Rect],
-        weights: &[u64],
-        sample: &[Point],
-        config: &NoLossConfig,
-        k: usize,
-    ) -> Self {
-        assert_eq!(
-            weights.len(),
-            subscriptions.len(),
-            "one weight per class subscription"
-        );
-        let density = |rect: &Rect| empirical_mass(rect, sample);
-        Self::build_with_density_weighted(subscriptions, Some(weights), density, sample, config, k)
-    }
-
-    /// Shared build body; `weights` selects class-expanded membership
-    /// sizes, `None` the ordinary concrete sizes.
-    fn build_with_density_weighted(
-        subscriptions: &[Rect],
-        weights: Option<&[u64]>,
-        density: impl Fn(&Rect) -> f64 + Sync,
-        selection_sample: &[Point],
-        config: &NoLossConfig,
-        k: usize,
-    ) -> Self {
         let n = subscriptions.len();
         if n == 0 {
             return NoLossClustering {
@@ -243,7 +193,7 @@ impl NoLossClustering {
             }
             parallel::par_map(&unique, 16, |&i| {
                 let u = exact_containment(&subscriptions[i], subscriptions);
-                let weight = density(&subscriptions[i]) * wcount(&u, weights) as f64;
+                let weight = density(&subscriptions[i]) * u.count() as f64;
                 NoLossRegion {
                     rect: subscriptions[i].clone(),
                     subscribers: u,
@@ -296,8 +246,8 @@ impl NoLossClustering {
                             let region = &mut pool[idx];
                             if !u.is_subset(&region.subscribers) {
                                 region.subscribers.union_with(&u);
-                                region.weight = density(&region.rect)
-                                    * wcount(&region.subscribers, weights) as f64;
+                                region.weight =
+                                    density(&region.rect) * region.subscribers.count() as f64;
                             }
                         }
                         Some(&idx) => {
@@ -305,12 +255,12 @@ impl NoLossClustering {
                             let region = &mut fresh[fi];
                             if !u.is_subset(&region.subscribers) {
                                 region.subscribers.union_with(&u);
-                                region.weight = density(&region.rect)
-                                    * wcount(&region.subscribers, weights) as f64;
+                                region.weight =
+                                    density(&region.rect) * region.subscribers.count() as f64;
                             }
                         }
                         None => {
-                            let weight = density(&inter) * wcount(&u, weights) as f64;
+                            let weight = density(&inter) * u.count() as f64;
                             seen.insert(key, pool.len() + fresh.len());
                             fresh.push(NoLossRegion {
                                 rect: inter,
@@ -347,7 +297,7 @@ impl NoLossClustering {
             // match the paper's definition.
             let refreshed = parallel::par_map(&pool, 16, |region| {
                 let u = exact_containment(&region.rect, subscriptions);
-                let weight = density(&region.rect) * wcount(&u, weights) as f64;
+                let weight = density(&region.rect) * u.count() as f64;
                 (u, weight)
             });
             for (region, (u, weight)) in pool.iter_mut().zip(refreshed) {
@@ -363,7 +313,7 @@ impl NoLossClustering {
         if selection_sample.is_empty() {
             pool.truncate(k);
         } else {
-            pool = greedy_coverage_selection(pool, selection_sample, k, weights);
+            pool = greedy_coverage_selection(pool, selection_sample, k);
         }
         let tree = RTree::bulk_load(
             dim.max(1),
@@ -372,10 +322,7 @@ impl NoLossClustering {
                 .map(|(i, r)| (r.rect.clone(), i))
                 .collect(),
         );
-        let counts = pool
-            .iter()
-            .map(|r| wcount(&r.subscribers, weights) as u32)
-            .collect();
+        let counts = pool.iter().map(|r| r.subscribers.count() as u32).collect();
         NoLossClustering {
             regions: pool,
             tree,
@@ -447,7 +394,6 @@ fn greedy_coverage_selection(
     pool: Vec<NoLossRegion>,
     sample: &[Point],
     k: usize,
-    weights: Option<&[u64]>,
 ) -> Vec<NoLossRegion> {
     // Containment lists: which sample points each region contains
     // (independent per region, so computed in parallel).
@@ -459,10 +405,7 @@ fn greedy_coverage_selection(
             .map(|(i, _)| i)
             .collect()
     });
-    let sizes: Vec<u64> = pool
-        .iter()
-        .map(|r| wcount(&r.subscribers, weights))
-        .collect();
+    let sizes: Vec<u64> = pool.iter().map(|r| r.subscribers.count() as u64).collect();
     let mut best_cov = vec![0u64; sample.len()];
     let mut picked = vec![false; pool.len()];
     let mut order = Vec::with_capacity(k.min(pool.len()));

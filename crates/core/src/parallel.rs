@@ -219,27 +219,6 @@ where
     par_map_indexed(items.len(), min_len, |i| f(&items[i]))
 }
 
-/// Sums `f(i)` over `0..n` with a fixed `chunk_size` decomposition, so
-/// the result is bit-identical for any thread count (partial sums are
-/// combined in chunk order).
-pub fn par_sum_f64<F>(n: usize, chunk_size: usize, f: F) -> f64
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if n == 0 {
-        return 0.0;
-    }
-    par_chunks(n, chunk_size, |range| {
-        let mut acc = 0.0;
-        for i in range {
-            acc += f(i);
-        }
-        acc
-    })
-    .into_iter()
-    .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,9 +265,15 @@ mod tests {
         // A sum whose value depends on association order if chunking
         // were thread-dependent.
         let f = |i: usize| ((i as f64) * 0.1).sin() * 1e-3 + 1e9 * ((i % 7) as f64);
-        let reference = with_threads(1, || par_sum_f64(10_000, 128, f));
+        // Partials folded in chunk order, as every f64 caller does.
+        let chunked = || -> f64 {
+            par_chunks(10_000, 128, |r| r.map(f).sum::<f64>())
+                .into_iter()
+                .sum()
+        };
+        let reference = with_threads(1, chunked);
         for threads in [2, 3, 8, 16] {
-            let sum = with_threads(threads, || par_sum_f64(10_000, 128, f));
+            let sum = with_threads(threads, chunked);
             assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
         }
     }
@@ -296,7 +281,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         assert!(par_map_indexed(0, 1, |i| i).is_empty());
-        assert_eq!(par_sum_f64(0, 16, |_| 1.0), 0.0);
+        assert!(par_chunks(0, 16, |r| r.len()).is_empty());
         assert_eq!(par_map_indexed(1, 64, |i| i + 1), vec![1]);
         let chunks = par_chunks(5, 100, |r| r.len());
         assert_eq!(chunks, vec![5]);

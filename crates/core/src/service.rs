@@ -36,10 +36,10 @@
 //!   Every shed event is counted with its id, so
 //!   `delivered + shed == offered` exactly partitions the offered load
 //!   — nothing is ever dropped on the floor silently;
-//! * repeated rebalance failures back off exponentially (from
-//!   `BACKOFF_BASE`, 10 ms, shift-capped at 640 ms, mirroring `sim`'s
-//!   `RetryPolicy`) and the watchdog timeout can be retuned live
-//!   ([`BrokerService::set_rebalance_timeout`]).
+//! * repeated rebalance failures, a missed watchdog deadline
+//!   ([`ServiceConfig::rebalance_timeout`]) among them, back off
+//!   exponentially (from `BACKOFF_BASE`, 10 ms, shift-capped at 640 ms,
+//!   mirroring `sim`'s `RetryPolicy`).
 //!
 //! Determinism: an event's decision depends only on `(event, plan
 //! snapshot)`, and each published snapshot is a pure function of the
@@ -404,7 +404,6 @@ struct Shared {
 enum ControlMsg {
     Ops(Vec<ServiceOp>),
     Rebalance(Sender<Result<SwapReport, RebalanceAbort>>),
-    SetTimeout(Option<Duration>),
     Shutdown,
 }
 
@@ -489,7 +488,6 @@ impl Rebalancer {
         while let Ok(msg) = rx.recv() {
             match msg {
                 ControlMsg::Ops(mut ops) => self.pending.append(&mut ops),
-                ControlMsg::SetTimeout(t) => self.timeout = t,
                 ControlMsg::Rebalance(reply) => {
                     let outcome = self.attempt();
                     match &outcome {
@@ -861,12 +859,6 @@ impl BrokerService {
         reply_rx.recv().expect("rebalancer thread replies")
     }
 
-    /// Retunes the watchdog deadline live (applies from the next
-    /// rebalance attempt).
-    pub fn set_rebalance_timeout(&self, timeout: Option<Duration>) {
-        self.send(ControlMsg::SetTimeout(timeout));
-    }
-
     /// Pauses the ingest workers after their current window (at most
     /// `INGEST_WINDOW` events already taken from the queue are still
     /// decided; events keep queueing / shedding per policy). Used to
@@ -1095,8 +1087,8 @@ mod tests {
     /// a wake for the count to show it, so a second waiter that parks
     /// exactly as a worker does, but reports why it woke instead of
     /// parking again, stands beside it.
-    #[test]
-    fn offers_to_a_paused_service_wake_no_parked_worker() {
+    /// Eight overlapping 1-D subscriptions on a 16-cell line, rebalanced.
+    fn small_population() -> DynamicClustering {
         let grid = geometry::Grid::cube(0.0, 1.0, 1, 16).expect("grid");
         let probs = crate::CellProbability::uniform(&grid);
         let kmeans = crate::KMeans::new(crate::KMeansVariant::MacQueen);
@@ -1108,8 +1100,54 @@ mod tests {
             ]));
         }
         dynamic.try_rebalance().expect("population rebalances");
-        let service = BrokerService::start(
+        dynamic
+    }
+
+    /// Churn queued before an aborted rebalance is kept, not dropped:
+    /// the next attempt that commits applies it.
+    #[test]
+    fn churn_queued_before_an_abort_reaches_the_next_swap() {
+        let dynamic = small_population();
+        let before = dynamic.num_subscriptions();
+        let slots = dynamic.subscription_slots().len();
+        let service = BrokerService::start(dynamic.clone(), ServiceConfig::default())
+            .expect("service starts");
+        let rect = Rect::new(vec![Interval::new(0.3, 0.6).expect("interval")]);
+        let mut rebalancer = Rebalancer {
             dynamic,
+            pending: vec![ServiceOp::Subscribe {
+                id: SubscriptionId(slots),
+                rect,
+            }],
+            threshold: ServiceConfig::default().threshold,
+            timeout: Some(Duration::ZERO),
+            consecutive_failures: 0,
+            shared: Arc::clone(&service.shared),
+        };
+        let aborted = rebalancer.attempt();
+        assert!(
+            matches!(aborted, Err(RebalanceAbort::TimedOut { stage: "churn" })),
+            "{aborted:?}"
+        );
+        assert_eq!(
+            rebalancer.pending.len(),
+            1,
+            "the abort dropped queued churn"
+        );
+        assert_eq!(rebalancer.dynamic.num_subscriptions(), before);
+
+        rebalancer.timeout = None;
+        let report = rebalancer.attempt().expect("untimed attempt commits");
+        assert_eq!(report.version, 1);
+        assert_eq!(report.subscriptions, before + 1);
+        assert!(rebalancer.pending.is_empty());
+        let _ = service.shutdown();
+    }
+
+    #[test]
+    fn offers_to_a_paused_service_wake_no_parked_worker() {
+        let service = BrokerService::start(
+            small_population(),
             ServiceConfig {
                 ingest_threads: 1,
                 ..ServiceConfig::default()

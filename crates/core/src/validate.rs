@@ -99,7 +99,6 @@ impl std::error::Error for ValidationError {}
 /// let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 2);
 /// let mut v = Validator::new();
 /// v.check_framework(&fw).check_clustering(&fw, &clustering);
-/// assert!(v.is_clean());
 /// v.finish()?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -116,16 +115,6 @@ impl Validator {
 
     fn fail(&mut self, invariant: &'static str, detail: String) {
         self.violations.push(Violation { invariant, detail });
-    }
-
-    /// The violations recorded so far, in check order.
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Whether no check so far found a violation.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
     }
 
     /// Consumes the validator: `Ok(())` when clean, otherwise the full
@@ -975,13 +964,21 @@ mod tests {
     fn pristine_artifacts_are_clean() {
         let s = scenario();
         let v = audit(&s);
-        assert!(v.is_clean(), "false positives: {:?}", v.violations());
+        assert!(
+            v.violations.is_empty(),
+            "false positives: {:?}",
+            v.violations
+        );
         v.finish().unwrap();
 
         let (subs, nl) = noloss_scenario();
         let mut v = Validator::new();
         v.check_noloss(&subs, &nl);
-        assert!(v.is_clean(), "false positives: {:?}", v.violations());
+        assert!(
+            v.violations.is_empty(),
+            "false positives: {:?}",
+            v.violations
+        );
     }
 
     #[test]
@@ -1010,7 +1007,10 @@ mod tests {
             let mut s = scenario();
             let name = corrupt(&mut s, kind, 7);
             let v = audit(&s);
-            assert!(!v.is_clean(), "corruption {kind} ({name}) went undetected");
+            assert!(
+                !v.violations.is_empty(),
+                "corruption {kind} ({name}) went undetected"
+            );
         }
     }
 
@@ -1024,8 +1024,11 @@ mod tests {
                 let mut s = scenario();
                 let name = corrupt(&mut s, kind, salt);
                 let v = audit(&s);
-                assert!(!v.is_clean(), "{name} (salt {salt}) went undetected");
-                for violation in v.violations() {
+                assert!(
+                    !v.violations.is_empty(),
+                    "{name} (salt {salt}) went undetected"
+                );
+                for violation in &v.violations {
                     assert_eq!(
                         violation.invariant, "dispatch.serve-state",
                         "{name} (salt {salt}): {violation}"
@@ -1099,21 +1102,21 @@ mod tests {
         nl.regions[i].subscribers.insert(outsider);
         let mut v = Validator::new();
         v.check_noloss(&subs, &nl);
-        assert!(!v.is_clean(), "planted member went undetected");
+        assert!(!v.violations.is_empty(), "planted member went undetected");
 
         // Desync the precomputed count cache.
         let (subs, mut nl) = noloss_scenario();
         nl.counts[0] += 1;
         let mut v = Validator::new();
         v.check_noloss(&subs, &nl);
-        assert!(!v.is_clean(), "count desync went undetected");
+        assert!(!v.violations.is_empty(), "count desync went undetected");
 
         // Corrupt a region weight.
         let (subs, mut nl) = noloss_scenario();
         nl.regions[0].weight = f64::NAN;
         let mut v = Validator::new();
         v.check_noloss(&subs, &nl);
-        assert!(!v.is_clean(), "NaN weight went undetected");
+        assert!(!v.violations.is_empty(), "NaN weight went undetected");
     }
 
     #[test]
@@ -1142,7 +1145,7 @@ mod tests {
             let name = corrupt(&mut s, kind, salt);
             let v = audit(&s);
             prop_assert!(
-                !v.is_clean(),
+                !v.violations.is_empty(),
                 "corruption {} ({}) with salt {} went undetected",
                 kind, name, salt
             );
@@ -1161,7 +1164,7 @@ mod tests {
             s.fw.apply_delta(&added, &removed, &s.probs, id + 1);
             let mut v = Validator::new();
             v.check_framework(&s.fw);
-            prop_assert!(v.is_clean(), "false positives: {:?}", v.violations());
+            prop_assert!(v.violations.is_empty(), "false positives: {:?}", v.violations);
         }
     }
 }

@@ -3,9 +3,7 @@
 //! `serve_chunk` in fixed chunks at 1 and 8 threads — makes the
 //! oracle's decision over the concrete population (`oracle::decide`:
 //! brute-force scan plus the paper-literal matcher) and expands to its
-//! concrete interested set, for all five grid algorithms. The No-Loss
-//! analogue clusters class rectangles with multiplicities and must
-//! agree with the concrete build on every region match. The always-on
+//! concrete interested set, for all five grid algorithms. The always-on
 //! service path is pinned by `service_path_agrees_with_the
 //! _aggregated_plan` below.
 
@@ -18,8 +16,7 @@ use oracle::{algorithms, decide, point_strategy};
 use proptest::prelude::*;
 use pubsub_core::{
     parallel, AggregatePlan, AggregateScratch, Aggregation, BitSet, BrokerService, CellProbability,
-    Delivery, DynamicClustering, GridFramework, KMeans, KMeansVariant, NoLossClustering,
-    NoLossConfig, ServiceConfig, Validator,
+    Delivery, DynamicClustering, GridFramework, KMeans, KMeansVariant, ServiceConfig,
 };
 
 /// Bounded random interval inside (0, 20]: unlike the oracle's, never
@@ -124,45 +121,6 @@ proptest! {
                     threads
                 );
             }
-        }
-    }
-
-    /// No-Loss over aggregated classes: clustering the distinct
-    /// rectangles with their multiplicities matches the concrete
-    /// build's region structure on every event — same matched-region
-    /// rectangle (or both unmatched) for every point.
-    #[test]
-    fn noloss_aggregated_matches_concrete_regions(
-        subs in population_strategy(),
-        points in prop::collection::vec(point_strategy(), 1..30),
-        k in 1usize..6,
-    ) {
-        let cfg = NoLossConfig { max_rects: 60, iterations: 2, max_candidates_per_round: 5_000 };
-        let sample: Vec<Point> = (0..8)
-            .flat_map(|i| (0..8).map(move |j| {
-                Point::new(vec![i as f64 * 2.5 + 1.25, j as f64 * 2.5 + 1.25])
-            }))
-            .collect();
-        let concrete = NoLossClustering::build_with_density(
-            &subs,
-            |rect| sample.iter().filter(|p| rect.contains(p)).count() as f64 / sample.len() as f64,
-            &sample,
-            &cfg,
-            k,
-        );
-        let agg = Aggregation::build(&subs);
-        let classes = agg.class_rects();
-        let aggregated = NoLossClustering::build_aggregated(
-            &classes, agg.weights(), &sample, &cfg, k,
-        );
-        // Only the concrete build: the aggregated one caches
-        // class-expanded member counts, which the audit cannot
-        // recompute without the class weights.
-        Validator::new().check_noloss(&subs, &concrete).assert_clean("concrete noloss build");
-        for p in &points {
-            let c = concrete.match_event(p).map(|r| concrete.regions()[r].rect.clone());
-            let a = aggregated.match_event(p).map(|r| aggregated.regions()[r].rect.clone());
-            prop_assert_eq!(c, a, "matched regions diverged at {:?}", p);
         }
     }
 }

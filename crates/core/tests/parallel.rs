@@ -6,6 +6,15 @@
 
 use pubsub_core::parallel;
 
+/// Sums `f` over `0..n` in fixed `chunk`-sized pieces, folding the
+/// partials in chunk order: the reduction pattern every `f64` caller
+/// of [`parallel::par_chunks`] follows.
+fn chunked_sum(n: usize, chunk: usize, f: impl Fn(usize) -> f64 + Sync) -> f64 {
+    parallel::par_chunks(n, chunk, |r| r.map(&f).sum::<f64>())
+        .into_iter()
+        .sum()
+}
+
 #[test]
 fn chunk_counter_claims_every_chunk_exactly_once_under_contention() {
     // Many more chunks than threads keeps the Relaxed ticket counter
@@ -25,9 +34,9 @@ fn chunk_counter_claims_every_chunk_exactly_once_under_contention() {
 #[test]
 fn f64_reductions_stay_bit_identical_at_stress_scale() {
     let f = |i: usize| ((i as f64) * 1e-4).cos() * 1e-6 + ((i % 13) as f64) * 1e8;
-    let reference = parallel::with_threads(1, || parallel::par_sum_f64(200_000, 512, f));
+    let reference = parallel::with_threads(1, || chunked_sum(200_000, 512, f));
     for threads in [2, 5, 8, 16] {
-        let sum = parallel::with_threads(threads, || parallel::par_sum_f64(200_000, 512, f));
+        let sum = parallel::with_threads(threads, || chunked_sum(200_000, 512, f));
         assert_eq!(sum.to_bits(), reference.to_bits(), "threads = {threads}");
     }
 }
@@ -37,15 +46,13 @@ fn independent_regions_on_separate_threads_do_not_interfere() {
     // The with_threads override is thread-local; concurrent OS threads
     // pinning different counts must each see their own fan-out and
     // produce the same bits.
-    let expected = parallel::with_threads(1, || {
-        parallel::par_sum_f64(50_000, 256, |i| (i as f64).sqrt())
-    });
+    let expected = parallel::with_threads(1, || chunked_sum(50_000, 256, |i| (i as f64).sqrt()));
     std::thread::scope(|scope| {
         for threads in [1usize, 2, 4, 8] {
             scope.spawn(move || {
                 for _ in 0..4 {
                     let sum = parallel::with_threads(threads, || {
-                        parallel::par_sum_f64(50_000, 256, |i| (i as f64).sqrt())
+                        chunked_sum(50_000, 256, |i| (i as f64).sqrt())
                     });
                     assert_eq!(sum.to_bits(), expected.to_bits(), "threads = {threads}");
                 }

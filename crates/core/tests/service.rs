@@ -311,11 +311,13 @@ fn block_policy_is_lossless_backpressure() {
     assert!(report.records.iter().all(|r| r.plan_version == 0));
 }
 
-/// A timed-out rebalance aborts and rolls back: the old plan keeps
-/// serving, the churn stays queued, and after the watchdog is retuned
-/// live the same churn lands in the next successful swap.
+/// A timed-out rebalance aborts and rolls back: no plan is published,
+/// the old plan keeps serving every event, and the churn never reaches
+/// the clustering the service hands back. That the churn stays queued
+/// for the next swap that commits is checked by `service.rs`'s unit
+/// test `churn_queued_before_an_abort_reaches_the_next_swap`.
 #[test]
-fn watchdog_abort_rolls_back_and_recovers() {
+fn watchdog_abort_rolls_back_and_keeps_serving() {
     let (dynamic, _) = seed_dynamic(1, 30, 5);
     let before = 30;
     let service = BrokerService::start(
@@ -335,8 +337,7 @@ fn watchdog_abort_rolls_back_and_recovers() {
 
     // Every attempt times out instantly (deadline already passed at
     // the first stage check); repeated failures exercise the backoff,
-    // which sleeps 0, 10 and 20 ms before these three attempts and
-    // 40 ms before the recovered swap below.
+    // which sleeps 0, 10 and 20 ms before these three attempts.
     for expected_aborts in 1..=3u64 {
         match service.rebalance() {
             Err(RebalanceAbort::TimedOut { stage }) => assert_eq!(stage, "churn"),
@@ -352,31 +353,16 @@ fn watchdog_abort_rolls_back_and_recovers() {
         service.offer(Point::new(vec![rng.gen_range(0.0..1.0)]));
     }
     service.drain();
-
-    // Live retune: disable the watchdog, and the *retained* churn
-    // (the subscribe above) lands in the recovered swap.
-    service.set_rebalance_timeout(None);
-    let swap = service.rebalance().expect("recovered swap");
-    assert_eq!(swap.version, 1);
-    assert_eq!(swap.rejected_ops, 0);
-    assert_eq!(swap.subscriptions, before + 1);
-    assert_eq!(service.plan_epoch(), 1);
-
-    for _ in 0..20 {
-        service.offer(Point::new(vec![rng.gen_range(0.0..1.0)]));
-    }
-    service.drain();
     let (report, final_dynamic) = service.shutdown();
 
     assert_eq!(report.aborts, 3);
-    assert_eq!(report.swaps, 1);
+    assert_eq!(report.swaps, 0);
     assert!(report.partitions_offered());
-    assert_eq!(report.published_versions, vec![0, 1]);
-    // Pre-recovery events were decided by plan 0, post-recovery by 1.
-    for r in &report.records {
-        assert_eq!(r.plan_version, if r.id < 20 { 0 } else { 1 });
-    }
-    assert_eq!(final_dynamic.num_subscriptions(), before + 1);
+    assert_eq!(report.delivered, 20);
+    assert_eq!(report.published_versions, vec![0]);
+    assert!(report.records.iter().all(|r| r.plan_version == 0));
+    // The queued subscribe stayed churn: the clustering is the seed's.
+    assert_eq!(final_dynamic.num_subscriptions(), before);
 }
 
 /// The parked-thread counts gate every notify, so a protocol slip shows

@@ -234,11 +234,6 @@ impl Grid {
         self.bins.len()
     }
 
-    /// Bins per dimension.
-    pub fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
     /// Total number of cells.
     pub fn num_cells(&self) -> usize {
         self.num_cells

@@ -155,7 +155,9 @@ fn with_neighbours(xs: impl IntoIterator<Item = f64>) -> Vec<f64> {
 fn edges(g: &Grid, d: usize) -> Vec<f64> {
     let mut at = vec![0; g.dim()];
     let mut edges = vec![g.bounds().interval(d).lo()];
-    for i in 0..g.bins()[d] {
+    // The last cell sits in the last bin of every dimension.
+    let bins = g.cell_coords(g.iter().last().unwrap())[d] + 1;
+    for i in 0..bins {
         at[d] = i;
         edges.push(g.cell_rect(g.cell_at(&at)).interval(d).hi());
     }

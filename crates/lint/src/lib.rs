@@ -65,8 +65,8 @@ pub use item_tree::{calls_in, Block, FnItem, ItemTree};
 pub use output::{format_github, format_json};
 pub use registry::{check_registry, collect_knobs, knob_names, KnobSites};
 pub use rules::{
-    lint_file, FileKind, Finding, LineDirectives, RULE_HASH_ORDER, RULE_HOT_ALLOC,
-    RULE_KNOB_REGISTRY, RULE_LITERAL_INDEX, RULE_NO_PANIC,
+    FileKind, Finding, LineDirectives, RULE_HASH_ORDER, RULE_HOT_ALLOC, RULE_KNOB_REGISTRY,
+    RULE_LITERAL_INDEX, RULE_NO_PANIC,
 };
 pub use scan::{scan, ScannedFile};
 
@@ -191,15 +191,6 @@ pub fn lint_files(files: &[SourceFile], benchmark_doc: Option<(&str, &str)>) -> 
     }
 }
 
-/// Lint one source string as `pubsub-lint` would lint the file at
-/// `path` (workspace-relative, used for reporting and for `bin/`
-/// detection when `kind` is [`FileKind::Binary`]). Runs every rule
-/// except the cross-file env-knob registry check.
-pub fn lint_source(path: &str, source: &str, kind: FileKind) -> Vec<Finding> {
-    let files = [SourceFile::new(path, source, kind)];
-    lint_files(&files, None).findings
-}
-
 /// Lint the whole workspace rooted at `root`, with per-rule timings.
 ///
 /// Scans `crates/*/src/**/*.rs` (skipping the vendored stub crates)
@@ -243,11 +234,6 @@ pub fn lint_workspace_report(root: &Path) -> io::Result<LintReport> {
     let doc_rel = "docs/BENCHMARK.md";
     let doc_text = fs::read_to_string(root.join(doc_rel)).unwrap_or_default();
     Ok(lint_files(&files, Some((doc_rel, &doc_text))))
-}
-
-/// Lint the whole workspace rooted at `root` (findings only).
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(lint_workspace_report(root)?.findings)
 }
 
 /// A file under `src/bin/` or named `src/main.rs` belongs to a binary

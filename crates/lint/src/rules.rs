@@ -215,22 +215,6 @@ pub(crate) fn ident_before(code: &[u8], end: usize) -> Option<&str> {
     }
 }
 
-/// Run the token-level per-file rules over one source file. (The
-/// concurrency rules need the cross-file [`crate::SourceFile`] view;
-/// use [`crate::lint_source`] or [`crate::lint_files`] for those.)
-pub fn lint_file(path: &str, s: &ScannedFile, kind: FileKind) -> Vec<Finding> {
-    let d = LineDirectives::parse(s);
-    let mut out = Vec::new();
-    if kind == FileKind::Library {
-        check_no_panic(path, s, &d, &mut out);
-        check_literal_index(path, s, &d, &mut out);
-    }
-    check_hot_alloc(path, s, &d, &mut out);
-    check_hash_order(path, s, &d, &mut out);
-    out.sort();
-    out
-}
-
 fn push(
     out: &mut Vec<Finding>,
     s: &ScannedFile,

@@ -6,8 +6,9 @@
 use std::path::{Path, PathBuf};
 
 use pubsub_lint::{
-    lint_workspace, Finding, RULE_ATOMIC_ORDER, RULE_FLOAT_DET, RULE_HASH_ORDER, RULE_HOT_ALLOC,
-    RULE_KNOB_REGISTRY, RULE_LITERAL_INDEX, RULE_LOCK_ORDER, RULE_NO_PANIC, RULE_THREAD_PANIC,
+    lint_workspace_report, Finding, RULE_ATOMIC_ORDER, RULE_FLOAT_DET, RULE_HASH_ORDER,
+    RULE_HOT_ALLOC, RULE_KNOB_REGISTRY, RULE_LITERAL_INDEX, RULE_LOCK_ORDER, RULE_NO_PANIC,
+    RULE_THREAD_PANIC,
 };
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -17,7 +18,9 @@ fn fixture_root(name: &str) -> PathBuf {
 }
 
 fn lint_fixture(name: &str) -> Vec<Finding> {
-    lint_workspace(&fixture_root(name)).expect("fixture tree is readable")
+    lint_workspace_report(&fixture_root(name))
+        .expect("fixture tree is readable")
+        .findings
 }
 
 /// Assert the fixture yields exactly `expected` findings, all from
@@ -141,7 +144,9 @@ fn real_workspace_is_clean() {
         .parent()
         .and_then(Path::parent)
         .expect("crate dir sits two levels under the workspace root");
-    let findings = lint_workspace(root).expect("workspace tree is readable");
+    let findings = lint_workspace_report(root)
+        .expect("workspace tree is readable")
+        .findings;
     assert!(
         findings.is_empty(),
         "workspace has lint findings: {findings:#?}"

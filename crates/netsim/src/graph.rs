@@ -42,24 +42,6 @@ pub struct Edge {
     pub cost: f64,
 }
 
-impl Edge {
-    /// The endpoint opposite to `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not an endpoint of this edge.
-    pub fn other(&self, n: NodeId) -> NodeId {
-        if n == self.u {
-            self.v
-        } else if n == self.v {
-            self.u
-        } else {
-            // lint: allow(no-panic): documented `# Panics` API contract
-            panic!("{n} is not an endpoint of this edge")
-        }
-    }
-}
-
 /// A weighted undirected graph with adjacency lists.
 ///
 /// # Examples
@@ -72,7 +54,7 @@ impl Edge {
 /// let b = g.add_node();
 /// g.add_edge(a, b, 2.5)?;
 /// assert_eq!(g.num_nodes(), 2);
-/// assert_eq!(g.degree(a), 1);
+/// assert_eq!(g.neighbors(a).len(), 1);
 /// # Ok::<(), netsim::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -188,15 +170,6 @@ impl Graph {
         &self.adj[n.0]
     }
 
-    /// Degree of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range.
-    pub fn degree(&self, n: NodeId) -> usize {
-        self.adj[n.0].len()
-    }
-
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.adj.len()).map(NodeId)
@@ -205,28 +178,6 @@ impl Graph {
     /// Total cost of all edges.
     pub fn total_cost(&self) -> f64 {
         self.edges.iter().map(|e| e.cost).sum()
-    }
-
-    /// A copy of the graph with the given edges removed — failure
-    /// injection for resilience studies. Edge ids are re-assigned in
-    /// the copy; node ids are preserved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is out of range.
-    pub fn without_edges(&self, failed: &[EdgeId]) -> Graph {
-        let mut dead = vec![false; self.edges.len()];
-        for e in failed {
-            dead[e.0] = true;
-        }
-        let mut g = Graph::with_nodes(self.num_nodes());
-        for (i, e) in self.edges.iter().enumerate() {
-            if !dead[i] {
-                g.add_edge(e.u, e.v, e.cost)
-                    .expect("surviving edge is valid");
-            }
-        }
-        g
     }
 
     /// Whether the graph is connected (true for the empty graph).
@@ -253,6 +204,26 @@ impl Graph {
     }
 }
 
+/// Test-only: no library code needs an edge's opposite endpoint.
+#[cfg(test)]
+impl Edge {
+    /// The endpoint opposite to `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not an endpoint of this edge.
+    fn other(&self, n: NodeId) -> NodeId {
+        if n == self.u {
+            self.v
+        } else if n == self.v {
+            self.u
+        } else {
+            // lint: allow(no-panic): documented `# Panics` API contract
+            panic!("{n} is not an endpoint of this edge")
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +236,7 @@ mod tests {
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.edge(e).cost, 1.5);
-        assert_eq!(g.degree(NodeId(1)), 2);
+        assert_eq!(g.neighbors(NodeId(1)).len(), 2);
         assert_eq!(g.total_cost(), 3.5);
     }
 

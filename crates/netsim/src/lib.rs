@@ -34,7 +34,7 @@ mod topology;
 pub use faults::{DegradedView, Fault, FaultModel, FaultSchedule};
 pub use graph::{Edge, EdgeId, Graph, GraphError, NodeId};
 pub use load::LoadTracker;
-pub use mst::{minimum_spanning_forest_cost, overlay_mst, UnionFind};
+pub use mst::{overlay_mst, UnionFind};
 pub use routing::{Router, ViewTransition};
 pub use shortest_path::ShortestPathTree;
 pub use topology::{CostRange, NodeKind, Stub, StubId, Topology, TopologyStats, TransitStubParams};

@@ -1,5 +1,5 @@
-//! Minimum spanning trees (Kruskal) and the union-find structure behind
-//! them.
+//! Minimum spanning trees: the overlay MST (Prim) and the union-find
+//! structure behind Kruskal.
 //!
 //! Two uses in the paper:
 //!
@@ -12,14 +12,13 @@
 //!   lives in `pubsub-core`; this module exposes the reusable
 //!   [`UnionFind`] it is built on.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::NodeId;
 
 /// Disjoint-set forest with path compression and union by rank.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    components: usize,
 }
 
 impl UnionFind {
@@ -28,7 +27,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n).collect(),
             rank: vec![0; n],
-            components: n,
         }
     }
 
@@ -72,42 +70,8 @@ impl UnionFind {
         if self.rank[hi] == self.rank[lo] {
             self.rank[hi] += 1;
         }
-        self.components -= 1;
         true
     }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn num_components(&self) -> usize {
-        self.components
-    }
-}
-
-/// Total weight of the minimum spanning forest of `g` (Kruskal).
-///
-/// For a connected graph this is the MST weight; for a disconnected graph
-/// each component contributes its own tree.
-pub fn minimum_spanning_forest_cost(g: &Graph) -> f64 {
-    let mut order: Vec<usize> = (0..g.num_edges()).collect();
-    order.sort_by(|&a, &b| {
-        g.edges()[a]
-            .cost
-            .partial_cmp(&g.edges()[b].cost)
-            .expect("edge cost is never NaN")
-    });
-    let mut uf = UnionFind::new(g.num_nodes());
-    let mut total = 0.0;
-    for i in order {
-        let e = &g.edges()[i];
-        if uf.union(e.u.0, e.v.0) {
-            total += e.cost;
-        }
-    }
-    total
 }
 
 /// Minimum spanning tree over a *complete overlay graph* on `members`,
@@ -175,19 +139,40 @@ mod tests {
     use super::*;
     use crate::graph::Graph;
 
+    /// Total weight of the minimum spanning forest of `g` (Kruskal):
+    /// the reference the Prim-based [`overlay_mst`] is checked against.
+    ///
+    /// For a connected graph this is the MST weight; for a disconnected graph
+    /// each component contributes its own tree.
+    fn minimum_spanning_forest_cost(g: &Graph) -> f64 {
+        let mut order: Vec<usize> = (0..g.num_edges()).collect();
+        order.sort_by(|&a, &b| {
+            g.edges()[a]
+                .cost
+                .partial_cmp(&g.edges()[b].cost)
+                .expect("edge cost is never NaN")
+        });
+        let mut uf = UnionFind::new(g.num_nodes());
+        let mut total = 0.0;
+        for i in order {
+            let e = &g.edges()[i];
+            if uf.union(e.u.0, e.v.0) {
+                total += e.cost;
+            }
+        }
+        total
+    }
+
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.num_components(), 5);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
         assert!(uf.union(2, 3));
-        assert_eq!(uf.num_components(), 3);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
         uf.union(1, 3);
-        assert!(uf.connected(0, 2));
-        assert_eq!(uf.num_components(), 2);
+        assert_eq!(uf.find(0), uf.find(2));
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl<'g> Router<'g> {
         self.spts.get(&src)
     }
 
-    /// Number of distinct sources whose trees are held.
-    pub fn cached_sources(&self) -> usize {
-        self.spts.len()
-    }
-
     /// Runs `f` against the tree for `src`: the held tree when warmed,
     /// otherwise a freshly computed (uncached) one.
     fn with_spt<R>(&self, src: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
@@ -186,13 +181,6 @@ impl<'g> Router<'g> {
         self.with_spt(src, |spt| spt.unicast_cost(targets))
     }
 
-    /// Broadcast cost: the full shortest-path tree from `src` to every
-    /// node. Event-independent for a fixed source.
-    pub fn broadcast_cost(&self, src: NodeId) -> f64 {
-        let all: Vec<NodeId> = self.graph.nodes().collect();
-        self.group_multicast_cost(src, &all)
-    }
-
     /// Network-supported (dense-mode) multicast to a precomputed group:
     /// the shortest-path tree rooted at the publisher, pruned to the
     /// group members. Each shared tree edge is traversed once.
@@ -202,27 +190,12 @@ impl<'g> Router<'g> {
         })
     }
 
-    /// Application-level multicast: members form an overlay MST whose
-    /// edge weights are pairwise unicast costs; each overlay edge is a
-    /// unicast along the underlying shortest path. The publisher
-    /// unicasts the message into the nearest member (cost 0 when the
-    /// publisher is itself a member).
-    ///
-    /// Returns 0 for an empty group.
-    ///
-    /// When delivering many events to the same static group, compute
-    /// the group's tree once with [`Router::overlay_mst_cost`] and add
-    /// [`Router::entry_cost`] per event instead.
-    pub fn app_multicast_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
-        if members.is_empty() {
-            return 0.0;
-        }
-        self.entry_cost(src, members) + self.overlay_mst_cost(members)
-    }
-
     /// The publisher's cost of injecting a message into an overlay
     /// group: the unicast cost to the nearest member (0 when the
     /// publisher is a member, `+inf` for an empty group).
+    /// Application-level multicast costs this plus
+    /// [`Router::overlay_mst_cost`]: the members forward along an
+    /// overlay MST whose edges are unicasts.
     pub fn entry_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
         if members.contains(&src) {
             return 0.0;
@@ -284,6 +257,11 @@ mod tests {
     use crate::topology::{Topology, TransitStubParams};
     use rand::prelude::*;
 
+    /// Every node of `g`: the member list of a broadcast.
+    fn all(g: &Graph) -> Vec<NodeId> {
+        g.nodes().collect()
+    }
+
     /// Path 0 -1- 1 -1- 2 plus expensive shortcut 0 -5- 2.
     fn line() -> Graph {
         let mut g = Graph::with_nodes(3);
@@ -307,8 +285,8 @@ mod tests {
     fn broadcast_is_full_tree() {
         let g = line();
         let r = Router::new(&g);
-        assert_eq!(r.broadcast_cost(NodeId(0)), 2.0);
-        assert_eq!(r.broadcast_cost(NodeId(1)), 2.0);
+        assert_eq!(r.group_multicast_cost(NodeId(0), &all(&g)), 2.0);
+        assert_eq!(r.group_multicast_cost(NodeId(1), &all(&g)), 2.0);
     }
 
     #[test]
@@ -324,24 +302,23 @@ mod tests {
         let g = line();
         let r = Router::new(&g);
         // Members {1, 2}: overlay MST = one edge 1-2 with weight 1;
-        // publisher 0 enters at member 1 (distance 1). Total 2.
-        assert_eq!(
-            r.app_multicast_cost(NodeId(0), &[NodeId(1), NodeId(2)]),
-            2.0
-        );
+        // publisher 0 enters at member 1 (distance 1).
+        let members = [NodeId(1), NodeId(2)];
+        assert_eq!(r.overlay_mst_cost(&members), 1.0);
+        assert_eq!(r.entry_cost(NodeId(0), &members), 1.0);
         // Publisher inside the group: no entry cost.
-        assert_eq!(
-            r.app_multicast_cost(NodeId(1), &[NodeId(1), NodeId(2)]),
-            1.0
-        );
-        assert_eq!(r.app_multicast_cost(NodeId(0), &[]), 0.0);
+        assert_eq!(r.entry_cost(NodeId(1), &members), 0.0);
+        assert_eq!(r.overlay_mst_cost(&[]), 0.0);
+        assert_eq!(r.entry_cost(NodeId(0), &[]), f64::INFINITY);
     }
 
     #[test]
     fn app_multicast_decomposes_and_is_bounded() {
-        // app = entry + overlay MST, each side individually a lower
-        // bound. (No dominance over dense mode is asserted: the pruned
-        // SPT is not a Steiner tree, so either scheme can win.)
+        // app = entry + overlay MST. The entry is the nearest member's
+        // distance; the overlay MST spans the members, so it is at
+        // least their widest pair and at most the star from one member.
+        // (No dominance over dense mode is asserted: the pruned SPT is
+        // not a Steiner tree, so either scheme can win.)
         let mut rng = StdRng::seed_from_u64(11);
         let topo = Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
         let mut r = Router::new(topo.graph());
@@ -352,10 +329,20 @@ mod tests {
             let members: Vec<NodeId> = (0..8)
                 .map(|i| nodes[(i * 31 + trial * 7) % nodes.len()])
                 .collect();
-            let app = r.app_multicast_cost(src, &members);
-            let split = r.entry_cost(src, &members) + r.overlay_mst_cost(&members);
-            assert!((app - split).abs() < 1e-9, "trial {trial}");
-            assert!(app >= r.overlay_mst_cost(&members) - 1e-9);
+            let nearest = members
+                .iter()
+                .map(|&m| r.distance(src, m))
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(r.entry_cost(src, &members), nearest, "trial {trial}");
+            let mst = r.overlay_mst_cost(&members);
+            let widest = members
+                .iter()
+                .flat_map(|&a| members.iter().map(move |&b| (a, b)))
+                .map(|(a, b)| r.distance(a, b))
+                .fold(0.0f64, f64::max);
+            let star: f64 = members.iter().map(|&m| r.distance(members[0], m)).sum();
+            assert!(mst >= widest - 1e-9, "trial {trial}: {mst} < {widest}");
+            assert!(mst <= star + 1e-9, "trial {trial}: {mst} > {star}");
         }
     }
 
@@ -370,7 +357,7 @@ mod tests {
         let interested: Vec<NodeId> = nodes.iter().step_by(7).copied().collect();
         let uni = r.unicast_cost(src, interested.iter().copied());
         let ideal = r.group_multicast_cost(src, &interested);
-        let bcast = r.broadcast_cost(src);
+        let bcast = r.group_multicast_cost(src, &all(topo.graph()));
         assert!(ideal <= uni + 1e-9, "ideal {ideal} > unicast {uni}");
         assert!(ideal <= bcast + 1e-9, "ideal {ideal} > broadcast {bcast}");
     }
@@ -428,7 +415,7 @@ mod tests {
             // Reaching the farthest member cannot be cheaper than its
             // shortest path.
             assert!(sparse >= far - 1e-9, "trial {trial}: {sparse} < {far}");
-            let upper = r.distance(src, rp) + r.broadcast_cost(rp);
+            let upper = r.distance(src, rp) + r.group_multicast_cost(rp, &all(topo.graph()));
             assert!(sparse <= upper + 1e-9, "trial {trial}");
         }
     }
@@ -439,7 +426,7 @@ mod tests {
         let mut r = Router::new(&g);
         assert!(r.spt(NodeId(0)).is_none());
         r.insert_spt(ShortestPathTree::compute(r.routed_graph(), NodeId(0)));
-        assert_eq!(r.cached_sources(), 1);
+        assert_eq!(r.spts.len(), 1);
         assert_eq!(r.spt(NodeId(0)).map(|t| t.source()), Some(NodeId(0)));
         assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
         assert_eq!(r.group_multicast_cost(NodeId(0), &[NodeId(2)]), 2.0);
@@ -456,7 +443,7 @@ mod tests {
         assert_eq!(r.overlay_mst_cost(&[NodeId(1), NodeId(2)]), 1.0);
         assert_eq!(r.rendezvous_point(&[NodeId(1), NodeId(2)]), Some(NodeId(1)));
         // The fallback never populates the map.
-        assert_eq!(r.cached_sources(), 0);
+        assert_eq!(r.spts.len(), 0);
         assert!(r.spt(NodeId(0)).is_none());
     }
 
@@ -471,7 +458,7 @@ mod tests {
         r.warm([NodeId(0), NodeId(2)]);
         assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
         assert_eq!(r.distance(NodeId(2), NodeId(0)), 2.0);
-        assert_eq!(r.cached_sources(), 2);
+        assert_eq!(r.spts.len(), 2);
 
         // Fail the middle edge 1-2: both trees traverse it.
         let schedule = FaultSchedule::new(2)
@@ -495,7 +482,7 @@ mod tests {
         let up = schedule.view_at(&g, 1);
         let t = r.set_view(up);
         assert!(t.full_rebuild);
-        assert_eq!(r.cached_sources(), 0);
+        assert_eq!(r.spts.len(), 0);
         assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
 
         // A failure the held tree dodges leaves it in place.
@@ -503,7 +490,7 @@ mod tests {
         let far = FaultSchedule::new(1)
             .with(0, Fault::LinkDown(EdgeId(2)))
             .view_at(&g, 0);
-        let warm_before = r.cached_sources();
+        let warm_before = r.spts.len();
         let t = r.set_view(far);
         assert!(!t.full_rebuild);
         assert_eq!(t.retained, warm_before);
@@ -537,12 +524,12 @@ mod tests {
         let mut r = Router::new(&g);
         r.warm([NodeId(0)]);
         let _ = r.unicast_cost(NodeId(0), [NodeId(1)]);
-        let _ = r.broadcast_cost(NodeId(0));
+        let _ = r.group_multicast_cost(NodeId(0), &all(&g));
         let _ = r.distance(NodeId(2), NodeId(0));
         // Queries never fill the map; only a warm call does.
-        assert_eq!(r.cached_sources(), 1);
+        assert_eq!(r.spts.len(), 1);
         r.warm([NodeId(0), NodeId(2), NodeId(2)]);
-        assert_eq!(r.cached_sources(), 2);
+        assert_eq!(r.spts.len(), 2);
         assert_eq!(r.distance(NodeId(2), NodeId(0)), 2.0);
     }
 }

@@ -109,7 +109,9 @@ pub struct TransitStubParams {
     /// Probability of each extra edge between stub nodes of the same
     /// stub.
     pub extra_stub_edge_prob: f64,
-    /// Cost range for intra-stub edges (cheapest tier).
+    /// Cost range for intra-stub edges (cheapest tier). These are the
+    /// access links: raised above `stub_transit_cost`, they model the
+    /// paper's §6.2 "higher costs to the last-mile links".
     pub intra_stub_cost: CostRange,
     /// Cost range for stub-gateway-to-transit edges.
     pub stub_transit_cost: CostRange,
@@ -177,20 +179,6 @@ impl TransitStubParams {
     /// nodes each, 2 stubs per transit node, 20 nodes per stub.
     pub fn paper_section51() -> Self {
         TransitStubParams::default()
-    }
-
-    /// The paper's Section 6 extension (item 2): "assigning higher
-    /// costs to the last-mile links, since these are usually the
-    /// slowest and the most congested ones". In the transit-stub
-    /// model the intra-stub edges are the access tier; this raises
-    /// their cost range above the stub-transit uplinks.
-    ///
-    /// Every delivery to a stub node then pays its expensive access
-    /// edge regardless of scheme, so the *relative* multicast benefit
-    /// shrinks — useful for sensitivity studies.
-    pub fn with_expensive_last_mile(mut self, cost: CostRange) -> Self {
-        self.intra_stub_cost = cost;
-        self
     }
 }
 
@@ -368,15 +356,6 @@ impl Topology {
         self.graph.num_nodes()
     }
 
-    /// Role of node `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range.
-    pub fn kind(&self, n: NodeId) -> NodeKind {
-        self.kinds[n.0]
-    }
-
     /// The stub containing node `n`, or `None` for transit nodes.
     ///
     /// # Panics
@@ -413,15 +392,6 @@ impl Topology {
     /// Number of transit blocks.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Transit nodes of block `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is out of range.
-    pub fn transit_nodes(&self, b: usize) -> &[NodeId] {
-        &self.blocks[b]
     }
 
     /// All stub (non-transit) nodes, in id order.
@@ -527,7 +497,7 @@ mod tests {
         }
         // Transit nodes have no stub.
         for b in 0..topo.num_blocks() {
-            for &t in topo.transit_nodes(b) {
+            for &t in &topo.blocks[b] {
                 assert_eq!(topo.stub_of(t), None);
                 assert_eq!(topo.block_of(t), b);
             }
@@ -543,7 +513,7 @@ mod tests {
         let params = TransitStubParams::default();
         let topo = Topology::generate(&params, &mut rng);
         for e in topo.graph().edges() {
-            let (ku, kv) = (topo.kind(e.u), topo.kind(e.v));
+            let (ku, kv) = (topo.kinds[e.u.0], topo.kinds[e.v.0]);
             match (ku, kv) {
                 (NodeKind::Stub { stub: a, .. }, NodeKind::Stub { stub: b, .. }) => {
                     assert_eq!(a, b, "stub-stub edges only within a stub");
@@ -607,8 +577,10 @@ mod tests {
         // links, every receiver pays its own last mile under any
         // scheme, so the multicast/unicast ratio moves toward 1.
         let cheap = TransitStubParams::paper_100_nodes();
-        let pricey = TransitStubParams::paper_100_nodes()
-            .with_expensive_last_mile(CostRange::new(15.0, 25.0));
+        let pricey = TransitStubParams {
+            intra_stub_cost: CostRange::new(15.0, 25.0),
+            ..TransitStubParams::paper_100_nodes()
+        };
         let mut ratios = Vec::new();
         for params in [cheap, pricey] {
             let topo = Topology::generate(&params, &mut StdRng::seed_from_u64(5));

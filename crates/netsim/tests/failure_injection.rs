@@ -1,8 +1,20 @@
 //! Failure injection: link failures must degrade routing gracefully —
 //! costs grow, unreachable receivers are skipped, nothing panics.
 
-use netsim::{Graph, NodeId, Router, ShortestPathTree, Topology, TransitStubParams};
+use netsim::{
+    EdgeId, Fault, FaultSchedule, Graph, NodeId, Router, ShortestPathTree, Topology,
+    TransitStubParams,
+};
 use rand::prelude::*;
+
+/// `g` with `link` down, as the resilience pass routes over it: the
+/// same ids, the dead link at `+inf` cost.
+fn with_link_down(g: &Graph, link: EdgeId) -> Graph {
+    FaultSchedule::new(1)
+        .with(0, Fault::LinkDown(link))
+        .view_at(g, 0)
+        .apply(g)
+}
 
 #[test]
 fn removing_a_detour_edge_raises_costs_monotonically() {
@@ -16,7 +28,7 @@ fn removing_a_detour_edge_raises_costs_monotonically() {
     r.warm([NodeId(0)]);
     assert_eq!(r.distance(NodeId(0), NodeId(3)), 2.0);
     // Fail the fast path: traffic reroutes over the expensive side.
-    let degraded = g.without_edges(&[fast]);
+    let degraded = with_link_down(&g, fast);
     let mut r = Router::new(&degraded);
     r.warm([NodeId(0)]);
     assert_eq!(r.distance(NodeId(0), NodeId(3)), 10.0);
@@ -28,7 +40,7 @@ fn partition_leaves_unreachable_receivers_out_silently() {
     let mut g = Graph::with_nodes(3);
     g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
     let cut = g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
-    let degraded = g.without_edges(&[cut]);
+    let degraded = with_link_down(&g, cut);
     let spt = ShortestPathTree::compute(&degraded, NodeId(0));
     assert!(!spt.is_reachable(NodeId(2)));
     let mut r = Router::new(&degraded);
@@ -40,7 +52,9 @@ fn partition_leaves_unreachable_receivers_out_silently() {
         r.group_multicast_cost(NodeId(0), &[NodeId(1), NodeId(2)]),
         1.0
     );
-    assert_eq!(r.broadcast_cost(NodeId(0)), 1.0);
+    // Broadcast (every node a receiver) skips it too.
+    let everyone: Vec<NodeId> = degraded.nodes().collect();
+    assert_eq!(r.group_multicast_cost(NodeId(0), &everyone), 1.0);
 }
 
 #[test]
@@ -57,9 +71,10 @@ fn random_non_partitioning_failures_never_reduce_costs() {
     let base_tree = base_router.group_multicast_cost(src, &members);
     let mut tested = 0;
     for _ in 0..30 {
-        let victim = netsim::EdgeId(rng.gen_range(0..g.num_edges()));
-        let degraded = g.without_edges(&[victim]);
-        if !degraded.is_connected() {
+        let victim = EdgeId(rng.gen_range(0..g.num_edges()));
+        let degraded = with_link_down(g, victim);
+        let spt = ShortestPathTree::compute(&degraded, src);
+        if !g.nodes().all(|n| spt.is_reachable(n)) {
             continue; // partitions change semantics, covered above
         }
         tested += 1;
@@ -75,16 +90,4 @@ fn random_non_partitioning_failures_never_reduce_costs() {
         );
     }
     assert!(tested > 5, "too few non-partitioning failures sampled");
-}
-
-#[test]
-fn without_edges_validates_and_preserves_nodes() {
-    let mut g = Graph::with_nodes(3);
-    let e = g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-    let h = g.without_edges(&[e]);
-    assert_eq!(h.num_nodes(), 3);
-    assert_eq!(h.num_edges(), 0);
-    // Removing nothing clones the graph.
-    let same = g.without_edges(&[]);
-    assert_eq!(same.num_edges(), 1);
 }

@@ -443,16 +443,6 @@ impl<'a> Evaluator<'a> {
         total / n.max(1) as f64
     }
 
-    /// The topology under evaluation.
-    pub fn topology(&self) -> &'a Topology {
-        self.topo
-    }
-
-    /// The workload under evaluation.
-    pub fn workload(&self) -> &'a Workload {
-        self.workload
-    }
-
     /// Number of events in the stream.
     pub fn num_events(&self) -> usize {
         self.workload.events.len()

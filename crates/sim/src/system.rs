@@ -16,6 +16,10 @@ use pubsub_core::{
 
 use crate::delivery::{Covers, MulticastMode};
 
+/// The multicast substrate the system delivers over: network-supported
+/// (dense-mode) multicast, the paper's assumption.
+const MODE: MulticastMode = MulticastMode::NetworkSupported;
+
 /// How a published event was delivered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeliveryReport {
@@ -67,7 +71,6 @@ pub struct SystemStats {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct PubSubSystem<'a> {
-    topo: &'a Topology,
     router: Router<'a>,
     dynamic: DynamicClustering,
     /// Node of each subscription slot (tombstones keep their node).
@@ -77,7 +80,6 @@ pub struct PubSubSystem<'a> {
     index: SubscriptionIndex,
     /// Per-group state the pricing reads, rebuilt on refresh.
     covers: Covers,
-    mode: MulticastMode,
     threshold: f64,
     stats: SystemStats,
 }
@@ -90,27 +92,17 @@ impl<'a> PubSubSystem<'a> {
         let probs = CellProbability::uniform(&grid);
         let dynamic = DynamicClustering::new(grid, probs, KMeans::new(KMeansVariant::Forgy), k);
         let router = Router::new(topo.graph());
-        let mode = MulticastMode::NetworkSupported;
-        let covers = Covers::new(&router, Vec::new(), mode, false, |_| true);
+        let covers = Covers::new(&router, Vec::new(), MODE, false, |_| true);
         PubSubSystem {
-            topo,
             router,
             dynamic,
             nodes: Vec::new(),
             rects: Vec::new(),
             index: SubscriptionIndex::build(&[]),
             covers,
-            mode,
             threshold: 0.0,
             stats: SystemStats::default(),
         }
-    }
-
-    /// Switches the multicast substrate (default: network-supported).
-    pub fn with_mode(mut self, mode: MulticastMode) -> Self {
-        self.mode = mode;
-        self.build_covers();
-        self
     }
 
     /// Sets the Figure 5 matching threshold (default 0).
@@ -179,9 +171,7 @@ impl<'a> PubSubSystem<'a> {
         moves
     }
 
-    /// Rebuilds the per-group state (member nodes, and the overlay tree
-    /// or rendezvous point of the mode), warming every member's tree
-    /// first when the mode reads them.
+    /// Rebuilds the per-group state: each group's member nodes.
     fn build_covers(&mut self) {
         let nodes: Vec<Vec<NodeId>> = self
             .dynamic
@@ -195,10 +185,7 @@ impl<'a> PubSubSystem<'a> {
                 ns
             })
             .collect();
-        if self.mode != MulticastMode::NetworkSupported {
-            self.router.warm(nodes.iter().flatten().copied());
-        }
-        self.covers = Covers::new(&self.router, nodes, self.mode, false, |_| true);
+        self.covers = Covers::new(&self.router, nodes, MODE, false, |_| true);
     }
 
     /// Publishes an event: matches it, chooses multicast or unicast
@@ -244,11 +231,6 @@ impl<'a> PubSubSystem<'a> {
     /// Aggregate statistics since creation.
     pub fn stats(&self) -> SystemStats {
         self.stats
-    }
-
-    /// The network the system runs on.
-    pub fn topology(&self) -> &'a Topology {
-        self.topo
     }
 }
 
@@ -368,76 +350,39 @@ mod tests {
                 point: Point::new(vec![rng.gen_range(0.0..20.0)]),
             })
             .collect();
-        for mode in [
-            MulticastMode::NetworkSupported,
-            MulticastMode::ApplicationLevel,
-            MulticastMode::SparseMode,
-        ] {
-            let grid = Grid::cube(0.0, 20.0, 1, 20).unwrap();
-            let mut sys = PubSubSystem::new(&t, grid, 4).with_mode(mode);
-            for s in &subs {
-                sys.subscribe(s.node, s.rect.clone());
-            }
-            sys.refresh();
-            // The evaluator prices the same events through the shared
-            // pass, from group state it builds itself.
-            let w = Workload {
-                bounds: rect1(0.0, 20.0),
-                suggested_bins: vec![20],
-                subscriptions: subs.clone(),
-                events: events.clone(),
-            };
-            let mut evaluator = Evaluator::new(&t, &w);
-            let (fw, clustering) = (sys.dynamic.framework(), sys.dynamic.clustering());
-            let nodes = evaluator.member_nodes(clustering.groups().iter().map(|g| &g.members));
-            let routes = evaluator.grid_routes(fw, clustering, 0.0);
-            let covers = evaluator.covers(nodes, &routes, mode, false);
-            let prices = evaluator
-                .price_events(
-                    &evaluator.router,
-                    &covers,
-                    &routes,
-                    0..events.len(),
-                    |v: &mut Vec<f64>, _, p| v.push(p.multicast.unwrap_or(p.unicast)),
-                )
-                .concat();
-            for (ev, price) in events.iter().zip(prices) {
-                let cost = sys.publish(ev.publisher, &ev.point).cost;
-                assert_eq!(
-                    cost.to_bits(),
-                    price.to_bits(),
-                    "{mode:?}: {cost} vs {price}"
-                );
-            }
-            let stats = sys.stats();
-            assert!(
-                stats.multicast_events > 0 && stats.unicast_events > 0,
-                "{mode:?}"
-            );
+        let grid = Grid::cube(0.0, 20.0, 1, 20).unwrap();
+        let mut sys = PubSubSystem::new(&t, grid, 4);
+        for s in &subs {
+            sys.subscribe(s.node, s.rect.clone());
         }
-    }
-
-    #[test]
-    fn app_level_mode_is_in_the_same_ballpark() {
-        let t = topo();
-        let nodes: Vec<NodeId> = t.stub_nodes().collect();
-        let run = |mode: MulticastMode| {
-            let grid = Grid::cube(0.0, 20.0, 1, 20).unwrap();
-            let mut sys = PubSubSystem::new(&t, grid, 2).with_mode(mode);
-            for i in 0..10 {
-                sys.subscribe(nodes[i * 3], rect1(0.0, 12.0));
-            }
-            sys.refresh();
-            sys.publish(nodes[1], &Point::new(vec![6.0])).cost
+        sys.refresh();
+        // The evaluator prices the same events through the shared
+        // pass, from group state it builds itself.
+        let w = Workload {
+            bounds: rect1(0.0, 20.0),
+            suggested_bins: vec![20],
+            subscriptions: subs,
+            events: events.clone(),
         };
-        let net = run(MulticastMode::NetworkSupported);
-        let app = run(MulticastMode::ApplicationLevel);
-        // Either substrate can win on a single delivery (the pruned SPT
-        // is not a Steiner tree); both must be positive and comparable.
-        assert!(net > 0.0 && app > 0.0);
-        assert!(
-            app <= 3.0 * net && net <= 3.0 * app,
-            "net {net} vs app {app}"
-        );
+        let mut evaluator = Evaluator::new(&t, &w);
+        let (fw, clustering) = (sys.dynamic.framework(), sys.dynamic.clustering());
+        let nodes = evaluator.member_nodes(clustering.groups().iter().map(|g| &g.members));
+        let routes = evaluator.grid_routes(fw, clustering, 0.0);
+        let covers = evaluator.covers(nodes, &routes, MODE, false);
+        let prices = evaluator
+            .price_events(
+                &evaluator.router,
+                &covers,
+                &routes,
+                0..events.len(),
+                |v: &mut Vec<f64>, _, p| v.push(p.multicast.unwrap_or(p.unicast)),
+            )
+            .concat();
+        for (ev, price) in events.iter().zip(prices) {
+            let cost = sys.publish(ev.publisher, &ev.point).cost;
+            assert_eq!(cost.to_bits(), price.to_bits(), "{cost} vs {price}");
+        }
+        let stats = sys.stats();
+        assert!(stats.multicast_events > 0 && stats.unicast_events > 0);
     }
 }

@@ -1,11 +1,11 @@
-//! Integration tests of the live `PubSubSystem` façade across modes,
+//! Integration tests of the live `PubSubSystem` façade across
 //! thresholds and churn.
 
 use geometry::{Grid, Interval, Point, Rect};
 use netsim::{NodeId, Topology, TransitStubParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sim::{MulticastMode, PubSubSystem};
+use sim::PubSubSystem;
 
 fn topo() -> Topology {
     Topology::generate(
@@ -18,10 +18,9 @@ fn rect1(lo: f64, hi: f64) -> Rect {
     Rect::new(vec![Interval::new(lo, hi).unwrap()])
 }
 
-/// Every delivery mode produces the same receiver sets — only costs
-/// differ — and every interested node is always served.
+/// Every interested node is always served.
 #[test]
-fn all_modes_deliver_to_every_interested_node() {
+fn every_interested_node_is_served() {
     let t = topo();
     let nodes: Vec<NodeId> = t.stub_nodes().collect();
     let mut rng = StdRng::seed_from_u64(5);
@@ -32,29 +31,23 @@ fn all_modes_deliver_to_every_interested_node() {
             (n, rect1(lo, lo + rng.gen_range(1.0..5.0)))
         })
         .collect();
-    for mode in [
-        MulticastMode::NetworkSupported,
-        MulticastMode::SparseMode,
-        MulticastMode::ApplicationLevel,
-    ] {
-        let grid = Grid::cube(0.0, 20.0, 1, 20).unwrap();
-        let mut sys = PubSubSystem::new(&t, grid, 6).with_mode(mode);
-        for (n, r) in &subs {
-            sys.subscribe(*n, r.clone());
+    let grid = Grid::cube(0.0, 20.0, 1, 20).unwrap();
+    let mut sys = PubSubSystem::new(&t, grid, 6);
+    for (n, r) in &subs {
+        sys.subscribe(*n, r.clone());
+    }
+    sys.refresh();
+    for probe in 0..20 {
+        let event = Point::new(vec![probe as f64 + 0.5]);
+        let report = sys.publish(nodes[probe % nodes.len()], &event);
+        // Receivers ⊇ nodes of interested subscriptions.
+        for &i in &report.interested {
+            assert!(
+                report.receiver_nodes.contains(&subs[i].0),
+                "node of interested sub {i} not served"
+            );
         }
-        sys.refresh();
-        for probe in 0..20 {
-            let event = Point::new(vec![probe as f64 + 0.5]);
-            let report = sys.publish(nodes[probe % nodes.len()], &event);
-            // Receivers ⊇ nodes of interested subscriptions.
-            for &i in &report.interested {
-                assert!(
-                    report.receiver_nodes.contains(&subs[i].0),
-                    "{mode:?}: node of interested sub {i} not served"
-                );
-            }
-            assert!(report.cost >= 0.0);
-        }
+        assert!(report.cost >= 0.0);
     }
 }
 

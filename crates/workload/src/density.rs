@@ -46,11 +46,6 @@ impl NormalMixture {
         NormalMixture::new(vec![(1.0, Normal::new(mean, sd))])
     }
 
-    /// The components (weights sum to 1).
-    pub fn components(&self) -> &[(f64, Normal)] {
-        &self.components
-    }
-
     /// Draws one sample.
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         let mut u = rng.gen::<f64>();
@@ -101,15 +96,6 @@ impl PublicationDensity {
     /// Number of dimensions.
     pub fn dim(&self) -> usize {
         self.dims.len()
-    }
-
-    /// The mixture along dimension `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range.
-    pub fn mixture(&self, d: usize) -> &NormalMixture {
-        &self.dims[d]
     }
 
     /// The probability mass of a rectangle: the product of per-dimension
@@ -179,8 +165,8 @@ mod tests {
             (2.0, Normal::new(0.0, 1.0)),
             (6.0, Normal::new(5.0, 1.0)),
         ]);
-        assert!((m.components()[0].0 - 0.25).abs() < 1e-12);
-        assert!((m.components()[1].0 - 0.75).abs() < 1e-12);
+        assert!((m.components[0].0 - 0.25).abs() < 1e-12);
+        assert!((m.components[1].0 - 0.75).abs() < 1e-12);
         // Total mass over the whole line is 1.
         assert!((m.mass(-1e6, 1e6) - 1.0).abs() < 1e-9);
     }

@@ -43,11 +43,6 @@ impl Normal {
         self.mean
     }
 
-    /// The standard deviation.
-    pub fn sd(&self) -> f64 {
-        self.sd
-    }
-
     /// Draws one sample.
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         // Box–Muller; u1 in (0, 1] to avoid ln(0).
@@ -168,26 +163,6 @@ impl Zipf {
         self.cdf.len()
     }
 
-    /// The exponent.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Probability of rank `k` (1-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is outside `1..=n`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        assert!((1..=self.cdf.len()).contains(&k), "rank out of range");
-        if k == 1 {
-            // lint: allow(no-literal-index): k's range-assert implies a non-empty cdf
-            self.cdf[0]
-        } else {
-            self.cdf[k - 1] - self.cdf[k - 2]
-        }
-    }
-
     /// Draws a rank in `1..=n`.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();
@@ -244,16 +219,6 @@ impl Pareto {
         Pareto::new(mean / 2.0, 2.0)
     }
 
-    /// The scale `c` (minimum value).
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
-    /// The shape `alpha`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
     /// Draws a sample via inverse transform: `c / U^(1/alpha)`.
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
@@ -271,6 +236,11 @@ impl Pareto {
 mod tests {
     use super::*;
     use rand::prelude::*;
+
+    /// Probability of rank `k` (1-based): the step of the CDF at `k`.
+    fn pmf(z: &Zipf, k: usize) -> f64 {
+        z.cdf[k - 1] - if k == 1 { 0.0 } else { z.cdf[k - 2] }
+    }
 
     #[test]
     fn normal_moments() {
@@ -310,10 +280,10 @@ mod tests {
     #[test]
     fn zipf_pmf_sums_to_one_and_decreases() {
         let z = Zipf::new(20, 1.0).unwrap();
-        let total: f64 = (1..=20).map(|k| z.pmf(k)).sum();
+        let total: f64 = (1..=20).map(|k| pmf(&z, k)).sum();
         assert!((total - 1.0).abs() < 1e-12);
         for k in 1..20 {
-            assert!(z.pmf(k) > z.pmf(k + 1));
+            assert!(pmf(&z, k) > pmf(&z, k + 1));
         }
     }
 
@@ -329,9 +299,9 @@ mod tests {
         for k in 1..=10 {
             let emp = counts[k - 1] as f64 / n as f64;
             assert!(
-                (emp - z.pmf(k)).abs() < 0.01,
+                (emp - pmf(&z, k)).abs() < 0.01,
                 "rank {k}: empirical {emp} vs pmf {}",
-                z.pmf(k)
+                pmf(&z, k)
             );
         }
     }

@@ -70,16 +70,6 @@ impl NearDupModel {
         })
     }
 
-    /// Number of subscriptions generated.
-    pub fn population(&self) -> usize {
-        self.population
-    }
-
-    /// Size of the distinct-template pool.
-    pub fn distinct(&self) -> usize {
-        self.distinct
-    }
-
     /// The finite event-space bounds (`[0, 100]` per dimension).
     pub fn bounds(&self) -> Rect {
         Rect::new(

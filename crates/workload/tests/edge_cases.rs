@@ -45,7 +45,8 @@ fn single_subscription_single_event() {
     assert_eq!(w.subscriptions.len(), 1);
     assert_eq!(w.events.len(), 1);
     // Matching either finds the one subscription or nothing.
-    let m = w.matching_subscriptions(&w.events[0].point);
+    let mut m = Vec::new();
+    w.matching_into(&w.events[0].point, &mut m);
     assert!(m.len() <= 1);
 }
 
@@ -56,7 +57,6 @@ fn zipf_support_one_always_returns_rank_one() {
     for _ in 0..100 {
         assert_eq!(z.sample(&mut rng), 1);
     }
-    assert_eq!(z.pmf(1), 1.0);
 }
 
 #[test]

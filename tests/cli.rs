@@ -11,19 +11,29 @@ fn run(bin: &str, args: &[&str]) -> Output {
         .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"))
 }
 
+/// A misspelled flag, or a value the library would refuse with a panic
+/// (a threshold or a regionalism outside `[0, 1]`, NaN included) or
+/// silently clamp (`--k 0`), exits 2 naming the flag before any work
+/// runs.
 #[test]
 fn pubsub_rejects_a_misspelled_flag() {
-    let out = run(
-        env!("CARGO_BIN_EXE_pubsub"),
-        &["cluster", "--algoritm", "mst", "--k", "5"],
-    );
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "nothing ran");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--algoritm"),
-        "stderr names the flag: {stderr}"
-    );
+    let cases: [(&[&str], &str); 7] = [
+        (&["cluster", "--algoritm", "mst", "--k", "5"], "--algoritm"),
+        (&["cluster", "--threshold", "2"], "--threshold"),
+        (&["cluster", "--threshold", "nan"], "--threshold"),
+        (&["cluster", "--threshold", "-0.5"], "--threshold"),
+        (&["cluster", "--k", "0"], "--k"),
+        (&["replay", "--k", "0"], "--k"),
+        (&["baselines", "--regionalism", "2"], "--regionalism"),
+    ];
+    for (args, flag) in cases {
+        let out = run(env!("CARGO_BIN_EXE_pubsub"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "nothing ran for {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "stderr names {flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
 }
 
 #[test]

@@ -3,12 +3,9 @@
 //! The abstract's claim is read from the committed
 //! `results/fig7_medium.txt`, which CI's byte-for-byte gate holds equal
 //! to what the `fig7` bin prints, so it runs in milliseconds. The other
-//! two re-run the paper's pipeline at meaningful scale and take minutes,
-//! so they are `#[ignore]`d by default:
-//!
-//! ```text
-//! cargo test --release -p pubsub-bench --test reproduction -- --ignored
-//! ```
+//! two re-run the paper's pipeline: the Table 1 crossover at paper
+//! scale and Forgy's margin at medium scale, about two seconds together
+//! in the debug profile.
 
 use pubsub_core::{ClusteringAlgorithm, KMeans, KMeansVariant};
 use sim::experiments::{paper_table1_specs, table_rows};
@@ -46,7 +43,6 @@ fn headline_sixty_percent_with_under_100_groups() {
 }
 
 #[test]
-#[ignore = "several minutes: Table 1 crossover at paper scale"]
 fn unicast_broadcast_crossover_reproduces() {
     let specs = paper_table1_specs();
     let rows = table_rows(0.4, &specs, 200, 1);
@@ -64,7 +60,6 @@ fn unicast_broadcast_crossover_reproduces() {
 }
 
 #[test]
-#[ignore = "about a minute: medium-scale clustering quality"]
 fn forgy_beats_no_clustering_by_a_wide_margin() {
     let model = workload::StockModel::default().with_sizes(1000, 200);
     let sc = StockScenario::generate(
