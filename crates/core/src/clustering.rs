@@ -1,11 +1,12 @@
 //! Shared clustering types: groups, clusterings, the algorithm trait and
 //! the incremental group set the iterative algorithms use.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use geometry::Point;
+use geometry::{CellId, Point};
 
-use crate::framework::{GridFramework, HyperCell};
+use crate::framework::{CellFlip, DeltaReport, GridFramework, HyperCell};
 use crate::membership::BitSet;
 use crate::waste::{expected_waste, expected_waste_weighted};
 
@@ -129,14 +130,18 @@ pub trait ClusteringAlgorithm: Sync {
 /// Incrementally maintained state of all `K` groups of an iterative
 /// algorithm: per-(group, subscriber) containment counts, so hyper-cells
 /// can be added *and removed* in `O(|cell members|)`; the group sizes and
-/// probability masses the expected-waste distance needs; and the
-/// membership itself twice over, one copy per pricing kernel — each
-/// group's membership vector, and transposed, each subscriber's *set of
-/// groups*.
+/// probability masses the expected-waste distance needs; the membership
+/// itself twice over, one copy per pricing kernel — each group's
+/// membership vector, and transposed, each subscriber's *set of
+/// groups*; and, when rows are tracked, every hyper-cell's intersection
+/// count with every group, which prices a hyper-cell with no kernel at
+/// all while the rows are exact.
 #[derive(Debug)]
 pub(crate) struct GroupSet {
-    /// `counts[g][m]`: how many of group `g`'s hyper-cells contain
-    /// subscriber `m`.
+    /// `counts[g][m]`: how many of group `g`'s grid cells contain
+    /// subscriber `m`. Cells, not hyper-cells, so that a count is a sum
+    /// over cells, which [`rebase`](Self::rebase) patches cell by cell
+    /// across a delta that re-merges the hyper-cells.
     counts: Vec<Vec<u32>>,
     /// `vectors[g]`: group `g`'s membership vector — bit `m` is set iff
     /// `counts[g][m] > 0`, so it flips only on a 0↔1 count transition.
@@ -158,10 +163,43 @@ pub(crate) struct GroupSet {
     size: Vec<u64>,
     num_cells: Vec<usize>,
     prob: Vec<f64>,
+    /// `rows[h * K + g] = |hc ∩ group g|` for hyper-cell `h` of the
+    /// framework the set was built over (the row of `h`); empty when
+    /// rows are not tracked.
+    rows: Vec<u64>,
+    /// Whether every row is exact. While they are, pricing reads them
+    /// and each move patches them.
+    exact: bool,
+    /// Whether the current pass has left the rows stale — moved a
+    /// hyper-cell while they were, or outran the budget — and the
+    /// hyper-cells it left unpriced before that.
+    moved: bool,
+    unpriced: Vec<usize>,
+    /// Word reads the row patches of one pass may make before the rows
+    /// go stale: the steps one pass of the two kernels takes in the cost
+    /// model of [`prices_by_words`](Self::prices_by_words).
+    budget: u64,
+    /// Word reads the row patches of the current pass made.
+    spent: u64,
 }
 
 fn weight_of(weights: &Option<Arc<Vec<u64>>>, m: usize) -> u64 {
     weights.as_ref().map_or(1, |w| w[m])
+}
+
+/// The groups set in subscriber `m`'s `words`-word mask.
+fn groups_in(mask: &[u64], words: usize, m: usize) -> impl Iterator<Item = usize> + '_ {
+    let row = &mask[m * words..(m + 1) * words];
+    row.iter().enumerate().flat_map(|(i, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let g = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                g
+            })
+        })
+    })
 }
 
 impl GroupSet {
@@ -180,38 +218,154 @@ impl GroupSet {
             size: vec![0; k],
             num_cells: vec![0; k],
             prob: vec![0.0; k],
+            rows: Vec::new(),
+            exact: false,
+            moved: false,
+            unpriced: Vec::new(),
+            budget: 0,
+            spent: 0,
         }
     }
 
+    /// The `k` groups of `assignment` (hyper-cell `h` in group
+    /// `assignment[h]`) built from scratch, each hyper-cell added in
+    /// index order, tracking rows that a pass with no move makes exact.
+    pub(crate) fn seeded(framework: &GridFramework, k: usize, assignment: &[usize]) -> Self {
+        let hcs = framework.hypercells();
+        let mut groups = GroupSet::new(framework, k);
+        for (hc, &g) in hcs.iter().zip(assignment) {
+            groups.add(g, hc);
+        }
+        groups.track_rows(hcs);
+        groups
+    }
+
+    /// Adds `by` to `counts[g][m]`; returns whether bit `m` of group
+    /// `g` went from 0 to 1.
+    #[inline(always)]
+    fn raise(&mut self, g: usize, m: usize, by: u32) -> bool {
+        let count = &mut self.counts[g][m];
+        *count += by;
+        if *count != by {
+            return false;
+        }
+        self.size[g] += weight_of(&self.weights, m);
+        self.vectors[g].insert(m);
+        self.links += 1;
+        self.mask[m * self.words + g / 64] |= 1 << (g % 64);
+        true
+    }
+
+    /// Takes `by` from `counts[g][m]`; returns whether bit `m` of group
+    /// `g` went from 1 to 0.
+    #[inline(always)]
+    fn lower(&mut self, g: usize, m: usize, by: u32) -> bool {
+        let count = &mut self.counts[g][m];
+        debug_assert!(*count >= by, "removing a cell that was never added");
+        *count -= by;
+        if *count != 0 {
+            return false;
+        }
+        self.size[g] -= weight_of(&self.weights, m);
+        self.vectors[g].remove(m);
+        self.links -= 1;
+        self.mask[m * self.words + g / 64] &= !(1 << (g % 64));
+        true
+    }
+
     pub(crate) fn add(&mut self, g: usize, hc: &HyperCell) {
-        let counts = &mut self.counts[g];
+        let by = cells_of(hc);
         for m in hc.members.iter() {
-            if counts[m] == 0 {
-                self.size[g] += weight_of(&self.weights, m);
-                self.vectors[g].insert(m);
-                self.links += 1;
-                self.mask[m * self.words + g / 64] |= 1 << (g % 64);
-            }
-            counts[m] += 1;
+            self.raise(g, m, by);
         }
         self.num_cells[g] += 1;
         self.prob[g] += hc.prob;
     }
 
-    pub(crate) fn remove(&mut self, g: usize, hc: &HyperCell) {
-        let counts = &mut self.counts[g];
+    /// Moves hyper-cell `h` of `hcs` (the hyper-cells the set was built
+    /// over) from group `from` to group `to`. While the rows are exact,
+    /// the subscribers whose bit flipped in `from` or `to` are counted
+    /// out of or into that column of every row; once a pass's patches
+    /// outrun the budget, the rows go stale.
+    pub(crate) fn relocate(&mut self, hcs: &[HyperCell], h: usize, from: usize, to: usize) {
+        let (hc, by, exact) = (&hcs[h], cells_of(&hcs[h]), self.exact);
+        let (mut lost, mut gained) = (Vec::new(), Vec::new());
         for m in hc.members.iter() {
-            debug_assert!(counts[m] > 0, "removing a cell that was never added");
-            counts[m] -= 1;
-            if counts[m] == 0 {
-                self.size[g] -= weight_of(&self.weights, m);
-                self.vectors[g].remove(m);
-                self.links -= 1;
-                self.mask[m * self.words + g / 64] &= !(1 << (g % 64));
+            if self.lower(from, m, by) && exact {
+                lost.push(m);
             }
         }
-        self.num_cells[g] -= 1;
-        self.prob[g] -= hc.prob;
+        self.num_cells[from] -= 1;
+        self.prob[from] -= hc.prob;
+        for m in hc.members.iter() {
+            if self.raise(to, m, by) && exact {
+                gained.push(m);
+            }
+        }
+        self.num_cells[to] += 1;
+        self.prob[to] += hc.prob;
+        if exact {
+            self.patch_column(hcs, from, &lost, false);
+            self.patch_column(hcs, to, &gained, true);
+        }
+        if !self.exact || self.spent > self.budget {
+            self.exact = false;
+            self.moved = true;
+        }
+    }
+
+    /// Adds (`gained`) or takes away `|hc ∩ flipped|` in column `g` of
+    /// the row of every `hc` of `hcs`, reading only the words that hold
+    /// a subscriber of `flipped` (ascending). Unweighted, as rows are.
+    fn patch_column(&mut self, hcs: &[HyperCell], g: usize, flipped: &[usize], gained: bool) {
+        let mut words: Vec<(usize, u64)> = Vec::new();
+        for &m in flipped {
+            let (at, bit) = (m / 64, 1u64 << (m % 64));
+            match words.last_mut() {
+                Some((last, bits)) if *last == at => *bits |= bit,
+                _ => words.push((at, bit)),
+            }
+        }
+        if words.is_empty() {
+            return;
+        }
+        let k = self.num_groups();
+        for (hc, row) in hcs.iter().zip(self.rows.chunks_exact_mut(k)) {
+            let members = hc.members.words();
+            let both: u32 = words
+                .iter()
+                .map(|&(at, bits)| (members[at] & bits).count_ones())
+                .sum();
+            if gained {
+                row[g] += u64::from(both);
+            } else {
+                row[g] -= u64::from(both);
+            }
+        }
+        self.spent += (hcs.len() * words.len()) as u64;
+    }
+
+    /// Opens a re-assignment pass, with an empty row-update budget.
+    pub(crate) fn begin_pass(&mut self) {
+        self.spent = 0;
+        self.moved = false;
+        self.unpriced.clear();
+    }
+
+    /// Closes a pass over `hcs`. A pass that priced on stale rows and
+    /// moved nothing priced every row against the groups it ends with:
+    /// the rows it left unpriced are priced now, and all are exact. Such
+    /// a pass ends the run, so they get no patch budget; a
+    /// [`rebase`](Self::rebase) gives them one.
+    pub(crate) fn end_pass(&mut self, hcs: &[HyperCell]) {
+        if self.exact || self.moved || self.rows.is_empty() {
+            return;
+        }
+        let mut scratch = Vec::new();
+        for h in std::mem::take(&mut self.unpriced) {
+            self.price_row(h, &hcs[h], &mut scratch);
+        }
+        (self.exact, self.budget) = (true, 0);
     }
 
     pub(crate) fn num_groups(&self) -> usize {
@@ -229,10 +383,16 @@ impl GroupSet {
     /// by `n` to stay in integers. Weighted frameworks always walk: the
     /// word kernel counts members, it does not weigh them.
     pub(crate) fn prices_by_words(&self, hc: &HyperCell, cell_size: usize) -> bool {
+        let (word_steps, walk_steps) = self.kernel_steps(hc, cell_size);
+        self.weights.is_none() && word_steps < walk_steps
+    }
+
+    /// The two kernels' steps for `hc`, both scaled by `n`.
+    fn kernel_steps(&self, hc: &HyperCell, cell_size: usize) -> (u128, u128) {
         let n = hc.members.universe() as u128;
         let word_steps = self.num_groups() as u128 * n.div_ceil(64) * n;
         let walk_steps = cell_size as u128 * (n + self.links as u128);
-        self.weights.is_none() && word_steps < walk_steps
+        (word_steps, walk_steps)
     }
 
     /// The walk kernel: `in_both[g]` ← the weighted size of
@@ -265,51 +425,31 @@ impl GroupSet {
         in_both.extend(self.vectors.iter().map(both));
     }
 
-    /// Expected-waste distance between `hc` and every group, in group
-    /// order: `p(hc)·|group \ hc| + p(group)·|hc \ group|`, with set
-    /// sizes weighted by the per-slot multiplicities when present. The
-    /// weighted integers equal the concrete counts, so each `f64` is
-    /// bit-identical to the expanded computation. Both set differences
-    /// come from `in_both[g] = |hc ∩ group g|`, which the cheaper of two
-    /// exact kernels fills for all `K` groups at once (see
-    /// [`prices_by_words`](Self::prices_by_words)): one walk of
-    /// `hc.members`, `O(|hc|·(1 + links/n))`, on a sparse population;
-    /// one AND-popcount per group, `O(K·n/64)`, on a dense one.
-    /// `cell_size` is `|hc.members|`, counted once by the caller.
-    fn distances<'a>(
-        &'a self,
-        hc: &'a HyperCell,
-        cell_size: usize,
-        in_both: &'a mut Vec<u64>,
-    ) -> impl Iterator<Item = f64> + 'a {
-        let cell_size = if self.prices_by_words(hc, cell_size) {
+    /// `in_both[g] = |hc ∩ group g|` for all `K` groups by the cheaper
+    /// of two exact kernels (see [`prices_by_words`](Self::prices_by_words)):
+    /// one walk of `hc.members`, `O(|hc|·(1 + links/n))`, on a sparse
+    /// population; one AND-popcount per group, `O(K·n/64)`, on a dense
+    /// one. `cell_size` is `|hc.members|`; returns `hc`'s weighted size.
+    fn in_both(&self, hc: &HyperCell, cell_size: usize, in_both: &mut Vec<u64>) -> u64 {
+        if self.prices_by_words(hc, cell_size) {
             self.in_both_by_words(hc, in_both);
             cell_size as u64
         } else {
             self.in_both_by_walk(hc, in_both)
-        };
-        let groups = self.size.iter().zip(&self.prob).zip(&*in_both);
-        groups.map(move |((&size, &prob), &both)| {
-            let only_group = size - both;
-            let only_cell = cell_size - both;
-            hc.prob * only_group as f64 + prob * only_cell as f64
-        })
+        }
     }
 
-    /// Index of the group with minimal expected-waste distance to `hc`
-    /// (ties go to the lower index, deterministically). `cell_size` is
-    /// `|hc.members|`, which the caller counts once per hyper-cell so
-    /// the kernel choice costs no pass over `hc` of its own. `scratch`
-    /// is the caller's reusable `in_both` buffer; its contents are
-    /// ignored.
-    pub(crate) fn closest(
-        &self,
-        hc: &HyperCell,
-        cell_size: usize,
-        scratch: &mut Vec<u64>,
-    ) -> usize {
+    /// Index of the group with minimal expected-waste distance to a
+    /// hyper-cell of mass `p` and weighted size `cell_size` whose
+    /// intersection with group `g` weighs `in_both[g]`, ties to the
+    /// lower index: `p·|group \ hc| + p(group)·|hc \ group|`, with set
+    /// sizes weighted by the per-slot multiplicities when present. The
+    /// weighted integers equal the concrete counts, so each `f64` is
+    /// bit-identical to the expanded computation, whichever way
+    /// `in_both` was filled.
+    fn nearest(&self, p: f64, cell_size: u64, in_both: &[u64]) -> usize {
         let mut best = (0usize, f64::INFINITY);
-        for (g, d) in self.distances(hc, cell_size, scratch).enumerate() {
+        for (g, d) in self.distances(p, cell_size, in_both).enumerate() {
             if d < best.1 {
                 best = (g, d);
             }
@@ -317,12 +457,325 @@ impl GroupSet {
         best.0
     }
 
+    /// The `K` distances [`nearest`](Self::nearest) compares, in group
+    /// order.
+    fn distances<'a>(
+        &'a self,
+        p: f64,
+        cell_size: u64,
+        in_both: &'a [u64],
+    ) -> impl Iterator<Item = f64> + 'a {
+        let groups = self.size.iter().zip(&self.prob).zip(in_both);
+        groups.map(move |((&size, &prob), &both)| {
+            let only_group = size - both;
+            let only_cell = cell_size - both;
+            p * only_group as f64 + prob * only_cell as f64
+        })
+    }
+
+    /// Index of the group with minimal expected-waste distance to `hc`
+    /// (ties go to the lower index, deterministically), priced by the
+    /// kernels. `cell_size` is `|hc.members|`, which the caller counts
+    /// once per hyper-cell so the kernel choice costs no pass over `hc`
+    /// of its own. `scratch` is the caller's reusable `in_both` buffer;
+    /// its contents are ignored.
+    pub(crate) fn closest(
+        &self,
+        hc: &HyperCell,
+        cell_size: usize,
+        scratch: &mut Vec<u64>,
+    ) -> usize {
+        let weighted_size = self.in_both(hc, cell_size, scratch);
+        self.nearest(hc.prob, weighted_size, scratch)
+    }
+
+    /// [`closest`](Self::closest) for hyper-cell `h` (`hc`) of the
+    /// framework the set was built over: `K` multiply-adds over its row
+    /// while the rows are exact; otherwise the kernels, whose counts
+    /// become the row when rows are tracked and the pass has not moved
+    /// a hyper-cell yet (after a move, only a later pass can leave the
+    /// rows exact).
+    pub(crate) fn closest_at(
+        &mut self,
+        h: usize,
+        hc: &HyperCell,
+        cell_size: usize,
+        scratch: &mut Vec<u64>,
+    ) -> usize {
+        let k = self.num_groups();
+        if self.exact {
+            return self.nearest(hc.prob, cell_size as u64, &self.rows[h * k..(h + 1) * k]);
+        }
+        let weighted_size = self.in_both(hc, cell_size, scratch);
+        if !self.rows.is_empty() && !self.moved {
+            self.rows[h * k..(h + 1) * k].copy_from_slice(scratch);
+        }
+        self.nearest(hc.prob, weighted_size, scratch)
+    }
+
+    /// Notes that the current pass does not price hyper-cell `h`, the
+    /// last of its group.
+    pub(crate) fn skip(&mut self, h: usize) {
+        if !self.exact && !self.rows.is_empty() && !self.moved {
+            self.unpriced.push(h);
+        }
+    }
+
+    /// Writes the row of hyper-cell `h` (`hc`) by the kernels.
+    fn price_row(&mut self, h: usize, hc: &HyperCell, scratch: &mut Vec<u64>) {
+        let k = self.num_groups();
+        self.in_both(hc, hc.members.count(), scratch);
+        self.rows[h * k..(h + 1) * k].copy_from_slice(scratch);
+    }
+
+    /// Makes the set track the rows of `hcs`, stale until a pass with no
+    /// move. A class-universe framework's set tracks none: its
+    /// rows would need weighted cell sizes, and only concrete frameworks
+    /// take the incremental path that carries them.
+    pub(crate) fn track_rows(&mut self, hcs: &[HyperCell]) {
+        self.exact = false;
+        self.rows.clear();
+        if self.weights.is_none() {
+            self.rows.resize(hcs.len() * self.num_groups(), 0);
+        }
+    }
+
+    /// Marks the rows of `hcs` exact, with the steps one kernel pass
+    /// over `hcs` takes as each pass's patch budget.
+    fn go_exact(&mut self, hcs: &[HyperCell]) {
+        let steps = |hc: &HyperCell| {
+            let (words, walk) = self.kernel_steps(hc, hc.members.count());
+            words.min(walk) / (hc.members.universe() as u128).max(1)
+        };
+        self.budget = hcs.iter().map(steps).sum::<u128>() as u64;
+        self.exact = true;
+    }
+
+    /// Prices every row of `hcs` by the kernels and marks them exact.
+    pub(crate) fn price_rows(&mut self, hcs: &[HyperCell]) {
+        self.track_rows(hcs);
+        if self.weights.is_some() {
+            return;
+        }
+        let mut scratch = Vec::new();
+        for (h, hc) in hcs.iter().enumerate() {
+            self.price_row(h, hc, &mut scratch);
+        }
+        self.go_exact(hcs);
+    }
+
+    /// Recounts each group's hyper-cells and re-sums its mass over
+    /// `assignment`, in hyper-cell order as [`seeded`](Self::seeded)
+    /// sums them: masses patched move by move carry rounding of their
+    /// own, and every distance reads them.
+    pub(crate) fn resum(&mut self, hcs: &[HyperCell], assignment: &[usize]) {
+        self.num_cells.fill(0);
+        self.prob.fill(0.0);
+        for (hc, &g) in hcs.iter().zip(assignment) {
+            self.num_cells[g] += 1;
+            self.prob[g] += hc.prob;
+        }
+    }
+
+    /// Carries the set of `old`, the clustering of the framework before
+    /// `report`'s delta, over to `framework`, the framework after it,
+    /// with hyper-cell `h` in group `seed[h]`. The result equals
+    /// `GroupSet::seeded(framework, K, seed)` field for field, and costs
+    /// what changed rather than a rebuild:
+    ///
+    /// - counts move cell by cell: a dirty cell that keeps its group
+    ///   takes its flipped bits, and a cell whose group the seed changed
+    ///   moves its members from one group to the other;
+    /// - hyper-cell counts and masses are re-summed in seed order;
+    /// - the row of a new hyper-cell starts from the old row of one of
+    ///   its cells (cells are stable across a delta, hyper-cell ids are
+    ///   not), takes that cell's flipped bits against the old masks, then
+    ///   each of its members' group bits that flipped above.
+    ///
+    /// Stale rows stay stale, for the passes to price.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seed` names a group `>= K` or `old` is not the
+    /// clustering this set holds.
+    pub(crate) fn rebase(
+        &mut self,
+        framework: &GridFramework,
+        report: &DeltaReport,
+        old: &Clustering,
+        seed: &[usize],
+    ) {
+        let hcs = framework.hypercells();
+        let n = framework.num_subscribers();
+        for (counts, vector) in self.counts.iter_mut().zip(&mut self.vectors) {
+            counts.resize(n, 0);
+            vector.grow(n);
+        }
+        self.mask.resize(n * self.words, 0);
+        let before = self.mask.clone();
+        let group_of = |oh: usize| old.group_of_hyper(oh);
+        let flip_of: HashMap<CellId, &CellFlip> =
+            report.flips.iter().map(|f| (f.cell, f)).collect();
+        let clean_old_hyper = |c: &CellId| {
+            let oh = report.old_hyper_of_cell.get(c);
+            *oh.expect("an unflipped cell of a changed hyper-cell was mapped")
+        };
+
+        // Counts, cell by cell. A dirty cell that no hyper-cell holds any
+        // more lost every member it had.
+        for f in report.flips.iter() {
+            if let (None, Some(oh)) = (framework.hyper_of_cell(f.cell), f.old_hyper) {
+                for &m in &f.cleared {
+                    self.lower(group_of(oh), m, 1);
+                }
+            }
+        }
+        for (h, hc) in hcs.iter().enumerate() {
+            let to = seed[h];
+            if let Some(oh) = report.old_index[h] {
+                self.shift(hc, group_of(oh), to, cells_of(hc));
+                continue;
+            }
+            for c in &hc.cells {
+                match flip_of.get(c) {
+                    None => self.shift(hc, group_of(clean_old_hyper(c)), to, 1),
+                    Some(f) => match f.old_hyper.map(group_of) {
+                        Some(from) if from == to => {
+                            for &m in &f.cleared {
+                                self.lower(to, m, 1);
+                            }
+                            for &m in &f.set {
+                                self.raise(to, m, 1);
+                            }
+                        }
+                        from => {
+                            // The cell held its new members but `set`,
+                            // plus `cleared`.
+                            if let Some(from) = from {
+                                for m in hc.members.iter().filter(|m| !f.set.contains(m)) {
+                                    self.lower(from, m, 1);
+                                }
+                                for &m in &f.cleared {
+                                    self.lower(from, m, 1);
+                                }
+                            }
+                            for m in hc.members.iter() {
+                                self.raise(to, m, 1);
+                            }
+                        }
+                    },
+                }
+            }
+        }
+        self.resum(hcs, seed);
+        let exact = self.exact;
+        let old_rows = std::mem::take(&mut self.rows);
+        self.track_rows(hcs);
+        if !exact {
+            return;
+        }
+
+        // Rows.
+        let w = self.words;
+        let mut flipped = BitSet::new(n);
+        for m in 0..n {
+            if before[m * w..(m + 1) * w] != self.mask[m * w..(m + 1) * w] {
+                flipped.insert(m);
+            }
+        }
+        let k = self.num_groups();
+        let mut rows = std::mem::take(&mut self.rows);
+        for (h, (hc, row)) in hcs.iter().zip(rows.chunks_exact_mut(k.max(1))).enumerate() {
+            // An old row of one of `h`'s cells, and the cell's flips.
+            let (from, flip) = match report.old_index[h] {
+                Some(oh) => (Some(oh), None),
+                None => match hc.cells.iter().find(|c| !flip_of.contains_key(c)) {
+                    Some(c) => (Some(clean_old_hyper(c)), None),
+                    None => {
+                        let f = hc.cells.first().and_then(|c| flip_of.get(c));
+                        let f = f.expect("a hyper-cell holds a cell");
+                        (f.old_hyper, Some(f))
+                    }
+                },
+            };
+            if let Some(oh) = from {
+                row.copy_from_slice(&old_rows[oh * k..(oh + 1) * k]);
+            }
+            if let Some(f) = flip {
+                for &m in &f.cleared {
+                    let weight = weight_of(&self.weights, m);
+                    for g in groups_in(&before, w, m) {
+                        row[g] -= weight;
+                    }
+                }
+                for &m in &f.set {
+                    let weight = weight_of(&self.weights, m);
+                    for g in groups_in(&before, w, m) {
+                        row[g] += weight;
+                    }
+                }
+            }
+            for m in hc.members.iter_and(&flipped) {
+                let weight = weight_of(&self.weights, m);
+                for i in 0..w {
+                    let (was, is) = (before[m * w + i], self.mask[m * w + i]);
+                    let (mut gained, mut lost) = (is & !was, was & !is);
+                    while gained != 0 {
+                        row[i * 64 + gained.trailing_zeros() as usize] += weight;
+                        gained &= gained - 1;
+                    }
+                    while lost != 0 {
+                        row[i * 64 + lost.trailing_zeros() as usize] -= weight;
+                        lost &= lost - 1;
+                    }
+                }
+            }
+        }
+        self.rows = rows;
+        self.go_exact(hcs);
+    }
+
+    /// Moves `by` of each of `hc`'s members' counts from group `from`
+    /// to group `to`; nothing when they are the same group.
+    fn shift(&mut self, hc: &HyperCell, from: usize, to: usize, by: u32) {
+        if from == to {
+            return;
+        }
+        for m in hc.members.iter() {
+            self.lower(from, m, by);
+            self.raise(to, m, by);
+        }
+    }
+
+    /// Whether `self` equals `other` field for field — masses compared
+    /// by bits, rows wherever `self`'s are exact — leaving out the pass
+    /// state.
+    pub(crate) fn same_as(&self, other: &GroupSet) -> bool {
+        let bits = |prob: &[f64]| prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        self.counts == other.counts
+            && self.vectors == other.vectors
+            && self.links == other.links
+            && (self.mask == other.mask && self.words == other.words)
+            && self.weights == other.weights
+            && self.size == other.size
+            && self.num_cells == other.num_cells
+            && bits(&self.prob) == bits(&other.prob)
+            && (!self.exact || (other.exact && self.rows == other.rows))
+    }
+
     /// Whether every mask bit and every group-vector bit agrees with
-    /// its count, `links` is the number of set group-vector bits, and
-    /// every size is the weighted popcount. `O(n·K)`: for
-    /// `debug_assert!` and tests.
-    pub(crate) fn is_consistent(&self) -> bool {
+    /// its count, `links` is the number of set group-vector bits, every
+    /// size is the weighted popcount, and — while the rows are exact —
+    /// every row of `hcs` (the hyper-cells it was built over) equals a
+    /// fresh walk. `O(n·K + l·K)`: for `debug_assert!` and tests.
+    pub(crate) fn is_consistent(&self, hcs: &[HyperCell]) -> bool {
         let links: usize = self.vectors.iter().map(BitSet::count).sum();
+        let k = self.num_groups();
+        let mut walked = Vec::new();
+        let row_is_fresh = |(h, hc): (usize, &HyperCell)| {
+            self.in_both_by_walk(hc, &mut walked);
+            walked == self.rows[h * k..(h + 1) * k]
+        };
         links == self.links
             && self.counts.iter().enumerate().all(|(g, counts)| {
                 let bit = |m: usize| self.mask[m * self.words + g / 64] >> (g % 64) & 1;
@@ -334,7 +787,14 @@ impl GroupSet {
                 (0..counts.len()).all(agrees)
                     && (0..counts.len()).map(weight).sum::<u64>() == self.size[g]
             })
+            && (!self.exact
+                || (self.rows.len() == hcs.len() * k && hcs.iter().enumerate().all(row_is_fresh)))
     }
+}
+
+/// The grid cells of `hc`, the amount it adds to a count.
+fn cells_of(hc: &HyperCell) -> u32 {
+    u32::try_from(hc.cells.len()).expect("a hyper-cell holds fewer than 2^32 cells")
 }
 
 /// Distance between two materialized groups (used by the hierarchical
@@ -364,10 +824,24 @@ mod tests {
     impl GroupSet {
         /// The distance `closest` compares for group `g`.
         fn distance_to(&self, g: usize, hc: &HyperCell) -> f64 {
-            let d = self
-                .distances(hc, hc.members.count(), &mut Vec::new())
-                .nth(g);
+            let mut in_both = Vec::new();
+            let size = self.in_both(hc, hc.members.count(), &mut in_both);
+            let d = self.distances(hc.prob, size, &in_both).nth(g);
             d.expect("group in range")
+        }
+
+        pub(crate) fn rows_exact(&self) -> bool {
+            self.exact
+        }
+
+        /// Takes `hc` out of group `g` alone, which a partition never
+        /// does: the random sequences below hold a cell in many groups.
+        fn remove(&mut self, g: usize, hc: &HyperCell) {
+            for m in hc.members.iter() {
+                self.lower(g, m, cells_of(hc));
+            }
+            self.num_cells[g] -= 1;
+            self.prob[g] -= hc.prob;
         }
 
         /// Group `g`'s materialized membership vector, read off the masks.
@@ -454,7 +928,7 @@ mod tests {
         acc.remove(0, &hcs[1]);
         assert_eq!(acc.members(0), hcs[0].members);
         assert_eq!(acc.num_cells(0), 1);
-        assert!(acc.is_consistent());
+        assert!(acc.is_consistent(hcs));
 
         // A random add/remove sequence over K = 70 groups (two mask
         // words), concrete and weighted: after every step each mask bit
@@ -481,7 +955,7 @@ mod tests {
                         acc.add(g, &hcs[h]);
                     }
                 }
-                assert!(acc.is_consistent());
+                assert!(acc.is_consistent(hcs));
                 let mut union = BitSet::new(fw.num_subscribers());
                 for &c in &held[g] {
                     union.union_with(&hcs[c].members);
@@ -499,6 +973,52 @@ mod tests {
             }
             assert!(held.iter().any(|cells| cells.len() > 1));
         }
+    }
+
+    /// Rows priced by the kernels stay exact through random moves,
+    /// patched flip by flip, until a pass's patches outrun the budget;
+    /// the rows are stale from then on, and a pass that prices every
+    /// hyper-cell and moves nothing makes them exact again.
+    #[test]
+    fn rows_follow_moves_until_the_budget_runs_out() {
+        let mut ran_out = 0;
+        for fw in [framework(), dense_framework()] {
+            let hcs = fw.hypercells();
+            let k = 3;
+            let mut assignment: Vec<usize> = (0..hcs.len()).map(|h| h % k).collect();
+            let mut groups = GroupSet::seeded(&fw, k, &assignment);
+            groups.price_rows(hcs);
+            let mut rng = StdRng::seed_from_u64(8);
+            groups.begin_pass();
+            for _ in 0..400 {
+                let (h, to) = (rng.gen_range(0..hcs.len()), rng.gen_range(0..k));
+                if to == assignment[h] || groups.num_cells(assignment[h]) == 1 {
+                    continue;
+                }
+                groups.relocate(hcs, h, assignment[h], to);
+                assignment[h] = to;
+                if !groups.exact {
+                    assert!(groups.spent > groups.budget);
+                    ran_out += 1;
+                    break;
+                }
+                assert!(groups.is_consistent(hcs));
+            }
+            groups.end_pass(hcs);
+            if !groups.exact {
+                groups.begin_pass();
+                let mut scratch = Vec::new();
+                for (h, hc) in hcs.iter().enumerate() {
+                    groups.closest_at(h, hc, hc.members.count(), &mut scratch);
+                }
+                groups.end_pass(hcs);
+            }
+            assert!(groups.exact && groups.is_consistent(hcs));
+            let mut fresh = GroupSet::seeded(&fw, k, &assignment);
+            fresh.price_rows(hcs);
+            assert_eq!(groups.rows, fresh.rows);
+        }
+        assert_eq!(ran_out, 1, "only the dense population runs out");
     }
 
     /// 129 random intervals on a 40-cell line: three subscriber words

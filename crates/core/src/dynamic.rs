@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use geometry::{CellId, Grid, Point, Rect};
 
-use crate::clustering::Clustering;
+use crate::clustering::{Clustering, GroupSet};
 use crate::framework::{CellProbability, GridFramework};
 use crate::kmeans::KMeans;
 use crate::parallel;
@@ -82,6 +82,24 @@ pub struct DynamicClustering {
     max_dirty: f64,
     /// Diagnostics of the most recent rebalance.
     last_stats: RebalanceStats,
+    /// K-means' group state of `clustering`, for the next incremental
+    /// rebalance to patch instead of rebuild.
+    groups: Carried,
+}
+
+/// The [`GroupSet`] of a converged clustering, equal to one built from
+/// scratch from its framework and assignment, with its rows; `None`
+/// where there is none to carry. A clone starts with `None`: the state
+/// is a cache, and the first rebalance of the clone rebuilds it from
+/// scratch, with the same results. The service moves it into its work
+/// copy instead, so no swap copies it.
+#[derive(Debug, Default)]
+struct Carried(Option<GroupSet>);
+
+impl Clone for Carried {
+    fn clone(&self) -> Self {
+        Carried(None)
+    }
 }
 
 /// Diagnostics of the most recent [`DynamicClustering::rebalance`].
@@ -168,6 +186,7 @@ impl DynamicClustering {
             baseline: HashMap::new(),
             max_dirty: DEFAULT_MAX_DIRTY,
             last_stats: RebalanceStats::default(),
+            groups: Carried::default(),
         }
     }
 
@@ -288,10 +307,12 @@ impl DynamicClustering {
     /// [`rebalance_audited`](Self::rebalance_audited) — everything
     /// except the post-condition audit.
     fn rebalance_paths(&mut self) -> usize {
+        // Taken first, so a path that panics leaves no state behind.
+        let carried = self.groups.0.take();
         let changed = self.baseline.len();
         let fraction = changed as f64 / self.subscriptions.len().max(1) as f64;
         if self.framework.supports_incremental() && fraction <= self.max_dirty {
-            self.rebalance_incremental(changed)
+            self.rebalance_incremental(changed, carried)
         } else {
             self.rebalance_full(changed)
         }
@@ -328,21 +349,46 @@ impl DynamicClustering {
         v.check_framework(&self.framework)
             .check_clustering(&self.framework, &self.clustering);
         v.finish().map_err(RebalanceError::Validation)?;
+        self.debug_check_carried("DynamicClustering::try_rebalance");
         Ok(self.last_stats)
+    }
+
+    /// A copy to rebalance that takes this value's carried group state
+    /// along rather than copying it: the service-loop rebalancer works
+    /// on the copy and drops it on any abort, which leaves the next
+    /// attempt to rebuild the state from scratch.
+    pub(crate) fn fork(&mut self) -> Self {
+        let mut work = self.clone();
+        work.groups = std::mem::take(&mut self.groups);
+        work
     }
 
     /// Debug-build structural audit at the rebalance boundary: the
     /// framework and clustering leaving either maintenance path must
-    /// satisfy every invariant [`crate::Validator`] knows about. Free
-    /// in release builds.
+    /// satisfy every invariant [`crate::Validator`] knows about, and
+    /// the carried group state must pass
+    /// [`debug_check_carried`](Self::debug_check_carried). Free in
+    /// release builds.
     #[inline]
-    fn debug_validate(&self, _context: &str) {
-        #[cfg(debug_assertions)]
-        {
-            let mut v = crate::Validator::new();
+    fn debug_validate(&self, context: &str) {
+        if cfg!(debug_assertions) {
+            let mut v = Validator::new();
             v.check_framework(&self.framework)
                 .check_clustering(&self.framework, &self.clustering);
-            v.assert_clean(_context);
+            v.assert_clean(context);
+            self.debug_check_carried(context);
+        }
+    }
+
+    /// Debug builds: [`debug_check_groups`] on the carried group state
+    /// and the clustering's assignment. Free in release builds.
+    #[inline]
+    fn debug_check_carried(&self, context: &str) {
+        if let Some(groups) = self.groups.0.as_ref().filter(|_| cfg!(debug_assertions)) {
+            let l = self.framework.hypercells().len();
+            let assignment: Vec<usize> =
+                (0..l).map(|h| self.clustering.group_of_hyper(h)).collect();
+            debug_check_groups(groups, &self.framework, &assignment, context);
         }
     }
 
@@ -374,8 +420,10 @@ impl DynamicClustering {
     }
 
     /// Incremental path: delta rasterization + dirty-region re-merge,
-    /// then a warm-started re-balance seeded from the old assignment.
-    fn rebalance_incremental(&mut self, changed: usize) -> usize {
+    /// then a warm-started re-balance seeded from the old assignment,
+    /// from the `carried` group state patched across the delta when
+    /// there is one and it has the right number of groups.
+    fn rebalance_incremental(&mut self, changed: usize, carried: Option<GroupSet>) -> usize {
         let (added, removed) = self.take_delta();
         let report =
             self.framework
@@ -400,6 +448,7 @@ impl DynamicClustering {
         // hyper-cell's cells all vote for its own old group, so the
         // vote collapses to a lookup; a changed hyper-cell tallies its
         // cells' old groups exactly as the full path does.
+        let mut tally = vec![0; k];
         let seed: Vec<usize> = (0..l)
             .map(|h| match report.old_index[h] {
                 Some(old_h) => {
@@ -413,15 +462,36 @@ impl DynamicClustering {
                 None => {
                     let cells = &self.framework.hypercells()[h].cells;
                     let old = cells.iter().filter_map(|c| report.old_hyper_of_cell.get(c));
-                    warm_seed(&self.clustering, old.copied(), k, h)
+                    warm_seed(&self.clustering, old.copied(), &mut tally, h)
                 }
             })
             .collect();
-        let (clustering, moves) = self.algorithm.cluster_seeded(&self.framework, k, &seed);
-        self.clustering = clustering;
+        let groups = match carried {
+            Some(mut groups) if groups.num_groups() == k => {
+                groups.rebase(&self.framework, &report, &self.clustering, &seed);
+                if cfg!(debug_assertions) {
+                    debug_check_groups(&groups, &self.framework, &seed, "GroupSet::rebase");
+                }
+                groups
+            }
+            _ => GroupSet::seeded(&self.framework, k, &seed),
+        };
+        let (clustering, moves, groups) =
+            self.algorithm
+                .rebalance_groups(&self.framework, groups, seed);
+        self.keep(clustering, groups);
         stats.moves = moves;
         self.last_stats = stats;
         moves
+    }
+
+    /// Installs `clustering` and carries `groups`, its group state, to
+    /// the next rebalance — unless a group was left empty, which
+    /// renumbers the clustering's groups away from the state's.
+    fn keep(&mut self, clustering: Clustering, groups: GroupSet) {
+        let dense = clustering.num_groups() == groups.num_groups();
+        self.clustering = clustering;
+        self.groups = Carried(dense.then_some(groups));
     }
 
     /// Rasterizes every slot, in parallel as [`GridFramework::build`]
@@ -452,6 +522,7 @@ impl DynamicClustering {
         // Warm start: a new hyper-cell inherits the group that most of
         // its cells belonged to before (falling back to round-robin for
         // cells in previously empty regions).
+        let mut tally = vec![0; k];
         let seed: Vec<usize> = new_fw
             .hypercells()
             .iter()
@@ -461,12 +532,13 @@ impl DynamicClustering {
                     .cells
                     .iter()
                     .filter_map(|&c| self.framework.hyper_of_cell(c));
-                warm_seed(&self.clustering, old, k, h)
+                warm_seed(&self.clustering, old, &mut tally, h)
             })
             .collect();
-        let (clustering, moves) = self.algorithm.cluster_seeded(&new_fw, k, &seed);
+        let groups = GroupSet::seeded(&new_fw, k, &seed);
+        let (clustering, moves, groups) = self.algorithm.rebalance_groups(&new_fw, groups, seed);
         self.framework = new_fw;
-        self.clustering = clustering;
+        self.keep(clustering, groups);
         self.finish_full(changed, moves);
         moves
     }
@@ -486,29 +558,51 @@ impl DynamicClustering {
 
 /// The warm-start group of new hyper-cell `h`, shared by both rebuild
 /// paths: the old group that most of its cells belonged to. `old_hypers`
-/// yields, per cell that had one, the cell's old hyper-cell in `old`.
+/// yields, per cell that had one, the cell's old hyper-cell in `old`;
+/// `tally` is the caller's scratch, one vote count per group `0..k`.
 /// Groups `>= k` do not vote, ties go to the lower group id, and a cell
 /// set with no vote falls back to round-robin `h % k`.
 fn warm_seed(
     old: &Clustering,
     old_hypers: impl Iterator<Item = usize>,
-    k: usize,
+    tally: &mut [usize],
     h: usize,
 ) -> usize {
-    let mut votes = HashMap::new();
+    tally.fill(0);
+    // (votes, group) of the leader so far: a group that ties the
+    // leader's count when it reaches it takes the lead if its id is
+    // lower, so the last leader has the most votes and the lowest id.
+    let mut best: Option<(usize, usize)> = None;
     for old_h in old_hypers {
         let g = old.group_of_hyper(old_h);
-        if g < k {
-            *votes.entry(g).or_insert(0usize) += 1;
+        if let Some(votes) = tally.get_mut(g) {
+            *votes += 1;
+            if best.is_none_or(|(most, at)| *votes > most || (*votes == most && g < at)) {
+                best = Some((*votes, g));
+            }
         }
     }
-    votes
-        // lint: allow(hash-order): max over the total key
-        // (count, group id) is order-independent
-        .into_iter()
-        .max_by_key(|&(g, count)| (count, usize::MAX - g))
-        .map(|(g, _)| g)
-        .unwrap_or(h % k)
+    best.map_or(h % tally.len(), |(_, g)| g)
+}
+
+/// Panics unless `groups` equals, field for field and masses by bits, a
+/// [`GroupSet`] built from scratch from `framework` and `assignment`,
+/// and each of its exact rows equals a fresh walk. `O(n·K + l·K)` and a
+/// kernel pass: for debug builds.
+fn debug_check_groups(
+    groups: &GroupSet,
+    framework: &GridFramework,
+    assignment: &[usize],
+    context: &str,
+) {
+    let hcs = framework.hypercells();
+    let mut scratch = GroupSet::seeded(framework, groups.num_groups(), assignment);
+    scratch.price_rows(hcs);
+    assert!(groups.is_consistent(hcs), "{context}: carried rows drifted");
+    assert!(
+        groups.same_as(&scratch),
+        "{context}: the carried group state differs from one built from scratch"
+    );
 }
 
 /// Best-effort rendering of a panic payload (the two shapes `panic!`
@@ -538,6 +632,7 @@ impl DynamicClustering {
         let k = self.k.min(l.max(1));
         // Cold seed: round-robin (deliberately uninformed).
         let seed: Vec<usize> = (0..l).map(|h| h % k).collect();
+        self.groups = Carried::default();
         let (clustering, moves) = if l == 0 {
             (Clustering::from_assignment(&new_fw, Vec::new()), 0)
         } else {
@@ -850,6 +945,26 @@ mod tests {
         assert_eq!(service.rebalance().expect("the swap publishes").version, 1);
         let (report, _) = service.shutdown();
         assert_eq!(report.swaps, 1);
+    }
+
+    /// Both paths leave the group state of their clustering, rows
+    /// exact, for the next rebalance; an incremental rebalance patches
+    /// it. A clone starts without it; `fork` moves it.
+    #[test]
+    fn the_group_state_is_carried_and_moved_never_cloned() {
+        let carried = |s: &DynamicClustering| s.groups.0.as_ref().is_some_and(GroupSet::rows_exact);
+        let mut s = system(3);
+        for i in 0..12 {
+            s.subscribe(rect1(i as f64, i as f64 + 4.0));
+        }
+        s.rebalance();
+        assert!(!s.last_rebalance().incremental && carried(&s));
+        s.resubscribe(SubscriptionId(4), rect1(13.0, 19.0)).unwrap();
+        s.rebalance();
+        assert!(s.last_rebalance().incremental && carried(&s));
+        assert!(s.clone().groups.0.is_none());
+        let work = s.fork();
+        assert!(carried(&work) && s.groups.0.is_none());
     }
 
     #[test]

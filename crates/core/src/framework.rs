@@ -239,6 +239,20 @@ pub struct DeltaReport {
     /// *changed* hyper-cell and was mapped before the delta (cells of
     /// previously empty regions are absent).
     pub old_hyper_of_cell: HashMap<CellId, usize>,
+    /// The net bit flips of every dirty cell, in cell order.
+    pub(crate) flips: Vec<CellFlip>,
+}
+
+/// One dirty cell's net membership change in a [`DeltaReport`].
+#[derive(Debug, Clone)]
+pub(crate) struct CellFlip {
+    pub(crate) cell: CellId,
+    /// The cell's pre-delta hyper-cell; `None` if it was empty.
+    pub(crate) old_hyper: Option<usize>,
+    /// Subscribers the delta took out of the cell, in delta order.
+    pub(crate) cleared: Vec<usize>,
+    /// Subscribers the delta put into the cell, in delta order.
+    pub(crate) set: Vec<usize>,
 }
 
 impl GridFramework {
@@ -739,28 +753,30 @@ impl GridFramework {
         //    covering the same cell) are not dirty.
         let mut affected_old: HashSet<usize> = HashSet::new();
         let mut dirty: Vec<(CellId, BitSet)> = Vec::new();
+        let mut flips = Vec::new();
+        let empty = BitSet::new(self.num_subscribers);
         for (cell, op) in flipped {
             let old_h = self.cell_to_hyper.get(&cell).copied();
-            let mut m = match old_h {
-                Some(h) => self.hypercells[h].members.clone(),
-                None => BitSet::new(self.num_subscribers),
-            };
+            let old = old_h.map_or(&empty, |h| &self.hypercells[h].members);
+            let mut m = old.clone();
             for &i in &op.clears {
                 m.remove(i);
             }
             for &i in &op.sets {
                 m.insert(i);
             }
-            let unchanged = match old_h {
-                Some(h) => m == self.hypercells[h].members,
-                None => m.is_empty(),
-            };
-            if unchanged {
+            if m == *old {
                 continue;
             }
             if let Some(h) = old_h {
                 affected_old.insert(h);
             }
+            flips.push(CellFlip {
+                cell,
+                old_hyper: old_h,
+                cleared: op.clears.into_iter().filter(|&i| !m.contains(i)).collect(),
+                set: op.sets.into_iter().filter(|&i| !old.contains(i)).collect(),
+            });
             dirty.push((cell, m));
         }
 
@@ -880,6 +896,7 @@ impl GridFramework {
             unchanged_hypercells: old_index.iter().filter(|o| o.is_some()).count(),
             old_index,
             old_hyper_of_cell,
+            flips,
         }
     }
 }

@@ -18,11 +18,26 @@
 //! *distances* per pass, as Figure 1 counts them — so neither the cold
 //! nor the warm entry builds the `O(l²)` pairwise
 //! [`crate::DistanceMatrix`]. [`GroupSet`] prices all `K` of them at
-//! once with the cheaper of two exact kernels: a walk of the
-//! hyper-cell's members through each subscriber's set of groups,
-//! `O(|members|·(1 + groups-per-subscriber))`, on a sparse population;
-//! one AND-popcount of the hyper-cell's vector against each group's,
-//! `O(K·n/64)`, on a dense one.
+//! once from `|hyper-cell ∩ group|` for every group, which comes one of
+//! two ways:
+//!
+//! - from the hyper-cell's *row*, `K` counts kept exact across moves: a
+//!   move flips a few (subscriber, group) bits, and each of the two
+//!   groups' columns takes the flipped subscribers each row holds;
+//! - where the rows are stale or absent, from the cheaper of two exact
+//!   kernels: a walk of the hyper-cell's members through each
+//!   subscriber's set of groups, `O(|members|·(1 + groups-per-subscriber))`,
+//!   on a sparse population; one AND-popcount of the hyper-cell's vector
+//!   against each group's, `O(K·n/64)`, on a dense one.
+//!
+//! Cold [`cluster`](ClusteringAlgorithm::cluster) prices by the kernels
+//! throughout. The group set [`KMeans::cluster_seeded`] and a full
+//! rebuild build from scratch does too, writing each row it prices,
+//! until a pass moves nothing, which leaves every row exact. The
+//! incremental rebalance of [`crate::DynamicClustering`] carries that
+//! group set to the next swap and patches it across the delta
+//! ([`GroupSet::rebase`]), so a warm swap's passes read rows. Either way
+//! the integers, hence every distance, are the same.
 
 use crate::clustering::{Clustering, ClusteringAlgorithm, GroupSet};
 use crate::framework::{GridFramework, HyperCell};
@@ -104,16 +119,30 @@ impl KMeans {
         k: usize,
         initial: &[usize],
     ) -> (Clustering, usize) {
-        let hcs = framework.hypercells();
-        let l = hcs.len();
+        let l = framework.hypercells().len();
         assert_eq!(initial.len(), l, "one seed group per hyper-cell");
         let cap = k.max(1).min(l);
-        let mut groups = GroupSet::new(framework, cap);
-        let mut assignment = initial.to_vec();
-        for (h, &g) in assignment.iter().enumerate() {
+        for &g in initial {
             assert!(g < cap, "seed group {g} out of range: k = {k}, cap {cap}");
-            groups.add(g, &hcs[h]);
         }
+        let groups = GroupSet::seeded(framework, cap, initial);
+        let (clustering, moves, _) = self.rebalance_groups(framework, groups, initial.to_vec());
+        (clustering, moves)
+    }
+
+    /// The passes of [`cluster_seeded`](Self::cluster_seeded) from
+    /// `groups`, the group set of `assignment` over `framework`, built
+    /// from scratch or carried across a delta
+    /// ([`GroupSet::rebase`]). Returns the clustering, the moves, and
+    /// the group set of the clustering with its masses re-summed, which
+    /// equals one built from scratch from the final assignment.
+    pub(crate) fn rebalance_groups(
+        &self,
+        framework: &GridFramework,
+        mut groups: GroupSet,
+        mut assignment: Vec<usize>,
+    ) -> (Clustering, usize, GroupSet) {
+        let hcs = framework.hypercells();
         let sizes = cell_sizes(hcs);
         let moves = self.reassign(
             KMeansVariant::MacQueen,
@@ -122,7 +151,12 @@ impl KMeans {
             &mut groups,
             &mut assignment,
         );
-        (Clustering::from_assignment(framework, assignment), moves)
+        groups.resum(hcs, &assignment);
+        (
+            Clustering::from_assignment(framework, assignment),
+            moves,
+            groups,
+        )
     }
 
     /// Steps 1-2 of Figure 1, shared by the cold and the warm entry:
@@ -142,6 +176,7 @@ impl KMeans {
         let mut scratch = Vec::new();
         for _ in 0..self.max_iterations {
             let before = total_moves;
+            groups.begin_pass();
             match variant {
                 KMeansVariant::MacQueen => {
                     // Each move updates the vectors the next hyper-cell
@@ -149,16 +184,17 @@ impl KMeans {
                     for h in 0..l {
                         let cur = assignment[h];
                         if groups.num_cells(cur) == 1 {
-                            continue; // never empty a group
+                            groups.skip(h); // never empty a group
+                            continue;
                         }
-                        let best = groups.closest(&hcs[h], sizes[h], &mut scratch);
+                        let best = groups.closest_at(h, &hcs[h], sizes[h], &mut scratch);
                         if best != cur {
-                            groups.remove(cur, &hcs[h]);
-                            groups.add(best, &hcs[h]);
+                            groups.relocate(hcs, h, cur, best);
                             assignment[h] = best;
                             total_moves += 1;
                         }
                     }
+                    groups.end_pass(hcs);
                 }
                 KMeansVariant::Forgy => {
                     // All distances are evaluated against the pre-pass
@@ -183,9 +219,7 @@ impl KMeans {
                     }
                     // ...applied only after the pass.
                     for (h, best) in pending {
-                        let cur = assignment[h];
-                        groups.remove(cur, &hcs[h]);
-                        groups.add(best, &hcs[h]);
+                        groups.relocate(hcs, h, assignment[h], best);
                         assignment[h] = best;
                         total_moves += 1;
                     }
@@ -195,14 +229,14 @@ impl KMeans {
                 break;
             }
         }
-        debug_assert!(groups.is_consistent(), "group masks drifted from counts");
+        debug_assert!(groups.is_consistent(hcs), "group state drifted from counts");
         total_moves
     }
 }
 
 /// `|members|` of each hyper-cell, counted once per clustering call:
 /// [`GroupSet::closest`] reads it to choose its pricing kernel on every
-/// pass.
+/// pass, and a row-priced distance reads it as the cell size.
 fn cell_sizes(hcs: &[HyperCell]) -> Vec<usize> {
     hcs.iter().map(|hc| hc.members.count()).collect()
 }

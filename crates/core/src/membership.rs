@@ -290,6 +290,33 @@ impl BitSet {
             })
         })
     }
+
+    /// The packed words: member `i` is bit `i % 64` of word `i / 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Iterator over the members of `self ∩ other` in increasing order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on universe mismatch.
+    pub(crate) fn iter_and<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
+        assert_eq!(self.len, other.len, "universe mismatch");
+        let words = self.words.iter().zip(&other.words);
+        words.enumerate().flat_map(move |(wi, (a, b))| {
+            let mut bits = a & b;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    None
+                } else {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    Some(wi * WORD_BITS + b)
+                }
+            })
+        })
+    }
 }
 
 impl fmt::Debug for BitSet {

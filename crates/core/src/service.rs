@@ -525,9 +525,11 @@ impl Rebalancer {
 
     /// One guarded rebalance attempt: churn → rebalance → compile +
     /// validate → publish, with the watchdog deadline checked between
-    /// stages. All work happens on a clone; an abort at any stage
-    /// drops the clone, leaving the last good state (and plan) in
-    /// force.
+    /// stages. All work happens on a clone that takes the carried
+    /// K-means group state along ([`DynamicClustering::fork`]); an
+    /// abort at any stage drops the clone, leaving the last good state
+    /// (and plan) in force and the next attempt to rebuild the group
+    /// state from scratch.
     fn attempt(&mut self) -> Result<SwapReport, RebalanceAbort> {
         let delay = backoff_delay(self.consecutive_failures);
         if !delay.is_zero() {
@@ -541,7 +543,7 @@ impl Rebalancer {
             }
         };
 
-        let mut work = self.dynamic.clone();
+        let mut work = self.dynamic.fork();
         let mut rejected = 0usize;
         for op in &self.pending {
             match op {
@@ -1104,26 +1106,34 @@ mod tests {
     }
 
     /// Churn queued before an aborted rebalance is kept, not dropped:
-    /// the next attempt that commits applies it.
+    /// the next attempt that commits applies it. The abort also dropped
+    /// the carried K-means group state with the work copy, so that
+    /// attempt rebuilds it from scratch — and must publish the plan, and
+    /// report the moves, of the same attempt by a rebalancer that never
+    /// aborted.
     #[test]
     fn churn_queued_before_an_abort_reaches_the_next_swap() {
         let dynamic = small_population();
         let before = dynamic.num_subscriptions();
         let slots = dynamic.subscription_slots().len();
-        let service = BrokerService::start(dynamic.clone(), ServiceConfig::default())
+        let service = BrokerService::start(small_population(), ServiceConfig::default())
+            .expect("service starts");
+        let steady_service = BrokerService::start(small_population(), ServiceConfig::default())
             .expect("service starts");
         let rect = Rect::new(vec![Interval::new(0.3, 0.6).expect("interval")]);
-        let mut rebalancer = Rebalancer {
+        let rebalancer = |dynamic, timeout, service: &BrokerService| Rebalancer {
             dynamic,
             pending: vec![ServiceOp::Subscribe {
                 id: SubscriptionId(slots),
-                rect,
+                rect: rect.clone(),
             }],
             threshold: ServiceConfig::default().threshold,
-            timeout: Some(Duration::ZERO),
+            timeout,
             consecutive_failures: 0,
             shared: Arc::clone(&service.shared),
         };
+        let mut steady = rebalancer(small_population(), None, &steady_service);
+        let mut rebalancer = rebalancer(dynamic, Some(Duration::ZERO), &service);
         let aborted = rebalancer.attempt();
         assert!(
             matches!(aborted, Err(RebalanceAbort::TimedOut { stage: "churn" })),
@@ -1141,7 +1151,12 @@ mod tests {
         assert_eq!(report.version, 1);
         assert_eq!(report.subscriptions, before + 1);
         assert!(rebalancer.pending.is_empty());
-        let _ = service.shutdown();
+
+        let want = steady.attempt().expect("the steady attempt commits");
+        assert_eq!(report.stats, want.stats);
+        let plan = |service: &BrokerService| format!("{:?}", service.shared.plan.load().plan);
+        assert_eq!(plan(&service), plan(&steady_service));
+        let _ = (service.shutdown(), steady_service.shutdown());
     }
 
     #[test]

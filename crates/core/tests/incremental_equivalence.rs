@@ -217,3 +217,114 @@ proptest! {
         check_paths_agree(&Grid::cube(0.0, 12.0, 2, 8).unwrap(), &ops, k)?;
     }
 }
+
+/// Replays `ops` at `PUBSUB_THREADS` 1 and 8 on an always-incremental
+/// clustering, which carries its K-means group state from swap to swap
+/// (DESIGN.md §10), and before every rebalance forks a twin by `clone`,
+/// which drops that state and rebuilds it from scratch. Both must report
+/// the same moves and bit-equal frameworks and clusterings. In debug
+/// builds `rebalance` also holds the carried state, field by field and
+/// masses by bits, to a group set built from scratch from the framework
+/// and the assignment, and every row to a fresh walk.
+fn check_carried(grid: &Grid, ops: &[Op], k: usize) -> Result<(), TestCaseError> {
+    let probs = CellProbability::uniform(grid);
+    for threads in [1, 8] {
+        parallel::with_threads(threads, || {
+            let algorithm = KMeans::new(KMeansVariant::MacQueen);
+            let mut s = DynamicClustering::new(grid.clone(), probs.clone(), algorithm, k)
+                .with_max_dirty(f64::INFINITY);
+            let mut issued = 0usize;
+            let rebalances = ops.iter().chain([&Op::Rebalance]);
+            for op in rebalances {
+                match op {
+                    Op::Subscribe(r) => {
+                        s.subscribe(rect(r));
+                        issued += 1;
+                    }
+                    Op::Unsubscribe(i) if issued > 0 => {
+                        let _ = s.unsubscribe(SubscriptionId(i % issued));
+                    }
+                    Op::Resubscribe(i, r) if issued > 0 => {
+                        let _ = s.resubscribe(SubscriptionId(i % issued), rect(r));
+                    }
+                    Op::Unsubscribe(_) | Op::Resubscribe(..) => {}
+                    Op::Rebalance => {
+                        let mut scratch = s.clone();
+                        let (carried, rebuilt) = (s.rebalance(), scratch.rebalance());
+                        prop_assert_eq!(carried, rebuilt, "moves at {} threads", threads);
+                        prop_assert_eq!(observe(&s), observe(&scratch));
+                    }
+                }
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
+/// Cells, members and mass of every hyper-cell, then hyper-cells and
+/// members of every group, masses as bits.
+#[allow(clippy::type_complexity)]
+fn observe(
+    s: &DynamicClustering,
+) -> (
+    Vec<(Vec<CellId>, Vec<usize>, u64)>,
+    Vec<(Vec<usize>, Vec<usize>)>,
+) {
+    let hypercells = s.framework().hypercells().iter();
+    let groups = s.clustering().groups().iter();
+    (
+        hypercells
+            .map(|h| {
+                (
+                    h.cells.clone(),
+                    h.members.iter().collect(),
+                    h.prob.to_bits(),
+                )
+            })
+            .collect(),
+        groups
+            .map(|g| (g.hypercells.clone(), g.members.iter().collect()))
+            .collect(),
+    )
+}
+
+/// The carried state across the deltas that touch its bookkeeping: a
+/// growing universe (every swap subscribes), a tombstone, a delta that
+/// empties a hyper-cell (the only subscription of a corner goes), a
+/// resubscribe that moves a subscription across the grid, and a swap
+/// with nothing to fold in — at K = 1, at K = 3 and at K above the
+/// hyper-cell count.
+#[test]
+fn carried_group_state_survives_every_kind_of_delta() -> Result<(), TestCaseError> {
+    let sub = |lo: f64, hi: f64| Op::Subscribe(vec![(lo, hi), (lo, hi)]);
+    let mut ops: Vec<Op> = (0..8).map(|i| sub(i as f64, i as f64 + 2.5)).collect();
+    ops.push(Op::Subscribe(vec![(11.0, 12.0), (11.0, 12.0)])); // slot 8: a corner alone
+    ops.push(Op::Rebalance);
+    ops.extend([sub(0.5, 4.0), Op::Unsubscribe(2), Op::Rebalance]);
+    ops.extend([sub(3.0, 5.0), Op::Unsubscribe(8), Op::Rebalance]);
+    ops.extend([
+        Op::Resubscribe(5, vec![(0.0, 1.5), (6.0, 9.0)]),
+        Op::Rebalance,
+    ]);
+    ops.push(Op::Rebalance);
+    let grid = Grid::cube(0.0, 12.0, 2, 8).unwrap();
+    for k in [1, 3, 1_000] {
+        check_carried(&grid, &ops, k)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The carried K-means state against a rebuild after every swap of
+    /// a random churn sequence, at K from 1 to past the hyper-cell count.
+    #[test]
+    fn carried_group_state_equals_a_rebuild(
+        ops in prop::collection::vec(op_strategy(2), 1..48),
+        k in prop_oneof![Just(1usize), 2usize..6, Just(64usize)],
+    ) {
+        check_carried(&Grid::cube(0.0, 12.0, 2, 8).unwrap(), &ops, k)?;
+    }
+}

@@ -583,6 +583,97 @@ fn a_service_over_zero_subscriptions_unicasts_every_event_to_nobody() {
     }
 }
 
+/// An aborted swap drops the K-means group state the service carries
+/// from swap to swap (DESIGN.md §14.2), so the next swap rebuilds it
+/// from scratch. Two services start from the same population and swap
+/// the same churn; one of them first takes a rejected rebalance — a
+/// wrong-dimension subscription makes the rebalance panic, and the
+/// service unsubscribes it again. Each later swap must report the same
+/// stats and leave the same framework and clustering on both, and the
+/// events offered after it must be decided alike: the plan compiled
+/// from them is the same.
+#[test]
+fn the_swap_after_a_rejected_rebalance_matches_one_that_never_aborted() {
+    const DIM: usize = 2;
+    let config = ServiceConfig {
+        ingest_threads: 1,
+        threshold: THRESHOLD,
+        ..ServiceConfig::default()
+    };
+    let start = || {
+        let (dynamic, ids) = seed_dynamic(DIM, 60, 23);
+        let service = BrokerService::start(dynamic, config.clone()).expect("service starts");
+        (service, ids)
+    };
+    let (aborted, ids) = start();
+    let (steady, _) = start();
+    let phases = make_phases(DIM, &ids, 3, 200);
+    let churn = |service: &BrokerService, phase: &Phase| {
+        service.unsubscribe(phase.unsubscribe);
+        service.subscribe(phase.subscribe.clone());
+        let (id, rect) = &phase.resubscribe;
+        service.resubscribe(*id, rect.clone());
+    };
+    let wrong = Rect::new(vec![Interval::new(0.1, 0.2).expect("interval")]);
+
+    // Both carry the group state of a first swap; then one aborts.
+    for service in [&aborted, &steady] {
+        churn(service, &phases[0]);
+        service.rebalance().expect("first swap");
+    }
+    let bad = aborted.subscribe(wrong.clone());
+    match aborted.rebalance() {
+        Err(RebalanceAbort::Rejected(_)) => {}
+        other => panic!("expected a rejected rebalance, got {other:?}"),
+    }
+    aborted.unsubscribe(bad);
+    let twin = steady.subscribe(wrong);
+    steady.unsubscribe(twin);
+    assert_eq!(bad, twin);
+
+    for phase in &phases[1..] {
+        let swaps: Vec<_> = [&aborted, &steady]
+            .into_iter()
+            .map(|service| {
+                churn(service, phase);
+                let swap = service.rebalance().expect("swap after the abort");
+                for point in &phase.events {
+                    service.offer(point.clone());
+                }
+                service.drain();
+                swap
+            })
+            .collect();
+        assert_eq!(swaps[0].stats, swaps[1].stats, "moves and deltas diverge");
+        assert_eq!(swaps[0].subscriptions, swaps[1].subscriptions);
+    }
+    let (aborted_report, aborted_dynamic) = aborted.shutdown();
+    let (steady_report, steady_dynamic) = steady.shutdown();
+    assert_eq!((aborted_report.aborts, steady_report.aborts), (1, 0));
+    let decisions = |report: &pubsub_core::ServiceReport| {
+        let records = report.records.iter();
+        records
+            .map(|r| (r.id, r.decision, r.interested))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(decisions(&aborted_report), decisions(&steady_report));
+    assert_eq!(aborted_report.records.len(), 400);
+    let observe = |d: &DynamicClustering| {
+        let hypercells = d.framework().hypercells().iter();
+        let hypercells: Vec<_> = hypercells
+            .map(|h| (h.cells.clone(), h.members.clone(), h.prob.to_bits()))
+            .collect();
+        let groups: Vec<_> = d
+            .clustering()
+            .groups()
+            .iter()
+            .map(|g| (g.hypercells.clone(), g.members.clone(), g.prob.to_bits()))
+            .collect();
+        (d.subscription_slots().to_vec(), hypercells, groups)
+    };
+    assert_eq!(observe(&aborted_dynamic), observe(&steady_dynamic));
+}
+
 /// An unsubscribe the clustering cannot apply — of an id already gone,
 /// or of one never issued — is one rejected op, in the swap that met it
 /// and in the run's total; the swap itself goes through.
