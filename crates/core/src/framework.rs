@@ -222,6 +222,32 @@ struct GroupBuild {
     old: Option<usize>,
 }
 
+/// Ranks hyper-cells by decreasing popularity `key`, ties to the
+/// ascending first cell. Each key (a membership count) is computed once
+/// rather than in every comparison. First cells are distinct, so the
+/// order is total and does not depend on how the sort runs.
+fn rank_by_popularity<T>(
+    items: Vec<T>,
+    hyper: impl Fn(&T) -> &HyperCell,
+    key: impl Fn(&HyperCell) -> f64,
+) -> Vec<T> {
+    let mut keyed: Vec<(f64, CellId, T)> = items
+        .into_iter()
+        .map(|t| {
+            let hc = hyper(&t);
+            // lint: allow(no-literal-index): hyper-cells always hold >= 1 cell
+            let (k, first) = (key(hc), hc.cells[0]);
+            (k, first, t)
+        })
+        .collect();
+    keyed.sort_unstable_by(|a, b| {
+        b.0.partial_cmp(&a.0)
+            .expect("popularity is never NaN")
+            .then_with(|| a.1.cmp(&b.1))
+    });
+    keyed.into_iter().map(|(_, _, t)| t).collect()
+}
+
 /// Outcome summary of one [`GridFramework::apply_delta`] call, with the
 /// old↔new hyper-cell correspondence warm starts need.
 #[derive(Debug, Clone)]
@@ -331,7 +357,7 @@ impl GridFramework {
                     .insert(i);
             }
         }
-        let mut hypercells: Vec<HyperCell> = cell_members
+        let hypercells: Vec<HyperCell> = cell_members
             // lint: allow(hash-order): totally sorted by (popularity, first
             // cell) below
             .into_iter()
@@ -341,13 +367,7 @@ impl GridFramework {
                 members,
             })
             .collect();
-        hypercells.sort_by(|a, b| {
-            b.popularity()
-                .partial_cmp(&a.popularity())
-                .expect("popularity is never NaN")
-                // lint: allow(no-literal-index): hyper-cells always hold >= 1 cell
-                .then_with(|| a.cells[0].cmp(&b.cells[0]))
-        });
+        let mut hypercells = rank_by_popularity(hypercells, |hc| hc, HyperCell::popularity);
         if let Some(max) = max_cells {
             hypercells.truncate(max);
         }
@@ -449,7 +469,7 @@ impl GridFramework {
         // lint: allow(hash-order): per-entry work is order-local (cells are
         // sorted, prob summed in sorted cell order); the list is totally
         // sorted by (popularity, first cell) before use
-        let mut hypercells: Vec<HyperCell> = by_members
+        let hypercells: Vec<HyperCell> = by_members
             // lint: allow(hash-order): see the note above
             .into_iter()
             .map(|(members, mut cells)| {
@@ -470,13 +490,7 @@ impl GridFramework {
             None => hc.popularity(),
             Some(w) => popularity_weighted(hc.prob, &hc.members, w),
         };
-        hypercells.sort_by(|a, b| {
-            rank(b)
-                .partial_cmp(&rank(a))
-                .expect("popularity is never NaN")
-                // lint: allow(no-literal-index): hyper-cells always hold >= 1 cell
-                .then_with(|| a.cells[0].cmp(&b.cells[0]))
-        });
+        let mut hypercells = rank_by_popularity(hypercells, |hc| hc, rank);
         let complete = match max_cells {
             None => true,
             Some(max) => hypercells.len() <= max,
@@ -620,14 +634,15 @@ impl GridFramework {
         // Most isolated first; ties (e.g. mutually-nearest pairs, where
         // the distance is symmetric) break toward the least popular
         // cell — "rather unique combination of subscribers" means few
-        // subscribers and little publication mass.
+        // subscribers and little publication mass. The sort is stable:
+        // full ties keep rank order.
+        let popularity: Vec<f64> = self.hypercells.iter().map(HyperCell::popularity).collect();
         scores.sort_by(|x, y| {
             y.0.partial_cmp(&x.0)
                 .expect("distance is never NaN")
                 .then_with(|| {
-                    self.hypercells[x.1]
-                        .popularity()
-                        .partial_cmp(&self.hypercells[y.1].popularity())
+                    popularity[x.1]
+                        .partial_cmp(&popularity[y.1])
                         .expect("popularity is never NaN")
                 })
         });
@@ -677,7 +692,8 @@ impl GridFramework {
     /// thread count: untouched hyper-cells keep their exact cells,
     /// membership words and probability sums; changed ones are
     /// recomputed with the very same expressions the full build uses;
-    /// and the final popularity ranking applies the same comparator.
+    /// and the final ranking is the full build's `rank_by_popularity`,
+    /// whose keys are taken after every `prob` is final.
     ///
     /// A subscriber appearing in both slices is a *resubscribe*: its
     /// old rectangle's bits are cleared before the new one's are set.
@@ -857,13 +873,7 @@ impl GridFramework {
                 b.old,
             ));
         }
-        rebuilt.sort_by(|a, b| {
-            b.0.popularity()
-                .partial_cmp(&a.0.popularity())
-                .expect("popularity is never NaN")
-                // lint: allow(no-literal-index): hyper-cells always hold >= 1 cell
-                .then_with(|| a.0.cells[0].cmp(&b.0.cells[0]))
-        });
+        let rebuilt = rank_by_popularity(rebuilt, |(hc, _)| hc, HyperCell::popularity);
 
         // 6. Capture, from the *old* cell index, where each cell of a
         //    changed hyper-cell used to live — warm-start votes read
@@ -1367,5 +1377,104 @@ mod tests {
         let fw = GridFramework::build(g, &subs, &probs, Some(1));
         // The single-subscriber hot cell wins: popularity 1·1 > 0·2.
         assert_eq!(fw.hypercells()[0].members.count(), 1);
+    }
+
+    fn ranked_cells(fw: &GridFramework) -> Vec<Vec<CellId>> {
+        fw.hypercells().iter().map(|hc| hc.cells.clone()).collect()
+    }
+
+    #[test]
+    fn popularity_ties_rank_by_first_cell() {
+        // Uniform p_p = 0.1 on the 10-cell grid. #0 covers cells 0–1
+        // (popularity 0.2·1), #5 and #6 cell 7 (0.1·2): an exact tie.
+        // #1–#4 cover cells 2–5 one each (0.1·1), a four-way tie.
+        let g = grid10();
+        let probs = CellProbability::uniform(&g);
+        let subs = vec![
+            rect1(0.0, 2.0),
+            rect1(2.0, 3.0),
+            rect1(3.0, 4.0),
+            rect1(4.0, 5.0),
+            rect1(5.0, 6.0),
+            rect1(7.0, 8.0),
+            rect1(7.0, 8.0),
+        ];
+        let merged = vec![
+            cells([0, 1]),
+            cells([7]),
+            cells([2]),
+            cells([3]),
+            cells([4]),
+            cells([5]),
+        ];
+        let fw = GridFramework::build(g.clone(), &subs, &probs, None);
+        assert_eq!(ranked_cells(&fw), merged);
+
+        // Unmerged, cells 0 and 1 fall to 0.1 and join the five-way tie.
+        let unmerged = GridFramework::build_unmerged(g.clone(), &subs, &probs, None);
+        let want: Vec<Vec<CellId>> = [7, 0, 1, 2, 3, 4, 5].map(|c| cells([c])).into();
+        assert_eq!(ranked_cells(&unmerged), want);
+
+        // The delta reaches the same population: #0 shrinks from cells
+        // 0–2 to 0–1 and #6 joins #5 on cell 7, so the two hyper-cells
+        // the delta changes ([2] and [7]) rank by their re-summed `prob`.
+        let mut initial = subs[..6].to_vec();
+        initial[0] = rect1(0.0, 3.0);
+        let (fw, report) = delta_against_cold(
+            &initial,
+            &[(0, rect1(0.0, 2.0)), (6, rect1(7.0, 8.0))],
+            &[(0, rect1(0.0, 3.0))],
+        );
+        assert_eq!(ranked_cells(&fw), merged);
+        assert_eq!(report.changed_hypercells, 2);
+
+        // Class weights enter the key: as classes, #0–#5 weigh 1, 2, 1,
+        // 1, 1, 2, so cell 2 ties with [0, 1] and [7] at 0.2 and
+        // outranks cells 3–5.
+        let cell_sets: Vec<Vec<CellId>> =
+            subs[..6].iter().map(|r| g.cells_overlapping(r)).collect();
+        let weighted = GridFramework::build_weighted_from_cells(
+            g.clone(),
+            &cell_sets,
+            Arc::new(vec![1, 2, 1, 1, 1, 2]),
+            &probs,
+            None,
+        );
+        let want = vec![
+            cells([0, 1]),
+            cells([2]),
+            cells([7]),
+            cells([3]),
+            cells([4]),
+            cells([5]),
+        ];
+        assert_eq!(ranked_cells(&weighted), want);
+    }
+
+    #[test]
+    fn outlier_ties_drop_the_less_popular_then_the_lower_index() {
+        // x = cell 0 {#0} and y = cells 1–2 {#0, #1} are mutually
+        // nearest at 0.1·1 + 0.2·0 = 0.1, with popularity 0.1 against
+        // 0.4; z = cell 4 {#2} and w = cell 6 {#3} are both 0.2 from
+        // their nearest, with equal popularity. Ranked: y, x, z, w.
+        let g = grid10();
+        let probs = CellProbability::uniform(&g);
+        let subs = vec![
+            rect1(0.0, 3.0),
+            rect1(1.0, 3.0),
+            rect1(4.0, 5.0),
+            rect1(6.0, 7.0),
+        ];
+        let fw = GridFramework::build(g, &subs, &probs, None);
+        assert_eq!(
+            ranked_cells(&fw),
+            vec![cells([1, 2]), cells([0]), cells([4]), cells([6])]
+        );
+        // Dropped in the order z (a full tie with w: lower index first),
+        // w, x (the distance tie with y goes to the less popular).
+        let kept = |fraction| ranked_cells(&fw.remove_outliers(fraction));
+        assert_eq!(kept(0.25), vec![cells([1, 2]), cells([0]), cells([6])]);
+        assert_eq!(kept(0.5), vec![cells([1, 2]), cells([0])]);
+        assert_eq!(kept(0.75), vec![cells([1, 2])]);
     }
 }

@@ -489,7 +489,10 @@ impl Rebalancer {
             match msg {
                 ControlMsg::Ops(mut ops) => self.pending.append(&mut ops),
                 ControlMsg::Rebalance(reply) => {
-                    let outcome = self.attempt();
+                    let (outcome, previous) = match self.attempt() {
+                        Ok((report, previous)) => (Ok(report), Some(previous)),
+                        Err(abort) => (Err(abort), None),
+                    };
                     match &outcome {
                         Ok(report) => {
                             self.consecutive_failures = 0;
@@ -516,6 +519,9 @@ impl Rebalancer {
                     // The requester may have gone away; the swap (or
                     // abort accounting) above stands either way.
                     let _ = reply.send(outcome);
+                    // The replaced state is freed only after the plan is
+                    // published and the swap answered: neither waits.
+                    drop(previous);
                 }
                 ControlMsg::Shutdown => break,
             }
@@ -529,8 +535,9 @@ impl Rebalancer {
     /// K-means group state along ([`DynamicClustering::fork`]); an
     /// abort at any stage drops the clone, leaving the last good state
     /// (and plan) in force and the next attempt to rebuild the group
-    /// state from scratch.
-    fn attempt(&mut self) -> Result<SwapReport, RebalanceAbort> {
+    /// state from scratch. A committed swap hands back the state it
+    /// replaced, for the caller to drop after answering.
+    fn attempt(&mut self) -> Result<(SwapReport, DynamicClustering), RebalanceAbort> {
         let delay = backoff_delay(self.consecutive_failures);
         if !delay.is_zero() {
             std::thread::sleep(delay);
@@ -575,7 +582,7 @@ impl Rebalancer {
         // Commit: the clone becomes the truth and the plan goes live.
         let version = self.shared.plan.epoch() + 1;
         let subscriptions = work.num_subscriptions();
-        self.dynamic = work;
+        let previous = std::mem::replace(&mut self.dynamic, work);
         self.pending.clear();
         let published = self
             .shared
@@ -587,12 +594,15 @@ impl Rebalancer {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(version);
-        Ok(SwapReport {
-            version,
-            stats,
-            rejected_ops: rejected,
-            subscriptions,
-        })
+        Ok((
+            SwapReport {
+                version,
+                stats,
+                rejected_ops: rejected,
+                subscriptions,
+            },
+            previous,
+        ))
     }
 }
 
@@ -1147,12 +1157,12 @@ mod tests {
         assert_eq!(rebalancer.dynamic.num_subscriptions(), before);
 
         rebalancer.timeout = None;
-        let report = rebalancer.attempt().expect("untimed attempt commits");
+        let (report, _previous) = rebalancer.attempt().expect("untimed attempt commits");
         assert_eq!(report.version, 1);
         assert_eq!(report.subscriptions, before + 1);
         assert!(rebalancer.pending.is_empty());
 
-        let want = steady.attempt().expect("the steady attempt commits");
+        let (want, _previous) = steady.attempt().expect("the steady attempt commits");
         assert_eq!(report.stats, want.stats);
         let plan = |service: &BrokerService| format!("{:?}", service.shared.plan.load().plan);
         assert_eq!(plan(&service), plan(&steady_service));
