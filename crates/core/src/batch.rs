@@ -293,8 +293,8 @@ impl DispatchPlan {
                 let members = &self.hyper_members[o..self.hyper_offsets[sl + 1] as usize];
                 let nc = members.len();
                 // The bucket's candidate block in the plan's precompiled
-                // flat bound arrays (built once by `with_subscriptions`
-                // from the same `Rect` floats): every event in the
+                // flat bound arrays (built once on attach from the flat
+                // bounds scalar `serve` reads): every event in the
                 // bucket scans contiguous memory, no gather at all.
                 let cand_lo = &state.cand_lo[o * dim..(o + nc) * dim];
                 let cand_hi = &state.cand_hi[o * dim..(o + nc) * dim];

@@ -37,7 +37,7 @@
 
 use std::collections::HashMap;
 
-use geometry::{Grid, Point, Rect};
+use geometry::{Grid, Interval, Point, Rect};
 
 use crate::clustering::Clustering;
 use crate::framework::GridFramework;
@@ -63,17 +63,26 @@ pub(crate) enum CellTable {
 }
 
 /// Owned subscription state enabling the self-contained serve path
-/// ([`DispatchPlan::serve`]): rectangles for candidate filtering and an
-/// R-tree index for events whose cell was not kept. The index covers
-/// only the rectangles no kept cell answers for — those overhanging the
-/// grid when the framework is complete, every one when it is not. For
-/// the batched serve kernel it also precompiles every kept slot's
-/// candidate bounds into flat dimension-major arrays, so `serve_batch`
-/// scans contiguous memory with no per-bucket `Rect` gather at all.
+/// ([`DispatchPlan::serve`]): every subscriber's bounds for candidate
+/// filtering and an R-tree index for events whose cell was not kept.
+/// The bounds lie flat and dimension-major (`lo[d * n + id]`, `n` the
+/// subscriber count), so attaching them allocates two arrays, not one
+/// object per subscriber. The index covers only the rectangles no kept
+/// cell answers for — those overhanging the grid when the framework is
+/// complete, every one when it is not. For the batched serve kernel it
+/// also precompiles every kept slot's candidate bounds into flat
+/// dimension-major arrays, so `serve_batch` scans contiguous memory
+/// with no per-bucket gather at all.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeState {
-    pub(crate) rects: Vec<Rect>,
-    /// R-tree over `rects[fallback[k]]`, item `k` for position `k`.
+    /// Lower bounds of every subscriber: `lo[d * n + id]`. A tombstoned
+    /// slot holds `(c, c]` at the grid's lower corner `c`, an empty
+    /// interval no event falls in.
+    pub(crate) lo: Vec<f64>,
+    /// Upper bounds, same layout.
+    pub(crate) hi: Vec<f64>,
+    /// R-tree over the rectangles of `fallback`, item `k` for
+    /// position `k`.
     pub(crate) index: SubscriptionIndex,
     /// Ascending subscriber ids the index covers: a position the index
     /// reports is translated back to a subscriber id through this map.
@@ -237,10 +246,10 @@ impl DispatchPlan {
     }
 
     /// Attaches the subscription rectangles, enabling
-    /// [`DispatchPlan::serve`] (the plan copies the rectangles,
-    /// precompiles every kept slot's candidate bounds into the flat
-    /// arrays the batched serve kernel scans, and builds the
-    /// unicast-fallback R-tree once — see DESIGN.md §11 and §13).
+    /// [`DispatchPlan::serve`] (the plan lays their bounds out flat,
+    /// precompiles every kept slot's candidate bounds into the arrays
+    /// the batched serve kernel scans, and builds the unicast-fallback
+    /// R-tree once — see DESIGN.md §11 and §13).
     ///
     /// The R-tree holds only the rectangles a kept cell's member list
     /// cannot answer for. On a complete framework every non-empty cell
@@ -251,39 +260,72 @@ impl DispatchPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the subscription count differs from the framework's.
-    pub fn with_subscriptions(mut self, subscriptions: &[Rect]) -> Self {
+    /// Panics if the subscription count differs from the framework's,
+    /// or a rectangle's dimension from the grid's.
+    pub fn with_subscriptions(self, subscriptions: &[Rect]) -> Self {
+        self.attach(subscriptions.len(), |id| Some(&subscriptions[id]))
+    }
+
+    /// The one attach path: `slot(id)` is subscriber `id`'s rectangle,
+    /// `None` for a tombstone, read straight into the flat bounds with
+    /// no rectangle copied (a tombstone becomes `(c, c]` at the grid's
+    /// lower corner `c`). The candidate blocks are then written in their
+    /// final order — slot, dimension, member — from those bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` differs from the framework's subscriber count, or
+    /// a rectangle's dimension from the grid's.
+    pub(crate) fn attach<'a>(mut self, n: usize, slot: impl Fn(usize) -> Option<&'a Rect>) -> Self {
         assert_eq!(
-            subscriptions.len(),
-            self.num_subscribers,
+            n, self.num_subscribers,
             "subscription count must match the compiled framework"
         );
-        let dim = self.grid.dim();
+        let bounds = self.grid.bounds();
+        let dim = bounds.dim();
+        let slot =
+            |id| slot(id).inspect(|r| assert_eq!(r.dim(), dim, "subscription dimension mismatch"));
+        let (mut lo, mut hi) = (Vec::with_capacity(n * dim), Vec::with_capacity(n * dim));
+        for d in 0..dim {
+            let c = bounds.interval(d).lo();
+            lo.extend((0..n).map(|id| slot(id).map_or(c, |r| r.interval(d).lo())));
+            hi.extend((0..n).map(|id| slot(id).map_or(c, |r| r.interval(d).hi())));
+        }
         let total = self.hyper_members.len();
-        let mut cand_lo = vec![0.0f64; total * dim];
-        let mut cand_hi = vec![0.0f64; total * dim];
+        let (mut cand_lo, mut cand_hi) = (
+            Vec::with_capacity(total * dim),
+            Vec::with_capacity(total * dim),
+        );
         for s in 0..self.hyper_group.len() {
-            let o = self.hyper_offsets[s] as usize;
-            let end = self.hyper_offsets[s + 1] as usize;
-            let nc = end - o;
-            for (k, &id) in self.hyper_members[o..end].iter().enumerate() {
-                let rect = &subscriptions[id as usize];
-                for d in 0..dim {
-                    let iv = rect.interval(d);
-                    cand_lo[o * dim + d * nc + k] = iv.lo();
-                    cand_hi[o * dim + d * nc + k] = iv.hi();
-                }
+            let range = self.hyper_offsets[s] as usize..self.hyper_offsets[s + 1] as usize;
+            let members = &self.hyper_members[range];
+            for d in 0..dim {
+                let (lo, hi) = (&lo[d * n..(d + 1) * n], &hi[d * n..(d + 1) * n]);
+                cand_lo.extend(members.iter().map(|&id| lo[id as usize]));
+                cand_hi.extend(members.iter().map(|&id| hi[id as usize]));
             }
         }
-        let fallback: Vec<u32> = (0..subscriptions.len() as u32)
-            .filter(|&id| self.needs_fallback(&subscriptions[id as usize]))
+        let fallback: Vec<u32> = (0..n as u32)
+            .filter(|&id| self.needs_fallback(&lo, &hi, id as usize))
             .collect();
+        // The few rectangles the index holds are rebuilt from the flat
+        // bounds: the same floats the slots held.
         let unanswered: Vec<Rect> = fallback
             .iter()
-            .map(|&id| subscriptions[id as usize].clone())
+            .map(|&id| {
+                Rect::new(
+                    (0..dim)
+                        .map(|d| {
+                            let at = d * n + id as usize;
+                            Interval::new(lo[at], hi[at]).expect("attached bounds are ordered")
+                        })
+                        .collect(),
+                )
+            })
             .collect();
         self.serve_state = Some(ServeState {
-            rects: subscriptions.to_vec(),
+            lo,
+            hi,
             index: SubscriptionIndex::build(&unanswered),
             fallback,
             cand_lo,
@@ -292,11 +334,25 @@ impl DispatchPlan {
         self
     }
 
-    /// Whether no kept cell's member list answers for rectangle `r`, so
-    /// the fallback index must hold it: every rectangle when the
-    /// framework is not complete, else one that overhangs the grid.
-    pub(crate) fn needs_fallback(&self, r: &Rect) -> bool {
-        !self.complete || !self.grid.bounds().contains_rect(r)
+    /// Whether no kept cell's member list answers for subscriber `id`'s
+    /// bounds in the flat arrays `lo` / `hi` (laid out as
+    /// [`ServeState`]'s), so the fallback index must hold it: every
+    /// subscriber when the framework is not complete, else one whose
+    /// rectangle overhangs the grid (`Rect::contains_rect` on the flat
+    /// bounds: an empty rectangle fits anywhere).
+    pub(crate) fn needs_fallback(&self, lo: &[f64], hi: &[f64], id: usize) -> bool {
+        let n = self.num_subscribers;
+        let grid = self.grid.bounds().intervals();
+        let at = |d: usize| (lo[d * n + id], hi[d * n + id]);
+        let empty = (0..grid.len()).any(|d| {
+            let (lo, hi) = at(d);
+            lo >= hi
+        });
+        let inside = grid.iter().enumerate().all(|(d, g)| {
+            let (lo, hi) = at(d);
+            g.lo() <= lo && hi <= g.hi()
+        });
+        !self.complete || !(empty || inside)
     }
 
     /// Number of compiled groups.
@@ -369,9 +425,17 @@ impl DispatchPlan {
                 scratch.interested.clear();
                 let range = self.hyper_offsets[slot as usize] as usize
                     ..self.hyper_offsets[slot as usize + 1] as usize;
+                // `Rect::contains` on the flat bounds: `lo < x <= hi` in
+                // every dimension.
+                let (n, dim) = (self.num_subscribers, self.grid.dim());
                 for &i in &self.hyper_members[range] {
-                    if state.rects[i as usize].contains(p) {
-                        scratch.interested.push(i as usize);
+                    let i = i as usize;
+                    let inside = (0..dim).all(|d| {
+                        let x = p[d];
+                        state.lo[d * n + i] < x && x <= state.hi[d * n + i]
+                    });
+                    if inside {
+                        scratch.interested.push(i);
                     }
                 }
                 self.decide(slot, scratch.interested.len())
@@ -395,6 +459,8 @@ impl DispatchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchScratch;
+    use crate::dynamic::DynamicClustering;
     use crate::framework::CellProbability;
     use crate::kmeans::{KMeans, KMeansVariant};
     use crate::matching::GridMatcher;
@@ -474,6 +540,155 @@ mod tests {
             assert_eq!(scratch.interested(), &brute[..], "point {p:?}");
             let interested = BitSet::from_members(subs.len(), brute.iter().copied());
             assert_eq!(decision, matcher.match_event(&p, &interested));
+        }
+    }
+
+    /// The id-aligned rectangles the slots used to be copied into before
+    /// attaching: a tombstone became `(c, c]` at the grid's lower corner.
+    fn degenerate_tombstone_rects(dynamic: &DynamicClustering) -> Vec<Rect> {
+        let bounds = dynamic.framework().grid().bounds().clone();
+        let empty = Rect::new(
+            bounds
+                .intervals()
+                .iter()
+                .map(|iv| Interval::new(iv.lo(), iv.lo()).unwrap())
+                .collect(),
+        );
+        dynamic
+            .subscription_slots()
+            .iter()
+            .map(|slot| slot.clone().unwrap_or_else(|| empty.clone()))
+            .collect()
+    }
+
+    /// Attaching straight from slots with tombstones, some rectangles
+    /// overhanging the grid and two empty ones off it, builds bit for
+    /// bit the plan that attaching the degenerate-rectangle vector built
+    /// — on the rebalanced (complete) framework and on a truncated one,
+    /// whose fallback holds the tombstones too — its fallback is what
+    /// `Rect::contains_rect` against the grid's bounds picks, and both
+    /// serve calls decide alike, also inside a tombstoned slot's old
+    /// rectangle.
+    #[test]
+    fn slots_attach_like_degenerate_tombstone_rectangles() {
+        let grid = Grid::cube(0.0, 10.0, 2, 12).unwrap();
+        let probs = CellProbability::uniform(&grid);
+        let kmeans = KMeans::new(KMeansVariant::MacQueen);
+        let mut dynamic = DynamicClustering::new(grid.clone(), probs.clone(), kmeans, 5);
+        let mut rng = StdRng::seed_from_u64(44);
+        let ids: Vec<_> = (0..160)
+            .map(|i| {
+                let rect = Rect::new(
+                    (0..2)
+                        .map(|_| {
+                            let lo = rng.gen_range(-1.0..9.0);
+                            match i % 6 {
+                                0 => Interval::greater_than(lo),
+                                1 => Interval::at_most(lo + 1.0),
+                                _ => Interval::new(lo, lo + rng.gen_range(0.5..3.0)).unwrap(),
+                            }
+                        })
+                        .collect(),
+                );
+                dynamic.subscribe(rect)
+            })
+            .collect();
+        // Empty rectangles fit anywhere, even off the grid.
+        dynamic.subscribe(Rect::new(vec![
+            Interval::new(15.0, 15.0).unwrap(),
+            Interval::new(2.0, 5.0).unwrap(),
+        ]));
+        dynamic.subscribe(Rect::new(vec![
+            Interval::new(-1.0, 12.0).unwrap(),
+            Interval::new(3.0, 3.0).unwrap(),
+        ]));
+        dynamic.rebalance();
+        let gone: Vec<(usize, Rect)> = ids
+            .iter()
+            .step_by(7)
+            .map(|&id| {
+                let rect = dynamic.subscription_slots()[id.index()].clone().unwrap();
+                dynamic.unsubscribe(id).unwrap();
+                (id.index(), rect)
+            })
+            .collect();
+        dynamic.rebalance();
+        let rects = degenerate_tombstone_rects(&dynamic);
+        let slots = dynamic.subscription_slots();
+
+        let mut events: Vec<Point> = (0..600)
+            .map(|_| Point::new(vec![rng.gen_range(-2.0..12.0), rng.gen_range(-2.0..12.0)]))
+            .collect();
+        events.push(Point::new(vec![0.0, 0.0]));
+        for (_, rect) in &gone {
+            let inside = |d: usize| {
+                let iv = rect.interval(d);
+                let (lo, hi) = (iv.lo().max(-3.0), iv.hi().min(13.0));
+                lo + 0.5 * (hi - lo)
+            };
+            events.push(Point::new(vec![inside(0), inside(1)]));
+        }
+
+        let truncated = GridFramework::build(grid, &rects, &probs, Some(8));
+        assert!(!truncated.complete, "eight hyper-cells must truncate");
+        let truncated_groups = KMeans::new(KMeansVariant::MacQueen).cluster(&truncated, 3);
+        for (fw, c) in [
+            (dynamic.framework(), dynamic.clustering()),
+            (&truncated, &truncated_groups),
+        ] {
+            let compiled = DispatchPlan::compile(fw, c).with_threshold(0.2);
+            let from_slots = compiled
+                .clone()
+                .attach(slots.len(), |id| slots[id].as_ref());
+            let from_rects = compiled.with_subscriptions(&rects);
+            let mut v = crate::Validator::new();
+            v.check_dispatch_plan(fw, c, &from_slots);
+            v.assert_clean("plan attached from slots");
+
+            let (a, b) = (
+                from_slots.serve_state.as_ref().unwrap(),
+                from_rects.serve_state.as_ref().unwrap(),
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.lo), bits(&b.lo));
+            assert_eq!(bits(&a.hi), bits(&b.hi));
+            assert_eq!(bits(&a.cand_lo), bits(&b.cand_lo));
+            assert_eq!(bits(&a.cand_hi), bits(&b.cand_hi));
+            assert_eq!(a.fallback, b.fallback);
+            let overhanging: Vec<u32> = (0..rects.len() as u32)
+                .filter(|&id| {
+                    !fw.complete || !fw.grid().bounds().contains_rect(&rects[id as usize])
+                })
+                .collect();
+            assert_eq!(a.fallback, overhanging);
+            assert!(
+                !a.fallback.is_empty(),
+                "overhanging rectangles need the fallback"
+            );
+
+            let (mut sa, mut sb) = (DispatchScratch::new(), DispatchScratch::new());
+            for p in &events {
+                assert_eq!(from_slots.serve(p, &mut sa), from_rects.serve(p, &mut sb));
+                assert_eq!(sa.interested(), sb.interested(), "event at {p:?}");
+                for (id, _) in &gone {
+                    assert!(!sa.interested().contains(id), "tombstone {id} at {p:?}");
+                }
+            }
+            let (mut ba, mut bb) = (BatchScratch::new(), BatchScratch::new());
+            let (mut oa, mut ob) = (Vec::new(), Vec::new());
+            for start in (0..events.len()).step_by(64) {
+                let range = start..(start + 64).min(events.len());
+                from_slots.serve_batch(range.clone(), |e| &events[e], &mut ba, &mut oa);
+                from_rects.serve_batch(range.clone(), |e| &events[e], &mut bb, &mut ob);
+                for local in 0..range.len() {
+                    assert!(
+                        ba.interested_of(local).eq(bb.interested_of(local)),
+                        "event {}",
+                        start + local
+                    );
+                }
+            }
+            assert_eq!(oa, ob);
         }
     }
 

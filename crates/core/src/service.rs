@@ -56,7 +56,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use geometry::{Interval, Point, Rect};
+use geometry::{Point, Rect};
 
 use crate::batch::BatchScratch;
 use crate::dispatch::DispatchPlan;
@@ -426,34 +426,15 @@ pub struct BrokerService {
     queue_depth: usize,
 }
 
-/// Id-aligned rectangles for [`DispatchPlan::with_subscriptions`]:
-/// tombstoned slots become degenerate (point-empty) rectangles that
-/// contain no event, so they can never match.
-fn slot_rects(dynamic: &DynamicClustering) -> Vec<Rect> {
-    let bounds = dynamic.framework().grid().bounds().clone();
-    let empty = Rect::new(
-        bounds
-            .intervals()
-            .iter()
-            .map(|iv| Interval::new(iv.lo(), iv.lo()).expect("degenerate interval is valid"))
-            .collect(),
-    );
-    dynamic
-        .subscription_slots()
-        .iter()
-        .map(|slot| slot.clone().unwrap_or_else(|| empty.clone()))
-        .collect()
-}
-
 /// Compiles and audits a plan for the given clustering state.
 fn compile_plan(
     dynamic: &DynamicClustering,
     threshold: f64,
 ) -> Result<DispatchPlan, RebalanceAbort> {
-    let rects = slot_rects(dynamic);
+    let slots = dynamic.subscription_slots();
     let plan = DispatchPlan::compile(dynamic.framework(), dynamic.clustering())
         .with_threshold(threshold)
-        .with_subscriptions(&rects);
+        .attach(slots.len(), |id| slots[id].as_ref());
     let mut v = Validator::new();
     v.check_dispatch_plan(dynamic.framework(), dynamic.clustering(), &plan);
     match v.finish() {
@@ -1005,6 +986,7 @@ impl BrokerService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geometry::Interval;
 
     // Threaded end-to-end coverage (swap storms, shed accounting,
     // watchdog aborts) lives in `crates/core/tests/service.rs`; these

@@ -513,51 +513,37 @@ impl Validator {
 
     /// Audits the flat candidate arrays — all `serve_batch` reads to
     /// decide an event — against what scalar `serve` reads for the same
-    /// candidate: every stored bound is `to_bits`-equal to the owned
-    /// rectangle's. At most one violation per slot. Then the fallback:
-    /// its ids are ascending subscriber ids, exactly those no kept cell
-    /// answers for (the rectangles overhanging the grid, or all of them
-    /// when the framework is not complete), and the index holds that
-    /// many. Requires sound hyper-cell member lists (monotone offsets
-    /// over the flat ids).
+    /// candidate: every stored bound is `to_bits`-equal to the
+    /// subscriber's flat bound. At most one violation per slot. Then the
+    /// fallback: its ids are ascending subscriber ids, exactly those no
+    /// kept cell answers for (the rectangles overhanging the grid, or
+    /// all of them when the framework is not complete), and the index
+    /// holds that many. Requires sound hyper-cell member lists (monotone
+    /// offsets over the flat ids).
     fn check_serve_state(&mut self, plan: &DispatchPlan, state: &ServeState) {
         const INVARIANT: &str = "dispatch.serve-state";
-        let dim = plan.grid.dim();
+        let (n, dim) = (plan.num_subscribers, plan.grid.dim());
         let total = plan.hyper_members.len();
         // Shapes first, and everything the slot loop indexes with.
-        if state.rects.len() != plan.num_subscribers
+        if state.lo.len() != n * dim
+            || state.hi.len() != n * dim
             || state.cand_lo.len() != total * dim
             || state.cand_hi.len() != total * dim
-            || state.rects.iter().any(|r| r.dim() != dim)
-            || plan
-                .hyper_members
-                .iter()
-                .any(|&id| id as usize >= state.rects.len())
+            || plan.hyper_members.iter().any(|&id| id as usize >= n)
         {
             self.fail(
                 INVARIANT,
                 format!(
-                    "{} rectangles / {} lower bounds / {} upper bounds cannot describe \
-                     {total} candidates of {} subscribers in {dim} dimension(s)",
-                    state.rects.len(),
+                    "{} / {} subscriber bounds and {} / {} candidate bounds cannot describe \
+                     {total} candidates of {n} subscribers in {dim} dimension(s)",
+                    state.lo.len(),
+                    state.hi.len(),
                     state.cand_lo.len(),
                     state.cand_hi.len(),
-                    plan.num_subscribers
                 ),
             );
             return;
         }
-        // The floats scalar `serve` reads, gathered once per subscriber
-        // (dimension-major) so the slot loop compares flat arrays.
-        let n = state.rects.len();
-        let rect_bits: Vec<(u64, u64)> = (0..dim)
-            .flat_map(|d| {
-                state.rects.iter().map(move |r| {
-                    let iv = r.interval(d);
-                    (iv.lo().to_bits(), iv.hi().to_bits())
-                })
-            })
-            .collect();
         for s in 0..plan.hyper_group.len() {
             let o = plan.hyper_offsets[s] as usize;
             let members = &plan.hyper_members[o..plan.hyper_offsets[s + 1] as usize];
@@ -565,28 +551,31 @@ impl Validator {
             let block = o * dim..(o + nc) * dim;
             let (lo, hi) = (&state.cand_lo[block.clone()], &state.cand_hi[block]);
             let wrong_bound = (0..dim).find_map(|d| {
-                let want = &rect_bits[d * n..(d + 1) * n];
+                let want = (&state.lo[d * n..(d + 1) * n], &state.hi[d * n..(d + 1) * n]);
                 let stored = lo[d * nc..(d + 1) * nc]
                     .iter()
                     .zip(&hi[d * nc..(d + 1) * nc]);
                 members
                     .iter()
                     .zip(stored)
-                    .position(|(&id, (lo, hi))| (lo.to_bits(), hi.to_bits()) != want[id as usize])
+                    .position(|(&id, (lo, hi))| {
+                        let id = id as usize;
+                        lo.to_bits() != want.0[id].to_bits() || hi.to_bits() != want.1[id].to_bits()
+                    })
                     .map(|k| (k, d))
             });
             if let Some((k, d)) = wrong_bound {
-                let iv = state.rects[members[k] as usize].interval(d);
+                let at = d * n + members[k] as usize;
                 self.fail(
                     INVARIANT,
                     format!(
                         "slot {s} candidate {k} (subscriber {}) dimension {d} stores ({}, {}], \
-                         its rectangle has ({}, {}]",
+                         its subscriber has ({}, {}]",
                         members[k],
                         lo[d * nc + k],
                         hi[d * nc + k],
-                        iv.lo(),
-                        iv.hi()
+                        state.lo[at],
+                        state.hi[at]
                     ),
                 );
             }
@@ -595,11 +584,11 @@ impl Validator {
     }
 
     /// The fallback half of [`Validator::check_serve_state`]; requires
-    /// its shape checks (one rectangle per subscriber, of the grid's
-    /// dimension).
+    /// its shape checks (flat bounds for every subscriber in every
+    /// dimension of the grid).
     fn check_fallback(&mut self, plan: &DispatchPlan, state: &ServeState) {
         const INVARIANT: &str = "dispatch.serve-state";
-        let (n, ids) = (state.rects.len(), &state.fallback);
+        let (n, ids) = (plan.num_subscribers, &state.fallback);
         if !ids.is_sorted_by(|a, b| a < b) || ids.last().is_some_and(|&id| id as usize >= n) {
             self.fail(
                 INVARIANT,
@@ -610,7 +599,7 @@ impl Validator {
         let mut listed = ids.iter().map(|&id| id as usize).peekable();
         for id in 0..n {
             let held = listed.next_if_eq(&id).is_some();
-            if plan.needs_fallback(&state.rects[id]) != held {
+            if plan.needs_fallback(&state.lo, &state.hi, id) != held {
                 let detail = if held {
                     format!(
                         "fallback holds subscriber {id}, whose rectangle a kept cell answers for"
@@ -639,6 +628,10 @@ impl Validator {
     /// Checks the plan's flattened hyper-cell member lists (monotone
     /// offsets delimiting concatenated ascending member ids) against the
     /// framework's bitsets; returns whether it found nothing to report.
+    /// A list equals its bitset's members in order when it is as long as
+    /// the bitset's count, strictly ascending, below the universe and
+    /// made only of members: its ids are then distinct members, as many
+    /// as there are, so no bitset walk is needed.
     fn check_hyper_lists(&mut self, plan: &DispatchPlan, hcs: &[HyperCell]) -> bool {
         const INVARIANT: &str = "dispatch.hyper-state";
         let (offsets, flat) = (&plan.hyper_offsets, &plan.hyper_members);
@@ -668,11 +661,14 @@ impl Validator {
                 );
                 continue;
             }
-            if !flat[lo..hi]
-                .iter()
-                .map(|&s| s as usize)
-                .eq(hc.members.iter())
-            {
+            let list = &flat[lo..hi];
+            let agrees = list.len() == hc.members.count()
+                && list.is_sorted_by(|a, b| a < b)
+                && list
+                    .last()
+                    .is_none_or(|&id| (id as usize) < hc.members.universe())
+                && list.iter().all(|&id| hc.members.contains(id as usize));
+            if !agrees {
                 self.fail(
                     INVARIANT,
                     format!("hyper-cell {h}'s flattened member list disagrees with its bitset"),
@@ -827,11 +823,16 @@ mod tests {
     }
 
     /// Number of grid-artifact corruptions [`corrupt`] knows.
-    const GRID_CORRUPTIONS: usize = 14;
+    const GRID_CORRUPTIONS: usize = 18;
+
+    /// First of the corruptions that touch only the plan's flattened
+    /// hyper-cell member lists (kinds
+    /// `MEMBER_LIST_CORRUPTIONS..SERVE_STATE_CORRUPTIONS`).
+    const MEMBER_LIST_CORRUPTIONS: usize = 10;
 
     /// First of the corruptions that touch only the plan's serve arrays
     /// (kinds `SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS`).
-    const SERVE_STATE_CORRUPTIONS: usize = 10;
+    const SERVE_STATE_CORRUPTIONS: usize = 14;
 
     /// Offset of a slot whose first two candidates' lower bounds differ
     /// (the scenario is one-dimensional, so a slot's block is one bound
@@ -848,6 +849,17 @@ mod tests {
             .map(|(o, _)| o)
             .collect();
         slots[salt % slots.len()]
+    }
+
+    /// Flat position of a list's id whose successor is in the same
+    /// list; `salt` picks among them.
+    fn crowded_list(plan: &DispatchPlan, salt: usize) -> usize {
+        let spots: Vec<usize> = plan
+            .hyper_offsets
+            .windows(2)
+            .flat_map(|w| w[0] as usize..(w[1] as usize).saturating_sub(1))
+            .collect();
+        spots[salt % spots.len()]
     }
 
     /// Applies corruption `kind` (entry selection varied by `salt`) and
@@ -922,6 +934,62 @@ mod tests {
                 "plan-group-flip"
             }
             10 => {
+                // Swap two neighbouring ids inside one member list.
+                let at = crowded_list(&s.plan, salt);
+                s.plan.hyper_members.swap(at, at + 1);
+                "member-ids-swap"
+            }
+            11 => {
+                // Replace a member by a non-member between its
+                // neighbours: the list stays ascending and as long.
+                let plan = &s.plan;
+                let mut spots = Vec::new();
+                for (h, w) in plan.hyper_offsets.windows(2).enumerate() {
+                    let o = w[0] as usize;
+                    let list = &plan.hyper_members[o..w[1] as usize];
+                    let members = &s.fw.hypercells[h].members;
+                    for k in 0..list.len() {
+                        let below = if k == 0 { 0 } else { list[k - 1] + 1 };
+                        let above = list.get(k + 1).copied();
+                        let above = above.unwrap_or(plan.num_subscribers as u32);
+                        spots.extend(
+                            (below..above)
+                                .filter(|&id| !members.contains(id as usize))
+                                .map(|id| (o + k, id)),
+                        );
+                    }
+                }
+                let (at, id) = spots[salt % spots.len()];
+                s.plan.hyper_members[at] = id;
+                "member-replaced-by-non-member"
+            }
+            12 => {
+                // The last id of a list at or above the universe.
+                let lists: Vec<usize> = s
+                    .plan
+                    .hyper_offsets
+                    .windows(2)
+                    .filter(|w| w[1] > w[0])
+                    .map(|w| w[1] as usize - 1)
+                    .collect();
+                let at = lists[salt % lists.len()];
+                s.plan.hyper_members[at] = (s.plan.num_subscribers + salt % 3) as u32;
+                "member-id-beyond-universe"
+            }
+            13 => {
+                // Drop one id from a list, shifting the later offsets:
+                // the list stays ascending and made of members.
+                let plan = &mut s.plan;
+                let at = salt % plan.hyper_members.len();
+                plan.hyper_members.remove(at);
+                for o in &mut plan.hyper_offsets {
+                    if *o as usize > at {
+                        *o -= 1;
+                    }
+                }
+                "member-dropped-from-list"
+            }
+            14 => {
                 // Move one stored bound by one ulp.
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
                 let bounds = if salt.is_multiple_of(2) {
@@ -933,7 +1001,7 @@ mod tests {
                 bounds[at] = f64::from_bits(bounds[at].to_bits() + 1);
                 "serve-bound-ulp"
             }
-            11 => {
+            15 => {
                 // Swap two candidates' bounds inside one slot.
                 let o = crowded_slot(&s.plan, salt);
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
@@ -941,7 +1009,7 @@ mod tests {
                 state.cand_hi.swap(o, o + 1);
                 "serve-bounds-swap"
             }
-            12 => {
+            16 => {
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
                 let bounds = if salt.is_multiple_of(2) {
                     &mut state.cand_lo
@@ -951,7 +1019,7 @@ mod tests {
                 bounds.truncate(bounds.len() - 1);
                 "serve-array-truncated"
             }
-            13 => {
+            17 => {
                 let state = s.plan.serve_state.as_mut().expect("serve arrays attached");
                 state.fallback.remove(salt % state.fallback.len());
                 "fallback-id-drop"
@@ -1014,12 +1082,10 @@ mod tests {
         }
     }
 
-    /// The arrays `serve_batch` decides from are audited by one
-    /// invariant and nothing else looks at them: each corruption is
-    /// rejected, and under `dispatch.serve-state` alone.
-    #[test]
-    fn serve_state_corruptions_fail_exactly_their_invariant() {
-        for kind in SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS {
+    /// Each corruption of `kinds`, at 24 entries, is rejected and under
+    /// `invariant` alone (an audit that panics fails the test too).
+    fn assert_flagged_only_as(kinds: std::ops::Range<usize>, invariant: &str) {
+        for kind in kinds {
             for salt in 0..24 {
                 let mut s = scenario();
                 let name = corrupt(&mut s, kind, salt);
@@ -1030,12 +1096,36 @@ mod tests {
                 );
                 for violation in &v.violations {
                     assert_eq!(
-                        violation.invariant, "dispatch.serve-state",
+                        violation.invariant, invariant,
                         "{name} (salt {salt}): {violation}"
                     );
                 }
             }
         }
+    }
+
+    /// The arrays `serve_batch` decides from are audited by one
+    /// invariant and nothing else looks at them: each corruption is
+    /// rejected, and under `dispatch.serve-state` alone.
+    #[test]
+    fn serve_state_corruptions_fail_exactly_their_invariant() {
+        assert_flagged_only_as(
+            SERVE_STATE_CORRUPTIONS..GRID_CORRUPTIONS,
+            "dispatch.serve-state",
+        );
+    }
+
+    /// The member-list audit proves set-and-order equality from counts
+    /// and membership tests alone: an out-of-order pair, a non-member
+    /// that keeps the count, an id past the universe and a dropped id
+    /// are each rejected under `dispatch.hyper-state` alone, without a
+    /// panic.
+    #[test]
+    fn member_list_corruptions_fail_exactly_their_invariant() {
+        assert_flagged_only_as(
+            MEMBER_LIST_CORRUPTIONS..SERVE_STATE_CORRUPTIONS,
+            "dispatch.hyper-state",
+        );
     }
 
     /// The fallback index covers the overhanging rectangles of a
@@ -1051,7 +1141,7 @@ mod tests {
             .expect("serve arrays attached")
             .fallback;
         assert_eq!(*fallback, [4, 17, 32]);
-        corrupt(&mut s, 13, 1);
+        corrupt(&mut s, 17, 1);
         let err = audit(&s).finish().unwrap_err();
         assert!(
             err.to_string()

@@ -10,7 +10,9 @@
 //! `NoLossClustering::match_event` must not allocate at all, and
 //! `BrokerService::offer` must allocate nothing and free each offered
 //! point on the offering thread. The warm-up passes also hold every
-//! decision to the oracle (`oracle::decide`).
+//! decision to the oracle (`oracle::decide`). Per swap, attaching the
+//! rectangles to a plan and auditing it allocate as often at 2 000
+//! subscribers as at 200.
 
 mod oracle;
 
@@ -22,7 +24,7 @@ use oracle::decide;
 use pubsub_core::{
     BatchScratch, BrokerService, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
     DispatchScratch, DynamicClustering, GridFramework, KMeans, KMeansVariant, NoLossClustering,
-    NoLossConfig, ServiceConfig,
+    NoLossConfig, ServiceConfig, Validator,
 };
 use rand::prelude::*;
 
@@ -334,6 +336,40 @@ fn steady_state_fallback_over_overhanging_rectangles_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state serve_batch performed {allocs} heap allocations"
+    );
+}
+
+/// Attaching the rectangles and auditing the plan, as a swap does,
+/// allocate a fixed number of buffers at any population size: the
+/// bounds lie flat, so no subscriber costs a heap object of its own.
+/// Dropping the plan frees a fixed number of buffers too. (A complete
+/// framework with no overhang: the fallback index is empty.)
+#[test]
+fn attach_and_audit_allocate_the_same_at_any_population_size() {
+    let counts = [200usize, 2_000].map(|n| {
+        let mut rng = StdRng::seed_from_u64(2002);
+        let subs: Vec<Rect> = (0..n).map(|_| random_rect(&mut rng)).collect();
+        let grid = Grid::cube(0.0, 1.0, 1, 64).unwrap();
+        let probs = CellProbability::uniform(&grid);
+        let fw = GridFramework::build(grid, &subs, &probs, None);
+        assert!(fw.supports_incremental(), "the framework must be complete");
+        let clustering = KMeans::new(KMeansVariant::MacQueen).cluster(&fw, 8);
+        let compiled = DispatchPlan::compile(&fw, &clustering);
+        let mut attached = None;
+        let (allocs, _) = count_allocs_and_frees(|| {
+            let plan = compiled.with_subscriptions(&subs);
+            let mut v = Validator::new();
+            v.check_dispatch_plan(&fw, &clustering, &plan);
+            attached = Some((plan, v.finish()));
+        });
+        let (plan, audit) = attached.expect("the counted region ran");
+        audit.unwrap();
+        let (_, frees) = count_allocs_and_frees(|| drop(plan));
+        (allocs, frees)
+    });
+    assert_eq!(
+        counts[0], counts[1],
+        "(allocations to attach and audit, frees to drop) at 200 and at 2 000 subscribers"
     );
 }
 
