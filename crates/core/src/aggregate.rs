@@ -13,14 +13,13 @@
 //! the layer is for: `K` groups are still precomputed once, over a
 //! clustering input many times smaller.
 //!
-//! [`AggregatePlan`] compiles a class framework + clustering into a
-//! serve path: locate the event's cell, filter the cell's *classes* by
-//! rectangle containment, expand the surviving classes' packed member
-//! lists into the exact concrete interested set, and make the threshold
-//! decision on weighted counts (the same integers the concrete plan
-//! computes, hence the same `f64` comparison). It is the executable
-//! form of the equivalence argument — the concrete
-//! [`DispatchPlan::serve_batch`] kernel is the production serve path.
+//! [`AggregatePlan`] is a class-universe [`DispatchPlan`] run through
+//! the one serve kernel, [`DispatchPlan::serve_batch`]: the kernel
+//! filters the event cell's *classes*, and the plan decides again on
+//! weighted counts (the same integers the concrete plan computes, hence
+//! the same `f64` comparison) and expands the hit classes' packed
+//! member lists into the exact concrete interested set. It is the
+//! executable form of the equivalence argument.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -28,10 +27,10 @@ use std::sync::Arc;
 
 use geometry::{CellId, Grid, Point, Rect};
 
+use crate::batch::BatchScratch;
 use crate::clustering::Clustering;
 use crate::dispatch::DispatchPlan;
 use crate::framework::{CellProbability, GridFramework};
-use crate::match_index::SubscriptionIndex;
 use crate::matching::Delivery;
 use crate::parallel;
 
@@ -150,11 +149,13 @@ impl Aggregation {
     }
 }
 
-/// Reusable per-thread buffers for [`AggregatePlan::serve`].
+/// Reusable per-thread buffers for [`AggregatePlan::serve`] and
+/// [`AggregatePlan::serve_chunk`].
 #[derive(Debug, Default)]
 pub struct AggregateScratch {
+    batch: BatchScratch,
+    out: Vec<Delivery>,
     interested: Vec<usize>,
-    class_hits: Vec<usize>,
 }
 
 impl AggregateScratch {
@@ -176,11 +177,9 @@ impl AggregateScratch {
 /// member lists — exact per concrete subscriber.
 #[derive(Debug, Clone)]
 pub struct AggregatePlan {
+    /// The class plan, with the class rectangles attached.
     plan: DispatchPlan,
     agg: Arc<Aggregation>,
-    /// Fallback index over the class rectangles for events outside
-    /// every kept cell.
-    index: SubscriptionIndex,
     /// Per-group concrete (weighted) size.
     group_wsize: Vec<u64>,
 }
@@ -205,7 +204,9 @@ impl AggregatePlan {
             aggregation.num_classes(),
             "framework universe is not the aggregation's class count"
         );
-        let plan = DispatchPlan::compile(framework, clustering).with_threshold(threshold);
+        let plan = DispatchPlan::compile(framework, clustering)
+            .with_threshold(threshold)
+            .with_subscriptions(&aggregation.rects);
         let group_wsize = clustering
             .groups()
             .iter()
@@ -213,7 +214,6 @@ impl AggregatePlan {
             .collect();
         AggregatePlan {
             plan,
-            index: SubscriptionIndex::build(&aggregation.rects),
             agg: aggregation,
             group_wsize,
         }
@@ -225,68 +225,60 @@ impl AggregatePlan {
     }
 
     // lint: hot-path
+    /// The kernel over a window, each event then decided again on
+    /// weighted counts: `weighted hits / weighted group size`, the hits
+    /// being every interested class's weight (a cell's classes are
+    /// members of its group); unicast outside every kept cell. Not
+    /// generic, so every caller shares one instance of the kernel.
+    fn decide_window<'a>(
+        &self,
+        range: Range<usize>,
+        point_of: &dyn Fn(usize) -> &'a Point,
+        batch: &mut BatchScratch,
+        out: &mut Vec<Delivery>,
+    ) {
+        let base = out.len();
+        self.plan.serve_batch(range, point_of, batch, out);
+        for (local, d) in out[base..].iter_mut().enumerate() {
+            let Some(slot) = batch.slot_of(local) else {
+                continue;
+            };
+            let group = self.plan.hyper_group[slot as usize] as usize;
+            let whits = batch.interested_of(local).map(|c| self.agg.weights[c]);
+            *d = self
+                .plan
+                .threshold_decision(group, whits.sum(), self.group_wsize[group]);
+        }
+    }
+
     /// Serves one event: computes the exact concrete interested set
-    /// (into `scratch`, ascending) and the delivery decision.
-    ///
-    /// Candidates are the event cell's *classes*, each filtered by its
-    /// own rectangle. The threshold compares `weighted hits / weighted
-    /// group size`, the hits being every interested class's weight (a
-    /// cell's classes are members of its group) — the same integers,
-    /// hence the same `f64`s, as the concrete [`DispatchPlan::serve`].
+    /// (into `scratch`, ascending) and the delivery decision — the same
+    /// as the concrete [`DispatchPlan::serve`].
     ///
     /// # Panics
     ///
     /// Panics if `p`'s dimension differs from the grid's.
     pub fn serve(&self, p: &Point, scratch: &mut AggregateScratch) -> Delivery {
-        scratch.interested.clear();
-        match self.plan.locate(p) {
-            Some(slot) => {
-                let s = slot as usize;
-                let range =
-                    self.plan.hyper_offsets[s] as usize..self.plan.hyper_offsets[s + 1] as usize;
-                let group = self.plan.hyper_group[s] as usize;
-                let mut whits = 0u64;
-                for &class in &self.plan.hyper_members[range] {
-                    let c = class as usize;
-                    if self.agg.rects[c].contains(p) {
-                        scratch
-                            .interested
-                            .extend(self.agg.members[c].iter().map(|&i| i as usize));
-                        whits += self.agg.weights[c];
-                    }
-                }
-                scratch.interested.sort_unstable();
-                let wsize = self.group_wsize[group];
-                if wsize == 0 {
-                    return Delivery::Unicast;
-                }
-                let proportion = whits as f64 / wsize as f64;
-                if proportion >= self.plan.threshold && whits > 0 {
-                    Delivery::Multicast { group }
-                } else {
-                    Delivery::Unicast
-                }
-            }
-            None => {
-                // Outside every kept cell: exact class stab, expanded
-                // to concrete ids. Always unicast, as in the concrete
-                // plan's fallback.
-                self.index.matching_into(p, &mut scratch.class_hits);
-                for &c in &scratch.class_hits {
-                    scratch
-                        .interested
-                        .extend(self.agg.members[c].iter().map(|&i| i as usize));
-                }
-                scratch.interested.sort_unstable();
-                Delivery::Unicast
-            }
+        let AggregateScratch {
+            batch,
+            out,
+            interested,
+        } = scratch;
+        out.clear();
+        self.decide_window(0..1, &|_| p, batch, out);
+        interested.clear();
+        for c in batch.interested_of(0) {
+            interested.extend(self.agg.members[c].iter().map(|&i| i as usize));
         }
+        interested.sort_unstable();
+        // lint: allow(no-literal-index): the one-event window pushed one decision
+        out[0]
     }
 
     /// Batched [`serve`](Self::serve) over an index range: pushes one
-    /// [`Delivery`] per index onto `out` (not cleared). Chunk
-    /// boundaries are the caller's, so deterministic chunked
-    /// decompositions are preserved.
+    /// [`Delivery`] per index onto `out` (not cleared), and expands no
+    /// interested set. Chunk boundaries are the caller's, so
+    /// deterministic chunked decompositions are preserved.
     pub fn serve_chunk<'a>(
         &self,
         range: Range<usize>,
@@ -294,10 +286,7 @@ impl AggregatePlan {
         out: &mut Vec<Delivery>,
         scratch: &mut AggregateScratch,
     ) {
-        out.reserve(range.len());
-        for e in range {
-            out.push(self.serve(point_of(e), scratch));
-        }
+        self.decide_window(range, &point_of, &mut scratch.batch, out);
     }
     // lint: hot-path end
 }

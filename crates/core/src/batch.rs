@@ -1,18 +1,15 @@
 //! The batched cell-bucketed serve kernel.
 //!
-//! The per-event path ([`DispatchPlan::serve`]) re-resolves the event
-//! cell's candidate list — and chases one boxed `Rect` per candidate —
-//! for every single event. Real event streams are heavily skewed (hot
-//! cells receive most publications), so a batch of events lands on far
-//! fewer distinct kept cells than it has events.
-//! [`DispatchPlan::serve_batch`] exploits that:
+//! Real event streams are heavily skewed (hot cells receive most
+//! publications), so a batch of events lands on far fewer distinct kept
+//! cells than it has events. [`DispatchPlan::serve_batch`] exploits
+//! that:
 //!
 //! 1. **SoA cell pass** — one sweep per grid dimension over a
 //!    contiguous coordinate array, accumulating each event's row-major
 //!    cell index with that dimension's [`Axis`](geometry::Axis) of the
 //!    plan's grid, taken once per sweep (the rule
-//!    [`Grid::cell_of`](geometry::Grid::cell_of) applies, hence the
-//!    cells scalar `serve` finds);
+//!    [`Grid::cell_of`](geometry::Grid::cell_of) applies);
 //! 2. **bucketing** — batch-local event positions are sorted by kept
 //!    hyper-cell slot (off-grid, empty and truncated cells share the
 //!    `NO_SLOT` bucket, which the plan's fallback R-tree answers — over
@@ -38,7 +35,7 @@
 //!
 //! Bucketing is therefore a pure permutation of per-event work with
 //! per-event outputs: deliveries, interested sets and counts are
-//! bit-identical to scalar `serve` at any batch size, any bucket order
+//! bit-identical at any batch size, any bucket order
 //! and any `PUBSUB_THREADS`, which keeps every downstream fixed-chunk
 //! `f64` reduction bit-identical too (pinned by the `batch_equivalence`
 //! suite). The two tails share everything before them and are picked at
@@ -100,9 +97,7 @@ impl BatchScratch {
 
     /// The interested subscription ids computed by the last
     /// [`DispatchPlan::serve_batch`] call for the batch-local event
-    /// `local`, in increasing order (the same ids
-    /// [`DispatchScratch::interested`](crate::DispatchScratch::interested)
-    /// would hold after a scalar `serve` of that event).
+    /// `local`, in increasing order.
     ///
     /// # Panics
     ///
@@ -119,13 +114,20 @@ impl BatchScratch {
     pub(crate) fn interested_count(&self, local: usize) -> u32 {
         self.counts[local]
     }
+
+    /// The kept hyper-cell slot the batch-local event `local` fell in,
+    /// `None` when its cell was not kept.
+    pub(crate) fn slot_of(&self, local: usize) -> Option<u32> {
+        let slot = self.slots[local];
+        (slot != NO_SLOT).then_some(slot)
+    }
 }
 
 impl DispatchPlan {
     // lint: hot-path
     /// The SoA cell pass + bucketing: fills `scratch.slots` (kept slot
-    /// or [`NO_SLOT`] per batch-local event, by the grid's per-axis rule
-    /// the scalar `locate` applies) and `scratch.order` (event
+    /// or [`NO_SLOT`] per batch-local event, by the grid's per-axis
+    /// rule) and `scratch.order` (event
     /// positions grouped by slot — an event's only input is its point,
     /// so reordering is free and maximizes candidate-block reuse).
     fn bucket_batch<'a>(
@@ -187,16 +189,13 @@ impl DispatchPlan {
         }
     }
 
-    /// Batched [`serve`](Self::serve) over an index range: appends one
-    /// [`Delivery`] per index onto `out` (not cleared), *in index
-    /// order*, and records each event's exact interested set (readable
-    /// through [`BatchScratch::interested_of`]). Decisions and
-    /// interested sets are bit-identical to calling `serve` per event;
-    /// internally events are bucketed by kept cell, and each tests the
-    /// bucket's precompiled flat candidate bounds one dimension at a
-    /// time into a mask, then compacts the ids the mask keeps — the
-    /// comparisons and the candidate order of `serve`, without its
-    /// branches.
+    /// The serve kernel over an index range: appends one [`Delivery`]
+    /// per index onto `out` (not cleared), *in index order*, and records
+    /// each event's exact interested set (readable through
+    /// [`BatchScratch::interested_of`]). Internally events are bucketed
+    /// by kept cell, and each tests the bucket's precompiled flat
+    /// candidate bounds one dimension at a time into a mask, then
+    /// compacts the ids the mask keeps, in candidate order.
     ///
     /// # Panics
     ///
@@ -274,9 +273,8 @@ impl DispatchPlan {
                 end += 1;
             }
             if slot == NO_SLOT {
-                // Not kept: the fallback index and unicast, exactly as
-                // the scalar serve path; only the id tail translates its
-                // positions to subscriber ids.
+                // Not kept: the fallback index and unicast; only the id
+                // tail translates its positions to subscriber ids.
                 for &l in &order[at..end] {
                     let p = point_of(start_event + l as usize);
                     state.index.matching_into(p, tmp);
@@ -293,9 +291,8 @@ impl DispatchPlan {
                 let members = &self.hyper_members[o..self.hyper_offsets[sl + 1] as usize];
                 let nc = members.len();
                 // The bucket's candidate block in the plan's precompiled
-                // flat bound arrays (built once on attach from the flat
-                // bounds scalar `serve` reads): every event in the
-                // bucket scans contiguous memory, no gather at all.
+                // flat bound arrays (built once on attach): every event
+                // in the bucket scans contiguous memory, no gather at all.
                 let cand_lo = &state.cand_lo[o * dim..(o + nc) * dim];
                 let cand_hi = &state.cand_hi[o * dim..(o + nc) * dim];
                 // All ones: the count tail of a one-dimensional event
@@ -405,8 +402,9 @@ mod tests {
         (subs, points, plan)
     }
 
-    /// Both tails of the kernel against scalar `serve`, event by event,
-    /// at batch sizes below and above the bucket-sort threshold, in one
+    /// Both tails of the kernel against scalar `serve` (a one-event
+    /// batch), event by event, at batch sizes below and above the
+    /// bucket-sort threshold, in one
     /// to three dimensions, one scratch alternating between them:
     /// `serve_batch` yields the scalar interested set and decision, and
     /// the count tail the same decision and the set's size, storing no

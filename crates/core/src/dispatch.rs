@@ -28,17 +28,15 @@
 //! interested ids into a reusable [`DispatchScratch`] buffer — zero
 //! heap allocation per event in steady state.
 //!
-//! The plan has two serve calls: [`DispatchPlan::serve`], one event at
-//! a time, and [`DispatchPlan::serve_batch`], the batched kernel whose
-//! count-only tail is what `BrokerService` runs in production. Both
-//! decide exactly as `GridMatcher::match_event` does when handed the
-//! brute-force interested set (pinned by the `batch_equivalence`
-//! proptests against the one test oracle).
+//! [`DispatchPlan::serve_batch`] is the one kernel: its count-only
+//! tail is what `BrokerService` runs, and scalar [`DispatchPlan::serve`]
+//! is a one-event batch.
 
 use std::collections::HashMap;
 
 use geometry::{Grid, Interval, Point, Rect};
 
+use crate::batch::BatchScratch;
 use crate::clustering::Clustering;
 use crate::framework::GridFramework;
 use crate::match_index::SubscriptionIndex;
@@ -62,17 +60,16 @@ pub(crate) enum CellTable {
     Sparse(HashMap<usize, u32>),
 }
 
-/// Owned subscription state enabling the self-contained serve path
-/// ([`DispatchPlan::serve`]): every subscriber's bounds for candidate
-/// filtering and an R-tree index for events whose cell was not kept.
-/// The bounds lie flat and dimension-major (`lo[d * n + id]`, `n` the
-/// subscriber count), so attaching them allocates two arrays, not one
-/// object per subscriber. The index covers only the rectangles no kept
-/// cell answers for — those overhanging the grid when the framework is
-/// complete, every one when it is not. For the batched serve kernel it
-/// also precompiles every kept slot's candidate bounds into flat
-/// dimension-major arrays, so `serve_batch` scans contiguous memory
-/// with no per-bucket gather at all.
+/// Owned subscription state enabling the serve kernel
+/// ([`DispatchPlan::serve_batch`]): every kept slot's candidate bounds
+/// in flat dimension-major arrays, so the kernel scans contiguous
+/// memory with no per-bucket gather, and an R-tree index for events
+/// whose cell was not kept. The index covers only the rectangles no
+/// kept cell answers for — those overhanging the grid when the
+/// framework is complete, every one when it is not. The subscribers'
+/// own bounds lie flat too (`lo[d * n + id]`, `n` the subscriber
+/// count): the blocks are copied from them and the plan audit checks
+/// both against them; no serve call reads them.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeState {
     /// Lower bounds of every subscriber: `lo[d * n + id]`. A tombstoned
@@ -95,11 +92,14 @@ pub(crate) struct ServeState {
     pub(crate) cand_hi: Vec<f64>,
 }
 
-/// Reusable per-thread buffers for [`DispatchPlan::serve`]. Buffers
-/// grow to the high-water mark during warm-up and are then reused, so
-/// the steady state performs zero heap allocations per event.
+/// Reusable per-thread buffers for [`DispatchPlan::serve`]: the
+/// kernel's, its one decision and the interested ids. Buffers grow to
+/// the high-water mark during warm-up and are then reused, so the
+/// steady state performs zero heap allocations per event.
 #[derive(Debug, Default)]
 pub struct DispatchScratch {
+    batch: BatchScratch,
+    out: Vec<Delivery>,
     interested: Vec<usize>,
 }
 
@@ -361,97 +361,55 @@ impl DispatchPlan {
     }
 
     // lint: hot-path
-    /// Point → kept hyper-cell: [`Grid::cell_of`] on the compiled grid,
-    /// then the flat table lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p.dim()` differs from the grid's.
-    pub(crate) fn locate(&self, p: &Point) -> Option<u32> {
-        let idx = self.grid.cell_of(p)?.index();
-        let slot = match &self.table {
-            CellTable::Dense(t) => t[idx],
-            CellTable::Sparse(m) => m.get(&idx).copied().unwrap_or(NO_SLOT),
-        };
-        (slot != NO_SLOT).then_some(slot)
-    }
-
-    /// The threshold decision given a matched hyper-cell slot and the
-    /// event's exact interested count — the one place the threshold is
-    /// applied, shared by [`serve`](Self::serve) and
-    /// [`serve_batch`](Self::serve_batch), mirroring
-    /// `GridMatcher::match_event`. The interested count is its hit count:
-    /// the slot's candidates are its cell's members, and a group's
-    /// members are the union of its cells'.
-    pub(crate) fn decide(&self, slot: u32, interested: usize) -> Delivery {
-        let group = self.hyper_group[slot as usize] as usize;
-        let size = self.group_size[group] as usize;
+    /// Figure 5's threshold test, the one place it is applied: multicast
+    /// to `group` when `hits` of its `size` members — both counted
+    /// alike, per subscriber or weighted per class — reach the
+    /// threshold proportion and at least one is interested, else
+    /// unicast. Mirrors `GridMatcher::match_event`.
+    pub(crate) fn threshold_decision(&self, group: usize, hits: u64, size: u64) -> Delivery {
         if size == 0 {
             return Delivery::Unicast;
         }
-        let proportion = interested as f64 / size as f64;
-        if proportion >= self.threshold && interested > 0 {
+        if hits as f64 / size as f64 >= self.threshold && hits > 0 {
             Delivery::Multicast { group }
         } else {
             Delivery::Unicast
         }
     }
 
-    /// The self-contained serve path: computes the exact interested set
-    /// *and* the delivery decision for one event, allocation-free in
-    /// steady state.
-    ///
-    /// For events inside a kept cell, the candidates are the cell's
-    /// interned membership list (a sound superset of the interested
-    /// set: any rectangle containing the point overlaps the point's
-    /// cell) filtered by exact rectangle containment — no R-tree
-    /// descent. Events outside every kept cell fall back to the R-tree
-    /// over the rectangles no kept cell answers for, and are unicast, as
-    /// in the uncompiled path. After the call,
-    /// [`DispatchScratch::interested`] holds the interested ids in
-    /// increasing order.
+    /// The decision given a matched hyper-cell slot and the event's
+    /// exact interested count, which is its hit count: the slot's
+    /// candidates are its cell's members, and a group's members are the
+    /// union of its cells'.
+    pub(crate) fn decide(&self, slot: u32, interested: usize) -> Delivery {
+        let group = self.hyper_group[slot as usize] as usize;
+        self.threshold_decision(group, interested as u64, self.group_size[group] as u64)
+    }
+
+    /// [`serve_batch`](Self::serve_batch) of one event: the exact
+    /// interested set *and* the delivery decision, allocation-free in
+    /// steady state. After the call, [`DispatchScratch::interested`]
+    /// holds the interested ids in increasing order.
     ///
     /// # Panics
     ///
     /// Panics if the plan was compiled without
     /// [`with_subscriptions`](Self::with_subscriptions).
-    pub fn serve(&self, p: &Point, scratch: &mut DispatchScratch) -> Delivery {
-        let state = self
-            .serve_state
-            .as_ref()
-            .expect("DispatchPlan::serve requires with_subscriptions");
-        match self.locate(p) {
-            Some(slot) => {
-                scratch.interested.clear();
-                let range = self.hyper_offsets[slot as usize] as usize
-                    ..self.hyper_offsets[slot as usize + 1] as usize;
-                // `Rect::contains` on the flat bounds: `lo < x <= hi` in
-                // every dimension.
-                let (n, dim) = (self.num_subscribers, self.grid.dim());
-                for &i in &self.hyper_members[range] {
-                    let i = i as usize;
-                    let inside = (0..dim).all(|d| {
-                        let x = p[d];
-                        state.lo[d * n + i] < x && x <= state.hi[d * n + i]
-                    });
-                    if inside {
-                        scratch.interested.push(i);
-                    }
-                }
-                self.decide(slot, scratch.interested.len())
-            }
-            None => {
-                // Not kept: the cell is off-grid, empty or truncated, so
-                // the index answers, and its ascending positions map to
-                // ascending ids. The decision is always unicast, matching
-                // `group_of_point → None`.
-                state.index.matching_into(p, &mut scratch.interested);
-                for id in &mut scratch.interested {
-                    *id = state.fallback[*id] as usize;
-                }
-                Delivery::Unicast
-            }
-        }
+    pub fn serve<'a>(&self, p: &'a Point, scratch: &mut DispatchScratch) -> Delivery {
+        let DispatchScratch {
+            batch,
+            out,
+            interested,
+        } = scratch;
+        out.clear();
+        // Through `dyn`, as the aggregated plan calls it: one instance of
+        // the kernel serves every one-event caller.
+        let point_of: &dyn Fn(usize) -> &'a Point = &|_| p;
+        self.serve_batch(0..1, point_of, batch, out);
+        interested.clear();
+        interested.extend(batch.interested_of(0));
+        // lint: allow(no-literal-index): the one-event batch pushed one decision
+        out[0]
     }
     // lint: hot-path end
 }
@@ -459,7 +417,6 @@ impl DispatchPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchScratch;
     use crate::dynamic::DynamicClustering;
     use crate::framework::CellProbability;
     use crate::kmeans::{KMeans, KMeansVariant};
@@ -642,7 +599,8 @@ mod tests {
                 .attach(slots.len(), |id| slots[id].as_ref());
             let from_rects = compiled.with_subscriptions(&rects);
             let mut v = crate::Validator::new();
-            v.check_dispatch_plan(fw, c, &from_slots);
+            v.check_dispatch_plan(fw, c, &from_slots)
+                .check_subscriber_bounds(&from_slots, slots);
             v.assert_clean("plan attached from slots");
 
             let (a, b) = (

@@ -148,22 +148,6 @@ impl HyperCell {
     }
 }
 
-/// Summary statistics of a prepared [`GridFramework`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FrameworkStats {
-    /// Hyper-cells kept after merging and truncation.
-    pub num_hypercells: usize,
-    /// Raw grid cells those hyper-cells cover.
-    pub num_cells: usize,
-    /// Total publication probability mass of the kept cells (the
-    /// fraction of events that can be matched to a group at all).
-    pub covered_probability: f64,
-    /// Mean membership-vector size.
-    pub mean_members: f64,
-    /// Largest membership-vector size.
-    pub max_members: usize,
-}
-
 /// The prepared grid framework: hyper-cells ranked by popularity plus
 /// the cell → hyper-cell index used at matching time.
 ///
@@ -565,30 +549,6 @@ impl GridFramework {
         (2..=DISTANCE_CACHE_CELLS)
             .contains(&l)
             .then(|| DistanceMatrix::build_weighted(&self.hypercells, self.weights_ref()))
-    }
-
-    /// Summary statistics of the prepared framework — the quantities
-    /// that predict clustering behaviour (how much the merge step
-    /// compressed, how much publication mass the kept cells cover, how
-    /// fat the membership vectors are).
-    pub fn stats(&self) -> FrameworkStats {
-        let num_hypercells = self.hypercells.len();
-        let num_cells: usize = self.hypercells.iter().map(|h| h.cells.len()).sum();
-        let covered_probability: f64 = self.hypercells.iter().map(|h| h.prob).sum();
-        let member_counts: Vec<usize> = self.hypercells.iter().map(|h| h.members.count()).collect();
-        let max_members = member_counts.iter().copied().max().unwrap_or(0);
-        let mean_members = if num_hypercells == 0 {
-            0.0
-        } else {
-            member_counts.iter().sum::<usize>() as f64 / num_hypercells as f64
-        };
-        FrameworkStats {
-            num_hypercells,
-            num_cells,
-            covered_probability,
-            mean_members,
-            max_members,
-        }
     }
 
     /// Removes the most isolated hyper-cells — the outlier-removal
@@ -1120,24 +1080,6 @@ mod tests {
         assert!(fw.hyper_of_point(&Point::new(vec![0.5])).is_some());
         assert!(fw.hyper_of_point(&Point::new(vec![5.5])).is_some());
         assert_eq!(fw.hyper_of_point(&Point::new(vec![2.5])), None);
-    }
-
-    #[test]
-    fn stats_summarize_the_framework() {
-        let g = grid10();
-        let subs = vec![rect1(0.0, 5.0), rect1(0.0, 5.0), rect1(5.0, 10.0)];
-        let fw = GridFramework::build(g, &subs, &CellProbability::uniform(&grid10()), None);
-        let st = fw.stats();
-        assert_eq!(st.num_hypercells, 2);
-        assert_eq!(st.num_cells, 10);
-        assert!((st.covered_probability - 1.0).abs() < 1e-12);
-        assert_eq!(st.max_members, 2);
-        assert!((st.mean_members - 1.5).abs() < 1e-12);
-        // Empty framework.
-        let empty = GridFramework::build(grid10(), &[], &CellProbability::uniform(&grid10()), None);
-        let st = empty.stats();
-        assert_eq!(st.num_hypercells, 0);
-        assert_eq!(st.mean_members, 0.0);
     }
 
     fn assert_bit_identical(a: &GridFramework, b: &GridFramework) {

@@ -84,7 +84,7 @@ pub use distance::DistanceMatrix;
 pub use dynamic::{
     DynamicClustering, DynamicError, RebalanceError, RebalanceStats, SubscriptionId,
 };
-pub use framework::{CellProbability, DeltaReport, FrameworkStats, GridFramework, HyperCell};
+pub use framework::{CellProbability, DeltaReport, GridFramework, HyperCell};
 pub use kmeans::{KMeans, KMeansVariant};
 pub use match_index::SubscriptionIndex;
 pub use matching::{Delivery, GridMatcher};

@@ -436,7 +436,8 @@ fn compile_plan(
         .with_threshold(threshold)
         .attach(slots.len(), |id| slots[id].as_ref());
     let mut v = Validator::new();
-    v.check_dispatch_plan(dynamic.framework(), dynamic.clustering(), &plan);
+    v.check_dispatch_plan(dynamic.framework(), dynamic.clustering(), &plan)
+        .check_subscriber_bounds(&plan, slots);
     match v.finish() {
         Ok(()) => Ok(plan),
         Err(e) => Err(RebalanceAbort::PlanRejected(e.to_string())),

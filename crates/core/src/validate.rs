@@ -511,6 +511,70 @@ impl Validator {
         self
     }
 
+    /// Ties the plan's flat subscriber bounds to the slots they were
+    /// attached from (`DynamicClustering::subscription_slots`): every
+    /// bound is `to_bits`-equal to its slot's, a tombstone's being
+    /// `(c, c]` at the grid's lower corner `c`. `check_dispatch_plan`
+    /// checks every other serve array against these bounds, so this is
+    /// what catches a bound written wrong at attach. O(n · dim); at
+    /// most one violation per subscriber.
+    pub(crate) fn check_subscriber_bounds(
+        &mut self,
+        plan: &DispatchPlan,
+        slots: &[Option<Rect>],
+    ) -> &mut Self {
+        const INVARIANT: &str = "dispatch.subscriber-bounds";
+        let (n, bounds) = (plan.num_subscribers, plan.grid.bounds());
+        let dim = bounds.dim();
+        let Some(state) = plan
+            .serve_state
+            .as_ref()
+            .filter(|s| slots.len() == n && s.lo.len() == n * dim && s.hi.len() == n * dim)
+        else {
+            self.fail(
+                INVARIANT,
+                format!(
+                    "{} slots have no flat bounds to answer for them",
+                    slots.len()
+                ),
+            );
+            return self;
+        };
+        for (id, slot) in slots.iter().enumerate() {
+            if let Some(r) = slot.as_ref().filter(|r| r.dim() != dim) {
+                self.fail(
+                    INVARIANT,
+                    format!(
+                        "subscriber {id}'s slot has {} dimension(s), the grid {dim}",
+                        r.dim()
+                    ),
+                );
+                continue;
+            }
+            let source = |d: usize| match slot {
+                Some(r) => (r.interval(d).lo(), r.interval(d).hi()),
+                None => (bounds.interval(d).lo(), bounds.interval(d).lo()),
+            };
+            let wrong = (0..dim).find(|&d| {
+                let (lo, hi) = source(d);
+                let at = d * n + id;
+                state.lo[at].to_bits() != lo.to_bits() || state.hi[at].to_bits() != hi.to_bits()
+            });
+            if let Some(d) = wrong {
+                let at = d * n + id;
+                let (lo, hi) = source(d);
+                self.fail(
+                    INVARIANT,
+                    format!(
+                        "subscriber {id} dimension {d} holds ({}, {}], its slot has ({lo}, {hi}]",
+                        state.lo[at], state.hi[at]
+                    ),
+                );
+            }
+        }
+        self
+    }
+
     /// Audits the flat candidate arrays — all `serve_batch` reads to
     /// decide an event — against what scalar `serve` reads for the same
     /// candidate: every stored bound is `to_bits`-equal to the
@@ -1174,6 +1238,81 @@ mod tests {
             err.to_string().contains("fallback misses subscriber 9"),
             "{err}"
         );
+    }
+
+    /// A bound written wrong at attach agrees with every array copied
+    /// from it, so only the slots can expose it: a tombstone at the
+    /// grid's upper corner, and one bound moved by one ulp, each pass
+    /// `check_dispatch_plan` and fail `dispatch.subscriber-bounds` alone.
+    #[test]
+    fn bounds_written_wrong_at_attach_fail_against_their_slots() {
+        let grid = Grid::cube(0.0, 10.0, 2, 8).unwrap();
+        let probs = CellProbability::uniform(&grid);
+        let kmeans = KMeans::new(KMeansVariant::MacQueen);
+        let mut dynamic = crate::DynamicClustering::new(grid.clone(), probs, kmeans, 3);
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut interval = || {
+            let lo = rng.gen_range(0.5..8.0);
+            Interval::new(lo, lo + rng.gen_range(0.5..2.0)).unwrap()
+        };
+        let ids: Vec<_> = (0..40)
+            .map(|_| dynamic.subscribe(Rect::new(vec![interval(), interval()])))
+            .collect();
+        dynamic.rebalance();
+        dynamic.unsubscribe(ids[5]).unwrap();
+        dynamic.rebalance();
+        let (fw, c) = (dynamic.framework(), dynamic.clustering());
+        let slots = dynamic.subscription_slots();
+        let tombstone = ids[5].index();
+        assert!(slots[tombstone].is_none());
+
+        let compiled = DispatchPlan::compile(fw, c).with_threshold(0.2);
+        let attach = |at: usize, rect: &Rect| {
+            let slot = |id: usize| {
+                if id == at {
+                    Some(rect)
+                } else {
+                    slots[id].as_ref()
+                }
+            };
+            compiled.clone().attach(slots.len(), slot)
+        };
+        let pristine = compiled
+            .clone()
+            .attach(slots.len(), |id| slots[id].as_ref());
+        let mut v = Validator::new();
+        v.check_dispatch_plan(fw, c, &pristine)
+            .check_subscriber_bounds(&pristine, slots);
+        v.assert_clean("plan attached from its slots");
+
+        let corner = grid.bounds().intervals().iter();
+        let corner = corner.map(|iv| Interval::new(iv.hi(), iv.hi()).unwrap());
+        let upper_corner = Rect::new(corner.collect());
+        // A subscriber some kept cell lists, so its bound is copied into
+        // a candidate block too.
+        let member = pristine.hyper_members[0] as usize;
+        let rect = slots[member].clone().unwrap();
+        let (x, y) = (rect.interval(0), rect.interval(1));
+        let up = f64::from_bits(x.hi().to_bits() + 1);
+        let moved = Rect::new(vec![Interval::new(x.lo(), up).unwrap(), *y]);
+        for (name, plan) in [
+            (
+                "tombstone at the upper corner",
+                attach(tombstone, &upper_corner),
+            ),
+            ("bound one ulp up", attach(member, &moved)),
+        ] {
+            let mut v = Validator::new();
+            v.check_dispatch_plan(fw, c, &plan);
+            v.assert_clean(name);
+            v.check_subscriber_bounds(&plan, slots);
+            let err = v.finish().unwrap_err();
+            assert_eq!(err.violations.len(), 1, "{name}: {err}");
+            assert_eq!(
+                err.violations[0].invariant, "dispatch.subscriber-bounds",
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! harness or a service's ingest workers — are invisible to the
 //! counters). After one warm-up pass grows the scratch buffers to their
 //! high-water mark, re-running the whole event stream through
-//! `DispatchPlan::serve`, `DispatchPlan::serve_batch` and
+//! `DispatchPlan::serve`, `DispatchPlan::serve_batch`,
+//! `AggregatePlan::{serve, serve_chunk}` and
 //! `NoLossClustering::match_event` must not allocate at all, and
 //! `BrokerService::offer` must allocate nothing and free each offered
 //! point on the offering thread. The warm-up passes also hold every
@@ -18,13 +19,14 @@ mod oracle;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use geometry::{Grid, Interval, Point, Rect};
 use oracle::decide;
 use pubsub_core::{
-    BatchScratch, BrokerService, CellProbability, ClusteringAlgorithm, Delivery, DispatchPlan,
-    DispatchScratch, DynamicClustering, GridFramework, KMeans, KMeansVariant, NoLossClustering,
-    NoLossConfig, ServiceConfig, Validator,
+    AggregatePlan, AggregateScratch, Aggregation, BatchScratch, BrokerService, CellProbability,
+    ClusteringAlgorithm, Delivery, DispatchPlan, DispatchScratch, DynamicClustering, GridFramework,
+    KMeans, KMeansVariant, NoLossClustering, NoLossConfig, ServiceConfig, Validator,
 };
 use rand::prelude::*;
 
@@ -336,6 +338,84 @@ fn steady_state_fallback_over_overhanging_rectangles_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state serve_batch performed {allocs} heap allocations"
+    );
+}
+
+/// The aggregated plan runs the same kernel over the class universe:
+/// once warm, `serve_chunk` (weighted decisions) and `serve` (which
+/// also expands the hit classes' members) allocate nothing, on the grid
+/// and off it, where two unbounded classes fill the fallback index.
+#[test]
+fn steady_state_aggregated_serve_allocates_nothing() {
+    let mut rng = StdRng::seed_from_u64(2002);
+    let mut pool: Vec<Rect> = (0..60).map(|_| random_rect(&mut rng)).collect();
+    pool.push(Rect::new(vec![Interval::greater_than(0.97)]));
+    pool.push(Rect::new(vec![Interval::at_most(0.02)]));
+    let subs: Vec<Rect> = (0..800)
+        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+        .collect();
+    let grid = Grid::cube(0.0, 1.0, 1, 512).unwrap();
+    let probs = CellProbability::uniform(&grid);
+    let algorithm = KMeans::new(KMeansVariant::MacQueen);
+    let agg = Arc::new(Aggregation::build(&subs));
+    let class_fw = agg.build_framework(grid.clone(), &probs, None);
+    let plan = AggregatePlan::compile(&class_fw, &algorithm.cluster(&class_fw, 12), 0.15, agg);
+    let fw = GridFramework::build(grid, &subs, &probs, None);
+    let clustering = algorithm.cluster(&fw, 12);
+    let events: Vec<Point> = (0..2_000)
+        .map(|_| Point::new(vec![rng.gen_range(-0.05..1.05)]))
+        .collect();
+
+    // Warm-up: every buffer reaches its high-water mark, and both calls
+    // make the oracle's decision over the concrete population.
+    let mut scratch = AggregateScratch::new();
+    let expected: Vec<_> = events
+        .iter()
+        .map(|p| decide(&fw, &clustering, 0.15, &subs, p))
+        .collect();
+    for (p, (decision, set)) in events.iter().zip(&expected) {
+        assert_eq!(plan.serve(p, &mut scratch), *decision, "event at {p:?}");
+        assert!(
+            scratch.interested().iter().copied().eq(set.iter()),
+            "event at {p:?}"
+        );
+    }
+    const CHUNK: usize = 256;
+    let mut out: Vec<Delivery> = Vec::with_capacity(events.len());
+    let run_chunks = |scratch: &mut AggregateScratch, out: &mut Vec<Delivery>| {
+        out.clear();
+        for start in (0..events.len()).step_by(CHUNK) {
+            let end = (start + CHUNK).min(events.len());
+            plan.serve_chunk(start..end, |e| &events[e], out, scratch);
+        }
+    };
+    run_chunks(&mut scratch, &mut out);
+    for (e, (decision, _)) in expected.iter().enumerate() {
+        assert_eq!(out[e], *decision, "serve_chunk event {e}");
+    }
+    let off_grid_hits = events
+        .iter()
+        .zip(&expected)
+        .filter(|(p, (_, set))| !(0.0..=1.0).contains(&p[0]) && !set.is_empty())
+        .count();
+    assert!(
+        off_grid_hits >= 10,
+        "{off_grid_hits} off-grid events interest someone"
+    );
+
+    let allocs = count_allocs(|| {
+        for p in &events {
+            std::hint::black_box(plan.serve(p, &mut scratch));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state aggregated serve performed {allocs} heap allocations"
+    );
+    let allocs = count_allocs(|| run_chunks(&mut scratch, &mut out));
+    assert_eq!(
+        allocs, 0,
+        "steady-state serve_chunk performed {allocs} heap allocations"
     );
 }
 

@@ -204,26 +204,6 @@ impl Graph {
     }
 }
 
-/// Test-only: no library code needs an edge's opposite endpoint.
-#[cfg(test)]
-impl Edge {
-    /// The endpoint opposite to `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not an endpoint of this edge.
-    fn other(&self, n: NodeId) -> NodeId {
-        if n == self.u {
-            self.v
-        } else if n == self.v {
-            self.u
-        } else {
-            // lint: allow(no-panic): documented `# Panics` API contract
-            panic!("{n} is not an endpoint of this edge")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,28 +218,6 @@ mod tests {
         assert_eq!(g.edge(e).cost, 1.5);
         assert_eq!(g.neighbors(NodeId(1)).len(), 2);
         assert_eq!(g.total_cost(), 3.5);
-    }
-
-    #[test]
-    fn edge_other_endpoint() {
-        let e = Edge {
-            u: NodeId(3),
-            v: NodeId(7),
-            cost: 1.0,
-        };
-        assert_eq!(e.other(NodeId(3)), NodeId(7));
-        assert_eq!(e.other(NodeId(7)), NodeId(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn edge_other_panics_for_non_endpoint() {
-        let e = Edge {
-            u: NodeId(0),
-            v: NodeId(1),
-            cost: 1.0,
-        };
-        let _ = e.other(NodeId(2));
     }
 
     #[test]

@@ -66,24 +66,6 @@ impl Workload {
     }
 }
 
-/// Test-only: the serve paths match through an index, not this scan.
-#[cfg(test)]
-impl Workload {
-    /// The deduplicated, sorted set of nodes interested in the event
-    /// point (several matching subscriptions can share a node).
-    fn interested_nodes(&self, point: &Point) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self
-            .subscriptions
-            .iter()
-            .filter(|s| s.rect.contains(point))
-            .map(|s| s.node)
-            .collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,19 +115,6 @@ mod tests {
         assert_eq!(buf, vec![0, 1]);
         w.matching_into(&Point::new(vec![-1.0]), &mut buf);
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn interested_nodes_dedupes() {
-        let mut w = workload();
-        // Both node-1 subscriptions match at 4.5? No: rects are (0,5] and
-        // (7,10]; make one overlapping event instead.
-        w.subscriptions.push(Subscription {
-            node: NodeId(1),
-            rect: rect(4.0, 6.0),
-        });
-        let nodes = w.interested_nodes(&Point::new(vec![4.5]));
-        assert_eq!(nodes, vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]
