@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use geometry::{Grid, Interval, Point, Rect};
+use geometry::{Grid, Point, Rect};
 
 use crate::batch::BatchScratch;
 use crate::clustering::Clustering;
@@ -60,24 +60,47 @@ pub(crate) enum CellTable {
     Sparse(HashMap<usize, u32>),
 }
 
+/// Every slot's bounds, read once into flat dimension-major arrays
+/// (`lo[d * n + id]`, `n` the slot count): attach gathers the candidate
+/// blocks from them and the plan audit compares the blocks with them,
+/// instead of following a slot's rectangle once per candidate (a
+/// subscriber is a candidate in every kept cell its rectangle
+/// overlaps). A tombstone's bounds are NaN: no point lies inside them,
+/// and no interval's bound is NaN. The arrays live as long as the call
+/// that reads them; no plan keeps them.
+///
+/// # Errors
+///
+/// Returns the first id whose rectangle's dimension differs from `dim`.
+pub(crate) fn slot_bounds<'a>(
+    n: usize,
+    dim: usize,
+    slot: impl Fn(usize) -> Option<&'a Rect>,
+) -> Result<(Vec<f64>, Vec<f64>), usize> {
+    let (mut lo, mut hi) = (vec![f64::NAN; n * dim], vec![f64::NAN; n * dim]);
+    for (id, r) in (0..n).filter_map(|id| Some((id, slot(id)?))) {
+        if r.dim() != dim {
+            return Err(id);
+        }
+        for (d, iv) in r.intervals().iter().enumerate() {
+            lo[d * n + id] = iv.lo();
+            hi[d * n + id] = iv.hi();
+        }
+    }
+    Ok((lo, hi))
+}
+
 /// Owned subscription state enabling the serve kernel
-/// ([`DispatchPlan::serve_batch`]): every kept slot's candidate bounds
-/// in flat dimension-major arrays, so the kernel scans contiguous
-/// memory with no per-bucket gather, and an R-tree index for events
-/// whose cell was not kept. The index covers only the rectangles no
-/// kept cell answers for — those overhanging the grid when the
-/// framework is complete, every one when it is not. The subscribers'
-/// own bounds lie flat too (`lo[d * n + id]`, `n` the subscriber
-/// count): the blocks are copied from them and the plan audit checks
-/// both against them; no serve call reads them.
+/// ([`DispatchPlan::serve_batch`]), every field of which the kernel
+/// reads: every kept slot's candidate bounds in flat dimension-major
+/// arrays, so the kernel scans contiguous memory with no per-bucket
+/// gather, and an R-tree index for events whose cell was not kept. The
+/// index covers only the non-empty rectangles no kept cell answers
+/// for — those overhanging the grid when the framework is complete,
+/// every one when it is not. A tombstone or an empty rectangle contains
+/// no point and is no cell's member, so it is stored nowhere.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeState {
-    /// Lower bounds of every subscriber: `lo[d * n + id]`. A tombstoned
-    /// slot holds `(c, c]` at the grid's lower corner `c`, an empty
-    /// interval no event falls in.
-    pub(crate) lo: Vec<f64>,
-    /// Upper bounds, same layout.
-    pub(crate) hi: Vec<f64>,
     /// R-tree over the rectangles of `fallback`, item `k` for
     /// position `k`.
     pub(crate) index: SubscriptionIndex,
@@ -246,17 +269,17 @@ impl DispatchPlan {
     }
 
     /// Attaches the subscription rectangles, enabling
-    /// [`DispatchPlan::serve`] (the plan lays their bounds out flat,
-    /// precompiles every kept slot's candidate bounds into the arrays
-    /// the batched serve kernel scans, and builds the unicast-fallback
-    /// R-tree once — see DESIGN.md §11 and §13).
+    /// [`DispatchPlan::serve`] (the plan precompiles every kept slot's
+    /// candidate bounds into the arrays the batched serve kernel scans,
+    /// and builds the unicast-fallback R-tree once — see DESIGN.md §11
+    /// and §13).
     ///
     /// The R-tree holds only the rectangles a kept cell's member list
     /// cannot answer for. On a complete framework every non-empty cell
     /// is kept, so an in-grid event outside every kept cell interests
     /// nobody, and only a rectangle that sticks out of the grid can
     /// contain an off-grid event: those are indexed. On a truncated or
-    /// filtered framework every rectangle is.
+    /// filtered framework every non-empty rectangle is.
     ///
     /// # Panics
     ///
@@ -267,30 +290,27 @@ impl DispatchPlan {
     }
 
     /// The one attach path: `slot(id)` is subscriber `id`'s rectangle,
-    /// `None` for a tombstone, read straight into the flat bounds with
-    /// no rectangle copied (a tombstone becomes `(c, c]` at the grid's
-    /// lower corner `c`). The candidate blocks are then written in their
-    /// final order — slot, dimension, member — from those bounds.
+    /// `None` for a tombstone. Each kept slot's candidate block is
+    /// gathered, in its final order — slot, dimension, member — from
+    /// [`slot_bounds`], and the fallback index is built from the
+    /// rectangles [`needs_fallback`] picks; nothing else of the slots is
+    /// kept. A tombstone is no kept cell's member when the slots are the
+    /// framework's; a stale one would be gathered as NaN bounds, which
+    /// contain no point and which the plan audit rejects.
     ///
     /// # Panics
     ///
     /// Panics if `n` differs from the framework's subscriber count, or
     /// a rectangle's dimension from the grid's.
+    ///
+    /// [`needs_fallback`]: Self::needs_fallback
     pub(crate) fn attach<'a>(mut self, n: usize, slot: impl Fn(usize) -> Option<&'a Rect>) -> Self {
         assert_eq!(
             n, self.num_subscribers,
             "subscription count must match the compiled framework"
         );
-        let bounds = self.grid.bounds();
-        let dim = bounds.dim();
-        let slot =
-            |id| slot(id).inspect(|r| assert_eq!(r.dim(), dim, "subscription dimension mismatch"));
-        let (mut lo, mut hi) = (Vec::with_capacity(n * dim), Vec::with_capacity(n * dim));
-        for d in 0..dim {
-            let c = bounds.interval(d).lo();
-            lo.extend((0..n).map(|id| slot(id).map_or(c, |r| r.interval(d).lo())));
-            hi.extend((0..n).map(|id| slot(id).map_or(c, |r| r.interval(d).hi())));
-        }
+        let dim = self.grid.dim();
+        let (lo, hi) = slot_bounds(n, dim, &slot).expect("subscription dimension mismatch");
         let total = self.hyper_members.len();
         let (mut cand_lo, mut cand_hi) = (
             Vec::with_capacity(total * dim),
@@ -306,26 +326,13 @@ impl DispatchPlan {
             }
         }
         let fallback: Vec<u32> = (0..n as u32)
-            .filter(|&id| self.needs_fallback(&lo, &hi, id as usize))
+            .filter(|&id| self.needs_fallback(slot(id as usize)))
             .collect();
-        // The few rectangles the index holds are rebuilt from the flat
-        // bounds: the same floats the slots held.
         let unanswered: Vec<Rect> = fallback
             .iter()
-            .map(|&id| {
-                Rect::new(
-                    (0..dim)
-                        .map(|d| {
-                            let at = d * n + id as usize;
-                            Interval::new(lo[at], hi[at]).expect("attached bounds are ordered")
-                        })
-                        .collect(),
-                )
-            })
+            .filter_map(|&id| slot(id as usize).cloned())
             .collect();
         self.serve_state = Some(ServeState {
-            lo,
-            hi,
             index: SubscriptionIndex::build(&unanswered),
             fallback,
             cand_lo,
@@ -334,25 +341,12 @@ impl DispatchPlan {
         self
     }
 
-    /// Whether no kept cell's member list answers for subscriber `id`'s
-    /// bounds in the flat arrays `lo` / `hi` (laid out as
-    /// [`ServeState`]'s), so the fallback index must hold it: every
-    /// subscriber when the framework is not complete, else one whose
-    /// rectangle overhangs the grid (`Rect::contains_rect` on the flat
-    /// bounds: an empty rectangle fits anywhere).
-    pub(crate) fn needs_fallback(&self, lo: &[f64], hi: &[f64], id: usize) -> bool {
-        let n = self.num_subscribers;
-        let grid = self.grid.bounds().intervals();
-        let at = |d: usize| (lo[d * n + id], hi[d * n + id]);
-        let empty = (0..grid.len()).any(|d| {
-            let (lo, hi) = at(d);
-            lo >= hi
-        });
-        let inside = grid.iter().enumerate().all(|(d, g)| {
-            let (lo, hi) = at(d);
-            g.lo() <= lo && hi <= g.hi()
-        });
-        !self.complete || !(empty || inside)
+    /// Whether the fallback index must hold the rectangle `r` (`None`
+    /// for a tombstone): a non-empty rectangle no kept cell's member
+    /// list answers for — every one when the framework is not complete,
+    /// else one that overhangs the grid.
+    pub(crate) fn needs_fallback(&self, r: Option<&Rect>) -> bool {
+        r.is_some_and(|r| !r.is_empty() && (!self.complete || !self.grid.bounds().contains_rect(r)))
     }
 
     /// Number of compiled groups.
@@ -500,31 +494,29 @@ mod tests {
         }
     }
 
-    /// The id-aligned rectangles the slots used to be copied into before
-    /// attaching: a tombstone became `(c, c]` at the grid's lower corner.
+    /// The id-aligned rectangles a caller of `with_subscriptions` derives
+    /// from the slots: a tombstone becomes an empty rectangle at the
+    /// grid's lower corner.
     fn degenerate_tombstone_rects(dynamic: &DynamicClustering) -> Vec<Rect> {
-        let bounds = dynamic.framework().grid().bounds().clone();
+        let corner = dynamic.framework().grid().bounds().intervals().iter();
         let empty = Rect::new(
-            bounds
-                .intervals()
-                .iter()
+            corner
                 .map(|iv| Interval::new(iv.lo(), iv.lo()).unwrap())
                 .collect(),
         );
-        dynamic
-            .subscription_slots()
-            .iter()
-            .map(|slot| slot.clone().unwrap_or_else(|| empty.clone()))
+        let slots = dynamic.subscription_slots().iter();
+        slots
+            .map(|s| s.clone().unwrap_or_else(|| empty.clone()))
             .collect()
     }
 
     /// Attaching straight from slots with tombstones, some rectangles
     /// overhanging the grid and two empty ones off it, builds bit for
-    /// bit the plan that attaching the degenerate-rectangle vector built
-    /// — on the rebalanced (complete) framework and on a truncated one,
-    /// whose fallback holds the tombstones too — its fallback is what
-    /// `Rect::contains_rect` against the grid's bounds picks, and both
-    /// serve calls decide alike, also inside a tombstoned slot's old
+    /// bit the plan that attaching the degenerate-rectangle vector builds
+    /// — on the rebalanced (complete) framework and on a truncated one —
+    /// both audit clean, the fallback holds the live non-empty rectangles
+    /// the grid's bounds do not contain (every one when truncated), and
+    /// both serve calls decide alike, also inside a tombstoned slot's old
     /// rectangle.
     #[test]
     fn slots_attach_like_degenerate_tombstone_rectangles() {
@@ -594,31 +586,31 @@ mod tests {
             (&truncated, &truncated_groups),
         ] {
             let compiled = DispatchPlan::compile(fw, c).with_threshold(0.2);
-            let from_slots = compiled
-                .clone()
-                .attach(slots.len(), |id| slots[id].as_ref());
+            let slot = |id: usize| slots[id].as_ref();
+            let from_slots = compiled.clone().attach(slots.len(), slot);
             let from_rects = compiled.with_subscriptions(&rects);
             let mut v = crate::Validator::new();
             v.check_dispatch_plan(fw, c, &from_slots)
-                .check_subscriber_bounds(&from_slots, slots);
-            v.assert_clean("plan attached from slots");
+                .check_serve_state(&from_slots, slots.len(), slot)
+                .check_serve_state(&from_rects, rects.len(), |id| Some(&rects[id]));
+            v.assert_clean("plans attached from slots and from rectangles");
 
             let (a, b) = (
                 from_slots.serve_state.as_ref().unwrap(),
                 from_rects.serve_state.as_ref().unwrap(),
             );
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.lo), bits(&b.lo));
-            assert_eq!(bits(&a.hi), bits(&b.hi));
             assert_eq!(bits(&a.cand_lo), bits(&b.cand_lo));
             assert_eq!(bits(&a.cand_hi), bits(&b.cand_hi));
             assert_eq!(a.fallback, b.fallback);
-            let overhanging: Vec<u32> = (0..rects.len() as u32)
+            let unanswered: Vec<u32> = (0..slots.len() as u32)
                 .filter(|&id| {
-                    !fw.complete || !fw.grid().bounds().contains_rect(&rects[id as usize])
+                    slots[id as usize].as_ref().is_some_and(|r| {
+                        !r.is_empty() && (!fw.complete || !fw.grid().bounds().contains_rect(r))
+                    })
                 })
                 .collect();
-            assert_eq!(a.fallback, overhanging);
+            assert_eq!(a.fallback, unanswered);
             assert!(
                 !a.fallback.is_empty(),
                 "overhanging rectangles need the fallback"
@@ -648,6 +640,82 @@ mod tests {
             }
             assert_eq!(oa, ob);
         }
+    }
+
+    /// Once every subscriber has unsubscribed, the rebalanced framework
+    /// keeps no cell and the clustering no group: the plan attached from
+    /// the slots, as a swap attaches it, has empty candidate blocks and
+    /// an empty fallback, audits clean, and decides every event, in the
+    /// grid and off it, unicast to nobody. A service over that state
+    /// publishes its rebalance and accounts for every offered event.
+    #[test]
+    fn all_tombstone_population_attaches_an_empty_plan_that_serves_unicast() {
+        let grid = Grid::cube(0.0, 10.0, 2, 8).unwrap();
+        let (probs, kmeans) = (
+            CellProbability::uniform(&grid),
+            KMeans::new(KMeansVariant::MacQueen),
+        );
+        let mut dynamic = DynamicClustering::new(grid, probs, kmeans, 3);
+        let ids: Vec<_> = (0..30)
+            .map(|i| {
+                let lo = f64::from(i % 10) - 1.0;
+                dynamic.subscribe(Rect::new(vec![Interval::new(lo, lo + 2.5).unwrap(); 2]))
+            })
+            .collect();
+        dynamic.rebalance();
+        ids.into_iter()
+            .for_each(|id| dynamic.unsubscribe(id).unwrap());
+        dynamic.rebalance();
+        assert_eq!(dynamic.clustering().num_groups(), 0);
+
+        let (fw, c, slots) = (
+            dynamic.framework(),
+            dynamic.clustering(),
+            dynamic.subscription_slots(),
+        );
+        let slot = |id: usize| slots[id].as_ref();
+        let plan = DispatchPlan::compile(fw, c)
+            .with_threshold(0.2)
+            .attach(slots.len(), slot);
+        let mut v = crate::Validator::new();
+        v.check_dispatch_plan(fw, c, &plan)
+            .check_serve_state(&plan, slots.len(), slot);
+        v.assert_clean("plan attached from an all-tombstone population");
+        let state = plan.serve_state.as_ref().unwrap();
+        assert!(state.cand_lo.is_empty() && state.cand_hi.is_empty());
+        assert!(state.fallback.is_empty() && state.index.is_empty());
+
+        // x runs from -2 to 12: off the grid on both sides.
+        let events: Vec<Point> = (0..200)
+            .map(|i| Point::new(vec![f64::from(i) * 0.07 - 2.0, 5.0]))
+            .collect();
+        let mut scratch = DispatchScratch::new();
+        for p in &events {
+            assert_eq!(plan.serve(p, &mut scratch), Delivery::Unicast, "{p:?}");
+            assert!(scratch.interested().is_empty(), "{p:?}");
+        }
+        let (mut batch, mut out) = (BatchScratch::new(), Vec::new());
+        plan.serve_batch(0..events.len(), |e| &events[e], &mut batch, &mut out);
+        assert!(out.iter().all(|&d| d == Delivery::Unicast));
+        assert!((0..events.len()).all(|e| batch.interested_of(e).next().is_none()));
+
+        let service = crate::BrokerService::start(dynamic, Default::default()).unwrap();
+        let offer_all = || events.iter().map(|p| service.offer(p.clone())).last();
+        offer_all();
+        assert_eq!(
+            service
+                .rebalance()
+                .expect("the rebalance publishes")
+                .subscriptions,
+            0
+        );
+        offer_all();
+        service.drain();
+        let (report, _) = service.shutdown();
+        assert_eq!(report.delivered + report.shed, report.offered);
+        assert!(report.offered == 400 && report.partitions_offered());
+        let unicast = |r: &crate::EventRecord| r.decision == Delivery::Unicast && r.interested == 0;
+        assert!(report.records.iter().all(unicast));
     }
 
     #[test]

@@ -255,10 +255,9 @@ impl DynamicClustering {
     /// The subscription slots in id order, tombstones included
     /// (`slots()[id] == None` once `id` was unsubscribed). Slot count
     /// equals [`GridFramework::num_subscribers`] after a rebalance. The
-    /// service attaches a compiled [`crate::DispatchPlan`]'s subscriber
-    /// bounds straight from these slots, copying no rectangle (a
-    /// tombstone becomes an empty interval at the grid's lower corner);
-    /// a caller of
+    /// service attaches a compiled [`crate::DispatchPlan`]'s candidate
+    /// bounds from these slots and audits them against the same slots
+    /// ([`crate::Validator::check_serve_state`]); a caller of
     /// [`with_subscriptions`](crate::DispatchPlan::with_subscriptions)
     /// derives an id-aligned rectangle vector from them instead.
     pub fn subscription_slots(&self) -> &[Option<Rect>] {

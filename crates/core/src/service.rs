@@ -432,12 +432,13 @@ fn compile_plan(
     threshold: f64,
 ) -> Result<DispatchPlan, RebalanceAbort> {
     let slots = dynamic.subscription_slots();
+    let slot = |id: usize| slots[id].as_ref();
     let plan = DispatchPlan::compile(dynamic.framework(), dynamic.clustering())
         .with_threshold(threshold)
-        .attach(slots.len(), |id| slots[id].as_ref());
+        .attach(slots.len(), slot);
     let mut v = Validator::new();
     v.check_dispatch_plan(dynamic.framework(), dynamic.clustering(), &plan)
-        .check_subscriber_bounds(&plan, slots);
+        .check_serve_state(&plan, slots.len(), slot);
     match v.finish() {
         Ok(()) => Ok(plan),
         Err(e) => Err(RebalanceAbort::PlanRejected(e.to_string())),

@@ -16,15 +16,17 @@
 //!   and their member/probability aggregates match a recompute;
 //! * [`Validator::check_dispatch_plan`] — the compiled tables agree
 //!   entry-for-entry with the framework and clustering they were
-//!   compiled from, and the flat candidate arrays the batched serve
-//!   kernel decides from hold the floats scalar `serve` reads (point
-//!   location needs no audit: the plan keeps the framework's
-//!   [`Grid`](geometry::Grid) and locates with it, the rule
+//!   compiled from (point location needs no audit: the plan keeps the
+//!   framework's [`Grid`](geometry::Grid) and locates with it, the rule
 //!   rasterisation used). The plans decide from the interested count,
 //!   which is the hit count only while every group's members are the
 //!   union of its cells': `clustering.group-members`,
 //!   `dispatch.hyper-state` and the group sizes of
 //!   `dispatch.group-state` hold that premise;
+//! * [`Validator::check_serve_state`] — the arrays the serve kernel
+//!   decides from hold the floats of the slots they were attached from,
+//!   and the fallback index exactly the rectangles no kept cell answers
+//!   for;
 //! * [`Validator::check_noloss`] — the containment guarantee and the
 //!   precomputed per-region counts.
 //!
@@ -37,7 +39,7 @@
 use geometry::Rect;
 
 use crate::clustering::Clustering;
-use crate::dispatch::{CellTable, DispatchPlan, ServeState, NO_SLOT};
+use crate::dispatch::{slot_bounds, CellTable, DispatchPlan, NO_SLOT};
 use crate::framework::{GridFramework, HyperCell};
 use crate::membership::BitSet;
 use crate::noloss::NoLossClustering;
@@ -352,9 +354,11 @@ impl Validator {
         self
     }
 
-    /// Audits a [`DispatchPlan`] against the framework and clustering it
-    /// was compiled from: the grid and table exactness, flattened group
-    /// state, and the serve arrays.
+    /// Audits what [`DispatchPlan::compile`] produced from the framework
+    /// and clustering: the grid and cell-table exactness, the hyper-cell
+    /// state (groups and flattened member lists) and the group state.
+    /// The attached serve arrays answer to the slots instead
+    /// ([`Validator::check_serve_state`]).
     pub fn check_dispatch_plan(
         &mut self,
         fw: &GridFramework,
@@ -472,7 +476,7 @@ impl Validator {
                 }
             }
         }
-        let hyper_lists_ok = self.check_hyper_lists(plan, hcs);
+        self.check_hyper_lists(plan, hcs);
 
         // Per-group state: sizes.
         if plan.group_size.len() != c.groups.len() {
@@ -499,175 +503,114 @@ impl Validator {
             }
         }
 
-        // The serve arrays are laid out over the hyper-cell member
-        // lists, so they are only auditable when those are sound (a
-        // failure there is already on record).
-        if hyper_lists_ok {
-            if let Some(state) = &plan.serve_state {
-                self.check_serve_state(plan, state);
-            }
-        }
-
         self
     }
 
-    /// Ties the plan's flat subscriber bounds to the slots they were
-    /// attached from (`DynamicClustering::subscription_slots`): every
-    /// bound is `to_bits`-equal to its slot's, a tombstone's being
-    /// `(c, c]` at the grid's lower corner `c`. `check_dispatch_plan`
-    /// checks every other serve array against these bounds, so this is
-    /// what catches a bound written wrong at attach. O(n · dim); at
-    /// most one violation per subscriber.
-    pub(crate) fn check_subscriber_bounds(
+    /// Audits a plan's serve arrays against the slots they were attached
+    /// from: `slot(id)`, for `id < n`, is subscriber `id`'s rectangle
+    /// (`None` for a tombstone), the accessor the attach read. The
+    /// candidate bound arrays are as long as the plan's member lists say,
+    /// every candidate bound is `to_bits`-equal to its slot's (the kernel
+    /// decides every in-cell event from these floats alone), and the
+    /// fallback id map holds, ascending, exactly the ids `needs_fallback`
+    /// picks, as many as the index holds. Shapes are checked before
+    /// anything is indexed, so a corrupted plan is reported, never a
+    /// panic. At most one violation per kept slot.
+    pub fn check_serve_state<'a>(
         &mut self,
         plan: &DispatchPlan,
-        slots: &[Option<Rect>],
+        n: usize,
+        slot: impl Fn(usize) -> Option<&'a Rect>,
     ) -> &mut Self {
-        const INVARIANT: &str = "dispatch.subscriber-bounds";
-        let (n, bounds) = (plan.num_subscribers, plan.grid.bounds());
-        let dim = bounds.dim();
-        let Some(state) = plan
-            .serve_state
-            .as_ref()
-            .filter(|s| slots.len() == n && s.lo.len() == n * dim && s.hi.len() == n * dim)
-        else {
-            self.fail(
-                INVARIANT,
-                format!(
-                    "{} slots have no flat bounds to answer for them",
-                    slots.len()
-                ),
-            );
+        const INVARIANT: &str = "dispatch.serve-state";
+        let Some(state) = &plan.serve_state else {
+            self.fail(INVARIANT, "no serve arrays are attached".to_string());
             return self;
         };
-        for (id, slot) in slots.iter().enumerate() {
-            if let Some(r) = slot.as_ref().filter(|r| r.dim() != dim) {
-                self.fail(
-                    INVARIANT,
-                    format!(
-                        "subscriber {id}'s slot has {} dimension(s), the grid {dim}",
-                        r.dim()
-                    ),
-                );
-                continue;
-            }
-            let source = |d: usize| match slot {
-                Some(r) => (r.interval(d).lo(), r.interval(d).hi()),
-                None => (bounds.interval(d).lo(), bounds.interval(d).lo()),
-            };
-            let wrong = (0..dim).find(|&d| {
-                let (lo, hi) = source(d);
-                let at = d * n + id;
-                state.lo[at].to_bits() != lo.to_bits() || state.hi[at].to_bits() != hi.to_bits()
-            });
-            if let Some(d) = wrong {
-                let at = d * n + id;
-                let (lo, hi) = source(d);
-                self.fail(
-                    INVARIANT,
-                    format!(
-                        "subscriber {id} dimension {d} holds ({}, {}], its slot has ({lo}, {hi}]",
-                        state.lo[at], state.hi[at]
-                    ),
-                );
-            }
-        }
-        self
-    }
-
-    /// Audits the flat candidate arrays — all `serve_batch` reads to
-    /// decide an event — against what scalar `serve` reads for the same
-    /// candidate: every stored bound is `to_bits`-equal to the
-    /// subscriber's flat bound. At most one violation per slot. Then the
-    /// fallback: its ids are ascending subscriber ids, exactly those no
-    /// kept cell answers for (the rectangles overhanging the grid, or
-    /// all of them when the framework is not complete), and the index
-    /// holds that many. Requires sound hyper-cell member lists (monotone
-    /// offsets over the flat ids).
-    fn check_serve_state(&mut self, plan: &DispatchPlan, state: &ServeState) {
-        const INVARIANT: &str = "dispatch.serve-state";
-        let (n, dim) = (plan.num_subscribers, plan.grid.dim());
-        let total = plan.hyper_members.len();
-        // Shapes first, and everything the slot loop indexes with.
-        if state.lo.len() != n * dim
-            || state.hi.len() != n * dim
+        let dim = plan.grid.dim();
+        let (offsets, members) = (&plan.hyper_offsets, &plan.hyper_members);
+        let total = members.len();
+        let lists_ok = offsets.len() == plan.hyper_group.len() + 1
+            && offsets.first() == Some(&0)
+            && offsets.last().copied() == Some(total as u32)
+            && offsets.is_sorted()
+            && members.iter().all(|&id| (id as usize) < n);
+        if n != plan.num_subscribers
+            || !lists_ok
             || state.cand_lo.len() != total * dim
             || state.cand_hi.len() != total * dim
-            || plan.hyper_members.iter().any(|&id| id as usize >= n)
         {
             self.fail(
                 INVARIANT,
                 format!(
-                    "{} / {} subscriber bounds and {} / {} candidate bounds cannot describe \
-                     {total} candidates of {n} subscribers in {dim} dimension(s)",
-                    state.lo.len(),
-                    state.hi.len(),
+                    "{} / {} candidate bounds over {n} slots cannot describe the {total} \
+                     candidates of {} subscribers in {dim} dimension(s)",
                     state.cand_lo.len(),
                     state.cand_hi.len(),
+                    plan.num_subscribers,
                 ),
             );
-            return;
+            return self;
         }
+        // The slots' bounds as attach gathered them.
+        let (want_lo, want_hi) = match slot_bounds(n, dim, &slot) {
+            Ok(bounds) => bounds,
+            Err(id) => {
+                self.fail(
+                    INVARIANT,
+                    format!("subscriber {id}'s slot does not have the grid's {dim} dimension(s)"),
+                );
+                return self;
+            }
+        };
         for s in 0..plan.hyper_group.len() {
-            let o = plan.hyper_offsets[s] as usize;
-            let members = &plan.hyper_members[o..plan.hyper_offsets[s + 1] as usize];
-            let nc = members.len();
+            let o = offsets[s] as usize;
+            let ids = &members[o..offsets[s + 1] as usize];
+            let nc = ids.len();
             let block = o * dim..(o + nc) * dim;
             let (lo, hi) = (&state.cand_lo[block.clone()], &state.cand_hi[block]);
-            let wrong_bound = (0..dim).find_map(|d| {
-                let want = (&state.lo[d * n..(d + 1) * n], &state.hi[d * n..(d + 1) * n]);
+            let wrong = (0..dim).find_map(|d| {
+                let want = (&want_lo[d * n..(d + 1) * n], &want_hi[d * n..(d + 1) * n]);
                 let stored = lo[d * nc..(d + 1) * nc]
                     .iter()
                     .zip(&hi[d * nc..(d + 1) * nc]);
-                members
-                    .iter()
-                    .zip(stored)
-                    .position(|(&id, (lo, hi))| {
-                        let id = id as usize;
-                        lo.to_bits() != want.0[id].to_bits() || hi.to_bits() != want.1[id].to_bits()
-                    })
-                    .map(|k| (k, d))
+                let k = ids.iter().zip(stored).position(|(&id, (lo, hi))| {
+                    let (wl, wh) = (want.0[id as usize], want.1[id as usize]);
+                    wl.is_nan() | (lo.to_bits() != wl.to_bits()) | (hi.to_bits() != wh.to_bits())
+                })?;
+                Some((k, d))
             });
-            if let Some((k, d)) = wrong_bound {
-                let at = d * n + members[k] as usize;
+            if let Some((k, d)) = wrong {
+                // A tombstone's slot bounds read NaN.
+                let (id, at) = (ids[k], d * n + ids[k] as usize);
                 self.fail(
                     INVARIANT,
                     format!(
-                        "slot {s} candidate {k} (subscriber {}) dimension {d} stores ({}, {}], \
-                         its subscriber has ({}, {}]",
-                        members[k],
+                        "slot {s} candidate {k} (subscriber {id}) dimension {d} stores ({}, {}], \
+                         its slot has ({}, {}]",
                         lo[d * nc + k],
                         hi[d * nc + k],
-                        state.lo[at],
-                        state.hi[at]
+                        want_lo[at],
+                        want_hi[at]
                     ),
                 );
             }
         }
-        self.check_fallback(plan, state);
-    }
 
-    /// The fallback half of [`Validator::check_serve_state`]; requires
-    /// its shape checks (flat bounds for every subscriber in every
-    /// dimension of the grid).
-    fn check_fallback(&mut self, plan: &DispatchPlan, state: &ServeState) {
-        const INVARIANT: &str = "dispatch.serve-state";
-        let (n, ids) = (plan.num_subscribers, &state.fallback);
+        let ids = &state.fallback;
         if !ids.is_sorted_by(|a, b| a < b) || ids.last().is_some_and(|&id| id as usize >= n) {
             self.fail(
                 INVARIANT,
                 format!("fallback ids are not ascending subscriber ids below {n}"),
             );
-            return;
+            return self;
         }
         let mut listed = ids.iter().map(|&id| id as usize).peekable();
         for id in 0..n {
             let held = listed.next_if_eq(&id).is_some();
-            if plan.needs_fallback(&state.lo, &state.hi, id) != held {
+            if plan.needs_fallback(slot(id)) != held {
                 let detail = if held {
-                    format!(
-                        "fallback holds subscriber {id}, whose rectangle a kept cell answers for"
-                    )
+                    format!("fallback holds subscriber {id}, whose rectangle needs no fallback")
                 } else {
                     format!(
                         "fallback misses subscriber {id}, whose rectangle no kept cell answers for"
@@ -687,19 +630,19 @@ impl Validator {
                 ),
             );
         }
+        self
     }
 
     /// Checks the plan's flattened hyper-cell member lists (monotone
     /// offsets delimiting concatenated ascending member ids) against the
-    /// framework's bitsets; returns whether it found nothing to report.
-    /// A list equals its bitset's members in order when it is as long as
-    /// the bitset's count, strictly ascending, below the universe and
-    /// made only of members: its ids are then distinct members, as many
-    /// as there are, so no bitset walk is needed.
-    fn check_hyper_lists(&mut self, plan: &DispatchPlan, hcs: &[HyperCell]) -> bool {
+    /// framework's bitsets. A list equals its bitset's members in order
+    /// when it is as long as the bitset's count, strictly ascending,
+    /// below the universe and made only of members: its ids are then
+    /// distinct members, as many as there are, so no bitset walk is
+    /// needed.
+    fn check_hyper_lists(&mut self, plan: &DispatchPlan, hcs: &[HyperCell]) {
         const INVARIANT: &str = "dispatch.hyper-state";
         let (offsets, flat) = (&plan.hyper_offsets, &plan.hyper_members);
-        let before = self.violations.len();
         if offsets.len() != hcs.len() + 1
             || offsets.first() != Some(&0)
             || offsets.last().copied() != Some(flat.len() as u32)
@@ -714,7 +657,7 @@ impl Validator {
                     flat.len()
                 ),
             );
-            return false;
+            return;
         }
         for (h, hc) in hcs.iter().enumerate() {
             let (lo, hi) = (offsets[h] as usize, offsets[h + 1] as usize);
@@ -739,7 +682,6 @@ impl Validator {
                 );
             }
         }
-        self.violations.len() == before
     }
 
     /// Audits a [`NoLossClustering`] against the subscription
@@ -878,11 +820,21 @@ mod tests {
         (subs, nl)
     }
 
+    /// Every audit a swap runs, the serve arrays against the scenario's
+    /// rectangles. The candidate blocks are laid out over the member
+    /// lists, so they are audited over sound lists only: a corrupted
+    /// list is on record already, under `dispatch.hyper-state`.
     fn audit(s: &Scenario) -> Validator {
         let mut v = Validator::new();
         v.check_framework(&s.fw)
             .check_clustering(&s.fw, &s.clustering)
             .check_dispatch_plan(&s.fw, &s.clustering, &s.plan);
+        if v.violations
+            .iter()
+            .all(|x| x.invariant != "dispatch.hyper-state")
+        {
+            v.check_serve_state(&s.plan, s.subs.len(), |id| s.subs.get(id));
+        }
         v
     }
 
@@ -1183,13 +1135,27 @@ mod tests {
     /// and membership tests alone: an out-of-order pair, a non-member
     /// that keeps the count, an id past the universe and a dropped id
     /// are each rejected under `dispatch.hyper-state` alone, without a
-    /// panic.
+    /// panic. The slot check, run on such a plan by itself, rejects it
+    /// too and does not panic either.
     #[test]
     fn member_list_corruptions_fail_exactly_their_invariant() {
         assert_flagged_only_as(
             MEMBER_LIST_CORRUPTIONS..SERVE_STATE_CORRUPTIONS,
             "dispatch.hyper-state",
         );
+        let kinds = MEMBER_LIST_CORRUPTIONS..SERVE_STATE_CORRUPTIONS;
+        for (kind, salt) in kinds.flat_map(|kind| (0..24).map(move |salt| (kind, salt))) {
+            let mut s = scenario();
+            let name = corrupt(&mut s, kind, salt);
+            let mut v = Validator::new();
+            v.check_serve_state(&s.plan, s.subs.len(), |id| s.subs.get(id));
+            let err = v.finish().unwrap_err();
+            let only = err
+                .violations
+                .iter()
+                .all(|x| x.invariant == "dispatch.serve-state");
+            assert!(only, "{name} (salt {salt}): {err}");
+        }
     }
 
     /// The fallback index covers the overhanging rectangles of a
@@ -1223,8 +1189,10 @@ mod tests {
             .iter()
             .map(|&id| id as usize)
             .eq(0..s.subs.len()));
+        let slot = |id| s.subs.get(id);
         let mut v = Validator::new();
-        v.check_dispatch_plan(&fw, &clustering, &plan);
+        v.check_dispatch_plan(&fw, &clustering, &plan)
+            .check_serve_state(&plan, s.subs.len(), slot);
         v.assert_clean("truncated plan");
         plan.serve_state
             .as_mut()
@@ -1232,7 +1200,7 @@ mod tests {
             .fallback
             .remove(9);
         let mut v = Validator::new();
-        v.check_dispatch_plan(&fw, &clustering, &plan);
+        v.check_serve_state(&plan, s.subs.len(), slot);
         let err = v.finish().unwrap_err();
         assert!(
             err.to_string().contains("fallback misses subscriber 9"),
@@ -1240,78 +1208,40 @@ mod tests {
         );
     }
 
-    /// A bound written wrong at attach agrees with every array copied
-    /// from it, so only the slots can expose it: a tombstone at the
-    /// grid's upper corner, and one bound moved by one ulp, each pass
-    /// `check_dispatch_plan` and fail `dispatch.subscriber-bounds` alone.
+    /// A bound written wrong at attach is exposed by the slots it was
+    /// attached from: a subscriber's bound one ulp off, and a subscriber
+    /// some kept cell lists attached and audited as a tombstone (what
+    /// stale slots would give), each pass `check_dispatch_plan` and fail
+    /// `dispatch.serve-state` alone, in every kept slot that lists the
+    /// subscriber.
     #[test]
     fn bounds_written_wrong_at_attach_fail_against_their_slots() {
-        let grid = Grid::cube(0.0, 10.0, 2, 8).unwrap();
-        let probs = CellProbability::uniform(&grid);
-        let kmeans = KMeans::new(KMeansVariant::MacQueen);
-        let mut dynamic = crate::DynamicClustering::new(grid.clone(), probs, kmeans, 3);
-        let mut rng = StdRng::seed_from_u64(45);
-        let mut interval = || {
-            let lo = rng.gen_range(0.5..8.0);
-            Interval::new(lo, lo + rng.gen_range(0.5..2.0)).unwrap()
-        };
-        let ids: Vec<_> = (0..40)
-            .map(|_| dynamic.subscribe(Rect::new(vec![interval(), interval()])))
-            .collect();
-        dynamic.rebalance();
-        dynamic.unsubscribe(ids[5]).unwrap();
-        dynamic.rebalance();
-        let (fw, c) = (dynamic.framework(), dynamic.clustering());
-        let slots = dynamic.subscription_slots();
-        let tombstone = ids[5].index();
-        assert!(slots[tombstone].is_none());
-
-        let compiled = DispatchPlan::compile(fw, c).with_threshold(0.2);
-        let attach = |at: usize, rect: &Rect| {
-            let slot = |id: usize| {
-                if id == at {
-                    Some(rect)
-                } else {
-                    slots[id].as_ref()
-                }
-            };
-            compiled.clone().attach(slots.len(), slot)
-        };
-        let pristine = compiled
-            .clone()
-            .attach(slots.len(), |id| slots[id].as_ref());
-        let mut v = Validator::new();
-        v.check_dispatch_plan(fw, c, &pristine)
-            .check_subscriber_bounds(&pristine, slots);
-        v.assert_clean("plan attached from its slots");
-
-        let corner = grid.bounds().intervals().iter();
-        let corner = corner.map(|iv| Interval::new(iv.hi(), iv.hi()).unwrap());
-        let upper_corner = Rect::new(corner.collect());
-        // A subscriber some kept cell lists, so its bound is copied into
-        // a candidate block too.
-        let member = pristine.hyper_members[0] as usize;
-        let rect = slots[member].clone().unwrap();
-        let (x, y) = (rect.interval(0), rect.interval(1));
-        let up = f64::from_bits(x.hi().to_bits() + 1);
-        let moved = Rect::new(vec![Interval::new(x.lo(), up).unwrap(), *y]);
-        for (name, plan) in [
+        let s = scenario();
+        let (n, slot) = (s.subs.len(), |id: usize| s.subs.get(id));
+        let member = s.plan.hyper_members[0] as usize;
+        let x = s.subs[member].interval(0);
+        let moved = rect1(x.lo(), f64::from_bits(x.hi().to_bits() + 1));
+        let ulp = |id: usize| if id == member { Some(&moved) } else { slot(id) };
+        let stale = |id: usize| if id == member { None } else { slot(id) };
+        let compiled = DispatchPlan::compile(&s.fw, &s.clustering).with_threshold(0.3);
+        let named = format!("(subscriber {member}) dimension 0");
+        for (name, plan, audited) in [
             (
-                "tombstone at the upper corner",
-                attach(tombstone, &upper_corner),
+                "bound one ulp up",
+                compiled.clone().attach(n, ulp),
+                slot(member),
             ),
-            ("bound one ulp up", attach(member, &moved)),
+            ("tombstone listed", compiled.attach(n, stale), None),
         ] {
             let mut v = Validator::new();
-            v.check_dispatch_plan(fw, c, &plan);
+            v.check_dispatch_plan(&s.fw, &s.clustering, &plan);
             v.assert_clean(name);
-            v.check_subscriber_bounds(&plan, slots);
+            v.check_serve_state(&plan, n, |id| if id == member { audited } else { slot(id) });
             let err = v.finish().unwrap_err();
-            assert_eq!(err.violations.len(), 1, "{name}: {err}");
-            assert_eq!(
-                err.violations[0].invariant, "dispatch.subscriber-bounds",
-                "{name}"
-            );
+            for violation in &err.violations {
+                assert_eq!(violation.invariant, "dispatch.serve-state", "{name}: {err}");
+                assert!(violation.detail.contains(&named), "{name}: {err}");
+            }
         }
     }
 

@@ -12,8 +12,8 @@
 //! `BrokerService::offer` must allocate nothing and free each offered
 //! point on the offering thread. The warm-up passes also hold every
 //! decision to the oracle (`oracle::decide`). Per swap, attaching the
-//! rectangles to a plan and auditing it allocate as often at 2 000
-//! subscribers as at 200.
+//! rectangles to a plan and running both of its audits allocate as
+//! often at 2 000 subscribers as at 200.
 
 mod oracle;
 
@@ -419,7 +419,7 @@ fn steady_state_aggregated_serve_allocates_nothing() {
     );
 }
 
-/// Attaching the rectangles and auditing the plan, as a swap does,
+/// Attaching the rectangles and running both audits a swap runs
 /// allocate a fixed number of buffers at any population size: the
 /// bounds lie flat, so no subscriber costs a heap object of its own.
 /// Dropping the plan frees a fixed number of buffers too. (A complete
@@ -439,7 +439,8 @@ fn attach_and_audit_allocate_the_same_at_any_population_size() {
         let (allocs, _) = count_allocs_and_frees(|| {
             let plan = compiled.with_subscriptions(&subs);
             let mut v = Validator::new();
-            v.check_dispatch_plan(&fw, &clustering, &plan);
+            v.check_dispatch_plan(&fw, &clustering, &plan)
+                .check_serve_state(&plan, n, |id| subs.get(id));
             attached = Some((plan, v.finish()));
         });
         let (plan, audit) = attached.expect("the counted region ran");
