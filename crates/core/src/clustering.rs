@@ -135,7 +135,9 @@ pub trait ClusteringAlgorithm: Sync {
 /// membership vector, and transposed, each subscriber's *set of
 /// groups*; and, when rows are tracked, every hyper-cell's intersection
 /// count with every group, which prices a hyper-cell with no kernel at
-/// all while the rows are exact.
+/// all while the rows are exact; and per hyper-cell, the group its last
+/// pricing chose, which a log of the groups changed since lets a later
+/// pricing confirm from those groups alone.
 #[derive(Debug)]
 pub(crate) struct GroupSet {
     /// `counts[g][m]`: how many of group `g`'s grid cells contain
@@ -181,6 +183,22 @@ pub(crate) struct GroupSet {
     budget: u64,
     /// Word reads the row patches of the current pass made.
     spent: u64,
+    /// `memo[h]`: the last pricing of hyper-cell `h`, `None` before the
+    /// first; empty when rows are not tracked. Pass state, like `moved`.
+    memo: Vec<Option<Memo>>,
+    /// The groups whose distance inputs — size, mass, or the group's
+    /// column of any row — changed, in order; a group may repeat.
+    log: Vec<usize>,
+}
+
+/// The nearest group a pricing found, its distance, and the log length
+/// then: the groups logged since are the only ones whose distance to
+/// the hyper-cell can have changed.
+#[derive(Debug, Clone, Copy)]
+struct Memo {
+    group: usize,
+    distance: f64,
+    at: usize,
 }
 
 fn weight_of(weights: &Option<Arc<Vec<u64>>>, m: usize) -> u64 {
@@ -224,6 +242,8 @@ impl GroupSet {
             unpriced: Vec::new(),
             budget: 0,
             spent: 0,
+            memo: Vec::new(),
+            log: Vec::new(),
         }
     }
 
@@ -304,6 +324,7 @@ impl GroupSet {
         }
         self.num_cells[to] += 1;
         self.prob[to] += hc.prob;
+        self.log.extend([from, to]);
         if exact {
             self.patch_column(hcs, from, &lost, false);
             self.patch_column(hcs, to, &gained, true);
@@ -345,11 +366,23 @@ impl GroupSet {
         self.spent += (hcs.len() * words.len()) as u64;
     }
 
-    /// Opens a re-assignment pass, with an empty row-update budget.
+    /// Opens a re-assignment pass, with an empty row-update budget. The
+    /// log keeps its last `K` entries: a memo older than those would
+    /// take the full scan anyway, so it goes too.
     pub(crate) fn begin_pass(&mut self) {
         self.spent = 0;
         self.moved = false;
         self.unpriced.clear();
+        let cut = self.log.len().saturating_sub(self.num_groups());
+        if cut > 0 {
+            self.log.drain(..cut);
+            for memo in &mut self.memo {
+                *memo = memo.filter(|m| m.at >= cut).map(|m| Memo {
+                    at: m.at - cut,
+                    ..m
+                });
+            }
+        }
     }
 
     /// Closes a pass over `hcs`. A pass that priced on stale rows and
@@ -439,22 +472,18 @@ impl GroupSet {
         }
     }
 
-    /// Index of the group with minimal expected-waste distance to a
-    /// hyper-cell of mass `p` and weighted size `cell_size` whose
-    /// intersection with group `g` weighs `in_both[g]`, ties to the
-    /// lower index: `p·|group \ hc| + p(group)·|hc \ group|`, with set
-    /// sizes weighted by the per-slot multiplicities when present. The
-    /// weighted integers equal the concrete counts, so each `f64` is
-    /// bit-identical to the expanded computation, whichever way
-    /// `in_both` was filled.
-    fn nearest(&self, p: f64, cell_size: u64, in_both: &[u64]) -> usize {
+    /// The group with minimal expected-waste distance to a hyper-cell
+    /// of mass `p` and weighted size `cell_size` whose intersection with
+    /// group `g` weighs `in_both[g]`, ties to the lower index, and that
+    /// distance.
+    fn nearest(&self, p: f64, cell_size: u64, in_both: &[u64]) -> (usize, f64) {
         let mut best = (0usize, f64::INFINITY);
         for (g, d) in self.distances(p, cell_size, in_both).enumerate() {
             if d < best.1 {
                 best = (g, d);
             }
         }
-        best.0
+        best
     }
 
     /// The `K` distances [`nearest`](Self::nearest) compares, in group
@@ -466,11 +495,43 @@ impl GroupSet {
         in_both: &'a [u64],
     ) -> impl Iterator<Item = f64> + 'a {
         let groups = self.size.iter().zip(&self.prob).zip(in_both);
-        groups.map(move |((&size, &prob), &both)| {
-            let only_group = size - both;
-            let only_cell = cell_size - both;
-            p * only_group as f64 + prob * only_cell as f64
-        })
+        groups.map(move |((&size, &prob), &both)| distance(p, cell_size, size, prob, both))
+    }
+
+    /// [`nearest`](Self::nearest) over the exact `row` of a hyper-cell
+    /// of mass `p` and size `cell_size`, from its `memo`, pricing only
+    /// the groups logged since: every other distance is the one the memo
+    /// was chosen against, none below the memo's and none equal at a
+    /// lower index. So the memo, re-priced if logged, and the logged
+    /// groups hold the lexicographic minimum of (distance, group) —
+    /// unless the memo's group got farther away, or more than `K`
+    /// entries were logged, where this returns `None` for a full scan.
+    fn nearest_since(
+        &self,
+        memo: Memo,
+        p: f64,
+        cell_size: u64,
+        row: &[u64],
+    ) -> Option<(usize, f64)> {
+        let since = &self.log[memo.at..];
+        if since.len() > self.num_groups() {
+            return None;
+        }
+        let to = |g: usize| distance(p, cell_size, self.size[g], self.prob[g], row[g]);
+        let mut best = (memo.group, memo.distance);
+        if since.contains(&memo.group) {
+            best.1 = to(memo.group);
+            if best.1 > memo.distance {
+                return None;
+            }
+        }
+        for &g in since {
+            let d = to(g);
+            if d < best.1 || (d == best.1 && g < best.0) {
+                best = (g, d);
+            }
+        }
+        Some(best)
     }
 
     /// Index of the group with minimal expected-waste distance to `hc`
@@ -486,15 +547,17 @@ impl GroupSet {
         scratch: &mut Vec<u64>,
     ) -> usize {
         let weighted_size = self.in_both(hc, cell_size, scratch);
-        self.nearest(hc.prob, weighted_size, scratch)
+        self.nearest(hc.prob, weighted_size, scratch).0
     }
 
     /// [`closest`](Self::closest) for hyper-cell `h` (`hc`) of the
-    /// framework the set was built over: `K` multiply-adds over its row
-    /// while the rows are exact; otherwise the kernels, whose counts
-    /// become the row when rows are tracked and the pass has not moved
-    /// a hyper-cell yet (after a move, only a later pass can leave the
-    /// rows exact).
+    /// framework the set was built over. While the rows are exact, from
+    /// the row: the groups logged since `h`'s memo
+    /// ([`nearest_since`](Self::nearest_since)), or all `K`. Otherwise
+    /// by the kernels, whose counts become the row when rows are tracked
+    /// and the pass has not moved a hyper-cell yet (after a move, only a
+    /// later pass can leave the rows exact). Either way the answer
+    /// becomes `h`'s memo when rows are tracked.
     pub(crate) fn closest_at(
         &mut self,
         h: usize,
@@ -502,15 +565,34 @@ impl GroupSet {
         cell_size: usize,
         scratch: &mut Vec<u64>,
     ) -> usize {
-        let k = self.num_groups();
-        if self.exact {
-            return self.nearest(hc.prob, cell_size as u64, &self.rows[h * k..(h + 1) * k]);
+        let (k, p) = (self.num_groups(), hc.prob);
+        let (group, distance) = if self.exact {
+            let row = &self.rows[h * k..(h + 1) * k];
+            let full = || self.nearest(p, cell_size as u64, row);
+            let memo =
+                self.memo[h].and_then(|memo| self.nearest_since(memo, p, cell_size as u64, row));
+            let best = memo.unwrap_or_else(full);
+            debug_assert!(
+                (best.0, best.1.to_bits()) == (full().0, full().1.to_bits()),
+                "hyper-cell {h}: {best:?} differs from the full scan"
+            );
+            best
+        } else {
+            let weighted_size = self.in_both(hc, cell_size, scratch);
+            if !self.rows.is_empty() && !self.moved {
+                self.rows[h * k..(h + 1) * k].copy_from_slice(scratch);
+            }
+            self.nearest(p, weighted_size, scratch)
+        };
+        let at = self.log.len();
+        if let Some(memo) = self.memo.get_mut(h) {
+            *memo = Some(Memo {
+                group,
+                distance,
+                at,
+            });
         }
-        let weighted_size = self.in_both(hc, cell_size, scratch);
-        if !self.rows.is_empty() && !self.moved {
-            self.rows[h * k..(h + 1) * k].copy_from_slice(scratch);
-        }
-        self.nearest(hc.prob, weighted_size, scratch)
+        group
     }
 
     /// Notes that the current pass does not price hyper-cell `h`, the
@@ -529,14 +611,16 @@ impl GroupSet {
     }
 
     /// Makes the set track the rows of `hcs`, stale until a pass with no
-    /// move. A class-universe framework's set tracks none: its
-    /// rows would need weighted cell sizes, and only concrete frameworks
-    /// take the incremental path that carries them.
+    /// move, and their memos, none yet. A class-universe framework's set
+    /// tracks none: its rows would need weighted cell sizes, and only
+    /// concrete frameworks take the incremental path that carries them.
     pub(crate) fn track_rows(&mut self, hcs: &[HyperCell]) {
         self.exact = false;
         self.rows.clear();
+        self.memo.clear();
         if self.weights.is_none() {
             self.rows.resize(hcs.len() * self.num_groups(), 0);
+            self.memo.resize(hcs.len(), None);
         }
     }
 
@@ -567,26 +651,43 @@ impl GroupSet {
     /// Recounts each group's hyper-cells and re-sums its mass over
     /// `assignment`, in hyper-cell order as [`seeded`](Self::seeded)
     /// sums them: masses patched move by move carry rounding of their
-    /// own, and every distance reads them.
+    /// own, and every distance reads them. Logs each group whose mass
+    /// changed bits.
     pub(crate) fn resum(&mut self, hcs: &[HyperCell], assignment: &[usize]) {
+        self.resum_and_log(hcs, assignment, vec![0; self.words]);
+    }
+
+    /// [`resum`](Self::resum), logging once, in ascending order, each
+    /// group set in `changed` (bit `g % 64` of word `g / 64`) or whose
+    /// mass changed bits.
+    fn resum_and_log(&mut self, hcs: &[HyperCell], assignment: &[usize], mut changed: Vec<u64>) {
+        let mut prob = vec![0.0; self.num_groups()];
         self.num_cells.fill(0);
-        self.prob.fill(0.0);
         for (hc, &g) in hcs.iter().zip(assignment) {
             self.num_cells[g] += 1;
-            self.prob[g] += hc.prob;
+            prob[g] += hc.prob;
         }
+        for (g, (was, is)) in self.prob.iter().zip(&prob).enumerate() {
+            if was.to_bits() != is.to_bits() {
+                changed[g / 64] |= 1 << (g % 64);
+            }
+        }
+        self.prob = prob;
+        self.log.extend(groups_in(&changed, changed.len(), 0));
     }
 
     /// Carries the set of `old`, the clustering of the framework before
     /// `report`'s delta, over to `framework`, the framework after it,
     /// with hyper-cell `h` in group `seed[h]`. The result equals
-    /// `GroupSet::seeded(framework, K, seed)` field for field, and costs
-    /// what changed rather than a rebuild:
+    /// `GroupSet::seeded(framework, K, seed)` field for field, pass state
+    /// aside, and costs what changed rather than a rebuild:
     ///
     /// - counts move cell by cell: a dirty cell that keeps its group
     ///   takes its flipped bits, and a cell whose group the seed changed
     ///   moves its members from one group to the other;
-    /// - hyper-cell counts and masses are re-summed in seed order;
+    /// - hyper-cell counts and masses are re-summed in seed order, and
+    ///   each group whose vector or mass changed is logged;
+    /// - an unchanged hyper-cell keeps its memo, a changed one has none;
     /// - the row of a new hyper-cell starts from the old row of one of
     ///   its cells (cells are stable across a delta, hyper-cell ids are
     ///   not), takes that cell's flipped bits against the old masks, then
@@ -667,22 +768,35 @@ impl GroupSet {
                 }
             }
         }
-        self.resum(hcs, seed);
+        // The subscribers whose groups changed, and the groups whose
+        // vector did: logged with those whose mass changed.
+        let w = self.words;
+        let mut flipped = BitSet::new(n);
+        let mut changed = vec![0u64; w];
+        let masks = before
+            .chunks_exact(w.max(1))
+            .zip(self.mask.chunks_exact(w.max(1)));
+        for (m, (was, is)) in masks.enumerate() {
+            if was != is {
+                flipped.insert(m);
+                for (c, (a, b)) in changed.iter_mut().zip(was.iter().zip(is)) {
+                    *c |= a ^ b;
+                }
+            }
+        }
+        self.resum_and_log(hcs, seed, changed);
         let exact = self.exact;
         let old_rows = std::mem::take(&mut self.rows);
+        let old_memo = std::mem::take(&mut self.memo);
         self.track_rows(hcs);
+        for (memo, oh) in self.memo.iter_mut().zip(&report.old_index) {
+            *memo = oh.and_then(|oh| old_memo.get(oh).copied().flatten());
+        }
         if !exact {
             return;
         }
 
         // Rows.
-        let w = self.words;
-        let mut flipped = BitSet::new(n);
-        for m in 0..n {
-            if before[m * w..(m + 1) * w] != self.mask[m * w..(m + 1) * w] {
-                flipped.insert(m);
-            }
-        }
         let k = self.num_groups();
         let mut rows = std::mem::take(&mut self.rows);
         for (h, (hc, row)) in hcs.iter().zip(rows.chunks_exact_mut(k.max(1))).enumerate() {
@@ -749,7 +863,8 @@ impl GroupSet {
 
     /// Whether `self` equals `other` field for field — masses compared
     /// by bits, rows wherever `self`'s are exact — leaving out the pass
-    /// state.
+    /// state, memos and log included: a carried set and one built from
+    /// scratch hold different memos for the same groups.
     pub(crate) fn same_as(&self, other: &GroupSet) -> bool {
         let bits = |prob: &[f64]| prob.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         self.counts == other.counts
@@ -790,6 +905,19 @@ impl GroupSet {
             && (!self.exact
                 || (self.rows.len() == hcs.len() * k && hcs.iter().enumerate().all(row_is_fresh)))
     }
+}
+
+/// The expected-waste distance between a hyper-cell of mass `p` and
+/// weighted size `cell_size` and a group of weighted size `size` and
+/// mass `prob` whose intersection with it weighs `both`:
+/// `p·|group \ hc| + prob·|hc \ group|`, set sizes weighted by the
+/// per-slot multiplicities when present. The weighted integers equal
+/// the concrete counts, so each `f64` is bit-identical to the expanded
+/// computation, whoever counted `both`. The differences convert through
+/// `i64`, exact below 2^63 and cheaper than from `u64` on x86-64.
+#[inline(always)]
+fn distance(p: f64, cell_size: u64, size: u64, prob: f64, both: u64) -> f64 {
+    p * (size - both) as i64 as f64 + prob * (cell_size - both) as i64 as f64
 }
 
 /// The grid cells of `hc`, the amount it adds to a count.
@@ -1091,5 +1219,206 @@ mod tests {
             let size = hcs[h].members.count();
             assert_eq!(acc.closest(&hcs[h], size, &mut vec![7; 9]), 0);
         }
+    }
+
+    /// Subscriber `m` on cell `m` of a 10-cell line, for `m` in `0..9`:
+    /// each hyper-cell holds one subscriber, and a hyper-cell's distance
+    /// to a group it shares nothing with is `0.1·|group| + p(group)`, so
+    /// groups of equal size and mass tie.
+    fn singles() -> GridFramework {
+        let grid = Grid::cube(0.0, 10.0, 1, 10).unwrap();
+        let subs: Vec<Rect> = (0..9).map(|m| rect1(m as f64, m as f64 + 1.0)).collect();
+        let probs = CellProbability::uniform(&grid);
+        GridFramework::build(grid, &subs, &probs, None)
+    }
+
+    /// The hyper-cell of `singles()` that holds subscriber `m`.
+    fn cell_of(fw: &GridFramework, m: usize) -> usize {
+        let holds = |hc: &HyperCell| hc.members.contains(m);
+        fw.hypercells().iter().position(holds).expect("a kept cell")
+    }
+
+    /// The groups of `singles()` given by subscriber, exact rows priced,
+    /// and every hyper-cell's memo written by one pricing.
+    fn memoised(fw: &GridFramework, groups: &[&[usize]]) -> (GroupSet, Vec<usize>) {
+        let hcs = fw.hypercells();
+        let group_of = |hc: &HyperCell| {
+            let m = hc.members.iter().next().expect("one subscriber");
+            groups
+                .iter()
+                .position(|g| g.contains(&m))
+                .expect("every subscriber grouped")
+        };
+        let assignment: Vec<usize> = hcs.iter().map(group_of).collect();
+        let mut set = GroupSet::seeded(fw, groups.len(), &assignment);
+        set.price_rows(hcs);
+        set.begin_pass();
+        for h in 0..hcs.len() {
+            priced(&mut set, hcs, h);
+        }
+        (set, assignment)
+    }
+
+    /// What the memo of hyper-cell `h` answers now, `None` for a full
+    /// scan.
+    fn by_memo(set: &GroupSet, hcs: &[HyperCell], h: usize) -> Option<(usize, f64)> {
+        let (k, hc) = (set.num_groups(), &hcs[h]);
+        let row = &set.rows[h * k..(h + 1) * k];
+        let memo = set.memo[h].expect("a memo");
+        set.nearest_since(memo, hc.prob, hc.members.count() as u64, row)
+    }
+
+    /// `closest_at` for hyper-cell `h` on exact rows, asserted equal to a
+    /// full scan of its row.
+    fn priced(set: &mut GroupSet, hcs: &[HyperCell], h: usize) -> usize {
+        assert!(set.exact);
+        let (k, size) = (set.num_groups(), hcs[h].members.count());
+        let full = set.nearest(hcs[h].prob, size as u64, &set.rows[h * k..(h + 1) * k]);
+        let got = set.closest_at(h, &hcs[h], size, &mut Vec::new());
+        assert_eq!(got, full.0, "hyper-cell {h}");
+        got
+    }
+
+    /// Moves the hyper-cell of subscriber `m` from group `from` to `to`,
+    /// with a pass's patch budget of its own.
+    fn shift_one(set: &mut GroupSet, fw: &GridFramework, m: usize, from: usize, to: usize) {
+        set.spent = 0;
+        set.relocate(fw.hypercells(), cell_of(fw, m), from, to);
+        assert!(set.exact, "one move stays within the patch budget");
+    }
+
+    /// A logged group that comes to tie the memo's distance wins at a
+    /// lower id and loses at a higher one, as in the full scan's strict
+    /// `<` over ascending ids.
+    #[test]
+    fn a_logged_group_that_ties_the_memo_wins_only_at_a_lower_id() {
+        let fw = singles();
+        let (hcs, h) = (fw.hypercells(), cell_of(&fw, 3));
+        let tie = |set: &GroupSet| set.distance_to(0, &hcs[h]) == set.distance_to(1, &hcs[h]);
+
+        // Lower: group 1 = {2} is nearest (0.2); group 0 = {0, 1} gives
+        // subscriber 1 away and ties it.
+        let (mut set, _) = memoised(&fw, &[&[0, 1], &[2], &[3, 4, 5, 6, 7, 8]]);
+        assert_eq!(set.memo[h].map(|m| m.group), Some(1));
+        shift_one(&mut set, &fw, 1, 0, 2);
+        assert!(tie(&set));
+        assert_eq!(by_memo(&set, hcs, h).map(|b| b.0), Some(0));
+        assert_eq!(priced(&mut set, hcs, h), 0);
+
+        // Higher: group 0 = {0} is nearest; group 1 = {1, 2} gives
+        // subscriber 2 away and ties it.
+        let (mut set, _) = memoised(&fw, &[&[0], &[1, 2], &[3, 4, 5, 6, 7, 8]]);
+        assert_eq!(set.memo[h].map(|m| m.group), Some(0));
+        shift_one(&mut set, &fw, 2, 1, 2);
+        assert!(tie(&set));
+        assert_eq!(by_memo(&set, hcs, h).map(|b| b.0), Some(0));
+        assert_eq!(priced(&mut set, hcs, h), 0);
+    }
+
+    /// A memo whose own group got farther away answers nothing: the
+    /// nearest group may be one the log does not name.
+    #[test]
+    fn a_memo_whose_group_got_farther_takes_the_full_scan() {
+        let fw = singles();
+        let (hcs, h) = (fw.hypercells(), cell_of(&fw, 3));
+        // Groups 1 = {2} and 2 = {3, 4, 5} tie at 0.2, group 1 first.
+        let (mut set, _) = memoised(&fw, &[&[0, 1, 7], &[2], &[3, 4, 5], &[6, 8]]);
+        assert_eq!(set.memo[h].map(|m| m.group), Some(1));
+        // Group 1 takes subscriber 0 (0.4), group 0 stays far (0.4):
+        // unlogged group 2 is nearest now.
+        shift_one(&mut set, &fw, 0, 0, 1);
+        assert_eq!(by_memo(&set, hcs, h), None);
+        assert_eq!(priced(&mut set, hcs, h), 2);
+    }
+
+    /// The end-of-run re-sum moves a mass the last pricing read: a group
+    /// patched to `0.1 + 0.1 + 0.1 − 0.1 − 0.1` re-sums to `0.1` from
+    /// `0.10000000000000003`, which brings it level with the memo's group
+    /// at a lower id.
+    #[test]
+    fn a_mass_the_end_of_run_resum_changes_is_logged() {
+        let fw = singles();
+        let (hcs, h) = (fw.hypercells(), cell_of(&fw, 3));
+        let (mut set, mut assignment) = memoised(&fw, &[&[0, 4, 5], &[1], &[2, 3, 6, 7, 8]]);
+        for (m, from, to) in [(4, 0, 2), (5, 0, 2)] {
+            shift_one(&mut set, &fw, m, from, to);
+            assignment[cell_of(&fw, m)] = to;
+        }
+        assert_eq!(set.prob[0], 0.10000000000000003);
+        assert!(set.distance_to(0, &hcs[h]) > set.distance_to(1, &hcs[h]));
+        assert_eq!(priced(&mut set, hcs, h), 1);
+
+        set.resum(hcs, &assignment);
+        assert_eq!(set.prob[0], 0.1);
+        assert_eq!(set.distance_to(0, &hcs[h]), set.distance_to(1, &hcs[h]));
+        assert_eq!(by_memo(&set, hcs, h).map(|b| b.0), Some(0));
+        assert_eq!(priced(&mut set, hcs, h), 0);
+    }
+
+    /// More than `K` entries logged since a memo: the full scan prices
+    /// it, and the next pass drops the log's older entries with every
+    /// memo they outran.
+    #[test]
+    fn a_log_longer_than_k_takes_the_full_scan_and_is_trimmed() {
+        let fw = singles();
+        let hcs = fw.hypercells();
+        let (h, stale) = (cell_of(&fw, 3), cell_of(&fw, 5));
+        let (mut set, _) = memoised(&fw, &[&[0, 1], &[2], &[3, 4, 5, 6, 7, 8]]);
+        let k = set.num_groups();
+        shift_one(&mut set, &fw, 1, 0, 1);
+        shift_one(&mut set, &fw, 1, 1, 0);
+        assert!(set.log.len() > k);
+        assert_eq!(by_memo(&set, hcs, h), None);
+        assert_eq!(priced(&mut set, hcs, h), 1);
+        set.begin_pass();
+        assert_eq!(set.log.len(), k);
+        assert!(set.memo[stale].is_none(), "a memo the log outran goes");
+        assert_eq!(set.memo[h].map(|m| m.at), Some(k));
+        assert_eq!(by_memo(&set, hcs, h).map(|b| b.0), Some(1));
+        assert_eq!(priced(&mut set, hcs, h), 1);
+    }
+
+    /// A memo carried through `rebase` beside a changed hyper-cell: the
+    /// changed one loses its memo, the unchanged one keeps it, and the
+    /// groups the delta changed — a vector, with no mass change — are
+    /// logged, so every pricing after the swap equals a full scan and a
+    /// set built from scratch.
+    #[test]
+    fn a_memo_carried_through_rebase_sees_the_groups_the_delta_changed() {
+        let mut fw = singles();
+        let old_fw = fw.clone();
+        let h = cell_of(&fw, 3);
+        // Groups 1 = {1} and 2 = {3, 4, 5} tie at 0.2, group 1 first.
+        let (mut set, assignment) = memoised(&fw, &[&[0, 7], &[1], &[3, 4, 5], &[2, 6, 8]]);
+        assert_eq!(set.memo[h].map(|m| m.group), Some(1));
+        let old = Clustering::from_assignment(&old_fw, assignment.clone());
+
+        // Subscriber 0 widens onto cell 1: that hyper-cell changes and
+        // group 1's vector grows to {0, 1}, its mass unchanged (0.3 from
+        // subscriber 3 now), so unlogged group 2 is nearest.
+        let probs = CellProbability::uniform(fw.grid());
+        let report = fw.apply_delta(&[(0, rect1(0.0, 2.0))], &[(0, rect1(0.0, 1.0))], &probs, 9);
+        let hcs = fw.hypercells();
+        let seed: Vec<usize> = hcs
+            .iter()
+            .map(|hc| assignment[old_fw.hyper_of_cell(hc.cells[0]).expect("an old cell")])
+            .collect();
+        let moved = |h: usize| report.old_index.iter().position(|&oh| oh == Some(h));
+        set.rebase(&fw, &report, &old, &seed);
+        let (h, changed) = (moved(h).expect("unchanged"), cell_of(&fw, 1));
+        assert!(report.old_index[changed].is_none() && set.memo[changed].is_none());
+        assert!(set.memo[h].is_some());
+
+        let mut fresh = GroupSet::seeded(&fw, 4, &seed);
+        fresh.price_rows(hcs);
+        assert!(set.same_as(&fresh));
+        set.begin_pass();
+        assert_eq!(by_memo(&set, hcs, h), None);
+        for h in 0..hcs.len() {
+            let scratch = &mut Vec::new();
+            let expected = fresh.closest(&hcs[h], hcs[h].members.count(), scratch);
+            assert_eq!(priced(&mut set, hcs, h), expected, "hyper-cell {h}");
+        }
+        assert_eq!(priced(&mut set, hcs, h), 2);
     }
 }

@@ -279,6 +279,12 @@ impl DynamicClustering {
         self.clustering.group_of_point(&self.framework, p)
     }
 
+    /// The subscription slots changed since the last rebalance, whether
+    /// or not their change nets out.
+    pub(crate) fn pending_changes(&self) -> usize {
+        self.baseline.len()
+    }
+
     /// Diagnostics of the most recent rebalance (which path ran, how
     /// much was dirty, how much was reused).
     pub fn last_rebalance(&self) -> RebalanceStats {

@@ -14,12 +14,9 @@
 //! updates only after the pass. A hyper-cell never leaves a group it is
 //! the last member of.
 //!
-//! Every distance is taken against the `K` group vectors — `l·K`
-//! *distances* per pass, as Figure 1 counts them — so neither the cold
-//! nor the warm entry builds the `O(l²)` pairwise
-//! [`crate::DistanceMatrix`]. [`GroupSet`] prices all `K` of them at
-//! once from `|hyper-cell ∩ group|` for every group, which comes one of
-//! two ways:
+//! Every distance is taken against the `K` group vectors, never the
+//! `O(l²)` pairwise [`crate::DistanceMatrix`]. [`GroupSet`] forms it
+//! from `|hyper-cell ∩ group|`, which comes one of two ways:
 //!
 //! - from the hyper-cell's *row*, `K` counts kept exact across moves: a
 //!   move flips a few (subscriber, group) bits, and each of the two
@@ -30,14 +27,24 @@
 //!   on a sparse population; one AND-popcount of the hyper-cell's vector
 //!   against each group's, `O(K·n/64)`, on a dense one.
 //!
+//! Figure 1 counts `l·K` distances per pass; with exact rows a pass
+//! prices fewer. Each pricing leaves a *memo* — the nearest group and
+//! its distance — and the set logs every group whose size, mass or
+//! column changes. A memoised hyper-cell re-prices only the groups
+//! logged since, unless its own group got farther or the log outran
+//! `K` entries; then it takes all `K`. A pass that only confirms a
+//! converged clustering thus prices the few groups the last moves
+//! touched.
+//!
 //! Cold [`cluster`](ClusteringAlgorithm::cluster) prices by the kernels
-//! throughout. The group set [`KMeans::cluster_seeded`] and a full
-//! rebuild build from scratch does too, writing each row it prices,
-//! until a pass moves nothing, which leaves every row exact. The
-//! incremental rebalance of [`crate::DynamicClustering`] carries that
-//! group set to the next swap and patches it across the delta
-//! ([`GroupSet::rebase`]), so a warm swap's passes read rows. Either way
-//! the integers, hence every distance, are the same.
+//! throughout and keeps no memo. The group set [`KMeans::cluster_seeded`]
+//! and a full rebuild build from scratch prices by the kernels too,
+//! writing each row and memo it prices, until a pass moves nothing,
+//! which leaves every row exact. The incremental rebalance of [`crate::DynamicClustering`]
+//! carries that group set, memos and log with it, to the next swap and
+//! patches it across the delta ([`GroupSet::rebase`]), so a warm swap's
+//! passes read rows and memos. Either way the integers, hence every
+//! distance and decision, are the same.
 
 use crate::clustering::{Clustering, ClusteringAlgorithm, GroupSet};
 use crate::framework::{GridFramework, HyperCell};
@@ -105,8 +112,8 @@ impl KMeans {
     ///
     /// The passes are MacQueen's whichever variant `self` was built
     /// with (each move updates the group vectors at once), and like the
-    /// cold [`cluster`](ClusteringAlgorithm::cluster) they cost `O(l·K)`
-    /// distances each and never build the `O(l²)` pairwise matrix.
+    /// cold [`cluster`](ClusteringAlgorithm::cluster) they cost at most
+    /// `l·K` distances each and never build the `O(l²)` pairwise matrix.
     ///
     /// # Panics
     ///

@@ -671,12 +671,20 @@ impl BrokerService {
     ///
     /// # Errors
     ///
-    /// Returns the audit failure if the *initial* state does not
-    /// compile to a valid plan (nothing is spawned in that case).
+    /// Returns [`RebalanceAbort::PlanRejected`] if the *initial* state
+    /// holds subscription changes no rebalance has folded in yet, or
+    /// does not compile to a valid plan. Nothing is spawned in that case.
     pub fn start(
         dynamic: DynamicClustering,
         config: ServiceConfig,
     ) -> Result<BrokerService, RebalanceAbort> {
+        let pending = dynamic.pending_changes();
+        if pending > 0 {
+            return Err(RebalanceAbort::PlanRejected(format!(
+                "{pending} subscription slot(s) changed since the last rebalance; \
+                 rebalance before starting the service"
+            )));
+        }
         let plan = compile_plan(&dynamic, config.threshold)?;
         let next_slot = dynamic.subscription_slots().len();
         let dim = dynamic.framework().grid().dim();

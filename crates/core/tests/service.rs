@@ -17,7 +17,9 @@
 //!   before it, decides hostile coordinates as the oracle does, and
 //!   rejects a wrong-dimension event in the offering thread;
 //! * a service over zero subscriptions unicasts every event to nobody,
-//!   and an unsubscribe of a gone or never-issued id is one rejected op.
+//!   and an unsubscribe of a gone or never-issued id is one rejected op;
+//! * `start` over churn no rebalance has folded in is an error, not a
+//!   panic or a service that misses deliveries.
 //!
 //! These thread-heavy suites sit outside the crate (`tests/`); the
 //! `--lib` unit tests cover the pure logic at small constants.
@@ -580,6 +582,47 @@ fn a_service_over_zero_subscriptions_unicasts_every_event_to_nobody() {
             "event {}",
             r.id
         );
+    }
+}
+
+/// `start` refuses a state holding churn no rebalance has folded in —
+/// a subscribe, a resubscribe or an unsubscribe — with an error in the
+/// caller's thread, before it spawns a thread: not a panic (a new slot
+/// has no column in the framework), nor a service that misses
+/// deliveries (a moved rectangle's bounds sit in its old cells'
+/// candidate blocks). The same state, rebalanced, starts.
+#[test]
+fn start_rejects_churn_no_rebalance_has_folded_in() {
+    let config = ServiceConfig {
+        ingest_threads: 1,
+        threshold: THRESHOLD,
+        ..ServiceConfig::default()
+    };
+    let far = Rect::new(vec![Interval::new(0.7, 0.9).expect("valid interval")]);
+    for kind in ["subscribe", "resubscribe", "unsubscribe"] {
+        let (mut dynamic, ids) = seed_dynamic(1, 5, 4);
+        match kind {
+            "subscribe" => drop(dynamic.subscribe(far.clone())),
+            "resubscribe" => dynamic.resubscribe(ids[0], far.clone()).expect("a live id"),
+            _ => dynamic.unsubscribe(ids[0]).expect("a live id"),
+        }
+        let pending = dynamic.clone();
+        let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            BrokerService::start(pending, config.clone())
+        }));
+        match started {
+            Ok(Err(RebalanceAbort::PlanRejected(e))) => {
+                assert!(e.contains("1 subscription slot"), "{kind}: {e}");
+            }
+            Ok(Err(e)) => panic!("{kind}: the wrong error: {e}"),
+            Ok(Ok(_)) => panic!("{kind}: a service started over pending churn"),
+            Err(_) => panic!("{kind}: start panicked in the caller's thread"),
+        }
+        dynamic.try_rebalance().expect("the churn rebalances");
+        let service =
+            BrokerService::start(dynamic, config.clone()).expect("rebalanced state starts");
+        let (report, _) = service.shutdown();
+        assert!(report.partitions_offered(), "{kind}");
     }
 }
 
