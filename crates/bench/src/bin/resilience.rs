@@ -8,9 +8,10 @@
 //! ```
 //!
 //! `FAULT_SEED` (2002) seeds the topology, workload and fault
-//! schedules; the retry policy is `RetryPolicy::default()`. All draws
-//! go through the workspace's deterministic RNG, so output is
-//! bit-identical at any `PUBSUB_THREADS`.
+//! schedules; the retry policy is `sim`'s constants (`MAX_RETRIES` and
+//! the three beside it). All draws go through the workspace's
+//! deterministic RNG, so output is bit-identical at any
+//! `PUBSUB_THREADS`.
 
 use netsim::{FaultModel, FaultSchedule, Topology, TransitStubParams};
 use pubsub_bench::Scale;
@@ -19,7 +20,7 @@ use pubsub_core::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim::{failure_churn, Evaluator, RetryPolicy};
+use sim::{failure_churn, Evaluator, BACKOFF_BASE, LOSS_PROB, MAX_RETRIES};
 use workload::{PredicateDist, Section3Model};
 
 /// Seed of the topology, the workload and every fault schedule.
@@ -61,7 +62,6 @@ fn config(scale: Scale) -> Config {
 
 fn main() {
     let cfg = config(Scale::from_args());
-    let policy = RetryPolicy::default();
 
     let mut rng = StdRng::seed_from_u64(FAULT_SEED);
     let topo = Topology::generate(&cfg.topo, &mut rng);
@@ -92,8 +92,8 @@ fn main() {
         cfg.k
     );
     println!(
-        "fault seed {FAULT_SEED}; retry policy: max={} loss={:.2} backoff={:.1}",
-        policy.max_retries, policy.loss_prob, policy.backoff_base
+        "fault seed {FAULT_SEED}; retry policy: max={MAX_RETRIES} loss={LOSS_PROB:.2} \
+         backoff={BACKOFF_BASE:.1}"
     );
     println!(
         "fault-free baseline: mean cost {:.1} ({} multicast / {} unicast events)",
@@ -125,7 +125,7 @@ fn main() {
             };
             FaultSchedule::random(topo.graph(), &fm, FAULT_SEED)
         };
-        let r = ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, &policy, FAULT_SEED);
+        let r = ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, FAULT_SEED);
         println!(
             "{:>9.2} {:>10.2} {:>8} {:>9} {:>8} {:>8} {:>9.0} {:>10.1} {:>9.1}",
             rate,

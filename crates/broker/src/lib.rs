@@ -9,8 +9,7 @@
 //! This crate implements that mechanism so the two architectures can
 //! be compared on the same workloads:
 //!
-//! * brokers are the nodes of a spanning tree of the network (the
-//!   minimum spanning tree by default — any tree works);
+//! * brokers are the nodes of the network's minimum spanning tree;
 //! * each broker stores, per tree neighbor, a spatial index over the
 //!   subscription rectangles registered *behind* that neighbor;
 //! * a published event starts at its publisher and is forwarded across
@@ -27,6 +26,4 @@
 
 mod routing_tree;
 
-pub use routing_tree::{
-    BrokerDelivery, BrokerNetwork, BrokerState, Propagation, RepairReport, TreeKind,
-};
+pub use routing_tree::{BrokerDelivery, BrokerNetwork, BrokerState, Propagation};

@@ -138,7 +138,7 @@ pub trait ClusteringAlgorithm: Sync {
 /// all while the rows are exact; and per hyper-cell, the group its last
 /// pricing chose, which a log of the groups changed since lets a later
 /// pricing confirm from those groups alone.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct GroupSet {
     /// `counts[g][m]`: how many of group `g`'s grid cells contain
     /// subscriber `m`. Cells, not hyper-cells, so that a count is a sum

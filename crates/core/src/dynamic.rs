@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use geometry::{CellId, Grid, Point, Rect};
+use geometry::{CellId, Grid, Rect};
 
 use crate::clustering::{Clustering, GroupSet};
 use crate::framework::{CellProbability, GridFramework};
@@ -83,23 +83,13 @@ pub struct DynamicClustering {
     /// Diagnostics of the most recent rebalance.
     last_stats: RebalanceStats,
     /// K-means' group state of `clustering`, for the next incremental
-    /// rebalance to patch instead of rebuild.
-    groups: Carried,
-}
-
-/// The [`GroupSet`] of a converged clustering, equal to one built from
-/// scratch from its framework and assignment, with its rows; `None`
-/// where there is none to carry. A clone starts with `None`: the state
-/// is a cache, and the first rebalance of the clone rebuilds it from
-/// scratch, with the same results. The service moves it into its work
-/// copy instead, so no swap copies it.
-#[derive(Debug, Default)]
-struct Carried(Option<GroupSet>);
-
-impl Clone for Carried {
-    fn clone(&self) -> Self {
-        Carried(None)
-    }
+    /// rebalance to patch instead of rebuild: equal to one built from
+    /// scratch from the framework and assignment, with its rows; `None`
+    /// where there is none to carry. It is a cache — a rebalance without
+    /// it rebuilds it, with the same results — so a clone copies it, and
+    /// [`fork`](Self::fork) and the rollback snapshot of
+    /// [`try_rebalance`](Self::try_rebalance) leave it out of their copy.
+    groups: Option<GroupSet>,
 }
 
 /// Diagnostics of the most recent [`DynamicClustering::rebalance`].
@@ -186,7 +176,7 @@ impl DynamicClustering {
             baseline: HashMap::new(),
             max_dirty: DEFAULT_MAX_DIRTY,
             last_stats: RebalanceStats::default(),
-            groups: Carried::default(),
+            groups: None,
         }
     }
 
@@ -274,11 +264,6 @@ impl DynamicClustering {
         &self.framework
     }
 
-    /// The group currently matched to an event point, if any.
-    pub fn group_of_point(&self, p: &Point) -> Option<usize> {
-        self.clustering.group_of_point(&self.framework, p)
-    }
-
     /// The subscription slots changed since the last rebalance, whether
     /// or not their change nets out.
     pub(crate) fn pending_changes(&self) -> usize {
@@ -316,7 +301,7 @@ impl DynamicClustering {
     /// except the post-condition audit.
     fn rebalance_paths(&mut self) -> usize {
         // Taken first, so a path that panics leaves no state behind.
-        let carried = self.groups.0.take();
+        let carried = self.groups.take();
         let changed = self.baseline.len();
         let fraction = changed as f64 / self.subscriptions.len().max(1) as f64;
         if self.framework.supports_incremental() && fraction <= self.max_dirty {
@@ -337,7 +322,9 @@ impl DynamicClustering {
     /// serving the last good clustering. On success it is
     /// observationally identical to [`rebalance`](Self::rebalance).
     pub fn try_rebalance(&mut self) -> Result<RebalanceStats, RebalanceError> {
+        let groups = self.groups.take();
         let before = self.clone();
+        self.groups = groups;
         let outcome = self.rebalance_audited();
         if outcome.is_err() {
             *self = before;
@@ -366,8 +353,9 @@ impl DynamicClustering {
     /// on the copy and drops it on any abort, which leaves the next
     /// attempt to rebuild the state from scratch.
     pub(crate) fn fork(&mut self) -> Self {
+        let groups = self.groups.take();
         let mut work = self.clone();
-        work.groups = std::mem::take(&mut self.groups);
+        work.groups = groups;
         work
     }
 
@@ -392,7 +380,7 @@ impl DynamicClustering {
     /// and the clustering's assignment. Free in release builds.
     #[inline]
     fn debug_check_carried(&self, context: &str) {
-        if let Some(groups) = self.groups.0.as_ref().filter(|_| cfg!(debug_assertions)) {
+        if let Some(groups) = self.groups.as_ref().filter(|_| cfg!(debug_assertions)) {
             let l = self.framework.hypercells().len();
             let assignment: Vec<usize> =
                 (0..l).map(|h| self.clustering.group_of_hyper(h)).collect();
@@ -499,7 +487,7 @@ impl DynamicClustering {
     fn keep(&mut self, clustering: Clustering, groups: GroupSet) {
         let dense = clustering.num_groups() == groups.num_groups();
         self.clustering = clustering;
-        self.groups = Carried(dense.then_some(groups));
+        self.groups = dense.then_some(groups);
     }
 
     /// Rasterizes every slot, in parallel as [`GridFramework::build`]
@@ -640,7 +628,7 @@ impl DynamicClustering {
         let k = self.k.min(l.max(1));
         // Cold seed: round-robin (deliberately uninformed).
         let seed: Vec<usize> = (0..l).map(|h| h % k).collect();
-        self.groups = Carried::default();
+        self.groups = None;
         let (clustering, moves) = if l == 0 {
             (Clustering::from_assignment(&new_fw, Vec::new()), 0)
         } else {
@@ -658,10 +646,16 @@ impl DynamicClustering {
 mod tests {
     use super::*;
     use crate::kmeans::KMeansVariant;
-    use geometry::Interval;
+    use geometry::{Interval, Point};
 
     fn rect1(lo: f64, hi: f64) -> Rect {
         Rect::new(vec![Interval::new(lo, hi).unwrap()])
+    }
+
+    /// The group an event at `x` is matched to, if any.
+    fn group_at(s: &DynamicClustering, x: f64) -> Option<usize> {
+        s.clustering()
+            .group_of_point(s.framework(), &Point::new(vec![x]))
     }
 
     fn system(k: usize) -> DynamicClustering {
@@ -676,7 +670,7 @@ mod tests {
         assert_eq!(s.num_subscriptions(), 0);
         assert_eq!(s.rebalance(), 0);
         assert_eq!(s.clustering().num_groups(), 0);
-        assert_eq!(s.group_of_point(&Point::new(vec![5.0])), None);
+        assert_eq!(group_at(&s, 5.0), None);
     }
 
     #[test]
@@ -685,8 +679,8 @@ mod tests {
         s.subscribe(rect1(0.0, 8.0));
         s.subscribe(rect1(12.0, 20.0));
         s.rebalance();
-        let left = s.group_of_point(&Point::new(vec![3.0]));
-        let right = s.group_of_point(&Point::new(vec![15.0]));
+        let left = group_at(&s, 3.0);
+        let right = group_at(&s, 15.0);
         assert!(left.is_some() && right.is_some());
         assert_ne!(left, right);
     }
@@ -697,11 +691,11 @@ mod tests {
         let a = s.subscribe(rect1(0.0, 8.0));
         s.subscribe(rect1(12.0, 20.0));
         s.rebalance();
-        assert!(s.group_of_point(&Point::new(vec![3.0])).is_some());
+        assert!(group_at(&s, 3.0).is_some());
         s.unsubscribe(a).unwrap();
         s.rebalance();
         // Nobody is interested around 3.0 anymore.
-        assert_eq!(s.group_of_point(&Point::new(vec![3.0])), None);
+        assert_eq!(group_at(&s, 3.0), None);
         assert_eq!(s.num_subscriptions(), 1);
     }
 
@@ -738,11 +732,11 @@ mod tests {
         let mut s = system(2);
         let a = s.subscribe(rect1(0.0, 5.0));
         s.rebalance();
-        assert!(s.group_of_point(&Point::new(vec![2.0])).is_some());
+        assert!(group_at(&s, 2.0).is_some());
         s.resubscribe(a, rect1(10.0, 15.0)).unwrap();
         s.rebalance();
-        assert_eq!(s.group_of_point(&Point::new(vec![2.0])), None);
-        assert!(s.group_of_point(&Point::new(vec![12.0])).is_some());
+        assert_eq!(group_at(&s, 2.0), None);
+        assert!(group_at(&s, 12.0).is_some());
     }
 
     #[test]
@@ -957,10 +951,14 @@ mod tests {
 
     /// Both paths leave the group state of their clustering, rows
     /// exact, for the next rebalance; an incremental rebalance patches
-    /// it. A clone starts without it; `fork` moves it.
+    /// it. A clone copies it (the same next rebalance); `fork` moves it.
     #[test]
     fn the_group_state_is_carried_and_moved_never_cloned() {
-        let carried = |s: &DynamicClustering| s.groups.0.as_ref().is_some_and(GroupSet::rows_exact);
+        let carried = |s: &DynamicClustering| s.groups.as_ref().is_some_and(GroupSet::rows_exact);
+        let same = |a: &DynamicClustering, b: &DynamicClustering| {
+            let both = a.groups.as_ref().zip(b.groups.as_ref());
+            both.is_some_and(|(x, y)| x.same_as(y))
+        };
         let mut s = system(3);
         for i in 0..12 {
             s.subscribe(rect1(i as f64, i as f64 + 4.0));
@@ -970,9 +968,17 @@ mod tests {
         s.resubscribe(SubscriptionId(4), rect1(13.0, 19.0)).unwrap();
         s.rebalance();
         assert!(s.last_rebalance().incremental && carried(&s));
-        assert!(s.clone().groups.0.is_none());
+        let mut copy = s.clone();
+        assert!(same(&copy, &s));
+        for t in [&mut s, &mut copy] {
+            t.resubscribe(SubscriptionId(7), rect1(0.0, 3.0)).unwrap();
+        }
+        let stats = copy.try_rebalance().expect("the clone rebalances");
+        s.rebalance();
+        assert_eq!(stats, s.last_rebalance());
+        assert!(stats.incremental && carried(&copy) && same(&copy, &s));
         let work = s.fork();
-        assert!(carried(&work) && s.groups.0.is_none());
+        assert!(carried(&work) && s.groups.is_none());
     }
 
     #[test]

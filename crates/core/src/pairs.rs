@@ -82,11 +82,6 @@ impl PairwiseGrouping {
     pub fn new(strategy: PairsStrategy) -> Self {
         PairwiseGrouping { strategy }
     }
-
-    /// The strategy in use.
-    pub fn strategy(&self) -> PairsStrategy {
-        self.strategy
-    }
 }
 
 impl ClusteringAlgorithm for PairwiseGrouping {

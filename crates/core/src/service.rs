@@ -38,8 +38,7 @@
 //!   — nothing is ever dropped on the floor silently;
 //! * repeated rebalance failures, a missed watchdog deadline
 //!   ([`ServiceConfig::rebalance_timeout`]) among them, back off
-//!   exponentially (from `BACKOFF_BASE`, 10 ms, shift-capped at 640 ms,
-//!   mirroring `sim`'s `RetryPolicy`).
+//!   exponentially (from `BACKOFF_BASE`, 10 ms, shift-capped at 640 ms).
 //!
 //! Determinism: an event's decision depends only on `(event, plan
 //! snapshot)`, and each published snapshot is a pure function of the
@@ -1156,7 +1155,8 @@ mod tests {
 
         let (want, _previous) = steady.attempt().expect("the steady attempt commits");
         assert_eq!(report.stats, want.stats);
-        let plan = |service: &BrokerService| format!("{:?}", service.shared.plan.load().plan);
+        let plan =
+            |service: &BrokerService| format!("{:?}", service.shared.plan.load_with_epoch().0.plan);
         assert_eq!(plan(&service), plan(&steady_service));
         let _ = (service.shutdown(), steady_service.shutdown());
     }

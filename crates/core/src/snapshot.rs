@@ -74,14 +74,9 @@ impl<T> SnapshotCell<T> {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Clones the current snapshot (locks briefly; prefer a
-    /// [`SnapshotReader`] on hot paths).
-    pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.lock_slot())
-    }
-
     /// Clones the current snapshot together with the epoch it was
-    /// published under. The pair is consistent: the epoch is read
+    /// published under (locks briefly; prefer a [`SnapshotReader`] on
+    /// hot paths). The pair is consistent: the epoch is read
     /// under the same lock the publisher bumps it under.
     pub fn load_with_epoch(&self) -> (Arc<T>, u64) {
         let guard = self.lock_slot();
@@ -163,7 +158,7 @@ mod tests {
         assert_eq!(r.cached_epoch(), 0);
         assert_eq!(**r.current(), 20);
         assert_eq!(r.cached_epoch(), 1);
-        assert_eq!(*cell.load(), 20);
+        assert_eq!(*cell.load_with_epoch().0, 20);
     }
 
     #[test]
@@ -212,17 +207,17 @@ mod tests {
         });
         assert_eq!(seen.load(Ordering::Relaxed), 400);
         assert_eq!(cell.epoch(), SWAPS);
-        assert_eq!(*cell.load(), SWAPS);
+        assert_eq!(*cell.load_with_epoch().0, SWAPS);
     }
 
     /// An in-flight Arc keeps the old snapshot alive across swaps.
     #[test]
     fn old_snapshots_survive_until_dropped() {
         let cell = SnapshotCell::new(Arc::new(String::from("v0")));
-        let held = cell.load();
+        let held = cell.load_with_epoch().0;
         cell.publish(Arc::new(String::from("v1")));
         assert_eq!(*held, "v0");
-        assert_eq!(*cell.load(), "v1");
+        assert_eq!(*cell.load_with_epoch().0, "v1");
         drop(held);
     }
 }

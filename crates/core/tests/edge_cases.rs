@@ -140,13 +140,14 @@ fn dynamic_clustering_all_unsubscribed() {
     d.rebalance();
     assert_eq!(d.num_subscriptions(), 0);
     assert_eq!(d.clustering().num_groups(), 0);
-    assert_eq!(d.group_of_point(&Point::new(vec![2.0])), None);
+    let p = Point::new(vec![2.0]);
+    assert_eq!(d.clustering().group_of_point(d.framework(), &p), None);
 }
 
 #[test]
 fn matchers_on_universe_rectangles() {
     // All-space subscriptions: every event matches everything.
-    let subs = vec![Rect::all(2); 5];
+    let subs = vec![Rect::new(vec![Interval::all(); 2]); 5];
     let idx = SubscriptionIndex::build(&subs);
     let p = Point::new(vec![123.0, -456.0]);
     assert_eq!(idx.matching(&p), vec![0, 1, 2, 3, 4]);

@@ -271,13 +271,14 @@ proptest! {
         // After a final rebalance, points covered by no live rect have
         // no group, and every live rect's center has one.
         s.rebalance();
+        let group_at = |p: &geometry::Point| s.clustering().group_of_point(s.framework(), p);
         for r in live.iter().flatten() {
             let iv = r.interval(0);
             let center = geometry::Point::new(vec![(iv.lo() + iv.hi()) / 2.0]);
-            prop_assert!(s.group_of_point(&center).is_some(), "live center uncovered");
+            prop_assert!(group_at(&center).is_some(), "live center uncovered");
         }
         if live.iter().all(|r| r.is_none()) {
-            prop_assert_eq!(s.group_of_point(&geometry::Point::new(vec![10.0])), None);
+            prop_assert_eq!(group_at(&geometry::Point::new(vec![10.0])), None);
         }
     }
 }

@@ -40,7 +40,7 @@ fn reader_storm_never_observes_torn_pairs() {
         });
     });
     assert_eq!(cell.epoch(), SWAPS);
-    assert_eq!(*cell.load(), SWAPS);
+    assert_eq!(*cell.load_with_epoch().0, SWAPS);
 }
 
 #[test]
@@ -108,13 +108,13 @@ fn concurrent_publishers_account_for_every_swap() {
     assert!(max_seen.load(Ordering::Relaxed) <= PUBLISHERS * SWAPS_EACH);
     // The final value is whichever publisher's store landed last; it
     // must be one that was actually submitted.
-    assert!(*cell.load() < PUBLISHERS * SWAPS_EACH);
+    assert!(*cell.load_with_epoch().0 < PUBLISHERS * SWAPS_EACH);
 }
 
 #[test]
 fn in_flight_snapshots_outlive_heavy_churn() {
     let cell = SnapshotCell::new(Arc::new(vec![0u64; 512]));
-    let held = cell.load();
+    let held = cell.load_with_epoch().0;
     std::thread::scope(|scope| {
         scope.spawn(|| {
             for i in 1..=500u64 {
@@ -126,10 +126,10 @@ fn in_flight_snapshots_outlive_heavy_churn() {
                 // Dropping freshly loaded Arcs races the publisher's
                 // store of the replacement — the refcount traffic is
                 // what is under stress here.
-                drop(cell.load());
+                drop(cell.load_with_epoch().0);
             }
         });
     });
     assert!(held.iter().all(|&x| x == 0), "held snapshot mutated");
-    assert!(cell.load().iter().all(|&x| x == 500));
+    assert!(cell.load_with_epoch().0.iter().all(|&x| x == 500));
 }

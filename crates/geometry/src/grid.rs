@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn construction_errors() {
         assert_eq!(
-            Grid::new(Rect::all(2), vec![4, 4]),
+            Grid::new(Rect::new(vec![Interval::all(); 2]), vec![4, 4]),
             Err(GridError::UnboundedBounds)
         );
         let b = Rect::new(vec![
@@ -502,7 +502,11 @@ mod tests {
     #[test]
     fn full_cover_counts_all_cells() {
         let g = grid_2d();
-        assert_eq!(g.cells_overlapping(&Rect::all(2)).len(), g.num_cells());
+        assert_eq!(
+            g.cells_overlapping(&Rect::new(vec![Interval::all(); 2]))
+                .len(),
+            g.num_cells()
+        );
     }
 
     #[test]

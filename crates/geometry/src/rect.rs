@@ -61,13 +61,6 @@ impl Rect {
         Rect { intervals }
     }
 
-    /// The all-of-space rectangle in `dim` dimensions (every predicate `*`).
-    pub fn all(dim: usize) -> Self {
-        Rect {
-            intervals: vec![Interval::all(); dim],
-        }
-    }
-
     /// Number of dimensions.
     pub fn dim(&self) -> usize {
         self.intervals.len()
@@ -261,7 +254,7 @@ mod tests {
 
     #[test]
     fn all_rect_contains_everything() {
-        let r = Rect::all(3);
+        let r = Rect::new(vec![Interval::all(); 3]);
         assert!(r.contains(&Point::new(vec![-1e300, 0.0, 1e300])));
         assert!(!r.is_bounded());
         assert!(!r.is_empty());
@@ -335,7 +328,7 @@ mod tests {
         let h = a.hull(&b);
         assert_eq!(h, rect2((0.0, 6.0), (0.0, 3.0)));
         assert_eq!(a.volume(), 4.0);
-        assert!(Rect::all(2).volume().is_infinite());
+        assert!(Rect::new(vec![Interval::all(); 2]).volume().is_infinite());
         let empty = rect2((1.0, 1.0), (0.0, 9.0));
         assert_eq!(empty.volume(), 0.0);
     }
@@ -351,7 +344,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn dimension_mismatch_panics() {
-        let r = Rect::all(2);
+        let r = Rect::new(vec![Interval::all(); 2]);
         let _ = r.contains(&Point::new(vec![0.0]));
     }
 }

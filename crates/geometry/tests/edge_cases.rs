@@ -18,7 +18,11 @@ fn single_bin_grid_is_one_cell() {
         ])
     );
     // Everything overlapping maps to the single cell.
-    assert_eq!(g.cells_overlapping(&Rect::all(2)).len(), 1);
+    assert_eq!(
+        g.cells_overlapping(&Rect::new(vec![Interval::all(); 2]))
+            .len(),
+        1
+    );
 }
 
 #[test]
@@ -73,7 +77,7 @@ fn rect_zero_volume_on_any_empty_dim() {
     assert_eq!(r.volume(), 0.0);
     assert!(!r.contains(&Point::new(vec![5.0, 3.0])));
     // Empty rect intersects nothing.
-    assert!(!r.intersects(&Rect::all(2)));
+    assert!(!r.intersects(&Rect::new(vec![Interval::all(); 2])));
 }
 
 #[test]

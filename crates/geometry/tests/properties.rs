@@ -81,7 +81,7 @@ proptest! {
         // Every in-bounds point falls in exactly one cell, that cell's
         // rectangle contains it, and no other does; an out-of-bounds
         // point falls in none.
-        for q in probes(&g, &point_in(&g, &u), &Rect::all(3)) {
+        for q in probes(&g, &point_in(&g, &u), &Rect::new(vec![Interval::all(); 3])) {
             let holders: Vec<CellId> = g.iter().filter(|c| cells[c.index()].contains(&q)).collect();
             prop_assert_eq!(g.cell_of(&q).into_iter().collect::<Vec<_>>(), holders, "{:?}", q);
             prop_assert_eq!(g.cell_of(&q).is_some(), g.bounds().contains(&q), "{:?}", q);

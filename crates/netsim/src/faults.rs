@@ -213,8 +213,7 @@ impl FaultSchedule {
     pub fn view_at(&self, g: &Graph, epoch: usize) -> DegradedView {
         assert!(epoch < self.epochs.len(), "epoch out of range");
         let mut view = DegradedView::healthy(g);
-        for (k, faults) in self.epochs.iter().enumerate().take(epoch + 1) {
-            view.epoch = k;
+        for faults in self.epochs.iter().take(epoch + 1) {
             for f in faults {
                 view.apply_fault(*f);
             }
@@ -228,8 +227,7 @@ impl FaultSchedule {
     pub fn views(&self, g: &Graph) -> Vec<DegradedView> {
         let mut out = Vec::with_capacity(self.epochs.len());
         let mut view = DegradedView::healthy(g);
-        for (k, faults) in self.epochs.iter().enumerate() {
-            view.epoch = k;
+        for faults in &self.epochs {
             for f in faults {
                 view.apply_fault(*f);
             }
@@ -244,7 +242,6 @@ impl FaultSchedule {
 /// that never mutate the graph itself, so ids stay stable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedView {
-    epoch: usize,
     edge_down: Vec<bool>,
     node_down: Vec<bool>,
     /// Multiplicative cost factor per edge; `1.0` means nominal.
@@ -253,20 +250,14 @@ pub struct DegradedView {
 }
 
 impl DegradedView {
-    /// The all-healthy view of `g` (epoch 0, nothing failed).
+    /// The all-healthy view of `g` (nothing failed).
     pub fn healthy(g: &Graph) -> Self {
         DegradedView {
-            epoch: 0,
             edge_down: vec![false; g.num_edges()],
             node_down: vec![false; g.num_nodes()],
             degrade: vec![1.0; g.num_edges()],
             faulty: false,
         }
-    }
-
-    /// The epoch this view describes.
-    pub fn epoch(&self) -> usize {
-        self.epoch
     }
 
     /// Whether nothing is failed or degraded — the view behaves exactly

@@ -84,15 +84,6 @@ impl LoadTracker {
         }
     }
 
-    /// The load on one edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge id is out of range.
-    pub fn load(&self, edge: EdgeId) -> f64 {
-        self.load[edge.0]
-    }
-
     /// The maximum per-edge load — the congestion bottleneck.
     pub fn max_load(&self) -> f64 {
         self.load.iter().copied().fold(0.0, f64::max)
@@ -214,7 +205,8 @@ mod tests {
         let hot = load.hotspots(1);
         assert_eq!(hot, vec![(EdgeId(0), 5.0)]);
         assert_eq!(load.mean_active_load(), 3.5);
-        assert_eq!(load.load(EdgeId(2)), 0.0);
+        // The unloaded edge 2 is no hotspot.
+        assert_eq!(load.hotspots(3), vec![(EdgeId(0), 5.0), (EdgeId(1), 2.0)]);
         let idle = LoadTracker::new(&g);
         assert_eq!(idle.mean_active_load(), 0.0);
         assert!(idle.hotspots(3).is_empty());

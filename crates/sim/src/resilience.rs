@@ -10,10 +10,10 @@
 //! the invalidation its property test holds to a cold recompute. Members whose path crosses a degraded
 //! link may lose the primary copy; the publisher retries with
 //! exponential backoff and finally falls back to a dedicated unicast
-//! ([`RetryPolicy`]). The resulting [`ResilienceBreakdown`] accounts
-//! for every interested subscriber node of every event: per event,
-//! `delivered + fallback_deliveries + dropped` partitions the
-//! interested set exactly.
+//! ([`MAX_RETRIES`] and the constants beside it). The resulting
+//! [`ResilienceBreakdown`] accounts for every interested subscriber
+//! node of every event: per event, `delivered + fallback_deliveries +
+//! dropped` partitions the interested set exactly.
 //!
 //! With an empty schedule the whole machinery is a strict no-op: a
 //! healthy epoch prices on the evaluator's own router through the same
@@ -32,58 +32,26 @@ use rand::{Rng, SeedableRng};
 
 use crate::delivery::{DeliveryBreakdown, Evaluator, MulticastMode};
 
-/// How a publisher reacts to a lost primary copy: bounded retries with
-/// exponential backoff, then a dedicated per-member unicast fallback.
+/// How a publisher reacts to a lost primary copy: at most
+/// `MAX_RETRIES` retransmissions with exponential backoff, then a
+/// dedicated per-member unicast fallback.
 ///
 /// Losses are only possible on paths that cross a degraded link; links
 /// that are *down* reroute (or partition) instead of losing copies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum retransmissions per member before falling back.
-    pub max_retries: u32,
-    /// Per-attempt loss probability on a degraded path.
-    pub loss_prob: f64,
-    /// Probability that a successful retry also delivers a duplicate
-    /// (the original copy was late, not lost).
-    pub duplicate_prob: f64,
-    /// Base of the exponential backoff: retry `r` waits
-    /// `backoff_base^r` abstract time units.
-    pub backoff_base: f64,
+pub const MAX_RETRIES: u32 = 3;
+/// Per-attempt loss probability on a degraded path.
+pub const LOSS_PROB: f64 = 0.3;
+/// Probability that a successful retry also delivers a duplicate (the
+/// original copy was late, not lost).
+const DUPLICATE_PROB: f64 = 0.05;
+/// Base of the exponential backoff: retry `r` waits `BACKOFF_BASE^r`
+/// abstract time units.
+pub const BACKOFF_BASE: f64 = 2.0;
+
+/// Backoff units waited before retry `r` (1-based).
+fn backoff_at(r: u32) -> f64 {
+    BACKOFF_BASE.powi(r as i32)
 }
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            loss_prob: 0.3,
-            duplicate_prob: 0.05,
-            backoff_base: 2.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff units waited before retry `r` (1-based):
-    /// `backoff_base^min(r, 32)`. The exponent is shift-capped so a
-    /// huge [`RetryPolicy::max_retries`] cannot push the accounting to `inf` —
-    /// past the cap every further retry waits the same capped amount.
-    fn backoff_at(&self, r: u32) -> f64 {
-        self.backoff_base.powi(r.min(BACKOFF_EXP_CAP) as i32)
-    }
-
-    /// Total backoff units spent by `attempts` consecutive retries.
-    /// The sub-cap head is summed term by term (bit-identical to the
-    /// pre-cap arithmetic for `attempts ≤ 32`) and the flat tail in
-    /// closed form, so the cost is O(cap) even for `u32::MAX` retries.
-    fn backoff_sum(&self, attempts: u32) -> f64 {
-        let head = attempts.min(BACKOFF_EXP_CAP);
-        let sum: f64 = (1..=head).map(|r| self.backoff_at(r)).sum();
-        sum + f64::from(attempts - head) * self.backoff_at(BACKOFF_EXP_CAP)
-    }
-}
-
-/// Exponent cap of the retry backoff (see [`RetryPolicy::backoff_at`]).
-const BACKOFF_EXP_CAP: u32 = 32;
 
 /// Per-event accounting of a grid clustering under a fault schedule.
 ///
@@ -219,7 +187,6 @@ fn path_is_lossy(spt: &ShortestPathTree, view: &DegradedView, m: NodeId) -> bool
 fn resolve_member(
     spt: &ShortestPathTree,
     view: &DegradedView,
-    policy: &RetryPolicy,
     rng: &mut StdRng,
     m: NodeId,
     p: &mut ResilienceBreakdown,
@@ -227,8 +194,8 @@ fn resolve_member(
     if !spt.is_reachable(m) {
         // No surviving path (crashed member or partition): the
         // publisher retries into the void, backs off, and gives up.
-        p.retry_attempts += policy.max_retries as usize;
-        p.backoff_units += policy.backoff_sum(policy.max_retries);
+        p.retry_attempts += MAX_RETRIES as usize;
+        p.backoff_units += (1..=MAX_RETRIES).map(backoff_at).sum::<f64>();
         p.dropped += 1;
         return;
     }
@@ -237,17 +204,17 @@ fn resolve_member(
         p.delivered += 1;
         return;
     }
-    if policy.loss_prob <= 0.0 || !rng.gen_bool(policy.loss_prob.min(1.0)) {
+    if !rng.gen_bool(LOSS_PROB) {
         p.delivered += 1;
         return;
     }
-    for r in 1..=policy.max_retries {
+    for r in 1..=MAX_RETRIES {
         p.retry_attempts += 1;
-        p.backoff_units += policy.backoff_at(r);
+        p.backoff_units += backoff_at(r);
         p.retry_cost += spt.distance(m);
-        if !rng.gen_bool(policy.loss_prob.min(1.0)) {
+        if !rng.gen_bool(LOSS_PROB) {
             p.delivered += 1;
-            if policy.duplicate_prob > 0.0 && rng.gen_bool(policy.duplicate_prob.min(1.0)) {
+            if rng.gen_bool(DUPLICATE_PROB) {
                 p.duplicated += 1;
             }
             return;
@@ -303,7 +270,6 @@ impl<'a> Evaluator<'a> {
         clustering: &Clustering,
         threshold: f64,
         schedule: &FaultSchedule,
-        policy: &RetryPolicy,
         fault_seed: u64,
     ) -> ResilienceBreakdown {
         let events = &self.workload.events;
@@ -397,7 +363,7 @@ impl<'a> Evaluator<'a> {
                         .expect("every publisher of the epoch is warmed");
                     let mut rng = event_rng(fault_seed, e);
                     for &m in &inodes[e] {
-                        resolve_member(spt, router.view(), policy, &mut rng, m, p);
+                        resolve_member(spt, router.view(), &mut rng, m, p);
                     }
                 },
             );
@@ -511,14 +477,7 @@ mod tests {
         let clustering = KMeans::new(KMeansVariant::Forgy).cluster(&fw, 20);
         let mut ev = Evaluator::new(&topo, &w);
         let base = ev.grid_clustering_breakdown(&fw, &clustering, 0.0);
-        let r = ev.resilience_breakdown(
-            &fw,
-            &clustering,
-            0.0,
-            &FaultSchedule::empty(),
-            &RetryPolicy::default(),
-            2002,
-        );
+        let r = ev.resilience_breakdown(&fw, &clustering, 0.0, &FaultSchedule::empty(), 2002);
         assert_eq!(r.multicast_cost.to_bits(), base.multicast_cost.to_bits());
         assert_eq!(r.unicast_cost.to_bits(), base.unicast_cost.to_bits());
         assert_eq!(r.multicast_events, base.multicast_events);
@@ -551,14 +510,7 @@ mod tests {
         let schedule = FaultSchedule::random(topo.graph(), &model, 7);
         let mut ev = Evaluator::new(&topo, &w);
         let base = ev.grid_clustering_breakdown(&fw, &clustering, 0.0);
-        let r = ev.resilience_breakdown(
-            &fw,
-            &clustering,
-            0.0,
-            &schedule,
-            &RetryPolicy::default(),
-            2002,
-        );
+        let r = ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, 2002);
         assert_eq!(
             r.delivered + r.fallback_deliveries + r.dropped,
             r.interested
@@ -586,43 +538,10 @@ mod tests {
         let schedule = FaultSchedule::random(topo.graph(), &model, 11);
         let run = || {
             let mut ev = Evaluator::new(&topo, &w);
-            ev.resilience_breakdown(
-                &fw,
-                &clustering,
-                0.0,
-                &schedule,
-                &RetryPolicy::default(),
-                42,
-            )
+            ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, 42)
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn retry_policy_env_roundtrip() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_retries, 3);
-        assert!(p.backoff_sum(2) > p.backoff_base);
-    }
-
-    #[test]
-    fn backoff_is_shift_capped_and_finite() {
-        let p = RetryPolicy::default();
-        // Below the cap the arithmetic is the plain geometric sum.
-        let naive: f64 = (1..=7).map(|r| p.backoff_base.powi(r)).sum();
-        assert_eq!(p.backoff_sum(7), naive);
-        assert_eq!(p.backoff_at(3), p.backoff_base.powi(3));
-        // Past the cap each retry waits the capped term, the sum stays
-        // finite and is O(1) to compute even at u32::MAX retries.
-        assert_eq!(p.backoff_at(33), p.backoff_at(u32::MAX));
-        let huge = p.backoff_sum(u32::MAX);
-        assert!(huge.is_finite());
-        assert!(huge > p.backoff_sum(1_000));
-        assert_eq!(
-            p.backoff_sum(40),
-            p.backoff_sum(32) + 8.0 * p.backoff_at(32)
-        );
     }
 
     #[test]

@@ -80,7 +80,6 @@ pub struct PubSubSystem<'a> {
     index: SubscriptionIndex,
     /// Per-group state the pricing reads, rebuilt on refresh.
     covers: Covers,
-    threshold: f64,
     stats: SystemStats,
 }
 
@@ -100,23 +99,8 @@ impl<'a> PubSubSystem<'a> {
             rects: Vec::new(),
             index: SubscriptionIndex::build(&[]),
             covers,
-            threshold: 0.0,
             stats: SystemStats::default(),
         }
-    }
-
-    /// Sets the Figure 5 matching threshold (default 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is outside `[0, 1]`.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "threshold is a proportion"
-        );
-        self.threshold = threshold;
-        self
     }
 
     /// Registers a subscription at `node`. Call
@@ -189,7 +173,8 @@ impl<'a> PubSubSystem<'a> {
     }
 
     /// Publishes an event: matches it, chooses multicast or unicast
-    /// per Figure 5, "delivers", and returns the report.
+    /// per Figure 5 at threshold 0 (multicast whenever the event's cell
+    /// has a group), "delivers", and returns the report.
     pub fn publish(&mut self, publisher: NodeId, event: &Point) -> DeliveryReport {
         let interested = self.index.matching(event);
         let interested_set =
@@ -198,8 +183,7 @@ impl<'a> PubSubSystem<'a> {
         interested_nodes.sort_unstable();
         interested_nodes.dedup();
 
-        let matcher = GridMatcher::new(self.dynamic.framework(), self.dynamic.clustering())
-            .with_threshold(self.threshold);
+        let matcher = GridMatcher::new(self.dynamic.framework(), self.dynamic.clustering());
         let group = match matcher.match_event(event, &interested_set) {
             Delivery::Multicast { group } => Some(group),
             Delivery::Unicast => None,

@@ -51,34 +51,6 @@ fn every_interested_node_is_served() {
     }
 }
 
-/// Raising the threshold can only shift deliveries from multicast to
-/// unicast, never lose receivers.
-#[test]
-fn threshold_shifts_multicast_to_unicast() {
-    let t = topo();
-    let nodes: Vec<NodeId> = t.stub_nodes().collect();
-    let run = |threshold: f64| {
-        let grid = Grid::cube(0.0, 20.0, 1, 20).unwrap();
-        let mut sys = PubSubSystem::new(&t, grid, 4).with_threshold(threshold);
-        for i in 0..40 {
-            sys.subscribe(nodes[i % nodes.len()], rect1(0.0, 10.0 + (i % 5) as f64));
-        }
-        sys.refresh();
-        for probe in 0..30 {
-            sys.publish(
-                nodes[probe % nodes.len()],
-                &Point::new(vec![probe as f64 / 2.0]),
-            );
-        }
-        sys.stats()
-    };
-    let lax = run(0.0);
-    let strict = run(1.0);
-    assert_eq!(lax.events, strict.events);
-    assert!(strict.multicast_events <= lax.multicast_events);
-    assert!(strict.unicast_events >= lax.unicast_events);
-}
-
 /// Churn in the middle of a publish stream keeps the system coherent.
 #[test]
 fn interleaved_churn_and_publishing() {

@@ -468,7 +468,7 @@ mod tests {
             Rect::new(vec![Interval::greater_than(5.0), Interval::all()]),
             1,
         );
-        tree.insert(Rect::all(2), 2);
+        tree.insert(Rect::new(vec![Interval::all(); 2]), 2);
         let hits = tree.stab(&Point::new(vec![10.0, -1e6]));
         assert_eq!(hits.len(), 2);
         let hits = tree.stab(&Point::new(vec![3.0, 0.0]));

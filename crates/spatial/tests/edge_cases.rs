@@ -10,7 +10,9 @@ fn rect1(lo: f64, hi: f64) -> Rect {
 #[test]
 fn rtree_all_unbounded_entries() {
     // Every entry is the whole space: heuristics must not NaN out.
-    let items: Vec<(Rect, usize)> = (0..30).map(|i| (Rect::all(3), i)).collect();
+    let items: Vec<(Rect, usize)> = (0..30)
+        .map(|i| (Rect::new(vec![Interval::all(); 3]), i))
+        .collect();
     let tree = RTree::bulk_load(3, items.clone());
     assert_eq!(tree.stab(&Point::new(vec![0.0, 0.0, 0.0])).len(), 30);
     let mut incr = RTree::new(3);
@@ -23,7 +25,9 @@ fn rtree_all_unbounded_entries() {
 #[test]
 fn rtree_query_on_empty_tree() {
     let tree: RTree<u8> = RTree::new(2);
-    assert!(tree.query_intersecting(&Rect::all(2)).is_empty());
+    assert!(tree
+        .query_intersecting(&Rect::new(vec![Interval::all(); 2]))
+        .is_empty());
     assert!(tree.stab(&Point::new(vec![0.0, 0.0])).is_empty());
 }
 

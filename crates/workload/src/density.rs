@@ -191,13 +191,13 @@ mod tests {
         ]);
         assert_eq!(d.mass(&empty), 0.0);
         // Unbounded rectangle: one.
-        assert!((d.mass(&Rect::all(2)) - 1.0).abs() < 1e-9);
+        assert!((d.mass(&Rect::new(vec![Interval::all(); 2])) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn density_dimension_mismatch_panics() {
         let d = PublicationDensity::new(vec![NormalMixture::single(0.0, 1.0)]);
-        let _ = d.mass(&Rect::all(2));
+        let _ = d.mass(&Rect::new(vec![Interval::all(); 2]));
     }
 }

@@ -38,11 +38,6 @@ impl Normal {
         Normal { mean, sd }
     }
 
-    /// The mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Draws one sample.
     pub fn sample(&self, rng: &mut impl Rng) -> f64 {
         // Box–Muller; u1 in (0, 1] to avoid ln(0).

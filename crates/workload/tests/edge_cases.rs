@@ -137,7 +137,7 @@ fn prune_covered_empty_and_singleton() {
     assert_eq!(out.removed, 0);
     let one = vec![Subscription {
         node: NodeId(1),
-        rect: geometry::Rect::all(2),
+        rect: geometry::Rect::new(vec![geometry::Interval::all(); 2]),
     }];
     let out = prune_covered(&one);
     assert_eq!(out.kept.len(), 1);
@@ -148,7 +148,7 @@ fn wildcard_subscription_covers_everything_at_its_node() {
     let subs = vec![
         Subscription {
             node: NodeId(1),
-            rect: geometry::Rect::all(1),
+            rect: geometry::Rect::new(vec![geometry::Interval::all(); 1]),
         },
         Subscription {
             node: NodeId(1),

@@ -8,7 +8,7 @@ use pubsub_core::parallel::with_threads;
 use pubsub_core::{CellProbability, ClusteringAlgorithm, GridFramework, KMeans, KMeansVariant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sim::{Evaluator, ResilienceBreakdown, RetryPolicy};
+use sim::{Evaluator, ResilienceBreakdown};
 use workload::{PredicateDist, Section3Model, Workload};
 
 fn scenario() -> (Topology, Workload) {
@@ -54,14 +54,7 @@ fn zero_fault_run_is_bitwise_noop_at_every_thread_count() {
     for threads in [1, 8] {
         let r = with_threads(threads, || {
             let mut ev = Evaluator::new(&topo, &w);
-            ev.resilience_breakdown(
-                &fw,
-                &clustering,
-                0.0,
-                &FaultSchedule::empty(),
-                &RetryPolicy::default(),
-                2002,
-            )
+            ev.resilience_breakdown(&fw, &clustering, 0.0, &FaultSchedule::empty(), 2002)
         });
         assert_eq!(
             r.multicast_cost.to_bits(),
@@ -91,14 +84,7 @@ fn faulty_run_is_thread_count_invariant() {
     let run = |threads: usize| -> ResilienceBreakdown {
         with_threads(threads, || {
             let mut ev = Evaluator::new(&topo, &w);
-            ev.resilience_breakdown(
-                &fw,
-                &clustering,
-                0.0,
-                &schedule,
-                &RetryPolicy::default(),
-                2002,
-            )
+            ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, 2002)
         })
     };
     let one = run(1);
@@ -117,14 +103,7 @@ fn faulty_runs_partition_the_interested_set() {
     for seed in [3u64, 17, 2002] {
         let schedule = FaultSchedule::random(topo.graph(), &stormy(3), seed);
         let mut ev = Evaluator::new(&topo, &w);
-        let r = ev.resilience_breakdown(
-            &fw,
-            &clustering,
-            0.0,
-            &schedule,
-            &RetryPolicy::default(),
-            seed,
-        );
+        let r = ev.resilience_breakdown(&fw, &clustering, 0.0, &schedule, seed);
         assert_eq!(
             r.delivered + r.fallback_deliveries + r.dropped,
             r.interested,
