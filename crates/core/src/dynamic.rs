@@ -27,7 +27,9 @@ use crate::validate::{ValidationError, Validator};
 
 /// Dirty-fraction threshold above which [`DynamicClustering::rebalance`]
 /// falls back to the full re-rasterizing path, unless
-/// [`DynamicClustering::with_max_dirty`] sets another.
+/// [`DynamicClustering::with_max_dirty`] sets another. A rebalance with
+/// nothing pending has fraction 0, never above any threshold, so it
+/// takes the delta path.
 const DEFAULT_MAX_DIRTY: f64 = 0.2;
 
 /// Stable identifier of a dynamic subscription.
@@ -183,8 +185,10 @@ impl DynamicClustering {
     /// Overrides the dirty-fraction threshold of the incremental path
     /// (default 0.2): deltas touching at most `fraction` of the slots
     /// fold in incrementally, larger ones re-rasterize everything.
-    /// `0.0` always takes the full path, `1.0` (or more) always tries
-    /// the incremental one.
+    /// `0.0` takes the full path whenever a slot changed; a rebalance
+    /// with nothing pending has fraction 0 and takes the delta path (a
+    /// no-op fold) at any threshold. `1.0` (or more) always tries the
+    /// incremental one.
     pub fn with_max_dirty(mut self, fraction: f64) -> Self {
         assert!(fraction >= 0.0, "fraction must be non-negative");
         self.max_dirty = fraction;
@@ -286,8 +290,9 @@ impl DynamicClustering {
     /// slots (0.2, or what [`DynamicClustering::with_max_dirty`] set),
     /// the framework is updated in place via
     /// [`GridFramework::apply_delta`] — only dirty cells are
-    /// re-rasterized and unchanged hyper-cells carry over. Larger
-    /// deltas re-rasterize every slot. Both paths produce bit-identical
+    /// re-rasterized and unchanged hyper-cells carry over. An empty
+    /// delta is such a delta at any threshold. Larger deltas
+    /// re-rasterize every slot. Both paths produce bit-identical
     /// frameworks, clusterings and move counts at any `PUBSUB_THREADS`,
     /// and neither builds the `O(l²)` pairwise distance matrix.
     pub fn rebalance(&mut self) -> usize {

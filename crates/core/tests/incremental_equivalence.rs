@@ -220,10 +220,11 @@ proptest! {
 
 /// Replays `ops` at `PUBSUB_THREADS` 1 and 8 on an always-incremental
 /// clustering, which carries its K-means group state from swap to swap
-/// (DESIGN.md §10), and before every rebalance clones a full-path twin,
-/// which builds that state from scratch (unless the swap folds nothing
-/// in). Both must report the same moves and bit-equal frameworks and
-/// clusterings. In debug
+/// (DESIGN.md §10), and before every rebalance clones a twin set to the
+/// full path, which builds that state from scratch whenever the swap
+/// folds something in (on an empty delta the twin takes the delta path
+/// too, so that swap checks only the no-op fold). Both must report the
+/// same moves and bit-equal frameworks and clusterings. In debug
 /// builds `rebalance` also holds the carried state, field by field and
 /// masses by bits, to a group set built from scratch from the framework
 /// and the assignment, and every row to a fresh walk.
@@ -251,8 +252,8 @@ fn check_carried(grid: &Grid, ops: &[Op], k: usize) -> Result<(), TestCaseError>
                     Op::Unsubscribe(_) | Op::Resubscribe(..) => {}
                     Op::Rebalance => {
                         let mut scratch = s.clone().with_max_dirty(0.0);
-                        let (carried, rebuilt) = (s.rebalance(), scratch.rebalance());
-                        prop_assert_eq!(carried, rebuilt, "moves at {} threads", threads);
+                        let (carried, twin) = (s.rebalance(), scratch.rebalance());
+                        prop_assert_eq!(carried, twin, "moves at {} threads", threads);
                         prop_assert_eq!(observe(&s), observe(&scratch));
                     }
                 }

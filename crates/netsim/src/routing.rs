@@ -277,6 +277,8 @@ mod tests {
         let r = Router::new(&g);
         let ts = [NodeId(1), NodeId(2)];
         assert_eq!(r.unicast_cost(NodeId(0), ts), 1.0 + 2.0);
+        // An event nobody wants costs nothing.
+        assert_eq!(r.unicast_cost(NodeId(0), []), 0.0);
         // SPT edges {0-1, 1-2} shared → 2.0.
         assert_eq!(r.group_multicast_cost(NodeId(0), &ts), 2.0);
     }

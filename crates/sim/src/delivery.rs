@@ -10,10 +10,10 @@
 //! against its route (a cover — grid group or No-Loss region — or
 //! unicast) under a [`MulticastMode`], and `Evaluator::price_events` is
 //! the one loop that runs it over an event stream in fixed chunks. The
-//! baselines, the grid and No-Loss costs, the breakdown, the resilience
-//! pass and [`crate::PubSubSystem::publish`] all price through them;
-//! what differs per caller (the covers, the No-Loss unicast top-up, the
-//! tally kept per chunk) is passed in as data.
+//! baselines, the grid and No-Loss costs, the breakdown and the
+//! resilience pass all price through them; what differs per caller
+//! (the covers, the No-Loss unicast top-up, the tally kept per chunk)
+//! is passed in as data.
 
 use std::ops::Range;
 

@@ -30,11 +30,9 @@ pub mod report;
 mod resilience;
 mod scenario;
 pub mod stats;
-mod system;
 
 pub use delivery::{BaselineCosts, DeliveryBreakdown, Evaluator, MulticastMode};
 pub use resilience::{
     failure_churn, ChurnReport, ResilienceBreakdown, BACKOFF_BASE, LOSS_PROB, MAX_RETRIES,
 };
 pub use scenario::StockScenario;
-pub use system::{DeliveryReport, PubSubSystem, SystemStats};

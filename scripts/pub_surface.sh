@@ -23,12 +23,11 @@
 #     the free functions of that name.
 # A function without a `self` receiver is therefore used only through a
 # path naming its type. Method-call syntax stays blind: a live method
-# hides a dead one of the same name, as `.group_of_point(`, `.load(`,
-# `.epoch(` and `.with_threshold(` hid `DynamicClustering::
-# group_of_point`, `SnapshotCell::load`, `LoadTracker::load`,
-# `DegradedView::epoch` and `PubSubSystem::with_threshold`. The list is
-# a lower bound. An allow-list entry that is no dead `pub fn` (called
-# now, or gone) is printed too.
+# hides a dead one of the same name, as `.group_of_point(`, `.load(`
+# and `.epoch(` hid `DynamicClustering::group_of_point`,
+# `SnapshotCell::load`, `LoadTracker::load` and `DegradedView::epoch`.
+# The list is a lower bound. An allow-list entry that is no dead
+# `pub fn` (called now, or gone) is printed too.
 #
 #   sh scripts/pub_surface.sh       # from the repository root
 set -eu
