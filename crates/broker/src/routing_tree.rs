@@ -62,15 +62,16 @@ pub struct BrokerState {
 /// ```
 /// use broker::BrokerNetwork;
 /// use geometry::{Interval, Point, Rect};
-/// use netsim::{Graph, NodeId};
+/// use netsim::Graph;
 ///
-/// let mut g = Graph::with_nodes(3);
-/// g.add_edge(NodeId(0), NodeId(1), 1.0)?;
-/// g.add_edge(NodeId(1), NodeId(2), 1.0)?;
-/// let subs = vec![(NodeId(2), Rect::new(vec![Interval::new(0.0, 10.0)?]))];
+/// let mut g = Graph::new();
+/// let [a, b, c] = [(); 3].map(|_| g.add_node());
+/// g.add_edge(a, b, 1.0)?;
+/// g.add_edge(b, c, 1.0)?;
+/// let subs = vec![(c, Rect::new(vec![Interval::new(0.0, 10.0)?]))];
 /// let net = BrokerNetwork::build(&g, &subs);
-/// let d = net.deliver(NodeId(0), &Point::new(vec![5.0]));
-/// assert_eq!(d.receivers, vec![NodeId(2)]);
+/// let d = net.deliver(a, &Point::new(vec![5.0]));
+/// assert_eq!(d.receivers, vec![c]);
 /// assert_eq!(d.cost, 2.0); // two hops along the tree
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -384,9 +385,18 @@ mod tests {
         Rect::new(vec![Interval::new(lo, hi).unwrap()])
     }
 
+    /// `n` isolated nodes.
+    fn isolated(n: usize) -> Graph {
+        let mut g = Graph::new();
+        for _ in 0..n {
+            g.add_node();
+        }
+        g
+    }
+
     /// Path graph 0-1-2-3 with unit costs.
     fn path4() -> Graph {
-        let mut g = Graph::with_nodes(4);
+        let mut g = isolated(4);
         g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         g.add_edge(NodeId(1), NodeId(2), 1.0).unwrap();
         g.add_edge(NodeId(2), NodeId(3), 1.0).unwrap();
@@ -600,7 +610,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "connected")]
     fn disconnected_graph_rejected() {
-        let g = Graph::with_nodes(2);
+        let g = isolated(2);
         let _ = BrokerNetwork::build(&g, &[]);
     }
 }

@@ -274,12 +274,6 @@ impl DynamicClustering {
         self.baseline.len()
     }
 
-    /// Diagnostics of the most recent rebalance (which path ran, how
-    /// much was dirty, how much was reused).
-    pub fn last_rebalance(&self) -> RebalanceStats {
-        self.last_stats
-    }
-
     /// Folds pending subscription changes into the framework and
     /// re-balances the clustering, warm-starting each hyper-cell from
     /// the group its cells belonged to before the change. Returns the
@@ -788,12 +782,12 @@ mod tests {
         ops(&mut inc);
         ops(&mut full);
         let (mi, mf) = (inc.rebalance(), full.rebalance());
-        assert!(inc.last_rebalance().incremental);
+        assert!(inc.last_stats.incremental);
         // Threshold 0.0 forces the full path whenever anything changed
         // (a zero-change rebalance folds in as an incremental no-op).
         assert_eq!(
-            full.last_rebalance().incremental,
-            full.last_rebalance().changed_slots == 0
+            full.last_stats.incremental,
+            full.last_stats.changed_slots == 0
         );
         assert_eq!(mi, mf, "move counts diverge");
         assert_eq!(
@@ -851,11 +845,11 @@ mod tests {
             s.subscribe(rect1(i as f64, i as f64 + 4.0));
         }
         s.rebalance(); // 10/10 dirty → full path
-        assert!(!s.last_rebalance().incremental);
-        assert_eq!(s.last_rebalance().changed_slots, 10);
+        assert!(!s.last_stats.incremental);
+        assert_eq!(s.last_stats.changed_slots, 10);
         s.resubscribe(SubscriptionId(0), rect1(2.0, 6.0)).unwrap();
         s.rebalance(); // 1/10 dirty → incremental
-        let stats = s.last_rebalance();
+        let stats = s.last_stats;
         assert!(stats.incremental);
         assert_eq!(stats.changed_slots, 1);
         assert!(stats.dirty_cells > 0);
@@ -873,8 +867,8 @@ mod tests {
                 d.resubscribe(SubscriptionId(i), r).unwrap();
             }
             d.rebalance();
-            assert_eq!(d.last_rebalance().changed_slots, changed);
-            assert_eq!(d.last_rebalance().incremental, incremental);
+            assert_eq!(d.last_stats.changed_slots, changed);
+            assert_eq!(d.last_stats.incremental, incremental);
         }
     }
 
@@ -890,7 +884,7 @@ mod tests {
         let moves = a.rebalance();
         let stats = b.try_rebalance().expect("healthy rebalance validates");
         assert_eq!(stats.moves, moves);
-        assert_eq!(stats, b.last_rebalance());
+        assert_eq!(stats, b.last_stats);
         assert_eq!(
             a.framework().hypercells().len(),
             b.framework().hypercells().len()
@@ -969,10 +963,10 @@ mod tests {
             s.subscribe(rect1(i as f64, i as f64 + 4.0));
         }
         s.rebalance();
-        assert!(!s.last_rebalance().incremental && carried(&s));
+        assert!(!s.last_stats.incremental && carried(&s));
         s.resubscribe(SubscriptionId(4), rect1(13.0, 19.0)).unwrap();
         s.rebalance();
-        assert!(s.last_rebalance().incremental && carried(&s));
+        assert!(s.last_stats.incremental && carried(&s));
         let mut copy = s.clone();
         assert!(same(&copy, &s));
         for t in [&mut s, &mut copy] {
@@ -980,7 +974,7 @@ mod tests {
         }
         let stats = copy.try_rebalance().expect("the clone rebalances");
         s.rebalance();
-        assert_eq!(stats, s.last_rebalance());
+        assert_eq!(stats, s.last_stats);
         assert!(stats.incremental && carried(&copy) && same(&copy, &s));
         let work = s.fork();
         assert!(carried(&work) && s.groups.is_none());

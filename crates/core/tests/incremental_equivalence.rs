@@ -17,7 +17,7 @@
 use geometry::{CellId, Grid, Interval, Rect};
 use proptest::prelude::*;
 use pubsub_core::{
-    parallel, CellProbability, DynamicClustering, KMeans, KMeansVariant, SubscriptionId, Validator,
+    parallel, CellProbability, DynamicClustering, KMeans, KMeansVariant, SubscriptionId,
 };
 use rand::prelude::*;
 
@@ -119,22 +119,17 @@ fn run_scenario(grid: &Grid, ops: &[Op], k: usize, max_dirty: f64) -> Snapshot {
     (moves, hypercells, groups)
 }
 
-/// Rebalances, then checks that the threshold picked the path it pins
-/// and runs the structural audit, which `rebalance` itself skips in
-/// release builds.
+/// Rebalances through `try_rebalance`, whose structural audit
+/// (`Validator::check_framework` + `check_clustering`) runs in release
+/// builds too, then checks that the threshold picked the path it pins.
 fn rebalance_checked(s: &mut DynamicClustering, max_dirty: f64) -> usize {
-    let moves = s.rebalance();
-    let stats = s.last_rebalance();
+    let stats = s.try_rebalance().expect("rebalance passes its audit");
     assert_eq!(
         stats.incremental,
         max_dirty == f64::INFINITY || stats.changed_slots == 0,
         "threshold {max_dirty} took the wrong path"
     );
-    Validator::new()
-        .check_framework(s.framework())
-        .check_clustering(s.framework(), s.clustering())
-        .assert_clean("rebalance");
-    moves
+    stats.moves
 }
 
 /// Force the two maintenance paths: a threshold of +inf accepts every

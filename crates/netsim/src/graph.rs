@@ -31,14 +31,14 @@ impl EdgeId {
     }
 }
 
-/// An undirected edge with a non-negative communication cost.
+/// An undirected edge with a finite non-negative communication cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// One endpoint.
     pub u: NodeId,
     /// The other endpoint.
     pub v: NodeId,
-    /// Communication cost `c_e ≥ 0`.
+    /// Communication cost `c_e ≥ 0`, finite.
     pub cost: f64,
 }
 
@@ -69,7 +69,7 @@ pub struct Graph {
 pub enum GraphError {
     /// A node id was out of range.
     InvalidNode(NodeId),
-    /// An edge cost was negative or NaN.
+    /// An edge cost was negative, infinite or NaN.
     InvalidCost(f64),
     /// Self-loops are not allowed in network topologies.
     SelfLoop(NodeId),
@@ -79,7 +79,9 @@ impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GraphError::InvalidNode(n) => write!(f, "node {n} does not exist"),
-            GraphError::InvalidCost(c) => write!(f, "edge cost {c} is not a non-negative number"),
+            GraphError::InvalidCost(c) => {
+                write!(f, "edge cost {c} is not a finite non-negative number")
+            }
             GraphError::SelfLoop(n) => write!(f, "self-loop at {n} is not allowed"),
         }
     }
@@ -91,14 +93,6 @@ impl Graph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         Graph::default()
-    }
-
-    /// Creates a graph with `n` isolated nodes.
-    pub fn with_nodes(n: usize) -> Self {
-        Graph {
-            edges: Vec::new(),
-            adj: vec![Vec::new(); n],
-        }
     }
 
     /// Adds a node, returning its id.
@@ -114,7 +108,8 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Rejects unknown endpoints, self-loops, and negative/NaN costs.
+    /// Rejects unknown endpoints, self-loops, and any cost that is not a
+    /// finite non-negative number (negative, `+inf` or NaN).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, cost: f64) -> Result<EdgeId, GraphError> {
         if u.0 >= self.adj.len() {
             return Err(GraphError::InvalidNode(u));
@@ -125,9 +120,8 @@ impl Graph {
         if u == v {
             return Err(GraphError::SelfLoop(u));
         }
-        // `!(cost >= 0.0)` (not `cost < 0.0`) deliberately catches NaN.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(cost >= 0.0) {
+        // `is_finite` is false for NaN as well as for `±inf`.
+        if !cost.is_finite() || cost < 0.0 {
             return Err(GraphError::InvalidCost(cost));
         }
         let id = EdgeId(self.edges.len());
@@ -205,6 +199,17 @@ impl Graph {
 }
 
 #[cfg(test)]
+impl Graph {
+    /// Creates a graph with `n` isolated nodes.
+    pub(crate) fn with_nodes(n: usize) -> Self {
+        Graph {
+            edges: Vec::new(),
+            adj: vec![Vec::new(); n],
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -234,6 +239,10 @@ mod tests {
         assert_eq!(
             g.add_edge(NodeId(0), NodeId(1), -2.0),
             Err(GraphError::InvalidCost(-2.0))
+        );
+        assert_eq!(
+            g.add_edge(NodeId(0), NodeId(1), f64::INFINITY),
+            Err(GraphError::InvalidCost(f64::INFINITY))
         );
         assert!(g.add_edge(NodeId(0), NodeId(1), f64::NAN).is_err());
     }

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod faults;
 mod graph;
 mod load;
 mod mst;
@@ -31,10 +30,9 @@ mod routing;
 mod shortest_path;
 mod topology;
 
-pub use faults::{DegradedView, Fault, FaultModel, FaultSchedule};
 pub use graph::{Edge, EdgeId, Graph, GraphError, NodeId};
 pub use load::LoadTracker;
 pub use mst::{overlay_mst, UnionFind};
-pub use routing::{Router, ViewTransition};
+pub use routing::Router;
 pub use shortest_path::ShortestPathTree;
 pub use topology::{CostRange, NodeKind, Stub, StubId, Topology, TopologyStats, TransitStubParams};

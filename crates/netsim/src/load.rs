@@ -17,14 +17,15 @@ use crate::shortest_path::ShortestPathTree;
 /// # Examples
 ///
 /// ```
-/// use netsim::{Graph, LoadTracker, NodeId, ShortestPathTree};
+/// use netsim::{Graph, LoadTracker, ShortestPathTree};
 ///
-/// let mut g = Graph::with_nodes(3);
-/// g.add_edge(NodeId(0), NodeId(1), 1.0)?;
-/// g.add_edge(NodeId(1), NodeId(2), 1.0)?;
-/// let spt = ShortestPathTree::compute(&g, NodeId(0));
+/// let mut g = Graph::new();
+/// let [a, b, c] = [(); 3].map(|_| g.add_node());
+/// g.add_edge(a, b, 1.0)?;
+/// g.add_edge(b, c, 1.0)?;
+/// let spt = ShortestPathTree::compute(&g, a);
 /// let mut load = LoadTracker::new(&g);
-/// load.record_multicast(&g, &spt, [NodeId(2)], 1.0);
+/// load.record_multicast(&g, &spt, [c], 1.0);
 /// assert_eq!(load.max_load(), 1.0);
 /// assert_eq!(load.total_traffic(), 2.0); // two links crossed
 /// # Ok::<(), netsim::GraphError>(())

@@ -21,23 +21,9 @@
 
 use std::collections::HashMap;
 
-use crate::faults::DegradedView;
 use crate::graph::{Graph, NodeId};
 use crate::mst::overlay_mst;
 use crate::shortest_path::ShortestPathTree;
-
-/// How a [`Router::set_view`] transition affected the SPT map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ViewTransition {
-    /// Whether an edge *improved* (revival / degradation easing), which
-    /// forces every held tree out — a better edge can create shortcuts
-    /// for trees that never touched it.
-    pub full_rebuild: bool,
-    /// Trees dropped by this transition.
-    pub invalidated: usize,
-    /// Trees that survived (they dodge every changed edge).
-    pub retained: usize,
-}
 
 /// A routing oracle over a fixed network: holds one shortest-path tree
 /// per warmed source and answers delivery-cost queries for every scheme
@@ -45,8 +31,7 @@ pub struct ViewTransition {
 ///
 /// Trees enter the map only through [`Router::warm`] (serial) and
 /// [`Router::insert_spt`] (trees a caller computed, typically in
-/// parallel, over [`Router::routed_graph`]); [`Router::set_view`] drops
-/// the ones a new failure view invalidates. Every query takes `&self`,
+/// parallel, over [`Router::graph`]). Every query takes `&self`,
 /// so evaluations can fan out across threads. A query from a source
 /// that was never warmed runs an uncached Dijkstra instead: the same
 /// answer, merely slower.
@@ -54,85 +39,36 @@ pub struct ViewTransition {
 /// # Examples
 ///
 /// ```
-/// use netsim::{Graph, NodeId, Router};
+/// use netsim::{Graph, Router};
 ///
-/// let mut g = Graph::with_nodes(3);
-/// g.add_edge(NodeId(0), NodeId(1), 1.0)?;
-/// g.add_edge(NodeId(1), NodeId(2), 1.0)?;
+/// let mut g = Graph::new();
+/// let [a, b, c] = [(); 3].map(|_| g.add_node());
+/// g.add_edge(a, b, 1.0)?;
+/// g.add_edge(b, c, 1.0)?;
 /// let mut router = Router::new(&g);
-/// router.warm([NodeId(0)]);
-/// assert_eq!(router.unicast_cost(NodeId(0), [NodeId(1), NodeId(2)]), 3.0);
-/// assert_eq!(router.group_multicast_cost(NodeId(0), &[NodeId(1), NodeId(2)]), 2.0);
+/// router.warm([a]);
+/// assert_eq!(router.unicast_cost(a, [b, c]), 3.0);
+/// assert_eq!(router.group_multicast_cost(a, &[b, c]), 2.0);
 /// # Ok::<(), netsim::GraphError>(())
 /// ```
 #[derive(Debug)]
 pub struct Router<'g> {
     graph: &'g Graph,
-    /// The failure state the router currently routes under.
-    view: DegradedView,
-    /// Materialized degraded graph (same ids as `graph`, dead edges at
-    /// `+inf`); `None` while the view is healthy so the fault-free path
-    /// runs the exact original code.
-    degraded: Option<Graph>,
     spts: HashMap<NodeId, ShortestPathTree>,
 }
 
 impl<'g> Router<'g> {
-    /// Creates a router over `graph` with a fully healthy view and no
-    /// warmed source.
+    /// Creates a router over `graph` with no warmed source.
     pub fn new(graph: &'g Graph) -> Self {
         Router {
             graph,
-            view: DegradedView::healthy(graph),
-            degraded: None,
             spts: HashMap::new(),
         }
     }
 
-    /// The underlying (healthy) graph.
+    /// The graph routes and costs are computed on.
     pub fn graph(&self) -> &'g Graph {
         self.graph
-    }
-
-    /// The graph routes and costs are computed on: the installed view's
-    /// degraded materialization, or the healthy graph.
-    pub fn routed_graph(&self) -> &Graph {
-        self.degraded.as_ref().unwrap_or(self.graph)
-    }
-
-    /// The failure view the router currently routes under.
-    pub fn view(&self) -> &DegradedView {
-        &self.view
-    }
-
-    /// Installs a new failure view, incrementally invalidating the SPT
-    /// map: only trees that traverse a changed edge (or whose source
-    /// flipped liveness) are dropped — unless some edge *improved*, in
-    /// which case every tree goes (a revived link can shortcut paths
-    /// that never used it). Returns what happened to the map.
-    pub fn set_view(&mut self, view: DegradedView) -> ViewTransition {
-        let before = self.spts.len();
-        let full_rebuild = view.has_improvement_over(&self.view, self.graph);
-        if full_rebuild {
-            self.spts.clear();
-        } else {
-            let prev = &self.view;
-            let graph = self.graph;
-            self.spts
-                .retain(|_, tree| !view.invalidates_tree(prev, graph, tree));
-        }
-        let retained = self.spts.len();
-        self.degraded = if view.is_healthy() {
-            None
-        } else {
-            Some(view.apply(self.graph))
-        };
-        self.view = view;
-        ViewTransition {
-            full_rebuild,
-            invalidated: before - retained,
-            retained,
-        }
     }
 
     /// Computes, one after another, the tree of every source in
@@ -142,22 +78,21 @@ impl<'g> Router<'g> {
     ///
     /// Panics if a source is out of range.
     pub fn warm(&mut self, sources: impl IntoIterator<Item = NodeId>) {
-        let graph = self.degraded.as_ref().unwrap_or(self.graph);
         for src in sources {
             self.spts
                 .entry(src)
-                .or_insert_with(|| ShortestPathTree::compute(graph, src));
+                .or_insert_with(|| ShortestPathTree::compute(self.graph, src));
         }
     }
 
     /// Adds a precomputed shortest-path tree, keyed by its source. The
-    /// tree must have been computed over [`Router::routed_graph`].
+    /// tree must have been computed over [`Router::graph`].
     pub fn insert_spt(&mut self, spt: ShortestPathTree) {
         self.spts.insert(spt.source(), spt);
     }
 
     /// The held shortest-path tree rooted at `src`, or `None` when
-    /// `src` was never warmed (or its tree was invalidated).
+    /// `src` was never warmed.
     pub fn spt(&self, src: NodeId) -> Option<&ShortestPathTree> {
         self.spts.get(&src)
     }
@@ -167,7 +102,7 @@ impl<'g> Router<'g> {
     fn with_spt<R>(&self, src: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
         match self.spts.get(&src) {
             Some(spt) => f(spt),
-            None => f(&ShortestPathTree::compute(self.routed_graph(), src)),
+            None => f(&ShortestPathTree::compute(self.graph, src)),
         }
     }
 
@@ -186,7 +121,7 @@ impl<'g> Router<'g> {
     /// group members. Each shared tree edge is traversed once.
     pub fn group_multicast_cost(&self, src: NodeId, members: &[NodeId]) -> f64 {
         self.with_spt(src, |spt| {
-            spt.multicast_tree_cost(self.routed_graph(), members.iter().copied())
+            spt.multicast_tree_cost(self.graph, members.iter().copied())
         })
     }
 
@@ -427,7 +362,7 @@ mod tests {
         let g = line();
         let mut r = Router::new(&g);
         assert!(r.spt(NodeId(0)).is_none());
-        r.insert_spt(ShortestPathTree::compute(r.routed_graph(), NodeId(0)));
+        r.insert_spt(ShortestPathTree::compute(r.graph(), NodeId(0)));
         assert_eq!(r.spts.len(), 1);
         assert_eq!(r.spt(NodeId(0)).map(|t| t.source()), Some(NodeId(0)));
         assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
@@ -450,74 +385,20 @@ mod tests {
     }
 
     #[test]
-    fn router_view_reroutes_and_invalidates_incrementally() {
-        use crate::faults::{Fault, FaultSchedule};
-        use crate::graph::EdgeId;
-        let g = line();
+    fn unreachable_receivers_are_left_out_silently() {
+        // Path 0-1 with node 2 isolated: no route reaches it.
+        let iso = NodeId(2);
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
         let mut r = Router::new(&g);
-        assert!(r.view().is_healthy());
-        // Warm trees from both ends.
-        r.warm([NodeId(0), NodeId(2)]);
-        assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
-        assert_eq!(r.distance(NodeId(2), NodeId(0)), 2.0);
-        assert_eq!(r.spts.len(), 2);
-
-        // Fail the middle edge 1-2: both trees traverse it.
-        let schedule = FaultSchedule::new(2)
-            .with(0, Fault::LinkDown(EdgeId(1)))
-            .with(1, Fault::LinkUp(EdgeId(1)));
-        let down = schedule.view_at(&g, 0);
-        let t = r.set_view(down);
-        assert!(!t.full_rebuild);
-        assert_eq!(t.invalidated, 2);
-        assert_eq!(t.retained, 0);
-        // Routing now detours over the expensive shortcut.
-        assert_eq!(r.distance(NodeId(0), NodeId(2)), 5.0);
-        assert_eq!(r.distance(NodeId(0), NodeId(1)), 1.0);
-        assert_eq!(
-            r.group_multicast_cost(NodeId(0), &[NodeId(1), NodeId(2)]),
-            6.0
-        );
-
-        // Reviving the edge is an improvement: full rebuild, healthy
-        // answers return bit-identically.
-        let up = schedule.view_at(&g, 1);
-        let t = r.set_view(up);
-        assert!(t.full_rebuild);
-        assert_eq!(r.spts.len(), 0);
-        assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
-
-        // A failure the held tree dodges leaves it in place.
         r.warm([NodeId(0)]);
-        let far = FaultSchedule::new(1)
-            .with(0, Fault::LinkDown(EdgeId(2)))
-            .view_at(&g, 0);
-        let warm_before = r.spts.len();
-        let t = r.set_view(far);
-        assert!(!t.full_rebuild);
-        assert_eq!(t.retained, warm_before);
-        assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);
-    }
-
-    #[test]
-    fn costs_after_set_view_read_the_degraded_graph() {
-        use crate::faults::{Fault, FaultSchedule};
-        use crate::graph::EdgeId;
-        let g = line();
-        let mut r = Router::new(&g);
-        let down = FaultSchedule::new(1)
-            .with(0, Fault::LinkDown(EdgeId(1)))
-            .view_at(&g, 0);
-        r.set_view(down);
-        r.warm([NodeId(0)]);
-        // Warm and cold sources both route around the dead 1-2 link.
-        assert_eq!(r.distance(NodeId(0), NodeId(2)), 5.0);
-        assert_eq!(r.distance(NodeId(1), NodeId(2)), 6.0);
-        assert_eq!(
-            r.group_multicast_cost(NodeId(0), &[NodeId(1), NodeId(2)]),
-            6.0
-        );
-        assert_eq!(r.routed_graph().edge(EdgeId(1)).cost, f64::INFINITY);
+        // Unicast and group multicast both skip the unreachable
+        // receiver instead of failing; the reachable one is still
+        // served.
+        assert_eq!(r.unicast_cost(NodeId(0), [NodeId(1), iso]), 1.0);
+        assert_eq!(r.group_multicast_cost(NodeId(0), &[NodeId(1), iso]), 1.0);
+        // Broadcast (every node a receiver) skips it too.
+        assert_eq!(r.group_multicast_cost(NodeId(0), &all(&g)), 1.0);
     }
 
     #[test]

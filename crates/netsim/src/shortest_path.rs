@@ -111,16 +111,6 @@ impl ShortestPathTree {
         self.dist[n.0].is_finite()
     }
 
-    /// The parent hop `(parent_node, edge)` of `n` in the tree, `None`
-    /// for the source or unreachable nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is out of range.
-    pub fn parent(&self, n: NodeId) -> Option<(NodeId, EdgeId)> {
-        self.parent[n.0]
-    }
-
     /// The tree edges on the path from the source to `n`, in root-to-leaf
     /// order; empty for the source itself.
     ///
@@ -193,12 +183,6 @@ impl ShortestPathTree {
             }
         }
         edges
-    }
-
-    /// All edges of the full shortest-path tree (one parent edge per
-    /// reachable non-source node), in node-id order.
-    pub fn tree_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.parent.iter().filter_map(|p| p.map(|(_, e)| e))
     }
 
     /// Sum of shortest-path distances from the source to each target —

@@ -9,13 +9,10 @@
 //! Every price is written once: [`Covers::price`] prices one event
 //! against its route (a cover — grid group or No-Loss region — or
 //! unicast) under a [`MulticastMode`], and `Evaluator::price_events` is
-//! the one loop that runs it over an event stream in fixed chunks. The
-//! baselines, the grid and No-Loss costs, the breakdown and the
-//! resilience pass all price through them; what differs per caller
-//! (the covers, the No-Loss unicast top-up, the tally kept per chunk)
-//! is passed in as data.
-
-use std::ops::Range;
+//! the one loop that runs it over the event stream in fixed chunks. The
+//! baselines, the grid and No-Loss costs and the breakdown all price
+//! through them; what differs per caller (the covers, the No-Loss
+//! unicast top-up, the tally kept per chunk) is passed in as data.
 
 use netsim::{NodeId, Router, ShortestPathTree, Topology};
 use pubsub_core::{
@@ -28,7 +25,7 @@ use workload::Workload;
 /// a constant — never derived from the thread count — so partial sums
 /// are combined identically no matter how many workers run, keeping
 /// every reported figure bit-for-bit reproducible.
-pub(crate) const EVENT_CHUNK: usize = 64;
+const EVENT_CHUNK: usize = 64;
 
 /// Which multicast substrate delivers group traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +107,7 @@ impl DeliveryBreakdown {
 
 /// One event's price: what its delivery costs.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Price {
+struct Price {
     /// Cost of the multicast to the routed cover; `None` for an event
     /// routed to unicast.
     pub multicast: Option<f64>,
@@ -123,7 +120,7 @@ pub(crate) struct Price {
 /// The per-cover state a pricing pass reads: each cover's member nodes
 /// (sorted) and, for the covers events route to, the overlay tree cost
 /// (application-level mode) or the rendezvous point (sparse mode).
-pub(crate) struct Covers {
+struct Covers {
     mode: MulticastMode,
     /// Whether interested nodes outside a routed cover get a unicast
     /// top-up (No-Loss delivery, Figure 6).
@@ -138,7 +135,7 @@ impl Covers {
     /// covers. Warm every member of a routed cover in `router` first
     /// unless `mode` is network-supported, or each cold member costs a
     /// Dijkstra run per distance it answers.
-    pub(crate) fn new(
+    fn new(
         router: &Router,
         nodes: Vec<Vec<NodeId>>,
         mode: MulticastMode,
@@ -172,7 +169,7 @@ impl Covers {
     }
 
     /// The member nodes of cover `c`, sorted.
-    pub(crate) fn members(&self, c: usize) -> &[NodeId] {
+    fn members(&self, c: usize) -> &[NodeId] {
         &self.nodes[c]
     }
 
@@ -183,7 +180,7 @@ impl Covers {
     /// # Panics
     ///
     /// Panics if `route` names a cover whose state was not built.
-    pub(crate) fn price(
+    fn price(
         &self,
         router: &Router,
         publisher: NodeId,
@@ -245,14 +242,14 @@ fn add_cost(acc: &mut f64, _event: usize, price: Price) {
 /// parallel once per source and inserted into the [`Router`], then
 /// per-event costs are summed in fixed-size chunks against it.
 pub struct Evaluator<'a> {
-    pub(crate) topo: &'a Topology,
-    pub(crate) workload: &'a Workload,
-    pub(crate) router: Router<'a>,
+    topo: &'a Topology,
+    workload: &'a Workload,
+    router: Router<'a>,
     /// Interested subscription ids per event (aligned with
     /// `workload.events`).
-    pub(crate) interested_subs: Vec<BitSet>,
+    interested_subs: Vec<BitSet>,
     /// Deduplicated interested nodes per event.
-    pub(crate) interested_nodes: Vec<Vec<NodeId>>,
+    interested_nodes: Vec<Vec<NodeId>>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -302,7 +299,7 @@ impl<'a> Evaluator<'a> {
 
     /// Ensures the router holds a shortest-path tree for every source in
     /// `sources`, computing the missing ones in parallel.
-    pub(crate) fn ensure_spts(&mut self, sources: impl IntoIterator<Item = NodeId>) {
+    fn ensure_spts(&mut self, sources: impl IntoIterator<Item = NodeId>) {
         let mut missing: Vec<NodeId> = sources
             .into_iter()
             .filter(|&s| self.router.spt(s).is_none())
@@ -321,7 +318,7 @@ impl<'a> Evaluator<'a> {
 
     /// Member-node lists of every group-like membership set, sorted and
     /// deduplicated, computed in parallel.
-    pub(crate) fn member_nodes<'m>(
+    fn member_nodes<'m>(
         &self,
         memberships: impl IntoIterator<Item = &'m BitSet>,
     ) -> Vec<Vec<NodeId>> {
@@ -352,7 +349,7 @@ impl<'a> Evaluator<'a> {
     /// The Figure 5 route of every event: [`GridMatcher::match_event`]
     /// over the precomputed interested sets, `Some(group)` for a
     /// multicast.
-    pub(crate) fn grid_routes(
+    fn grid_routes(
         &self,
         framework: &GridFramework,
         clustering: &Clustering,
@@ -368,7 +365,7 @@ impl<'a> Evaluator<'a> {
 
     /// The Figure 6 route of every event: the heaviest No-Loss region
     /// containing it.
-    pub(crate) fn noloss_routes(&self, clustering: &NoLossClustering) -> Vec<Option<usize>> {
+    fn noloss_routes(&self, clustering: &NoLossClustering) -> Vec<Option<usize>> {
         let events = &self.workload.events;
         self.routes(|e| clustering.match_event(&events[e].point))
     }
@@ -377,7 +374,7 @@ impl<'a> Evaluator<'a> {
     /// some event routes to, after warming every tree the pricing pass
     /// will read (each publisher's, and in overlay or sparse mode each
     /// routed cover member's).
-    pub(crate) fn covers(
+    fn covers(
         &mut self,
         nodes: Vec<Vec<NodeId>>,
         routes: &[Option<usize>],
@@ -400,27 +397,25 @@ impl<'a> Evaluator<'a> {
         Covers::new(&self.router, nodes, mode, top_up, |c| routed[c])
     }
 
-    /// The one per-event pricing loop: prices the events in `events`
-    /// against `routes` and `covers` on `router`, folding each price
-    /// into a per-chunk tally with `tally(&mut partial, event, price)`.
-    /// Chunks are the fixed `EVENT_CHUNK`, counted from `events.start`,
-    /// and the tallies come back in chunk order, so a caller that folds
-    /// them left to right gets the same bits at any thread count.
-    pub(crate) fn price_events<P: Default + Send>(
+    /// The one per-event pricing loop: prices every event against
+    /// `routes` and `covers`, folding each price into a per-chunk tally
+    /// with `tally(&mut partial, event, price)`. Chunks are the fixed
+    /// `EVENT_CHUNK` and the tallies come back in chunk order, so a
+    /// caller that folds them left to right gets the same bits at any
+    /// thread count.
+    fn price_events<P: Default + Send>(
         &self,
-        router: &Router,
         covers: &Covers,
         routes: &[Option<usize>],
-        events: Range<usize>,
         tally: impl Fn(&mut P, usize, Price) + Sync,
     ) -> Vec<P> {
         let stream = &self.workload.events;
         let inodes = &self.interested_nodes;
-        let lo = events.start;
+        let router = &self.router;
         // lint: hot-path
-        parallel::par_chunks(events.len(), EVENT_CHUNK, |range| {
+        parallel::par_chunks(self.num_events(), EVENT_CHUNK, |range| {
             let mut partial = P::default();
-            for e in range.start + lo..range.end + lo {
+            for e in range {
                 let price = covers.price(router, stream[e].publisher, routes[e], &inodes[e]);
                 tally(&mut partial, e, price);
             }
@@ -433,7 +428,7 @@ impl<'a> Evaluator<'a> {
     fn mean_cost(&self, covers: &Covers, routes: &[Option<usize>]) -> f64 {
         let n = self.num_events();
         let total: f64 = self
-            .price_events(&self.router, covers, routes, 0..n, add_cost)
+            .price_events(covers, routes, add_cost)
             .into_iter()
             // lint: allow(float-det): the partials come from par_chunks'
             // fixed EVENT_CHUNK decomposition, returned in chunk order;
@@ -504,12 +499,8 @@ impl<'a> Evaluator<'a> {
         // thread-count independent). Until the division below, the
         // `mean_*` fields hold sums of node counts, which f64 adds
         // exactly.
-        let partials = self.price_events(
-            &self.router,
-            &covers,
-            &routes,
-            0..n,
-            |p: &mut DeliveryBreakdown, e, price| {
+        let partials =
+            self.price_events(&covers, &routes, |p: &mut DeliveryBreakdown, e, price| {
                 p.mean_interested_nodes += inodes[e].len() as f64;
                 match (routes[e], price.multicast) {
                     (Some(c), Some(cost)) => {
@@ -529,8 +520,7 @@ impl<'a> Evaluator<'a> {
                         p.unicast_cost += price.unicast;
                     }
                 }
-            },
-        );
+            });
         let mut out = DeliveryBreakdown {
             events: n,
             ..DeliveryBreakdown::default()

@@ -27,12 +27,8 @@
 mod delivery;
 pub mod experiments;
 pub mod report;
-mod resilience;
 mod scenario;
 pub mod stats;
 
 pub use delivery::{BaselineCosts, DeliveryBreakdown, Evaluator, MulticastMode};
-pub use resilience::{
-    failure_churn, ChurnReport, ResilienceBreakdown, BACKOFF_BASE, LOSS_PROB, MAX_RETRIES,
-};
 pub use scenario::StockScenario;

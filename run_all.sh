@@ -19,15 +19,19 @@ run() {
 
 for bin in table1 table2 fig7 fig8 fig9 fig10 fig11 \
            ablations modes architectures loadstats matching_perf fig7stats \
-           regionalism resilience; do
+           regionalism; do
     run "$bin"
 done
 
 echo "== examples =="
-for ex in quickstart stock_market regional_news algorithm_tour \
-          live_system broker_overlay trace_io; do
+mkdir -p "$OUT/examples"
+for ex in quickstart stock_market regional_news live_system \
+          broker_overlay trace_io; do
     echo "-- $ex"
-    cargo run --release -q -p pubsub-bench --example "$ex" > "$OUT/example_${ex}.txt"
+    cargo run --release -q -p pubsub-bench --example "$ex" > "$OUT/examples/${ex}.txt"
 done
+# algorithm_tour prints wall-clock seconds, so its output is not kept.
+echo "-- algorithm_tour"
+cargo run --release -q -p pubsub-bench --example algorithm_tour
 
 echo "all outputs in $OUT/"

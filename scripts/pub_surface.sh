@@ -23,9 +23,9 @@
 #     the free functions of that name.
 # A function without a `self` receiver is therefore used only through a
 # path naming its type. Method-call syntax stays blind: a live method
-# hides a dead one of the same name, as `.group_of_point(`, `.load(`
-# and `.epoch(` hid `DynamicClustering::group_of_point`,
-# `SnapshotCell::load`, `LoadTracker::load` and `DegradedView::epoch`.
+# hides a dead one of the same name, as `.group_of_point(` and `.load(`
+# hid `DynamicClustering::group_of_point`, `SnapshotCell::load` and
+# `LoadTracker::load`.
 # The list is a lower bound. An allow-list entry that is no dead
 # `pub fn` (called now, or gone) is printed too.
 #
