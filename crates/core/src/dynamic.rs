@@ -137,9 +137,9 @@ impl std::error::Error for DynamicError {}
 
 /// Why a [`DynamicClustering::try_rebalance`] attempt was rejected.
 /// Either way the clustering is rolled back to the state it held
-/// before the call — the error never poisons the serve path, which is
-/// exactly what the service-loop watchdog
-/// ([`crate::BrokerService`]) consumes.
+/// before the call — the error never poisons the serve path. The
+/// service's rebalancer ([`crate::BrokerService`]) surfaces it as
+/// [`crate::RebalanceAbort::Rejected`] and keeps serving the last plan.
 #[derive(Debug, Clone)]
 pub enum RebalanceError {
     /// A maintenance path panicked; the payload message is preserved

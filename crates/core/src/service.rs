@@ -1,7 +1,7 @@
 //! The always-on broker service loop: concurrent ingest over an
 //! atomically hot-swapped [`DispatchPlan`], with bounded queues,
-//! explicit overload shedding, and a watchdog-guarded background
-//! rebalancer (DESIGN.md §14).
+//! explicit overload shedding, and a background rebalancer
+//! (DESIGN.md §14).
 //!
 //! Everything before this module is batch: build framework → cluster →
 //! compile plan → replay events. [`BrokerService`] turns the same
@@ -26,19 +26,17 @@
 //!   *clone* of the [`DynamicClustering`] (the one state copy a swap
 //!   makes), runs the audited incremental pipeline on it, compiles the
 //!   next plan and publishes it **only after** the structural
-//!   [`Validator`] passes. A failed, panicking, or timed-out attempt
-//!   rolls back to the last good state (the clone is simply dropped)
-//!   and surfaces a [`RebalanceAbort`] — the serve path is never
-//!   poisoned;
+//!   [`Validator`] passes. A panicking attempt, or one that fails
+//!   an audit, rolls back to the last good state (the clone is simply
+//!   dropped) and surfaces a [`RebalanceAbort`] — the serve path is
+//!   never poisoned. The rebalancer never retries on its own: the
+//!   queued churn waits for the caller's next [`BrokerService::rebalance`];
 //! * **backpressure is explicit**: the ingest queue holds at most
 //!   [`ServiceConfig::queue_depth`] events and overload follows
 //!   [`ServiceConfig::shed`], a [`ShedPolicy`].
 //!   Every shed event is counted with its id, so
 //!   `delivered + shed == offered` exactly partitions the offered load
-//!   — nothing is ever dropped on the floor silently;
-//! * repeated rebalance failures, a missed watchdog deadline
-//!   ([`ServiceConfig::rebalance_timeout`]) among them, back off
-//!   exponentially (from `BACKOFF_BASE`, 10 ms, shift-capped at 640 ms).
+//!   — nothing is ever dropped on the floor silently.
 //!
 //! Determinism: an event's decision depends only on `(event, plan
 //! snapshot)`, and each published snapshot is a pure function of the
@@ -63,15 +61,6 @@ use crate::dynamic::{DynamicClustering, RebalanceError, RebalanceStats, Subscrip
 use crate::matching::Delivery;
 use crate::snapshot::SnapshotCell;
 use crate::validate::Validator;
-
-/// Delay before the rebalance attempt that follows one abort; it
-/// doubles with each further consecutive abort.
-const BACKOFF_BASE: Duration = Duration::from_millis(10);
-
-/// Exponent cap of the abort backoff: after this many consecutive
-/// failures the delay stops doubling (`BACKOFF_BASE << 6`, 640 ms, at
-/// most), so the rebalancer never sleeps unboundedly long.
-const BACKOFF_SHIFT_CAP: u32 = 6;
 
 /// Most events an ingest worker takes per lock acquisition. Measured
 /// throughput is flat from 16 to 1024; 64 is the smallest size on the
@@ -124,9 +113,6 @@ pub struct ServiceConfig {
     pub shed: ShedPolicy,
     /// Multicast threshold compiled into every published plan.
     pub threshold: f64,
-    /// Watchdog deadline for one rebalance attempt (checked between
-    /// pipeline stages); `None` disables the watchdog.
-    pub rebalance_timeout: Option<Duration>,
 }
 
 impl Default for ServiceConfig {
@@ -136,7 +122,6 @@ impl Default for ServiceConfig {
             queue_depth: 1024,
             shed: ShedPolicy::Block,
             threshold: 0.0,
-            rebalance_timeout: Some(Duration::from_millis(5_000)),
         }
     }
 }
@@ -182,13 +167,6 @@ pub struct EventRecord {
 /// serving in every case.
 #[derive(Debug, Clone)]
 pub enum RebalanceAbort {
-    /// The watchdog deadline passed; `stage` names the last completed
-    /// pipeline stage (`churn`, `rebalance`, `compile` — the last
-    /// includes the plan audit).
-    TimedOut {
-        /// Last pipeline stage that completed before the deadline.
-        stage: &'static str,
-    },
     /// The maintenance pipeline itself failed (panic or structural
     /// audit violation) and rolled back.
     Rejected(RebalanceError),
@@ -199,9 +177,6 @@ pub enum RebalanceAbort {
 impl std::fmt::Display for RebalanceAbort {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RebalanceAbort::TimedOut { stage } => {
-                write!(f, "rebalance watchdog fired after stage `{stage}`")
-            }
             RebalanceAbort::Rejected(e) => write!(f, "rebalance rejected: {e}"),
             RebalanceAbort::PlanRejected(e) => write!(f, "compiled plan rejected: {e}"),
         }
@@ -217,8 +192,8 @@ pub struct SwapReport {
     pub version: u64,
     /// Diagnostics of the underlying [`DynamicClustering`] rebalance.
     pub stats: RebalanceStats,
-    /// Churn ops skipped because their target id was unknown or
-    /// already gone (e.g. raced a crash-forced unsubscribe).
+    /// Churn ops skipped: an unsubscribe or resubscribe of an id that
+    /// was never issued or is already gone.
     pub rejected_ops: usize,
     /// Live subscriptions after the swap.
     pub subscriptions: usize,
@@ -235,7 +210,8 @@ pub struct ServiceReport {
     pub shed: u64,
     /// Plans published after validation (excluding the initial plan).
     pub swaps: u64,
-    /// Rebalance attempts aborted (timeout, panic, audit).
+    /// Rebalance attempts aborted (a panic, or a failed clustering or
+    /// plan audit).
     pub aborts: u64,
     /// Total churn ops skipped across all swaps.
     pub rejected_ops: u64,
@@ -449,20 +425,7 @@ struct Rebalancer {
     dynamic: DynamicClustering,
     pending: Vec<ServiceOp>,
     threshold: f64,
-    timeout: Option<Duration>,
-    consecutive_failures: u32,
     shared: Arc<Shared>,
-}
-
-/// Shift-capped exponential backoff:
-/// `BACKOFF_BASE << min(failures - 1, BACKOFF_SHIFT_CAP)`, `ZERO` when
-/// there is no failure streak.
-fn backoff_delay(consecutive_failures: u32) -> Duration {
-    if consecutive_failures == 0 {
-        return Duration::ZERO;
-    }
-    let shift = (consecutive_failures - 1).min(BACKOFF_SHIFT_CAP);
-    BACKOFF_BASE * (1u32 << shift)
 }
 
 impl Rebalancer {
@@ -477,7 +440,6 @@ impl Rebalancer {
                     };
                     match &outcome {
                         Ok(report) => {
-                            self.consecutive_failures = 0;
                             // lint: allow(atomic-order): statistics
                             // counter; exact totals are read only after
                             // shutdown() joins this thread, and the
@@ -491,7 +453,6 @@ impl Rebalancer {
                                 .fetch_add(report.rejected_ops as u64, Ordering::Relaxed);
                         }
                         Err(_) => {
-                            self.consecutive_failures = self.consecutive_failures.saturating_add(1);
                             // lint: allow(atomic-order): statistics
                             // counter, exact only after the shutdown
                             // join (same as `swaps`).
@@ -511,27 +472,14 @@ impl Rebalancer {
         self.dynamic
     }
 
-    /// One guarded rebalance attempt: churn → rebalance → compile +
-    /// validate → publish, with the watchdog deadline checked between
-    /// stages. All work happens on a clone that takes the carried
-    /// K-means group state along ([`DynamicClustering::fork`]); an
-    /// abort at any stage drops the clone, leaving the last good state
-    /// (and plan) in force and the next attempt to rebuild the group
-    /// state from scratch. A committed swap hands back the state it
-    /// replaced, for the caller to drop after answering.
+    /// One audited rebalance attempt: churn → rebalance → compile +
+    /// validate → publish. All work happens on a clone that takes the
+    /// carried K-means group state along ([`DynamicClustering::fork`]);
+    /// an abort drops the clone, leaving the last good state (and plan)
+    /// and every queued op in force, and the next attempt to rebuild the
+    /// group state from scratch. A committed swap hands back the state
+    /// it replaced, for the caller to drop after answering.
     fn attempt(&mut self) -> Result<(SwapReport, DynamicClustering), RebalanceAbort> {
-        let delay = backoff_delay(self.consecutive_failures);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        let deadline = self.timeout.map(|t| Instant::now() + t);
-        let overdue = |stage: &'static str| -> Result<(), RebalanceAbort> {
-            match deadline {
-                Some(d) if Instant::now() >= d => Err(RebalanceAbort::TimedOut { stage }),
-                _ => Ok(()),
-            }
-        };
-
         let mut work = self.dynamic.fork();
         let mut rejected = 0usize;
         for op in &self.pending {
@@ -552,14 +500,10 @@ impl Rebalancer {
                 }
             }
         }
-        overdue("churn")?;
 
         // `work` is the rollback: an error drops it half-updated.
         let stats = work.rebalance_audited().map_err(RebalanceAbort::Rejected)?;
-        overdue("rebalance")?;
-
         let plan = compile_plan(&work, self.threshold)?;
-        overdue("compile")?;
 
         // Commit: the clone becomes the truth and the plan goes live.
         let version = self.shared.plan.epoch() + 1;
@@ -719,8 +663,6 @@ impl BrokerService {
             dynamic,
             pending: Vec::new(),
             threshold: config.threshold,
-            timeout: config.rebalance_timeout,
-            consecutive_failures: 0,
             shared: Arc::clone(&shared),
         };
         let rebalancer = std::thread::spawn(move || rebalancer.run(rx));
@@ -838,9 +780,9 @@ impl BrokerService {
         id
     }
 
-    /// Queues an unsubscribe for the next rebalance. Unknown or
-    /// already-gone ids are counted as rejected ops, not errors — a
-    /// crash-forced removal may legitimately race a user unsubscribe.
+    /// Queues an unsubscribe for the next rebalance. An id that was
+    /// never issued or is already gone is counted as a rejected op, not
+    /// an error.
     pub fn unsubscribe(&self, id: SubscriptionId) {
         self.send(ControlMsg::Ops(vec![ServiceOp::Unsubscribe { id }]));
     }
@@ -895,25 +837,11 @@ impl BrokerService {
         self.shared.plan.epoch()
     }
 
-    /// Plans published so far (excluding the initial one).
-    pub fn swaps(&self) -> u64 {
-        // lint: allow(atomic-order): monitoring getter of a monotonic
-        // counter; a momentarily stale value is fine, exact totals
-        // come from shutdown() after the joins.
-        self.shared.swaps.load(Ordering::Relaxed)
-    }
-
-    /// Rebalance attempts aborted so far.
-    pub fn aborts(&self) -> u64 {
-        // lint: allow(atomic-order): monitoring getter of a monotonic
-        // counter (same as `swaps`).
-        self.shared.aborts.load(Ordering::Relaxed)
-    }
-
     /// Events shed so far.
     pub fn shed(&self) -> u64 {
         // lint: allow(atomic-order): monitoring getter of a monotonic
-        // counter (same as `swaps`).
+        // counter; a momentarily stale value is fine, exact totals
+        // come from shutdown() after the joins.
         self.shared.shed.load(Ordering::Relaxed)
     }
 
@@ -998,7 +926,7 @@ mod tests {
     use geometry::Interval;
 
     // Threaded end-to-end coverage (swap storms, shed accounting,
-    // watchdog aborts) lives in `crates/core/tests/service.rs`; these
+    // rejected rebalances) lives in `crates/core/tests/service.rs`; these
     // tests cover the pure logic only.
 
     #[test]
@@ -1007,7 +935,6 @@ mod tests {
         assert!(d.ingest_threads >= 1);
         assert!(d.queue_depth >= 1);
         assert_eq!(d.shed, ShedPolicy::Block);
-        assert!(d.rebalance_timeout.is_some());
     }
 
     #[test]
@@ -1044,16 +971,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_shift_capped() {
-        assert_eq!(backoff_delay(0), Duration::ZERO);
-        assert_eq!(backoff_delay(1), Duration::from_millis(10));
-        assert_eq!(backoff_delay(4), Duration::from_millis(80));
-        // Far past the cap: 10 ms << 6, never more, never overflowing.
-        assert_eq!(backoff_delay(7), Duration::from_millis(640));
-        assert_eq!(backoff_delay(u32::MAX), Duration::from_millis(640));
-    }
-
-    #[test]
     fn poll_while_stops_on_the_condition_or_the_budget_and_frees_the_lock() {
         let queue = IngestQueue::new(1, 1);
         let busy = |s: &QueueState| s.in_flight > 0;
@@ -1084,12 +1001,6 @@ mod tests {
         });
     }
 
-    /// A paused worker cannot take an event, so an offer must leave its
-    /// wait registered instead of paying a `futex_wake` that only makes
-    /// it park again. The real worker re-registers too fast after such
-    /// a wake for the count to show it, so a second waiter that parks
-    /// exactly as a worker does, but reports why it woke instead of
-    /// parking again, stands beside it.
     /// Eight overlapping 1-D subscriptions on a 16-cell line, rebalanced.
     fn small_population() -> DynamicClustering {
         let grid = geometry::Grid::cube(0.0, 1.0, 1, 16).expect("grid");
@@ -1111,7 +1022,8 @@ mod tests {
     /// the carried K-means group state with the work copy, so that
     /// attempt rebuilds it from scratch — and must publish the plan, and
     /// report the moves, of the same attempt by a rebalancer that never
-    /// aborted.
+    /// aborted. A 2-D subscription on the 1-D grid makes the first
+    /// attempt's rebalance panic; it is unsubscribed before the second.
     #[test]
     fn churn_queued_before_an_abort_reaches_the_next_swap() {
         let dynamic = small_population();
@@ -1121,34 +1033,42 @@ mod tests {
             .expect("service starts");
         let steady_service = BrokerService::start(small_population(), ServiceConfig::default())
             .expect("service starts");
-        let rect = Rect::new(vec![Interval::new(0.3, 0.6).expect("interval")]);
-        let rebalancer = |dynamic, timeout, service: &BrokerService| Rebalancer {
+        let interval = |lo, hi| Interval::new(lo, hi).expect("interval");
+        let (good, bad) = (SubscriptionId(slots), SubscriptionId(slots + 1));
+        let churn = [
+            ServiceOp::Subscribe {
+                id: good,
+                rect: Rect::new(vec![interval(0.3, 0.6)]),
+            },
+            ServiceOp::Subscribe {
+                id: bad,
+                rect: Rect::new(vec![interval(0.1, 0.2), interval(0.1, 0.2)]),
+            },
+        ];
+        let rebalancer = |dynamic, service: &BrokerService| Rebalancer {
             dynamic,
-            pending: vec![ServiceOp::Subscribe {
-                id: SubscriptionId(slots),
-                rect: rect.clone(),
-            }],
+            pending: churn.to_vec(),
             threshold: ServiceConfig::default().threshold,
-            timeout,
-            consecutive_failures: 0,
             shared: Arc::clone(&service.shared),
         };
-        let mut steady = rebalancer(small_population(), None, &steady_service);
-        let mut rebalancer = rebalancer(dynamic, Some(Duration::ZERO), &service);
+        let mut steady = rebalancer(small_population(), &steady_service);
+        let mut rebalancer = rebalancer(dynamic, &service);
         let aborted = rebalancer.attempt();
         assert!(
-            matches!(aborted, Err(RebalanceAbort::TimedOut { stage: "churn" })),
+            matches!(aborted, Err(RebalanceAbort::Rejected(_))),
             "{aborted:?}"
         );
         assert_eq!(
             rebalancer.pending.len(),
-            1,
+            churn.len(),
             "the abort dropped queued churn"
         );
         assert_eq!(rebalancer.dynamic.num_subscriptions(), before);
 
-        rebalancer.timeout = None;
-        let (report, _previous) = rebalancer.attempt().expect("untimed attempt commits");
+        for r in [&mut rebalancer, &mut steady] {
+            r.pending.push(ServiceOp::Unsubscribe { id: bad });
+        }
+        let (report, _previous) = rebalancer.attempt().expect("the next attempt commits");
         assert_eq!(report.version, 1);
         assert_eq!(report.subscriptions, before + 1);
         assert!(rebalancer.pending.is_empty());
@@ -1161,6 +1081,12 @@ mod tests {
         let _ = (service.shutdown(), steady_service.shutdown());
     }
 
+    /// A paused worker cannot take an event, so an offer must leave its
+    /// wait registered instead of paying a `futex_wake` that only makes
+    /// it park again. The real worker re-registers too fast after such
+    /// a wake for the count to show it, so a second waiter that parks
+    /// exactly as a worker does, but reports why it woke instead of
+    /// parking again, stands beside it.
     #[test]
     fn offers_to_a_paused_service_wake_no_parked_worker() {
         let service = BrokerService::start(

@@ -8,9 +8,9 @@
 //!   every event decided by exactly one validated plan;
 //! * `delivered + shed` exactly partitions offered load under each
 //!   shed policy, with the shed id sets the policies promise;
-//! * a timed-out rebalance aborts, rolls back, keeps serving the old
-//!   plan, retains its churn, and recovers after the watchdog is
-//!   retuned live;
+//! * a rejected rebalance aborts, rolls back, keeps serving the old
+//!   plan and keeps its churn out of the clustering, and the swap
+//!   after it equals one from a service that never aborted;
 //! * the windowed ingest protocol (parked-thread counts, one lock per
 //!   window) loses no wake-up under pause/resume/drain contention,
 //!   never serves an event offered after a swap with the plan from
@@ -212,7 +212,6 @@ fn shed_service(dim: usize, policy: ShedPolicy, depth: usize) -> BrokerService {
             queue_depth: depth,
             shed: policy,
             threshold: THRESHOLD,
-            ..ServiceConfig::default()
         },
     )
     .expect("service starts")
@@ -313,13 +312,15 @@ fn block_policy_is_lossless_backpressure() {
     assert!(report.records.iter().all(|r| r.plan_version == 0));
 }
 
-/// A timed-out rebalance aborts and rolls back: no plan is published,
+/// A rejected rebalance aborts and rolls back: no plan is published,
 /// the old plan keeps serving every event, and the churn never reaches
-/// the clustering the service hands back. That the churn stays queued
-/// for the next swap that commits is checked by `service.rs`'s unit
-/// test `churn_queued_before_an_abort_reaches_the_next_swap`.
+/// the clustering the service hands back. A 2-D subscription on the
+/// 1-D grid makes every rebalance panic while it stays queued. That
+/// the churn stays queued for the next swap that commits is checked by
+/// `service.rs`'s unit test
+/// `churn_queued_before_an_abort_reaches_the_next_swap`.
 #[test]
-fn watchdog_abort_rolls_back_and_keeps_serving() {
+fn a_rejected_rebalance_rolls_back_and_keeps_serving() {
     let (dynamic, _) = seed_dynamic(1, 30, 5);
     let before = 30;
     let service = BrokerService::start(
@@ -327,7 +328,6 @@ fn watchdog_abort_rolls_back_and_keeps_serving() {
         ServiceConfig {
             ingest_threads: 2,
             threshold: THRESHOLD,
-            rebalance_timeout: Some(Duration::ZERO),
             ..ServiceConfig::default()
         },
     )
@@ -336,21 +336,19 @@ fn watchdog_abort_rolls_back_and_keeps_serving() {
     let mut rng = StdRng::seed_from_u64(17);
     let added = service.subscribe(random_rect(&mut rng, 1));
     assert_eq!(added, SubscriptionId(before));
+    service.subscribe(random_rect(&mut rng, 2));
 
-    // Every attempt times out instantly (deadline already passed at
-    // the first stage check); repeated failures exercise the backoff,
-    // which sleeps 0, 10 and 20 ms before these three attempts.
-    for expected_aborts in 1..=3u64 {
+    // Every attempt replays the queued churn, wrong subscription
+    // included, so each one is rejected: three aborts in a row.
+    for _ in 0..3 {
         match service.rebalance() {
-            Err(RebalanceAbort::TimedOut { stage }) => assert_eq!(stage, "churn"),
-            other => panic!("expected timeout, got {other:?}"),
+            Err(RebalanceAbort::Rejected(_)) => {}
+            other => panic!("expected a rejected rebalance, got {other:?}"),
         }
-        assert_eq!(service.aborts(), expected_aborts);
     }
-    assert_eq!(service.swaps(), 0);
     assert_eq!(service.plan_epoch(), 0, "no plan published on abort");
 
-    // The old plan still serves while the rebalancer is wedged.
+    // The old plan still serves while every rebalance is rejected.
     for _ in 0..20 {
         service.offer(Point::new(vec![rng.gen_range(0.0..1.0)]));
     }
@@ -363,7 +361,7 @@ fn watchdog_abort_rolls_back_and_keeps_serving() {
     assert_eq!(report.delivered, 20);
     assert_eq!(report.published_versions, vec![0]);
     assert!(report.records.iter().all(|r| r.plan_version == 0));
-    // The queued subscribe stayed churn: the clustering is the seed's.
+    // The queued subscribes stayed churn: the clustering is the seed's.
     assert_eq!(final_dynamic.num_subscriptions(), before);
 }
 
@@ -393,7 +391,6 @@ fn no_wakeup_is_lost_under_pause_resume_and_drain_contention() {
                 queue_depth: 2,
                 shed: ShedPolicy::Block,
                 threshold: THRESHOLD,
-                ..ServiceConfig::default()
             },
         )
         .expect("service starts");
