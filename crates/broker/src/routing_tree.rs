@@ -46,16 +46,16 @@ pub struct Propagation {
 pub struct BrokerState {
     /// Filter entries summed over all directed links. Each subscription
     /// appears once per link it lies behind — `O(subscriptions × links)`
-    /// in the worst case. An unsubscribed entry stays installed until
-    /// the next [`BrokerNetwork::build`] (unsubscription is lazy), so it
-    /// still counts here.
+    /// in the worst case.
     pub total_filter_entries: usize,
     /// The largest single link's filter.
     pub max_link_entries: usize,
 }
 
 /// A content-based broker network over the minimum spanning tree of
-/// the underlying graph.
+/// the underlying graph. Subscriptions join at runtime with
+/// [`subscribe`](Self::subscribe), which updates a filter on every tree
+/// link; there is no unsubscribe.
 ///
 /// # Examples
 ///
@@ -79,21 +79,17 @@ pub struct BrokerState {
 pub struct BrokerNetwork {
     /// Tree adjacency, indexed by node.
     adj: Vec<Vec<TreeLink>>,
-    /// Live subscriptions homed at each node.
+    /// Subscriptions homed at each node.
     at_node: Vec<Vec<usize>>,
-    /// All subscription rectangles (id = slice position; tombstoned
-    /// entries stay for id stability).
+    /// All subscription rectangles (id = slice position).
     rects: Vec<Rect>,
     /// Home node per subscription id.
     homes: Vec<NodeId>,
-    /// Liveness per subscription id (unsubscribed = false).
-    alive: Vec<bool>,
     /// Euler-tour intervals and parents of the tree rooted at broker 0
     /// (used to route filter updates on subscribe).
     tin: Vec<usize>,
     tout: Vec<usize>,
     parent: Vec<usize>,
-    dim: usize,
 }
 
 impl BrokerNetwork {
@@ -109,7 +105,7 @@ impl BrokerNetwork {
         let n = graph.num_nodes();
         assert!(n > 0, "graph must have nodes");
         assert!(graph.is_connected(), "broker tree needs a connected graph");
-        let dim = subscriptions.first().map_or(1, |(_, r)| r.dim());
+        let dim = subscriptions.first().map_or(0, |(_, r)| r.dim());
         for (node, rect) in subscriptions {
             assert!(node.index() < n, "subscription at unknown node {node}");
             assert_eq!(rect.dim(), dim, "subscription dimension mismatch");
@@ -167,11 +163,9 @@ impl BrokerNetwork {
             at_node,
             rects: subscriptions.iter().map(|(_, r)| r.clone()).collect(),
             homes: subscriptions.iter().map(|(n, _)| *n).collect(),
-            alive: vec![true; subscriptions.len()],
             tin,
             tout,
             parent,
-            dim,
         };
 
         // 3. Per-link behind-sets: the subscriptions reachable through
@@ -227,14 +221,16 @@ impl BrokerNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is unknown or the rectangle dimension differs.
+    /// Panics if `node` is unknown or the rectangle's dimension differs
+    /// from the first subscription's.
     pub fn subscribe(&mut self, node: NodeId, rect: Rect) -> (usize, Propagation) {
         assert!(node.index() < self.adj.len(), "unknown node {node}");
-        assert_eq!(rect.dim(), self.dim, "subscription dimension mismatch");
+        if let Some(first) = self.rects.first() {
+            assert_eq!(rect.dim(), first.dim(), "subscription dimension mismatch");
+        }
         let id = self.rects.len();
         self.rects.push(rect.clone());
         self.homes.push(node);
-        self.alive.push(true);
         self.at_node[node.index()].push(id);
         let h = node.index();
         let mut touched = 0usize;
@@ -261,32 +257,14 @@ impl BrokerNetwork {
         )
     }
 
-    /// Removes a subscription. The per-link filters keep the (now
-    /// tombstoned) entry — forwarding checks liveness — so removal
-    /// itself propagates nothing; the entry is garbage until the next
-    /// full rebuild, mirroring real systems' lazy unsubscription.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is unknown or already removed.
-    pub fn unsubscribe(&mut self, id: usize) -> Propagation {
-        assert!(
-            id < self.alive.len() && self.alive[id],
-            "subscription {id} is not live"
-        );
-        self.alive[id] = false;
-        self.at_node[self.homes[id].index()].retain(|&s| s != id);
-        Propagation { filters_touched: 0 }
-    }
-
     /// Number of brokers (graph nodes).
     pub fn num_brokers(&self) -> usize {
         self.adj.len()
     }
 
-    /// Number of live subscriptions (unsubscribed ones excluded).
+    /// Number of subscriptions.
     pub fn num_subscriptions(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.rects.len()
     }
 
     /// Delivers an event published at `publisher`: forwards across
@@ -306,11 +284,11 @@ impl BrokerNetwork {
         // DFS from the publisher; `from` prevents back-traversal.
         let mut stack: Vec<(usize, usize)> = vec![(publisher.index(), usize::MAX)];
         while let Some((u, from)) = stack.pop() {
-            // Local matches at this broker (live subscriptions only).
+            // Local matches at this broker.
             let local: Vec<usize> = self.at_node[u]
                 .iter()
                 .copied()
-                .filter(|&i| self.alive[i] && self.rects[i].contains(event))
+                .filter(|&i| self.rects[i].contains(event))
                 .collect();
             if !local.is_empty() {
                 receivers.push(NodeId(u));
@@ -323,7 +301,7 @@ impl BrokerNetwork {
                 let forwards = link
                     .filter
                     .as_ref()
-                    .is_some_and(|f| f.stab(event).into_iter().any(|&i| self.alive[i]));
+                    .is_some_and(|f| !f.stab(event).is_empty());
                 if forwards {
                     cost += link.cost;
                     edges += 1;
@@ -345,8 +323,6 @@ impl BrokerNetwork {
     /// entries installed across all directed links, and the largest
     /// single link's filter — the per-hop matching state this
     /// architecture pays that precomputed multicast groups avoid.
-    /// Entries of unsubscribed ids count until the next build, because
-    /// unsubscription leaves them installed.
     pub fn state_size(&self) -> BrokerState {
         let mut total = 0usize;
         let mut max_link = 0usize;
@@ -488,27 +464,23 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_stops_forwarding() {
+    fn the_first_subscribe_sets_an_empty_networks_dimension() {
         let g = path4();
-        let mut net = BrokerNetwork::build(&g, &[(NodeId(3), rect1(0.0, 10.0))]);
-        let d = net.deliver(NodeId(0), &Point::new(vec![5.0]));
+        let mut net = BrokerNetwork::build(&g, &[]);
+        let square = Rect::new(vec![Interval::new(0.0, 10.0).unwrap(); 2]);
+        let (id, _) = net.subscribe(NodeId(3), square);
+        let d = net.deliver(NodeId(0), &Point::new(vec![5.0, 5.0]));
+        assert_eq!(d.matched_subscriptions, vec![id]);
         assert_eq!(d.cost, 3.0);
-        let prop = net.unsubscribe(0);
-        assert_eq!(prop.filters_touched, 0); // lazy tombstoning
-        let d = net.deliver(NodeId(0), &Point::new(vec![5.0]));
-        assert!(d.matched_subscriptions.is_empty());
-        // Forwarding is suppressed by the liveness check even though
-        // the filters still contain the tombstoned entry.
-        assert_eq!(d.cost, 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "not live")]
-    fn double_unsubscribe_panics() {
+    #[should_panic(expected = "subscription dimension mismatch")]
+    fn a_subscribe_of_another_dimension_panics() {
         let g = path4();
-        let mut net = BrokerNetwork::build(&g, &[(NodeId(0), rect1(0.0, 1.0))]);
-        net.unsubscribe(0);
-        net.unsubscribe(0);
+        let mut net = BrokerNetwork::build(&g, &[]);
+        net.subscribe(NodeId(3), rect1(0.0, 10.0));
+        net.subscribe(NodeId(0), Rect::new(vec![Interval::all(); 2]));
     }
 
     #[test]
@@ -517,7 +489,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let topo = Topology::generate(&TransitStubParams::paper_100_nodes(), &mut rng);
         let nodes: Vec<NodeId> = topo.stub_nodes().collect();
-        // Start with a population, then churn: remove some, add some.
+        // Start with a population, then churn: subscribe more at runtime.
         let initial: Vec<(NodeId, Rect)> = (0..80)
             .map(|_| {
                 let node = nodes[rng.gen_range(0..nodes.len())];
@@ -527,30 +499,17 @@ mod tests {
             })
             .collect();
         let mut net = BrokerNetwork::build(topo.graph(), &initial);
-        let mut live: Vec<Option<(NodeId, Rect)>> = initial.iter().cloned().map(Some).collect();
+        let mut live = initial;
         for _ in 0..30 {
-            if rng.gen_bool(0.5) {
-                let node = nodes[rng.gen_range(0..nodes.len())];
-                let a: f64 = rng.gen_range(0.0..20.0);
-                let b: f64 = rng.gen_range(0.0..20.0);
-                let rect = rect1(a.min(b), a.max(b));
-                let (id, _) = net.subscribe(node, rect.clone());
-                assert_eq!(id, live.len());
-                live.push(Some((node, rect)));
-            } else {
-                let candidates: Vec<usize> = live
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.is_some())
-                    .map(|(i, _)| i)
-                    .collect();
-                if let Some(&id) = candidates.choose(&mut rng) {
-                    net.unsubscribe(id);
-                    live[id] = None;
-                }
-            }
+            let node = nodes[rng.gen_range(0..nodes.len())];
+            let a: f64 = rng.gen_range(0.0..20.0);
+            let b: f64 = rng.gen_range(0.0..20.0);
+            let rect = rect1(a.min(b), a.max(b));
+            let (id, _) = net.subscribe(node, rect.clone());
+            assert_eq!(id, live.len());
+            live.push((node, rect));
         }
-        // Exact matching against the live brute-force set.
+        // Exact matching against the brute-force set.
         for _ in 0..30 {
             let publisher = nodes[rng.gen_range(0..nodes.len())];
             let event = Point::new(vec![rng.gen_range(0.0..20.0)]);
@@ -558,7 +517,6 @@ mod tests {
             let expect: Vec<usize> = live
                 .iter()
                 .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
                 .filter(|(_, (_, r))| r.contains(&event))
                 .map(|(i, _)| i)
                 .collect();
@@ -578,23 +536,6 @@ mod tests {
         // Empty network: zero state.
         let empty = BrokerNetwork::build(&g, &[]);
         assert_eq!(empty.state_size().total_filter_entries, 0);
-    }
-
-    #[test]
-    fn unsubscribed_entries_count_as_state_until_a_rebuild() {
-        let g = path4();
-        let subs = [(NodeId(3), rect1(0.0, 10.0)), (NodeId(0), rect1(5.0, 15.0))];
-        let mut net = BrokerNetwork::build(&g, &subs);
-        let before = net.state_size();
-        assert_eq!(before.total_filter_entries, 6);
-        net.unsubscribe(0);
-        // The filters keep the tombstoned entry; only liveness changes.
-        assert_eq!(net.state_size(), before);
-        assert_eq!(net.num_subscriptions(), 1);
-        // A rebuild from the live set drops it.
-        let rebuilt = BrokerNetwork::build(&g, &subs[1..]);
-        assert_eq!(rebuilt.state_size().total_filter_entries, 3);
-        assert_eq!(rebuilt.num_subscriptions(), 1);
     }
 
     #[test]

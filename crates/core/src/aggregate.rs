@@ -219,11 +219,6 @@ impl AggregatePlan {
         }
     }
 
-    /// Number of compiled groups.
-    pub fn num_groups(&self) -> usize {
-        self.group_wsize.len()
-    }
-
     // lint: hot-path
     /// The kernel over a window, each event then decided again on
     /// weighted counts: `weighted hits / weighted group size`, the hits

@@ -349,11 +349,6 @@ impl DispatchPlan {
         r.is_some_and(|r| !r.is_empty() && (!self.complete || !self.grid.bounds().contains_rect(r)))
     }
 
-    /// Number of compiled groups.
-    pub fn num_groups(&self) -> usize {
-        self.group_size.len()
-    }
-
     // lint: hot-path
     /// Figure 5's threshold test, the one place it is applied: multicast
     /// to `group` when `hits` of its `size` members — both counted
@@ -556,9 +551,9 @@ mod tests {
             .iter()
             .step_by(7)
             .map(|&id| {
-                let rect = dynamic.subscription_slots()[id.index()].clone().unwrap();
+                let rect = dynamic.subscription_slots()[id.0].clone().unwrap();
                 dynamic.unsubscribe(id).unwrap();
-                (id.index(), rect)
+                (id.0, rect)
             })
             .collect();
         dynamic.rebalance();
@@ -683,7 +678,7 @@ mod tests {
         v.assert_clean("plan attached from an all-tombstone population");
         let state = plan.serve_state.as_ref().unwrap();
         assert!(state.cand_lo.is_empty() && state.cand_hi.is_empty());
-        assert!(state.fallback.is_empty() && state.index.is_empty());
+        assert!(state.fallback.is_empty() && state.index.len() == 0);
 
         // x runs from -2 to 12: off the grid on both sides.
         let events: Vec<Point> = (0..200)

@@ -86,16 +86,6 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
-    /// Number of hyper-cells the matrix covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix covers no hyper-cells.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The stored `d(i, j)`; `d(i, i)` is 0.
     ///
     /// # Panics
@@ -143,7 +133,7 @@ mod tests {
     fn matches_direct_expected_waste() {
         let h = cells();
         let m = DistanceMatrix::build_weighted(&h, None);
-        assert_eq!(m.len(), 5);
+        assert_eq!(m.n, 5);
         for i in 0..5 {
             for j in 0..5 {
                 let direct = expected_waste(h[i].prob, &h[i].members, h[j].prob, &h[j].members);
@@ -212,10 +202,10 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let m = DistanceMatrix::build_weighted(&[], None);
-        assert!(m.is_empty());
+        assert_eq!(m.n, 0);
         let h = cells();
         let m = DistanceMatrix::build_weighted(&h[..1], None);
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.n, 1);
         assert_eq!(m.get(0, 0), 0.0);
     }
 }

@@ -36,13 +36,6 @@ const DEFAULT_MAX_DIRTY: f64 = 0.2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubscriptionId(pub usize);
 
-impl SubscriptionId {
-    /// The raw slot index.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// A clustering that tracks subscription churn and re-balances
 /// incrementally.
 ///
@@ -893,7 +886,7 @@ mod tests {
         let id = SubscriptionId(2);
         b.unsubscribe(id).unwrap();
         assert_eq!(b.subscription_slots().len(), 6);
-        assert!(b.subscription_slots()[id.index()].is_none());
+        assert!(b.subscription_slots()[id.0].is_none());
         assert!(b.subscription_slots()[0].is_some());
         b.try_rebalance().expect("tombstone fold validates");
         assert_eq!(b.framework().num_subscribers(), 6);
@@ -987,9 +980,9 @@ mod tests {
         let b = s.subscribe(rect1(5.0, 10.0));
         s.unsubscribe(a).unwrap();
         let c = s.subscribe(rect1(10.0, 15.0));
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
-        assert_eq!(c.index(), 2);
+        assert_eq!(a.0, 0);
+        assert_eq!(b.0, 1);
+        assert_eq!(c.0, 2);
         s.rebalance();
         assert_eq!(s.num_subscriptions(), 2);
     }

@@ -1121,7 +1121,6 @@ mod tests {
             fw.distance_matrix().unwrap(),
             cold.distance_matrix().unwrap(),
         );
-        assert_eq!(inc_m.len(), cold_m.len());
         for i in 0..fw.hypercells().len() {
             for j in 0..i {
                 assert_eq!(inc_m.get(i, j).to_bits(), cold_m.get(i, j).to_bits());

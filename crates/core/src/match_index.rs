@@ -67,13 +67,8 @@ impl SubscriptionIndex {
     }
 
     /// Number of indexed subscriptions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Ids of the subscriptions whose rectangle contains the event, in
@@ -112,7 +107,7 @@ mod tests {
     #[test]
     fn empty_index() {
         let idx = SubscriptionIndex::build(&[]);
-        assert!(idx.is_empty());
+        assert_eq!(idx.len(), 0);
         assert!(idx.matching(&Point::new(vec![0.0])).is_empty());
     }
 

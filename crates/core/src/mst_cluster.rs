@@ -252,7 +252,7 @@ mod tests {
     /// appearance, the numbering `cluster` produces.
     fn prim_over_matrix(fw: &GridFramework, k: usize) -> Vec<usize> {
         let m = DistanceMatrix::build_weighted(fw.hypercells(), fw.weights_ref());
-        let l = m.len();
+        let l = fw.hypercells().len();
         let mut in_tree = vec![false; l];
         in_tree[0] = true;
         let mut best: Vec<(f64, usize)> = (0..l).map(|j| (m.get(0, j), 0)).collect();

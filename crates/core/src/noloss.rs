@@ -335,11 +335,6 @@ impl NoLossClustering {
         &self.regions
     }
 
-    /// Number of multicast groups.
-    pub fn num_groups(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Matches an event to the best region containing it (Figure 6 of
     /// the paper): the message is multicast to that region's
     /// subscribers and unicast to any other interested subscriber.
@@ -357,8 +352,12 @@ impl NoLossClustering {
     /// time. The comparator is a strict total order over distinct
     /// indices (count, then weight, then *lower index* on ties), so the
     /// maximum is unique and the fold below is independent of the
-    /// R-tree's visitation order.
+    /// R-tree's visitation order. An empty clustering matches nothing,
+    /// whatever the point's dimension.
     pub fn match_event(&self, p: &Point) -> Option<usize> {
+        if self.tree.is_empty() {
+            return None;
+        }
         let mut best: Option<usize> = None;
         self.tree.stab_with(p, |&i| {
             best = Some(match best {
@@ -477,8 +476,9 @@ mod tests {
     #[test]
     fn empty_input() {
         let nl = NoLossClustering::build(&[], &[], &NoLossConfig::default(), 5);
-        assert_eq!(nl.num_groups(), 0);
+        assert!(nl.regions().is_empty());
         assert_eq!(nl.match_event(&Point::new(vec![0.0])), None);
+        assert_eq!(nl.match_event(&Point::new(vec![0.0, 0.0])), None);
     }
 
     #[test]
@@ -493,7 +493,7 @@ mod tests {
         ];
         let sample: Vec<Point> = (0..40).map(|i| Point::new(vec![i as f64 * 0.5])).collect();
         let nl = NoLossClustering::build(&subs, &sample, &cfg(100, 4), 50);
-        assert!(nl.num_groups() > 0);
+        assert!(!nl.regions().is_empty());
         for region in nl.regions() {
             for s in region.subscribers.iter() {
                 assert!(
@@ -549,7 +549,7 @@ mod tests {
         ];
         let sample = vec![Point::new(vec![5.0]); 5];
         let nl = NoLossClustering::build(&subs, &sample, &cfg(100, 2), 1);
-        assert_eq!(nl.num_groups(), 1);
+        assert_eq!(nl.regions().len(), 1);
         // The popular shared rectangle wins over the lonely one.
         assert_eq!(nl.regions()[0].subscribers.count(), 3);
     }
@@ -559,7 +559,7 @@ mod tests {
         let subs = vec![rect1(0.0, 5.0), rect1(0.0, 5.0)];
         let nl = NoLossClustering::build(&subs, &[], &cfg(10, 1), 10);
         // One region, two members.
-        assert_eq!(nl.num_groups(), 1);
+        assert_eq!(nl.regions().len(), 1);
         assert_eq!(nl.regions()[0].subscribers.count(), 2);
     }
 

@@ -103,7 +103,7 @@ fn noloss_k_zero_keeps_nothing() {
         },
         0,
     );
-    assert_eq!(nl.num_groups(), 0);
+    assert!(nl.regions().is_empty());
     assert_eq!(nl.match_event(&Point::new(vec![4.0])), None);
 }
 
@@ -121,7 +121,7 @@ fn noloss_zero_iterations_uses_raw_rectangles() {
         10,
     );
     // No intersections generated: the two raw rectangles are the pool.
-    assert_eq!(nl.num_groups(), 2);
+    assert_eq!(nl.regions().len(), 2);
 }
 
 #[test]

@@ -224,7 +224,7 @@ proptest! {
                     let rect = Rect::new(vec![Interval::new(lo, hi).unwrap()]);
                     let id = s.subscribe(rect.clone());
                     // Ids are issued densely and stay stable forever.
-                    prop_assert_eq!(id.index(), live.len());
+                    prop_assert_eq!(id.0, live.len());
                     live.push(Some(rect));
                 }
                 ChurnOp::Unsubscribe(i) if !live.is_empty() => {

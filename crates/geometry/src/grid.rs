@@ -325,7 +325,7 @@ impl Grid {
     /// Panics if `r.dim() != self.dim()`.
     pub fn cells_overlapping(&self, r: &Rect) -> Vec<CellId> {
         assert_eq!(r.dim(), self.dim(), "dimension mismatch");
-        let clipped = match r.clip(&self.bounds) {
+        let clipped = match r.intersection(&self.bounds) {
             Some(c) => c,
             None => return Vec::new(),
         };

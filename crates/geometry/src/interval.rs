@@ -201,13 +201,6 @@ impl Interval {
             hi: self.hi.max(other.hi),
         }
     }
-
-    /// Clamps the interval to `bounds`, returning `None` when the clipped
-    /// interval is empty. Used when rasterizing subscriptions onto a
-    /// finite grid.
-    pub fn clip(&self, bounds: &Interval) -> Option<Interval> {
-        self.intersection(bounds)
-    }
 }
 
 impl fmt::Display for Interval {
@@ -304,10 +297,10 @@ mod tests {
     fn clip_to_bounds() {
         let i = Interval::greater_than(5.0);
         let bounds = Interval::new(0.0, 20.0).unwrap();
-        let c = i.clip(&bounds).unwrap();
+        let c = i.intersection(&bounds).unwrap();
         assert_eq!((c.lo(), c.hi()), (5.0, 20.0));
         let disjoint = Interval::new(30.0, 40.0).unwrap();
-        assert!(disjoint.clip(&bounds).is_none());
+        assert!(disjoint.intersection(&bounds).is_none());
     }
 
     #[test]

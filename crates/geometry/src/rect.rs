@@ -207,17 +207,6 @@ impl Rect {
         }
         self.intervals.iter().map(Interval::length).product()
     }
-
-    /// Clips the rectangle to `bounds`, returning `None` when the clipped
-    /// rectangle is empty. Used to rasterize unbounded subscriptions onto
-    /// a finite grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions disagree.
-    pub fn clip(&self, bounds: &Rect) -> Option<Rect> {
-        self.intersection(bounds)
-    }
 }
 
 impl fmt::Display for Rect {
@@ -337,7 +326,7 @@ mod tests {
     fn clip_unbounded_subscription() {
         let sub = Rect::new(vec![Interval::greater_than(5.0), Interval::all()]);
         let bounds = rect2((0.0, 20.0), (0.0, 20.0));
-        let clipped = sub.clip(&bounds).unwrap();
+        let clipped = sub.intersection(&bounds).unwrap();
         assert_eq!(clipped, rect2((5.0, 20.0), (0.0, 20.0)));
     }
 

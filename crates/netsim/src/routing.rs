@@ -31,10 +31,10 @@ use crate::shortest_path::ShortestPathTree;
 ///
 /// Trees enter the map only through [`Router::warm`] (serial) and
 /// [`Router::insert_spt`] (trees a caller computed, typically in
-/// parallel, over [`Router::graph`]). Every query takes `&self`,
-/// so evaluations can fan out across threads. A query from a source
-/// that was never warmed runs an uncached Dijkstra instead: the same
-/// answer, merely slower.
+/// parallel, over the graph given to [`Router::new`]). Every query
+/// takes `&self`, so evaluations can fan out across threads. A query
+/// from a source that was never warmed runs an uncached Dijkstra
+/// instead: the same answer, merely slower.
 ///
 /// # Examples
 ///
@@ -66,11 +66,6 @@ impl<'g> Router<'g> {
         }
     }
 
-    /// The graph routes and costs are computed on.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
     /// Computes, one after another, the tree of every source in
     /// `sources` that the router does not hold yet.
     ///
@@ -86,7 +81,7 @@ impl<'g> Router<'g> {
     }
 
     /// Adds a precomputed shortest-path tree, keyed by its source. The
-    /// tree must have been computed over [`Router::graph`].
+    /// tree must have been computed over the router's graph.
     pub fn insert_spt(&mut self, spt: ShortestPathTree) {
         self.spts.insert(spt.source(), spt);
     }
@@ -362,7 +357,7 @@ mod tests {
         let g = line();
         let mut r = Router::new(&g);
         assert!(r.spt(NodeId(0)).is_none());
-        r.insert_spt(ShortestPathTree::compute(r.graph(), NodeId(0)));
+        r.insert_spt(ShortestPathTree::compute(r.graph, NodeId(0)));
         assert_eq!(r.spts.len(), 1);
         assert_eq!(r.spt(NodeId(0)).map(|t| t.source()), Some(NodeId(0)));
         assert_eq!(r.distance(NodeId(0), NodeId(2)), 2.0);

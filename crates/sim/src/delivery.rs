@@ -94,17 +94,6 @@ pub struct DeliveryBreakdown {
     pub mean_interested_nodes: f64,
 }
 
-impl DeliveryBreakdown {
-    /// Mean total cost per event.
-    pub fn mean_cost(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            (self.multicast_cost + self.unicast_cost) / self.events as f64
-        }
-    }
-}
-
 /// One event's price: what its delivery costs.
 #[derive(Debug, Clone, Copy)]
 struct Price {
@@ -552,6 +541,20 @@ impl<'a> Evaluator<'a> {
         let routes = self.noloss_routes(clustering);
         let covers = self.covers(nodes, &routes, mode, true);
         self.mean_cost(&covers, &routes)
+    }
+}
+
+/// Test-only: the unit tests below check the breakdown against the
+/// evaluator's mean cost.
+#[cfg(test)]
+impl DeliveryBreakdown {
+    /// Mean total cost per event.
+    fn mean_cost(&self) -> f64 {
+        if self.events == 0 {
+            0.0
+        } else {
+            (self.multicast_cost + self.unicast_cost) / self.events as f64
+        }
     }
 }
 

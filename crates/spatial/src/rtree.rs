@@ -144,11 +144,6 @@ impl<T> RTree<T> {
         self.len == 0
     }
 
-    /// The tree's dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Inserts a rectangle/value pair.
     ///
     /// # Panics

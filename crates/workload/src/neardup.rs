@@ -149,7 +149,7 @@ mod tests {
         let w = NearDupModel::new(5_000, 100, 2, 1).unwrap().generate(500);
         assert_eq!(w.subscriptions.len(), 5_000);
         assert_eq!(w.events.len(), 500);
-        assert_eq!(w.dim(), 2);
+        assert_eq!(w.bounds.dim(), 2);
     }
 
     #[test]

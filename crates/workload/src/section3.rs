@@ -267,7 +267,7 @@ mod tests {
         let w = model(0.4, PredicateDist::Uniform).generate(&t, &mut rng);
         assert_eq!(w.subscriptions.len(), 400);
         assert_eq!(w.events.len(), 100);
-        assert_eq!(w.dim(), 4);
+        assert_eq!(w.bounds.dim(), 4);
         for s in &w.subscriptions {
             assert_eq!(s.rect.dim(), 4);
         }

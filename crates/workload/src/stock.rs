@@ -328,7 +328,7 @@ mod tests {
             .generate(&t, &mut rng);
         assert_eq!(w.subscriptions.len(), 1000);
         assert_eq!(w.events.len(), 200);
-        assert_eq!(w.dim(), 4);
+        assert_eq!(w.bounds.dim(), 4);
     }
 
     #[test]

@@ -44,11 +44,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Number of dimensions of the event space.
-    pub fn dim(&self) -> usize {
-        self.bounds.dim()
-    }
-
     /// Indices of subscriptions matching the event point (brute force;
     /// the ground truth that clustering-based matchers approximate):
     /// clears `out` and fills it in increasing order. Per-event loops
@@ -120,6 +115,6 @@ mod tests {
     #[test]
     fn accessors() {
         let w = workload();
-        assert_eq!(w.dim(), 1);
+        assert_eq!(w.bounds.dim(), 1);
     }
 }
